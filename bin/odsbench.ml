@@ -11,9 +11,25 @@ let records_arg default =
   let doc = "Records inserted per driver (paper: 32000)." in
   Arg.(value & opt int default & info [ "records" ] ~docv:"N" ~doc)
 
-let mode_to_string = function
-  | Tp.System.Disk_audit -> "disk"
-  | Tp.System.Pm_audit -> "pm"
+let modes = [ ("disk", Tp.System.Disk_audit); ("pm", Tp.System.Pm_audit) ]
+
+let mode_to_string m = fst (List.find (fun (_, m') -> m' = m) modes)
+
+(* One closed [--mode disk|pm] flag for every command that takes exactly
+   these two: a typo is a usage error, never a silent disk run. *)
+let mode_arg =
+  Arg.(
+    value
+    & opt (enum modes) Tp.System.Disk_audit
+    & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
+
+(* Commands whose --mode offers more than disk|pm keep it as a string,
+   drawn from a closed set all the same. *)
+let mode_choice ~default names ~doc =
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) names)) default
+    & info [ "mode" ] ~docv:(String.concat "|" names) ~doc)
 
 let hr () = print_endline (String.make 72 '-')
 
@@ -69,8 +85,6 @@ let run_hot_stock_cell ?obs ?sample_interval ?(device = "npmu") ?(seed = 0xF19L)
   | Some (system, result) ->
       (system, { Figures.mode; drivers; inserts_per_txn = boxcar; result }, !ts)
   | None -> failwith "cell incomplete"
-
-let parse_mode = function "pm" -> Tp.System.Pm_audit | _ -> Tp.System.Disk_audit
 
 (* --- fig1 --- *)
 
@@ -217,7 +231,6 @@ let breakdown_cmd =
 (* --- trace: span capture to a Chrome/Perfetto trace file --- *)
 
 let trace mode drivers boxcar records out =
-  let mode = parse_mode mode in
   let obs = Obs.create () in
   Span.enable (Obs.spans obs);
   let _system, (_ : Figures.cell), _ts =
@@ -233,9 +246,6 @@ let trace mode drivers boxcar records out =
   Printf.printf "open in a Chromium browser at chrome://tracing, or https://ui.perfetto.dev\n"
 
 let trace_cmd =
-  let mode =
-    Arg.(value & opt string "disk" & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
-  in
   let drivers = Arg.(value & opt int 1 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
   let boxcar =
     Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
@@ -248,12 +258,11 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run a hot-stock cell with span tracing on and write a Chrome trace file")
-    Term.(const trace $ mode $ drivers $ boxcar $ records_arg 200 $ out)
+    Term.(const trace $ mode_arg $ drivers $ boxcar $ records_arg 200 $ out)
 
 (* --- metrics: dump the full registry for one cell --- *)
 
 let metrics_dump mode drivers boxcar records json =
-  let mode = parse_mode mode in
   let obs = Obs.create () in
   let _system, (_ : Figures.cell), _ts =
     run_hot_stock_cell ~obs ~mode ~drivers ~boxcar ~records ()
@@ -263,21 +272,17 @@ let metrics_dump mode drivers boxcar records json =
   else Format.printf "%a@?" Metrics.pp_table m
 
 let metrics_cmd =
-  let mode =
-    Arg.(value & opt string "disk" & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
-  in
   let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
   let boxcar =
     Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
   in
   Cmd.v
     (Cmd.info "metrics" ~doc:"Run a hot-stock cell and dump the whole metrics registry")
-    Term.(const metrics_dump $ mode $ drivers $ boxcar $ records_arg 1_000 $ json_arg)
+    Term.(const metrics_dump $ mode_arg $ drivers $ boxcar $ records_arg 1_000 $ json_arg)
 
 (* --- single cell --- *)
 
 let cell mode device drivers boxcar records verbose =
-  let mode = parse_mode mode in
   let system, c, _ts = run_hot_stock_cell ~device ~mode ~drivers ~boxcar ~records () in
   if verbose then Format.printf "%a" Tp.System.report system;
   let r = c.Figures.result in
@@ -295,9 +300,6 @@ let cell mode device drivers boxcar records verbose =
   hr ()
 
 let cell_cmd =
-  let mode =
-    Arg.(value & opt string "disk" & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
-  in
   let device =
     Arg.(
       value & opt string "npmu"
@@ -312,7 +314,7 @@ let cell_cmd =
   in
   Cmd.v
     (Cmd.info "hot-stock" ~doc:"Run one hot-stock configuration and print details")
-    Term.(const cell $ mode $ device $ drivers $ boxcar $ records_arg 4_000 $ verbose)
+    Term.(const cell $ mode_arg $ device $ drivers $ boxcar $ records_arg 4_000 $ verbose)
 
 (* --- E3 latency sweep --- *)
 
@@ -938,7 +940,7 @@ let drill_plan_file path mode_str drivers boxcar records seed flight json =
                or overload schedules in a repro document)";
             exit 2
           end;
-          let mode = parse_mode mode_str in
+          let mode = List.assoc mode_str modes in
           let params =
             {
               Tp.Drill.default_params with
@@ -1152,13 +1154,11 @@ let drill mode plan_name plan_file drivers boxcar records seed interval_ms fligh
 
 let drill_cmd =
   let mode =
-    Arg.(
-      value & opt string "pm"
-      & info [ "mode" ] ~docv:"disk|pm|cluster"
-          ~doc:
-            "Audit backend, or $(b,cluster) for the multi-node partition drill \
-             (distributed 2PC load, WAN partition, in-doubt resolution, epoch-fence \
-             audit).")
+    mode_choice ~default:"pm" [ "disk"; "pm"; "cluster" ]
+      ~doc:
+        "Audit backend, or $(b,cluster) for the multi-node partition drill \
+         (distributed 2PC load, WAN partition, in-doubt resolution, epoch-fence \
+         audit)."
   in
   let plan =
     Arg.(
@@ -1414,10 +1414,7 @@ let timeline mode_str device drivers boxcar records interval_ms csv json =
     match mode_str with
     | "disk" -> [ Tp.System.Disk_audit ]
     | "pm" -> [ Tp.System.Pm_audit ]
-    | "both" -> [ Tp.System.Disk_audit; Tp.System.Pm_audit ]
-    | other ->
-        prerr_endline ("odsbench timeline: unknown mode '" ^ other ^ "' (disk|pm|both)");
-        exit 2
+    | _ (* both *) -> [ Tp.System.Disk_audit; Tp.System.Pm_audit ]
   in
   if interval_ms < 1 then begin
     prerr_endline "odsbench timeline: --interval-ms must be at least 1";
@@ -1491,9 +1488,7 @@ let timeline mode_str device drivers boxcar records interval_ms csv json =
 
 let timeline_cmd =
   let mode =
-    Arg.(
-      value & opt string "both"
-      & info [ "mode" ] ~docv:"disk|pm|both" ~doc:"Audit backend(s) to sample.")
+    mode_choice ~default:"both" [ "disk"; "pm"; "both" ] ~doc:"Audit backend(s) to sample."
   in
   let device =
     Arg.(
@@ -1607,10 +1602,10 @@ let critpath mode_str drivers boxcar records nodes txns seed chrome json =
       if json then print_endline (Json.to_string (critpath_cluster_json r))
       else critpath_cluster_text r
   | "disk" | "pm" ->
-      let r = run_one (parse_mode mode_str) in
+      let r = run_one (List.assoc mode_str modes) in
       if json then print_endline (Json.to_string (critpath_mode_json r))
       else critpath_mode_text r
-  | "both" ->
+  | _ (* both *) ->
       let d = run_one Tp.System.Disk_audit in
       let p = run_one Tp.System.Pm_audit in
       if json then
@@ -1622,20 +1617,14 @@ let critpath mode_str drivers boxcar records nodes txns seed chrome json =
         print_newline ();
         critpath_mode_text p
       end
-  | other ->
-      prerr_endline
-        ("odsbench critpath: unknown mode '" ^ other ^ "' (disk|pm|both|cluster)");
-      exit 2
 
 let critpath_cmd =
   let mode =
-    Arg.(
-      value & opt string "both"
-      & info [ "mode" ] ~docv:"disk|pm|both|cluster"
-          ~doc:
-            "What to trace: a single-node hot-stock cell on the disk or PM audit \
-             backend ($(b,both) runs one of each for comparison), or $(b,cluster), a \
-             multi-node 2PC load whose prepare/decide hops cross the interconnect.")
+    mode_choice ~default:"both" [ "disk"; "pm"; "both"; "cluster" ]
+      ~doc:
+        "What to trace: a single-node hot-stock cell on the disk or PM audit \
+         backend ($(b,both) runs one of each for comparison), or $(b,cluster), a \
+         multi-node 2PC load whose prepare/decide hops cross the interconnect."
   in
   let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
   let boxcar =
@@ -1689,8 +1678,8 @@ let run_in_system cfg seed f =
   match !out with Some v -> v | None -> failwith "run did not complete"
 
 let cfg_of_mode = function
-  | "pm" -> Tp.System.pm_config
-  | _ -> Tp.System.default_config
+  | Tp.System.Pm_audit -> Tp.System.pm_config
+  | Tp.System.Disk_audit -> Tp.System.default_config
 
 let telco mode records rate =
   let params =
@@ -1699,8 +1688,8 @@ let telco mode records rate =
       arrival = (if rate > 0.0 then Telco_cdr.Open_poisson rate else Telco_cdr.Closed) }
   in
   let r = run_in_system (cfg_of_mode mode) 0x7E1C0L (fun s -> Telco_cdr.run s params) in
-  Printf.printf "telco CDR ingest: mode=%s switches=%d cdrs/switch=%d\n" mode
-    params.Telco_cdr.switches records;
+  Printf.printf "telco CDR ingest: mode=%s switches=%d cdrs/switch=%d\n"
+    (mode_to_string mode) params.Telco_cdr.switches records;
   hr ();
   Printf.printf "elapsed        %.3f s\n" (Time.to_sec r.Telco_cdr.elapsed);
   Printf.printf "ingest rate    %.0f CDR/s\n" r.Telco_cdr.cdrs_per_sec;
@@ -1710,9 +1699,6 @@ let telco mode records rate =
   hr ()
 
 let telco_cmd =
-  let mode =
-    Arg.(value & opt string "disk" & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
-  in
   let rate =
     Arg.(
       value & opt float 0.0
@@ -1720,13 +1706,14 @@ let telco_cmd =
   in
   Cmd.v
     (Cmd.info "telco" ~doc:"Telco CDR ingest workload (paper section 1)")
-    Term.(const telco $ mode $ records_arg 1_000 $ rate)
+    Term.(const telco $ mode_arg $ records_arg 1_000 $ rate)
 
 let orders mode trades =
   let params = { Order_match.default_params with Order_match.trades_per_stream = trades } in
   let r = run_in_system (cfg_of_mode mode) 0x570CL (fun s -> Order_match.run s params) in
-  Printf.printf "order matching: mode=%s streams=%d trades/stream=%d hot-share=%.0f%%\n" mode
-    params.Order_match.streams trades (params.Order_match.hot_symbol_share *. 100.);
+  Printf.printf "order matching: mode=%s streams=%d trades/stream=%d hot-share=%.0f%%\n"
+    (mode_to_string mode) params.Order_match.streams trades
+    (params.Order_match.hot_symbol_share *. 100.);
   hr ();
   Printf.printf "elapsed        %.3f s\n" (Time.to_sec r.Order_match.elapsed);
   Printf.printf "hot symbol     %.1f trades/s (%d trades)\n" r.Order_match.hot_tps
@@ -1737,15 +1724,12 @@ let orders mode trades =
   hr ()
 
 let orders_cmd =
-  let mode =
-    Arg.(value & opt string "disk" & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
-  in
   let trades =
     Arg.(value & opt int 500 & info [ "trades" ] ~docv:"N" ~doc:"Trades per stream.")
   in
   Cmd.v
     (Cmd.info "orders" ~doc:"Hot-stock order matching workload (paper section 2)")
-    Term.(const orders $ mode $ trades)
+    Term.(const orders $ mode_arg $ trades)
 
 let dtx_cmd_impl transfers =
   Printf.printf "E10: cross-node transfers under two-phase commit (2 nodes)\n";
@@ -1800,8 +1784,8 @@ let scaleout_cmd =
 let bank mode txns =
   let params = { Bank.default_params with Bank.txns_per_client = txns } in
   let r = run_in_system (cfg_of_mode mode) 0xBA22L (fun s -> Bank.run s params) in
-  Printf.printf "bank (TPC-B-style): mode=%s clients=%d txns/client=%d\n" mode
-    params.Bank.clients txns;
+  Printf.printf "bank (TPC-B-style): mode=%s clients=%d txns/client=%d\n"
+    (mode_to_string mode) params.Bank.clients txns;
   hr ();
   Printf.printf "elapsed          %.3f s\n" (Time.to_sec r.Bank.elapsed);
   Printf.printf "throughput       %.1f txn/s\n" r.Bank.tps;
@@ -1811,15 +1795,12 @@ let bank mode txns =
   hr ()
 
 let bank_cmd =
-  let mode =
-    Arg.(value & opt string "disk" & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
-  in
   let txns =
     Arg.(value & opt int 250 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client.")
   in
   Cmd.v
     (Cmd.info "bank" ~doc:"TPC-B-style update-heavy banking workload")
-    Term.(const bank $ mode $ txns)
+    Term.(const bank $ mode_arg $ txns)
 
 (* --- perf: the simulator performance observatory --- *)
 

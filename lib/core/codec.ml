@@ -1,7 +1,7 @@
 module Enc = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 256
+  let create ?(size = 256) () = Buffer.create size
 
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xFF))
 
@@ -29,7 +29,14 @@ module Enc = struct
 
   let raw t b = Buffer.add_bytes t b
 
-  let pad t n = for _ = 1 to n do Buffer.add_char t '\000' done
+  let zeros = String.make 4096 '\000'
+
+  let rec pad t n =
+    if n > 0 then begin
+      let k = min n (String.length zeros) in
+      Buffer.add_substring t zeros 0 k;
+      pad t (n - k)
+    end
 
   let length t = Buffer.length t
 

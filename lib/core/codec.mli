@@ -5,7 +5,10 @@
 module Enc : sig
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** [size] is the initial capacity (default 256); the buffer grows past
+      it, so an exact size only saves the regrowth copies. *)
+
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit

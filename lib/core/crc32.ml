@@ -1,34 +1,21 @@
+(* Table-driven, reflected, on native ints: no boxed [Int32] in the loop. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-type state = int32
-
-let init : state = 0xFFFFFFFFl
-
-let update (st : state) buf ~pos ~len : state =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Crc32.update: out of range";
-  let table = Lazy.force table in
-  let crc = ref st in
+let sub buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Crc32.sub: out of range";
+  let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bytes.unsafe_get buf i) in
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int byte)) 0xFFl) in
-    crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
+    crc := Array.unsafe_get table ((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
   done;
-  !crc
-
-let finish (st : state) = Int32.logxor st 0xFFFFFFFFl
-
-let sub buf ~pos ~len = finish (update init buf ~pos ~len)
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
 
 let bytes buf = sub buf ~pos:0 ~len:(Bytes.length buf)
 
-let string s = bytes (Bytes.of_string s)
+let string s = bytes (Bytes.unsafe_of_string s)

@@ -5,25 +5,6 @@
 val bytes : Bytes.t -> int32
 
 val sub : Bytes.t -> pos:int -> len:int -> int32
+(** Raises [Invalid_argument] if the slice is out of range. *)
 
 val string : string -> int32
-
-(** {2 Incremental interface}
-
-    For callers that checksum a logical record arriving in pieces (the
-    PMM scrubber hashes a chunk in RDMA-sized slices).  Feeding the same
-    bytes through any sequence of {!update} calls yields exactly the
-    one-shot result: [finish (update init b ~pos:0 ~len)] = [sub b ~pos:0
-    ~len]. *)
-
-type state
-(** Running CRC accumulator (pre-conditioned, not a final checksum). *)
-
-val init : state
-
-val update : state -> Bytes.t -> pos:int -> len:int -> state
-(** Fold [len] bytes of [buf] starting at [pos] into the accumulator.
-    Raises [Invalid_argument] if the slice is out of range. *)
-
-val finish : state -> int32
-(** Extract the checksum.  The state may not be reused afterwards. *)

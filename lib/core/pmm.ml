@@ -893,13 +893,13 @@ let load_scrub t st =
       st.s_generation <- generation
   | None -> ()
 
-(* Read one chunk in 64 KiB RDMA slices, folding the incremental CRC as
-   the slices land.  [None] when the device is unreachable. *)
+(* Read one chunk in 64 KiB RDMA slices.  [None] when the device is
+   unreachable. *)
 let scrub_read_chunk t st dev ~addr ~len =
   let buf = Bytes.create len in
   let slice = 64 * 1024 in
-  let rec go pos acc =
-    if pos >= len then Some (buf, Crc32.finish acc)
+  let rec go pos =
+    if pos >= len then Some buf
     else
       let n = min slice (len - pos) in
       match
@@ -909,9 +909,9 @@ let scrub_read_chunk t st dev ~addr ~len =
       | Error _ -> None
       | Ok data ->
           Bytes.blit data 0 buf pos n;
-          go (pos + n) (Crc32.update acc data ~pos:0 ~len:n)
+          go (pos + n)
   in
-  go 0 Crc32.init
+  go 0
 
 let scrub_strike st ~addr ~len =
   let n = (match Hashtbl.find_opt st.s_strikes addr with Some n -> n | None -> 0) + 1 in
@@ -960,9 +960,9 @@ let scrub_chunk t st ~addr ~len =
   match
     (scrub_read_chunk t st t.prim_dev ~addr ~len, scrub_read_chunk t st t.mirr_dev ~addr ~len)
   with
-  | Some (p, cp), Some (m, _) when Bytes.equal p m ->
+  | Some p, Some m when Bytes.equal p m ->
       st.s_chunks <- st.s_chunks + 1;
-      scrub_mark_clean t st ~addr cp
+      scrub_mark_clean t st ~addr (Crc32.bytes p)
   | Some _, Some _ -> (
       st.s_chunks <- st.s_chunks + 1;
       Sim.sleep st.s_cfg.scrub_recheck;
@@ -970,13 +970,14 @@ let scrub_chunk t st ~addr ~len =
         ( scrub_read_chunk t st t.prim_dev ~addr ~len,
           scrub_read_chunk t st t.mirr_dev ~addr ~len )
       with
-      | Some (p, cp), Some (m, _) when Bytes.equal p m -> scrub_mark_clean t st ~addr cp
-      | Some (p, cp), Some (m, cm) -> (
+      | Some p, Some m when Bytes.equal p m -> scrub_mark_clean t st ~addr (Crc32.bytes p)
+      | Some p, Some m -> (
           (* A table match only arbitrates if the matching device has not
              power-cycled since the entry was recorded: a cycle can roll
              the chunk back to exactly the blessed contents, and repairing
              the peer from the rollback would destroy the only copy of
              writes acked since the last clean scan. *)
+          let cp = Crc32.bytes p and cm = Crc32.bytes m in
           let snap = Hashtbl.find_opt st.s_clean_cycles addr in
           let steady dev since =
             match since with

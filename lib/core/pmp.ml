@@ -1,43 +1,37 @@
 open Simkit
 open Nsk
+module Pages = Servernet.Fabric.Pages
 
 type t = {
   pmp_name : string;
-  capacity : int;
-  mem : Bytes.t;
+  mem : Pages.t;
   ep : Servernet.Fabric.endpoint;
   host : Cpu.t;
   mutable alive : bool;
 }
 
+(* DRAM-hosted: losing power drops every page. *)
+let power_loss t =
+  if t.alive then begin
+    t.alive <- false;
+    Servernet.Fabric.set_alive t.ep false;
+    Pages.clear t.mem
+  end
+
 let create cpu fabric ~name ~capacity =
   if capacity <= 0 then invalid_arg "Pmp.create: capacity must be positive";
-  let mem = Bytes.make capacity '\000' in
-  let store =
-    {
-      Servernet.Fabric.size = capacity;
-      read = (fun ~off ~len -> Bytes.sub mem off len);
-      write = (fun ~off ~data -> Bytes.blit data 0 mem off (Bytes.length data));
-    }
-  in
-  let ep = Servernet.Fabric.attach fabric ~name ~store in
-  let t = { pmp_name = name; capacity; mem; ep; host = cpu; alive = true } in
-  let die () =
-    if t.alive then begin
-      t.alive <- false;
-      Servernet.Fabric.set_alive t.ep false;
-      Bytes.fill t.mem 0 t.capacity '\000'
-    end
-  in
+  let mem = Pages.create capacity in
+  let ep = Servernet.Fabric.attach fabric ~name ~store:(Servernet.Fabric.pages_store mem) in
+  let t = { pmp_name = name; mem; ep; host = cpu; alive = true } in
   (* The hosting process only pins the memory; data moves by RDMA without
      any PMP CPU involvement, exactly as the paper stresses. *)
   let pid = Cpu.spawn cpu ~name (fun () -> ignore (Mailbox.recv (Mailbox.create () : unit Mailbox.t))) in
-  Sim.on_exit (Cpu.sim cpu) pid (fun _ -> die ());
+  Sim.on_exit (Cpu.sim cpu) pid (fun _ -> power_loss t);
   t
 
 let name t = t.pmp_name
 
-let capacity t = t.capacity
+let capacity t = Pages.size t.mem
 
 let endpoint t = t.ep
 
@@ -49,18 +43,11 @@ let is_alive t = t.alive
 
 let fenced_writes t = Servernet.Avt.fenced (Servernet.Fabric.avt t.ep)
 
-let power_loss t =
-  if t.alive then begin
-    t.alive <- false;
-    Servernet.Fabric.set_alive t.ep false;
-    Bytes.fill t.mem 0 t.capacity '\000'
-  end
-
 let peek t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.capacity then invalid_arg "Pmp.peek: out of range";
-  Bytes.sub t.mem off len
+  if off < 0 || len < 0 || off + len > capacity t then invalid_arg "Pmp.peek: out of range";
+  Pages.read t.mem ~off ~len
 
 let poke t ~off ~data =
   let len = Bytes.length data in
-  if off < 0 || off + len > t.capacity then invalid_arg "Pmp.poke: out of range";
-  Bytes.blit data 0 t.mem off len
+  if off < 0 || off + len > capacity t then invalid_arg "Pmp.poke: out of range";
+  Pages.write t.mem ~off ~data

@@ -31,19 +31,90 @@ let default_config =
     rails = 2;
   }
 
+module Pages = struct
+  let page_bits = 12
+
+  let page_size = 1 lsl page_bits
+
+  (* Every untouched page of every store aliases this one; it is never
+     written, because a write first swaps in a private page. *)
+  let zero = Bytes.make page_size '\000'
+
+  type t = { size : int; pages : Bytes.t array; mutable resident : int }
+
+  let create size =
+    if size < 0 then invalid_arg "Fabric.Pages.create: negative size";
+    { size; pages = Array.make ((size + page_size - 1) lsr page_bits) zero; resident = 0 }
+
+  let size t = t.size
+
+  let resident_pages t = t.resident
+
+  let check t what ~off ~len =
+    if off < 0 || len < 0 || off > t.size - len then
+      invalid_arg ("Fabric.Pages." ^ what ^ ": out of range")
+
+  let writable t i =
+    let p = t.pages.(i) in
+    if p != zero then p
+    else begin
+      let p = Bytes.make page_size '\000' in
+      t.pages.(i) <- p;
+      t.resident <- t.resident + 1;
+      p
+    end
+
+  (* Both loops split [off, off + len) at page boundaries; [pos] counts
+     from [off].  They are written out rather than sharing an iterator so
+     the RDMA hot path allocates no closure. *)
+  let read t ~off ~len =
+    check t "read" ~off ~len;
+    let out = Bytes.create len in
+    let pos = ref 0 in
+    while !pos < len do
+      let a = off + !pos in
+      let in_page = a land (page_size - 1) in
+      let n = min (page_size - in_page) (len - !pos) in
+      Bytes.blit t.pages.(a lsr page_bits) in_page out !pos n;
+      pos := !pos + n
+    done;
+    out
+
+  let write t ~off ~data =
+    let len = Bytes.length data in
+    check t "write" ~off ~len;
+    let pos = ref 0 in
+    while !pos < len do
+      let a = off + !pos in
+      let in_page = a land (page_size - 1) in
+      let n = min (page_size - in_page) (len - !pos) in
+      Bytes.blit data !pos (writable t (a lsr page_bits)) in_page n;
+      pos := !pos + n
+    done
+
+  let get t off =
+    check t "get" ~off ~len:1;
+    Bytes.get t.pages.(off lsr page_bits) (off land (page_size - 1))
+
+  let set t off c =
+    check t "set" ~off ~len:1;
+    Bytes.set (writable t (off lsr page_bits)) (off land (page_size - 1)) c
+
+  let clear t =
+    Array.fill t.pages 0 (Array.length t.pages) zero;
+    t.resident <- 0
+end
+
 type store = {
   size : int;
   read : off:int -> len:int -> Bytes.t;
   write : off:int -> data:Bytes.t -> unit;
 }
 
-let byte_store size =
-  let mem = Bytes.make size '\000' in
-  {
-    size;
-    read = (fun ~off ~len -> Bytes.sub mem off len);
-    write = (fun ~off ~data -> Bytes.blit data 0 mem off (Bytes.length data));
-  }
+let pages_store p =
+  { size = Pages.size p; read = Pages.read p; write = Pages.write p }
+
+let byte_store size = pages_store (Pages.create size)
 
 type endpoint = {
   ep_id : int;

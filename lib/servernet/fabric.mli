@@ -37,6 +37,36 @@ val default_config : config
 (** ServerNet II-class: 12 µs, 125 MB/s links, 512-byte packets, 2 rails,
     no corruption. *)
 
+(** Page-sparse device memory: [size] bytes in 4 KiB pages, each created
+    on its first write.  Pages never written read as zero from one shared
+    zero page, so a device's unused capacity costs no host memory.  Every
+    operation raises [Invalid_argument] on a range outside [0, size). *)
+module Pages : sig
+  type t
+
+  val page_size : int
+
+  val create : int -> t
+  (** All-zero memory of the given size; allocates no page. *)
+
+  val size : t -> int
+
+  val read : t -> off:int -> len:int -> Bytes.t
+  (** A fresh copy of the range. *)
+
+  val write : t -> off:int -> data:Bytes.t -> unit
+
+  val get : t -> int -> char
+
+  val set : t -> int -> char -> unit
+
+  val clear : t -> unit
+  (** Drop every page: the whole range reads as zero again. *)
+
+  val resident_pages : t -> int
+  (** Pages created by writes since creation or the last {!clear}. *)
+end
+
 (** A device's memory as seen from its NIC.  {!byte_store} gives a plain
     RAM-backed store; the persistent-memory library wraps stores to model
     non-volatility. *)
@@ -46,7 +76,11 @@ type store = {
   write : off:int -> data:Bytes.t -> unit;
 }
 
+val pages_store : Pages.t -> store
+(** Reads and writes go straight to the pages. *)
+
 val byte_store : int -> store
+(** [pages_store] over fresh pages of the given size. *)
 
 type t
 

@@ -40,6 +40,15 @@ let current : t option ref = ref None
 
 let now_s () = Unix.gettimeofday ()
 
+(* Minor words come from [Gc.minor_words], which counts this domain's
+   allocation exactly; the minor count of [Gc.counters] does not repeat
+   across identical runs on OCaml 5.  [Gc.counters] still serves the
+   major count, read outside the minor window so its own allocation is
+   not charged to the section. *)
+let major_words () =
+  let _, _, ma = Gc.counters () in
+  ma
+
 let create () =
   {
     layers = Hashtbl.create 16;
@@ -65,13 +74,13 @@ let install p sim =
   let before qdepth =
     (* [qdepth] excludes the event just popped; count it back in. *)
     if qdepth + 1 > p.heap_hwm then p.heap_hwm <- qdepth + 1;
-    let mi, _, ma = Gc.counters () in
+    p.marks.(2) <- major_words ();
     p.marks.(0) <- now_s ();
-    p.marks.(1) <- mi;
-    p.marks.(2) <- ma
+    p.marks.(1) <- Gc.minor_words ()
   in
   let after () =
-    let mi, _, ma = Gc.counters () in
+    let mi = Gc.minor_words () in
+    let ma = major_words () in
     let tot = p.total in
     tot.a_wall <- tot.a_wall +. (now_s () -. p.marks.(0));
     tot.a_minor <- tot.a_minor +. (mi -. p.marks.(1));
@@ -99,8 +108,9 @@ let section_begin () =
   match !current with
   | None -> none
   | Some p ->
-      let mi, _, ma = Gc.counters () in
-      { s_wall = now_s (); s_minor = mi; s_major = ma; s_events = p.total.a_events }
+      let ma = major_words () in
+      let wall = now_s () in
+      { s_wall = wall; s_minor = Gc.minor_words (); s_major = ma; s_events = p.total.a_events }
 
 let section_end s layer =
   if s != none then
@@ -114,7 +124,8 @@ let section_end s layer =
              sample but account the drop. *)
           a.a_discarded <- a.a_discarded +. 1.
         else begin
-          let mi, _, ma = Gc.counters () in
+          let mi = Gc.minor_words () in
+          let ma = major_words () in
           a.a_events <- a.a_events +. 1.;
           a.a_wall <- a.a_wall +. (now_s () -. s.s_wall);
           a.a_minor <- a.a_minor +. (mi -. s.s_minor);

@@ -61,14 +61,14 @@ let pm ?obs client handle =
 
 let synchronous t = match t.kind with Disk _ -> false | Pm _ -> true
 
+let framed_size record = 8 + Audit.wire_size record
+
 (* Frame a record with its ASN for the PM ring. *)
 let encode_framed asn record =
-  let enc = Codec.Enc.create () in
+  let enc = Codec.Enc.create ~size:(framed_size record) () in
   Codec.Enc.u64 enc asn;
   Audit.encode enc record;
   Codec.Enc.to_bytes enc
-
-let framed_size record = 8 + Audit.wire_size record
 
 (* The header is itself a torn-write target (it is rewritten on every
    append), so it carries its own CRC: recovery that finds it invalid

@@ -10,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* --- Crc32: known answers and the incremental API --- *)
+(* --- Crc32: known answers and a bitwise reference --- *)
 
 let test_crc32_known_answers () =
   (* IEEE 802.3 reference vectors. *)
@@ -19,28 +19,30 @@ let test_crc32_known_answers () =
   Alcotest.(check int32) "a" 0xE8B7BE43l (Crc32.string "a");
   Alcotest.(check int32) "abc" 0x352441C2l (Crc32.string "abc")
 
-let test_crc32_incremental_matches_oneshot () =
-  let b = Bytes.of_string "incremental-crc-over-several-updates" in
-  let n = Bytes.length b in
-  let st = Crc32.update Crc32.init b ~pos:0 ~len:10 in
-  let st = Crc32.update st b ~pos:10 ~len:5 in
-  let st = Crc32.update st b ~pos:15 ~len:(n - 15) in
-  Alcotest.(check int32) "split in three" (Crc32.bytes b) (Crc32.finish st);
-  Alcotest.(check int32)
-    "degenerate single piece"
-    (Crc32.sub b ~pos:0 ~len:n)
-    (Crc32.finish (Crc32.update Crc32.init b ~pos:0 ~len:n))
+(* The textbook definition, one bit at a time on Int32: no table to get
+   wrong in the same way as the one under test. *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      crc := Int32.logxor !crc (Int32.of_int (Char.code ch));
+      for _ = 1 to 8 do
+        let lsb = Int32.logand !crc 1l in
+        crc := Int32.shift_right_logical !crc 1;
+        if lsb <> 0l then crc := Int32.logxor !crc 0xEDB88320l
+      done)
+    s;
+  Int32.logxor !crc 0xFFFFFFFFl
 
-let prop_crc32_incremental =
-  QCheck.Test.make ~name:"crc32 incremental == one-shot at any split" ~count:200
-    QCheck.(pair (string_of_size (Gen.int_range 1 200)) (int_bound 1000))
-    (fun (s, cut) ->
-      let b = Bytes.of_string s in
-      let n = Bytes.length b in
-      let k = cut mod (n + 1) in
-      let st = Crc32.update Crc32.init b ~pos:0 ~len:k in
-      let st = Crc32.update st b ~pos:k ~len:(n - k) in
-      Crc32.finish st = Crc32.bytes b)
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 == bitwise reference on any slice" ~count:300
+    QCheck.(triple (string_of_size (Gen.int_range 0 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Crc32.string s = crc32_bitwise s
+      && Crc32.sub (Bytes.of_string s) ~pos ~len = crc32_bitwise (String.sub s pos len))
 
 (* --- Topology (same shape as test_pm's) --- *)
 
@@ -139,6 +141,38 @@ let test_npmu_tear_without_write () =
   let d = Npmu.create sim (Node.fabric node) ~name:"fresh" ~capacity:4096 in
   check_bool "nothing to tear" true (Npmu.tear_last_write d = None);
   check_int "no torn counter" 0 (Npmu.torn_writes d)
+
+(* Device memory is page-sparse: injection must work on pages no write
+   has created yet, and a tear must follow a write across a page edge. *)
+let test_npmu_injection_on_fresh_pages () =
+  let sim = Sim.create () in
+  let node = Node.create sim ~cpus:2 () in
+  let d = Npmu.create sim (Node.fabric node) ~name:"fresh" ~capacity:(1 lsl 20) in
+  Npmu.decay d ~off:10_000 ~bits:12;
+  check_str "decay flips bits of a never-written page" "\000\xFF\x0F\000"
+    (Bytes.to_string (Npmu.peek d ~off:9_999 ~len:4));
+  check_int "decay counted" 1 (Npmu.decay_events d);
+  let page = Servernet.Fabric.Pages.page_size in
+  let fabric = Node.fabric node in
+  let host = Node.cpu node 0 in
+  (match
+     Servernet.Avt.map (Npmu.avt d) ~net_base:0 ~length:(1 lsl 20) ~phys_base:0
+       ~access:(Servernet.Avt.read_write Servernet.Avt.Any_initiator)
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "avt map");
+  Test_util.run_in sim (fun () ->
+      Test_util.check_result_ok "straddling write"
+        (Servernet.Fabric.rdma_write fabric ~src:(Cpu.endpoint host) ~dst:(Npmu.id d)
+           ~addr:((3 * page) - 8) ~data:(Bytes.make 32 '\000')));
+  match Npmu.tear_last_write d with
+  | None -> Alcotest.fail "nothing torn"
+  | Some (off, len) ->
+      check_int "tear starts mid-write" ((3 * page) + 8) off;
+      check_int "tear covers the trailing half" 16 len;
+      check_str "torn suffix, on the second page, garbled"
+        (String.make 16 '\000' ^ String.make 16 '\x5A')
+        (Bytes.to_string (Npmu.peek d ~off:((3 * page) - 8) ~len:32))
 
 (* --- Scrubber: detect, repair, quarantine --- *)
 
@@ -439,9 +473,7 @@ let suite =
     ( "integrity.crc32",
       [
         Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
-        Alcotest.test_case "incremental matches one-shot" `Quick
-          test_crc32_incremental_matches_oneshot;
-        QCheck_alcotest.to_alcotest prop_crc32_incremental;
+        QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
       ] );
     ( "integrity.injection",
       [
@@ -451,6 +483,8 @@ let suite =
           test_npmu_tear_last_write;
         Alcotest.test_case "nothing to tear before any write" `Quick
           test_npmu_tear_without_write;
+        Alcotest.test_case "decay and tear on fresh pages" `Quick
+          test_npmu_injection_on_fresh_pages;
         Alcotest.test_case "disk mode rejects PM faults" `Quick
           test_faultplan_rejects_pm_faults_on_disk;
       ] );

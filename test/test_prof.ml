@@ -113,25 +113,30 @@ let test_prof_single_install () =
 
 (* --- determinism: identical seeded runs agree bit-for-bit --- *)
 
+(* Also returns the minor words the whole run allocated, which bounds
+   what the per-event accounts can have seen. *)
 let profiled_pm_cell () =
   let p = Prof.create () in
+  let w0 = Gc.minor_words () in
   let c =
     Figures.run_cell ~seed:0xF19L ~prof:p ~mode:Tp.System.Pm_audit ~drivers:2
       ~inserts_per_txn:8 ~records_per_driver:40 ()
   in
-  (p, c.Figures.result.Hot_stock.committed)
+  (p, c.Figures.result.Hot_stock.committed, Gc.minor_words () -. w0)
 
 let test_prof_deterministic () =
   (* One-time lazy initialisation (format caches, growing global
      buffers) lands in whichever run executes first in the process, so
      the determinism contract holds from the second run on — warm up
      once before comparing. *)
-  let (_ : Prof.t * int) = profiled_pm_cell () in
-  let a, ca = profiled_pm_cell () in
-  let b, cb = profiled_pm_cell () in
+  let (_ : Prof.t * int * float) = profiled_pm_cell () in
+  let a, ca, run_a = profiled_pm_cell () in
+  let b, cb, run_b = profiled_pm_cell () in
   check_int "committed equal" ca cb;
   check_int "events equal" (Prof.events a) (Prof.events b);
   check_bool "minor words equal" true (Prof.minor_words a = Prof.minor_words b);
+  check_bool "per-event minor words within the run's" true
+    (Prof.minor_words a <= run_a && Prof.minor_words b <= run_b);
   check_int "heap hwm equal" (Prof.heap_depth_hwm a) (Prof.heap_depth_hwm b);
   check_int "envelopes equal" (Prof.envelope_count a) (Prof.envelope_count b);
   check_int "packets equal" (Prof.packet_count a) (Prof.packet_count b);

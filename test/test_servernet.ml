@@ -5,6 +5,7 @@ open Servernet
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 (* --- AVT --- *)
 
@@ -245,6 +246,97 @@ let test_avt_epoch_monotone () =
   | () -> Alcotest.fail "epoch decreased"
   | exception Invalid_argument _ -> ()
 
+(* --- Pages: the page-sparse device memory --- *)
+
+type page_op =
+  | P_write of int * string
+  | P_read of int * int
+  | P_get of int
+  | P_set of int * char
+  | P_clear
+
+(* Three pages and a ragged tail, so the last page is partial. *)
+let pages_size = (3 * Fabric.Pages.page_size) + 123
+
+let gen_page_ops =
+  let open QCheck.Gen in
+  (* Offsets cluster around page boundaries so ranges straddle them. *)
+  let off =
+    map2
+      (fun k d -> max 0 (min pages_size ((k * Fabric.Pages.page_size) + d)))
+      (int_range 0 4) (int_range (-40) 40)
+  in
+  let op =
+    frequency
+      [
+        ( 4,
+          off >>= fun o ->
+          map
+            (fun s -> P_write (o, s))
+            (string_size ~gen:printable (int_range 0 (min 9000 (pages_size - o)))) );
+        (3, off >>= fun o -> map (fun n -> P_read (o, n)) (int_range 0 (pages_size - o)));
+        (2, map (fun o -> P_get (min o (pages_size - 1))) off);
+        (2, map2 (fun o c -> P_set (min o (pages_size - 1), c)) off printable);
+        (1, return P_clear);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let show_page_op = function
+  | P_write (o, s) -> Printf.sprintf "write %d+%d" o (String.length s)
+  | P_read (o, n) -> Printf.sprintf "read %d+%d" o n
+  | P_get o -> Printf.sprintf "get %d" o
+  | P_set (o, c) -> Printf.sprintf "set %d %C" o c
+  | P_clear -> "clear"
+
+let prop_pages_match_flat_bytes =
+  QCheck.Test.make ~name:"pages behave as one flat zeroed Bytes" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_page_op ops)) gen_page_ops)
+    (fun ops ->
+      let p = Fabric.Pages.create pages_size in
+      let model = Bytes.make pages_size '\000' in
+      List.for_all
+        (fun op ->
+          match op with
+          | P_write (o, s) ->
+              Fabric.Pages.write p ~off:o ~data:(Bytes.of_string s);
+              Bytes.blit_string s 0 model o (String.length s);
+              true
+          | P_read (o, n) -> Bytes.equal (Fabric.Pages.read p ~off:o ~len:n) (Bytes.sub model o n)
+          | P_get o -> Fabric.Pages.get p o = Bytes.get model o
+          | P_set (o, c) ->
+              Fabric.Pages.set p o c;
+              Bytes.set model o c;
+              true
+          | P_clear ->
+              Fabric.Pages.clear p;
+              Bytes.fill model 0 pages_size '\000';
+              Fabric.Pages.resident_pages p = 0)
+        ops
+      && Bytes.equal (Fabric.Pages.read p ~off:0 ~len:pages_size) model
+      && Fabric.Pages.resident_pages p <= 4)
+
+let test_pages_unwritten_read_zero () =
+  let page = Fabric.Pages.page_size in
+  let p = Fabric.Pages.create (1 lsl 30) in
+  check_int "a 1 GiB store starts with no page" 0 (Fabric.Pages.resident_pages p);
+  let zeros n = String.make n '\000' in
+  check_string "never-written range" (zeros 10_000)
+    (Bytes.to_string (Fabric.Pages.read p ~off:((1 lsl 30) - 10_000) ~len:10_000));
+  check_bool "get of a never-written byte" true (Fabric.Pages.get p 12345 = '\000');
+  check_int "reads create no page" 0 (Fabric.Pages.resident_pages p);
+  Fabric.Pages.write p ~off:(page - 2) ~data:(Bytes.of_string "abcd");
+  check_int "a straddling write creates two pages" 2 (Fabric.Pages.resident_pages p);
+  check_string "neighbours of the write stay zero" "\000\000abcd\000\000"
+    (Bytes.to_string (Fabric.Pages.read p ~off:(page - 4) ~len:8));
+  check_bool "a third page is still zero" true (Fabric.Pages.get p (2 * page) = '\000');
+  Alcotest.check_raises "past the end" (Invalid_argument "Fabric.Pages.read: out of range")
+    (fun () -> ignore (Fabric.Pages.read p ~off:((1 lsl 30) - 1) ~len:2));
+  Fabric.Pages.clear p;
+  check_int "clear drops every page" 0 (Fabric.Pages.resident_pages p);
+  check_string "cleared range reads zero" (zeros 8)
+    (Bytes.to_string (Fabric.Pages.read p ~off:(page - 4) ~len:8))
+
 let suite =
   [
     ( "servernet.avt",
@@ -270,5 +362,10 @@ let suite =
         Alcotest.test_case "CRC errors retry and slow down" `Quick test_crc_retries_slow_but_deliver;
         Alcotest.test_case "statistics counters" `Quick test_fabric_stats;
         QCheck_alcotest.to_alcotest prop_transfer_time_monotone;
+      ] );
+    ( "servernet.pages",
+      [
+        QCheck_alcotest.to_alcotest prop_pages_match_flat_bytes;
+        Alcotest.test_case "never-written ranges read zero" `Quick test_pages_unwritten_read_zero;
       ] );
   ]

@@ -19,7 +19,9 @@ let test_audit_roundtrip () =
       sample_update;
       Audit.Commit { txn = 7 };
       Audit.Abort { txn = 8 };
+      Audit.Prepared { txn = 9 };
       Audit.Control_point { active = [ 1; 2; 3 ] };
+      Audit.Control_point { active = [] };
     ]
   in
   List.iter
