@@ -12,6 +12,7 @@ type ('req, 'resp) envelope = {
   reply : ('resp, error) result Ivar.t;
   env_span : Span.span;
   env_sent : Time.t;  (** delivery into the inbox; dequeue minus this = queue wait *)
+  env_seq : int;  (** per-port delivery number: this call's key in [outstanding] *)
 }
 
 type ('req, 'resp) server = {
@@ -19,7 +20,9 @@ type ('req, 'resp) server = {
   name : string;
   mutable cpu : Cpu.t;
   mutable inbox : ('req, 'resp) envelope Mailbox.t;
-  mutable outstanding : ('resp, error) result Ivar.t list;
+  outstanding : (int, ('resp, error) result Ivar.t) Hashtbl.t;
+      (** delivered calls whose reply has not been filled, by delivery number *)
+  mutable delivered : int;
   mutable epoch : int;
   mutable extra_latency : Time.span;
   mutable last_span : Span.span;
@@ -35,7 +38,8 @@ let create_server fabric ~cpu ~name =
     name;
     cpu;
     inbox = Mailbox.create ~name ();
-    outstanding = [];
+    outstanding = Hashtbl.create 16;
+    delivered = 0;
     epoch = 0;
     extra_latency = 0;
     last_span = Span.null;
@@ -75,8 +79,6 @@ let server_name s = s.name
 
 let server_cpu s = s.cpu
 
-let forget s iv = s.outstanding <- List.filter (fun i -> i != iv) s.outstanding
-
 let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
   let reply = Ivar.create () in
   if not (Cpu.is_up from) then Ivar.fill reply (Error Server_down)
@@ -93,11 +95,13 @@ let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
     Sim.at sim ~after:dt (fun () ->
         if not (Cpu.is_up s.cpu) then ignore (Ivar.try_fill reply (Error Server_down))
         else begin
-          s.outstanding <- reply :: s.outstanding;
+          let env_seq = s.delivered in
+          s.delivered <- env_seq + 1;
+          Hashtbl.replace s.outstanding env_seq reply;
           probe_enqueue s;
           Prof.bump_envelope ();
           Mailbox.send s.inbox
-            { payload; resp_bytes; reply; env_span; env_sent = Sim.now sim }
+            { payload; resp_bytes; reply; env_span; env_sent = Sim.now sim; env_seq }
         end);
     Prof.section_end sect "msgsys"
   end;
@@ -105,21 +109,19 @@ let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
 
 let call s ~from ?req_bytes ?resp_bytes ?timeout ?span payload =
   let reply = call_async s ~from ?req_bytes ?resp_bytes ?span payload in
-  let result =
-    match timeout with
-    | None -> Ivar.read reply
-    | Some span -> (
-        match Ivar.read_timeout reply span with Some r -> r | None -> Error Timed_out)
-  in
-  forget s reply;
-  result
+  match timeout with
+  | None -> Ivar.read reply
+  | Some span -> (
+      match Ivar.read_timeout reply span with Some r -> r | None -> Error Timed_out)
 
 let caller_span s = s.last_span
 
 let caller_wait s = s.last_wait
 
-let next_request s =
-  let env = Mailbox.recv s.inbox in
+(* Dequeue bookkeeping shared by both receive paths.  The reply closure
+   is a no-op once the port has failed or moved since the dequeue; its
+   scheduled fill retires the call's [outstanding] entry. *)
+let accept s env =
   probe_dequeue s;
   s.last_span <- env.env_span;
   s.last_wait <- Sim.now (Cpu.sim s.cpu) - env.env_sent;
@@ -131,33 +133,20 @@ let next_request s =
         Servernet.Fabric.transfer_time s.fabric ~bytes:env.resp_bytes + s.extra_latency
       in
       note_hop s dt;
-      let sim = Cpu.sim s.cpu in
-      Sim.at sim ~after:dt (fun () -> ignore (Ivar.try_fill env.reply (Ok resp)))
+      Sim.at (Cpu.sim s.cpu) ~after:dt (fun () ->
+          Hashtbl.remove s.outstanding env.env_seq;
+          ignore (Ivar.try_fill env.reply (Ok resp)))
     end
   in
   (env.payload, respond)
 
-let next_request_timeout s span =
-  match Mailbox.recv_timeout s.inbox span with
-  | None -> None
-  | Some env ->
-      probe_dequeue s;
-      s.last_span <- env.env_span;
-      s.last_wait <- Sim.now (Cpu.sim s.cpu) - env.env_sent;
-      let epoch = s.epoch in
-      let respond resp =
-        if s.epoch = epoch then begin
-          let dt =
-            Servernet.Fabric.transfer_time s.fabric ~bytes:env.resp_bytes + s.extra_latency
-          in
-          note_hop s dt;
-          let sim = Cpu.sim s.cpu in
-          Sim.at sim ~after:dt (fun () -> ignore (Ivar.try_fill env.reply (Ok resp)))
-        end
-      in
-      Some (env.payload, respond)
+let next_request s = accept s (Mailbox.recv s.inbox)
+
+let next_request_timeout s span = Option.map (accept s) (Mailbox.recv_timeout s.inbox span)
 
 let pending s = Mailbox.length s.inbox
+
+let outstanding s = Hashtbl.length s.outstanding
 
 let fail_outstanding s =
   s.epoch <- s.epoch + 1;
@@ -171,10 +160,12 @@ let fail_outstanding s =
         drain ()
   in
   drain ();
-  (* ... and fail calls whose requests were already dequeued. *)
-  let out = s.outstanding in
-  s.outstanding <- [];
-  List.iter (fun iv -> ignore (Ivar.try_fill iv (Error Server_down))) out
+  (* ... and fail calls whose requests were already dequeued, newest
+     delivery first: seeded runs depend on this wake-up order. *)
+  let out = Hashtbl.fold (fun seq iv acc -> (seq, iv) :: acc) s.outstanding [] in
+  Hashtbl.reset s.outstanding;
+  List.sort (fun (a, _) (b, _) -> compare b a) out
+  |> List.iter (fun (_, iv) -> ignore (Ivar.try_fill iv (Error Server_down)))
 
 let move s ~cpu =
   fail_outstanding s;

@@ -79,6 +79,13 @@ val next_request_timeout :
 
 val pending : ('req, 'resp) server -> int
 
+val outstanding : ('req, 'resp) server -> int
+(** Calls delivered to this port whose reply has not been filled yet:
+    queued, being served, or with the reply on the wire.  An entry is
+    added at delivery and dropped when its reply lands or when
+    {!fail_outstanding} / {!move} fails it, so a server that answers
+    every request returns to 0. *)
+
 val move : ('req, 'resp) server -> cpu:Cpu.t -> unit
 (** Relocate the port to another CPU (backup takeover).  Queued and
     outstanding calls fail with [Server_down]; callers retry and reach
@@ -86,4 +93,6 @@ val move : ('req, 'resp) server -> cpu:Cpu.t -> unit
     routing provides. *)
 
 val fail_outstanding : ('req, 'resp) server -> unit
-(** Fail queued and in-flight calls without moving the port. *)
+(** Fail queued and in-flight calls without moving the port: queued
+    requests in arrival order, then the remaining delivered calls newest
+    delivery first. *)

@@ -128,6 +128,77 @@ let test_rpc_timeout () =
   | Some (Error Msgsys.Timed_out) -> ()
   | _ -> Alcotest.fail "expected timeout"
 
+(* Reply bookkeeping: every delivered call holds a port entry until its
+   reply lands, so a port that answers everything returns to empty. *)
+let test_rpc_async_replies_retire () =
+  let sim, node = make_node () in
+  let server = Msgsys.create_server (Node.fabric node) ~cpu:(Node.cpu node 0) ~name:"sink" in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 0) ~name:"server" (fun () ->
+        while true do
+          let req, respond = Msgsys.next_request server in
+          respond req
+        done)
+  in
+  let ok = ref 0 in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 1) ~name:"client" (fun () ->
+        List.init 2000 (fun i -> Msgsys.call_async server ~from:(Node.cpu node 1) i)
+        |> List.iter (fun iv -> match Ivar.read iv with Ok _ -> incr ok | Error _ -> ()))
+  in
+  Sim.run sim;
+  check_int "every async call answered" 2000 !ok;
+  check_int "no entry outlives its reply" 0 (Msgsys.outstanding server)
+
+let test_rpc_fail_order () =
+  let sim, node = make_node () in
+  let server = Msgsys.create_server (Node.fabric node) ~cpu:(Node.cpu node 0) ~name:"stuck" in
+  (* The server dequeues two requests and never answers either. *)
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 0) ~name:"server" (fun () ->
+        let (_ : int * (int -> unit)) = Msgsys.next_request server in
+        let (_ : int * (int -> unit)) = Msgsys.next_request server in
+        ())
+  in
+  let resumed = ref [] in
+  let client id ~after =
+    Sim.at sim ~after (fun () ->
+        ignore
+          (Cpu.spawn (Node.cpu node 1) ~name:id (fun () ->
+               match Msgsys.call server ~from:(Node.cpu node 1) 0 with
+               | Error Msgsys.Server_down -> resumed := id :: !resumed
+               | _ -> Alcotest.fail "expected Server_down")))
+  in
+  client "first" ~after:Time.zero;
+  client "second" ~after:(Time.ms 1);
+  Sim.at sim ~after:(Time.ms 5) (fun () ->
+      check_int "both delivered, unanswered" 2 (Msgsys.outstanding server);
+      Msgsys.fail_outstanding server);
+  Sim.run sim;
+  Alcotest.(check (list string)) "newest delivery resumes first" [ "second"; "first" ]
+    (List.rev !resumed);
+  check_int "failed entries dropped" 0 (Msgsys.outstanding server)
+
+let test_rpc_late_reply_after_timeout () =
+  let sim, node = make_node () in
+  let server = Msgsys.create_server (Node.fabric node) ~cpu:(Node.cpu node 0) ~name:"late" in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 0) ~name:"server" (fun () ->
+        let req, respond = Msgsys.next_request server in
+        Sim.sleep (Time.ms 5);
+        respond req)
+  in
+  let result = ref None in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 1) ~name:"client" (fun () ->
+        result := Some (Msgsys.call server ~from:(Node.cpu node 1) ~timeout:(Time.ms 2) 7))
+  in
+  Sim.run sim;
+  (match !result with
+  | Some (Error Msgsys.Timed_out) -> ()
+  | _ -> Alcotest.fail "expected timeout");
+  check_int "late reply drops the entry" 0 (Msgsys.outstanding server)
+
 (* --- Procpair --- *)
 
 (* A counting service: requests increment a counter; the primary
@@ -242,6 +313,12 @@ let suite =
         Alcotest.test_case "dead server reported" `Quick test_rpc_server_down;
         Alcotest.test_case "fail_outstanding releases callers" `Quick test_rpc_fail_outstanding;
         Alcotest.test_case "call timeout" `Quick test_rpc_timeout;
+        Alcotest.test_case "answered async calls leave no entry" `Quick
+          test_rpc_async_replies_retire;
+        Alcotest.test_case "fail_outstanding wakes newest delivery first" `Quick
+          test_rpc_fail_order;
+        Alcotest.test_case "late reply after timeout drops the entry" `Quick
+          test_rpc_late_reply_after_timeout;
       ] );
     ( "nsk.procpair",
       [
