@@ -416,6 +416,68 @@ let failover_cmd =
 
 (* --- drill: fault schedule + durability audit --- *)
 
+let faults_json faults =
+  Json.List
+    (List.map
+       (fun (t, desc) ->
+         Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
+       faults)
+
+let faults_text faults =
+  hr ();
+  List.iter (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc) faults;
+  hr ()
+
+let response_json (s : Stat.summary) =
+  Json.Obj
+    [
+      ("mean", Json.Float (s.Stat.mean /. 1e6));
+      ("p50", Json.Float (s.Stat.p50 /. 1e6));
+      ("p99", Json.Float (s.Stat.p99 /. 1e6));
+    ]
+
+let response_text (s : Stat.summary) =
+  Printf.printf "response mean/p99  %.2f / %.2f ms\n" (s.Stat.mean /. 1e6) (s.Stat.p99 /. 1e6)
+
+(* Every recovery field a report can carry; each drill family emits the
+   subset its schema has always had. *)
+let recovery_json keys (rr : Tp.Recovery.report) =
+  Json.Obj
+    (List.filter
+       (fun (k, _) -> List.mem k keys)
+       [
+         ("mttr_ms", Json.Float (Time.to_ms rr.Tp.Recovery.mttr));
+         ( "outcome_source",
+           Json.String
+             (match rr.Tp.Recovery.outcome_source with
+             | Tp.Recovery.Mat_scan -> "mat_scan"
+             | Tp.Recovery.Pm_txn_table -> "pm_txn_table") );
+         ("committed_txns", Json.Int rr.Tp.Recovery.committed_txns);
+         ("in_doubt_txns", Json.Int rr.Tp.Recovery.in_doubt_txns);
+         ("resolved_commit", Json.Int rr.Tp.Recovery.resolved_commit);
+         ("resolved_abort", Json.Int rr.Tp.Recovery.resolved_abort);
+         ("rows_rebuilt", Json.Int rr.Tp.Recovery.rows_rebuilt);
+       ])
+
+let recovery_keys =
+  [ "mttr_ms"; "committed_txns"; "in_doubt_txns"; "resolved_commit"; "resolved_abort"; "rows_rebuilt" ]
+
+let recovery_text label (rr : Tp.Recovery.report) =
+  Printf.printf "%-19sMTTR %s, %d committed txns, %d rows\n" label
+    (Time.to_string rr.Tp.Recovery.mttr)
+    rr.Tp.Recovery.committed_txns rr.Tp.Recovery.rows_rebuilt
+
+let timeline_json ?(bottlenecks = false) = function
+  | Some ts ->
+      Json.Obj
+        ([
+           ("samples", Json.Int (Timeseries.sample_count ts));
+           ("evicted", Json.Int (Timeseries.evicted ts));
+           ("series", Timeseries.json ts);
+         ]
+        @ if bottlenecks then [ ("bottlenecks", Timeseries.attribution_json ts) ] else [])
+  | None -> Json.Null
+
 (* Every drill report names its seed and plan at top level so a CI
    artifact is self-describing without knowing which command wrote it. *)
 let drill_json ~plan (r : Tp.Drill.report) =
@@ -426,12 +488,7 @@ let drill_json ~plan (r : Tp.Drill.report) =
       ("plan", Json.String plan);
       ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.seed));
       ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.elapsed));
-      ( "faults",
-        Json.List
-          (List.map
-             (fun (t, desc) ->
-               Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-             r.Tp.Drill.faults) );
+      ("faults", faults_json r.Tp.Drill.faults);
       ("attempted_txns", Json.Int r.Tp.Drill.attempted_txns);
       ("committed", Json.Int r.Tp.Drill.committed);
       ("failed_txns", Json.Int r.Tp.Drill.failed_txns);
@@ -460,13 +517,7 @@ let drill_json ~plan (r : Tp.Drill.report) =
                 ("unrepaired_divergence", Json.Int i.Tp.Drill.unrepaired_divergence);
                 ("clean", Json.Bool (Tp.Drill.integrity_clean r));
               ] );
-      ( "response_ms",
-        Json.Obj
-          [
-            ("mean", Json.Float (r.Tp.Drill.response.Stat.mean /. 1e6));
-            ("p50", Json.Float (r.Tp.Drill.response.Stat.p50 /. 1e6));
-            ("p99", Json.Float (r.Tp.Drill.response.Stat.p99 /. 1e6));
-          ] );
+      ("response_ms", response_json r.Tp.Drill.response);
       ( "availability",
         Json.Obj
           [
@@ -483,32 +534,8 @@ let drill_json ~plan (r : Tp.Drill.report) =
             ("pm_write_retries", Json.Int a.Tp.Drill.pm_write_retries);
             ("packet_retries", Json.Int a.Tp.Drill.packet_retries);
           ] );
-      ( "recovery",
-        Json.Obj
-          [
-            ("mttr_ms", Json.Float (Time.to_ms r.Tp.Drill.recovery.Tp.Recovery.mttr));
-            ( "outcome_source",
-              Json.String
-                (match r.Tp.Drill.recovery.Tp.Recovery.outcome_source with
-                | Tp.Recovery.Mat_scan -> "mat_scan"
-                | Tp.Recovery.Pm_txn_table -> "pm_txn_table") );
-            ("committed_txns", Json.Int r.Tp.Drill.recovery.Tp.Recovery.committed_txns);
-            ("in_doubt_txns", Json.Int r.Tp.Drill.recovery.Tp.Recovery.in_doubt_txns);
-            ("resolved_commit", Json.Int r.Tp.Drill.recovery.Tp.Recovery.resolved_commit);
-            ("resolved_abort", Json.Int r.Tp.Drill.recovery.Tp.Recovery.resolved_abort);
-            ("rows_rebuilt", Json.Int r.Tp.Drill.recovery.Tp.Recovery.rows_rebuilt);
-          ] );
-      ( "timeline",
-        match r.Tp.Drill.timeline with
-        | Some ts ->
-            Json.Obj
-              [
-                ("samples", Json.Int (Timeseries.sample_count ts));
-                ("evicted", Json.Int (Timeseries.evicted ts));
-                ("series", Timeseries.json ts);
-                ("bottlenecks", Timeseries.attribution_json ts);
-              ]
-        | None -> Json.Null );
+      ("recovery", recovery_json ("outcome_source" :: recovery_keys) r.Tp.Drill.recovery);
+      ("timeline", timeline_json ~bottlenecks:true r.Tp.Drill.timeline);
     ]
 
 (* Event-aligned availability overlay: the sampled commit/failure gauges
@@ -543,27 +570,18 @@ let drill_text (r : Tp.Drill.report) =
   let a = r.Tp.Drill.availability in
   Printf.printf "drill: mode=%s seed=0x%Lx — hot-stock load under a fault schedule\n"
     (mode_to_string r.Tp.Drill.mode) r.Tp.Drill.seed;
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    r.Tp.Drill.faults;
-  hr ();
+  faults_text r.Tp.Drill.faults;
   Printf.printf "load elapsed       %.3f s\n" (Time.to_sec r.Tp.Drill.elapsed);
   Printf.printf "transactions       %d attempted, %d acked, %d failed\n"
     r.Tp.Drill.attempted_txns r.Tp.Drill.committed r.Tp.Drill.failed_txns;
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n"
-    (r.Tp.Drill.response.Stat.mean /. 1e6)
-    (r.Tp.Drill.response.Stat.p99 /. 1e6);
+  response_text r.Tp.Drill.response;
   Printf.printf "takeovers          adp=%d dp2=%d tmf=%d pmm=%d (outage %s)\n"
     a.Tp.Drill.adp_takeovers a.Tp.Drill.dp2_takeovers a.Tp.Drill.tmf_takeovers
     a.Tp.Drill.pmm_takeovers
     (Time.to_string a.Tp.Drill.outage);
   Printf.printf "degraded PM writes %d (retried %d, packet retries %d)\n"
     a.Tp.Drill.degraded_writes a.Tp.Drill.pm_write_retries a.Tp.Drill.packet_retries;
-  Printf.printf "recovery           MTTR %s, %d committed txns, %d rows\n"
-    (Time.to_string r.Tp.Drill.recovery.Tp.Recovery.mttr)
-    r.Tp.Drill.recovery.Tp.Recovery.committed_txns
-    r.Tp.Drill.recovery.Tp.Recovery.rows_rebuilt;
+  recovery_text "recovery" r.Tp.Drill.recovery;
   Printf.printf "durability         %d acked rows, %d recovered, %d LOST — %s\n"
     r.Tp.Drill.acked_rows r.Tp.Drill.recovered_rows r.Tp.Drill.lost_rows
     (if Tp.Drill.zero_loss r then "zero loss" else "DATA LOSS");
@@ -597,12 +615,7 @@ let cluster_drill_json ~plan (r : Tp.Drill.cluster_report) =
       ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.c_seed));
       ("nodes", Json.Int r.Tp.Drill.c_nodes);
       ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.c_elapsed));
-      ( "faults",
-        Json.List
-          (List.map
-             (fun (t, desc) ->
-               Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-             r.Tp.Drill.c_faults) );
+      ("faults", faults_json r.Tp.Drill.c_faults);
       ("attempted_txns", Json.Int r.Tp.Drill.c_attempted);
       ("committed", Json.Int r.Tp.Drill.c_committed);
       ("failed_txns", Json.Int r.Tp.Drill.c_failed);
@@ -616,29 +629,10 @@ let cluster_drill_json ~plan (r : Tp.Drill.cluster_report) =
       ("fence_checks", Json.Int r.Tp.Drill.c_fence_checks);
       ("fence_failures", Json.Int r.Tp.Drill.c_fence_failures);
       ("fenced_writes", Json.Int r.Tp.Drill.c_fenced_writes);
-      ("zero_loss", Json.Bool (Tp.Drill.cluster_zero_loss r));
+      ("zero_loss", Json.Bool (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_cluster r)));
       ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_cluster r));
-      ( "response_ms",
-        Json.Obj
-          [
-            ("mean", Json.Float (r.Tp.Drill.c_response.Stat.mean /. 1e6));
-            ("p50", Json.Float (r.Tp.Drill.c_response.Stat.p50 /. 1e6));
-            ("p99", Json.Float (r.Tp.Drill.c_response.Stat.p99 /. 1e6));
-          ] );
-      ( "recoveries",
-        Json.List
-          (List.map
-             (fun (rr : Tp.Recovery.report) ->
-               Json.Obj
-                 [
-                   ("mttr_ms", Json.Float (Time.to_ms rr.Tp.Recovery.mttr));
-                   ("committed_txns", Json.Int rr.Tp.Recovery.committed_txns);
-                   ("in_doubt_txns", Json.Int rr.Tp.Recovery.in_doubt_txns);
-                   ("resolved_commit", Json.Int rr.Tp.Recovery.resolved_commit);
-                   ("resolved_abort", Json.Int rr.Tp.Recovery.resolved_abort);
-                   ("rows_rebuilt", Json.Int rr.Tp.Recovery.rows_rebuilt);
-                 ])
-             r.Tp.Drill.c_recoveries) );
+      ("response_ms", response_json r.Tp.Drill.c_response);
+      ("recoveries", Json.List (List.map (recovery_json recovery_keys) r.Tp.Drill.c_recoveries));
     ]
 
 let cluster_drill_text (r : Tp.Drill.cluster_report) =
@@ -646,17 +640,11 @@ let cluster_drill_text (r : Tp.Drill.cluster_report) =
     "drill: mode=cluster nodes=%d seed=0x%Lx — distributed hot-stock load under a WAN \
      partition\n"
     r.Tp.Drill.c_nodes r.Tp.Drill.c_seed;
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    r.Tp.Drill.c_faults;
-  hr ();
+  faults_text r.Tp.Drill.c_faults;
   Printf.printf "load elapsed       %.3f s\n" (Time.to_sec r.Tp.Drill.c_elapsed);
   Printf.printf "transactions       %d attempted, %d acked, %d failed\n"
     r.Tp.Drill.c_attempted r.Tp.Drill.c_committed r.Tp.Drill.c_failed;
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n"
-    (r.Tp.Drill.c_response.Stat.mean /. 1e6)
-    (r.Tp.Drill.c_response.Stat.p99 /. 1e6);
+  response_text r.Tp.Drill.c_response;
   Printf.printf "in-doubt window    %d entering recovery, %d resolved commit, %d resolved \
                  abort, %d left\n"
     r.Tp.Drill.c_in_doubt_before r.Tp.Drill.c_resolved_commit r.Tp.Drill.c_resolved_abort
@@ -665,14 +653,12 @@ let cluster_drill_text (r : Tp.Drill.cluster_report) =
     r.Tp.Drill.c_fence_checks r.Tp.Drill.c_fence_failures r.Tp.Drill.c_fenced_writes;
   Printf.printf "orphaned locks     %d\n" r.Tp.Drill.c_orphaned_locks;
   List.iteri
-    (fun i (rr : Tp.Recovery.report) ->
-      Printf.printf "recovery node %d    MTTR %s, %d committed txns, %d rows\n" i
-        (Time.to_string rr.Tp.Recovery.mttr)
-        rr.Tp.Recovery.committed_txns rr.Tp.Recovery.rows_rebuilt)
+    (fun i rr -> recovery_text (Printf.sprintf "recovery node %d" i) rr)
     r.Tp.Drill.c_recoveries;
   Printf.printf "durability         %d acked rows, %d LOST — %s\n" r.Tp.Drill.c_acked_rows
     r.Tp.Drill.c_lost_rows
-    (if Tp.Drill.cluster_zero_loss r then "zero loss" else "INVARIANT VIOLATED");
+    (if Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_cluster r) then "zero loss"
+     else "INVARIANT VIOLATED");
   hr ()
 
 let gray_drill_json (g : Tp.Drill.gray_report) =
@@ -704,23 +690,23 @@ let gray_drill_json (g : Tp.Drill.gray_report) =
             ("single_copy_writes", Json.Int g.Tp.Drill.g_single_copy_writes);
           ] );
       ("zero_loss", Json.Bool (Tp.Drill.zero_loss g.Tp.Drill.g_degraded));
-      ("pass", Json.Bool (Tp.Drill.gray_pass g));
+      ("pass", Json.Bool (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_gray g)));
       ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_gray g));
       ("healthy", drill_json ~plan:"grayfail" g.Tp.Drill.g_healthy);
       ("degraded", drill_json ~plan:"grayfail" g.Tp.Drill.g_degraded);
     ]
+
+let defenses_label defended = if defended then "on" else "OFF (negative control)"
+
+let verdict_label v = if Tp.Drill.Oracle.pass v then "PASS" else "FAIL"
 
 let gray_drill_text (g : Tp.Drill.gray_report) =
   Printf.printf
     "drill: mode=pm plan=grayfail seed=0x%Lx defenses=%s — fail-slow hardware under \
      hot-stock load\n"
     g.Tp.Drill.g_seed
-    (if g.Tp.Drill.g_defended then "on" else "OFF (negative control)");
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    g.Tp.Drill.g_degraded.Tp.Drill.faults;
-  hr ();
+    (defenses_label g.Tp.Drill.g_defended);
+  faults_text g.Tp.Drill.g_degraded.Tp.Drill.faults;
   let h = g.Tp.Drill.g_healthy and d = g.Tp.Drill.g_degraded in
   Printf.printf "healthy baseline   %d commits, mean/p99 %.2f / %.2f ms\n"
     h.Tp.Drill.committed
@@ -744,8 +730,7 @@ let gray_drill_text (g : Tp.Drill.gray_report) =
   Printf.printf "durability         %d acked rows, %d LOST — %s\n" d.Tp.Drill.acked_rows
     d.Tp.Drill.lost_rows
     (if Tp.Drill.zero_loss d then "zero loss" else "DATA LOSS");
-  Printf.printf "verdict            %s\n"
-    (if Tp.Drill.gray_pass g then "PASS" else "FAIL");
+  Printf.printf "verdict            %s\n" (verdict_label (Tp.Drill.Oracle.of_gray g));
   hr ()
 
 let overload_drill_json (r : Tp.Drill.overload_report) =
@@ -798,38 +783,13 @@ let overload_drill_json (r : Tp.Drill.overload_report) =
       ("lost_rows", Json.Int r.Tp.Drill.v_lost_rows);
       ("zero_loss", Json.Bool (r.Tp.Drill.v_lost_rows = 0));
       ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.v_elapsed));
-      ( "response_ms",
-        Json.Obj
-          [
-            ("mean", Json.Float (r.Tp.Drill.v_response.Stat.mean /. 1e6));
-            ("p50", Json.Float (r.Tp.Drill.v_response.Stat.p50 /. 1e6));
-            ("p99", Json.Float (r.Tp.Drill.v_response.Stat.p99 /. 1e6));
-          ] );
-      ( "faults",
-        Json.List
-          (List.map
-             (fun (t, desc) ->
-               Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-             r.Tp.Drill.v_faults) );
+      ("response_ms", response_json r.Tp.Drill.v_response);
+      ("faults", faults_json r.Tp.Drill.v_faults);
       ( "recovery",
-        Json.Obj
-          [
-            ("mttr_ms", Json.Float (Time.to_ms r.Tp.Drill.v_recovery.Tp.Recovery.mttr));
-            ("committed_txns", Json.Int r.Tp.Drill.v_recovery.Tp.Recovery.committed_txns);
-            ("rows_rebuilt", Json.Int r.Tp.Drill.v_recovery.Tp.Recovery.rows_rebuilt);
-          ] );
-      ("pass", Json.Bool (Tp.Drill.overload_pass r));
+        recovery_json [ "mttr_ms"; "committed_txns"; "rows_rebuilt" ] r.Tp.Drill.v_recovery );
+      ("pass", Json.Bool (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload r)));
       ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_overload r));
-      ( "timeline",
-        match r.Tp.Drill.v_timeline with
-        | Some ts ->
-            Json.Obj
-              [
-                ("samples", Json.Int (Timeseries.sample_count ts));
-                ("evicted", Json.Int (Timeseries.evicted ts));
-                ("series", Timeseries.json ts);
-              ]
-        | None -> Json.Null );
+      ("timeline", timeline_json r.Tp.Drill.v_timeline);
     ]
 
 let overload_drill_text (r : Tp.Drill.overload_report) =
@@ -837,12 +797,8 @@ let overload_drill_text (r : Tp.Drill.overload_report) =
     "drill: mode=pm plan=overload seed=0x%Lx defenses=%s — open-loop flash crowd \
      against impatient clients\n"
     r.Tp.Drill.v_seed
-    (if r.Tp.Drill.v_defended then "on" else "OFF (negative control)");
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    r.Tp.Drill.v_faults;
-  hr ();
+    (defenses_label r.Tp.Drill.v_defended);
+  faults_text r.Tp.Drill.v_faults;
   Printf.printf "offered load       %d arrivals over %.3f s\n" r.Tp.Drill.v_arrivals
     (Time.to_sec r.Tp.Drill.v_elapsed);
   Printf.printf "outcomes           %d committed, %d rejected (backpressure), %d failed\n"
@@ -854,9 +810,7 @@ let overload_drill_text (r : Tp.Drill.overload_report) =
     r.Tp.Drill.v_adp_shed;
   Printf.printf "containment        %d resends denied by budget, %d breaker trips\n"
     r.Tp.Drill.v_retry_denied r.Tp.Drill.v_breaker_trips;
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n"
-    (r.Tp.Drill.v_response.Stat.mean /. 1e6)
-    (r.Tp.Drill.v_response.Stat.p99 /. 1e6);
+  response_text r.Tp.Drill.v_response;
   Printf.printf "goodput            warmup %.1f tps, spike %.1f tps (floor %.1f), \
                  cooldown %.1f tps\n"
     r.Tp.Drill.v_warmup_goodput r.Tp.Drill.v_spike_goodput
@@ -875,147 +829,81 @@ let overload_drill_text (r : Tp.Drill.overload_report) =
   Printf.printf "durability         %d acked rows, %d LOST — %s\n" r.Tp.Drill.v_acked_rows
     r.Tp.Drill.v_lost_rows
     (if r.Tp.Drill.v_lost_rows = 0 then "rejected is not lost" else "DATA LOSS");
-  Printf.printf "verdict            %s\n"
-    (if Tp.Drill.overload_pass r then "PASS" else "FAIL");
+  Printf.printf "verdict            %s\n" (verdict_label (Tp.Drill.Oracle.of_overload r));
   hr ()
 
-let drill_fail json e =
-  if json then print_endline (Json.to_string (Json.Obj [ ("error", Json.String e) ]));
-  prerr_endline ("odsbench drill: " ^ e);
-  exit 1
+(* A finished drill as the command emits it: its report in either
+   format, and the family's oracle verdict that sets the exit code. *)
+type shown = { json : unit -> Json.t; text : unit -> unit; verdict : Tp.Drill.Oracle.verdict }
 
-let cluster_drill plan_name drivers seed interval_ms flight json =
-  if interval_ms > 0 then begin
-    prerr_endline "odsbench drill: --interval-ms is not supported in cluster mode";
-    exit 2
-  end;
-  let plan =
-    match plan_name with
-    | "partition" | "standard" -> Tp.Drill.partition_plan
-    | "none" -> []
-    | other ->
-        Printf.eprintf "odsbench drill: unknown cluster plan '%s' (%s)\n" other
-          (String.concat "|" Tp.Drill.cluster_plan_names);
-        exit 2
-  in
-  let params = { Tp.Drill.cluster_params with Tp.Drill.drivers } in
-  let plan_label = match plan_name with "standard" -> "partition" | other -> other in
-  match Tp.Drill.run_cluster ~seed:(Int64.of_int seed) ~params ?flight ~plan () with
-  | Error e -> drill_fail json e
-  | Ok r ->
-      if json then print_endline (Json.to_string (cluster_drill_json ~plan:plan_label r))
-      else cluster_drill_text r;
-      if not (Tp.Drill.cluster_zero_loss r) then begin
-        Printf.eprintf
-          "odsbench drill: invariant violated (lost=%d in-doubt=%d orphaned-locks=%d \
-           fence-failures=%d)\n"
-          r.Tp.Drill.c_lost_rows r.Tp.Drill.c_in_doubt_after r.Tp.Drill.c_orphaned_locks
-          r.Tp.Drill.c_fence_failures;
-        exit 1
-      end
+let show_single ?(verdict = fun r -> Tp.Drill.Oracle.of_report r) ~plan r =
+  { json = (fun () -> drill_json ~plan r); text = (fun () -> drill_text r); verdict = verdict r }
+
+let show_cluster ~plan r =
+  {
+    json = (fun () -> cluster_drill_json ~plan r);
+    text = (fun () -> cluster_drill_text r);
+    verdict = Tp.Drill.Oracle.of_cluster r;
+  }
+
+let show_gray g =
+  {
+    json = (fun () -> gray_drill_json g);
+    text = (fun () -> gray_drill_text g);
+    verdict = Tp.Drill.Oracle.of_gray g;
+  }
+
+let show_overload r =
+  {
+    json = (fun () -> overload_drill_json r);
+    text = (fun () -> overload_drill_text r);
+    verdict = Tp.Drill.Oracle.of_overload r;
+  }
+
+let drill_usage msg =
+  prerr_endline ("odsbench drill: " ^ msg);
+  exit 2
 
 (* --plan-file: replay a schedule from disk.  A full repro document
    (schema "odsbench-repro", as written by the explorer) pins the
-   platform, seed and defenses, so the replay is bit-for-bit; a bare
-   JSON array is just a fault plan, run under --mode with the
-   command-line seed and sizing. *)
-let drill_plan_file path mode_str drivers boxcar records seed flight json =
-  let doc =
-    match Json.parse (read_whole_file path) with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "odsbench drill: %s: %s\n" path e;
-        exit 2
-  in
+   platform, seed and defenses, so the replay is bit-for-bit and is
+   judged by the oracle the explorer used; a bare JSON array is just a
+   fault plan, run under --mode with the command-line seed and sizing. *)
+let plan_file_runner path mode ~seed ~params ?flight () =
+  let invalid e = drill_usage (Printf.sprintf "%s: %s" path e) in
+  let doc = match Json.parse (read_whole_file path) with Ok d -> d | Error e -> invalid e in
   match doc with
   | Json.List _ -> (
-      match Tp.Faultplan.of_json doc with
-      | Error e ->
-          Printf.eprintf "odsbench drill: %s: %s\n" path e;
-          exit 2
-      | Ok plan -> (
-          if mode_str <> "disk" && mode_str <> "pm" then begin
-            prerr_endline
-              "odsbench drill: a bare plan array needs --mode disk or pm (wrap cluster \
-               or overload schedules in a repro document)";
-            exit 2
-          end;
-          let mode = List.assoc mode_str modes in
-          let params =
-            {
-              Tp.Drill.default_params with
-              Tp.Drill.drivers;
-              records_per_driver = records;
-              inserts_per_txn = boxcar;
-            }
-          in
-          match
-            Tp.Drill.run ~seed:(Int64.of_int seed) ~params ?flight ~mode ~plan ()
-          with
-          | Error e -> drill_fail json e
-          | Ok r ->
-              if json then print_endline (Json.to_string (drill_json ~plan:path r))
-              else drill_text r;
-              if not (Tp.Drill.zero_loss r) then begin
-                Printf.eprintf
-                  "odsbench drill: %d acknowledged rows lost after recovery\n"
-                  r.Tp.Drill.lost_rows;
-                exit 1
-              end))
+      match (Tp.Faultplan.of_json doc, List.assoc_opt mode modes) with
+      | Error e, _ -> invalid e
+      | Ok _, None ->
+          drill_usage
+            "a bare plan array needs --mode disk or pm (wrap cluster or overload \
+             schedules in a repro document)"
+      | Ok plan, Some mode ->
+          Tp.Drill.run ~seed ~params ?flight ~mode ~plan () |> Result.map (show_single ~plan:path))
   | _ -> (
       match Tp.Explorer.repro_of_json doc with
-      | Error e ->
-          Printf.eprintf "odsbench drill: %s: %s\n" path e;
-          exit 2
-      | Ok repro -> (
-          match Tp.Explorer.replay ?flight repro with
-          | Error e -> drill_fail json e
-          | Ok result ->
-              let verdict = Tp.Explorer.replay_verdict result in
-              (match result with
-              | Tp.Explorer.Single r ->
-                  if json then print_endline (Json.to_string (drill_json ~plan:path r))
-                  else drill_text r
-              | Tp.Explorer.Clustered r ->
-                  if json then
-                    print_endline (Json.to_string (cluster_drill_json ~plan:path r))
-                  else cluster_drill_text r
-              | Tp.Explorer.Overloaded r ->
-                  if json then print_endline (Json.to_string (overload_drill_json r))
-                  else overload_drill_text r);
-              if not (Tp.Drill.Oracle.pass verdict) then begin
-                Printf.eprintf "odsbench drill: oracle violated — %s\n"
-                  (Tp.Drill.Oracle.summary verdict);
-                exit 1
-              end))
+      | Error e -> invalid e
+      | Ok repro ->
+          Tp.Explorer.replay ?flight repro
+          |> Result.map (fun result ->
+                 let verdict _ = Tp.Explorer.replay_verdict result in
+                 match result with
+                 | Tp.Explorer.Single r -> show_single ~verdict ~plan:path r
+                 | Tp.Explorer.Clustered r -> show_cluster ~plan:path r
+                 | Tp.Explorer.Overloaded r -> show_overload r))
 
-let drill mode plan_name plan_file drivers boxcar records seed interval_ms flight
-    list_plans no_defenses json =
+let drill mode plan plan_file drivers boxcar records seed interval_ms flight list_plans
+    no_defenses json =
   if list_plans then
-    let names =
-      match mode with
-      | "cluster" -> Tp.Drill.cluster_plan_names
-      | "disk" -> Tp.Drill.plan_names Tp.System.Disk_audit
-      | _ -> Tp.Drill.plan_names Tp.System.Pm_audit
-    in
-    List.iter print_endline names
+    List.iter print_endline
+      (match List.assoc_opt mode modes with
+      | Some m -> Tp.Drill.plan_names m
+      | None -> Tp.Drill.cluster_plan_names)
   else
-    match plan_file with
-    | Some path -> drill_plan_file path mode drivers boxcar records seed flight json
-    | None ->
-  if mode = "cluster" then
-    cluster_drill plan_name drivers seed interval_ms flight json
-  else begin
-    let mode = if mode = "disk" then Tp.System.Disk_audit else Tp.System.Pm_audit in
-    if
-      no_defenses && plan_name <> "corruption" && plan_name <> "grayfail"
-      && plan_name <> "overload"
-    then begin
-      prerr_endline
-        "odsbench drill: --no-defenses only applies to --plan corruption, grayfail or \
-         overload";
-      exit 2
-    end;
+    let seed = Int64.of_int seed in
+    let name = fst (List.find (fun (_, p) -> p = plan) Tp.Drill.plans) in
     let params =
       {
         Tp.Drill.default_params with
@@ -1028,129 +916,78 @@ let drill mode plan_name plan_file drivers boxcar records seed interval_ms fligh
       if interval_ms > 0 then (Some (Obs.create ()), Some (Time.ms interval_ms))
       else (None, None)
     in
-    if plan_name = "overload" then begin
-      (* The overload drill owns its load shape entirely — an open-loop
-         flash-crowd arrival schedule is the experiment — so it ignores
-         --records, --boxcar and --drivers and goes through its
-         dedicated entry point.  The gate is goodput under and after the
-         spike, not just row durability. *)
-      if mode <> Tp.System.Pm_audit then begin
-        prerr_endline "odsbench drill: plan 'overload' requires --mode pm";
-        exit 2
-      end;
-      match
-        Tp.Drill.run_overload ~seed:(Int64.of_int seed) ?obs ?sample_interval
-          ~defenses:(not no_defenses) ?flight ()
-      with
-      | Error e -> drill_fail json e
-      | Ok r ->
-          if json then print_endline (Json.to_string (overload_drill_json r))
-          else overload_drill_text r;
-          if not (Tp.Drill.overload_pass r) then begin
-            Printf.eprintf
-              "odsbench drill: overload gate violated (lost=%d warmup=%.1f tps \
-               spike=%.1f tps recovery=%s rejected=%d)\n"
-              r.Tp.Drill.v_lost_rows r.Tp.Drill.v_warmup_goodput
-              r.Tp.Drill.v_spike_goodput
-              (match r.Tp.Drill.v_recovery_time with
-              | Some t -> Time.to_string t
-              | None -> "never")
-              r.Tp.Drill.v_rejected;
-            exit 1
-          end
-    end
-    else if plan_name = "grayfail" then begin
-      (* The gray-failure drill owns its load shape (the p99 gate needs
-         a known sample count) and runs twice — healthy baseline, then
-         the staged fail-slow schedule — so it ignores --records and
-         --boxcar and goes through its dedicated entry point. *)
-      if mode <> Tp.System.Pm_audit then begin
-        prerr_endline "odsbench drill: plan 'grayfail' requires --mode pm";
-        exit 2
-      end;
-      let params = { Tp.Drill.gray_params with Tp.Drill.drivers } in
-      match
-        Tp.Drill.run_gray ~seed:(Int64.of_int seed) ?obs ?sample_interval ~params
-          ~defenses:(not no_defenses) ?flight ()
-      with
-      | Error e -> drill_fail json e
-      | Ok g ->
-          if json then print_endline (Json.to_string (gray_drill_json g))
-          else gray_drill_text g;
-          if not (Tp.Drill.gray_pass g) then begin
-            Printf.eprintf
-              "odsbench drill: gray-failure gate violated (lost=%d p99-ratio=%.2f \
-               demotions=%d readmissions=%d)\n"
-              g.Tp.Drill.g_degraded.Tp.Drill.lost_rows g.Tp.Drill.g_p99_ratio
-              g.Tp.Drill.g_demotions g.Tp.Drill.g_readmissions;
-            exit 1
-          end
-    end
-    else if plan_name = "corruption" then begin
-      (* The storage-integrity drill has its own config (scrubber +
-         verified reads) and crash-time decay, so it goes through its
-         dedicated entry point; the exit gate is the integrity audit,
-         not just row durability. *)
-      if mode <> Tp.System.Pm_audit then begin
-        prerr_endline "odsbench drill: plan 'corruption' requires --mode pm";
-        exit 2
-      end;
-      match
-        Tp.Drill.run_corruption ~seed:(Int64.of_int seed) ?obs ?sample_interval ~params
-          ~defenses:(not no_defenses) ?flight ()
-      with
-      | Error e -> drill_fail json e
-      | Ok r ->
-          if json then
-            print_endline (Json.to_string (drill_json ~plan:"corruption" r))
-          else drill_text r;
-          if not (Tp.Drill.integrity_clean r) then begin
-            let div =
-              match r.Tp.Drill.integrity with
-              | Some i -> i.Tp.Drill.unrepaired_divergence
-              | None -> 0
-            in
-            Printf.eprintf
-              "odsbench drill: integrity violated (%d rows lost, %d divergent chunks \
-               unrepaired)\n"
-              r.Tp.Drill.lost_rows div;
-            exit 1
-          end
-    end
-    else begin
-      let plan =
-        match plan_name with
-        | "standard" -> Tp.Drill.standard_plan mode
-        | "kills" ->
-            (* Process-pair decapitations only. *)
-            List.filter
-              (fun ev ->
-                match ev.Tp.Faultplan.action with
-                | Tp.Faultplan.Kill_primary _ -> true
-                | _ -> false)
-              (Tp.Drill.standard_plan mode)
-        | "none" -> []
-        | other ->
-            Printf.eprintf "odsbench drill: unknown plan '%s' (%s)\n" other
-              (String.concat "|" (Tp.Drill.plan_names mode));
-            exit 2
-      in
-      match
-        Tp.Drill.run ~seed:(Int64.of_int seed) ?obs ?sample_interval ~params ?flight ~mode
-          ~plan ()
-      with
-      | Error e -> drill_fail json e
-      | Ok r ->
-          if json then
-            print_endline (Json.to_string (drill_json ~plan:plan_name r))
-          else drill_text r;
-          if not (Tp.Drill.zero_loss r) then begin
-            Printf.eprintf "odsbench drill: %d acknowledged rows lost after recovery\n"
-              r.Tp.Drill.lost_rows;
-            exit 1
-          end
-    end
-  end
+    let defenses = not no_defenses in
+    let result =
+      match (plan_file, mode, plan) with
+      | Some path, _, _ -> plan_file_runner path mode ~seed ~params ?flight ()
+      | None, "cluster", _ when interval_ms > 0 ->
+          drill_usage "--interval-ms is not supported in cluster mode"
+      | None, "cluster", Tp.Drill.(Standard | Partition | No_faults) ->
+          let plan, label =
+            if plan = Tp.Drill.No_faults then ([], "none") else (Tp.Drill.partition_plan, "partition")
+          in
+          let params = { Tp.Drill.cluster_params with Tp.Drill.drivers } in
+          Tp.Drill.run_cluster ~seed ~params ?flight ~plan ()
+          |> Result.map (show_cluster ~plan:label)
+      | None, "cluster", _ ->
+          drill_usage
+            (Printf.sprintf "plan '%s' does not run in cluster mode (%s)" name
+               (String.concat "|" Tp.Drill.cluster_plan_names))
+      | None, _, Tp.Drill.(Standard | Kills | Partition | No_faults) when no_defenses ->
+          drill_usage "--no-defenses only applies to --plan corruption, grayfail or overload"
+      | None, "disk", Tp.Drill.(Corruption | Grayfail | Overload) ->
+          drill_usage (Printf.sprintf "plan '%s' requires --mode pm" name)
+      | None, _, Tp.Drill.Partition -> drill_usage "plan 'partition' requires --mode cluster"
+      | None, _, Tp.Drill.Corruption ->
+          (* The storage-integrity drill has its own config (scrubber +
+             verified reads) and crash-time decay, and is gated on the
+             integrity audit, not just row durability. *)
+          Tp.Drill.run_corruption ~seed ?obs ?sample_interval ~params ~defenses ?flight ()
+          |> Result.map (show_single ~plan:name)
+      | None, _, Tp.Drill.Grayfail ->
+          (* The gray-failure drill owns its load shape (the p99 gate
+             needs a known sample count) and runs twice — healthy
+             baseline, then the staged fail-slow schedule — so it
+             ignores --records and --boxcar. *)
+          let params = { Tp.Drill.gray_params with Tp.Drill.drivers } in
+          Tp.Drill.run_gray ~seed ?obs ?sample_interval ~params ~defenses ?flight ()
+          |> Result.map show_gray
+      | None, _, Tp.Drill.Overload ->
+          (* The overload drill owns its load shape entirely — an
+             open-loop flash-crowd arrival schedule is the experiment —
+             so it ignores --records, --boxcar and --drivers. *)
+          Tp.Drill.run_overload ~seed ?obs ?sample_interval ~defenses ?flight ()
+          |> Result.map show_overload
+      | None, _, Tp.Drill.(Standard | Kills | No_faults) ->
+          let mode = List.assoc mode modes in
+          let faults =
+            match plan with
+            | Tp.Drill.No_faults -> []
+            | Tp.Drill.Kills ->
+                (* Process-pair decapitations only. *)
+                List.filter
+                  (fun ev ->
+                    match ev.Tp.Faultplan.action with
+                    | Tp.Faultplan.Kill_primary _ -> true
+                    | _ -> false)
+                  (Tp.Drill.standard_plan mode)
+            | _ -> Tp.Drill.standard_plan mode
+          in
+          Tp.Drill.run ~seed ?obs ?sample_interval ~params ?flight ~mode ~plan:faults ()
+          |> Result.map (show_single ~plan:name)
+    in
+    match result with
+    | Error e ->
+        if json then print_endline (Json.to_string (Json.Obj [ ("error", Json.String e) ]));
+        prerr_endline ("odsbench drill: " ^ e);
+        exit 1
+    | Ok shown ->
+        if json then print_endline (Json.to_string (shown.json ())) else shown.text ();
+        if not (Tp.Drill.Oracle.pass shown.verdict) then begin
+          prerr_endline
+            ("odsbench drill: gate failed — " ^ Tp.Drill.Oracle.summary shown.verdict);
+          exit 1
+        end
 
 let drill_cmd =
   let mode =
@@ -1162,8 +999,9 @@ let drill_cmd =
   in
   let plan =
     Arg.(
-      value & opt string "standard"
-      & info [ "plan" ] ~docv:"standard|kills|corruption|grayfail|overload|none|partition"
+      value
+      & opt (enum Tp.Drill.plans) Tp.Drill.Standard
+      & info [ "plan" ] ~docv:(String.concat "|" (List.map fst Tp.Drill.plans))
           ~doc:
             "Fault schedule: $(b,standard) is the full drill (PM: PMM kill, NPMU \
              power-cycle, rail flap, CRC noise, resync), $(b,kills) keeps only the \

@@ -151,12 +151,12 @@ let decode_meta blob =
   let epoch = Codec.Dec.u64 dec in
   { generation; epoch; regions }
 
-(* A slot image: header (magic, generation, length, crc) then payload. *)
-let slot_image meta =
-  let payload = encode_meta meta in
+(* Both kinds of metadata slot share one on-media frame: header (magic,
+   generation, payload length, CRC32 of the payload), then the payload. *)
+let frame ~magic ~generation payload =
   let hdr = Codec.Enc.create () in
   Codec.Enc.u32 hdr magic;
-  Codec.Enc.u64 hdr meta.generation;
+  Codec.Enc.u64 hdr generation;
   Codec.Enc.u32 hdr (Bytes.length payload);
   Codec.Enc.u32 hdr (Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF);
   let out = Bytes.create (header_bytes + Bytes.length payload) in
@@ -164,11 +164,12 @@ let slot_image meta =
   Bytes.blit payload 0 out header_bytes (Bytes.length payload);
   out
 
-let parse_slot bytes_ =
+(* [decode generation payload] runs only on a frame whose magic and
+   payload CRC check out; a truncated frame or payload is [None]. *)
+let unframe ~magic decode bytes_ =
   try
     let dec = Codec.Dec.of_bytes bytes_ in
-    let m = Codec.Dec.u32 dec in
-    if m <> magic then None
+    if Codec.Dec.u32 dec <> magic then None
     else
       let generation = Codec.Dec.u64 dec in
       let len = Codec.Dec.u32 dec in
@@ -177,10 +178,25 @@ let parse_slot bytes_ =
       else
         let payload = Bytes.sub bytes_ header_bytes len in
         if Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF <> crc then None
-        else
-          let meta = decode_meta payload in
-          if meta.generation <> generation then None else Some meta
+        else decode generation payload
   with Codec.Dec.Truncated -> None
+
+let meta ~generation ~epoch regions =
+  {
+    generation;
+    epoch;
+    regions =
+      List.map (fun (rname, offset, length, openers) -> { rname; offset; length; openers }) regions;
+  }
+
+let slot_image meta = frame ~magic ~generation:meta.generation (encode_meta meta)
+
+(* The region table repeats its generation inside the payload: a header
+   whose generation disagrees is rejected. *)
+let parse_slot =
+  unframe ~magic (fun generation payload ->
+      let meta = decode_meta payload in
+      if meta.generation <> generation then None else Some meta)
 
 (* --- The manager --- *)
 
@@ -746,72 +762,43 @@ let scrub_slot_gap cfg = cfg.meta_reserve / 8
 
 let scrub_magic = 0x53435242 (* "SCRB" *)
 
-let encode_scrub st =
+let scrub_image ~generation ~chunk_bytes entries quarantined =
   let enc = Codec.Enc.create () in
-  Codec.Enc.u32 enc st.s_cfg.scrub_chunk_bytes;
-  let entries =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.s_table [])
-  in
+  Codec.Enc.u32 enc chunk_bytes;
   Codec.Enc.u32 enc (List.length entries);
   List.iter
     (fun (addr, crc) ->
       Codec.Enc.u32 enc addr;
       Codec.Enc.u32 enc (Int32.to_int crc land 0xFFFFFFFF))
     entries;
-  let quar = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.s_quar []) in
-  Codec.Enc.u32 enc (List.length quar);
+  Codec.Enc.u32 enc (List.length quarantined);
   List.iter
     (fun (addr, len) ->
       Codec.Enc.u32 enc addr;
       Codec.Enc.u32 enc len)
-    quar;
-  Codec.Enc.to_bytes enc
-
-let scrub_image st =
-  let payload = encode_scrub st in
-  let hdr = Codec.Enc.create () in
-  Codec.Enc.u32 hdr scrub_magic;
-  Codec.Enc.u64 hdr st.s_generation;
-  Codec.Enc.u32 hdr (Bytes.length payload);
-  Codec.Enc.u32 hdr (Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF);
-  let out = Bytes.create (header_bytes + Bytes.length payload) in
-  Bytes.blit (Codec.Enc.to_bytes hdr) 0 out 0 header_bytes;
-  Bytes.blit payload 0 out header_bytes (Bytes.length payload);
-  out
+    quarantined;
+  frame ~magic:scrub_magic ~generation (Codec.Enc.to_bytes enc)
 
 (* Returns (generation, chunk_bytes, entries, quarantined). *)
-let parse_scrub_slot bytes_ =
-  try
-    let dec = Codec.Dec.of_bytes bytes_ in
-    let m = Codec.Dec.u32 dec in
-    if m <> scrub_magic then None
-    else
-      let generation = Codec.Dec.u64 dec in
-      let len = Codec.Dec.u32 dec in
-      let crc = Codec.Dec.u32 dec in
-      if len > Bytes.length bytes_ - header_bytes then None
-      else
-        let payload = Bytes.sub bytes_ header_bytes len in
-        if Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF <> crc then None
-        else
-          let pd = Codec.Dec.of_bytes payload in
-          let chunk_bytes = Codec.Dec.u32 pd in
-          let n = Codec.Dec.u32 pd in
-          let entries =
-            List.init n (fun _ ->
-                let addr = Codec.Dec.u32 pd in
-                let c = Codec.Dec.u32 pd in
-                (addr, Int32.of_int c))
-          in
-          let nq = Codec.Dec.u32 pd in
-          let quar =
-            List.init nq (fun _ ->
-                let addr = Codec.Dec.u32 pd in
-                let len = Codec.Dec.u32 pd in
-                (addr, len))
-          in
-          Some (generation, chunk_bytes, entries, quar)
-  with Codec.Dec.Truncated -> None
+let parse_scrub_slot =
+  unframe ~magic:scrub_magic (fun generation payload ->
+      let pd = Codec.Dec.of_bytes payload in
+      let chunk_bytes = Codec.Dec.u32 pd in
+      let n = Codec.Dec.u32 pd in
+      let entries =
+        List.init n (fun _ ->
+            let addr = Codec.Dec.u32 pd in
+            let c = Codec.Dec.u32 pd in
+            (addr, Int32.of_int c))
+      in
+      let nq = Codec.Dec.u32 pd in
+      let quar =
+        List.init nq (fun _ ->
+            let addr = Codec.Dec.u32 pd in
+            let len = Codec.Dec.u32 pd in
+            (addr, len))
+      in
+      Some (generation, chunk_bytes, entries, quar))
 
 let scrub_epoch t =
   match t.live with
@@ -825,7 +812,11 @@ let scrub_epoch t =
    write that never landed. *)
 let persist_scrub t st =
   st.s_generation <- st.s_generation + 1;
-  let image = scrub_image st in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let image =
+    scrub_image ~generation:st.s_generation ~chunk_bytes:st.s_cfg.scrub_chunk_bytes
+      (sorted st.s_table) (sorted st.s_quar)
+  in
   let gap = scrub_slot_gap t.cfg in
   if Bytes.length image > (t.cfg.meta_reserve / 2) - gap then begin
     st.s_generation <- st.s_generation - 1;

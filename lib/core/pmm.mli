@@ -94,6 +94,37 @@ val format : config -> device -> device -> unit
 (** Factory-initialize both devices with an empty, generation-1 metadata
     table (maintenance path, takes no simulated time). *)
 
+(** {2 Metadata slot images}
+
+    Both kinds of metadata slot — the region table and the scrubber's
+    chunk-checksum table — share one CRC-framed layout: magic
+    (["PMM1"] or ["SCRB"]), generation, payload length, the payload's
+    CRC32, then the payload.  Recovery adopts the newest slot whose
+    parser accepts it; a frame with the wrong magic, a bad CRC or a
+    truncated payload parses to [None], never an exception. *)
+
+type meta
+(** The region table as it sits in a slot. *)
+
+val meta : generation:int -> epoch:int -> (string * int * int * int list) list -> meta
+(** A table of [(name, offset, length, opener CPUs)] regions. *)
+
+val slot_image : meta -> bytes
+
+val parse_slot : bytes -> meta option
+(** Also [None] when the header's generation disagrees with the one
+    inside the payload. *)
+
+val scrub_image :
+  generation:int -> chunk_bytes:int -> (int * int32) list -> (int * int) list -> bytes
+(** A chunk-checksum table: [(chunk offset, CRC32)] entries and
+    [(chunk offset, length)] quarantined chunks. *)
+
+val parse_scrub_slot :
+  bytes -> (int * int * (int * int32) list * (int * int) list) option
+(** [(generation, chunk_bytes, entries, quarantined)].  The payload does
+    not repeat the generation, so a corrupted generation field parses. *)
+
 type t
 
 val start :

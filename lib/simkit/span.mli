@@ -44,9 +44,6 @@ val enable : t -> unit
 val disable : t -> unit
 val enabled : t -> bool
 
-val attach_trace : t -> Trace.t -> unit
-(** Mirror span begin/end into a {!Trace} ring buffer (tag ["span"]). *)
-
 val new_trace : t -> int
 (** Fresh trace (correlation) id, e.g. one per transaction. *)
 

@@ -67,32 +67,6 @@ type report = {
 
 let zero_loss r = r.lost_rows = 0
 
-(* The black-box dump a failed drill leaves behind: recent spans plus
-   the fault-injection marks, one JSON document. *)
-let dump_flight path fr =
-  let oc = open_out path in
-  output_string oc (Json.to_string (Flightrec.to_json fr));
-  output_char oc '\n';
-  close_out oc
-
-(* Arm a flight recorder: reuse the caller's observability context (or
-   grow a private one), make sure spans flow, and stream every finished
-   span into the recorder's ring. *)
-let arm_flight flight obs =
-  match flight with
-  | None -> (None, obs)
-  | Some _ ->
-      let o = match obs with Some o -> o | None -> Obs.create () in
-      let fr = Flightrec.create () in
-      Span.enable (Obs.spans o);
-      Flightrec.attach fr (Obs.spans o);
-      (Some fr, Some o)
-
-let mark_faults recorder faults =
-  match recorder with
-  | Some fr -> List.iter (fun (time, label) -> Flightrec.mark fr ~time label) faults
-  | None -> ()
-
 let integrity_clean r =
   zero_loss r
   && match r.integrity with Some i -> i.unrepaired_divergence = 0 | None -> false
@@ -176,10 +150,10 @@ type cluster_report = {
 
 (* Every drill family used to restate its own acceptance conjunction
    inline; the oracle states each invariant once, as a named check with
-   a human-readable detail, and the per-family gates below are just
-   [pass] of the relevant verdict.  The explorer leans on the same
-   verdicts, so a violation it reports is by construction the same
-   judgement the drills and CI apply. *)
+   a human-readable detail, and every family's gate is [pass] of its
+   verdict.  The explorer leans on the same verdicts, so a violation it
+   reports is by construction the same judgement the drills and CI
+   apply. *)
 module Oracle = struct
   type check = { ck_name : string; ck_ok : bool; ck_detail : string }
 
@@ -218,26 +192,31 @@ module Oracle = struct
                v.checks) );
       ]
 
+  let acked_durable ~lost ~acked =
+    check "acked_durable" (lost = 0)
+      (Printf.sprintf "%d of %d acked rows missing after recovery" lost acked)
+
+  (* What recovery must leave behind on every platform that runs
+     transactions to completion: no undecided branch, no held lock, and
+     no stale-epoch write that got past the fence. *)
+  let drained ~in_doubt ~locks ~fence_checks ~fence_failures =
+    [
+      check "in_doubt_drained" (in_doubt = 0)
+        (Printf.sprintf "%d branches still in doubt" in_doubt);
+      check "no_orphaned_locks" (locks = 0)
+        (Printf.sprintf "%d locks still held after recovery" locks);
+      check "no_fence_failures" (fence_failures = 0)
+        (Printf.sprintf "%d of %d fence probes saw a stale write land" fence_failures
+           fence_checks);
+    ]
+
   let of_report ?max_outage r =
-    let base =
-      [
-        check "acked_durable" (r.lost_rows = 0)
-          (Printf.sprintf "%d of %d acked rows missing after recovery" r.lost_rows
-             r.acked_rows);
-        check "in_doubt_drained" (r.in_doubt_after = 0)
-          (Printf.sprintf "%d branches still in doubt" r.in_doubt_after);
-        check "no_orphaned_locks" (r.orphaned_locks = 0)
-          (Printf.sprintf "%d locks still held after recovery" r.orphaned_locks);
-        check "no_fence_failures" (r.fence_failures = 0)
-          (Printf.sprintf "%d of %d fence probes saw a stale write land"
-             r.fence_failures r.fence_checks);
-        (match r.integrity with
-        | Some i ->
-            check "integrity_clean" (i.unrepaired_divergence = 0)
-              (Printf.sprintf "%d mirrored chunks still divergent"
-                 i.unrepaired_divergence)
-        | None -> check "integrity_clean" true "no integrity audit in this mode");
-      ]
+    let integrity =
+      match r.integrity with
+      | Some i ->
+          check "integrity_clean" (i.unrepaired_divergence = 0)
+            (Printf.sprintf "%d mirrored chunks still divergent" i.unrepaired_divergence)
+      | None -> check "integrity_clean" true "no integrity audit in this mode"
     in
     let outage =
       match max_outage with
@@ -251,22 +230,17 @@ module Oracle = struct
                  (Time.to_string limit));
           ]
     in
-    make (base @ outage)
+    make
+      ((acked_durable ~lost:r.lost_rows ~acked:r.acked_rows
+       :: drained ~in_doubt:r.in_doubt_after ~locks:r.orphaned_locks
+            ~fence_checks:r.fence_checks ~fence_failures:r.fence_failures)
+      @ (integrity :: outage))
 
   let of_cluster r =
     make
-      [
-        check "acked_durable" (r.c_lost_rows = 0)
-          (Printf.sprintf "%d of %d acked rows missing after recovery" r.c_lost_rows
-             r.c_acked_rows);
-        check "in_doubt_drained" (r.c_in_doubt_after = 0)
-          (Printf.sprintf "%d branches still in doubt" r.c_in_doubt_after);
-        check "no_orphaned_locks" (r.c_orphaned_locks = 0)
-          (Printf.sprintf "%d locks still held after recovery" r.c_orphaned_locks);
-        check "no_fence_failures" (r.c_fence_failures = 0)
-          (Printf.sprintf "%d of %d fence probes saw a stale write land"
-             r.c_fence_failures r.c_fence_checks);
-      ]
+      (acked_durable ~lost:r.c_lost_rows ~acked:r.c_acked_rows
+      :: drained ~in_doubt:r.c_in_doubt_after ~locks:r.c_orphaned_locks
+           ~fence_checks:r.c_fence_checks ~fence_failures:r.c_fence_failures)
 
   let of_gray r =
     let evidence =
@@ -310,9 +284,7 @@ module Oracle = struct
     in
     make
       ([
-         check "acked_durable" (r.v_lost_rows = 0)
-           (Printf.sprintf "%d of %d acked rows missing after recovery" r.v_lost_rows
-              r.v_acked_rows);
+         acked_durable ~lost:r.v_lost_rows ~acked:r.v_acked_rows;
          check "warmup_progress"
            (r.v_warmup_goodput > 0.0)
            (Printf.sprintf "warmup goodput %.1f tps" r.v_warmup_goodput);
@@ -332,12 +304,6 @@ module Oracle = struct
        ]
       @ shed)
 end
-
-let gray_pass r = Oracle.pass (Oracle.of_gray r)
-
-let overload_pass r = Oracle.pass (Oracle.of_overload r)
-
-let cluster_zero_loss r = Oracle.pass (Oracle.of_cluster r)
 
 (* Offsets tuned so every fault lands while default-params load is still
    running (PM-mode load is an order of magnitude shorter than disk's,
@@ -533,400 +499,35 @@ let gray_plan =
       at (Time.ms 800) Restore_speed;
     ]
 
-let plan_names = function
-  | System.Pm_audit -> [ "standard"; "kills"; "corruption"; "grayfail"; "overload"; "none" ]
-  | System.Disk_audit -> [ "standard"; "kills"; "none" ]
+type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
 
-let cluster_plan_names = [ "partition"; "none" ]
+(* In [--list-plans] order: each platform's canonical plan first. *)
+let plans =
+  [
+    ("standard", Standard);
+    ("kills", Kills);
+    ("corruption", Corruption);
+    ("grayfail", Grayfail);
+    ("overload", Overload);
+    ("partition", Partition);
+    ("none", No_faults);
+  ]
+
+let names_where keep = List.filter_map (fun (n, p) -> if keep p then Some n else None) plans
+
+let plan_names mode =
+  names_where (function
+    | Standard | Kills | No_faults -> true
+    | Corruption | Grayfail | Overload -> mode = System.Pm_audit
+    | Partition -> false)
+
+let cluster_plan_names = names_where (function Partition | No_faults -> true | _ -> false)
 
 let config_for base mode =
   match mode with
   | System.Disk_audit -> { base with System.log_mode = System.Disk_audit }
   | System.Pm_audit ->
       { base with System.log_mode = System.Pm_audit; txn_state_in_pm = true }
-
-(* The hot-stock insert mix, tolerant of the system dropping out from
-   under it: [begin] is retried across takeovers, commit failures are
-   counted and the driver moves on.  Only [Ok] commit replies put keys
-   in [acked] — that set is the durability contract the auditor checks. *)
-let driver system params ~index ~acked ~response_stat ~committed ~failed ~on_done () =
-  let cfg = System.config system in
-  let session = System.session system ~cpu:(index mod cfg.System.worker_cpus) in
-  let files = cfg.System.files in
-  let key_base = (index + 1) * 100_000_000 in
-  let total = params.records_per_driver in
-  let per_txn = params.inserts_per_txn in
-  let sim = System.sim system in
-  let begin_with_retry () =
-    let rec go attempts =
-      match Txclient.begin_txn session with
-      | Ok txn -> Some txn
-      | Error _ when attempts > 0 ->
-          Sim.sleep (Time.ms 250);
-          go (attempts - 1)
-      | Error _ -> None
-    in
-    go params.begin_retries
-  in
-  let seq = ref 0 in
-  let rec txn_loop () =
-    if !seq < total then begin
-      let t0 = Sim.now sim in
-      let in_this_txn = min per_txn (total - !seq) in
-      let keys =
-        List.init in_this_txn (fun i ->
-            let idx = !seq + i in
-            ((idx mod files), key_base + idx + (idx / per_txn)))
-      in
-      seq := !seq + in_this_txn;
-      (match begin_with_retry () with
-      | None -> incr failed
-      | Some txn -> (
-          List.iter
-            (fun (file, key) ->
-              Txclient.insert_async session txn ~file ~key ~len:params.record_bytes ())
-            keys;
-          match Txclient.commit session txn with
-          | Ok () ->
-              incr committed;
-              acked := List.rev_append keys !acked;
-              Stat.add_span response_stat (Sim.now sim - t0)
-          | Error _ -> incr failed));
-      txn_loop ()
-    end
-  in
-  txn_loop ();
-  on_done ()
-
-let availability_of system =
-  let sum_arr f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
-  let adps = System.adps system in
-  let dp2s = System.dp2s system in
-  let tmf = System.tmf system in
-  let pmm_takeovers, pmm_outage =
-    match System.pmm system with
-    | Some p -> (Pm.Pmm.takeovers p, Pm.Pmm.outage_time p)
-    | None -> (0, 0)
-  in
-  let fs = Servernet.Fabric.stats (Node.fabric (System.node system)) in
-  {
-    adp_takeovers = sum_arr Adp.pair_takeovers adps + Adp.pair_takeovers (System.mat system);
-    dp2_takeovers = sum_arr Dp2.pair_takeovers dp2s;
-    tmf_takeovers = Tmf.pair_takeovers tmf;
-    pmm_takeovers;
-    outage =
-      sum_arr Adp.outage_time adps
-      + Adp.outage_time (System.mat system)
-      + sum_arr Dp2.outage_time dp2s
-      + Tmf.outage_time tmf + pmm_outage;
-    degraded_writes = System.degraded_pm_writes system;
-    pm_write_retries = System.pm_write_retries system;
-    packet_retries = fs.Servernet.Fabric.packet_retries;
-  }
-
-let run ?(seed = 0xD5177L) ?config ?obs ?prof ?sample_interval
-    ?(params = default_params) ?(crash_decay = []) ?horizon ?(recovery_plan = [])
-    ?inspect ?flight ?(gate = zero_loss) ~mode ~plan () =
-  if params.drivers < 1 then invalid_arg "Drill.run: need at least one driver";
-  (match (sample_interval, obs) with
-  | Some _, None -> invalid_arg "Drill.run: sample_interval requires obs"
-  | _ -> ());
-  let recorder, obs = arm_flight flight obs in
-  let base = Option.value config ~default:System.default_config in
-  let cfg = config_for base mode in
-  let cfg = { cfg with System.seed } in
-  let sim = Sim.create ~seed () in
-  (match prof with Some p -> Prof.install p sim | None -> ());
-  let out = ref (Error "drill: simulation did not complete") in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"drill-main" (fun () ->
-        let system = System.build ?obs sim cfg in
-        (* The scrubber and mirror-health monitor (started by
-           [System.build] when the config asks for them) sleep forever
-           between passes; every exit from this process must stop them
-           or the simulation never quiesces. *)
-        let stop_scrub () =
-          match System.pmm system with
-          | Some p ->
-              Pm.Pmm.stop_scrubber p;
-              Pm.Pmm.stop_monitor p
-          | None -> ()
-        in
-        let validated =
-          match Faultplan.validate ?horizon system plan with
-          | Error e -> Error ("fault plan: " ^ e)
-          | Ok () -> (
-              match Faultplan.validate system recovery_plan with
-              | Error e -> Error ("recovery fault plan: " ^ e)
-              | Ok () -> Ok ())
-        in
-        match validated with
-        | Error e ->
-            stop_scrub ();
-            out := Error e
-        | Ok () ->
-            let node = System.node system in
-            let response_stat = Stat.create ~name:"drill-rt" () in
-            let acked = ref [] in
-            let committed = ref 0 in
-            let failed = ref 0 in
-            let gate = Gate.create params.drivers in
-            let started = Sim.now sim in
-            (* Event-aligned overlay: commit/failure gauges sampled on
-               the telemetry cadence, with fault injections as marks. *)
-            let ts =
-              match (sample_interval, obs) with
-              | Some interval, Some o ->
-                  let m = Obs.metrics o in
-                  Metrics.register_gauge m "drill.committed" (fun () ->
-                      float_of_int !committed);
-                  Metrics.register_gauge m "drill.failed" (fun () ->
-                      float_of_int !failed);
-                  let t = Timeseries.create ~sim ~metrics:m ~interval () in
-                  Timeseries.start t;
-                  Some t
-              | _ -> None
-            in
-            let frun = Faultplan.launch system plan in
-            for index = 0 to params.drivers - 1 do
-              let cpu = Node.cpu node (index mod cfg.System.worker_cpus) in
-              ignore
-                (Cpu.spawn cpu
-                   ~name:(Printf.sprintf "drill-driver%d" index)
-                   (driver system params ~index ~acked ~response_stat ~committed ~failed
-                      ~on_done:(fun () -> Gate.arrive gate)))
-            done;
-            Gate.await gate;
-            let elapsed = Sim.now sim - started in
-            Faultplan.await frun;
-            mark_faults recorder (Faultplan.injected frun);
-            (match ts with
-            | Some t ->
-                Timeseries.stop t;
-                List.iter
-                  (fun (time, label) -> Timeseries.mark t ~time label)
-                  (Faultplan.injected frun)
-            | None -> ());
-            Sim.sleep params.settle;
-            (* Crash: the scrubber dies with the node, every DP2 loses
-               its in-memory image, and any [crash_decay] corruption
-               lands un-scrubbed; the only truth left is the trails and
-               the PM state. *)
-            stop_scrub ();
-            let crash_faults =
-              List.filter_map
-                (fun (device, off, bits) ->
-                  match List.nth_opt (System.npmus system) device with
-                  | Some d ->
-                      Pm.Npmu.decay d ~off ~bits;
-                      Some
-                        ( Sim.now sim,
-                          Printf.sprintf "crash media_decay: device %d, %d bits at offset %d"
-                            device bits off )
-                  | None -> None)
-                crash_decay
-            in
-            mark_faults recorder crash_faults;
-            Array.iter (fun d -> Dp2.load_table d []) (System.dp2s system);
-            (* Recovery-phase injection: offsets in [recovery_plan] are
-               relative to the instant recovery starts, so its events
-               land while the replay and resolvers are still running —
-               the nested-failure window no hand-written drill reaches. *)
-            let rrun =
-              match recovery_plan with
-              | [] -> None
-              | p -> Some (Faultplan.launch system p)
-            in
-            let recovery_result = Recovery.run system in
-            let recovery_faults =
-              match rrun with
-              | None -> []
-              | Some r ->
-                  Faultplan.await r;
-                  let injected = Faultplan.injected r in
-                  mark_faults recorder injected;
-                  injected
-            in
-            match recovery_result with
-            | Error e -> out := Error ("recovery failed: " ^ e)
-            | Ok recovery ->
-                let routing = System.routing system in
-                let dp2s = System.dp2s system in
-                let lost =
-                  List.filter
-                    (fun (file, key) ->
-                      let d = dp2s.(routing.Txclient.dp2_of ~file ~key) in
-                      Dp2.lookup_direct d ~file ~key = None)
-                    !acked
-                in
-                (* Full-content audit: every mirrored byte of every
-                   region compared, not just the rows the replay
-                   touched.  Anything still divergent that is neither
-                   repaired nor quarantined is silent corruption the
-                   defenses missed. *)
-                let integrity =
-                  match System.pmm system with
-                  | None -> None
-                  | Some pmm ->
-                      let count p =
-                        List.length
-                          (List.filter (fun ev -> p ev.Faultplan.action) plan)
-                      in
-                      Some
-                        {
-                          decay_injected =
-                            count (function Faultplan.Media_decay _ -> true | _ -> false)
-                            + List.length crash_faults;
-                          torn_injected =
-                            count (function Faultplan.Torn_write _ -> true | _ -> false);
-                          scrub_chunks = Pm.Pmm.scrub_chunks_scanned pmm;
-                          scrub_repairs = Pm.Pmm.scrub_repairs pmm;
-                          scrub_quarantined = Pm.Pmm.scrub_quarantined pmm;
-                          read_repairs = System.pm_read_repairs system;
-                          verify_unrepaired = System.pm_verify_unrepaired system;
-                          unrepaired_divergence =
-                            List.length (Pm.Pmm.divergent_chunks pmm);
-                        }
-                in
-                (match inspect with Some f -> f system | None -> ());
-                let fence_of fp_run =
-                  (Faultplan.fence_checks fp_run, Faultplan.fence_failures fp_run)
-                in
-                let fc0, ff0 = fence_of frun in
-                let fc1, ff1 =
-                  match rrun with Some r -> fence_of r | None -> (0, 0)
-                in
-                out :=
-                  Ok
-                    {
-                      mode;
-                      seed;
-                      elapsed;
-                      faults = Faultplan.injected frun @ crash_faults @ recovery_faults;
-                      attempted_txns = !committed + !failed;
-                      committed = !committed;
-                      failed_txns = !failed;
-                      acked_rows = List.length !acked;
-                      recovered_rows = recovery.Recovery.rows_rebuilt;
-                      lost_rows = List.length lost;
-                      in_doubt_after = List.length (Tmf.in_doubt (System.tmf system));
-                      orphaned_locks = Lockmgr.held_total (System.locks system);
-                      fence_checks = fc0 + fc1;
-                      fence_failures = ff0 + ff1;
-                      response = Stat.summary response_stat;
-                      availability = availability_of system;
-                      recovery;
-                      integrity;
-                      timeline = ts;
-                      flight = recorder;
-                    })
-  in
-  Sim.run sim;
-  (match prof with Some p -> Prof.uninstall p | None -> ());
-  (* The black box dumps itself whenever the drill's gate fails — or the
-     drill could not even produce a report. *)
-  (match (flight, recorder) with
-  | Some path, Some fr ->
-      let failed =
-        match !out with Ok r -> not (gate r) | Error _ -> true
-      in
-      if failed then begin
-        (match !out with
-        | Error e -> Flightrec.mark fr ~time:0 ("drill error: " ^ e)
-        | Ok r ->
-            Flightrec.mark fr ~time:0
-              (Printf.sprintf "gate failed: lost_rows=%d committed=%d" r.lost_rows
-                 r.committed));
-        dump_flight path fr
-      end
-  | _ -> ());
-  !out
-
-(* The corruption drill proper: hot-stock load under [corruption_plan]
-   with scrubber and verified reads armed, plus decay at the crash
-   itself.  [defenses:false] is the negative control — same faults, no
-   scrubber, no verified reads — which must visibly lose rows and leave
-   divergence behind, proving the injection is real. *)
-let run_corruption ?seed ?obs ?sample_interval ?(params = default_params)
-    ?(defenses = true) ?flight () =
-  let config =
-    if defenses then corruption_config
-    else { corruption_config with System.pm_scrub = None; pm_verified_reads = false }
-  in
-  run ?seed ~config ?obs ?sample_interval ~params ~crash_decay:corruption_crash_decay
-    ?flight ~gate:integrity_clean ~mode:System.Pm_audit ~plan:corruption_plan ()
-
-(* --- Gray-failure drill --- *)
-
-let run_gray ?(seed = 0x66A7L) ?obs ?sample_interval ?(params = gray_params)
-    ?(defenses = true) ?(p99_limit = 8.0) ?flight () =
-  let config = if defenses then gray_config else gray_no_defense_config in
-  (* Healthy baseline: identical platform, identical seed, no faults.
-     Its p99 is the denominator of the latency gate. *)
-  match run ~seed ~config ~params ~mode:System.Pm_audit ~plan:[] () with
-  | Error e -> Error ("gray baseline: " ^ e)
-  | Ok healthy -> (
-      let demotions = ref 0 in
-      let readmissions = ref 0 in
-      let mirror_active = ref true in
-      let probes = ref 0 in
-      let suspects = ref 0 in
-      let hedged = ref 0 in
-      let hedge_wins = ref 0 in
-      let single_copy = ref 0 in
-      let inspect system =
-        (match System.pmm system with
-        | Some pmm ->
-            demotions := Pm.Pmm.demotions pmm;
-            readmissions := Pm.Pmm.readmissions pmm;
-            mirror_active := Pm.Pmm.mirror_active pmm;
-            probes := Pm.Pmm.monitor_probes pmm
-        | None -> ());
-        suspects := System.pm_slow_suspects system;
-        hedged := System.pm_hedged_reads system;
-        hedge_wins := System.pm_hedge_wins system;
-        single_copy := System.pm_single_copy_writes system
-      in
-      match
-        run ~seed ~config ?obs ?sample_interval ~params ~inspect ?flight
-          ~mode:System.Pm_audit ~plan:gray_plan ()
-      with
-      | Error e -> Error ("gray degraded: " ^ e)
-      | Ok degraded ->
-          let ratio =
-            if healthy.response.Stat.p99 > 0.0 then
-              degraded.response.Stat.p99 /. healthy.response.Stat.p99
-            else infinity
-          in
-          let r =
-            {
-              g_seed = seed;
-              g_defended = defenses;
-              g_healthy = healthy;
-              g_degraded = degraded;
-              g_p99_ratio = ratio;
-              g_p99_limit = p99_limit;
-              g_demotions = !demotions;
-              g_readmissions = !readmissions;
-              g_mirror_active = !mirror_active;
-              g_monitor_probes = !probes;
-              g_slow_suspects = !suspects;
-              g_hedged_reads = !hedged;
-              g_hedge_wins = !hedge_wins;
-              g_single_copy_writes = !single_copy;
-            }
-          in
-          (* The p99 gate (and the defended-evidence gates) only exist at
-             this level, so the degraded run's recorder dumps here too. *)
-          (match (flight, degraded.flight) with
-          | Some path, Some fr when not (gray_pass r) ->
-              Flightrec.mark fr ~time:0
-                ("gray oracle: " ^ Oracle.summary (Oracle.of_gray r));
-              dump_flight path fr
-          | _ -> ());
-          Ok r)
-
-(* --- Overload drill: flash crowd, open loop, metastability gate --- *)
 
 type overload_params = {
   ov_record_bytes : int;
@@ -1000,122 +601,202 @@ let overload_schedule p =
     ~cool:p.ov_base_rate ~warmup:p.ov_warmup ~spike_for:p.ov_spike_for
     ~cooldown:p.ov_cooldown ()
 
-let run_overload ?(seed = 0xD5177L) ?obs ?sample_interval ?(params = overload_params)
-    ?(defenses = true) ?horizon ?flight () =
+(* --- The drill harness ---
+
+   Every drill is the same experiment: build a platform, put load on it
+   while a fault plan fires, settle, crash (every DP2 loses its
+   in-memory image), recover while an optional second plan races the
+   recovery, and audit that every acknowledged row survived.  A family
+   supplies only its platform, its load and its evidence; the harness
+   owns the rest, and [gated] is the one place a verdict decides whether
+   the flight recorder dumps. *)
+
+(* The black-box dump a failed drill leaves behind: recent spans plus
+   the fault-injection marks, one JSON document. *)
+let dump_flight path fr =
+  let oc = open_out path in
+  output_string oc (Json.to_string (Flightrec.to_json fr));
+  output_char oc '\n';
+  close_out oc
+
+(* Arm a flight recorder: reuse the caller's observability context (or
+   grow a private one), make sure spans flow, and stream every finished
+   span into the recorder's ring. *)
+let arm_flight flight obs =
+  match flight with
+  | None -> (None, obs)
+  | Some _ ->
+      let o = match obs with Some o -> o | None -> Obs.create () in
+      let fr = Flightrec.create () in
+      Span.enable (Obs.spans o);
+      Flightrec.attach fr (Obs.spans o);
+      (Some fr, Some o)
+
+let mark_faults recorder faults =
+  match recorder with
+  | Some fr -> List.iter (fun (time, label) -> Flightrec.mark fr ~time label) faults
+  | None -> ()
+
+(* A single system or a cluster, as the harness drives it; ['k] is an
+   acknowledged row's key. *)
+type ('p, 'k) platform = {
+  build : Sim.t -> Obs.t option -> 'p;
+  validate : ?horizon:Time.span -> 'p -> Faultplan.t -> (unit, string) result;
+  launch : 'p -> Faultplan.t -> Faultplan.run;
+  systems : 'p -> System.t list;
+  recover : 'p -> (Recovery.report list, string) result;
+  quiesce : 'p -> unit;  (* post-recovery work the audit must wait out *)
+  present : 'p -> 'k -> bool;
+}
+
+let row_present system ~file ~key =
+  let d = (System.dp2s system).((System.routing system).Txclient.dp2_of ~file ~key) in
+  Dp2.lookup_direct d ~file ~key <> None
+
+let sum_over systems f = List.fold_left (fun acc s -> acc + f s) 0 systems
+
+let in_doubt system = List.length (Tmf.in_doubt (System.tmf system))
+
+let node_platform ?(overload = false) cfg =
+  {
+    build = (fun sim obs -> System.build ?obs sim cfg);
+    validate = (if overload then Faultplan.validate_overload else Faultplan.validate);
+    launch = (if overload then Faultplan.launch_overload else Faultplan.launch);
+    systems = (fun s -> [ s ]);
+    recover = (fun s -> Result.map (fun r -> [ r ]) (Recovery.run s));
+    quiesce = ignore;
+    present = (fun s (file, key) -> row_present s ~file ~key);
+  }
+
+(* A fat interconnect latency widens the in-flight window of every
+   cross-node call, so a partition pulse reliably catches prepares and
+   decides mid-air.  Node-local faults (monitor and manager kills, the
+   fence probe) target node 0 — the coordinator side of every even
+   driver's transactions.  Lock release rides the monitors' finish
+   queues, which drain behind the recovery replies, so the audit waits
+   out one more settle. *)
+let cluster_platform ~nodes ~settle cfg =
+  {
+    build = (fun sim obs -> Cluster.build sim ~nodes ~wan_latency:(Time.us 500) ?obs cfg);
+    validate = (fun ?horizon c plan -> Faultplan.validate_cluster ?horizon c ~node:0 plan);
+    launch = (fun c plan -> Faultplan.launch_cluster c ~node:0 plan);
+    systems = (fun c -> List.init nodes (Cluster.system c));
+    recover = Cluster.recover;
+    quiesce = (fun _ -> Sim.sleep settle);
+    present = (fun c (node, file, key) -> row_present (Cluster.system c node) ~file ~key);
+  }
+
+(* What a load reports.  Only acknowledged commits put keys in
+   [t_acked]: that set is the durability contract the audit checks. *)
+type 'k tally = {
+  mutable t_acked : 'k list;
+  mutable t_committed : int;
+  mutable t_failed : int;
+  mutable t_rejected : int;
+  t_response : Stat.t;
+}
+
+let ack tally keys response_time =
+  tally.t_committed <- tally.t_committed + 1;
+  tally.t_acked <- List.rev_append keys tally.t_acked;
+  Stat.add_span tally.t_response response_time
+
+(* What the harness hands a family's report builder after recovery. *)
+type 'k outcome = {
+  o_started : Time.t;
+  o_elapsed : Time.span;  (* load phase *)
+  o_faults : (Time.t * string) list;  (* load, crash, then recovery injections *)
+  o_tally : 'k tally;
+  o_lost : int;
+  o_in_doubt : int;
+  o_locks : int;
+  o_fence_checks : int;
+  o_fence_failures : int;
+  o_recoveries : Recovery.report list;
+  o_timeline : Timeseries.t option;
+  o_flight : Flightrec.t option;
+}
+
+type ('p, 'k, 'r) family = {
+  platform : ('p, 'k) platform;
+  gauges : (string * ('k tally -> int)) list;
+      (* sampled between drill.committed and drill.failed *)
+  load : 'p -> 'k tally -> unit -> unit;
+      (* set up before the plan launches; the thunk runs the load to
+         completion *)
+  settle_for : Time.span;
+  evidence : 'p -> (Time.t * string) list * ('k outcome -> 'r);
+      (* called at the crash, before the DP2 images go: the injections
+         made at the crash itself, and the report builder *)
+}
+
+(* The scrubber and mirror-health monitor (started by [System.build]
+   when the config asks for them) sleep forever between passes; every
+   exit from a drill must stop them or the simulation never quiesces. *)
+let stop_daemons system =
+  match System.pmm system with
+  | Some p ->
+      Pm.Pmm.stop_scrubber p;
+      Pm.Pmm.stop_monitor p
+  | None -> ()
+
+let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?(recovery_plan = [])
+    plan =
   (match (sample_interval, obs) with
-  | Some _, None -> invalid_arg "Drill.run_overload: sample_interval requires obs"
+  | Some _, None -> invalid_arg "Drill: sample_interval requires obs"
   | _ -> ());
   let recorder, obs = arm_flight flight obs in
-  let cfg = if defenses then overload_config else overload_no_defense_config in
-  let cfg = { cfg with System.seed } in
   let sim = Sim.create ~seed () in
-  let out = ref (Error "overload drill: simulation did not complete") in
+  Option.iter (fun p -> Prof.install p sim) prof;
+  let out = ref (Error "drill: simulation did not complete") in
+  let pf = fam.platform in
   let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"overload-main" (fun () ->
-        let system = System.build ?obs sim cfg in
-        let plan = overload_plan params in
-        match Faultplan.validate_overload ?horizon system plan with
-        | Error e -> out := Error ("fault plan: " ^ e)
-        | Ok () ->
-            let node = System.node system in
-            let response_stat = Stat.create ~name:"overload-rt" () in
-            let acked = ref [] in
-            let committed = ref 0 in
-            let rejected = ref 0 in
-            let failed = ref 0 in
-            let outstanding = ref 0 in
+    Sim.spawn sim ~name:"drill-main" (fun () ->
+        let p = pf.build sim obs in
+        let stop () = List.iter stop_daemons (pf.systems p) in
+        let validated =
+          match pf.validate ?horizon p plan with
+          | Error e -> Error ("fault plan: " ^ e)
+          | Ok () -> (
+              match pf.validate p recovery_plan with
+              | Error e -> Error ("recovery fault plan: " ^ e)
+              | Ok () -> Ok ())
+        in
+        match validated with
+        | Error e ->
+            stop ();
+            out := Error e
+        | Ok () -> (
+            let tally =
+              {
+                t_acked = [];
+                t_committed = 0;
+                t_failed = 0;
+                t_rejected = 0;
+                t_response = Stat.create ~name:"drill-rt" ();
+              }
+            in
             let started = Sim.now sim in
+            (* Event-aligned overlay: the load's counters sampled on the
+               telemetry cadence, with fault injections as marks. *)
             let ts =
               match (sample_interval, obs) with
               | Some interval, Some o ->
                   let m = Obs.metrics o in
-                  Metrics.register_gauge m "drill.committed" (fun () ->
-                      float_of_int !committed);
-                  Metrics.register_gauge m "drill.rejected" (fun () ->
-                      float_of_int !rejected);
-                  Metrics.register_gauge m "drill.failed" (fun () ->
-                      float_of_int !failed);
+                  List.iter
+                    (fun (name, f) ->
+                      Metrics.register_gauge m name (fun () -> float_of_int (f tally)))
+                    ((("drill.committed", fun t -> t.t_committed) :: fam.gauges)
+                    @ [ ("drill.failed", fun t -> t.t_failed) ]);
                   let t = Timeseries.create ~sim ~metrics:m ~interval () in
                   Timeseries.start t;
                   Some t
               | _ -> None
             in
-            (* Cumulative committed count at each window boundary; the
-               goodput-over-time series and both phase gates derive
-               from it. *)
-            let windows = ref [] in
-            let sampling = ref true in
-            ignore
-              (Sim.spawn sim ~name:"goodput-sampler" (fun () ->
-                   while !sampling do
-                     Sim.sleep params.ov_window;
-                     windows := (Sim.now sim, !committed) :: !windows
-                   done));
-            let frun = Faultplan.launch_overload system plan in
-            let workers = cfg.System.worker_cpus in
-            let pool = Array.init workers (fun i -> System.session system ~cpu:i) in
-            let files = cfg.System.files in
-            let per_txn = params.ov_inserts_per_txn in
-            (* One arrival = one transaction attempt.  Rejection is
-               respected immediately (that is the contract the defended
-               system offers); failure is retried a bounded number of
-               times, because real clients do — the driver-level half of
-               the retry storm. *)
-            let worker index () =
-              let session = pool.(index mod workers) in
-              let keys =
-                List.init per_txn (fun i ->
-                    (i mod files, 900_000_000 + (index * per_txn) + i))
-              in
-              let rec attempt retries =
-                let t0 = Sim.now sim in
-                match Txclient.begin_txn session with
-                | Error e ->
-                    if Txclient.is_rejected e then incr rejected
-                    else if retries > 0 then begin
-                      Sim.sleep (Time.ms 100);
-                      attempt (retries - 1)
-                    end
-                    else incr failed
-                | Ok txn -> (
-                    List.iter
-                      (fun (file, key) ->
-                        Txclient.insert_async session txn ~file ~key
-                          ~len:params.ov_record_bytes ())
-                      keys;
-                    match Txclient.commit session txn with
-                    | Ok () ->
-                        incr committed;
-                        acked := List.rev_append keys !acked;
-                        Stat.add_span response_stat (Sim.now sim - t0)
-                    | Error e ->
-                        if Txclient.is_rejected e then incr rejected
-                        else if retries > 0 then begin
-                          Sim.sleep (Time.ms 100);
-                          attempt (retries - 1)
-                        end
-                        else incr failed)
-              in
-              attempt params.ov_client_retries;
-              decr outstanding
-            in
-            let rng = Rng.split (Sim.rng sim) in
-            let arrivals =
-              Arrival.run ~rng (overload_schedule params) ~f:(fun index ->
-                  incr outstanding;
-                  ignore
-                    (Cpu.spawn
-                       (Node.cpu node (index mod workers))
-                       ~name:(Printf.sprintf "ov%d" index)
-                       (worker index)))
-            in
-            (* Drain the stragglers — under collapse this tail is long,
-               which the windowed series records faithfully. *)
-            while !outstanding > 0 do
-              Sim.sleep (Time.ms 10)
-            done;
+            let drive = fam.load p tally in
+            let frun = pf.launch p plan in
+            drive ();
             let elapsed = Sim.now sim - started in
-            sampling := false;
             Faultplan.await frun;
             mark_faults recorder (Faultplan.injected frun);
             (match ts with
@@ -1125,142 +806,515 @@ let run_overload ?(seed = 0xD5177L) ?obs ?sample_interval ?(params = overload_pa
                   (fun (time, label) -> Timeseries.mark t ~time label)
                   (Faultplan.injected frun)
             | None -> ());
-            Sim.sleep params.ov_settle;
-            (* Harvest client and server counters before the crash wipes
-               the live processes' relevance. *)
-            let sum f = Array.fold_left (fun acc s -> acc + f s) 0 pool in
-            let timeouts = sum Txclient.timeouts in
-            let retry_denied =
-              sum (fun s ->
-                  match Txclient.retry_budget s with
-                  | Some b -> Retry_budget.denied b
-                  | None -> 0)
+            Sim.sleep fam.settle_for;
+            (* Crash: the daemons die with the node and every DP2 loses
+               its in-memory image; the only truth left is the trails
+               and the PM state. *)
+            stop ();
+            let crash_faults, report = fam.evidence p in
+            mark_faults recorder crash_faults;
+            List.iter
+              (fun s -> Array.iter (fun d -> Dp2.load_table d []) (System.dp2s s))
+              (pf.systems p);
+            (* Recovery-phase injection: offsets in [recovery_plan] are
+               relative to the instant recovery starts, so its events
+               land while the replay and resolvers are still running —
+               the nested-failure window no hand-written drill reaches. *)
+            let rrun = match recovery_plan with [] -> None | rp -> Some (pf.launch p rp) in
+            let recovered = pf.recover p in
+            let recovery_faults =
+              match rrun with
+              | None -> []
+              | Some r ->
+                  Faultplan.await r;
+                  let injected = Faultplan.injected r in
+                  mark_faults recorder injected;
+                  injected
             in
-            let breaker_trips = sum Txclient.breaker_trips in
-            let tmf = System.tmf system in
-            let admitted = Tmf.admitted tmf in
-            let tmf_rejected = Tmf.rejected tmf in
-            let tmf_expired = Tmf.expired tmf in
-            let adp_shed = System.adp_shed_expired system in
-            Array.iter (fun d -> Dp2.load_table d []) (System.dp2s system);
-            match Recovery.run system with
+            match recovered with
             | Error e -> out := Error ("recovery failed: " ^ e)
-            | Ok recovery ->
-                let routing = System.routing system in
-                let dp2s = System.dp2s system in
-                let lost =
-                  List.filter
-                    (fun (file, key) ->
-                      let d = dp2s.(routing.Txclient.dp2_of ~file ~key) in
-                      Dp2.lookup_direct d ~file ~key = None)
-                    !acked
-                in
-                (* Per-window commit deltas, oldest first. *)
-                let goodput =
-                  let cumulative = List.rev !windows in
-                  let prev = ref 0 in
-                  List.map
-                    (fun (t, c) ->
-                      let d = c - !prev in
-                      prev := c;
-                      (t, d))
-                    cumulative
-                in
-                let spike_start = started + params.ov_warmup in
-                let spike_end = spike_start + params.ov_spike_for in
-                let sched_end = spike_end + params.ov_cooldown in
-                let phase_rate lo hi =
-                  let commits =
-                    List.fold_left
-                      (fun acc (t, d) -> if t > lo && t <= hi then acc + d else acc)
-                      0 goodput
-                  in
-                  let dt = Time.to_sec (hi - lo) in
-                  if dt > 0.0 then float_of_int commits /. dt else 0.0
-                in
-                let warmup_g = phase_rate started spike_start in
-                let spike_g = phase_rate spike_start spike_end in
-                let cool_g = phase_rate spike_end sched_end in
-                let window_sec = Time.to_sec params.ov_window in
-                (* Metastability gate: the first window inside the
-                   cooldown phase whose rate is back to the recovery
-                   fraction of the warmup rate.  Only windows while
-                   base-rate load is still arriving count — recovering
-                   after the offered load stops is exactly what a
-                   metastable system does, and it does not count. *)
-                let recovery_time =
-                  let threshold = params.ov_recovery_frac *. warmup_g in
-                  List.fold_left
-                    (fun acc (t, d) ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          if
-                            t > spike_end && t <= sched_end
-                            && float_of_int d /. window_sec >= threshold
-                          then Some (t - spike_end)
-                          else None)
-                    None goodput
-                in
+            | Ok recoveries ->
+                pf.quiesce p;
+                let systems = pf.systems p in
+                let fences f = f frun + match rrun with Some r -> f r | None -> 0 in
                 out :=
                   Ok
-                    {
-                      v_seed = seed;
-                      v_defended = defenses;
-                      v_arrivals = arrivals;
-                      v_committed = !committed;
-                      v_rejected = !rejected;
-                      v_failed = !failed;
-                      v_timeouts = timeouts;
-                      v_admitted = admitted;
-                      v_tmf_rejected = tmf_rejected;
-                      v_tmf_expired = tmf_expired;
-                      v_adp_shed = adp_shed;
-                      v_retry_denied = retry_denied;
-                      v_breaker_trips = breaker_trips;
-                      v_acked_rows = List.length !acked;
-                      v_lost_rows = List.length lost;
-                      v_elapsed = elapsed;
-                      v_warmup_goodput = warmup_g;
-                      v_spike_goodput = spike_g;
-                      v_cooldown_goodput = cool_g;
-                      v_recovery_time = recovery_time;
-                      v_spike_floor = params.ov_spike_floor;
-                      v_recovery_frac = params.ov_recovery_frac;
-                      v_recovery_limit = params.ov_recovery_limit;
-                      v_goodput = goodput;
-                      v_response = Stat.summary response_stat;
-                      v_faults = Faultplan.injected frun;
-                      v_recovery = recovery;
-                      v_timeline = ts;
-                      v_flight = recorder;
-                    })
+                    (report
+                       {
+                         o_started = started;
+                         o_elapsed = elapsed;
+                         o_faults = Faultplan.injected frun @ crash_faults @ recovery_faults;
+                         o_tally = tally;
+                         o_lost =
+                           List.length
+                             (List.filter (fun k -> not (pf.present p k)) tally.t_acked);
+                         o_in_doubt = sum_over systems in_doubt;
+                         o_locks = sum_over systems (fun s -> Lockmgr.held_total (System.locks s));
+                         o_fence_checks = fences Faultplan.fence_checks;
+                         o_fence_failures = fences Faultplan.fence_failures;
+                         o_recoveries = recoveries;
+                         o_timeline = ts;
+                         o_flight = recorder;
+                       })))
   in
   Sim.run sim;
+  Option.iter Prof.uninstall prof;
+  (!out, recorder)
+
+(* The one gate: judge a drill's report with its family's oracle
+   verdict and, when that fails or the drill produced no report, dump
+   the armed flight recorder once, marked with the reason. *)
+let gated ~family ~flight verdict (out, recorder) =
   (match (flight, recorder) with
   | Some path, Some fr ->
-      let gate_failed =
-        match !out with Ok r -> not (overload_pass r) | Error _ -> true
-      in
-      if gate_failed then begin
-        (match !out with
-        | Error e -> Flightrec.mark fr ~time:0 ("drill error: " ^ e)
+      let failure =
+        match out with
+        | Error e -> Some ("drill error: " ^ e)
         | Ok r ->
-            Flightrec.mark fr ~time:0
-              ("overload oracle: " ^ Oracle.summary (Oracle.of_overload r)));
-        dump_flight path fr
-      end
+            let v = verdict r in
+            if Oracle.pass v then None
+            else Some (Printf.sprintf "%s gate failed: %s" family (Oracle.summary v))
+      in
+      Option.iter
+        (fun label ->
+          Flightrec.mark fr ~time:0 label;
+          dump_flight path fr)
+        failure
   | _ -> ());
-  !out
+  out
+
+(* Closed-loop load: one process per driver on [cpu index]; the load
+   ends when the last driver finishes. *)
+let closed_loop ~drivers ~cpu body () =
+  let gate = Gate.create drivers in
+  for index = 0 to drivers - 1 do
+    ignore
+      (Cpu.spawn (cpu index)
+         ~name:(Printf.sprintf "drill-driver%d" index)
+         (fun () ->
+           body index;
+           Gate.arrive gate))
+  done;
+  Gate.await gate
+
+(* --- Single-system drills --- *)
+
+(* The hot-stock insert mix, tolerant of the system dropping out from
+   under it: [begin] is retried across takeovers, commit failures are
+   counted and the driver moves on. *)
+let driver system params tally index =
+  let cfg = System.config system in
+  let session = System.session system ~cpu:(index mod cfg.System.worker_cpus) in
+  let files = cfg.System.files in
+  let key_base = (index + 1) * 100_000_000 in
+  let total = params.records_per_driver in
+  let per_txn = params.inserts_per_txn in
+  let sim = System.sim system in
+  let begin_with_retry () =
+    let rec go attempts =
+      match Txclient.begin_txn session with
+      | Ok txn -> Some txn
+      | Error _ when attempts > 0 ->
+          Sim.sleep (Time.ms 250);
+          go (attempts - 1)
+      | Error _ -> None
+    in
+    go params.begin_retries
+  in
+  let seq = ref 0 in
+  while !seq < total do
+    let t0 = Sim.now sim in
+    let in_this_txn = min per_txn (total - !seq) in
+    let keys =
+      List.init in_this_txn (fun i ->
+          let idx = !seq + i in
+          ((idx mod files), key_base + idx + (idx / per_txn)))
+    in
+    seq := !seq + in_this_txn;
+    match begin_with_retry () with
+    | None -> tally.t_failed <- tally.t_failed + 1
+    | Some txn -> (
+        List.iter
+          (fun (file, key) ->
+            Txclient.insert_async session txn ~file ~key ~len:params.record_bytes ())
+          keys;
+        match Txclient.commit session txn with
+        | Ok () -> ack tally keys (Sim.now sim - t0)
+        | Error _ -> tally.t_failed <- tally.t_failed + 1)
+  done
+
+let availability_of system =
+  let sum_arr f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
+  let adps = System.adps system in
+  let dp2s = System.dp2s system in
+  let tmf = System.tmf system in
+  let pmm_takeovers, pmm_outage =
+    match System.pmm system with
+    | Some p -> (Pm.Pmm.takeovers p, Pm.Pmm.outage_time p)
+    | None -> (0, 0)
+  in
+  let fs = Servernet.Fabric.stats (Node.fabric (System.node system)) in
+  {
+    adp_takeovers = sum_arr Adp.pair_takeovers adps + Adp.pair_takeovers (System.mat system);
+    dp2_takeovers = sum_arr Dp2.pair_takeovers dp2s;
+    tmf_takeovers = Tmf.pair_takeovers tmf;
+    pmm_takeovers;
+    outage =
+      sum_arr Adp.outage_time adps
+      + Adp.outage_time (System.mat system)
+      + sum_arr Dp2.outage_time dp2s
+      + Tmf.outage_time tmf + pmm_outage;
+    degraded_writes = System.degraded_pm_writes system;
+    pm_write_retries = System.pm_write_retries system;
+    packet_retries = fs.Servernet.Fabric.packet_retries;
+  }
+
+(* The single-system family, ungated: closed-loop hot-stock drivers,
+   crash-time decay, and the integrity audit as evidence. *)
+let single ?(seed = 0xD5177L) ?config ?obs ?prof ?sample_interval ?(params = default_params)
+    ?(crash_decay = []) ?horizon ?recovery_plan ?inspect ?flight ~mode ~plan () =
+  if params.drivers < 1 then invalid_arg "Drill.run: need at least one driver";
+  let base = Option.value config ~default:System.default_config in
+  let cfg = { (config_for base mode) with System.seed } in
+  let count p = List.length (List.filter (fun ev -> p ev.Faultplan.action) plan) in
+  let evidence system =
+    (* Decay injected at the crash lands after the scrubber died with
+       the node: only a verified read during recovery can catch it. *)
+    let crash_faults =
+      List.filter_map
+        (fun (device, off, bits) ->
+          match List.nth_opt (System.npmus system) device with
+          | Some d ->
+              Pm.Npmu.decay d ~off ~bits;
+              Some
+                ( Sim.now (System.sim system),
+                  Printf.sprintf "crash media_decay: device %d, %d bits at offset %d" device
+                    bits off )
+          | None -> None)
+        crash_decay
+    in
+    let report o =
+      (* Full-content audit: every mirrored byte of every region
+         compared, not just the rows the replay touched.  Anything
+         still divergent that is neither repaired nor quarantined is
+         silent corruption the defenses missed. *)
+      let integrity =
+        Option.map
+          (fun pmm ->
+            {
+              decay_injected =
+                count (function Faultplan.Media_decay _ -> true | _ -> false)
+                + List.length crash_faults;
+              torn_injected = count (function Faultplan.Torn_write _ -> true | _ -> false);
+              scrub_chunks = Pm.Pmm.scrub_chunks_scanned pmm;
+              scrub_repairs = Pm.Pmm.scrub_repairs pmm;
+              scrub_quarantined = Pm.Pmm.scrub_quarantined pmm;
+              read_repairs = System.pm_read_repairs system;
+              verify_unrepaired = System.pm_verify_unrepaired system;
+              unrepaired_divergence = List.length (Pm.Pmm.divergent_chunks pmm);
+            })
+          (System.pmm system)
+      in
+      Option.iter (fun f -> f system) inspect;
+      let t = o.o_tally in
+      let recovery = List.hd o.o_recoveries in
+      {
+        mode;
+        seed;
+        elapsed = o.o_elapsed;
+        faults = o.o_faults;
+        attempted_txns = t.t_committed + t.t_failed;
+        committed = t.t_committed;
+        failed_txns = t.t_failed;
+        acked_rows = List.length t.t_acked;
+        recovered_rows = recovery.Recovery.rows_rebuilt;
+        lost_rows = o.o_lost;
+        in_doubt_after = o.o_in_doubt;
+        orphaned_locks = o.o_locks;
+        fence_checks = o.o_fence_checks;
+        fence_failures = o.o_fence_failures;
+        response = Stat.summary t.t_response;
+        availability = availability_of system;
+        recovery;
+        integrity;
+        timeline = o.o_timeline;
+        flight = o.o_flight;
+      }
+    in
+    (crash_faults, report)
+  in
+  let family =
+    {
+      platform = node_platform cfg;
+      gauges = [];
+      load =
+        (fun system tally ->
+          closed_loop ~drivers:params.drivers
+            ~cpu:(fun i -> Node.cpu (System.node system) (i mod cfg.System.worker_cpus))
+            (driver system params tally));
+      settle_for = params.settle;
+      evidence;
+    }
+  in
+  harness family ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?recovery_plan plan
+
+let run ?seed ?config ?obs ?prof ?sample_interval ?params ?crash_decay ?horizon
+    ?recovery_plan ?inspect ?flight ?max_outage ~mode ~plan () =
+  single ?seed ?config ?obs ?prof ?sample_interval ?params ?crash_decay ?horizon
+    ?recovery_plan ?inspect ?flight ~mode ~plan ()
+  |> gated ~family:"drill" ~flight (Oracle.of_report ?max_outage)
+
+(* The corruption drill proper: hot-stock load under [corruption_plan]
+   with scrubber and verified reads armed, plus decay at the crash
+   itself.  [defenses:false] is the negative control — same faults, no
+   scrubber, no verified reads — which must visibly lose rows and leave
+   divergence behind, proving the injection is real. *)
+let run_corruption ?seed ?obs ?sample_interval ?(params = default_params)
+    ?(defenses = true) ?flight () =
+  let config =
+    if defenses then corruption_config
+    else { corruption_config with System.pm_scrub = None; pm_verified_reads = false }
+  in
+  single ?seed ~config ?obs ?sample_interval ~params ~crash_decay:corruption_crash_decay
+    ?flight ~mode:System.Pm_audit ~plan:corruption_plan ()
+  |> gated ~family:"corruption" ~flight Oracle.of_report
+
+let run_gray ?(seed = 0x66A7L) ?obs ?sample_interval ?(params = gray_params)
+    ?(defenses = true) ?(p99_limit = 8.0) ?flight () =
+  let config = if defenses then gray_config else gray_no_defense_config in
+  (* Healthy baseline: identical platform, identical seed, no faults.
+     Its p99 is the denominator of the latency gate. *)
+  match fst (single ~seed ~config ~params ~mode:System.Pm_audit ~plan:[] ()) with
+  | Error e -> Error ("gray baseline: " ^ e)
+  | Ok healthy ->
+      (* The mitigation counters, read off the live system after
+         recovery; the degraded run's own fields are filled in below. *)
+      let mitigation = ref None in
+      let inspect system =
+        let on_pmm f default = Option.fold ~none:default ~some:f (System.pmm system) in
+        mitigation :=
+          Some
+            {
+              g_seed = seed;
+              g_defended = defenses;
+              g_healthy = healthy;
+              g_degraded = healthy;
+              g_p99_ratio = nan;
+              g_p99_limit = p99_limit;
+              g_demotions = on_pmm Pm.Pmm.demotions 0;
+              g_readmissions = on_pmm Pm.Pmm.readmissions 0;
+              g_mirror_active = on_pmm Pm.Pmm.mirror_active true;
+              g_monitor_probes = on_pmm Pm.Pmm.monitor_probes 0;
+              g_slow_suspects = System.pm_slow_suspects system;
+              g_hedged_reads = System.pm_hedged_reads system;
+              g_hedge_wins = System.pm_hedge_wins system;
+              g_single_copy_writes = System.pm_single_copy_writes system;
+            }
+      in
+      let degraded, recorder =
+        single ~seed ~config ?obs ?sample_interval ~params ~inspect ?flight
+          ~mode:System.Pm_audit ~plan:gray_plan ()
+      in
+      let out =
+        match degraded with
+        | Error e -> Error ("gray degraded: " ^ e)
+        | Ok degraded ->
+            let ratio =
+              if healthy.response.Stat.p99 > 0.0 then
+                degraded.response.Stat.p99 /. healthy.response.Stat.p99
+              else infinity
+            in
+            (* [inspect] ran: recovery succeeded. *)
+            Ok { (Option.get !mitigation) with g_degraded = degraded; g_p99_ratio = ratio }
+      in
+      gated ~family:"gray" ~flight Oracle.of_gray (out, recorder)
+
+(* --- Overload drill: flash crowd, open loop, metastability gate --- *)
+
+let run_overload ?(seed = 0xD5177L) ?obs ?sample_interval ?(params = overload_params)
+    ?(defenses = true) ?horizon ?flight () =
+  let cfg = if defenses then overload_config else overload_no_defense_config in
+  let cfg = { cfg with System.seed } in
+  let workers = cfg.System.worker_cpus in
+  let files = cfg.System.files in
+  let per_txn = params.ov_inserts_per_txn in
+  let pool = ref [||] in
+  let arrivals = ref 0 in
+  (* Cumulative committed count at each window boundary; the
+     goodput-over-time series and both phase gates derive from it. *)
+  let windows = ref [] in
+  let load system tally =
+    let sim = System.sim system in
+    let sampling = ref true in
+    ignore
+      (Sim.spawn sim ~name:"goodput-sampler" (fun () ->
+           while !sampling do
+             Sim.sleep params.ov_window;
+             windows := (Sim.now sim, tally.t_committed) :: !windows
+           done));
+    fun () ->
+      pool := Array.init workers (fun i -> System.session system ~cpu:i);
+      let outstanding = ref 0 in
+      let failed_attempt retries retry =
+        if retries > 0 then begin
+          Sim.sleep (Time.ms 100);
+          retry (retries - 1)
+        end
+        else tally.t_failed <- tally.t_failed + 1
+      in
+      (* One arrival = one transaction attempt.  Rejection is respected
+         immediately (that is the contract the defended system offers);
+         failure is retried a bounded number of times, because real
+         clients do — the driver-level half of the retry storm. *)
+      let worker index () =
+        let session = !pool.(index mod workers) in
+        let keys =
+          List.init per_txn (fun i -> (i mod files, 900_000_000 + (index * per_txn) + i))
+        in
+        let rec attempt retries =
+          let t0 = Sim.now sim in
+          match Txclient.begin_txn session with
+          | Error e when Txclient.is_rejected e -> tally.t_rejected <- tally.t_rejected + 1
+          | Error _ -> failed_attempt retries attempt
+          | Ok txn -> (
+              List.iter
+                (fun (file, key) ->
+                  Txclient.insert_async session txn ~file ~key ~len:params.ov_record_bytes ())
+                keys;
+              match Txclient.commit session txn with
+              | Ok () -> ack tally keys (Sim.now sim - t0)
+              | Error e when Txclient.is_rejected e -> tally.t_rejected <- tally.t_rejected + 1
+              | Error _ -> failed_attempt retries attempt)
+        in
+        attempt params.ov_client_retries;
+        decr outstanding
+      in
+      let rng = Rng.split (Sim.rng sim) in
+      let node = System.node system in
+      arrivals :=
+        Arrival.run ~rng (overload_schedule params) ~f:(fun index ->
+            incr outstanding;
+            ignore
+              (Cpu.spawn
+                 (Node.cpu node (index mod workers))
+                 ~name:(Printf.sprintf "ov%d" index)
+                 (worker index)));
+      (* Drain the stragglers — under collapse this tail is long, which
+         the windowed series records faithfully. *)
+      while !outstanding > 0 do
+        Sim.sleep (Time.ms 10)
+      done;
+      sampling := false
+  in
+  (* Client and server counters are harvested before the crash wipes
+     the live processes' relevance. *)
+  let evidence system =
+    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 !pool in
+    let timeouts = sum Txclient.timeouts in
+    let retry_denied =
+      sum (fun s ->
+          match Txclient.retry_budget s with Some b -> Retry_budget.denied b | None -> 0)
+    in
+    let breaker_trips = sum Txclient.breaker_trips in
+    let tmf = System.tmf system in
+    let admitted = Tmf.admitted tmf in
+    let tmf_rejected = Tmf.rejected tmf in
+    let tmf_expired = Tmf.expired tmf in
+    let adp_shed = System.adp_shed_expired system in
+    let report o =
+      (* Per-window commit deltas, oldest first. *)
+      let goodput =
+        let prev = ref 0 in
+        List.map
+          (fun (t, c) ->
+            let d = c - !prev in
+            prev := c;
+            (t, d))
+          (List.rev !windows)
+      in
+      let started = o.o_started in
+      let spike_start = started + params.ov_warmup in
+      let spike_end = spike_start + params.ov_spike_for in
+      let sched_end = spike_end + params.ov_cooldown in
+      let phase_rate lo hi =
+        let commits =
+          List.fold_left
+            (fun acc (t, d) -> if t > lo && t <= hi then acc + d else acc)
+            0 goodput
+        in
+        let dt = Time.to_sec (hi - lo) in
+        if dt > 0.0 then float_of_int commits /. dt else 0.0
+      in
+      let warmup_g = phase_rate started spike_start in
+      let window_sec = Time.to_sec params.ov_window in
+      (* Metastability gate: the first window inside the cooldown phase
+         whose rate is back to the recovery fraction of the warmup
+         rate.  Only windows while base-rate load is still arriving
+         count — recovering after the offered load stops is exactly
+         what a metastable system does, and it does not count. *)
+      let recovery_time =
+        let threshold = params.ov_recovery_frac *. warmup_g in
+        List.find_map
+          (fun (t, d) ->
+            if t > spike_end && t <= sched_end && float_of_int d /. window_sec >= threshold
+            then Some (t - spike_end)
+            else None)
+          goodput
+      in
+      let t = o.o_tally in
+      {
+        v_seed = seed;
+        v_defended = defenses;
+        v_arrivals = !arrivals;
+        v_committed = t.t_committed;
+        v_rejected = t.t_rejected;
+        v_failed = t.t_failed;
+        v_timeouts = timeouts;
+        v_admitted = admitted;
+        v_tmf_rejected = tmf_rejected;
+        v_tmf_expired = tmf_expired;
+        v_adp_shed = adp_shed;
+        v_retry_denied = retry_denied;
+        v_breaker_trips = breaker_trips;
+        v_acked_rows = List.length t.t_acked;
+        v_lost_rows = o.o_lost;
+        v_elapsed = o.o_elapsed;
+        v_warmup_goodput = warmup_g;
+        v_spike_goodput = phase_rate spike_start spike_end;
+        v_cooldown_goodput = phase_rate spike_end sched_end;
+        v_recovery_time = recovery_time;
+        v_spike_floor = params.ov_spike_floor;
+        v_recovery_frac = params.ov_recovery_frac;
+        v_recovery_limit = params.ov_recovery_limit;
+        v_goodput = goodput;
+        v_response = Stat.summary t.t_response;
+        v_faults = o.o_faults;
+        v_recovery = List.hd o.o_recoveries;
+        v_timeline = o.o_timeline;
+        v_flight = o.o_flight;
+      }
+    in
+    ([], report)
+  in
+  let family =
+    {
+      platform = node_platform ~overload:true cfg;
+      gauges = [ ("drill.rejected", fun t -> t.t_rejected) ];
+      load;
+      settle_for = params.ov_settle;
+      evidence;
+    }
+  in
+  harness family ~seed ?obs ?flight ?sample_interval ?horizon (overload_plan params)
+  |> gated ~family:"overload" ~flight Oracle.of_overload
 
 (* --- Cluster partition drill --- *)
 
 (* Distributed hot-stock mix: every transaction spreads its inserts
    across the nodes and commits two-phase.  Failures are data — during
    the partition cross-node calls time out fast and the driver moves
-   on — and only [Ok] commits contribute to [acked]. *)
-let cluster_driver cluster params ~index ~acked ~response_stat ~committed ~failed ~on_done
-    () =
+   on — and only [Ok] commits are acknowledged. *)
+let cluster_driver cluster params tally index =
   let nodes = Cluster.node_count cluster in
   let coordinator = index mod nodes in
   let home = Cluster.system cluster coordinator in
@@ -1289,177 +1343,76 @@ let cluster_driver cluster params ~index ~acked ~response_stat ~committed ~faile
           | Ok () -> Dtx.insert dtx ~node ~file ~key ~len:params.record_bytes)
         (Ok ()) keys
     in
-    (match inserted with
+    match inserted with
     | Error _ ->
-        incr failed;
+        tally.t_failed <- tally.t_failed + 1;
         ignore (Dtx.abort dtx);
         (* Back off so a dead monitor doesn't turn the loop into a
            zero-work spin. *)
         Sim.sleep (Time.ms 2)
     | Ok () -> (
         match Dtx.commit dtx with
-        | Ok () ->
-            incr committed;
-            acked := List.rev_append keys !acked;
-            Stat.add_span response_stat (Sim.now sim - t0)
+        | Ok () -> ack tally keys (Sim.now sim - t0)
         | Error _ ->
-            incr failed;
-            Sim.sleep (Time.ms 2)))
-  done;
-  on_done ()
+            tally.t_failed <- tally.t_failed + 1;
+            Sim.sleep (Time.ms 2))
+  done
 
 let run_cluster ?(seed = 0xC1D5L) ?(nodes = 2) ?config ?obs ?(params = cluster_params)
-    ?horizon ?(recovery_plan = []) ?flight ~plan () =
+    ?horizon ?recovery_plan ?flight ~plan () =
   if params.drivers < 1 then invalid_arg "Drill.run_cluster: need at least one driver";
   if nodes < 2 then invalid_arg "Drill.run_cluster: need at least two nodes";
-  let recorder, obs = arm_flight flight obs in
   let base = Option.value config ~default:System.pm_config in
   let cfg = { (config_for base System.Pm_audit) with System.seed } in
-  let sim = Sim.create ~seed () in
-  let out = ref (Error "cluster drill: simulation did not complete") in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"drill-main" (fun () ->
-        (* A fat interconnect latency widens the in-flight window of
-           every cross-node call, so a partition pulse reliably catches
-           prepares and decides mid-air. *)
-        let cluster = Cluster.build sim ~nodes ~wan_latency:(Time.us 500) ?obs cfg in
-        let validated =
-          match Faultplan.validate_cluster ?horizon cluster ~node:0 plan with
-          | Error e -> Error ("fault plan: " ^ e)
-          | Ok () -> (
-              match Faultplan.validate_cluster cluster ~node:0 recovery_plan with
-              | Error e -> Error ("recovery fault plan: " ^ e)
-              | Ok () -> Ok ())
-        in
-        match validated with
-        | Error e -> out := Error e
-        | Ok () ->
-            let response_stat = Stat.create ~name:"cluster-drill-rt" () in
-            let acked = ref [] in
-            let committed = ref 0 in
-            let failed = ref 0 in
-            let gate = Gate.create params.drivers in
-            let started = Sim.now sim in
-            (* Node-local faults (monitor and manager kills, the fence
-               probe) target node 0 — the coordinator side of every even
-               driver's transactions. *)
-            let frun = Faultplan.launch_cluster cluster ~node:0 plan in
-            for index = 0 to params.drivers - 1 do
-              let home = Cluster.system cluster (index mod nodes) in
-              let cpu =
-                Node.cpu (System.node home) (index mod cfg.System.worker_cpus)
-              in
-              ignore
-                (Cpu.spawn cpu
-                   ~name:(Printf.sprintf "drill-driver%d" index)
-                   (cluster_driver cluster params ~index ~acked ~response_stat ~committed
-                      ~failed ~on_done:(fun () -> Gate.arrive gate)))
-            done;
-            Gate.await gate;
-            let elapsed = Sim.now sim - started in
-            Faultplan.await frun;
-            mark_faults recorder (Faultplan.injected frun);
-            Sim.sleep params.settle;
-            let sum_nodes f =
-              let acc = ref 0 in
-              for i = 0 to nodes - 1 do
-                acc := !acc + f (Cluster.system cluster i)
-              done;
-              !acc
-            in
-            let in_doubt_count s = List.length (Tmf.in_doubt (System.tmf s)) in
-            let in_doubt_before = sum_nodes in_doubt_count in
-            (* Crash every node: the DP2 images vanish; only the trails,
-               the PM state, and the monitors' checkpointed in-doubt
-               windows survive. *)
-            for i = 0 to nodes - 1 do
-              Array.iter (fun d -> Dp2.load_table d []) (System.dp2s (Cluster.system cluster i))
-            done;
-            (* Recovery-phase injection, cluster flavour: the plan races
-               {!Cluster.recover}'s replay and in-doubt resolution. *)
-            let rrun =
-              match recovery_plan with
-              | [] -> None
-              | p -> Some (Faultplan.launch_cluster cluster ~node:0 p)
-            in
-            let recover_result = Cluster.recover cluster in
-            let recovery_faults =
-              match rrun with
-              | None -> []
-              | Some r ->
-                  Faultplan.await r;
-                  let injected = Faultplan.injected r in
-                  mark_faults recorder injected;
-                  injected
-            in
-            match recover_result with
-            | Error e -> out := Error ("recovery failed: " ^ e)
-            | Ok recoveries ->
-                (* Lock release rides the monitors' finish queues, which
-                   drain behind the recovery replies. *)
-                Sim.sleep params.settle;
-                let lost =
-                  List.filter
-                    (fun (node, file, key) ->
-                      let s = Cluster.system cluster node in
-                      let routing = System.routing s in
-                      let d = (System.dp2s s).(routing.Txclient.dp2_of ~file ~key) in
-                      Dp2.lookup_direct d ~file ~key = None)
-                    !acked
-                in
-                let fenced =
-                  sum_nodes (fun s ->
-                      List.fold_left
-                        (fun acc d -> acc + Pm.Npmu.fenced_writes d)
-                        0 (System.npmus s))
-                in
-                out :=
-                  Ok
-                    {
-                      c_seed = seed;
-                      c_nodes = nodes;
-                      c_elapsed = elapsed;
-                      c_faults = Faultplan.injected frun @ recovery_faults;
-                      c_attempted = !committed + !failed;
-                      c_committed = !committed;
-                      c_failed = !failed;
-                      c_acked_rows = List.length !acked;
-                      c_lost_rows = List.length lost;
-                      c_in_doubt_before = in_doubt_before;
-                      c_resolved_commit =
-                        List.fold_left
-                          (fun acc r -> acc + r.Recovery.resolved_commit)
-                          0 recoveries;
-                      c_resolved_abort =
-                        List.fold_left
-                          (fun acc r -> acc + r.Recovery.resolved_abort)
-                          0 recoveries;
-                      c_in_doubt_after = sum_nodes in_doubt_count;
-                      c_orphaned_locks = sum_nodes (fun s -> Lockmgr.held_total (System.locks s));
-                      c_fence_checks =
-                        (Faultplan.fence_checks frun
-                        + match rrun with Some r -> Faultplan.fence_checks r | None -> 0);
-                      c_fence_failures =
-                        (Faultplan.fence_failures frun
-                        + match rrun with Some r -> Faultplan.fence_failures r | None -> 0);
-                      c_fenced_writes = fenced;
-                      c_recoveries = recoveries;
-                      c_response = Stat.summary response_stat;
-                    })
+  let cpus = cfg.System.worker_cpus in
+  (* The in-doubt window is counted before the crash: the partition's
+     wreckage, which recovery's resolvers must drain. *)
+  let evidence cluster =
+    let systems = List.init nodes (Cluster.system cluster) in
+    let in_doubt_before = sum_over systems in_doubt in
+    let report o =
+      let recoveries = o.o_recoveries in
+      let resolved f = List.fold_left (fun acc r -> acc + f r) 0 recoveries in
+      let t = o.o_tally in
+      {
+        c_seed = seed;
+        c_nodes = nodes;
+        c_elapsed = o.o_elapsed;
+        c_faults = o.o_faults;
+        c_attempted = t.t_committed + t.t_failed;
+        c_committed = t.t_committed;
+        c_failed = t.t_failed;
+        c_acked_rows = List.length t.t_acked;
+        c_lost_rows = o.o_lost;
+        c_in_doubt_before = in_doubt_before;
+        c_resolved_commit = resolved (fun r -> r.Recovery.resolved_commit);
+        c_resolved_abort = resolved (fun r -> r.Recovery.resolved_abort);
+        c_in_doubt_after = o.o_in_doubt;
+        c_orphaned_locks = o.o_locks;
+        c_fence_checks = o.o_fence_checks;
+        c_fence_failures = o.o_fence_failures;
+        c_fenced_writes =
+          sum_over systems (fun s ->
+              List.fold_left (fun acc d -> acc + Pm.Npmu.fenced_writes d) 0 (System.npmus s));
+        c_recoveries = recoveries;
+        c_response = Stat.summary t.t_response;
+      }
+    in
+    ([], report)
   in
-  Sim.run sim;
-  (match (flight, recorder) with
-  | Some path, Some fr ->
-      let failed =
-        match !out with Ok r -> not (cluster_zero_loss r) | Error _ -> true
-      in
-      if failed then begin
-        (match !out with
-        | Error e -> Flightrec.mark fr ~time:0 ("cluster drill error: " ^ e)
-        | Ok r ->
-            Flightrec.mark fr ~time:0
-              ("cluster oracle: " ^ Oracle.summary (Oracle.of_cluster r)));
-        dump_flight path fr
-      end
-  | _ -> ());
-  !out
+  let family =
+    {
+      platform = cluster_platform ~nodes ~settle:params.settle cfg;
+      gauges = [];
+      load =
+        (fun cluster tally ->
+          closed_loop ~drivers:params.drivers
+            ~cpu:(fun i ->
+              Node.cpu (System.node (Cluster.system cluster (i mod nodes))) (i mod cpus))
+            (cluster_driver cluster params tally));
+      settle_for = params.settle;
+      evidence;
+    }
+  in
+  harness family ~seed ?obs ?flight ?horizon ?recovery_plan plan
+  |> gated ~family:"cluster" ~flight Oracle.of_cluster

@@ -166,11 +166,18 @@ val gray_plan : Faultplan.t
     latency, and re-admission.  Offsets assume {!gray_params}-scale load
     under {!gray_config}. *)
 
+type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
+
+val plans : (string * plan) list
+(** Every named fault schedule — the closed set [odsbench drill --plan]
+    accepts — in [--list-plans] order. *)
+
 val plan_names : System.log_mode -> string list
-(** The fault-schedule names [odsbench drill --plan] accepts for a
-    mode, canonical first. *)
+(** The {!plans} names valid for a single-system drill in that mode,
+    canonical first. *)
 
 val cluster_plan_names : string list
+(** The {!plans} names valid for a cluster drill, canonical first. *)
 
 val run :
   ?seed:int64 ->
@@ -184,7 +191,7 @@ val run :
   ?recovery_plan:Faultplan.t ->
   ?inspect:(System.t -> unit) ->
   ?flight:string ->
-  ?gate:(report -> bool) ->
+  ?max_outage:Time.span ->
   mode:System.log_mode ->
   plan:Faultplan.t ->
   unit ->
@@ -212,9 +219,10 @@ val run :
     [flight] arms a {!Simkit.Flightrec} on the drill's observability
     context (growing a private one if no [obs] was passed, and raising
     the global telemetry level to spans): recent spans and every fault
-    injection are ring-buffered, and whenever [gate] (default
-    {!zero_loss}) rejects the report — or the drill errors outright —
-    the black box dumps itself as JSON to that path. *)
+    injection are ring-buffered, and whenever {!Oracle.of_report}
+    (with [max_outage]) rejects the report — or the drill errors
+    outright — the black box dumps itself as JSON to that path, marked
+    ["drill gate failed: "] and the verdict's {!Oracle.summary}. *)
 
 val run_corruption :
   ?seed:int64 ->
@@ -227,7 +235,8 @@ val run_corruption :
   (report, string) result
 (** The end-to-end storage-integrity drill: {!run} under
     {!corruption_config} / {!corruption_plan} with crash decay, PM mode.
-    A clean run satisfies {!integrity_clean} with [scrub_repairs >= 1]
+    Gated by {!Oracle.of_report} (flight mark ["corruption gate
+    failed: ..."]).  A clean run satisfies {!integrity_clean} with [scrub_repairs >= 1]
     and [read_repairs >= 1] — both defense layers proven live.
     [~defenses:false] is the negative control: same faults with the
     scrubber and verified reads disabled, which loses rows and leaves
@@ -254,13 +263,6 @@ type gray_report = {
       (** writes under the degraded-durability contract *)
 }
 
-val gray_pass : gray_report -> bool
-(** The acceptance gate: zero acked-but-lost rows in both runs and the
-    p99 ratio within [g_p99_limit]; a defended run must additionally
-    show at least one demotion, one re-admission, the mirror active
-    again, and at least one client-side slow-suspect transition.  An
-    undefended run fails the ratio gate — the negative control. *)
-
 val run_gray :
   ?seed:int64 ->
   ?obs:Obs.t ->
@@ -276,8 +278,8 @@ val run_gray :
     {!gray_no_defense_config} with [~defenses:false], the negative
     control whose commit p99 collapses to the slow mirror's latency.
     [obs] / [sample_interval] / [flight] instrument the degraded run
-    only; the recorder also dumps when {!gray_pass} rejects the combined
-    report (the p99 gate lives here, not in {!run}). *)
+    only; the recorder dumps once, marked ["gray gate failed: ..."],
+    when {!Oracle.of_gray} rejects the combined report. *)
 
 (** {1 Overload drill}
 
@@ -368,13 +370,6 @@ type overload_report = {
   v_flight : Flightrec.t option;
 }
 
-val overload_pass : overload_report -> bool
-(** The acceptance gate: zero acked-lost rows, spike goodput at or above
-    the floor, recovery within the bound, and — defended runs only —
-    at least one rejection (proof the admission path actually fired).
-    The undefended run fails the goodput/recovery gates: it stays
-    collapsed after the load drops, which is the point. *)
-
 val run_overload :
   ?seed:int64 ->
   ?obs:Obs.t ->
@@ -389,7 +384,8 @@ val run_overload :
     the stragglers, crash, recover, and audit durability plus the
     goodput gates.  Owns its simulation.  [~defenses:false] runs the
     same schedule and seed on the undefended platform.  [flight] dumps
-    the black box when {!overload_pass} rejects the report. *)
+    the black box, marked ["overload gate failed: ..."], when
+    {!Oracle.of_overload} rejects the report. *)
 
 (** Result of a cluster drill: the per-node durability audit plus the
     partition-specific invariants. *)
@@ -419,10 +415,6 @@ type cluster_report = {
   c_response : Stat.summary;
 }
 
-val cluster_zero_loss : cluster_report -> bool
-(** The cluster drill's invariant bundle: zero acked-but-lost rows, an
-    empty in-doubt window, no orphaned locks, and no fence failures. *)
-
 val run_cluster :
   ?seed:int64 ->
   ?nodes:int ->
@@ -440,7 +432,8 @@ val run_cluster :
     nodes and commits two-phase) while the plan fires, crash every
     node's DP2 images, run {!Cluster.recover} — which resolves each
     node's in-doubt branches against their coordinators — and audit the
-    {!cluster_zero_loss} invariants.  Always PM mode (the fence probe
+    {!Oracle.of_cluster} invariants ([flight] dumps, marked ["cluster
+    gate failed: ..."], when they fail).  Always PM mode (the fence probe
     requires it).  Owns its simulation.  [horizon] and [recovery_plan]
     behave as in {!run}: past-horizon events are rejected at
     validation, and the recovery plan races {!Cluster.recover}. *)
@@ -450,10 +443,9 @@ val run_cluster :
     One statement of the platform's safety invariants, applied
     uniformly to every drill family.  Each invariant is a named check
     with a pass flag and a human-readable detail; a verdict is the
-    conjunction.  {!gray_pass}, {!overload_pass} and
-    {!cluster_zero_loss} are defined as [pass] of the corresponding
-    verdict, and {!Explorer} judges every generated schedule with the
-    same verdicts — so an explorer violation is exactly a drill-gate
+    conjunction.  Every drill family is gated by [pass] of its verdict,
+    and {!Explorer} judges every generated schedule with the same
+    verdicts — so an explorer violation is exactly a drill-gate
     failure, never a third opinion. *)
 module Oracle : sig
   type check = {
@@ -486,18 +478,23 @@ module Oracle : sig
   (** Single-node invariants: zero acked-but-lost rows, in-doubt window
       drained, no orphaned locks, no fence failures, integrity clean
       (trivially true when the report carries no integrity audit —
-      unlike the stricter {!integrity_clean} corruption gate), plus
+      unlike {!integrity_clean}, which demands one), plus
       bounded unavailability when [max_outage] is given. *)
 
   val of_cluster : cluster_report -> verdict
-  (** The {!cluster_zero_loss} conjunction, as named checks. *)
+  (** Zero acked-but-lost rows, an empty in-doubt window, no orphaned
+      locks, and no fence failures. *)
 
   val of_gray : gray_report -> verdict
-  (** The {!gray_pass} conjunction: durability both runs, bounded p99
-      ratio, and (defended runs) the demotion/re-admission evidence. *)
+  (** Durability in both runs and the p99 ratio within [g_p99_limit];
+      a defended run must also show at least one demotion, one
+      re-admission, the mirror active again, and at least one
+      client-side slow-suspect transition.  An undefended run fails the
+      ratio check — the negative control. *)
 
   val of_overload : overload_report -> verdict
-  (** The {!overload_pass} conjunction: durability, spike-goodput
-      floor, bounded recovery, and (defended runs) admission
-      evidence. *)
+  (** Zero acked-lost rows, spike goodput at or above the floor,
+      recovery within the bound, and — defended runs only — at least
+      one rejection (proof the admission path fired).  The undefended
+      run stays collapsed after the load drops and fails. *)
 end

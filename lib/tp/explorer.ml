@@ -405,38 +405,6 @@ let verdict_json = function
   | Verdict v -> Drill.Oracle.to_json v
   | Harness_error e -> Json.Obj [ ("pass", Json.Bool false); ("error", Json.String e) ]
 
-let oracle_gate r = Drill.Oracle.pass (Drill.Oracle.of_report ~max_outage r)
-
-let execute ?flight ~defenses s =
-  match s.s_kind with
-  | Pm -> (
-      match
-        Drill.run ~seed:s.s_seed ~config:(pm_config ~defenses) ~params:pm_params
-          ~horizon ~recovery_plan:s.s_recovery ?flight ~gate:oracle_gate
-          ~mode:System.Pm_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_report ~max_outage r))
-  | Disk -> (
-      match
-        Drill.run ~seed:s.s_seed ~params:disk_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~gate:oracle_gate
-          ~mode:System.Disk_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_report ~max_outage r))
-  | Cluster -> (
-      match
-        Drill.run_cluster ~seed:s.s_seed ~params:cluster_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~plan:s.s_plan ()
-      with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_cluster r))
-  | Overload -> (
-      match Drill.run_overload ~seed:s.s_seed ~defenses ?flight () with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_overload r))
-
 (* --- The shrinker ---
 
    Delta debugging under deterministic replay: every candidate is the
@@ -619,48 +587,41 @@ type replay_result =
   | Overloaded of Drill.overload_report
 
 let replay ?flight r =
-  let s =
-    {
-      s_index = 0;
-      s_seed = r.rp_seed;
-      s_kind = r.rp_kind;
-      s_plan = r.rp_plan;
-      s_recovery = r.rp_recovery;
-    }
-  in
+  let seed = r.rp_seed and plan = r.rp_plan and recovery_plan = r.rp_recovery in
   match r.rp_kind with
-  | Pm -> (
-      match
-        Drill.run ~seed:s.s_seed ~config:(pm_config ~defenses:r.rp_defenses)
-          ~params:pm_params ~horizon ~recovery_plan:s.s_recovery ?flight
-          ~gate:oracle_gate ~mode:System.Pm_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Error e
-      | Ok rep -> Ok (Single rep))
-  | Disk -> (
-      match
-        Drill.run ~seed:s.s_seed ~params:disk_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~gate:oracle_gate
-          ~mode:System.Disk_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Error e
-      | Ok rep -> Ok (Single rep))
-  | Cluster -> (
-      match
-        Drill.run_cluster ~seed:s.s_seed ~params:cluster_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~plan:s.s_plan ()
-      with
-      | Error e -> Error e
-      | Ok rep -> Ok (Clustered rep))
-  | Overload -> (
-      match Drill.run_overload ~seed:s.s_seed ~defenses:r.rp_defenses ?flight () with
-      | Error e -> Error e
-      | Ok rep -> Ok (Overloaded rep))
+  | Pm ->
+      Drill.run ~seed ~config:(pm_config ~defenses:r.rp_defenses) ~params:pm_params
+        ~horizon ~recovery_plan ?flight ~max_outage ~mode:System.Pm_audit ~plan ()
+      |> Result.map (fun rep -> Single rep)
+  | Disk ->
+      Drill.run ~seed ~params:disk_params ~horizon ~recovery_plan ?flight ~max_outage
+        ~mode:System.Disk_audit ~plan ()
+      |> Result.map (fun rep -> Single rep)
+  | Cluster ->
+      Drill.run_cluster ~seed ~params:cluster_params ~horizon ~recovery_plan ?flight ~plan ()
+      |> Result.map (fun rep -> Clustered rep)
+  | Overload ->
+      Drill.run_overload ~seed ~defenses:r.rp_defenses ?flight ()
+      |> Result.map (fun rep -> Overloaded rep)
 
 let replay_verdict = function
   | Single rep -> Drill.Oracle.of_report ~max_outage rep
   | Clustered rep -> Drill.Oracle.of_cluster rep
   | Overloaded rep -> Drill.Oracle.of_overload rep
+
+let execute ?flight ~defenses s =
+  let repro =
+    {
+      rp_kind = s.s_kind;
+      rp_seed = s.s_seed;
+      rp_defenses = defenses;
+      rp_plan = s.s_plan;
+      rp_recovery = s.s_recovery;
+    }
+  in
+  match replay ?flight repro with
+  | Error e -> Harness_error e
+  | Ok result -> Verdict (replay_verdict result)
 
 (* --- The explorer loop --- *)
 

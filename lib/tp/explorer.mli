@@ -81,7 +81,7 @@ val verdict_json : verdict_or_error -> Json.t
 
 val execute : ?flight:string -> defenses:bool -> schedule -> verdict_or_error
 (** Run one schedule on its drill platform and judge it with the
-    matching oracle.  [defenses:false] strips the PM integrity
+    matching oracle: {!replay} then {!replay_verdict}.  [defenses:false] strips the PM integrity
     defenses (scrubber, verified reads) and the overload defenses —
     the weakened platform the explorer must find known failures on. *)
 
@@ -177,7 +177,7 @@ type replay_result =
 val replay : ?flight:string -> repro -> (replay_result, string) result
 (** Re-run a repro exactly: same platform, same seed, same plans.
     Deterministic — two replays of the same file produce identical
-    reports. *)
+    reports.  [flight] dumps when {!replay_verdict} fails. *)
 
 val replay_verdict : replay_result -> Drill.Oracle.verdict
 (** Judge a replay with the oracle the explorer used for that kind. *)

@@ -117,7 +117,7 @@ let test_unknown_endpoint_unreachable () =
   in
   Sim.run sim
 
-(* --- Stat counters / histogram / trace --- *)
+(* --- Stat counters / histogram --- *)
 
 let test_stat_counter () =
   let c = Stat.Counter.create ~name:"ops" () in
@@ -137,21 +137,6 @@ let test_stat_histogram_buckets () =
   check_bool "bounds ascend" true
     (let bounds = List.map fst buckets in
      List.sort compare bounds = bounds)
-
-let test_trace_dump () =
-  let tr = Trace.create ~capacity:8 () in
-  Trace.enable tr;
-  Trace.event tr ~time:(Time.us 5) ~tag:"io" "write done";
-  Trace.disable tr;
-  Trace.event tr ~time:(Time.us 6) ~tag:"io" "dropped";
-  let text = Format.asprintf "%a" Trace.dump tr in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "contains first event" true (contains text "write done");
-  check_bool "disabled events dropped" false (contains text "dropped")
 
 (* --- Log backend: PM ring wrap --- *)
 
@@ -222,7 +207,6 @@ let suite =
       [
         Alcotest.test_case "counters" `Quick test_stat_counter;
         Alcotest.test_case "histogram buckets" `Quick test_stat_histogram_buckets;
-        Alcotest.test_case "trace dump" `Quick test_trace_dump;
       ] );
     ( "edges.pm_ring",
       [ Alcotest.test_case "trail ring wraps and re-parses" `Quick test_pm_ring_wraps_without_error ] );

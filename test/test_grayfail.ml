@@ -310,7 +310,7 @@ let test_gray_drill_defended () =
   check_bool "mirror active at the end" true g.Tp.Drill.g_mirror_active;
   check_bool "client noticed" true (g.Tp.Drill.g_slow_suspects >= 1);
   check_bool "degraded durability used" true (g.Tp.Drill.g_single_copy_writes >= 1);
-  check_bool "gate bundle" true (Tp.Drill.gray_pass g);
+  check_bool "gate bundle" true (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_gray g));
   (* Bit-determinism: the same seed replays to the same report. *)
   let g2 = run () in
   check_bool "same seed, same drill" true
@@ -329,7 +329,20 @@ let test_gray_drill_negative_control () =
         (g.Tp.Drill.g_p99_ratio > g.Tp.Drill.g_p99_limit);
       check_int "no monitor ran" 0 g.Tp.Drill.g_monitor_probes;
       check_int "no demotion" 0 g.Tp.Drill.g_demotions;
-      check_bool "gate violated" true (not (Tp.Drill.gray_pass g))
+      check_bool "gate violated" false (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_gray g))
+
+(* CI's negative control finds the dump by its gate mark: exactly one,
+   labelled by the family. *)
+let test_gray_negative_control_flight_mark () =
+  let path = Filename.temp_file "flight-grayfail" ".json" in
+  (match Tp.Drill.run_gray ~defenses:false ~flight:path () with
+  | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
+  | Ok _ -> ());
+  let marks = Test_util.flight_gate_marks path in
+  Sys.remove path;
+  check_int "one gate mark" 1 (List.length marks);
+  check_bool "labelled by the gray family" true
+    (String.starts_with ~prefix:"gray gate failed: " (List.hd marks))
 
 let suite =
   [
@@ -368,5 +381,7 @@ let suite =
       [
         Alcotest.test_case "defended drill passes and replays" `Slow test_gray_drill_defended;
         Alcotest.test_case "negative control collapses" `Slow test_gray_drill_negative_control;
+        Alcotest.test_case "negative control dumps one gate mark" `Slow
+          test_gray_negative_control_flight_mark;
       ] );
   ]

@@ -109,39 +109,6 @@ let test_span_cross_track_flow () =
   check_bool "flow start" true (has "\"ph\":\"s\"");
   check_bool "flow finish" true (has "\"ph\":\"f\"")
 
-(* --- Trace ring buffer --- *)
-
-let test_trace_ring_wraparound () =
-  let tr = Trace.create ~capacity:3 () in
-  Trace.enable tr;
-  for i = 1 to 5 do
-    Trace.event tr ~time:(i * 100) ~tag:"t" (Printf.sprintf "e%d" i)
-  done;
-  let entries = Trace.entries tr in
-  check_int "ring keeps capacity" 3 (List.length entries);
-  (* Oldest first, and the oldest two were overwritten. *)
-  let msgs = List.map (fun (_, _, m) -> m) entries in
-  check_bool "oldest-first survivors" true (msgs = [ "e3"; "e4"; "e5" ]);
-  let times = List.map (fun (t, _, _) -> t) entries in
-  check_bool "times ascend" true (times = [ 300; 400; 500 ])
-
-let test_span_trace_sink () =
-  let clock, set = manual_clock () in
-  let c = Span.create ~clock () in
-  let tr = Trace.create () in
-  Trace.enable tr;
-  Span.attach_trace c tr;
-  Span.enable c;
-  set 7;
-  let sp = Span.start c "op" in
-  set 9;
-  Span.finish c sp;
-  let entries = Trace.entries tr in
-  check_int "begin + end mirrored" 2 (List.length entries);
-  List.iter (fun (_, tag, _) -> check_string "tagged span" "span" tag) entries;
-  let _, _, first = List.hd entries in
-  check_bool "message names the span" true (first = "begin op#0")
-
 (* --- Stat: total on empty --- *)
 
 let test_stat_empty_total () =
@@ -269,11 +236,6 @@ let suite =
         Alcotest.test_case "double finish and capacity" `Quick test_span_double_finish_and_capacity;
         Alcotest.test_case "chrome json golden" `Quick test_span_chrome_json_golden;
         Alcotest.test_case "cross-track flow arrows" `Quick test_span_cross_track_flow;
-      ] );
-    ( "obs.trace",
-      [
-        Alcotest.test_case "ring wraparound keeps newest" `Quick test_trace_ring_wraparound;
-        Alcotest.test_case "span begin/end mirrored into trace" `Quick test_span_trace_sink;
       ] );
     ( "obs.metrics",
       [

@@ -143,7 +143,7 @@ let test_overload_drill_defended () =
   (match r.Tp.Drill.v_recovery_time with
   | Some t -> check_bool "recovery within the bound" true (t <= r.Tp.Drill.v_recovery_limit)
   | None -> Alcotest.fail "defended run never recovered");
-  check_bool "gate bundle" true (Tp.Drill.overload_pass r);
+  check_bool "gate bundle" true (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload r));
   (* Bit-determinism: the same seed replays to the same report,
      including the whole goodput-over-time series. *)
   let r2 = run_drill () in
@@ -157,7 +157,8 @@ let test_overload_drill_defended () =
 
 let test_overload_drill_negative_control () =
   let r = run_drill ~defenses:false () in
-  check_bool "gate fails undefended" false (Tp.Drill.overload_pass r);
+  check_bool "gate fails undefended" false
+    (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload r));
   check_bool "stayed collapsed under base load" true
     (r.Tp.Drill.v_recovery_time = None);
   check_int "nothing was rejected (no admission)" 0 r.Tp.Drill.v_rejected;
@@ -169,9 +170,24 @@ let test_overload_drill_negative_control () =
 let test_overload_drill_second_seed () =
   let seed = 0xBEEF1L in
   let d = run_drill ~seed () in
-  check_bool "defended passes on a second seed" true (Tp.Drill.overload_pass d);
+  check_bool "defended passes on a second seed" true
+    (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload d));
   let u = run_drill ~seed ~defenses:false () in
-  check_bool "negative control fails on a second seed" false (Tp.Drill.overload_pass u)
+  check_bool "negative control fails on a second seed" false
+    (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload u))
+
+(* CI's negative control finds the dump by its gate mark: exactly one,
+   labelled by the family. *)
+let test_overload_negative_control_flight_mark () =
+  let path = Filename.temp_file "flight-overload" ".json" in
+  (match Tp.Drill.run_overload ~defenses:false ~flight:path () with
+  | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
+  | Ok _ -> ());
+  let marks = Test_util.flight_gate_marks path in
+  Sys.remove path;
+  check_int "one gate mark" 1 (List.length marks);
+  check_bool "labelled by the overload family" true
+    (String.starts_with ~prefix:"overload gate failed: " (List.hd marks))
 
 let suite =
   [
@@ -200,5 +216,7 @@ let suite =
         Alcotest.test_case "negative control stays collapsed" `Slow
           test_overload_drill_negative_control;
         Alcotest.test_case "second seed" `Slow test_overload_drill_second_seed;
+        Alcotest.test_case "negative control dumps one gate mark" `Slow
+          test_overload_negative_control_flight_mark;
       ] );
   ]

@@ -206,6 +206,68 @@ let prop_region_extents_disjoint =
       Sim.run sim;
       !ok)
 
+(* --- PMM slot frames: a flipped byte is caught, never misread --- *)
+
+(* A region table, a scrub table, and where to flip one byte of each
+   image (the xor is never 0). *)
+let gen_slot_case =
+  QCheck.Gen.(
+    let* generation = int_range 1 1_000_000 in
+    let* epoch = int_range 1 1_000 in
+    let* regions =
+      list_size (int_bound 4)
+        (quad
+           (string_size ~gen:printable (int_range 1 12))
+           (int_bound (1 lsl 30))
+           (int_bound (1 lsl 20))
+           (list_size (int_bound 3) (int_bound 0xFFFF)))
+    in
+    let* entries = list_size (int_bound 8) (pair (int_bound (1 lsl 30)) ui32) in
+    let* quarantined =
+      list_size (int_bound 3) (pair (int_bound (1 lsl 30)) (int_bound (1 lsl 20)))
+    in
+    let* at = int_bound 10_000 in
+    let* xor = int_range 1 255 in
+    return (generation, epoch, regions, entries, quarantined, (at, xor)))
+
+let flip_byte image (at, xor) =
+  let b = Bytes.copy image in
+  let i = at mod Bytes.length b in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor xor));
+  (b, i)
+
+(* Every parse either rejects the image or returns what was written.
+   The one exception is the scrub header's generation field (bytes
+   4-11): the scrub payload does not repeat the generation, so a flip
+   there parses with the table intact and a different generation. *)
+let prop_slot_byte_flip =
+  QCheck.Test.make ~name:"flipped PMM slot byte parses to None or the original" ~count:500
+    (QCheck.make gen_slot_case)
+    (fun (generation, epoch, regions, entries, quarantined, flip) ->
+      let meta = Pm.Pmm.meta ~generation ~epoch regions in
+      let meta_image = Pm.Pmm.slot_image meta in
+      let meta_ok =
+        Pm.Pmm.parse_slot meta_image = Some meta
+        &&
+        match Pm.Pmm.parse_slot (fst (flip_byte meta_image flip)) with
+        | None -> true
+        | Some m -> m = meta
+      in
+      let chunk_bytes = 65_536 in
+      let table = (generation, chunk_bytes, entries, quarantined) in
+      let scrub_image = Pm.Pmm.scrub_image ~generation ~chunk_bytes entries quarantined in
+      let scrub_ok =
+        Pm.Pmm.parse_scrub_slot scrub_image = Some table
+        &&
+        let bad, i = flip_byte scrub_image flip in
+        match Pm.Pmm.parse_scrub_slot bad with
+        | None -> true
+        | Some t when t = table -> true
+        | Some (g, c, e, q) ->
+            i >= 4 && i < 12 && g <> generation && (c, e, q) = (chunk_bytes, entries, quarantined)
+      in
+      meta_ok && scrub_ok)
+
 let suite =
   [
     ( "properties",
@@ -217,5 +279,6 @@ let suite =
           prop_audit_stream_roundtrip;
           prop_mailbox_fifo;
           prop_region_extents_disjoint;
+          prop_slot_byte_flip;
         ] );
   ]

@@ -329,26 +329,6 @@ let test_gate_zero () =
   let g = Gate.create 0 in
   check_bool "already open" true (Gate.is_open g)
 
-(* --- Trace --- *)
-
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  let forced = ref false in
-  Trace.eventf tr ~time:0 ~tag:"x" (fun () ->
-      forced := true;
-      "never");
-  check_bool "lazy" false !forced;
-  check_int "empty" 0 (List.length (Trace.entries tr))
-
-let test_trace_ring_wraps () =
-  let tr = Trace.create ~capacity:4 () in
-  Trace.enable tr;
-  for i = 1 to 6 do
-    Trace.event tr ~time:i ~tag:"t" (string_of_int i)
-  done;
-  let times = List.map (fun (t, _, _) -> t) (Trace.entries tr) in
-  Alcotest.(check (list int)) "last 4 kept" [ 3; 4; 5; 6 ] times
-
 (* --- Determinism property --- *)
 
 let run_sample_sim seed =
@@ -455,11 +435,6 @@ let suite =
       [
         Alcotest.test_case "fan-in" `Quick test_gate_fan_in;
         Alcotest.test_case "zero gate open" `Quick test_gate_zero;
-      ] );
-    ( "simkit.trace",
-      [
-        Alcotest.test_case "disabled is free" `Quick test_trace_disabled_by_default;
-        Alcotest.test_case "ring wraps" `Quick test_trace_ring_wraps;
       ] );
     ("simkit.properties", qcheck_cases);
   ]

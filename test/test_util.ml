@@ -33,3 +33,24 @@ let bytes_of_string = Bytes.of_string
 let check_result_ok msg = function
   | Ok _ -> ()
   | Error _ -> Alcotest.fail msg
+
+(* The gate-failure marks in a flight-recorder dump, oldest first: the
+   labels CI's negative controls search for. *)
+let flight_gate_marks path =
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  let labels =
+    match Json.parse doc with
+    | Ok doc -> (
+        match Json.member "marks" doc with
+        | Some (Json.List marks) ->
+            List.filter_map (fun m -> Option.bind (Json.member "label" m) Json.to_string_opt) marks
+        | _ -> Alcotest.fail "flight dump has no marks")
+    | Error e -> Alcotest.fail ("flight dump unreadable: " ^ e)
+  in
+  let needle = "gate failed" in
+  let contains l =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length l && (String.sub l i n = needle || go (i + 1)) in
+    go 0
+  in
+  List.filter contains labels
