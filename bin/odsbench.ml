@@ -31,6 +31,16 @@ let mode_choice ~default names ~doc =
     & opt (enum (List.map (fun n -> (n, n)) names)) default
     & info [ "mode" ] ~docv:(String.concat "|" names) ~doc)
 
+(* One closed [--device npmu|pmp] flag: a misspelt device is a usage
+   error, never a silent NPMU run. *)
+let device_arg =
+  Arg.(
+    value
+    & opt
+        (enum [ ("npmu", Tp.System.Hardware_npmu); ("pmp", Tp.System.Prototype_pmp) ])
+        Tp.System.Hardware_npmu
+    & info [ "device" ] ~docv:"npmu|pmp" ~doc:"PM device kind (hardware NPMU or prototype PMP).")
+
 let hr () = print_endline (String.make 72 '-')
 
 let read_whole_file path =
@@ -47,12 +57,13 @@ let json_arg =
    derive a config from mode+device, build a system, run the mix —
    optionally under an observability context with a telemetry sampler
    running from build to workload end. *)
-let run_hot_stock_cell ?obs ?sample_interval ?(device = "npmu") ?(seed = 0xF19L) ~mode
-    ~drivers ~boxcar ~records () =
+let run_hot_stock_cell ?obs ?sample_interval ?(device = Tp.System.Hardware_npmu)
+    ?(seed = 0xF19L) ~mode ~drivers ~boxcar ~records () =
   let base =
-    if device = "pmp" then
-      { Tp.System.pm_config with Tp.System.pm_device_kind = Tp.System.Prototype_pmp }
-    else Tp.System.default_config
+    match device with
+    | Tp.System.Prototype_pmp ->
+        { Tp.System.pm_config with Tp.System.pm_device_kind = Tp.System.Prototype_pmp }
+    | Tp.System.Hardware_npmu -> Tp.System.default_config
   in
   let cfg =
     match mode with
@@ -300,11 +311,6 @@ let cell mode device drivers boxcar records verbose =
   hr ()
 
 let cell_cmd =
-  let device =
-    Arg.(
-      value & opt string "npmu"
-      & info [ "device" ] ~docv:"npmu|pmp" ~doc:"PM device kind (hardware NPMU or prototype PMP).")
-  in
   let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
   let boxcar =
     Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
@@ -314,7 +320,7 @@ let cell_cmd =
   in
   Cmd.v
     (Cmd.info "hot-stock" ~doc:"Run one hot-stock configuration and print details")
-    Term.(const cell $ mode_arg $ device $ drivers $ boxcar $ records_arg 4_000 $ verbose)
+    Term.(const cell $ mode_arg $ device_arg $ drivers $ boxcar $ records_arg 4_000 $ verbose)
 
 (* --- E3 latency sweep --- *)
 
@@ -1328,12 +1334,6 @@ let timeline_cmd =
   let mode =
     mode_choice ~default:"both" [ "disk"; "pm"; "both" ] ~doc:"Audit backend(s) to sample."
   in
-  let device =
-    Arg.(
-      value & opt string "npmu"
-      & info [ "device" ] ~docv:"npmu|pmp"
-          ~doc:"PM device kind (hardware NPMU or prototype PMP).")
-  in
   let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
   let boxcar =
     Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
@@ -1357,7 +1357,7 @@ let timeline_cmd =
          "Run a hot-stock cell with the continuous-telemetry sampler on and print the \
           bottleneck-attribution report (CSV/JSON export of the full series)")
     Term.(
-      const timeline $ mode $ device $ drivers $ boxcar $ records_arg 2_000 $ interval_ms
+      const timeline $ mode $ device_arg $ drivers $ boxcar $ records_arg 2_000 $ interval_ms
       $ csv $ json_arg)
 
 (* --- critpath: causal tracing + critical-path attribution --- *)

@@ -26,16 +26,17 @@ let create sim fabric ~name ~capacity =
   let store =
     {
       Servernet.Fabric.size = capacity;
-      read =
-        (fun ~off ~len ->
+      read_into =
+        (fun ~off ~len ~dst ~dst_off ->
           incr st_reads;
-          Pages.read mem ~off ~len);
+          Pages.read_into mem ~off ~len ~dst ~dst_off);
       write =
-        (fun ~off ~data ->
+        (fun ~off ~data ~pad ->
+          let len = Bytes.length data + pad in
           incr st_writes;
-          st_bytes_written := !st_bytes_written + Bytes.length data;
-          last_write := Some (off, Bytes.length data);
-          Pages.write mem ~off ~data);
+          st_bytes_written := !st_bytes_written + len;
+          last_write := Some (off, len);
+          Pages.write ~pad mem ~off ~data);
     }
   in
   let ep = Servernet.Fabric.attach fabric ~name ~store in

@@ -290,14 +290,14 @@ let list_regions t =
 let bounds_ok region ~off ~len =
   off >= 0 && len >= 0 && off + len <= region.Pm_types.length
 
-let write ?span t h ~off ~data =
+let write ?span ?(pad = 0) t h ~off ~data =
   (* A write bounced with [Stale_epoch] means the volume was fenced under
      us (takeover or resync finished a new incarnation).  The grant is
      refreshable: re-open the region at the PMM — the fresh grant carries
      the new epoch — and retry, a bounded number of times. *)
   let rec attempt refreshes =
     let region = h.region in
-    let len = Bytes.length data in
+    let len = Bytes.length data + pad in
     if not (bounds_ok region ~off ~len) then
       Error (Pm_types.Bad_request "write out of bounds")
     else begin
@@ -332,7 +332,7 @@ let write ?span t h ~off ~data =
         let rec go attempt =
           let t0 = Sim.now (Cpu.sim t.client_cpu) in
           match
-            Servernet.Fabric.rdma_write ~span:sp ~epoch t.fabric ~src ~dst ~addr ~data
+            Servernet.Fabric.rdma_write ~span:sp ~epoch ~pad t.fabric ~src ~dst ~addr ~data
           with
           | Ok () ->
               health_note t hs (Sim.now (Cpu.sim t.client_cpu) - t0);
@@ -419,29 +419,40 @@ let write ?span t h ~off ~data =
   in
   attempt 2
 
-(* One timed read of one copy, feeding the device's latency health. *)
-let timed_read t region ~mirror ~addr ~len =
+(* One timed read of one copy into [buf] at [pos], feeding the device's
+   latency health. *)
+let timed_read t region ~mirror ~addr ~len ~buf ~pos =
   let dst =
     if mirror then region.Pm_types.mirror_npmu else region.Pm_types.primary_npmu
   in
   let hs = if mirror then t.mh else t.ph in
   let t0 = Sim.now (Cpu.sim t.client_cpu) in
   let r =
-    Servernet.Fabric.rdma_read t.fabric ~src:(Cpu.endpoint t.client_cpu) ~dst ~addr ~len
+    Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint t.client_cpu) ~dst ~addr
+      ~len ~buf ~pos
   in
   (match r with
-  | Ok _ -> health_note t hs (Sim.now (Cpu.sim t.client_cpu) - t0)
+  | Ok () -> health_note t hs (Sim.now (Cpu.sim t.client_cpu) - t0)
   | Error _ -> ());
   r
 
 (* Hedged mirrored read: start the primary copy, and if it has not
    answered within the hedge delay fire the mirror too — first response
-   wins.  The losing read completes in its helper process and is simply
-   discarded (RDMA reads have no side effects). *)
-let hedged_fetch ?(span = Span.null) t region ~addr ~len =
+   wins.  Each copy reads into a private buffer and only the winner is
+   copied into [buf]: the loser completes in its helper process after
+   the caller has moved on, and must not land in the caller's memory. *)
+let hedged_fetch ?(span = Span.null) t region ~addr ~len ~buf ~pos =
   let sim = Cpu.sim t.client_cpu in
   let mb = Mailbox.create ~name:"pm-hedge" () in
-  let fetch ~mirror () = Mailbox.send mb (mirror, timed_read t region ~mirror ~addr ~len) in
+  let fetch ~mirror () =
+    let own = Bytes.create len in
+    Mailbox.send mb
+      (mirror, Result.map (fun () -> own) (timed_read t region ~mirror ~addr ~len ~buf:own ~pos:0))
+  in
+  let won data =
+    Bytes.blit data 0 buf pos len;
+    Ok ()
+  in
   ignore (Sim.spawn sim ~name:"pm-read-primary" (fetch ~mirror:false));
   let rec collect ~hedged ~outstanding =
     if outstanding = 0 then Error Pm_types.Device_failed
@@ -460,13 +471,13 @@ let hedged_fetch ?(span = Span.null) t region ~addr ~len =
               bump_counter t "pm.read_failovers";
               Span.annotate span ~key:"failover" "1"
             end;
-          Ok data
+          won data
       | Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied) ->
           Error Pm_types.Permission_denied
       | Error _ -> collect ~hedged ~outstanding:(outstanding - 1)
   in
   match Mailbox.recv_timeout mb (hedge_delay t) with
-  | Some (_, Ok data) -> Ok data
+  | Some (_, Ok data) -> won data
   | Some (_, Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied)) ->
       Error Pm_types.Permission_denied
   | Some (_, Error _) ->
@@ -480,7 +491,13 @@ let hedged_fetch ?(span = Span.null) t region ~addr ~len =
       ignore (Sim.spawn sim ~name:"pm-read-hedge" (fetch ~mirror:true));
       collect ~hedged:true ~outstanding:2
 
-let read_plain ?(span = Span.null) t h ~off ~len =
+(* A negative [len] is left to the region bounds check, which answers
+   [Bad_request]. *)
+let check_dst ~len ~buf ~pos =
+  if len > 0 && (pos < 0 || pos > Bytes.length buf - len) then
+    invalid_arg "Pm_client: read destination out of range"
+
+let read_plain ?(span = Span.null) t h ~off ~len ~buf ~pos =
   let region = h.region in
   if not (bounds_ok region ~off ~len) then Error (Pm_types.Bad_request "read out of bounds")
   else begin
@@ -493,20 +510,20 @@ let read_plain ?(span = Span.null) t h ~off ~len =
        A demoted mirror is skipped entirely — its contents are stale. *)
     let rec round attempt =
       let result =
-        if hedge then hedged_fetch ~span t region ~addr ~len
+        if hedge then hedged_fetch ~span t region ~addr ~len ~buf ~pos
         else
-          match timed_read t region ~mirror:false ~addr ~len with
-          | Ok data -> Ok data
+          match timed_read t region ~mirror:false ~addr ~len ~buf ~pos with
+          | Ok () -> Ok ()
           | Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied) ->
               Error Pm_types.Permission_denied
           | Error _ when not mirror_usable -> Error Pm_types.Device_failed
           | Error _ -> (
-              match timed_read t region ~mirror:true ~addr ~len with
-              | Ok data ->
+              match timed_read t region ~mirror:true ~addr ~len ~buf ~pos with
+              | Ok () ->
                   t.read_failovers <- t.read_failovers + 1;
                   bump_counter t "pm.read_failovers";
                   Span.annotate span ~key:"failover" "1";
-                  Ok data
+                  Ok ()
               | Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied) ->
                   Error Pm_types.Permission_denied
               | Error _ -> Error Pm_types.Device_failed)
@@ -520,16 +537,17 @@ let read_plain ?(span = Span.null) t h ~off ~len =
     round 0
   end
 
-let read_device t h ~mirror ~off ~len =
+let read_device_into t h ~mirror ~off ~len ~buf ~pos =
+  check_dst ~len ~buf ~pos;
   let region = h.region in
   if not (bounds_ok region ~off ~len) then Error (Pm_types.Bad_request "read out of bounds")
   else
     let dst = if mirror then region.Pm_types.mirror_npmu else region.Pm_types.primary_npmu in
     match
-      Servernet.Fabric.rdma_read t.fabric ~src:(Cpu.endpoint t.client_cpu) ~dst
-        ~addr:(region.Pm_types.net_base + off) ~len
+      Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint t.client_cpu) ~dst
+        ~addr:(region.Pm_types.net_base + off) ~len ~buf ~pos
     with
-    | Ok data -> Ok data
+    | Ok () -> Ok ()
     | Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied) ->
         Error Pm_types.Permission_denied
     | Error _ -> Error Pm_types.Device_failed
@@ -591,41 +609,58 @@ let verify_repair_range t h ~addr ~len =
   in
   sweep addr
 
-let read_verified_sp span t h ~off ~len =
+(* [a.[pa, pa + n)] and [b.[pb, pb + n)] hold the same bytes. *)
+let sub_equal a pa b pb n =
+  let i = ref 0 in
+  while !i + 8 <= n && Bytes.get_int64_ne a (pa + !i) = Bytes.get_int64_ne b (pb + !i) do
+    i := !i + 8
+  done;
+  while !i < n && Bytes.get a (pa + !i) = Bytes.get b (pb + !i) do
+    incr i
+  done;
+  !i >= n
+
+let read_verified_sp span t h ~off ~len ~buf ~pos =
   let region = h.region in
   if not (bounds_ok region ~off ~len) then Error (Pm_types.Bad_request "read out of bounds")
   else if not region.Pm_types.mirror_active then
     (* Demoted mirror: its contents are legitimately stale, so there is
        nothing meaningful to cross-check until re-admission resyncs it. *)
-    read_plain ~span t h ~off ~len
+    read_plain ~span t h ~off ~len ~buf ~pos
   else begin
     let addr = region.Pm_types.net_base + off in
     let src = Cpu.endpoint t.client_cpu in
+    (* The primary copy lands straight in [buf]; any outcome other than
+       two agreeing copies re-reads it through the plain path. *)
     let p =
-      Servernet.Fabric.rdma_read t.fabric ~src ~dst:region.Pm_types.primary_npmu ~addr ~len
+      Servernet.Fabric.rdma_read_into t.fabric ~src ~dst:region.Pm_types.primary_npmu ~addr
+        ~len ~buf ~pos
     in
     let m =
       Servernet.Fabric.rdma_read t.fabric ~src ~dst:region.Pm_types.mirror_npmu ~addr ~len
     in
     match (p, m) with
-    | Ok dp, Ok dm when Bytes.equal dp dm -> Ok dp
-    | Ok _, Ok _ ->
+    | Ok (), Ok dm when sub_equal buf pos dm 0 len -> Ok ()
+    | Ok (), Ok _ ->
         t.verify_divergent <- t.verify_divergent + 1;
         bump_counter t "pm.verify_divergence";
         Span.annotate span ~key:"divergent" "1";
         verify_repair_range t h ~addr ~len;
         (* Serve the post-repair contents; where repair was impossible
            this degrades to the plain read's primary-first answer. *)
-        read_plain ~span t h ~off ~len
+        read_plain ~span t h ~off ~len ~buf ~pos
     | _ ->
         (* One copy unreachable: nothing to cross-check, and the plain
            path already owns failover and retry. *)
-        read_plain ~span t h ~off ~len
+        read_plain ~span t h ~off ~len ~buf ~pos
   end
 
-let read_verified t h ~off ~len = read_verified_sp Span.null t h ~off ~len
+let read_verified_into t h ~off ~len ~buf ~pos =
+  check_dst ~len ~buf ~pos;
+  read_verified_sp Span.null t h ~off ~len ~buf ~pos
 
-let read ?span t h ~off ~len =
+let read_into ?span t h ~off ~len ~buf ~pos =
+  check_dst ~len ~buf ~pos;
   let sp =
     match t.obs with
     | None -> Span.null
@@ -638,12 +673,23 @@ let read ?span t h ~off ~len =
         sp
   in
   let r =
-    if t.cfg.verified_reads then read_verified_sp sp t h ~off ~len
-    else read_plain ~span:sp t h ~off ~len
+    if t.cfg.verified_reads then read_verified_sp sp t h ~off ~len ~buf ~pos
+    else read_plain ~span:sp t h ~off ~len ~buf ~pos
   in
-  (match r with Error _ -> Span.annotate sp ~key:"error" "1" | Ok _ -> ());
+  (match r with Error _ -> Span.annotate sp ~key:"error" "1" | Ok () -> ());
   (match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ());
   r
+
+(* The allocating reads: a fresh buffer handed to the [_into] form. *)
+let alloc_read ~len read =
+  let buf = Bytes.create (max 0 len) in
+  Result.map (fun () -> buf) (read ~buf ~pos:0)
+
+let read ?span t h ~off ~len = alloc_read ~len (read_into ?span t h ~off ~len)
+
+let read_device t h ~mirror ~off ~len = alloc_read ~len (read_device_into t h ~mirror ~off ~len)
+
+let read_verified t h ~off ~len = alloc_read ~len (read_verified_into t h ~off ~len)
 
 let degraded_writes t = t.degraded
 

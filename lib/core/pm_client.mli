@@ -89,8 +89,17 @@ val delete_region : t -> name:string -> (unit, Pm_types.error) result
 val list_regions : t -> (Pm_types.region_info list, Pm_types.error) result
 
 val write :
-  ?span:Span.span -> t -> handle -> off:int -> data:Bytes.t -> (unit, Pm_types.error) result
-(** Synchronous persistent write.  Mirrored: returns [Ok] once every
+  ?span:Span.span ->
+  ?pad:int ->
+  t ->
+  handle ->
+  off:int ->
+  data:Bytes.t ->
+  (unit, Pm_types.error) result
+(** Synchronous persistent write of [data] followed by [pad] zero bytes
+    (default 0).  The padding is carried as a length
+    ({!Servernet.Fabric.rdma_write}): it costs device time and bounds
+    like written bytes, but is never built.  Mirrored: returns [Ok] once every
     powered device of the pair holds the data; degraded single-device
     success is still persistent (and reported through {!degraded_writes}).
     Fails with [Device_failed] when no device accepted it, and with
@@ -110,11 +119,36 @@ val read :
     given), annotated [hedged]/[hedge_won]/[failover] as those paths
     fire. *)
 
+val read_into :
+  ?span:Span.span ->
+  t ->
+  handle ->
+  off:int ->
+  len:int ->
+  buf:Bytes.t ->
+  pos:int ->
+  (unit, Pm_types.error) result
+(** {!read}, landing the bytes in [buf] at [pos] instead of a fresh
+    buffer.  A hedged pair reads each copy privately and copies only the
+    winner into [buf], so the losing read never touches it.  Raises
+    [Invalid_argument] when [buf] cannot hold the range.  The other
+    [_into] reads share this contract. *)
+
 val read_device :
   t -> handle -> mirror:bool -> off:int -> len:int -> (Bytes.t, Pm_types.error) result
 (** Read one named copy, no failover and no retry.  For callers that do
     their own cross-copy arbitration — the audit-trail replay salvages a
     frame torn on the primary from the mirror through this. *)
+
+val read_device_into :
+  t ->
+  handle ->
+  mirror:bool ->
+  off:int ->
+  len:int ->
+  buf:Bytes.t ->
+  pos:int ->
+  (unit, Pm_types.error) result
 
 val read_verified : t -> handle -> off:int -> len:int -> (Bytes.t, Pm_types.error) result
 (** Integrity-checking read: fetch the range from {e both} devices and
@@ -126,6 +160,9 @@ val read_verified : t -> handle -> off:int -> len:int -> (Bytes.t, Pm_types.erro
     primary unrepaired (counted in {!verify_unrepaired}); a copy that is
     unreachable degrades to the plain failover read.  Works — minus the
     repair arbitration — even when no scrubber is running. *)
+
+val read_verified_into :
+  t -> handle -> off:int -> len:int -> buf:Bytes.t -> pos:int -> (unit, Pm_types.error) result
 
 val degraded_writes : t -> int
 (** Writes that persisted on only one device. *)

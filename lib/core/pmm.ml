@@ -483,6 +483,9 @@ let do_resync t meta ~from_primary =
   let cycles () = src_dev.dev_power_cycles () + dst_dev.dev_power_cycles () in
   let cycles_before = cycles () in
   let chunk = 64 * 1024 in
+  (* One staging buffer for the whole copy: each chunk is read into it
+     and written out of it before the next read starts. *)
+  let staging = Bytes.create chunk in
   let copied = ref 0 in
   let copy_extent ~off ~len =
     let rec go pos =
@@ -490,11 +493,12 @@ let do_resync t meta ~from_primary =
       else
         let n = min chunk (len - pos) in
         match
-          Servernet.Fabric.rdma_read t.fabric ~src:(src_endpoint t) ~dst:src_dev.dev_id
-            ~addr:(off + pos) ~len:n
+          Servernet.Fabric.rdma_read_into t.fabric ~src:(src_endpoint t) ~dst:src_dev.dev_id
+            ~addr:(off + pos) ~len:n ~buf:staging ~pos:0
         with
         | Error e -> Error (Servernet.Fabric.error_to_string e)
-        | Ok data -> (
+        | Ok () -> (
+            let data = if n = chunk then staging else Bytes.sub staging 0 n in
             match
               Servernet.Fabric.rdma_write t.fabric ~src:(src_endpoint t) ~dst:dst_dev.dev_id
                 ~addr:(off + pos) ~data

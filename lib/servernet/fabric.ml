@@ -64,33 +64,70 @@ module Pages = struct
       p
     end
 
-  (* Both loops split [off, off + len) at page boundaries; [pos] counts
-     from [off].  They are written out rather than sharing an iterator so
-     the RDMA hot path allocates no closure. *)
+  (* [data.[pos, pos + n)] is all zero bytes; 64-bit loads, then a byte
+     tail. *)
+  let is_zero data pos n =
+    let i = ref pos and stop = pos + n in
+    while !i + 8 <= stop && Bytes.get_int64_ne data !i = 0L do
+      i := !i + 8
+    done;
+    while !i < stop && Bytes.unsafe_get data !i = '\000' do
+      incr i
+    done;
+    !i >= stop
+
+  (* The loops below split [off, off + len) at page boundaries; [pos]
+     counts from [off].  They are written out rather than sharing an
+     iterator so the RDMA hot path allocates no closure. *)
+  let read_into t ~off ~len ~dst ~dst_off =
+    check t "read_into" ~off ~len;
+    if dst_off < 0 || dst_off > Bytes.length dst - len then
+      invalid_arg "Fabric.Pages.read_into: destination out of range";
+    let pos = ref 0 in
+    while !pos < len do
+      let a = off + !pos in
+      let in_page = a land (page_size - 1) in
+      let n = min (page_size - in_page) (len - !pos) in
+      Bytes.blit t.pages.(a lsr page_bits) in_page dst (dst_off + !pos) n;
+      pos := !pos + n
+    done
+
   let read t ~off ~len =
     check t "read" ~off ~len;
     let out = Bytes.create len in
-    let pos = ref 0 in
-    while !pos < len do
-      let a = off + !pos in
-      let in_page = a land (page_size - 1) in
-      let n = min (page_size - in_page) (len - !pos) in
-      Bytes.blit t.pages.(a lsr page_bits) in_page out !pos n;
-      pos := !pos + n
-    done;
+    read_into t ~off ~len ~dst:out ~dst_off:0;
     out
 
-  let write t ~off ~data =
-    let len = Bytes.length data in
-    check t "write" ~off ~len;
+  (* Zero bytes landing on a page that still aliases [zero] change
+     nothing, so the page stays shared: a resync copying never-written
+     memory makes no page resident. *)
+  let fill_zero t ~off ~len =
+    check t "fill_zero" ~off ~len;
     let pos = ref 0 in
     while !pos < len do
       let a = off + !pos in
       let in_page = a land (page_size - 1) in
       let n = min (page_size - in_page) (len - !pos) in
-      Bytes.blit data !pos (writable t (a lsr page_bits)) in_page n;
+      let p = t.pages.(a lsr page_bits) in
+      if p != zero then Bytes.fill p in_page n '\000';
       pos := !pos + n
     done
+
+  let write ?(pad = 0) t ~off ~data =
+    let len = Bytes.length data in
+    if pad < 0 then invalid_arg "Fabric.Pages.write: negative pad";
+    check t "write" ~off ~len:(len + pad);
+    let pos = ref 0 in
+    while !pos < len do
+      let a = off + !pos in
+      let in_page = a land (page_size - 1) in
+      let n = min (page_size - in_page) (len - !pos) in
+      let i = a lsr page_bits in
+      if not (t.pages.(i) == zero && is_zero data !pos n) then
+        Bytes.blit data !pos (writable t i) in_page n;
+      pos := !pos + n
+    done;
+    if pad > 0 then fill_zero t ~off:(off + len) ~len:pad
 
   let get t off =
     check t "get" ~off ~len:1;
@@ -107,12 +144,16 @@ end
 
 type store = {
   size : int;
-  read : off:int -> len:int -> Bytes.t;
-  write : off:int -> data:Bytes.t -> unit;
+  read_into : off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit;
+  write : off:int -> data:Bytes.t -> pad:int -> unit;
 }
 
 let pages_store p =
-  { size = Pages.size p; read = Pages.read p; write = Pages.write p }
+  {
+    size = Pages.size p;
+    read_into = Pages.read_into p;
+    write = (fun ~off ~data ~pad -> Pages.write ~pad p ~off ~data);
+  }
 
 let byte_store size = pages_store (Pages.create size)
 
@@ -401,8 +442,11 @@ let resolve_target t dst =
   | None -> Error Unreachable
   | Some ep -> if ep.ep_alive then Ok ep else Error Unreachable
 
-let rdma_write ?span ?epoch t ~src ~dst ~addr ~data =
-  let len = Bytes.length data in
+let rdma_write ?span ?epoch ?(pad = 0) t ~src ~dst ~addr ~data =
+  if pad < 0 then invalid_arg "Fabric.rdma_write: negative pad";
+  (* Trailing zero padding travels as a length: it is charged, checked
+     and counted like any other byte, but never built or copied. *)
+  let len = Bytes.length data + pad in
   let t0 = Sim.now t.sim in
   let sp = start_span t ?parent:span "fabric.rdma_write" ~bytes:len in
   op_begin t;
@@ -427,7 +471,7 @@ let rdma_write ?span ?epoch t ~src ~dst ~addr ~data =
                     Prof.section_end sect "fabric";
                     fail t (Avt_error e)
                 | Ok phys ->
-                    target.ep_store.write ~off:phys ~data;
+                    target.ep_store.write ~off:phys ~data ~pad;
                     t.st_writes <- t.st_writes + 1;
                     t.st_bytes_written <- t.st_bytes_written + len;
                     Prof.section_end sect "fabric";
@@ -443,7 +487,9 @@ let rdma_write ?span ?epoch t ~src ~dst ~addr ~data =
   finish_op t sp ~t0;
   result
 
-let rdma_read ?span t ~src ~dst ~addr ~len =
+let rdma_read_into ?span t ~src ~dst ~addr ~len ~buf ~pos =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Fabric.rdma_read_into: destination out of range";
   let t0 = Sim.now t.sim in
   let sp = start_span t ?parent:span "fabric.rdma_read" ~bytes:len in
   op_begin t;
@@ -463,20 +509,28 @@ let rdma_read ?span t ~src ~dst ~addr ~len =
                 match transfer_with_failover t src target len ~attempts:t.cfg.rails with
                 | Error e -> fail t e
                 | Ok () ->
-                    let data = target.ep_store.read ~off:phys ~len in
+                    (* The data lands only on completion: a failed or
+                       still-running read leaves [buf] untouched. *)
+                    target.ep_store.read_into ~off:phys ~len ~dst:buf ~dst_off:pos;
                     t.st_reads <- t.st_reads + 1;
                     t.st_bytes_read <- t.st_bytes_read + len;
-                    Ok data)
+                    Ok ())
         in
         target_probe_end t target ~t0;
         r
   in
   (match result with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error e ->
       if not (Span.is_null sp) then Span.annotate sp ~key:"error" (error_to_string e));
   finish_op t sp ~t0;
   result
+
+let rdma_read ?span t ~src ~dst ~addr ~len =
+  let buf = Bytes.create len in
+  match rdma_read_into ?span t ~src ~dst ~addr ~len ~buf ~pos:0 with
+  | Ok () -> Ok buf
+  | Error e -> Error e
 
 let stats t =
   {

@@ -51,10 +51,22 @@ module Pages : sig
 
   val size : t -> int
 
+  val read_into : t -> off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
+  (** Copy the range into [dst] at [dst_off]; raises [Invalid_argument]
+      when [dst] is too short. *)
+
   val read : t -> off:int -> len:int -> Bytes.t
   (** A fresh copy of the range. *)
 
-  val write : t -> off:int -> data:Bytes.t -> unit
+  val write : ?pad:int -> t -> off:int -> data:Bytes.t -> unit
+  (** Store [data] at [off], then [pad] zero bytes (default 0) after it.
+      A page never written stays the shared zero page when everything
+      landing on it is zero, so copying or padding with zeros creates no
+      page.  Raises [Invalid_argument] on a negative [pad]. *)
+
+  val fill_zero : t -> off:int -> len:int -> unit
+  (** Zero the range: resident pages are cleared in place, untouched
+      pages stay shared. *)
 
   val get : t -> int -> char
 
@@ -69,11 +81,12 @@ end
 
 (** A device's memory as seen from its NIC.  {!byte_store} gives a plain
     RAM-backed store; the persistent-memory library wraps stores to model
-    non-volatility. *)
+    non-volatility.  [read_into] copies a range into a destination
+    buffer; [write] stores [data] followed by [pad] zero bytes. *)
 type store = {
   size : int;
-  read : off:int -> len:int -> Bytes.t;
-  write : off:int -> data:Bytes.t -> unit;
+  read_into : off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit;
+  write : off:int -> data:Bytes.t -> pad:int -> unit;
 }
 
 val pages_store : Pages.t -> store
@@ -168,6 +181,7 @@ val crc_error_rate : t -> float
 val rdma_write :
   ?span:Span.span ->
   ?epoch:int ->
+  ?pad:int ->
   t ->
   src:endpoint ->
   dst:int ->
@@ -177,7 +191,27 @@ val rdma_write :
 (** [?epoch] stamps the write descriptor with the initiator's view of
     the target volume's epoch; the target AVT rejects it with
     [Avt_error Stale_epoch] if the volume has since been fenced to a
-    newer epoch (takeover/resync). *)
+    newer epoch (takeover/resync).
+
+    [?pad] (default 0) appends that many zero bytes after [data] without
+    the caller building them: the transfer time, the AVT window check
+    and the byte counters all cover [Bytes.length data + pad], and the
+    target store zero-fills the tail.  Raises [Invalid_argument] on a
+    negative [pad]. *)
+
+val rdma_read_into :
+  ?span:Span.span ->
+  t ->
+  src:endpoint ->
+  dst:int ->
+  addr:int ->
+  len:int ->
+  buf:Bytes.t ->
+  pos:int ->
+  (unit, error) result
+(** Read [len] bytes into [buf] at [pos].  The bytes land when the
+    transfer completes; a failed read leaves [buf] untouched.  Raises
+    [Invalid_argument] when [buf] cannot hold the range. *)
 
 val rdma_read :
   ?span:Span.span ->
@@ -187,6 +221,7 @@ val rdma_read :
   addr:int ->
   len:int ->
   (Bytes.t, error) result
+(** {!rdma_read_into} a fresh buffer. *)
 
 val transfer_time : t -> bytes:int -> Time.span
 (** Nominal duration of a transfer of [bytes], without queueing or

@@ -68,12 +68,15 @@ let frame_overhead = 2 (* magic *) + 2 (* body length *) + 4 (* crc *)
 
 let wire_size record = frame_overhead + body_size record + payload_padding record
 
-let encode enc record =
+let encode_head enc record =
   let body = encode_body record in
   Codec.Enc.u16 enc magic;
   Codec.Enc.u16 enc (Bytes.length body);
   Codec.Enc.raw enc body;
-  Codec.Enc.u32 enc (Int32.to_int (Crc32.bytes body) land 0xFFFFFFFF);
+  Codec.Enc.u32 enc (Int32.to_int (Crc32.bytes body) land 0xFFFFFFFF)
+
+let encode enc record =
+  encode_head enc record;
   (* Payload bytes travel with the record; the simulator carries their
      length as zero padding. *)
   Codec.Enc.pad enc (payload_padding record)

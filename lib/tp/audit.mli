@@ -41,6 +41,14 @@ val txn_of : record -> txn_id option
 val wire_size : record -> int
 (** Bytes this record occupies in a trail, payload included. *)
 
+val payload_padding : record -> int
+(** The payload's share of [wire_size]: zero bytes that end the frame. *)
+
+val encode_head : Codec.Enc.t -> record -> unit
+(** Append the frame without its payload (header, body, CRC).  Followed
+    by {!payload_padding} zero bytes it is exactly {!encode}'s output, so
+    a writer that can zero-fill by length never builds the padding. *)
+
 val encode : Codec.Enc.t -> record -> unit
 (** Append the framed record (header, body, CRC, payload padding). *)
 

@@ -63,29 +63,29 @@ let synchronous t = match t.kind with Disk _ -> false | Pm _ -> true
 
 let framed_size record = 8 + Audit.wire_size record
 
-(* Frame a record with its ASN for the PM ring. *)
+(* Frame a record with its ASN for the PM ring, up to the payload: the
+   caller sends [Audit.payload_padding record] zero bytes after it as a
+   length, so the frame is built at its ~60-byte head, not its full
+   [framed_size]. *)
 let encode_framed asn record =
-  let enc = Codec.Enc.create ~size:(framed_size record) () in
+  let enc = Codec.Enc.create ~size:(framed_size record - Audit.payload_padding record) () in
   Codec.Enc.u64 enc asn;
-  Audit.encode enc record;
+  Audit.encode_head enc record;
   Codec.Enc.to_bytes enc
 
 (* The header is itself a torn-write target (it is rewritten on every
-   append), so it carries its own CRC: recovery that finds it invalid
-   falls back to scanning the whole data area instead of trusting a
-   garbled frontier. *)
+   append), so it carries its own CRC over its 9-byte body: recovery
+   that finds it invalid falls back to scanning the whole data area
+   instead of trusting a garbled frontier. *)
 let pm_header p =
-  let enc = Codec.Enc.create () in
+  let enc = Codec.Enc.create ~size:13 () in
   Codec.Enc.u32 enc ring_magic;
   Codec.Enc.u32 enc p.write_off;
   Codec.Enc.u8 enc (if p.wrapped then 1 else 0);
-  let body = Codec.Enc.to_bytes enc in
-  let out = Codec.Enc.create () in
-  Codec.Enc.u32 out ring_magic;
-  Codec.Enc.u32 out p.write_off;
-  Codec.Enc.u8 out (if p.wrapped then 1 else 0);
-  Codec.Enc.u32 out (Int32.to_int (Crc32.bytes body) land 0xFFFFFFFF);
-  Codec.Enc.to_bytes out
+  Codec.Enc.u32 enc 0;
+  let out = Codec.Enc.to_bytes enc in
+  Bytes.set_int32_le out 9 (Crc32.sub out ~pos:0 ~len:9);
+  out
 
 (* [Some frontier] when the header is intact, [None] when torn/decayed. *)
 let parse_pm_header hdr =
@@ -145,14 +145,15 @@ let write_records ?parent t records =
     | Pm p ->
         let write_one (asn, record) =
           let data = encode_framed asn record in
-          let len = Bytes.length data in
+          let pad = Audit.payload_padding record in
+          let len = Bytes.length data + pad in
           if p.write_off + len > p.data_limit then begin
             (* Ring wrap: restart at the front of the data area.  A real
                trail would have archived the tail long before. *)
             p.write_off <- p.data_start;
             p.wrapped <- true
           end;
-          match Pm_client.write ~span:sp p.client p.handle ~off:p.write_off ~data with
+          match Pm_client.write ~span:sp ~pad p.client p.handle ~off:p.write_off ~data with
           | Ok () ->
               p.write_off <- p.write_off + len;
               t.bytes <- t.bytes + len;
@@ -218,13 +219,14 @@ let recovery_read t =
          it: a decayed region is cross-checked against the mirror and
          read-repaired here, instead of silently truncating the replay
          at the first corrupt frame. *)
-      let region_read =
-        if Pm_client.verified_reads_enabled p.client then Pm_client.read_verified
-        else fun c h ~off ~len -> Pm_client.read c h ~off ~len
+      let region_read_into =
+        if Pm_client.verified_reads_enabled p.client then Pm_client.read_verified_into
+        else fun c h ~off ~len ~buf ~pos -> Pm_client.read_into c h ~off ~len ~buf ~pos
       in
-      match region_read p.client p.handle ~off:0 ~len:header_size with
+      let hdr = Bytes.create header_size in
+      match region_read_into p.client p.handle ~off:0 ~len:header_size ~buf:hdr ~pos:0 with
       | Error e -> Error (Pm_types.error_to_string e)
-      | Ok hdr ->
+      | Ok () ->
           let info = Pm_client.info p.handle in
           let routed_limit =
             (* A torn or decayed header cannot be trusted for the
@@ -259,23 +261,17 @@ let recovery_read t =
             Bytes.blit hdr 0 buf 0 header_size;
             let rec fetch off =
               if off >= limit then Ok ()
-              else if off >= routed_limit then begin
-                (* Mirror-only tail. *)
-                let len = min chunk (limit - off) in
-                match
-                  Pm_client.read_device p.client p.handle ~mirror:true ~off ~len
-                with
-                | Ok data ->
-                    Bytes.blit data 0 buf off len;
-                    fetch (off + len)
-                | Error e -> Error (Pm_types.error_to_string e)
-              end
               else
-                let len = min chunk (min routed_limit limit - off) in
-                match region_read p.client p.handle ~off ~len with
-                | Ok data ->
-                    Bytes.blit data 0 buf off len;
-                    fetch (off + len)
+                (* Past the routed frontier lies the mirror-only tail. *)
+                let tail = off >= routed_limit in
+                let len = min chunk ((if tail then limit else routed_limit) - off) in
+                match
+                  if tail then
+                    Pm_client.read_device_into p.client p.handle ~mirror:true ~off ~len ~buf
+                      ~pos:off
+                  else region_read_into p.client p.handle ~off ~len ~buf ~pos:off
+                with
+                | Ok () -> fetch (off + len)
                 | Error e -> Error (Pm_types.error_to_string e)
             in
             match fetch header_size with
@@ -315,11 +311,10 @@ let recovery_read t =
                        mirror fails at the same spot it is a genuine torn
                        tail and the replay truncates there. *)
                     match
-                      Pm_client.read_device p.client p.handle ~mirror:true ~off:bad
-                        ~len:(limit - bad)
+                      Pm_client.read_device_into p.client p.handle ~mirror:true ~off:bad
+                        ~len:(limit - bad) ~buf ~pos:bad
                     with
-                    | Ok mdata ->
-                        Bytes.blit mdata 0 buf bad (limit - bad);
+                    | Ok () ->
                         let more, _ = parse_from bad in
                         Ok (records @ more)
                     | Error _ -> Ok records)

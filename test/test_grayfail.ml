@@ -222,6 +222,28 @@ let test_hedged_read_mirror_wins () =
       check_bool "hedge fired" true (Pm_client.hedged_reads_fired c >= 1);
       check_bool "mirror won" true (Pm_client.hedge_wins c >= 1))
 
+(* The stretched primary finishes long after the hedge won and the
+   caller moved on: its bytes must never land in the caller's buffer. *)
+let test_hedged_loser_never_lands_in_buffer () =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client ~config:health_config topo 2 in
+      let h = opened ~msg:"create" (Pm_client.create_region c ~name:"h" ~size:65536) in
+      Test_util.check_result_ok "write" (Pm_client.write c h ~off:0 ~data:(Bytes.make 512 'd'));
+      Npmu.degrade topo.npmu_a ~factor:100.0 ();
+      let buf = Bytes.make 600 '-' in
+      Test_util.check_result_ok "hedged read"
+        (Pm_client.read_into c h ~off:0 ~len:512 ~buf ~pos:40);
+      check_bool "mirror won" true (Pm_client.hedge_wins c >= 1);
+      Alcotest.(check string) "winner landed at pos"
+        (String.make 40 '-' ^ String.make 512 'd' ^ String.make 48 '-')
+        (Bytes.to_string buf);
+      (* The caller reuses its buffer; then the slow primary completes. *)
+      Bytes.fill buf 0 600 'r';
+      Sim.sleep (Time.ms 50);
+      Alcotest.(check string) "the losing read left the buffer alone" (String.make 600 'r')
+        (Bytes.to_string buf))
+
 (* --- PMM mirror-health monitor: demotion and re-admission --- *)
 
 let fast_health =
@@ -372,6 +394,8 @@ let suite =
           test_client_slow_suspect_transitions;
         Alcotest.test_case "hedged read wins on the mirror" `Quick
           test_hedged_read_mirror_wins;
+        Alcotest.test_case "hedged loser never lands in the buffer" `Quick
+          test_hedged_loser_never_lands_in_buffer;
         Alcotest.test_case "monitor demotes and re-admits" `Quick
           test_monitor_demotes_and_readmits;
         Alcotest.test_case "manual demotion is idempotent" `Quick

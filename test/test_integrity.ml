@@ -174,6 +174,35 @@ let test_npmu_injection_on_fresh_pages () =
         (String.make 16 '\000' ^ String.make 16 '\x5A')
         (Bytes.to_string (Npmu.peek d ~off:((3 * page) - 8) ~len:32))
 
+(* The device sees a padded write as one store of data plus pad: its
+   byte counter and the tear target both cover the padding. *)
+let test_npmu_counts_padding () =
+  let sim = Sim.create () in
+  let node = Node.create sim ~cpus:2 () in
+  let d = Npmu.create sim (Node.fabric node) ~name:"pad" ~capacity:65536 in
+  let fabric = Node.fabric node in
+  let src = Cpu.endpoint (Node.cpu node 0) in
+  (match
+     Servernet.Avt.map (Npmu.avt d) ~net_base:0 ~length:65536 ~phys_base:0
+       ~access:(Servernet.Avt.read_write Servernet.Avt.Any_initiator)
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "avt map");
+  Test_util.run_in sim (fun () ->
+      Test_util.check_result_ok "padded write"
+        (Servernet.Fabric.rdma_write ~pad:100 fabric ~src ~dst:(Npmu.id d) ~addr:1000
+           ~data:(Bytes.make 28 'p')));
+  check_int "bytes_written includes the pad" 128 (Npmu.bytes_written d);
+  check_int "one store" 1 (Npmu.writes d);
+  (match Npmu.tear_last_write d with
+  | None -> Alcotest.fail "nothing torn"
+  | Some (off, len) ->
+      check_int "tear starts mid data+pad" 1064 off;
+      check_int "tear covers the padded half" 64 len);
+  check_str "the tear garbles padding too"
+    (String.make 28 'p' ^ String.make 36 '\000' ^ String.make 64 '\x5A')
+    (Bytes.to_string (Npmu.peek d ~off:1000 ~len:128))
+
 (* --- Scrubber: detect, repair, quarantine --- *)
 
 let test_scrubber_repairs_decayed_mirror () =
@@ -396,6 +425,58 @@ let test_recovery_scans_past_torn_header () =
       | Error e -> Alcotest.fail ("recovery errored on a torn header: " ^ e)
       | Ok records -> check_int "full scan finds every record" 3 (List.length records))
 
+(* Wrap the ring over stale non-zero bytes: every frame's payload
+   padding must read back as zero on both copies, the area behind the
+   frontier must hold exactly the full-length frames, and the replay
+   must return the records written since the wrap. *)
+let test_ring_wrap_pads_over_stale_bytes () =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client topo 2 in
+      let size = 4096 in
+      let h = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"ring" ~size) in
+      let base = (Pm_client.info h).Pm_types.net_base in
+      Test_util.check_result_ok "stale fill"
+        (Pm_client.write c h ~off:0 ~data:(Bytes.make size '\xA5'));
+      let log = Tp.Log_backend.pm c h in
+      let record i =
+        Tp.Audit.Update
+          {
+            txn = i;
+            file = 0;
+            partition = 0;
+            key = i;
+            payload_len = 40 + (i mod 7 * 30);
+            payload_crc = 0;
+            before_len = i mod 3 * 8;
+          }
+      in
+      let total = 60 in
+      let written = List.init total (fun i -> (i + 1, record (i + 1))) in
+      List.iter
+        (fun r -> Test_util.check_result_ok "append" (Tp.Log_backend.write_records log [ r ]))
+        written;
+      let frontier = Int32.to_int (Bytes.get_int32_le (Npmu.peek topo.npmu_a ~off:base ~len:8) 4) in
+      match Tp.Log_backend.recovery_read log with
+      | Error e -> Alcotest.fail ("recovery errored: " ^ e)
+      | Ok records ->
+          let n = List.length records in
+          check_bool "the ring wrapped" true (n > 0 && n < total);
+          let since_wrap = List.filteri (fun i _ -> i >= total - n) written in
+          check_bool "replay returns the records since the wrap" true (records = since_wrap);
+          let full_frame (asn, r) =
+            let a = Bytes.create 8 in
+            Bytes.set_int64_le a 0 (Int64.of_int asn);
+            Bytes.cat a (Tp.Audit.encode_to_bytes r)
+          in
+          let expected = Bytes.concat Bytes.empty (List.map full_frame since_wrap) in
+          check_int "frontier" (64 + Bytes.length expected) frontier;
+          List.iter
+            (fun d ->
+              check_str "on-media frames equal the full encoding" (Bytes.to_string expected)
+                (Bytes.to_string (Npmu.peek d ~off:(base + 64) ~len:(Bytes.length expected))))
+            [ topo.npmu_a; topo.npmu_b ])
+
 (* --- Faultplan validation --- *)
 
 let test_faultplan_rejects_pm_faults_on_disk () =
@@ -485,6 +566,8 @@ let suite =
           test_npmu_tear_without_write;
         Alcotest.test_case "decay and tear on fresh pages" `Quick
           test_npmu_injection_on_fresh_pages;
+        Alcotest.test_case "counters and tears include padding" `Quick
+          test_npmu_counts_padding;
         Alcotest.test_case "disk mode rejects PM faults" `Quick
           test_faultplan_rejects_pm_faults_on_disk;
       ] );
@@ -514,6 +597,8 @@ let suite =
           test_recovery_salvages_torn_frame_from_mirror;
         Alcotest.test_case "recovery scans past a torn header" `Quick
           test_recovery_scans_past_torn_header;
+        Alcotest.test_case "ring wrap pads over stale bytes" `Quick
+          test_ring_wrap_pads_over_stale_bytes;
       ] );
     ( "integrity.drill",
       [

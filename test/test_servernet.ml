@@ -102,6 +102,45 @@ let test_rdma_write_read_roundtrip () =
       | Ok back -> Alcotest.(check string) "payload" (Bytes.to_string data) (Bytes.to_string back)
       | Error _ -> Alcotest.fail "read failed")
 
+(* Padding travels as a length: the wire, the AVT check and the counters
+   see every byte, the target zero-fills the tail over whatever was
+   there, and [rdma_read_into] lands a range inside a larger buffer. *)
+let test_rdma_padded_write_and_read_into () =
+  Test_util.run_process (fun sim ->
+      let fabric, host, dev = make_fabric sim in
+      let dst = Fabric.id dev in
+      Test_util.check_result_ok "stale bytes"
+        (Fabric.rdma_write fabric ~src:host ~dst ~addr:0 ~data:(Bytes.make 600 'x'));
+      let before = Fabric.stats fabric in
+      let t0 = Sim.now sim in
+      Test_util.check_result_ok "padded write"
+        (Fabric.rdma_write ~pad:500 fabric ~src:host ~dst ~addr:10
+           ~data:(Bytes.of_string "head"));
+      check_int "charged for data and pad" (Fabric.transfer_time fabric ~bytes:504)
+        (Sim.now sim - t0);
+      check_int "counted with the pad" 504
+        ((Fabric.stats fabric).Fabric.bytes_written - before.Fabric.bytes_written);
+      let buf = Bytes.make 700 '?' in
+      Test_util.check_result_ok "read into"
+        (Fabric.rdma_read_into fabric ~src:host ~dst ~addr:0 ~len:600 ~buf ~pos:50);
+      check_string "pad zeroed the stale bytes; the buffer outside the range is untouched"
+        (String.make 50 '?' ^ String.make 10 'x' ^ "head" ^ String.make 500 '\000'
+       ^ String.make 86 'x' ^ String.make 50 '?')
+        (Bytes.to_string buf);
+      (match
+         Fabric.rdma_write ~pad:10 fabric ~src:host ~dst ~addr:65530 ~data:(Bytes.make 4 'y')
+       with
+      | Error (Fabric.Avt_error Avt.Crosses_window) -> ()
+      | _ -> Alcotest.fail "the window check ignored the pad");
+      Alcotest.check_raises "negative pad" (Invalid_argument "Fabric.rdma_write: negative pad")
+        (fun () ->
+          ignore (Fabric.rdma_write ~pad:(-1) fabric ~src:host ~dst ~addr:0 ~data:Bytes.empty));
+      Alcotest.check_raises "short destination"
+        (Invalid_argument "Fabric.rdma_read_into: destination out of range") (fun () ->
+          ignore
+            (Fabric.rdma_read_into fabric ~src:host ~dst ~addr:0 ~len:8 ~buf:(Bytes.create 4)
+               ~pos:0)))
+
 let test_rdma_latency_model () =
   Test_util.run_process (fun sim ->
       let fabric, host, dev = make_fabric sim in
@@ -249,7 +288,8 @@ let test_avt_epoch_monotone () =
 (* --- Pages: the page-sparse device memory --- *)
 
 type page_op =
-  | P_write of int * string
+  | P_write of int * string * int  (** offset, data, trailing zero pad *)
+  | P_fill_zero of int * int
   | P_read of int * int
   | P_get of int
   | P_set of int * char
@@ -257,6 +297,8 @@ type page_op =
 
 (* Three pages and a ragged tail, so the last page is partial. *)
 let pages_size = (3 * Fabric.Pages.page_size) + 123
+
+let pages_count = (pages_size + Fabric.Pages.page_size - 1) / Fabric.Pages.page_size
 
 let gen_page_ops =
   let open QCheck.Gen in
@@ -266,14 +308,24 @@ let gen_page_ops =
       (fun k d -> max 0 (min pages_size ((k * Fabric.Pages.page_size) + d)))
       (int_range 0 4) (int_range (-40) 40)
   in
+  (* Data is sometimes all zeros, the shape a resync copies out of
+     never-written memory. *)
+  let data o =
+    let n = int_range 0 (min 9000 (pages_size - o)) in
+    frequency
+      [ (3, string_size ~gen:printable n); (1, map (fun k -> String.make k '\000') n) ]
+  in
   let op =
     frequency
       [
         ( 4,
           off >>= fun o ->
+          data o >>= fun s ->
+          let room = pages_size - o - String.length s in
           map
-            (fun s -> P_write (o, s))
-            (string_size ~gen:printable (int_range 0 (min 9000 (pages_size - o)))) );
+            (fun pad -> P_write (o, s, pad))
+            (frequency [ (1, return 0); (1, int_range 0 (min 6000 room)) ]) );
+        (1, off >>= fun o -> map (fun n -> P_fill_zero (o, n)) (int_range 0 (pages_size - o)));
         (3, off >>= fun o -> map (fun n -> P_read (o, n)) (int_range 0 (pages_size - o)));
         (2, map (fun o -> P_get (min o (pages_size - 1))) off);
         (2, map2 (fun o c -> P_set (min o (pages_size - 1), c)) off printable);
@@ -283,38 +335,86 @@ let gen_page_ops =
   list_size (int_range 1 40) op
 
 let show_page_op = function
-  | P_write (o, s) -> Printf.sprintf "write %d+%d" o (String.length s)
+  | P_write (o, s, pad) ->
+      Printf.sprintf "write %d+%d%s pad %d" o (String.length s)
+        (if String.exists (fun c -> c <> '\000') s then "" else " zeros")
+        pad
+  | P_fill_zero (o, n) -> Printf.sprintf "fill_zero %d+%d" o n
   | P_read (o, n) -> Printf.sprintf "read %d+%d" o n
   | P_get o -> Printf.sprintf "get %d" o
   | P_set (o, c) -> Printf.sprintf "set %d %C" o c
   | P_clear -> "clear"
 
+(* Beside the flat-bytes contents, the model tracks which pages have
+   taken a non-zero byte or a [set] since the last clear: exactly those
+   are resident, so zero data and padding never create a page. *)
 let prop_pages_match_flat_bytes =
   QCheck.Test.make ~name:"pages behave as one flat zeroed Bytes" ~count:300
     (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_page_op ops)) gen_page_ops)
     (fun ops ->
       let p = Fabric.Pages.create pages_size in
       let model = Bytes.make pages_size '\000' in
+      let touched = Array.make pages_count false in
+      let touch o = touched.(o / Fabric.Pages.page_size) <- true in
+      let resident_ok () =
+        Fabric.Pages.resident_pages p
+        = Array.fold_left (fun n b -> if b then n + 1 else n) 0 touched
+      in
       List.for_all
         (fun op ->
-          match op with
-          | P_write (o, s) ->
-              Fabric.Pages.write p ~off:o ~data:(Bytes.of_string s);
+          (match op with
+          | P_write (o, s, pad) ->
+              Fabric.Pages.write ~pad p ~off:o ~data:(Bytes.of_string s);
               Bytes.blit_string s 0 model o (String.length s);
+              Bytes.fill model (o + String.length s) pad '\000';
+              String.iteri (fun i c -> if c <> '\000' then touch (o + i)) s;
+              true
+          | P_fill_zero (o, n) ->
+              Fabric.Pages.fill_zero p ~off:o ~len:n;
+              Bytes.fill model o n '\000';
               true
           | P_read (o, n) -> Bytes.equal (Fabric.Pages.read p ~off:o ~len:n) (Bytes.sub model o n)
           | P_get o -> Fabric.Pages.get p o = Bytes.get model o
           | P_set (o, c) ->
               Fabric.Pages.set p o c;
               Bytes.set model o c;
+              touch o;
               true
           | P_clear ->
               Fabric.Pages.clear p;
               Bytes.fill model 0 pages_size '\000';
-              Fabric.Pages.resident_pages p = 0)
+              Array.fill touched 0 pages_count false;
+              true)
+          && resident_ok ())
         ops
-      && Bytes.equal (Fabric.Pages.read p ~off:0 ~len:pages_size) model
-      && Fabric.Pages.resident_pages p <= 4)
+      && Bytes.equal (Fabric.Pages.read p ~off:0 ~len:pages_size) model)
+
+let test_pages_zero_writes_stay_shared () =
+  let page = Fabric.Pages.page_size in
+  let p = Fabric.Pages.create (16 * page) in
+  Fabric.Pages.write p ~off:100 ~data:(Bytes.make (5 * page) '\000');
+  check_int "zero data on fresh pages creates none" 0 (Fabric.Pages.resident_pages p);
+  Fabric.Pages.write ~pad:(3 * page) p ~off:(8 * page) ~data:Bytes.empty;
+  Fabric.Pages.fill_zero p ~off:0 ~len:(16 * page);
+  check_int "padding and fill_zero create none" 0 (Fabric.Pages.resident_pages p);
+  check_string "still reads zero" (String.make (16 * page) '\000')
+    (Bytes.to_string (Fabric.Pages.read p ~off:0 ~len:(16 * page)));
+  (* A chunk with one non-zero byte still lands, and its zero neighbour
+     chunk on the next page stays shared. *)
+  let data = Bytes.make (2 * page) '\000' in
+  Bytes.set data 17 'x';
+  Fabric.Pages.write p ~off:(4 * page) ~data;
+  check_int "only the page with data" 1 (Fabric.Pages.resident_pages p);
+  check_bool "the byte landed" true (Fabric.Pages.get p ((4 * page) + 17) = 'x');
+  (* Padding over a resident page clears it in place. *)
+  Fabric.Pages.write ~pad:page p ~off:(4 * page) ~data:(Bytes.of_string "ab");
+  check_string "pad zeroes the old byte" "ab\000\000"
+    (Bytes.to_string (Fabric.Pages.read p ~off:(4 * page) ~len:4));
+  check_bool "old byte gone" true (Fabric.Pages.get p ((4 * page) + 17) = '\000');
+  Alcotest.check_raises "negative pad" (Invalid_argument "Fabric.Pages.write: negative pad")
+    (fun () -> Fabric.Pages.write ~pad:(-1) p ~off:0 ~data:Bytes.empty);
+  Alcotest.check_raises "pad past the end" (Invalid_argument "Fabric.Pages.write: out of range")
+    (fun () -> Fabric.Pages.write ~pad:2 p ~off:((16 * page) - 1) ~data:Bytes.empty)
 
 let test_pages_unwritten_read_zero () =
   let page = Fabric.Pages.page_size in
@@ -355,6 +455,7 @@ let suite =
       [
         Alcotest.test_case "write/read roundtrip" `Quick test_rdma_write_read_roundtrip;
         Alcotest.test_case "latency in tens of microseconds" `Quick test_rdma_latency_model;
+        Alcotest.test_case "padded write, read into" `Quick test_rdma_padded_write_and_read_into;
         Alcotest.test_case "AVT enforced on the wire" `Quick test_rdma_access_enforced;
         Alcotest.test_case "dead endpoint unreachable" `Quick test_rdma_dead_endpoint;
         Alcotest.test_case "rail failover then no-path" `Quick test_rail_failover;
@@ -367,5 +468,6 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_pages_match_flat_bytes;
         Alcotest.test_case "never-written ranges read zero" `Quick test_pages_unwritten_read_zero;
+        Alcotest.test_case "zero writes keep pages shared" `Quick test_pages_zero_writes_stay_shared;
       ] );
   ]
