@@ -1,24 +1,10 @@
-(* Benchmark executable.
-
-   Part 1 (bechamel): wall-clock micro-benchmarks of the substrate — one
-   Test.make per operation class, including one per paper figure (the
-   cost of simulating a figure cell).
-
-   Part 2 (figure harness): regenerates every figure/experiment series of
-   the paper in simulated time and prints measured-vs-paper shape.  The
-   per-driver record count defaults to 2000 (1/16 of the paper's 32000)
-   so the full suite runs in minutes; set PMODS_BENCH_RECORDS=32000 for
-   paper scale. *)
+(* Benchmark executable: bechamel wall-clock micro-benchmarks of the
+   substrate — one Test.make per operation class, including one per paper
+   figure (the cost of simulating a figure cell).  The figures themselves
+   are printed by [odsbench fig1], [odsbench fig2] and [odsbench all]. *)
 
 open Bechamel
 open Toolkit
-
-let records =
-  match Sys.getenv_opt "PMODS_BENCH_RECORDS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 2_000)
-  | None -> 2_000
-
-(* --- Part 1: micro-benchmarks --- *)
 
 let bench_crc32 =
   let buf = Bytes.create 4096 in
@@ -155,143 +141,6 @@ let run_micro () =
       | _ -> Printf.printf "  %-42s (no estimate)\n" name)
     rows
 
-(* --- Part 2: figure harness --- *)
-
-let hr = String.make 74 '-'
-
-let scale_note () =
-  Printf.printf "records/driver = %d%s\n" records
-    (if records = 32_000 then " (paper scale)"
-     else Printf.sprintf " (paper: 32000; set PMODS_BENCH_RECORDS=32000 for full scale)")
-
-let figure1 () =
-  print_endline "";
-  print_endline "== FIGURE 1: response-time speedup with PM vs transaction size ==";
-  print_endline "paper shape: up to 3.5x, greatest with 1-2 drivers, declining with";
-  print_endline "boxcar size and with 3-4 drivers";
-  scale_note ();
-  print_endline hr;
-  Printf.printf "%8s %8s %12s %12s %10s %18s\n" "drivers" "txnsize" "disk RT(ms)" "PM RT(ms)"
-    "speedup" "paper(approx)";
-  let expected = function
-    | 1, 8 -> "3.3" | 1, 16 -> "2.4" | 1, 32 -> "1.6"
-    | 2, 8 -> "3.4" | 2, 16 -> "2.5" | 2, 32 -> "1.7"
-    | 3, 8 -> "2.6" | 3, 16 -> "2.0" | 3, 32 -> "1.5"
-    | 4, 8 -> "2.2" | 4, 16 -> "1.8" | 4, 32 -> "1.4"
-    | _ -> "-"
-  in
-  List.iter
-    (fun p ->
-      Printf.printf "%8d %8s %12.2f %12.2f %10.2f %18s\n" p.Workloads.Figures.f1_drivers
-        p.Workloads.Figures.txn_size
-        (p.Workloads.Figures.rt_disk_us /. 1e3)
-        (p.Workloads.Figures.rt_pm_us /. 1e3)
-        p.Workloads.Figures.speedup
-        (expected (p.Workloads.Figures.f1_drivers, p.Workloads.Figures.f1_boxcar)))
-    (Workloads.Figures.figure1 ~records_per_driver:records ());
-  print_endline hr
-
-let figure2 () =
-  print_endline "";
-  print_endline "== FIGURE 2: elapsed time vs transaction size ==";
-  print_endline "paper shape: no-PM elapsed rises sharply as boxcarring shrinks";
-  print_endline "(~40s at 128k to ~120-140s at 32k); PM is nearly flat (~20-40s)";
-  scale_note ();
-  print_endline hr;
-  Printf.printf "%8s %8s %16s %14s %8s\n" "drivers" "txnsize" "disk elapsed(s)" "PM elapsed(s)"
-    "ratio";
-  List.iter
-    (fun p ->
-      Printf.printf "%8d %8s %16.2f %14.2f %8.2f\n" p.Workloads.Figures.f2_drivers
-        p.Workloads.Figures.f2_txn_size p.Workloads.Figures.elapsed_disk_s
-        p.Workloads.Figures.elapsed_pm_s
-        (p.Workloads.Figures.elapsed_disk_s /. p.Workloads.Figures.elapsed_pm_s))
-    (Workloads.Figures.figure2 ~records_per_driver:records ());
-  print_endline hr
-
-let ablations () =
-  let small = min records 4_000 in
-  print_endline "";
-  print_endline "== E3: PM write-latency sweep (where the advantage dies) ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  penalty %10s  RT %8.2f ms  speedup-vs-disk %6.2f\n"
-        (Simkit.Time.to_string p.Workloads.Figures.penalty)
-        (p.Workloads.Figures.rt_us /. 1e3)
-        p.Workloads.Figures.speedup_vs_disk)
-    (Workloads.Figures.latency_sweep ~records_per_driver:small ());
-  print_endline "";
-  print_endline "== E4: mirrored vs unmirrored PM writes ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  mirrored=%-5b RT %8.2f ms  elapsed %8.2f s\n" p.Workloads.Figures.mirrored
-        (p.Workloads.Figures.rt_us /. 1e3)
-        p.Workloads.Figures.elapsed_s)
-    (Workloads.Figures.mirror_ablation ~records_per_driver:small ());
-  print_endline "";
-  print_endline "== E5: crash-recovery time (MTTR) ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  %-5s %s\n"
-        (match p.Workloads.Figures.m_mode with
-        | Tp.System.Disk_audit -> "disk"
-        | Tp.System.Pm_audit -> "pm")
-        (Format.asprintf "%a" Tp.Recovery.pp_report p.Workloads.Figures.report))
-    (Workloads.Figures.mttr ~records_per_driver:(min records 2_000) ());
-  print_endline "";
-  print_endline "== E6: throughput vs ADPs per node ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  adps=%d %-5s %8.1f txn/s\n" p.Workloads.Figures.adps
-        (match p.Workloads.Figures.a_mode with
-        | Tp.System.Disk_audit -> "disk"
-        | Tp.System.Pm_audit -> "pm")
-        p.Workloads.Figures.tps)
-    (Workloads.Figures.adp_scaling ~records_per_driver:small ());
-  print_endline "";
-  print_endline "== E9: process-pair checkpoint traffic (ADPs + MAT) ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  %-5s txns=%d audit=%d B, checkpoints=%d B (%0.0f B/txn)\n"
-        (match p.Workloads.Figures.c_mode with
-        | Tp.System.Disk_audit -> "disk"
-        | Tp.System.Pm_audit -> "pm")
-        p.Workloads.Figures.committed_txns p.Workloads.Figures.audit_bytes
-        p.Workloads.Figures.checkpoint_bytes p.Workloads.Figures.ckpt_bytes_per_txn)
-    (Workloads.Figures.checkpoint_traffic ~records_per_driver:(min records 2_000) ());
-  print_endline "";
-  print_endline "== E8: shared-nothing scale-out ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  nodes=%d %-5s aggregate %8.1f txn/s (per node %6.1f)\n"
-        p.Workloads.Figures.s_nodes
-        (match p.Workloads.Figures.s_mode with
-        | Tp.System.Disk_audit -> "disk"
-        | Tp.System.Pm_audit -> "pm")
-        p.Workloads.Figures.aggregate_tps p.Workloads.Figures.per_node_tps)
-    (Workloads.Figures.scaleout ~records_per_driver:(min records 1_000) ~nodes_list:[ 1; 2 ] ());
-  print_endline "";
-  print_endline "== E10: distributed transactions (two-phase commit, 2 nodes) ==";
-  List.iter
-    (fun p ->
-      Printf.printf "  %-5s local %6.2f ms, 2PC %6.2f ms (protocol %6.2f ms)\n"
-        (match p.Workloads.Figures.d_mode with
-        | Tp.System.Disk_audit -> "disk"
-        | Tp.System.Pm_audit -> "pm")
-        p.Workloads.Figures.local_rt_ms p.Workloads.Figures.dtx_rt_ms
-        p.Workloads.Figures.protocol_overhead_ms)
-    (Workloads.Figures.dtx_latency ~transfers:10 ());
-  print_endline "";
-  print_endline "== E7: ADP process-pair failover under load ==";
-  let r = Workloads.Figures.failover_under_load ~records_per_driver:400 () in
-  Printf.printf "  committed before/total %d/%d, takeovers %d, lost transactions %d\n"
-    r.Workloads.Figures.committed_before r.Workloads.Figures.committed_total
-    r.Workloads.Figures.adp_takeovers r.Workloads.Figures.lost_transactions
-
 let () =
   run_micro ();
-  figure1 ();
-  figure2 ();
-  ablations ();
-  print_endline "";
   print_endline "bench: done"

@@ -1,47 +1,114 @@
 (* odsbench: run any experiment of the reproduction from the command line.
 
-   Every sub-command prints a small table to stdout.  --records scales the
-   per-driver record count down from the paper's 32 000 for quick runs. *)
+   Every sub-command is one row of [experiments] at the end of this file,
+   built from one layer of shared flags and printed through one output
+   layer.  --records scales the per-driver record count down from the
+   paper's 32 000 for quick runs. *)
 
 open Cmdliner
 open Simkit
 open Workloads
 
-let records_arg default =
-  let doc = "Records inserted per driver (paper: 32000)." in
-  Arg.(value & opt int default & info [ "records" ] ~docv:"N" ~doc)
+(* --- flag layer --- *)
 
-let modes = [ ("disk", Tp.System.Disk_audit); ("pm", Tp.System.Pm_audit) ]
+(* Every numeric flag parses through [checked]: a value out of the
+   flag's range is a usage error (exit 124), never a hang, an empty run
+   or an uncaught exception. *)
+let checked base expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
 
-let mode_to_string m = fst (List.find (fun (_, m') -> m' = m) modes)
+let positive = checked Arg.int "a positive integer" (fun n -> n > 0)
 
-(* One closed [--mode disk|pm] flag for every command that takes exactly
-   these two: a typo is a usage error, never a silent disk run. *)
-let mode_arg =
-  Arg.(
-    value
-    & opt (enum modes) Tp.System.Disk_audit
-    & info [ "mode" ] ~docv:"disk|pm" ~doc:"Audit backend.")
+let positive_float = checked Arg.float "a positive number" (fun x -> x > 0.)
 
-(* Commands whose --mode offers more than disk|pm keep it as a string,
-   drawn from a closed set all the same. *)
-let mode_choice ~default names ~doc =
-  Arg.(
-    value
-    & opt (enum (List.map (fun n -> (n, n)) names)) default
-    & info [ "mode" ] ~docv:(String.concat "|" names) ~doc)
+(* The non-negative variants are only for flags where 0 has a documented
+   meaning. *)
+let non_negative = checked Arg.int "a non-negative integer" (fun n -> n >= 0)
 
-(* One closed [--device npmu|pmp] flag: a misspelt device is a usage
-   error, never a silent NPMU run. *)
-let device_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("npmu", Tp.System.Hardware_npmu); ("pmp", Tp.System.Prototype_pmp) ])
-        Tp.System.Hardware_npmu
-    & info [ "device" ] ~docv:"npmu|pmp" ~doc:"PM device kind (hardware NPMU or prototype PMP).")
+let non_negative_float = checked Arg.float "a non-negative number" (fun x -> x >= 0.)
+
+let opt parse names ~docv ~doc default = Arg.(value & opt parse default & info names ~docv ~doc)
+
+let count name ~doc default = opt positive [ name ] ~docv:"N" ~doc default
+
+let records default = count "records" ~doc:"Records inserted per driver (paper: 32000)." default
+
+let drivers default = count "drivers" ~doc:"Driver count." default
+
+let boxcar default = count "boxcar" ~doc:"Inserts per transaction." default
+
+let seed ~doc default = count "seed" ~doc default
+
+let interval_ms conv ~doc default = opt conv [ "interval-ms" ] ~docv:"MS" ~doc default
+
+let flag name ~doc = Arg.(value & flag & info [ name ] ~doc)
+
+let no_defenses ~doc = flag "no-defenses" ~doc
+
+let json = flag "json" ~doc:"Emit the table as a JSON document on stdout instead of text."
+
+let backends = [ ("disk", Tp.System.Disk_audit); ("pm", Tp.System.Pm_audit) ]
+
+let mode_to_string m = fst (List.find (fun (_, m') -> m' = m) backends)
+
+(* A wider --mode is a scope: [`Single] backend, one cell per backend
+   ([`Both]) or the multi-node [`Cluster]; each command offers its own
+   subset of the three. *)
+let singles = [ ("disk", `Single Tp.System.Disk_audit); ("pm", `Single Tp.System.Pm_audit) ]
+
+let modes_of = function `Single m -> [ m ] | `Both -> List.map snd backends
+
+(* One closed --mode flag: a typo is a usage error that names the valid
+   values, never a silent disk run. *)
+let mode ~doc choices default =
+  let docv = String.concat "|" (List.map fst choices) in
+  opt (Arg.enum choices) [ "mode" ] ~docv ~doc default
+
+let backend = mode ~doc:"Audit backend." backends Tp.System.Disk_audit
+
+let device =
+  opt
+    (Arg.enum [ ("npmu", Tp.System.Hardware_npmu); ("pmp", Tp.System.Prototype_pmp) ])
+    [ "device" ] ~docv:"npmu|pmp" ~doc:"PM device kind (hardware NPMU or prototype PMP)."
+    Tp.System.Hardware_npmu
+
+(* The PMP prototype is configured on top of the PM config. *)
+let device_config = function
+  | Tp.System.Prototype_pmp ->
+      { Tp.System.pm_config with Tp.System.pm_device_kind = Tp.System.Prototype_pmp }
+  | Tp.System.Hardware_npmu -> Tp.System.default_config
+
+(* --- output layer --- *)
 
 let hr () = print_endline (String.make 72 '-')
+
+(* The one switch every --json command emits through. *)
+let emit json doc text = if json then print_endline (Json.to_string (doc ())) else text ()
+
+(* A fixed-width table: titles, a rule, then one line per row with each
+   column right-aligned to its width and separated by one space. *)
+let table titles columns rows =
+  List.iter print_endline titles;
+  hr ();
+  let line cells =
+    print_endline
+      (String.concat " " (List.map2 (fun (w, _, _) c -> Printf.sprintf "%*s" w c) columns cells))
+  in
+  line (List.map (fun (_, heading, _) -> heading) columns);
+  List.iter (fun row -> line (List.map (fun (_, _, cell) -> cell row) columns)) rows;
+  hr ()
+
+let f1 = Printf.sprintf "%.1f"
+
+let f2 = Printf.sprintf "%.2f"
+
+let ms us = f2 (us /. 1e3)
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -49,55 +116,38 @@ let read_whole_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let json_arg =
-  let doc = "Emit the table as a JSON document on stdout instead of text." in
-  Cmdliner.Arg.(value & flag & info [ "json" ] ~doc)
+(* An unwritable output path is the operator's error: say which path and
+   why, and exit 2. *)
+let write_text_file path contents =
+  try
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc
+  with Sys_error e ->
+    prerr_endline ("odsbench: " ^ e);
+    exit 2
 
-(* Shared cell setup for the hot-stock/metrics/trace/timeline commands:
-   derive a config from mode+device, build a system, run the mix —
-   optionally under an observability context with a telemetry sampler
-   running from build to workload end. *)
-let run_hot_stock_cell ?obs ?sample_interval ?(device = Tp.System.Hardware_npmu)
-    ?(seed = 0xF19L) ~mode ~drivers ~boxcar ~records () =
-  let base =
-    match device with
-    | Tp.System.Prototype_pmp ->
-        { Tp.System.pm_config with Tp.System.pm_device_kind = Tp.System.Prototype_pmp }
-    | Tp.System.Hardware_npmu -> Tp.System.default_config
-  in
-  let cfg =
-    match mode with
-    | Tp.System.Disk_audit -> { base with Tp.System.log_mode = Tp.System.Disk_audit }
-    | Tp.System.Pm_audit ->
-        { base with Tp.System.log_mode = Tp.System.Pm_audit; txn_state_in_pm = true }
-  in
-  let sim = Sim.create ~seed () in
-  let out = ref None in
-  let ts = ref None in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"cell" (fun () ->
-        let system = Tp.System.build ?obs sim cfg in
-        (match (sample_interval, obs) with
-        | Some interval, Some o ->
-            let t = Timeseries.create ~sim ~metrics:(Obs.metrics o) ~interval () in
-            Timeseries.start t;
-            ts := Some t
-        | _ -> ());
-        let params =
-          { Hot_stock.drivers; records_per_driver = records; record_bytes = 4096;
-            inserts_per_txn = boxcar }
-        in
-        let result = Hot_stock.run system params in
-        (match !ts with Some t -> Timeseries.stop t | None -> ());
-        out := Some (system, result))
-  in
-  Sim.run sim;
-  match !out with
-  | Some (system, result) ->
-      (system, { Figures.mode; drivers; inserts_per_txn = boxcar; result }, !ts)
-  | None -> failwith "cell incomplete"
+(* With --mode both one output path serves two runs: the mode name goes
+   before the extension (out.csv -> out-disk.csv, out-pm.csv). *)
+let path_for scope path mode =
+  if scope <> `Both then path
+  else
+    let m = mode_to_string mode in
+    match Filename.extension path with
+    | "" -> path ^ "-" ^ m
+    | ext -> Filename.remove_extension path ^ "-" ^ m ^ ext
 
-(* --- fig1 --- *)
+(* Recovery failures must reach the operator: message on stderr, exit
+   non-zero — not a line lost in a table on stdout. *)
+let or_die f =
+  try f ()
+  with Failure msg ->
+    prerr_endline ("odsbench: " ^ msg);
+    exit 1
+
+let build_system mode sim = Tp.System.build sim (Figures.config_for Tp.System.default_config mode)
+
+(* --- the paper's figures and the ablations --- *)
 
 let fig1_json points =
   Json.List
@@ -111,31 +161,30 @@ let fig1_json points =
              ("rt_disk_us", Json.Float p.Figures.rt_disk_us);
              ("rt_pm_us", Json.Float p.Figures.rt_pm_us);
              ("speedup", Json.Float p.Figures.speedup);
+             ( "paper_speedup",
+               match p.Figures.paper_speedup with Some x -> Json.Float x | None -> Json.Null );
            ])
        points)
 
 let fig1 records json =
   let points = Figures.figure1 ~records_per_driver:records () in
-  if json then print_endline (Json.to_string (fig1_json points))
-  else begin
-  Printf.printf "FIGURE 1: response-time speedup with PM vs transaction size\n";
-  Printf.printf "(paper: up to 3.5x, best at small boxcars and 1-2 drivers)\n";
-  hr ();
-  Printf.printf "%8s %8s %12s %12s %10s\n" "drivers" "txnsize" "disk RT(ms)" "PM RT(ms)" "speedup";
-  List.iter
-    (fun p ->
-      Printf.printf "%8d %8s %12.2f %12.2f %10.2f\n" p.Figures.f1_drivers p.Figures.txn_size
-        (p.Figures.rt_disk_us /. 1e3) (p.Figures.rt_pm_us /. 1e3) p.Figures.speedup)
-    points;
-  hr ()
-  end
-
-let fig1_cmd =
-  Cmd.v
-    (Cmd.info "fig1" ~doc:"Reproduce Figure 1 (response-time speedup vs boxcarring)")
-    Term.(const fig1 $ records_arg 32_000 $ json_arg)
-
-(* --- fig2 --- *)
+  emit json
+    (fun () -> fig1_json points)
+    (fun () ->
+      table
+        [
+          "FIGURE 1: response-time speedup with PM vs transaction size";
+          "(paper: up to 3.5x, best at small boxcars and 1-2 drivers)";
+        ]
+        [
+          (8, "drivers", fun p -> string_of_int p.Figures.f1_drivers);
+          (8, "txnsize", fun p -> p.Figures.txn_size);
+          (12, "disk RT(ms)", fun p -> ms p.Figures.rt_disk_us);
+          (12, "PM RT(ms)", fun p -> ms p.Figures.rt_pm_us);
+          (10, "speedup", fun p -> f2 p.Figures.speedup);
+          (18, "paper(approx)", fun p -> Option.fold ~none:"-" ~some:f1 p.Figures.paper_speedup);
+        ]
+        points)
 
 let fig2_json points =
   Json.List
@@ -153,26 +202,112 @@ let fig2_json points =
 
 let fig2 records json =
   let points = Figures.figure2 ~records_per_driver:records () in
-  if json then print_endline (Json.to_string (fig2_json points))
-  else begin
-  Printf.printf "FIGURE 2: elapsed time vs transaction size (PM eliminates boxcarring)\n";
-  Printf.printf "(paper: no-PM rises sharply as boxcarring shrinks; PM nearly flat)\n";
+  emit json
+    (fun () -> fig2_json points)
+    (fun () ->
+      table
+        [
+          "FIGURE 2: elapsed time vs transaction size (PM eliminates boxcarring)";
+          "(paper: no-PM rises sharply as boxcarring shrinks; PM nearly flat)";
+        ]
+        [
+          (8, "drivers", fun p -> string_of_int p.Figures.f2_drivers);
+          (8, "txnsize", fun p -> p.Figures.f2_txn_size);
+          (16, "disk elapsed(s)", fun p -> f2 p.Figures.elapsed_disk_s);
+          (14, "PM elapsed(s)", fun p -> f2 p.Figures.elapsed_pm_s);
+        ]
+        points)
+
+let sweep_latency records =
+  table
+    [
+      "E3: PM write-latency sweep (1 driver, boxcar 8)";
+      "(the PM advantage should die as the device approaches disk speed)";
+    ]
+    [
+      (14, "penalty", fun p -> Time.to_string p.Figures.penalty);
+      (12, "RT (ms)", fun (p : Figures.latency_point) -> ms p.Figures.rt_us);
+      (18, "speedup vs disk", fun p -> f2 p.Figures.speedup_vs_disk);
+    ]
+    (Figures.latency_sweep ~records_per_driver:records ())
+
+let sweep_mirror records =
+  table
+    [ "E4: mirrored vs unmirrored PM writes (2 drivers, boxcar 8)" ]
+    [
+      (10, "mirrored", fun p -> string_of_bool p.Figures.mirrored);
+      (12, "RT (ms)", fun (p : Figures.mirror_point) -> ms p.Figures.rt_us);
+      (14, "elapsed (s)", fun p -> f2 p.Figures.elapsed_s);
+    ]
+    (Figures.mirror_ablation ~records_per_driver:records ())
+
+let mttr records =
+  or_die @@ fun () ->
+  Printf.printf "E5: crash-recovery time (MTTR), disk scan vs PM fine-grained state\n";
   hr ();
-  Printf.printf "%8s %8s %16s %14s\n" "drivers" "txnsize" "disk elapsed(s)" "PM elapsed(s)";
   List.iter
     (fun p ->
-      Printf.printf "%8d %8s %16.2f %14.2f\n" p.Figures.f2_drivers p.Figures.f2_txn_size
-        p.Figures.elapsed_disk_s p.Figures.elapsed_pm_s)
-    points;
+      Printf.printf "%-5s %s\n" (mode_to_string p.Figures.m_mode)
+        (Format.asprintf "%a" Tp.Recovery.pp_report p.Figures.report))
+    (Figures.mttr ~records_per_driver:records ());
   hr ()
-  end
 
-let fig2_cmd =
-  Cmd.v
-    (Cmd.info "fig2" ~doc:"Reproduce Figure 2 (elapsed time vs boxcarring)")
-    Term.(const fig2 $ records_arg 32_000 $ json_arg)
+let scale_adp records =
+  table
+    [ "E6: audit throughput vs ADPs per node (4 drivers, boxcar 8)" ]
+    [
+      (6, "adps", fun p -> string_of_int p.Figures.adps);
+      (6, "mode", fun p -> mode_to_string p.Figures.a_mode);
+      (12, "txn/s", fun p -> f1 p.Figures.tps);
+    ]
+    (Figures.adp_scaling ~records_per_driver:records ())
 
-(* --- breakdown: machine-readable commit-latency attribution --- *)
+let failover records =
+  or_die @@ fun () ->
+  Printf.printf "E7: ADP process-pair failover under load (disk mode)\n";
+  hr ();
+  let r = Figures.failover_under_load ~records_per_driver:records () in
+  Printf.printf "committed before failure  %d\n" r.Figures.committed_before;
+  Printf.printf "committed total           %d\n" r.Figures.committed_total;
+  Printf.printf "ADP takeovers             %d\n" r.Figures.adp_takeovers;
+  Printf.printf "takeover delay            %s\n" (Time.to_string r.Figures.outage);
+  Printf.printf "lost transactions         %d\n" r.Figures.lost_transactions;
+  hr ()
+
+let scaleout records =
+  table
+    [ "E8: shared-nothing scale-out (2 drivers/node, boxcar 8)" ]
+    [
+      (6, "nodes", fun p -> string_of_int p.Figures.s_nodes);
+      (6, "mode", fun p -> mode_to_string p.Figures.s_mode);
+      (16, "aggregate txn/s", fun p -> f1 p.Figures.aggregate_tps);
+      (14, "per-node txn/s", fun p -> f1 p.Figures.per_node_tps);
+    ]
+    (Figures.scaleout ~records_per_driver:records ())
+
+let ckpt_traffic records =
+  Printf.printf "E9: process-pair checkpoint traffic (2 drivers, boxcar 8)\n";
+  hr ();
+  List.iter
+    (fun p ->
+      Printf.printf "%-5s txns=%-6d audit=%-10d B  checkpoints=%-10d B  (%.0f B/txn)\n"
+        (mode_to_string p.Figures.c_mode) p.Figures.committed_txns p.Figures.audit_bytes
+        p.Figures.checkpoint_bytes p.Figures.ckpt_bytes_per_txn)
+    (Figures.checkpoint_traffic ~records_per_driver:records ());
+  hr ()
+
+let dtx transfers =
+  table
+    [ "E10: cross-node transfers under two-phase commit (2 nodes)" ]
+    [
+      (6, "mode", fun p -> mode_to_string p.Figures.d_mode);
+      (14, "local RT(ms)", fun p -> f2 p.Figures.local_rt_ms);
+      (14, "2PC RT(ms)", fun p -> f2 p.Figures.dtx_rt_ms);
+      (16, "protocol(ms)", fun p -> f2 p.Figures.protocol_overhead_ms);
+    ]
+    (Figures.dtx_latency ~transfers ())
+
+(* --- single cells: breakdown, trace, metrics, hot-stock --- *)
 
 let breakdown_json b =
   let mode_json m =
@@ -207,95 +342,54 @@ let breakdown_json b =
 
 let breakdown records drivers boxcar json =
   let b = Figures.breakdown ~records_per_driver:records ~drivers ~boxcar () in
-  if json then print_endline (Json.to_string (breakdown_json b))
-  else begin
-    Printf.printf "Commit-latency breakdown (%d drivers, boxcar %d, %d records/driver)\n"
-      b.Figures.bd_drivers b.Figures.bd_boxcar records;
-    Printf.printf "(where a committed transaction's response time goes, per the registry)\n";
-    let one m =
-      hr ();
-      Printf.printf "mode=%s  commits=%d  mean RT=%.2f ms  flush share=%.0f%%\n"
-        (mode_to_string m.Figures.b_mode) m.Figures.b_commits (m.Figures.b_rt_ns /. 1e6)
-        (m.Figures.b_flush_share *. 100.);
-      List.iter
-        (fun st ->
-          Printf.printf "  %-40s %10.3f ms %6.1f%%\n" st.Figures.stage_name
-            (st.Figures.stage_ns /. 1e6)
-            (st.Figures.stage_share *. 100.))
-        m.Figures.b_stages
-    in
-    one b.Figures.bd_disk;
-    one b.Figures.bd_pm;
-    hr ()
-  end
-
-let breakdown_cmd =
-  let drivers = Arg.(value & opt int 1 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
-  in
-  Cmd.v
-    (Cmd.info "breakdown"
-       ~doc:"Attribute commit latency to pipeline stages, disk vs PM audit")
-    Term.(const breakdown $ records_arg 2_000 $ drivers $ boxcar $ json_arg)
-
-(* --- trace: span capture to a Chrome/Perfetto trace file --- *)
+  emit json
+    (fun () -> breakdown_json b)
+    (fun () ->
+      Printf.printf "Commit-latency breakdown (%d drivers, boxcar %d, %d records/driver)\n"
+        b.Figures.bd_drivers b.Figures.bd_boxcar records;
+      Printf.printf "(where a committed transaction's response time goes, per the registry)\n";
+      let one m =
+        hr ();
+        Printf.printf "mode=%s  commits=%d  mean RT=%.2f ms  flush share=%.0f%%\n"
+          (mode_to_string m.Figures.b_mode) m.Figures.b_commits (m.Figures.b_rt_ns /. 1e6)
+          (m.Figures.b_flush_share *. 100.);
+        List.iter
+          (fun st ->
+            Printf.printf "  %-40s %10.3f ms %6.1f%%\n" st.Figures.stage_name
+              (st.Figures.stage_ns /. 1e6)
+              (st.Figures.stage_share *. 100.))
+          m.Figures.b_stages
+      in
+      one b.Figures.bd_disk;
+      one b.Figures.bd_pm;
+      hr ())
 
 let trace mode drivers boxcar records out =
   let obs = Obs.create () in
   Span.enable (Obs.spans obs);
-  let _system, (_ : Figures.cell), _ts =
-    run_hot_stock_cell ~obs ~mode ~drivers ~boxcar ~records ()
+  let (_ : Figures.cell) =
+    Figures.run_cell ~obs ~mode ~drivers ~inserts_per_txn:boxcar ~records_per_driver:records ()
   in
   let spans = Obs.spans obs in
-  let oc = open_out out in
-  output_string oc (Span.to_chrome_json spans);
-  output_char oc '\n';
-  close_out oc;
+  write_text_file out (Span.to_chrome_json spans ^ "\n");
   Printf.printf "wrote %d spans to %s (%d dropped)\n" (Span.count spans) out
     (Span.dropped spans);
   Printf.printf "open in a Chromium browser at chrome://tracing, or https://ui.perfetto.dev\n"
 
-let trace_cmd =
-  let drivers = Arg.(value & opt int 1 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
-  in
-  let out =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output trace file.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a hot-stock cell with span tracing on and write a Chrome trace file")
-    Term.(const trace $ mode_arg $ drivers $ boxcar $ records_arg 200 $ out)
-
-(* --- metrics: dump the full registry for one cell --- *)
-
-let metrics_dump mode drivers boxcar records json =
+let metrics mode drivers boxcar records json =
   let obs = Obs.create () in
-  let _system, (_ : Figures.cell), _ts =
-    run_hot_stock_cell ~obs ~mode ~drivers ~boxcar ~records ()
+  let (_ : Figures.cell) =
+    Figures.run_cell ~obs ~mode ~drivers ~inserts_per_txn:boxcar ~records_per_driver:records ()
   in
   let m = Obs.metrics obs in
-  if json then print_endline (Metrics.to_json m)
-  else Format.printf "%a@?" Metrics.pp_table m
+  emit json (fun () -> Metrics.to_json m) (fun () -> Format.printf "%a@?" Metrics.pp_table m)
 
-let metrics_cmd =
-  let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
+let hot_stock mode device drivers boxcar records report =
+  let c =
+    Figures.run_cell ~config:(device_config device) ~mode ~drivers ~inserts_per_txn:boxcar
+      ~records_per_driver:records ()
   in
-  Cmd.v
-    (Cmd.info "metrics" ~doc:"Run a hot-stock cell and dump the whole metrics registry")
-    Term.(const metrics_dump $ mode_arg $ drivers $ boxcar $ records_arg 1_000 $ json_arg)
-
-(* --- single cell --- *)
-
-let cell mode device drivers boxcar records verbose =
-  let system, c, _ts = run_hot_stock_cell ~device ~mode ~drivers ~boxcar ~records () in
-  if verbose then Format.printf "%a" Tp.System.report system;
+  if report then Format.printf "%a" Tp.System.report c.Figures.system;
   let r = c.Figures.result in
   Printf.printf "hot-stock: mode=%s drivers=%d boxcar=%d records=%d\n" (mode_to_string mode)
     drivers boxcar records;
@@ -309,116 +403,6 @@ let cell mode device drivers boxcar records verbose =
   Printf.printf "audit bytes      %d\n" r.Hot_stock.audit_bytes;
   Printf.printf "checkpoint bytes %d\n" r.Hot_stock.checkpoint_bytes;
   hr ()
-
-let cell_cmd =
-  let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "report" ] ~doc:"Print the per-subsystem operator report.")
-  in
-  Cmd.v
-    (Cmd.info "hot-stock" ~doc:"Run one hot-stock configuration and print details")
-    Term.(const cell $ mode_arg $ device_arg $ drivers $ boxcar $ records_arg 4_000 $ verbose)
-
-(* --- E3 latency sweep --- *)
-
-let sweep_latency records =
-  Printf.printf "E3: PM write-latency sweep (1 driver, boxcar 8)\n";
-  Printf.printf "(the PM advantage should die as the device approaches disk speed)\n";
-  hr ();
-  Printf.printf "%14s %12s %18s\n" "penalty" "RT (ms)" "speedup vs disk";
-  List.iter
-    (fun p ->
-      Printf.printf "%14s %12.2f %18.2f\n" (Time.to_string p.Figures.penalty)
-        (p.Figures.rt_us /. 1e3) p.Figures.speedup_vs_disk)
-    (Figures.latency_sweep ~records_per_driver:records ());
-  hr ()
-
-let sweep_latency_cmd =
-  Cmd.v
-    (Cmd.info "sweep-latency" ~doc:"E3: sweep extra PM device write latency")
-    Term.(const sweep_latency $ records_arg 4_000)
-
-(* --- E4 mirror ablation --- *)
-
-let sweep_mirror records =
-  Printf.printf "E4: mirrored vs unmirrored PM writes (2 drivers, boxcar 8)\n";
-  hr ();
-  Printf.printf "%10s %12s %14s\n" "mirrored" "RT (ms)" "elapsed (s)";
-  List.iter
-    (fun p ->
-      Printf.printf "%10b %12.2f %14.2f\n" p.Figures.mirrored (p.Figures.rt_us /. 1e3)
-        p.Figures.elapsed_s)
-    (Figures.mirror_ablation ~records_per_driver:records ());
-  hr ()
-
-let sweep_mirror_cmd =
-  Cmd.v
-    (Cmd.info "sweep-mirror" ~doc:"E4: mirroring-cost ablation")
-    Term.(const sweep_mirror $ records_arg 4_000)
-
-(* Recovery failures must reach the operator: message on stderr, exit
-   non-zero — not a line lost in a table on stdout. *)
-let or_die f =
-  try f ()
-  with Failure msg ->
-    prerr_endline ("odsbench: " ^ msg);
-    exit 1
-
-(* --- E5 MTTR --- *)
-
-let mttr records =
-  or_die @@ fun () ->
-  Printf.printf "E5: crash-recovery time (MTTR), disk scan vs PM fine-grained state\n";
-  hr ();
-  List.iter
-    (fun p ->
-      Printf.printf "%-5s %s\n" (mode_to_string p.Figures.m_mode)
-        (Format.asprintf "%a" Tp.Recovery.pp_report p.Figures.report))
-    (Figures.mttr ~records_per_driver:records ());
-  hr ()
-
-let mttr_cmd =
-  Cmd.v (Cmd.info "mttr" ~doc:"E5: MTTR comparison") Term.(const mttr $ records_arg 2_000)
-
-(* --- E6 ADP scaling --- *)
-
-let scale_adp records =
-  Printf.printf "E6: audit throughput vs ADPs per node (4 drivers, boxcar 8)\n";
-  hr ();
-  Printf.printf "%6s %6s %12s\n" "adps" "mode" "txn/s";
-  List.iter
-    (fun p ->
-      Printf.printf "%6d %6s %12.1f\n" p.Figures.adps (mode_to_string p.Figures.a_mode)
-        p.Figures.tps)
-    (Figures.adp_scaling ~records_per_driver:records ());
-  hr ()
-
-let scale_adp_cmd =
-  Cmd.v
-    (Cmd.info "scale-adp" ~doc:"E6: multiple ADPs per node")
-    Term.(const scale_adp $ records_arg 4_000)
-
-(* --- E7 failover --- *)
-
-let failover records =
-  or_die @@ fun () ->
-  Printf.printf "E7: ADP process-pair failover under load (disk mode)\n";
-  hr ();
-  let r = Figures.failover_under_load ~records_per_driver:records () in
-  Printf.printf "committed before failure  %d\n" r.Figures.committed_before;
-  Printf.printf "committed total           %d\n" r.Figures.committed_total;
-  Printf.printf "ADP takeovers             %d\n" r.Figures.adp_takeovers;
-  Printf.printf "takeover delay            %s\n" (Time.to_string r.Figures.outage);
-  Printf.printf "lost transactions         %d\n" r.Figures.lost_transactions;
-  hr ()
-
-let failover_cmd =
-  Cmd.v
-    (Cmd.info "failover" ~doc:"E7: process-pair takeover under load")
-    Term.(const failover $ records_arg 400)
 
 (* --- drill: fault schedule + durability audit --- *)
 
@@ -875,18 +859,18 @@ let drill_usage msg =
    platform, seed and defenses, so the replay is bit-for-bit and is
    judged by the oracle the explorer used; a bare JSON array is just a
    fault plan, run under --mode with the command-line seed and sizing. *)
-let plan_file_runner path mode ~seed ~params ?flight () =
+let plan_file_runner path scope ~seed ~params ?flight () =
   let invalid e = drill_usage (Printf.sprintf "%s: %s" path e) in
   let doc = match Json.parse (read_whole_file path) with Ok d -> d | Error e -> invalid e in
   match doc with
   | Json.List _ -> (
-      match (Tp.Faultplan.of_json doc, List.assoc_opt mode modes) with
+      match (Tp.Faultplan.of_json doc, scope) with
       | Error e, _ -> invalid e
-      | Ok _, None ->
+      | Ok _, `Cluster ->
           drill_usage
             "a bare plan array needs --mode disk or pm (wrap cluster or overload \
              schedules in a repro document)"
-      | Ok plan, Some mode ->
+      | Ok plan, `Single mode ->
           Tp.Drill.run ~seed ~params ?flight ~mode ~plan () |> Result.map (show_single ~plan:path))
   | _ -> (
       match Tp.Explorer.repro_of_json doc with
@@ -900,13 +884,13 @@ let plan_file_runner path mode ~seed ~params ?flight () =
                  | Tp.Explorer.Clustered r -> show_cluster ~plan:path r
                  | Tp.Explorer.Overloaded r -> show_overload r))
 
-let drill mode plan plan_file drivers boxcar records seed interval_ms flight list_plans
+let drill scope plan plan_file drivers boxcar records seed interval_ms flight list_plans
     no_defenses json =
   if list_plans then
     List.iter print_endline
-      (match List.assoc_opt mode modes with
-      | Some m -> Tp.Drill.plan_names m
-      | None -> Tp.Drill.cluster_plan_names)
+      (match scope with
+      | `Single m -> Tp.Drill.plan_names m
+      | `Cluster -> Tp.Drill.cluster_plan_names)
   else
     let seed = Int64.of_int seed in
     let name = fst (List.find (fun (_, p) -> p = plan) Tp.Drill.plans) in
@@ -924,24 +908,24 @@ let drill mode plan plan_file drivers boxcar records seed interval_ms flight lis
     in
     let defenses = not no_defenses in
     let result =
-      match (plan_file, mode, plan) with
-      | Some path, _, _ -> plan_file_runner path mode ~seed ~params ?flight ()
-      | None, "cluster", _ when interval_ms > 0 ->
+      match (plan_file, scope, plan) with
+      | Some path, _, _ -> plan_file_runner path scope ~seed ~params ?flight ()
+      | None, `Cluster, _ when interval_ms > 0 ->
           drill_usage "--interval-ms is not supported in cluster mode"
-      | None, "cluster", Tp.Drill.(Standard | Partition | No_faults) ->
+      | None, `Cluster, Tp.Drill.(Standard | Partition | No_faults) ->
           let plan, label =
             if plan = Tp.Drill.No_faults then ([], "none") else (Tp.Drill.partition_plan, "partition")
           in
           let params = { Tp.Drill.cluster_params with Tp.Drill.drivers } in
           Tp.Drill.run_cluster ~seed ~params ?flight ~plan ()
           |> Result.map (show_cluster ~plan:label)
-      | None, "cluster", _ ->
+      | None, `Cluster, _ ->
           drill_usage
             (Printf.sprintf "plan '%s' does not run in cluster mode (%s)" name
                (String.concat "|" Tp.Drill.cluster_plan_names))
       | None, _, Tp.Drill.(Standard | Kills | Partition | No_faults) when no_defenses ->
           drill_usage "--no-defenses only applies to --plan corruption, grayfail or overload"
-      | None, "disk", Tp.Drill.(Corruption | Grayfail | Overload) ->
+      | None, `Single Tp.System.Disk_audit, Tp.Drill.(Corruption | Grayfail | Overload) ->
           drill_usage (Printf.sprintf "plan '%s' requires --mode pm" name)
       | None, _, Tp.Drill.Partition -> drill_usage "plan 'partition' requires --mode cluster"
       | None, _, Tp.Drill.Corruption ->
@@ -964,8 +948,7 @@ let drill mode plan plan_file drivers boxcar records seed interval_ms flight lis
              so it ignores --records, --boxcar and --drivers. *)
           Tp.Drill.run_overload ~seed ?obs ?sample_interval ~defenses ?flight ()
           |> Result.map show_overload
-      | None, _, Tp.Drill.(Standard | Kills | No_faults) ->
-          let mode = List.assoc mode modes in
+      | None, `Single mode, Tp.Drill.(Standard | Kills | No_faults) ->
           let faults =
             match plan with
             | Tp.Drill.No_faults -> []
@@ -984,111 +967,57 @@ let drill mode plan plan_file drivers boxcar records seed interval_ms flight lis
     in
     match result with
     | Error e ->
-        if json then print_endline (Json.to_string (Json.Obj [ ("error", Json.String e) ]));
+        emit json (fun () -> Json.Obj [ ("error", Json.String e) ]) ignore;
         prerr_endline ("odsbench drill: " ^ e);
         exit 1
     | Ok shown ->
-        if json then print_endline (Json.to_string (shown.json ())) else shown.text ();
+        emit json shown.json shown.text;
         if not (Tp.Drill.Oracle.pass shown.verdict) then begin
           prerr_endline
             ("odsbench drill: gate failed — " ^ Tp.Drill.Oracle.summary shown.verdict);
           exit 1
         end
 
-let drill_cmd =
-  let mode =
-    mode_choice ~default:"pm" [ "disk"; "pm"; "cluster" ]
-      ~doc:
-        "Audit backend, or $(b,cluster) for the multi-node partition drill \
-         (distributed 2PC load, WAN partition, in-doubt resolution, epoch-fence \
-         audit)."
-  in
-  let plan =
-    Arg.(
-      value
-      & opt (enum Tp.Drill.plans) Tp.Drill.Standard
-      & info [ "plan" ] ~docv:(String.concat "|" (List.map fst Tp.Drill.plans))
-          ~doc:
-            "Fault schedule: $(b,standard) is the full drill (PM: PMM kill, NPMU \
-             power-cycle, rail flap, CRC noise, resync), $(b,kills) keeps only the \
-             process-pair kills, $(b,corruption) (PM mode) injects silent media decay \
-             and torn stores with the scrubber and verified reads armed and audits \
-             storage integrity, $(b,grayfail) (PM mode) degrades the mirror NPMU, a \
-             fabric rail and a data spindle fail-slow with the latency health monitor, \
-             hedged reads and slow-mirror demotion armed, gating on bounded commit p99 \
-             and a completed demotion/re-admission cycle (it owns its load shape: \
-             --records and --boxcar are ignored), $(b,overload) (PM mode) offers an \
-             open-loop flash crowd (5x the base rate) to impatient clients with \
-             admission control, deadlines, retry budgets and breakers armed, gating on \
-             spike goodput above a floor and bounded recovery after the spike (it owns \
-             its load shape: --records, --boxcar and --drivers are ignored), $(b,none) \
-             runs faultless.  In cluster mode, \
-             $(b,partition) (the default) severs the inter-node link mid-2PC, kills the \
-             coordinator, heals, takes over the PM manager and probes the epoch fence.  \
-             $(b,--list-plans) prints the names valid for the selected mode.")
-  in
-  let list_plans =
-    Arg.(
-      value & flag
-      & info [ "list-plans" ]
-          ~doc:"Print the $(b,--plan) names valid for the selected mode and exit.")
-  in
-  let plan_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "plan-file" ] ~docv:"FILE"
-          ~doc:
-            "Replay a schedule from $(docv) instead of a named $(b,--plan).  A repro \
-             document written by $(b,odsbench explore) pins the platform, seed and \
-             defenses, so the drill replays bit-for-bit and is gated by the shared \
-             invariant oracle; a bare JSON array of actions runs under $(b,--mode) with \
-             the command-line seed and sizing.")
-  in
-  let no_defenses =
-    Arg.(
-      value & flag
-      & info [ "no-defenses" ]
-          ~doc:
-            "Corruption, grayfail and overload plans only: run the same fault schedule \
-             with the defenses disabled (corruption: scrubber and verified reads; \
-             grayfail: health monitor, hedged reads, demotion and adaptive backoff; \
-             overload: admission control, deadlines, retry budgets and breakers) — the \
-             negative control that shows what the faults cost undefended (expect a \
-             non-zero exit).")
-  in
-  let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
-  in
-  let seed =
-    Arg.(value & opt int 0xD5177 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
-  in
-  let interval_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "interval-ms" ] ~docv:"MS"
-          ~doc:
-            "Record a telemetry timeline on this cadence and print the event-aligned \
-             availability overlay (0 disables sampling).")
-  in
-  let flight =
-    Arg.(
-      value & opt (some string) None
-      & info [ "flight" ] ~docv:"FILE"
-          ~doc:
-            "Arm the failure flight recorder: keep a bounded ring of the most recent \
-             commit-path spans plus every fault-injection mark, and dump it to $(docv) \
-             as JSON automatically if the drill's gate fails — the last moments before \
-             the failure, already collected.")
-  in
-  Cmd.v
-    (Cmd.info "drill"
-       ~doc:
-         "Run hot-stock load under a fault schedule, crash, recover, and audit that no \
-          acknowledged commit was lost")
-    Term.(
-      const drill $ mode $ plan $ plan_file $ drivers $ boxcar $ records_arg 400 $ seed
-      $ interval_ms $ flight $ list_plans $ no_defenses $ json_arg)
+let drill_mode =
+  mode (singles @ [ ("cluster", `Cluster) ]) (`Single Tp.System.Pm_audit)
+    ~doc:
+      "Audit backend, or $(b,cluster) for the multi-node partition drill (distributed \
+       2PC load, WAN partition, in-doubt resolution, epoch-fence audit)."
+
+let drill_plan =
+  opt (Arg.enum Tp.Drill.plans) [ "plan" ] Tp.Drill.Standard
+    ~docv:(String.concat "|" (List.map fst Tp.Drill.plans))
+    ~doc:
+      "Fault schedule: $(b,standard) is the full drill (PM: PMM kill, NPMU power-cycle, \
+       rail flap, CRC noise, resync), $(b,kills) keeps only the process-pair kills, \
+       $(b,corruption) (PM mode) injects silent media decay and torn stores with the \
+       scrubber and verified reads armed and audits storage integrity, $(b,grayfail) (PM \
+       mode) degrades the mirror NPMU, a fabric rail and a data spindle fail-slow with the \
+       latency health monitor, hedged reads and slow-mirror demotion armed, gating on \
+       bounded commit p99 and a completed demotion/re-admission cycle (it owns its load \
+       shape: --records and --boxcar are ignored), $(b,overload) (PM mode) offers an \
+       open-loop flash crowd (5x the base rate) to impatient clients with admission \
+       control, deadlines, retry budgets and breakers armed, gating on spike goodput above \
+       a floor and bounded recovery after the spike (it owns its load shape: --records, \
+       --boxcar and --drivers are ignored), $(b,none) runs faultless.  In cluster mode, \
+       $(b,partition) (the default) severs the inter-node link mid-2PC, kills the \
+       coordinator, heals, takes over the PM manager and probes the epoch fence.  \
+       $(b,--list-plans) prints the names valid for the selected mode."
+
+let drill_plan_file =
+  opt Arg.(some string) [ "plan-file" ] None ~docv:"FILE"
+    ~doc:
+      "Replay a schedule from $(docv) instead of a named $(b,--plan).  A repro document \
+       written by $(b,odsbench explore) pins the platform, seed and defenses, so the drill \
+       replays bit-for-bit and is gated by the shared invariant oracle; a bare JSON array \
+       of actions runs under $(b,--mode) with the command-line seed and sizing."
+
+let drill_flight =
+  opt Arg.(some string) [ "flight" ] None ~docv:"FILE"
+    ~doc:
+      "Arm the failure flight recorder: keep a bounded ring of the most recent commit-path \
+       spans plus every fault-injection mark, and dump it to $(docv) as JSON automatically \
+       if the drill's gate fails — the last moments before the failure, already collected."
 
 (* --- explore: adversarial fault-schedule search --- *)
 
@@ -1177,8 +1106,7 @@ let explore budget seed out_dir max_replays no_defenses corpus_only json =
       Tp.Explorer.run ~defenses:(not no_defenses) ?out_dir ~max_replays ~progress
         ~budget ~seed ()
     in
-    if json then print_endline (Json.to_string (Tp.Explorer.to_json r))
-    else explore_text r;
+    emit json (fun () -> Tp.Explorer.to_json r) (fun () -> explore_text r);
     if Tp.Explorer.found r then begin
       Printf.eprintf "odsbench explore: %d schedule(s) violated the invariant oracle\n"
         (List.length r.Tp.Explorer.x_violations);
@@ -1186,187 +1114,76 @@ let explore budget seed out_dir max_replays no_defenses corpus_only json =
     end
   end
 
-let explore_cmd =
-  let budget =
-    Arg.(
-      value & opt int 200
-      & info [ "budget" ] ~docv:"N" ~doc:"Schedules to generate and run.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0xE5EED
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Corpus seed.  The whole corpus is a pure function of the seed: the same \
-             seed generates byte-identical schedules.")
-  in
-  let out_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out-dir" ] ~docv:"DIR"
-          ~doc:
-            "Write a replayable repro_NNNN.json (for $(b,odsbench drill --plan-file)) \
-             and a flight_NNNN.json black-box dump for every violation (created if \
-             missing).")
-  in
-  let max_replays =
-    Arg.(
-      value & opt int 150
-      & info [ "max-replays" ] ~docv:"N"
-          ~doc:"Drill replays the shrinker may spend per violation.")
-  in
-  let no_defenses =
-    Arg.(
-      value & flag
-      & info [ "no-defenses" ]
-          ~doc:
-            "Run the same corpus on the weakened platform (PM integrity and overload \
-             defenses off) — the negative control: the explorer must find the known \
-             failures and shrink them (expect a non-zero exit).")
-  in
-  let corpus_only =
-    Arg.(
-      value & flag
-      & info [ "corpus-only" ]
-          ~doc:
-            "Generate and print the schedule corpus as JSON without running any drill — \
-             the determinism witness.")
-  in
-  Cmd.v
-    (Cmd.info "explore"
-       ~doc:
-         "Adversarial fault-schedule search: generate seeded composite chaos schedules \
-          over the whole fault vocabulary (phase-aware: during load, mid-2PC, during \
-          recovery, mid-resync), run each as a drill judged by the shared invariant \
-          oracle, and delta-debug any violation to a minimal schedule emitted as a \
-          bit-for-bit replayable repro file")
-    Term.(
-      const explore $ budget $ seed $ out_dir $ max_replays $ no_defenses $ corpus_only
-      $ json_arg)
+let explore_out_dir =
+  opt Arg.(some string) [ "out-dir" ] None ~docv:"DIR"
+    ~doc:
+      "Write a replayable repro_NNNN.json (for $(b,odsbench drill --plan-file)) and a \
+       flight_NNNN.json black-box dump for every violation (created if missing)."
 
 (* --- timeline: continuous telemetry + bottleneck attribution --- *)
 
-(* When both modes run against one --csv path, insert the mode name
-   before the extension: out.csv -> out-disk.csv / out-pm.csv. *)
-let mode_csv_path path mode_str =
-  let ext = Filename.extension path in
-  if ext = "" then path ^ "-" ^ mode_str
-  else Filename.remove_extension path ^ "-" ^ mode_str ^ ext
-
-let timeline mode_str device drivers boxcar records interval_ms csv json =
-  let modes =
-    match mode_str with
-    | "disk" -> [ Tp.System.Disk_audit ]
-    | "pm" -> [ Tp.System.Pm_audit ]
-    | _ (* both *) -> [ Tp.System.Disk_audit; Tp.System.Pm_audit ]
-  in
-  if interval_ms < 1 then begin
-    prerr_endline "odsbench timeline: --interval-ms must be at least 1";
-    exit 2
-  end;
-  let interval = Time.ms interval_ms in
-  let results =
+let timeline scope device drivers boxcar records interval_ms csv json =
+  let runs =
     List.map
       (fun mode ->
-        let obs = Obs.create () in
-        let _system, c, ts =
-          run_hot_stock_cell ~obs ~sample_interval:interval ~device ~mode ~drivers ~boxcar
-            ~records ()
-        in
-        let ts = match ts with Some t -> t | None -> assert false in
-        (mode, c, ts))
-      modes
+        match
+          Figures.run_cell_sampled ~config:(device_config device) ~obs:(Obs.create ())
+            ~sample_interval:(Time.ms interval_ms) ~mode ~drivers ~inserts_per_txn:boxcar
+            ~records_per_driver:records ()
+        with
+        | c, Some ts -> (c, ts)
+        | _, None -> assert false)
+      (modes_of scope)
   in
-  let both = List.length results > 1 in
-  (match csv with
-  | Some path ->
+  Option.iter
+    (fun path ->
       List.iter
-        (fun (mode, _, ts) ->
-          let p = if both then mode_csv_path path (mode_to_string mode) else path in
-          let oc = open_out p in
-          output_string oc (Timeseries.to_csv ts);
-          close_out oc;
+        (fun (c, ts) ->
+          let p = path_for scope path c.Figures.mode in
+          write_text_file p (Timeseries.to_csv ts);
           if not json then
             Printf.printf "wrote %s (%d samples, %d columns)\n" p
               (Timeseries.sample_count ts)
               (List.length (Timeseries.paths ts)))
-        results
-  | None -> ());
-  if json then
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            (List.map
-               (fun (mode, c, ts) ->
-                 let r = c.Figures.result in
-                 ( mode_to_string mode,
-                   Json.Obj
-                     [
-                       ("elapsed_s", Json.Float (Time.to_sec r.Hot_stock.elapsed));
-                       ("committed", Json.Int r.Hot_stock.committed);
-                       ("throughput_tps", Json.Float r.Hot_stock.throughput_tps);
-                       ("timeline", Timeseries.json ts);
-                       ("bottlenecks", Timeseries.attribution_json ts);
-                     ] ))
-               results)))
-  else
-    List.iter
-      (fun (mode, c, ts) ->
-        let r = c.Figures.result in
-        Printf.printf
-          "timeline: mode=%s drivers=%d boxcar=%d records=%d interval=%d ms\n"
-          (mode_to_string mode) drivers boxcar records interval_ms;
-        hr ();
-        Printf.printf "samples      %d (%d columns, %d evicted)\n"
-          (Timeseries.sample_count ts)
-          (List.length (Timeseries.paths ts))
-          (Timeseries.evicted ts);
-        Printf.printf "elapsed      %.3f s   committed %d   throughput %.1f txn/s\n"
-          (Time.to_sec r.Hot_stock.elapsed)
-          r.Hot_stock.committed r.Hot_stock.throughput_tps;
-        hr ();
-        Printf.printf "bottleneck attribution (where the time went):\n";
-        Format.printf "%a@?" Timeseries.pp_attribution ts;
-        hr ())
-      results
-
-let timeline_cmd =
-  let mode =
-    mode_choice ~default:"both" [ "disk"; "pm"; "both" ] ~doc:"Audit backend(s) to sample."
-  in
-  let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
-  in
-  let interval_ms =
-    Arg.(
-      value & opt int 10
-      & info [ "interval-ms" ] ~docv:"MS" ~doc:"Sampling interval in sim milliseconds.")
-  in
-  let csv =
-    Arg.(
-      value & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:
-            "Write the full series as CSV.  With --mode both, the mode name is inserted \
-             before the extension (out.csv -> out-disk.csv, out-pm.csv).")
-  in
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "Run a hot-stock cell with the continuous-telemetry sampler on and print the \
-          bottleneck-attribution report (CSV/JSON export of the full series)")
-    Term.(
-      const timeline $ mode $ device_arg $ drivers $ boxcar $ records_arg 2_000 $ interval_ms
-      $ csv $ json_arg)
+        runs)
+    csv;
+  emit json
+    (fun () ->
+      Json.Obj
+        (List.map
+           (fun (c, ts) ->
+             let r = c.Figures.result in
+             ( mode_to_string c.Figures.mode,
+               Json.Obj
+                 [
+                   ("elapsed_s", Json.Float (Time.to_sec r.Hot_stock.elapsed));
+                   ("committed", Json.Int r.Hot_stock.committed);
+                   ("throughput_tps", Json.Float r.Hot_stock.throughput_tps);
+                   ("timeline", Timeseries.json ts);
+                   ("bottlenecks", Timeseries.attribution_json ts);
+                 ] ))
+           runs))
+    (fun () ->
+      List.iter
+        (fun (c, ts) ->
+          let r = c.Figures.result in
+          Printf.printf "timeline: mode=%s drivers=%d boxcar=%d records=%d interval=%d ms\n"
+            (mode_to_string c.Figures.mode) drivers boxcar records interval_ms;
+          hr ();
+          Printf.printf "samples      %d (%d columns, %d evicted)\n"
+            (Timeseries.sample_count ts)
+            (List.length (Timeseries.paths ts))
+            (Timeseries.evicted ts);
+          Printf.printf "elapsed      %.3f s   committed %d   throughput %.1f txn/s\n"
+            (Time.to_sec r.Hot_stock.elapsed)
+            r.Hot_stock.committed r.Hot_stock.throughput_tps;
+          hr ();
+          Printf.printf "bottleneck attribution (where the time went):\n";
+          Format.printf "%a@?" Timeseries.pp_attribution ts;
+          hr ())
+        runs)
 
 (* --- critpath: causal tracing + critical-path attribution --- *)
-
-let write_text_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
 
 let critpath_mode_json (r : Causal.mode_run) =
   Json.Obj
@@ -1409,115 +1226,58 @@ let critpath_cluster_text (r : Causal.cluster_run) =
   Format.printf "%a@?" Critpath.pp r.Causal.cl_cp;
   hr ()
 
-let critpath mode_str drivers boxcar records nodes txns seed chrome json =
-  let chrome_path m =
-    match chrome with
-    | None -> None
-    | Some path -> Some (if mode_str = "both" then mode_csv_path path m else path)
-  in
-  let dump_chrome path_opt doc_opt =
-    match (path_opt, doc_opt) with
+let critpath scope drivers boxcar records nodes txns seed chrome json =
+  let seed = Int64.of_int seed in
+  let dump path doc =
+    match (path, doc) with
     | Some p, Some doc ->
-        write_text_file p doc;
+        write_text_file p (doc ^ "\n");
         if not json then Printf.printf "wrote %s\n" p
     | _ -> ()
   in
-  let run_one mode =
-    let r =
-      Causal.run_mode ~seed:(Int64.of_int seed) ~drivers ~inserts_per_txn:boxcar
-        ~records_per_driver:records ~chrome:(chrome <> None) ~mode ()
-    in
-    dump_chrome (chrome_path (mode_to_string mode)) r.Causal.cp_chrome;
-    r
-  in
-  match mode_str with
-  | "cluster" ->
+  match scope with
+  | `Cluster ->
       let r =
-        Causal.run_cluster ~seed:(Int64.of_int seed) ~nodes ~drivers ~txns_per_driver:txns
-          ~inserts_per_txn:boxcar ~chrome:(chrome <> None) ()
+        Causal.run_cluster ~seed ~nodes ~drivers ~txns_per_driver:txns ~inserts_per_txn:boxcar
+          ~chrome:(chrome <> None) ()
       in
-      dump_chrome chrome r.Causal.cl_chrome;
-      if json then print_endline (Json.to_string (critpath_cluster_json r))
-      else critpath_cluster_text r
-  | "disk" | "pm" ->
-      let r = run_one (List.assoc mode_str modes) in
-      if json then print_endline (Json.to_string (critpath_mode_json r))
-      else critpath_mode_text r
-  | _ (* both *) ->
-      let d = run_one Tp.System.Disk_audit in
-      let p = run_one Tp.System.Pm_audit in
-      if json then
-        print_endline
-          (Json.to_string
-             (Json.Obj [ ("disk", critpath_mode_json d); ("pm", critpath_mode_json p) ]))
-      else begin
-        critpath_mode_text d;
-        print_newline ();
-        critpath_mode_text p
-      end
+      dump chrome r.Causal.cl_chrome;
+      emit json (fun () -> critpath_cluster_json r) (fun () -> critpath_cluster_text r)
+  | (`Single _ | `Both) as scope ->
+      let runs =
+        List.map
+          (fun mode ->
+            let r =
+              Causal.run_mode ~seed ~drivers ~inserts_per_txn:boxcar
+                ~records_per_driver:records ~chrome:(chrome <> None) ~mode ()
+            in
+            dump (Option.map (fun p -> path_for scope p mode) chrome) r.Causal.cp_chrome;
+            r)
+          (modes_of scope)
+      in
+      emit json
+        (fun () ->
+          match runs with
+          | [ r ] -> critpath_mode_json r
+          | _ ->
+              Json.Obj
+                (List.map (fun r -> (mode_to_string r.Causal.cp_mode, critpath_mode_json r)) runs))
+        (fun () ->
+          List.iteri
+            (fun i r ->
+              if i > 0 then print_newline ();
+              critpath_mode_text r)
+            runs)
 
-let critpath_cmd =
-  let mode =
-    mode_choice ~default:"both" [ "disk"; "pm"; "both"; "cluster" ]
-      ~doc:
-        "What to trace: a single-node hot-stock cell on the disk or PM audit \
-         backend ($(b,both) runs one of each for comparison), or $(b,cluster), a \
-         multi-node 2PC load whose prepare/decide hops cross the interconnect."
-  in
-  let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
-  in
-  let nodes =
-    Arg.(
-      value & opt int 2
-      & info [ "nodes" ] ~docv:"N" ~doc:"Cluster mode: node count (at least 2).")
-  in
-  let txns =
-    Arg.(
-      value & opt int 60
-      & info [ "txns" ] ~docv:"N" ~doc:"Cluster mode: transactions per driver.")
-  in
-  let seed =
-    Arg.(value & opt int 0xCA75A & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
-  in
-  let chrome =
-    Arg.(
-      value & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Also export the full span collection as a Chrome trace-event document \
-             (load it at chrome://tracing or ui.perfetto.dev; flow arrows link caller \
-             to callee across tracks).  With --mode both, the mode name is inserted \
-             before the extension (out.json -> out-disk.json, out-pm.json).")
-  in
-  Cmd.v
-    (Cmd.info "critpath"
-       ~doc:
-         "Trace every committed transaction's cross-node span DAG and print the \
-          critical-path report: per-hop queue/service attribution, ranked, with full \
-          DAGs kept for the slowest transactions (each exemplar's hop durations sum \
-          exactly to its measured ack latency)")
-    Term.(
-      const critpath $ mode $ drivers $ boxcar $ records_arg 500 $ nodes $ txns $ seed
-      $ chrome $ json_arg)
+let critpath_chrome =
+  opt Arg.(some string) [ "chrome" ] None ~docv:"FILE"
+    ~doc:
+      "Also export the full span collection as a Chrome trace-event document (load it at \
+       chrome://tracing or ui.perfetto.dev; flow arrows link caller to callee across \
+       tracks).  With --mode both, the mode name is inserted before the extension \
+       (out.json -> out-disk.json, out-pm.json)."
 
 (* --- domain workloads --- *)
-
-let run_in_system cfg seed f =
-  let sim = Sim.create ~seed () in
-  let out = ref None in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"main" (fun () ->
-        let system = Tp.System.build sim cfg in
-        out := Some (f system))
-  in
-  Sim.run sim;
-  match !out with Some v -> v | None -> failwith "run did not complete"
-
-let cfg_of_mode = function
-  | Tp.System.Pm_audit -> Tp.System.pm_config
-  | Tp.System.Disk_audit -> Tp.System.default_config
 
 let telco mode records rate =
   let params =
@@ -1525,7 +1285,9 @@ let telco mode records rate =
       Telco_cdr.cdrs_per_switch = records;
       arrival = (if rate > 0.0 then Telco_cdr.Open_poisson rate else Telco_cdr.Closed) }
   in
-  let r = run_in_system (cfg_of_mode mode) 0x7E1C0L (fun s -> Telco_cdr.run s params) in
+  let r =
+    Figures.simulate ~seed:0x7E1C0L (fun sim -> Telco_cdr.run (build_system mode sim) params)
+  in
   Printf.printf "telco CDR ingest: mode=%s switches=%d cdrs/switch=%d\n"
     (mode_to_string mode) params.Telco_cdr.switches records;
   hr ();
@@ -1536,19 +1298,11 @@ let telco mode records rate =
   Printf.printf "fraud lookups  %d (%d hits)\n" r.Telco_cdr.lookups r.Telco_cdr.lookup_hits;
   hr ()
 
-let telco_cmd =
-  let rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "rate" ] ~docv:"CDR/s" ~doc:"Open-loop offered load (0 = closed loop).")
-  in
-  Cmd.v
-    (Cmd.info "telco" ~doc:"Telco CDR ingest workload (paper section 1)")
-    Term.(const telco $ mode_arg $ records_arg 1_000 $ rate)
-
 let orders mode trades =
   let params = { Order_match.default_params with Order_match.trades_per_stream = trades } in
-  let r = run_in_system (cfg_of_mode mode) 0x570CL (fun s -> Order_match.run s params) in
+  let r =
+    Figures.simulate ~seed:0x570CL (fun sim -> Order_match.run (build_system mode sim) params)
+  in
   Printf.printf "order matching: mode=%s streams=%d trades/stream=%d hot-share=%.0f%%\n"
     (mode_to_string mode) params.Order_match.streams trades
     (params.Order_match.hot_symbol_share *. 100.);
@@ -1561,67 +1315,9 @@ let orders mode trades =
   Printf.printf "lock conflicts %d\n" r.Order_match.lock_waits;
   hr ()
 
-let orders_cmd =
-  let trades =
-    Arg.(value & opt int 500 & info [ "trades" ] ~docv:"N" ~doc:"Trades per stream.")
-  in
-  Cmd.v
-    (Cmd.info "orders" ~doc:"Hot-stock order matching workload (paper section 2)")
-    Term.(const orders $ mode_arg $ trades)
-
-let dtx_cmd_impl transfers =
-  Printf.printf "E10: cross-node transfers under two-phase commit (2 nodes)\n";
-  hr ();
-  Printf.printf "%6s %14s %14s %16s\n" "mode" "local RT(ms)" "2PC RT(ms)" "protocol(ms)";
-  List.iter
-    (fun p ->
-      Printf.printf "%6s %14.2f %14.2f %16.2f\n"
-        (mode_to_string p.Figures.d_mode) p.Figures.local_rt_ms p.Figures.dtx_rt_ms
-        p.Figures.protocol_overhead_ms)
-    (Figures.dtx_latency ~transfers ());
-  hr ()
-
-let dtx_cmd =
-  let transfers =
-    Arg.(value & opt int 20 & info [ "transfers" ] ~docv:"N" ~doc:"Transfers to average over.")
-  in
-  Cmd.v (Cmd.info "dtx" ~doc:"E10: distributed-commit latency") Term.(const dtx_cmd_impl $ transfers)
-
-let ckpt_traffic records =
-  Printf.printf "E9: process-pair checkpoint traffic (2 drivers, boxcar 8)\n";
-  hr ();
-  List.iter
-    (fun p ->
-      Printf.printf "%-5s txns=%-6d audit=%-10d B  checkpoints=%-10d B  (%.0f B/txn)\n"
-        (mode_to_string p.Figures.c_mode) p.Figures.committed_txns p.Figures.audit_bytes
-        p.Figures.checkpoint_bytes p.Figures.ckpt_bytes_per_txn)
-    (Figures.checkpoint_traffic ~records_per_driver:records ());
-  hr ()
-
-let ckpt_traffic_cmd =
-  Cmd.v
-    (Cmd.info "ckpt-traffic" ~doc:"E9: checkpoint traffic, disk vs PM")
-    Term.(const ckpt_traffic $ records_arg 2_000)
-
-let scaleout records =
-  Printf.printf "E8: shared-nothing scale-out (2 drivers/node, boxcar 8)\n";
-  hr ();
-  Printf.printf "%6s %6s %16s %14s\n" "nodes" "mode" "aggregate txn/s" "per-node txn/s";
-  List.iter
-    (fun p ->
-      Printf.printf "%6d %6s %16.1f %14.1f\n" p.Figures.s_nodes
-        (mode_to_string p.Figures.s_mode) p.Figures.aggregate_tps p.Figures.per_node_tps)
-    (Figures.scaleout ~records_per_driver:records ());
-  hr ()
-
-let scaleout_cmd =
-  Cmd.v
-    (Cmd.info "scale-out" ~doc:"E8: aggregate throughput vs node count")
-    Term.(const scaleout $ records_arg 2_000)
-
 let bank mode txns =
   let params = { Bank.default_params with Bank.txns_per_client = txns } in
-  let r = run_in_system (cfg_of_mode mode) 0xBA22L (fun s -> Bank.run s params) in
+  let r = Figures.simulate ~seed:0xBA22L (fun sim -> Bank.run (build_system mode sim) params) in
   Printf.printf "bank (TPC-B-style): mode=%s clients=%d txns/client=%d\n"
     (mode_to_string mode) params.Bank.clients txns;
   hr ();
@@ -1631,14 +1327,6 @@ let bank mode txns =
   Printf.printf "response p99     %.2f ms\n" (r.Bank.response.Stat.p99 /. 1e6);
   Printf.printf "branch conflicts %d\n" r.Bank.branch_conflicts;
   hr ()
-
-let bank_cmd =
-  let txns =
-    Arg.(value & opt int 250 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client.")
-  in
-  Cmd.v
-    (Cmd.info "bank" ~doc:"TPC-B-style update-heavy banking workload")
-    Term.(const bank $ mode_arg $ txns)
 
 (* --- perf: the simulator performance observatory --- *)
 
@@ -1694,7 +1382,7 @@ let perf records list_workloads baseline regress_pct json =
   else begin
     let report = or_die (fun () -> Perf.run ~records ()) in
     let doc = Perf.to_json report in
-    if json then print_endline (Json.to_string doc) else perf_text report;
+    emit json (fun () -> doc) (fun () -> perf_text report);
     match baseline with
     | None -> ()
     | Some path ->
@@ -1717,93 +1405,187 @@ let perf records list_workloads baseline regress_pct json =
             end)
   end
 
-let perf_cmd =
-  let list_workloads =
-    Arg.(
-      value & flag
-      & info [ "list-workloads" ] ~doc:"Print the fixed workload-matrix names and exit.")
-  in
-  let baseline =
-    Arg.(
-      value & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Compare events/sec per workload against a committed BENCH_*.json and exit \
-             non-zero if any regresses past $(b,--regress-pct).  Verdicts go to stderr so \
-             $(b,--json) output stays clean.")
-  in
-  let regress_pct =
-    Arg.(
-      value & opt float 25.0
-      & info [ "regress-pct" ] ~docv:"PCT"
-          ~doc:"Allowed events/sec regression vs the baseline, percent.")
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Self-profile the simulator on a fixed seed-deterministic workload matrix: \
-          per-layer wall/alloc attribution, event-loop vitals, telemetry-overhead \
-          delta, and an optional baseline regression gate")
-    Term.(const perf $ records_arg 300 $ list_workloads $ baseline $ regress_pct $ json_arg)
+let perf_baseline =
+  opt Arg.(some string) [ "baseline" ] None ~docv:"FILE"
+    ~doc:
+      "Compare events/sec per workload against a committed BENCH_*.json and exit non-zero \
+       if any regresses past $(b,--regress-pct).  Verdicts go to stderr so $(b,--json) \
+       output stays clean."
 
-(* --- everything at a glance --- *)
+(* --- the experiment table --- *)
+
+(* One row per sub-command: its name, doc line and term, and, for the rows
+   [odsbench all] sweeps, what it runs there given all's --records. *)
+type experiment = { cmd : unit Cmd.t; in_all : (int -> unit) option }
+
+let row ?all name ~doc term = { cmd = Cmd.v (Cmd.info name ~doc) term; in_all = all }
+
+let experiments =
+  [
+    row "fig1" ~doc:"Reproduce Figure 1 (response-time speedup vs boxcarring)"
+      Term.(const fig1 $ records 32_000 $ json)
+      ~all:(fun n -> fig1 n false);
+    row "fig2" ~doc:"Reproduce Figure 2 (elapsed time vs boxcarring)"
+      Term.(const fig2 $ records 32_000 $ json)
+      ~all:(fun n -> fig2 n false);
+    row "sweep-latency" ~doc:"E3: sweep extra PM device write latency"
+      Term.(const sweep_latency $ records 4_000)
+      ~all:(fun n -> sweep_latency (min n 4_000));
+    row "sweep-mirror" ~doc:"E4: mirroring-cost ablation"
+      Term.(const sweep_mirror $ records 4_000)
+      ~all:(fun n -> sweep_mirror (min n 4_000));
+    row "mttr" ~doc:"E5: MTTR comparison"
+      Term.(const mttr $ records 2_000)
+      ~all:(fun n -> mttr (min n 2_000));
+    row "scale-adp" ~doc:"E6: multiple ADPs per node"
+      Term.(const scale_adp $ records 4_000)
+      ~all:(fun n -> scale_adp (min n 4_000));
+    row "ckpt-traffic" ~doc:"E9: checkpoint traffic, disk vs PM"
+      Term.(const ckpt_traffic $ records 2_000)
+      ~all:(fun n -> ckpt_traffic (min n 2_000));
+    row "scale-out" ~doc:"E8: aggregate throughput vs node count"
+      Term.(const scaleout $ records 2_000)
+      ~all:(fun n -> scaleout (min n 1_000));
+    row "dtx" ~doc:"E10: distributed-commit latency"
+      Term.(const dtx $ count "transfers" ~doc:"Transfers to average over." 20)
+      ~all:(fun _ -> dtx 20);
+    row "failover" ~doc:"E7: process-pair takeover under load"
+      Term.(const failover $ records 400)
+      ~all:(fun _ -> failover 400);
+    row "perf"
+      ~doc:
+        "Self-profile the simulator on a fixed seed-deterministic workload matrix: per-layer \
+         wall/alloc attribution, event-loop vitals, telemetry-overhead delta, and an \
+         optional baseline regression gate"
+      Term.(
+        const perf $ records 300
+        $ flag "list-workloads" ~doc:"Print the fixed workload-matrix names and exit."
+        $ perf_baseline
+        $ opt positive_float [ "regress-pct" ] 25.0
+            ~docv:"PCT" ~doc:"Allowed events/sec regression vs the baseline, percent."
+        $ json)
+      ~all:(fun n -> perf (min n 300) false None 25.0 false);
+    row "breakdown" ~doc:"Attribute commit latency to pipeline stages, disk vs PM audit"
+      Term.(const breakdown $ records 2_000 $ drivers 1 $ boxcar 8 $ json);
+    row "trace" ~doc:"Run a hot-stock cell with span tracing on and write a Chrome trace file"
+      Term.(
+        const trace $ backend $ drivers 1 $ boxcar 8 $ records 200
+        $ opt Arg.string [ "out"; "o" ] "trace.json" ~docv:"FILE" ~doc:"Output trace file.");
+    row "metrics" ~doc:"Run a hot-stock cell and dump the whole metrics registry"
+      Term.(const metrics $ backend $ drivers 2 $ boxcar 8 $ records 1_000 $ json);
+    row "timeline"
+      ~doc:
+        "Run a hot-stock cell with the continuous-telemetry sampler on and print the \
+         bottleneck-attribution report (CSV/JSON export of the full series)"
+      Term.(
+        const timeline
+        $ mode (singles @ [ ("both", `Both) ]) `Both ~doc:"Audit backend(s) to sample."
+        $ device $ drivers 2 $ boxcar 8 $ records 2_000
+        $ interval_ms positive 10 ~doc:"Sampling interval in sim milliseconds."
+        $ opt Arg.(some string) [ "csv" ] None ~docv:"FILE"
+            ~doc:
+              "Write the full series as CSV.  With --mode both, the mode name is inserted \
+               before the extension (out.csv -> out-disk.csv, out-pm.csv)."
+        $ json);
+    row "hot-stock" ~doc:"Run one hot-stock configuration and print details"
+      Term.(
+        const hot_stock $ backend $ device $ drivers 2 $ boxcar 8 $ records 4_000
+        $ flag "report" ~doc:"Print the per-subsystem operator report.");
+    row "drill"
+      ~doc:
+        "Run hot-stock load under a fault schedule, crash, recover, and audit that no \
+         acknowledged commit was lost"
+      Term.(
+        const drill $ drill_mode $ drill_plan $ drill_plan_file $ drivers 2 $ boxcar 8
+        $ records 400
+        $ seed 0xD5177 ~doc:"Simulation seed."
+        $ interval_ms non_negative 0
+            ~doc:
+              "Record a telemetry timeline on this cadence and print the event-aligned \
+               availability overlay (0 disables sampling)."
+        $ drill_flight
+        $ flag "list-plans" ~doc:"Print the $(b,--plan) names valid for the selected mode and exit."
+        $ no_defenses
+            ~doc:
+              "Corruption, grayfail and overload plans only: run the same fault schedule \
+               with the defenses disabled (corruption: scrubber and verified reads; \
+               grayfail: health monitor, hedged reads, demotion and adaptive backoff; \
+               overload: admission control, deadlines, retry budgets and breakers) — the \
+               negative control that shows what the faults cost undefended (expect a \
+               non-zero exit)."
+        $ json);
+    row "explore"
+      ~doc:
+        "Adversarial fault-schedule search: generate seeded composite chaos schedules over \
+         the whole fault vocabulary (phase-aware: during load, mid-2PC, during recovery, \
+         mid-resync), run each as a drill judged by the shared invariant oracle, and \
+         delta-debug any violation to a minimal schedule emitted as a bit-for-bit \
+         replayable repro file"
+      Term.(
+        const explore
+        $ count "budget" ~doc:"Schedules to generate and run." 200
+        $ seed 0xE5EED
+            ~doc:
+              "Corpus seed.  The whole corpus is a pure function of the seed: the same seed \
+               generates byte-identical schedules."
+        $ explore_out_dir
+        $ count "max-replays" ~doc:"Drill replays the shrinker may spend per violation." 150
+        $ no_defenses
+            ~doc:
+              "Run the same corpus on the weakened platform (PM integrity and overload \
+               defenses off) — the negative control: the explorer must find the known \
+               failures and shrink them (expect a non-zero exit)."
+        $ flag "corpus-only"
+            ~doc:
+              "Generate and print the schedule corpus as JSON without running any drill — \
+               the determinism witness."
+        $ json);
+    row "critpath"
+      ~doc:
+        "Trace every committed transaction's cross-node span DAG and print the \
+         critical-path report: per-hop queue/service attribution, ranked, with full DAGs \
+         kept for the slowest transactions (each exemplar's hop durations sum exactly to \
+         its measured ack latency)"
+      Term.(
+        const critpath
+        $ mode
+            (singles @ [ ("both", `Both); ("cluster", `Cluster) ])
+            `Both
+            ~doc:
+              "What to trace: a single-node hot-stock cell on the disk or PM audit backend \
+               ($(b,both) runs one of each for comparison), or $(b,cluster), a multi-node \
+               2PC load whose prepare/decide hops cross the interconnect."
+        $ drivers 2 $ boxcar 8 $ records 500
+        $ opt (checked Arg.int "at least 2" (fun n -> n >= 2)) [ "nodes" ] 2 ~docv:"N"
+            ~doc:"Cluster mode: node count (at least 2)."
+        $ count "txns" ~doc:"Cluster mode: transactions per driver." 60
+        $ seed 0xCA75A ~doc:"Simulation seed."
+        $ critpath_chrome $ json);
+    row "telco" ~doc:"Telco CDR ingest workload (paper section 1)"
+      Term.(
+        const telco $ backend $ records 1_000
+        $ opt non_negative_float [ "rate" ] 0.0 ~docv:"CDR/s"
+            ~doc:"Open-loop offered load (0 = closed loop).");
+    row "orders" ~doc:"Hot-stock order matching workload (paper section 2)"
+      Term.(const orders $ backend $ count "trades" ~doc:"Trades per stream." 500);
+    row "bank" ~doc:"TPC-B-style update-heavy banking workload"
+      Term.(const bank $ backend $ count "txns" ~doc:"Transactions per client." 250);
+  ]
 
 let all records =
   Printf.printf "pmods: full experiment sweep at %d records/driver\n\n" records;
-  fig1 records false;
-  print_newline ();
-  fig2 records false;
-  print_newline ();
-  sweep_latency (min records 4_000);
-  print_newline ();
-  sweep_mirror (min records 4_000);
-  print_newline ();
-  mttr (min records 2_000);
-  print_newline ();
-  scale_adp (min records 4_000);
-  print_newline ();
-  ckpt_traffic (min records 2_000);
-  print_newline ();
-  scaleout (min records 1_000);
-  print_newline ();
-  dtx_cmd_impl 20;
-  print_newline ();
-  failover 400;
-  print_newline ();
-  perf (min records 300) false None 25.0 false
+  List.filter_map (fun e -> e.in_all) experiments
+  |> List.iteri (fun i run ->
+         if i > 0 then print_newline ();
+         run records)
 
-let all_cmd =
-  Cmd.v
-    (Cmd.info "all" ~doc:"Run every experiment at reduced scale and print the summary")
-    Term.(const all $ records_arg 2_000)
-
-let main_cmd =
+let () =
+  let all =
+    row "all" ~doc:"Run every experiment at reduced scale and print the summary"
+      Term.(const all $ records 2_000)
+  in
   let doc = "Reproduction experiments for 'Fast and Flexible Persistence' (IPDPS 2004)" in
-  Cmd.group (Cmd.info "odsbench" ~version:"1.0" ~doc)
-    [
-      all_cmd;
-      fig1_cmd;
-      fig2_cmd;
-      breakdown_cmd;
-      trace_cmd;
-      metrics_cmd;
-      timeline_cmd;
-      cell_cmd;
-      sweep_latency_cmd;
-      sweep_mirror_cmd;
-      mttr_cmd;
-      scale_adp_cmd;
-      failover_cmd;
-      drill_cmd;
-      explore_cmd;
-      critpath_cmd;
-      perf_cmd;
-      telco_cmd;
-      orders_cmd;
-      bank_cmd;
-      scaleout_cmd;
-      ckpt_traffic_cmd;
-      dtx_cmd;
-    ]
-
-let () = exit (Cmd.eval main_cmd)
+  exit
+    (Cmd.eval
+       (Cmd.group (Cmd.info "odsbench" ~version:"1.0" ~doc)
+          (List.map (fun e -> e.cmd) (all :: experiments))))

@@ -148,4 +148,4 @@ let to_json t =
     in
     (path, Json.Obj body)
   in
-  Json.to_string (Json.Obj (List.map entry (instruments t)))
+  Json.Obj (List.map entry (instruments t))

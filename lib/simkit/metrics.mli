@@ -58,4 +58,4 @@ val paths : t -> string list
 val pp_table : Format.formatter -> t -> unit
 (** One row per instrument; never raises, even on empty instruments. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t

@@ -974,6 +974,8 @@ let availability_of system =
 let single ?(seed = 0xD5177L) ?config ?obs ?prof ?sample_interval ?(params = default_params)
     ?(crash_decay = []) ?horizon ?recovery_plan ?inspect ?flight ~mode ~plan () =
   if params.drivers < 1 then invalid_arg "Drill.run: need at least one driver";
+  if params.inserts_per_txn < 1 then
+    invalid_arg "Drill.run: need at least one insert per transaction";
   let base = Option.value config ~default:System.default_config in
   let cfg = { (config_for base mode) with System.seed } in
   let count p = List.length (List.filter (fun ev -> p ev.Faultplan.action) plan) in
@@ -1361,6 +1363,8 @@ let cluster_driver cluster params tally index =
 let run_cluster ?(seed = 0xC1D5L) ?(nodes = 2) ?config ?obs ?(params = cluster_params)
     ?horizon ?recovery_plan ?flight ~plan () =
   if params.drivers < 1 then invalid_arg "Drill.run_cluster: need at least one driver";
+  if params.inserts_per_txn < 1 then
+    invalid_arg "Drill.run_cluster: need at least one insert per transaction";
   if nodes < 2 then invalid_arg "Drill.run_cluster: need at least two nodes";
   let base = Option.value config ~default:System.pm_config in
   let cfg = { (config_for base System.Pm_audit) with System.seed } in

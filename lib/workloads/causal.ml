@@ -82,12 +82,10 @@ let run_cluster ?(seed = 0xC10CL) ?(nodes = 2) ?(drivers = 2) ?(txns_per_driver 
       seed;
     }
   in
-  let sim = Sim.create ~seed () in
   let committed = ref 0 in
   let failed = ref 0 in
-  let elapsed = ref Time.zero in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"causal-cluster" (fun () ->
+  let elapsed =
+    Figures.simulate ~seed (fun sim ->
         let cluster = Tp.Cluster.build sim ~nodes ~wan_latency:(Time.us 100) ~obs cfg in
         let gate = Gate.create drivers in
         let started = Sim.now sim in
@@ -135,9 +133,8 @@ let run_cluster ?(seed = 0xC10CL) ?(nodes = 2) ?(drivers = 2) ?(txns_per_driver 
                  Gate.arrive gate))
         done;
         Gate.await gate;
-        elapsed := Sim.now sim - started)
+        Sim.now sim - started)
   in
-  Sim.run sim;
   let chrome_json =
     if chrome then begin
       replay cp (Obs.spans obs);
@@ -149,7 +146,7 @@ let run_cluster ?(seed = 0xC10CL) ?(nodes = 2) ?(drivers = 2) ?(txns_per_driver 
     cl_nodes = nodes;
     cl_committed = !committed;
     cl_failed = !failed;
-    cl_elapsed = !elapsed;
+    cl_elapsed = elapsed;
     cl_cp = cp;
     cl_chrome = chrome_json;
   }

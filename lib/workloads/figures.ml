@@ -4,6 +4,7 @@ type cell = {
   mode : Tp.System.log_mode;
   drivers : int;
   inserts_per_txn : int;
+  system : Tp.System.t;
   result : Hot_stock.result;
 }
 
@@ -13,6 +14,17 @@ let config_for base mode =
   | Tp.System.Pm_audit ->
       { base with Tp.System.log_mode = Tp.System.Pm_audit; txn_state_in_pm = true }
 
+let simulate ?prof ~seed f =
+  let sim = Sim.create ~seed () in
+  Option.iter (fun p -> Prof.install p sim) prof;
+  let out = ref None in
+  let (_ : Sim.pid) = Sim.spawn sim ~name:"main" (fun () -> out := Some (f sim)) in
+  Sim.run sim;
+  Option.iter Prof.uninstall prof;
+  match !out with
+  | Some v -> v
+  | None -> failwith "Figures.simulate: the simulation ended before its main process returned"
+
 let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval
     ?sample_capacity ~mode ~drivers ~inserts_per_txn ~records_per_driver () =
   (match (sample_interval, obs) with
@@ -21,34 +33,25 @@ let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval
   | _ -> ());
   let base = Option.value config ~default:Tp.System.default_config in
   let cfg = config_for base mode in
-  let sim = Sim.create ~seed () in
-  (match prof with Some p -> Prof.install p sim | None -> ());
-  let out = ref None in
-  let ts = ref None in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"figure-cell" (fun () ->
-        let system = Tp.System.build ?obs sim cfg in
-        (match (sample_interval, obs) with
+  simulate ?prof ~seed (fun sim ->
+      let system = Tp.System.build ?obs sim cfg in
+      let ts =
+        match (sample_interval, obs) with
         | Some interval, Some o ->
             let t =
-              Timeseries.create ?capacity:sample_capacity ~sim
-                ~metrics:(Obs.metrics o) ~interval ()
+              Timeseries.create ?capacity:sample_capacity ~sim ~metrics:(Obs.metrics o)
+                ~interval ()
             in
             Timeseries.start t;
-            ts := Some t
-        | _ -> ());
-        let params =
-          { Hot_stock.drivers; records_per_driver; record_bytes = 4096; inserts_per_txn }
-        in
-        let result = Hot_stock.run system params in
-        (match !ts with Some t -> Timeseries.stop t | None -> ());
-        out := Some result)
-  in
-  Sim.run sim;
-  (match prof with Some p -> Prof.uninstall p | None -> ());
-  match !out with
-  | Some result -> ({ mode; drivers; inserts_per_txn; result }, !ts)
-  | None -> failwith "Figures.run_cell: simulation did not complete"
+            Some t
+        | _ -> None
+      in
+      let params =
+        { Hot_stock.drivers; records_per_driver; record_bytes = 4096; inserts_per_txn }
+      in
+      let result = Hot_stock.run system params in
+      Option.iter Timeseries.stop ts;
+      ({ mode; drivers; inserts_per_txn; system; result }, ts))
 
 let run_cell ?seed ?config ?obs ?prof ~mode ~drivers ~inserts_per_txn
     ~records_per_driver () =
@@ -142,7 +145,17 @@ type fig1_point = {
   rt_disk_us : float;
   rt_pm_us : float;
   speedup : float;
+  paper_speedup : float option;
 }
+
+(* The paper's Figure 1 as read off its plot, by (drivers, boxcar). *)
+let paper_figure1 =
+  [
+    ((1, 8), 3.3); ((1, 16), 2.4); ((1, 32), 1.6);
+    ((2, 8), 3.4); ((2, 16), 2.5); ((2, 32), 1.7);
+    ((3, 8), 2.6); ((3, 16), 2.0); ((3, 32), 1.5);
+    ((4, 8), 2.2); ((4, 16), 1.8); ((4, 32), 1.4);
+  ]
 
 let figure1 ?(records_per_driver = 32_000) ?(drivers_list = [ 1; 2; 3; 4 ]) () =
   let point drivers boxcar =
@@ -161,6 +174,7 @@ let figure1 ?(records_per_driver = 32_000) ?(drivers_list = [ 1; 2; 3; 4 ]) () =
       rt_disk_us;
       rt_pm_us;
       speedup = (if rt_pm_us > 0.0 then rt_disk_us /. rt_pm_us else 0.0);
+      paper_speedup = List.assoc_opt (drivers, boxcar) paper_figure1;
     }
   in
   List.concat_map (fun drivers -> List.map (point drivers) boxcars) drivers_list
@@ -243,25 +257,17 @@ type mttr_point = { m_mode : Tp.System.log_mode; report : Tp.Recovery.report; tr
 let mttr ?(records_per_driver = 2_000) () =
   let one mode =
     let cfg = config_for Tp.System.default_config mode in
-    let sim = Sim.create ~seed:0x3117L () in
-    let out = ref None in
-    let (_ : Sim.pid) =
-      Sim.spawn sim ~name:"mttr-main" (fun () ->
-          let system = Tp.System.build sim cfg in
-          let params =
-            { Hot_stock.drivers = 2; records_per_driver; record_bytes = 4096; inserts_per_txn = 8 }
-          in
-          let (_ : Hot_stock.result) = Hot_stock.run system params in
-          (* Crash: lose the in-memory images, then recover from trails. *)
-          Array.iter (fun d -> Tp.Dp2.load_table d []) (Tp.System.dp2s system);
-          match Tp.Recovery.run system with
-          | Ok report ->
-              out :=
-                Some { m_mode = mode; report; trail_bytes = Tp.System.total_audit_bytes system }
-          | Error e -> failwith ("recovery failed: " ^ e))
-    in
-    Sim.run sim;
-    match !out with Some p -> p | None -> failwith "mttr run incomplete"
+    simulate ~seed:0x3117L (fun sim ->
+        let system = Tp.System.build sim cfg in
+        let params =
+          { Hot_stock.drivers = 2; records_per_driver; record_bytes = 4096; inserts_per_txn = 8 }
+        in
+        let (_ : Hot_stock.result) = Hot_stock.run system params in
+        (* Crash: lose the in-memory images, then recover from trails. *)
+        Array.iter (fun d -> Tp.Dp2.load_table d []) (Tp.System.dp2s system);
+        match Tp.Recovery.run system with
+        | Ok report -> { m_mode = mode; report; trail_bytes = Tp.System.total_audit_bytes system }
+        | Error e -> failwith ("recovery failed: " ^ e))
   in
   [ one Tp.System.Disk_audit; one Tp.System.Pm_audit ]
 
@@ -319,30 +325,26 @@ type scaleout_point = {
 let scaleout ?(records_per_driver = 2_000) ?(nodes_list = [ 1; 2; 4 ]) () =
   let one mode nodes =
     let cfg = config_for Tp.System.default_config mode in
-    let sim = Sim.create ~seed:0x5CA1EL () in
-    let committed = ref 0 in
-    let gate = Gate.create nodes in
     let params =
       { Hot_stock.drivers = 2; records_per_driver; record_bytes = 4096; inserts_per_txn = 8 }
     in
-    for _ = 1 to nodes do
-      let (_ : Sim.pid) =
-        Sim.spawn sim ~name:"node-main" (fun () ->
-            let system = Tp.System.build sim cfg in
-            let r = Hot_stock.run system params in
-            committed := !committed + r.Hot_stock.committed;
-            Gate.arrive gate)
-      in
-      ()
-    done;
-    let finished = ref Time.zero in
-    let (_ : Sim.pid) =
-      Sim.spawn sim ~name:"watcher" (fun () ->
+    let committed = ref 0 in
+    let finished =
+      simulate ~seed:0x5CA1EL (fun sim ->
+          let gate = Gate.create nodes in
+          for _ = 1 to nodes do
+            let (_ : Sim.pid) =
+              Sim.spawn sim ~name:"node" (fun () ->
+                  let r = Hot_stock.run (Tp.System.build sim cfg) params in
+                  committed := !committed + r.Hot_stock.committed;
+                  Gate.arrive gate)
+            in
+            ()
+          done;
           Gate.await gate;
-          finished := Sim.now sim)
+          Sim.now sim)
     in
-    Sim.run sim;
-    let seconds = Time.to_sec !finished in
+    let seconds = Time.to_sec finished in
     let aggregate = if seconds > 0.0 then float_of_int !committed /. seconds else 0.0 in
     { s_nodes = nodes; s_mode = mode; aggregate_tps = aggregate; per_node_tps = aggregate /. float_of_int nodes }
   in
@@ -362,53 +364,47 @@ type dtx_point = {
 let dtx_latency ?(transfers = 20) () =
   let one mode =
     let cfg = config_for Tp.System.default_config mode in
-    let sim = Sim.create ~seed:0xD70L () in
-    let out = ref None in
-    let (_ : Sim.pid) =
-      Sim.spawn sim ~name:"main" (fun () ->
-          let cluster = Tp.Cluster.build sim ~nodes:2 ~wan_latency:(Time.us 100) cfg in
-          let run_local key =
-            let session = Tp.Cluster.local_session cluster ~node:0 ~cpu:2 in
-            let t0 = Sim.now sim in
-            (match Tp.Txclient.begin_txn session with
-            | Error e -> failwith (Tp.Txclient.error_to_string e)
-            | Ok txn -> (
-                (match Tp.Txclient.insert session txn ~file:0 ~key ~len:64 () with
-                | Ok () -> ()
-                | Error e -> failwith (Tp.Txclient.error_to_string e));
-                match Tp.Txclient.commit session txn with
-                | Ok () -> ()
-                | Error e -> failwith (Tp.Txclient.error_to_string e)));
-            Sim.now sim - t0
-          in
-          let run_dtx key =
-            let dtx = Tp.Dtx.begin_dtx cluster ~coordinator:0 ~cpu:3 in
-            let t0 = Sim.now sim in
-            (match Tp.Dtx.insert dtx ~node:0 ~file:1 ~key ~len:64 with
-            | Ok () -> ()
-            | Error e -> failwith (Tp.Txclient.error_to_string e));
-            (match Tp.Dtx.insert dtx ~node:1 ~file:1 ~key ~len:64 with
-            | Ok () -> ()
-            | Error e -> failwith (Tp.Txclient.error_to_string e));
-            (match Tp.Dtx.commit dtx with
-            | Ok () -> ()
-            | Error e -> failwith (Tp.Txclient.error_to_string e));
-            Sim.now sim - t0
-          in
-          let avg f base =
-            let total = ref 0 in
-            for i = 1 to transfers do
-              total := !total + f (base + i)
-            done;
-            float_of_int (!total / transfers) /. 1e6
-          in
-          let local = avg run_local 1_000 in
-          let dtx = avg run_dtx 2_000 in
-          out := Some { d_mode = mode; local_rt_ms = local; dtx_rt_ms = dtx;
-                        protocol_overhead_ms = dtx -. local })
-    in
-    Sim.run sim;
-    match !out with Some p -> p | None -> failwith "dtx run incomplete"
+    simulate ~seed:0xD70L (fun sim ->
+        let cluster = Tp.Cluster.build sim ~nodes:2 ~wan_latency:(Time.us 100) cfg in
+        let run_local key =
+          let session = Tp.Cluster.local_session cluster ~node:0 ~cpu:2 in
+          let t0 = Sim.now sim in
+          (match Tp.Txclient.begin_txn session with
+          | Error e -> failwith (Tp.Txclient.error_to_string e)
+          | Ok txn -> (
+              (match Tp.Txclient.insert session txn ~file:0 ~key ~len:64 () with
+              | Ok () -> ()
+              | Error e -> failwith (Tp.Txclient.error_to_string e));
+              match Tp.Txclient.commit session txn with
+              | Ok () -> ()
+              | Error e -> failwith (Tp.Txclient.error_to_string e)));
+          Sim.now sim - t0
+        in
+        let run_dtx key =
+          let dtx = Tp.Dtx.begin_dtx cluster ~coordinator:0 ~cpu:3 in
+          let t0 = Sim.now sim in
+          (match Tp.Dtx.insert dtx ~node:0 ~file:1 ~key ~len:64 with
+          | Ok () -> ()
+          | Error e -> failwith (Tp.Txclient.error_to_string e));
+          (match Tp.Dtx.insert dtx ~node:1 ~file:1 ~key ~len:64 with
+          | Ok () -> ()
+          | Error e -> failwith (Tp.Txclient.error_to_string e));
+          (match Tp.Dtx.commit dtx with
+          | Ok () -> ()
+          | Error e -> failwith (Tp.Txclient.error_to_string e));
+          Sim.now sim - t0
+        in
+        let avg f base =
+          let total = ref 0 in
+          for i = 1 to transfers do
+            total := !total + f (base + i)
+          done;
+          float_of_int (!total / transfers) /. 1e6
+        in
+        let local = avg run_local 1_000 in
+        let dtx = avg run_dtx 2_000 in
+        { d_mode = mode; local_rt_ms = local; dtx_rt_ms = dtx;
+          protocol_overhead_ms = dtx -. local })
   in
   [ one Tp.System.Disk_audit; one Tp.System.Pm_audit ]
 
@@ -423,38 +419,30 @@ type failover_report = {
 }
 
 let failover_under_load ?(records_per_driver = 400) () =
-  let sim = Sim.create ~seed:0xFA11L () in
-  let out = ref None in
   let committed_before = ref 0 in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"failover-main" (fun () ->
-        let system = Tp.System.build sim Tp.System.default_config in
-        let params =
-          { Hot_stock.drivers = 2; records_per_driver; record_bytes = 4096; inserts_per_txn = 8 }
-        in
-        (* Kill ADP 1's primary mid-run. *)
-        Sim.at sim ~after:(Time.ms 500) (fun () ->
-            committed_before := Tp.Tmf.committed (Tp.System.tmf system);
-            Tp.Adp.kill_primary (Tp.System.adps system).(1));
-        let result = Hot_stock.run system params in
-        (* Every committed transaction must be recoverable from the
-           (takeover-surviving) trails. *)
-        Array.iter (fun d -> Tp.Dp2.load_table d []) (Tp.System.dp2s system);
-        let rows_rebuilt =
-          match Tp.Recovery.run system with
-          | Ok report -> report.Tp.Recovery.rows_rebuilt
-          | Error e -> failwith ("post-failover recovery failed: " ^ e)
-        in
-        let expected_rows = 2 * records_per_driver in
-        out :=
-          Some
-            {
-              committed_before = !committed_before;
-              committed_total = result.Hot_stock.committed;
-              adp_takeovers = Tp.Adp.pair_takeovers (Tp.System.adps system).(1);
-              outage = Nsk.Procpair.default_config.Nsk.Procpair.takeover_delay;
-              lost_transactions = max 0 (expected_rows - rows_rebuilt);
-            })
-  in
-  Sim.run sim;
-  match !out with Some r -> r | None -> failwith "failover run incomplete"
+  simulate ~seed:0xFA11L (fun sim ->
+      let system = Tp.System.build sim Tp.System.default_config in
+      let params =
+        { Hot_stock.drivers = 2; records_per_driver; record_bytes = 4096; inserts_per_txn = 8 }
+      in
+      (* Kill ADP 1's primary mid-run. *)
+      Sim.at sim ~after:(Time.ms 500) (fun () ->
+          committed_before := Tp.Tmf.committed (Tp.System.tmf system);
+          Tp.Adp.kill_primary (Tp.System.adps system).(1));
+      let result = Hot_stock.run system params in
+      (* Every committed transaction must be recoverable from the
+         (takeover-surviving) trails. *)
+      Array.iter (fun d -> Tp.Dp2.load_table d []) (Tp.System.dp2s system);
+      let rows_rebuilt =
+        match Tp.Recovery.run system with
+        | Ok report -> report.Tp.Recovery.rows_rebuilt
+        | Error e -> failwith ("post-failover recovery failed: " ^ e)
+      in
+      let expected_rows = 2 * records_per_driver in
+      {
+        committed_before = !committed_before;
+        committed_total = result.Hot_stock.committed;
+        adp_takeovers = Tp.Adp.pair_takeovers (Tp.System.adps system).(1);
+        outage = Nsk.Procpair.default_config.Nsk.Procpair.takeover_delay;
+        lost_transactions = max 0 (expected_rows - rows_rebuilt);
+      })

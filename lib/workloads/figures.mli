@@ -2,12 +2,24 @@ open Simkit
 
 (** Experiment harness: every table/figure of the paper plus the
     ablations DESIGN.md commits to, as plain functions returning data.
-    The bench executable and the odsbench CLI both print from these. *)
+    The odsbench CLI prints from these. *)
+
+val simulate : ?prof:Prof.t -> seed:int64 -> (Sim.t -> 'a) -> 'a
+(** [simulate ~seed f] runs [f sim] as the main process of a fresh
+    simulation seeded with [seed], runs it until no event is left, and
+    returns what [f] returned.  With [prof], the profiler is installed
+    on the simulation for the whole run.  Raises [Failure] if the
+    simulation ends before [f] returns. *)
+
+val config_for : Tp.System.config -> Tp.System.log_mode -> Tp.System.config
+(** [base] set up for an audit backend: PM audit also keeps transaction
+    state in PM. *)
 
 type cell = {
   mode : Tp.System.log_mode;
   drivers : int;
   inserts_per_txn : int;
+  system : Tp.System.t;  (** the system the cell ran on, after the run *)
   result : Hot_stock.result;
 }
 
@@ -91,6 +103,8 @@ type fig1_point = {
   rt_disk_us : float;
   rt_pm_us : float;
   speedup : float;
+  paper_speedup : float option;
+      (** the paper's Figure 1 value for this cell, read off its plot *)
 }
 
 val figure1 : ?records_per_driver:int -> ?drivers_list:int list -> unit -> fig1_point list

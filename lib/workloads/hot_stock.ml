@@ -146,6 +146,8 @@ let run_open ?sessions system schedule ~record_bytes ~inserts_per_txn =
 
 let run system params =
   if params.drivers < 1 then invalid_arg "Hot_stock.run: need at least one driver";
+  if params.inserts_per_txn < 1 then
+    invalid_arg "Hot_stock.run: need at least one insert per transaction";
   let sim = Tp.System.sim system in
   let node = Tp.System.node system in
   let response_stat = Stat.create ~name:"hot-stock-rt" () in

@@ -147,7 +147,7 @@ let test_metrics_dump_never_aborts () =
   (* pp_table over empty instruments must not raise. *)
   let table = Format.asprintf "%a" Metrics.pp_table m in
   check_bool "table mentions path" true (String.length table > 0);
-  let json = Metrics.to_json m in
+  let json = Json.to_string (Metrics.to_json m) in
   let has sub =
     let n = String.length sub and l = String.length json in
     let rec go i = i + n <= l && (String.sub json i n = sub || go (i + 1)) in

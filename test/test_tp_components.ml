@@ -817,8 +817,28 @@ let test_drill_plan_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range ADP accepted"
 
+let test_drill_rejects_empty_boxcar () =
+  Alcotest.check_raises "single-node drill"
+    (Invalid_argument "Drill.run: need at least one insert per transaction") (fun () ->
+      ignore
+        (Drill.run
+           ~params:{ Drill.default_params with Drill.inserts_per_txn = 0 }
+           ~mode:System.Disk_audit ~plan:[] ()))
+
+let test_cluster_drill_rejects_empty_boxcar () =
+  Alcotest.check_raises "cluster drill"
+    (Invalid_argument "Drill.run_cluster: need at least one insert per transaction")
+    (fun () ->
+      ignore
+        (Drill.run_cluster
+           ~params:{ Drill.cluster_params with Drill.inserts_per_txn = 0 }
+           ~plan:[] ()))
+
 let drill_cases =
   [
+    Alcotest.test_case "zero boxcar is refused" `Quick test_drill_rejects_empty_boxcar;
+    Alcotest.test_case "zero boxcar is refused (cluster)" `Quick
+      test_cluster_drill_rejects_empty_boxcar;
     Alcotest.test_case "ADP kills, zero loss" `Slow test_drill_adp_kills;
     Alcotest.test_case "DP2 kills, zero loss" `Slow test_drill_dp2_kills;
     Alcotest.test_case "TMF kill, zero loss" `Slow test_drill_tmf_kill;

@@ -265,11 +265,21 @@ let test_scaleout_linear () =
     true
     (d2.Figures.aggregate_tps > d1.Figures.aggregate_tps *. 1.8)
 
+(* A zero boxcar never advances a driver's insert cursor: it must be
+   refused up front, not loop forever. *)
+let test_hot_stock_rejects_empty_boxcar () =
+  Alcotest.check_raises "zero boxcar"
+    (Invalid_argument "Hot_stock.run: need at least one insert per transaction") (fun () ->
+      ignore
+        (Figures.run_cell ~mode:Tp.System.Disk_audit ~drivers:1 ~inserts_per_txn:0
+           ~records_per_driver:8 ()))
+
 let suite =
   [
     ( "workloads.hot_stock",
       [
         Alcotest.test_case "transaction accounting" `Quick test_hot_stock_accounting;
+        Alcotest.test_case "zero boxcar is refused" `Quick test_hot_stock_rejects_empty_boxcar;
         Alcotest.test_case "partial last boxcar" `Quick test_hot_stock_partial_last_boxcar;
         Alcotest.test_case "distinct rows land" `Quick test_hot_stock_rows_unique;
         Alcotest.test_case "txn size labels" `Quick test_txn_size_label;
