@@ -30,10 +30,11 @@ let bench_heap =
     (Staged.stage (fun () ->
          let h = Simkit.Heap.create () in
          for i = 0 to 255 do
-           Simkit.Heap.push h ~key:((i * 37) mod 97) ~seq:i i
+           ignore (Simkit.Heap.push h ~key:((i * 37) mod 97) ~seq:i i : int Simkit.Heap.entry)
          done;
-         let rec drain () = match Simkit.Heap.pop h with Some _ -> drain () | None -> () in
-         drain ()))
+         while not (Simkit.Heap.is_empty h) do
+           ignore (Simkit.Heap.pop h : int Simkit.Heap.entry)
+         done))
 
 let bench_rng =
   let rng = Simkit.Rng.create 1L in
@@ -47,6 +48,26 @@ let bench_event_loop =
            Simkit.Sim.spawn sim ~name:"sleeper" (fun () ->
                for _ = 1 to 1000 do
                  Simkit.Sim.sleep 100
+               done)
+         in
+         Simkit.Sim.run sim))
+
+(* The deadline-timer pattern of process-pair checkpoints and timed RPCs:
+   every 1 s timeout is cancelled because the value arrives first, while
+   a few live timers stay queued behind it. *)
+let bench_cancelled_timeouts =
+  Test.make ~name:"sim/1000-cancelled-timeouts"
+    (Staged.stage (fun () ->
+         let sim = Simkit.Sim.create () in
+         for i = 1 to 4 do
+           Simkit.Sim.at sim ~after:(Simkit.Time.sec (10 * i)) ignore
+         done;
+         let (_ : Simkit.Sim.pid) =
+           Simkit.Sim.spawn sim ~name:"waiter" (fun () ->
+               for i = 1 to 1000 do
+                 let iv = Simkit.Ivar.create () in
+                 Simkit.Sim.at sim ~after:100 (fun () -> Simkit.Ivar.fill iv i);
+                 ignore (Simkit.Ivar.read_timeout iv (Simkit.Time.sec 1) : int option)
                done)
          in
          Simkit.Sim.run sim))
@@ -118,6 +139,7 @@ let micro_tests =
       bench_heap;
       bench_rng;
       bench_event_loop;
+      bench_cancelled_timeouts;
       bench_rdma;
       bench_figure1_cell;
       bench_figure2_cell;

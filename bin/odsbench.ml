@@ -1355,7 +1355,10 @@ let perf_text (r : Perf.report) =
             (if l.Perf.ls_discarded > 0 then
                Printf.sprintf " (%d discarded)" l.Perf.ls_discarded
              else ""))
-        w.Perf.r_layers)
+        w.Perf.r_layers;
+      let residual name secs note = Printf.printf "  %-26s %10.3f ms  %s\n" name (secs *. 1e3) note in
+      residual "loop" w.Perf.r_loop_wall_s "outside any handler: heap pops, dispatch hooks";
+      residual "unattributed" w.Perf.r_unattributed_wall_s "handler time outside every section")
     r.Perf.p_runs;
   hr ();
   let o = r.Perf.p_overhead in

@@ -1,4 +1,4 @@
-type 'a entry = { key : int; seq : int; value : 'a }
+type 'a entry = { key : int; seq : int; value : 'a; mutable slot : int }
 
 type 'a t = { mutable a : 'a entry array; mutable n : int }
 
@@ -19,70 +19,69 @@ let grow t e =
     t.a <- na
   end
 
-let push t ~key ~seq value =
-  let e = { key; seq; value } in
-  grow t e;
-  t.a.(t.n) <- e;
-  t.n <- t.n + 1;
-  (* Sift up. *)
-  let i = ref (t.n - 1) in
+let[@inline] place a i e =
+  a.(i) <- e;
+  e.slot <- i
+
+(* Both sifts carry [e] as a hole and write it once where it lands,
+   keeping every moved entry's [slot] in step with its array index. *)
+let sift_up t start e =
+  let a = t.a in
+  let i = ref start in
   while
     !i > 0
     &&
     let p = (!i - 1) / 2 in
-    less t.a.(!i) t.a.(p)
+    less e a.(p)
   do
     let p = (!i - 1) / 2 in
-    let tmp = t.a.(p) in
-    t.a.(p) <- t.a.(!i);
-    t.a.(!i) <- tmp;
+    place a !i a.(p);
     i := p
-  done
+  done;
+  place a !i e
 
-let sift_down t start =
+let sift_down t start e =
+  let a = t.a and n = t.n in
   let i = ref start in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.n && less t.a.(l) t.a.(!smallest) then smallest := l;
-    if r < t.n && less t.a.(r) t.a.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
     else begin
-      let tmp = t.a.(!smallest) in
-      t.a.(!smallest) <- t.a.(!i);
-      t.a.(!i) <- tmp;
-      i := !smallest
-    end
-  done
-
-let pop t =
-  if t.n = 0 then None
-  else begin
-    let top = t.a.(0) in
-    t.n <- t.n - 1;
-    if t.n > 0 then begin
-      t.a.(0) <- t.a.(t.n);
-      sift_down t 0
-    end;
-    Some (top.key, top.seq, top.value)
-  end
-
-let peek_key t = if t.n = 0 then None else Some t.a.(0).key
-
-let pop_le t ~max = if t.n = 0 || t.a.(0).key > max then None else pop t
-
-let filter t keep =
-  let m = ref 0 in
-  for i = 0 to t.n - 1 do
-    if keep t.a.(i).value then begin
-      t.a.(!m) <- t.a.(i);
-      incr m
+      let c = if l + 1 < n && less a.(l + 1) a.(l) then l + 1 else l in
+      if less a.(c) e then begin
+        place a !i a.(c);
+        i := c
+      end
+      else continue := false
     end
   done;
-  t.n <- !m;
-  (* Bottom-up heapify; the (key, seq) order of survivors is unchanged,
-     so subsequent pops stay deterministic. *)
-  for i = (t.n / 2) - 1 downto 0 do
-    sift_down t i
-  done
+  place a !i e
+
+let push t ~key ~seq value =
+  let e = { key; seq; value; slot = -1 } in
+  grow t e;
+  t.n <- t.n + 1;
+  sift_up t (t.n - 1) e;
+  e
+
+let remove t e =
+  let i = e.slot in
+  if i >= 0 then begin
+    if i >= t.n || t.a.(i) != e then invalid_arg "Heap.remove: entry of another heap";
+    e.slot <- -1;
+    let n = t.n - 1 in
+    t.n <- n;
+    if i < n then begin
+      (* The last entry fills the hole; it may belong above or below. *)
+      let last = t.a.(n) in
+      if i > 0 && less last t.a.((i - 1) / 2) then sift_up t i last else sift_down t i last
+    end
+  end
+
+let top t = if t.n = 0 then invalid_arg "Heap.top: empty heap" else t.a.(0)
+
+let pop t =
+  let e = top t in
+  remove t e;
+  e

@@ -1,31 +1,44 @@
-(** Binary min-heap keyed by [(time, sequence)] pairs.
+(** Indexed binary min-heap keyed by [(key, seq)] pairs.
 
     The sequence number breaks ties so that events scheduled for the same
-    instant fire in insertion order, which keeps runs deterministic. *)
+    instant fire in insertion order, which keeps runs deterministic.
+
+    {!push} returns the {e entry} it inserted.  The entry carries the key,
+    the seq, the value and its current slot in the heap array, so
+    {!remove} deletes any entry in O(log n) without a search, and taking
+    the minimum hands back the entry itself with no allocation. *)
 
 type 'a t
+
+type 'a entry = private {
+  key : int;
+  seq : int;
+  value : 'a;
+  mutable slot : int;
+      (** Index in the heap array while queued; [-1] once popped or
+          removed.  An entry is live exactly when [slot >= 0]. *)
+}
 
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
+(** Number of live entries. *)
 
-val push : 'a t -> key:int -> seq:int -> 'a -> unit
+val push : 'a t -> key:int -> seq:int -> 'a -> 'a entry
+(** Insert one entry (one allocation) and return it. *)
 
-val pop : 'a t -> (int * int * 'a) option
-(** Remove and return the minimum element as [(key, seq, value)]. *)
+val remove : 'a t -> 'a entry -> unit
+(** Delete a live entry in O(log n): the last entry takes its slot and
+    sifts up or down.  Removing an entry that was already popped or
+    removed does nothing.  Raises [Invalid_argument] for a live entry of
+    another heap. *)
 
-val peek_key : 'a t -> int option
-(** Key of the minimum element, without removing it. *)
+val top : 'a t -> 'a entry
+(** The minimum entry, left in place.  Raises [Invalid_argument] when
+    empty. *)
 
-val pop_le : 'a t -> max:int -> (int * int * 'a) option
-(** Like {!pop}, but leaves the heap untouched and returns [None] when
-    the minimum key exceeds [max].  Lets a bounded event loop pop in one
-    heap access instead of a peek-then-pop pair. *)
-
-val filter : 'a t -> ('a -> bool) -> unit
-(** Drop every element whose value fails the predicate and re-heapify
-    in place (O(n)).  Survivors keep their [(key, seq)] pairs, so pop
-    order among them is unchanged — used to compact lazily-cancelled
-    timer events without disturbing determinism. *)
+val pop : 'a t -> 'a entry
+(** [top] then [remove]: the returned entry is no longer live.  Raises
+    [Invalid_argument] when empty. *)

@@ -12,15 +12,11 @@ type proc = {
 
 type hooks = { h_before : int -> unit; h_after : unit -> unit }
 
-(* An event is disarmed either when it fires or when it is cancelled;
-   cancelled entries stay in the heap (lazy deletion) until the pop loop
-   skips them or a compaction sweep drops them wholesale. *)
-type event = { mutable armed : bool; ev_thunk : unit -> unit }
-
+(* The heap entry is the event: it leaves the heap when it fires or is
+   cancelled, so the heap holds exactly the live events. *)
 type t = {
   mutable now : Time.t;
-  events : event Heap.t;
-  mutable stale : int;  (** cancelled entries still sitting in [events] *)
+  events : (unit -> unit) Heap.t;
   mutable seq : int;
   root_rng : Rng.t;
   procs : (pid, proc) Hashtbl.t;
@@ -43,7 +39,6 @@ let create ?(seed = 0x5EEDL) ?(on_crash = `Raise) () =
   {
     now = Time.zero;
     events = Heap.create ();
-    stale = 0;
     seq = 0;
     root_rng = Rng.create seed;
     procs = Hashtbl.create 64;
@@ -60,9 +55,7 @@ let set_dispatch_hooks t ~before ~after =
 
 let clear_dispatch_hooks t = t.hooks <- None
 
-let queue_depth t = Heap.length t.events - t.stale
-
-let heap_size t = Heap.length t.events
+let queue_depth t = Heap.length t.events
 
 let now t = t.now
 
@@ -71,23 +64,9 @@ let rng t = t.root_rng
 let schedule_event t ~time thunk =
   if time < t.now then invalid_arg "Sim: scheduling in the past";
   t.seq <- t.seq + 1;
-  let e = { armed = true; ev_thunk = thunk } in
-  Heap.push t.events ~key:time ~seq:t.seq e;
-  e
+  Heap.push t.events ~key:time ~seq:t.seq thunk
 
-let schedule t ~time thunk = ignore (schedule_event t ~time thunk : event)
-
-(* Compact once stale entries dominate, so heavy timeout use cannot grow
-   the heap beyond ~2x the live event count. *)
-let cancel_event t e =
-  if e.armed then begin
-    e.armed <- false;
-    t.stale <- t.stale + 1;
-    if t.stale > 64 && 2 * t.stale > Heap.length t.events then begin
-      Heap.filter t.events (fun ev -> ev.armed);
-      t.stale <- 0
-    end
-  end
+let schedule t ~time thunk = ignore (schedule_event t ~time thunk : (unit -> unit) Heap.entry)
 
 let at t ~after thunk =
   if after < 0 then invalid_arg "Sim.at: negative span";
@@ -97,7 +76,7 @@ let at_time t ~time thunk = schedule t ~time thunk
 
 let at_time_cancel t ~time thunk =
   let e = schedule_event t ~time thunk in
-  fun () -> cancel_event t e
+  fun () -> Heap.remove t.events e
 
 let finish t p reason =
   if p.alive then begin
@@ -180,49 +159,33 @@ let live_processes t = t.live
 
 let stop t = t.stopping <- true
 
-(* The loop body is hoisted so both run variants share one copy and the
-   common (unhooked) path stays a single heap access per event. *)
-let[@inline] dispatch t time thunk =
-  t.now <- time;
-  match t.hooks with
-  | None -> thunk ()
-  | Some h ->
-      h.h_before (Heap.length t.events - t.stale);
-      thunk ();
-      h.h_after ()
-
-(* A cancelled entry is skipped without advancing the clock, so behavior
-   is identical whether or not a compaction sweep already dropped it. *)
-let[@inline] dispatch_event t time e =
-  if e.armed then begin
-    e.armed <- false;
-    dispatch t time e.ev_thunk
-  end
-  else t.stale <- t.stale - 1
-
-let run ?until t =
+(* One loop serves both variants: an unbounded run is bounded by
+   [max_int].  The minimum stays queued until it is known to run, so
+   past-the-bound events remain for a later run; the clock advances to
+   the bound only while a live event remains. *)
+let run ?(until = max_int) t =
   t.stopping <- false;
-  match until with
-  | None ->
-      let continue = ref true in
-      while !continue && not t.stopping do
-        match Heap.pop t.events with
-        | None -> continue := false
-        | Some (time, _, e) -> dispatch_event t time e
-      done
-  | Some u ->
-      let continue = ref true in
-      while !continue && not t.stopping do
-        match Heap.pop_le t.events ~max:u with
-        | None ->
-            (* Past-the-bound events stay queued; the clock advances to
-               the bound only if something live remains to run later
-               (stale cancelled entries don't count — whether compaction
-               already dropped them must not change the outcome). *)
-            if Heap.length t.events > t.stale then t.now <- u;
-            continue := false
-        | Some (time, _, e) -> dispatch_event t time e
-      done
+  let continue = ref true in
+  while !continue && not t.stopping do
+    if Heap.is_empty t.events then continue := false
+    else begin
+      let e = Heap.top t.events in
+      if e.Heap.key > until then begin
+        t.now <- until;
+        continue := false
+      end
+      else begin
+        Heap.remove t.events e;
+        t.now <- e.Heap.key;
+        match t.hooks with
+        | None -> e.Heap.value ()
+        | Some h ->
+            h.h_before (Heap.length t.events);
+            e.Heap.value ();
+            h.h_after ()
+      end
+    end
+  done
 
 (* Process-context operations. *)
 

@@ -35,9 +35,10 @@ val at_time : t -> time:Time.t -> (unit -> unit) -> unit
 
 val at_time_cancel : t -> time:Time.t -> (unit -> unit) -> unit -> unit
 (** Like {!at_time}, but returns a cancel thunk.  Cancelling an event
-    that already fired (or was already cancelled) is a no-op.  Cancelled
-    entries are deleted lazily; once they dominate the heap a compaction
-    sweep drops them, so heavy timeout use cannot bloat the event queue.
+    that already fired (or was already cancelled) is a no-op.  A
+    cancelled event leaves the queue at once (O(log n)): it is never
+    dispatched, never moves the clock and never counts in
+    {!queue_depth}, so heavy timeout use cannot bloat the event queue.
     This is the primitive under {!Ivar.read_timeout} and
     {!Mailbox.recv_timeout}. *)
 
@@ -68,8 +69,9 @@ val crashed : t -> (pid * string * exn) list
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events until the queue drains, [until] is reached, or
-    {!stop}.  Returns with [now t] at the last executed event (or at
-    [until]).  Blocked processes do not keep the run alive. *)
+    {!stop}.  Returns with [now t] at the last executed event, or at
+    [until] when an event remains queued past it.  Blocked processes do
+    not keep the run alive. *)
 
 val stop : t -> unit
 (** Make {!run} return after the current event. *)
@@ -77,11 +79,7 @@ val stop : t -> unit
 val live_processes : t -> int
 
 val queue_depth : t -> int
-(** Number of live (non-cancelled) pending events in the queue. *)
-
-val heap_size : t -> int
-(** Physical size of the event heap, including cancelled entries not
-    yet compacted away — for diagnostics and regression tests. *)
+(** Number of pending events in the queue; cancelled ones are gone. *)
 
 (** {1 Dispatch hooks}
 

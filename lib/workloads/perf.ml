@@ -35,6 +35,8 @@ type run_report = {
   r_pm_writes : int;
   r_committed : int;
   r_layers : layer_share list;
+  r_loop_wall_s : float;
+  r_unattributed_wall_s : float;
 }
 
 type overhead = {
@@ -97,6 +99,10 @@ let profiled ~name ~seed f =
     r_pm_writes = Prof.pm_write_count p;
     r_committed = committed;
     r_layers = layers;
+    (* With the sections these two rows sum to the elapsed wall time. *)
+    r_loop_wall_s = wall -. handler_wall;
+    r_unattributed_wall_s =
+      handler_wall -. List.fold_left (fun acc l -> acc +. l.ls_wall_s) 0.0 layers;
   }
 
 let hot_stock_run ~records ~mode ~drivers prof =
@@ -217,6 +223,8 @@ let run_json r =
           ] );
       ("committed", Json.Int r.r_committed);
       ("layers", Json.List (List.map layer_json r.r_layers));
+      ("loop_wall_s", Json.Float r.r_loop_wall_s);
+      ("unattributed_wall_s", Json.Float r.r_unattributed_wall_s);
     ]
 
 let overhead_json o =

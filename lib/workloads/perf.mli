@@ -46,6 +46,12 @@ type run_report = {
   r_pm_writes : int;  (** PM client writes issued *)
   r_committed : int;  (** result invariance check across trajectory points *)
   r_layers : layer_share list;
+  r_loop_wall_s : float;
+      (** {!Prof.wall_elapsed} minus {!Prof.wall_total}: time outside
+          every handler — heap pops and the dispatch hooks *)
+  r_unattributed_wall_s : float;
+      (** handler wall time outside every layer section; with
+          [r_layers] and [r_loop_wall_s] it sums to [r_wall_s] *)
 }
 
 type overhead = {

@@ -1,6 +1,5 @@
 (* Tests for the self-profiler (Simkit.Prof), the zero-cost telemetry
-   level, the single-access bounded heap pop, and the odsbench perf
-   report schema. *)
+   level, and the odsbench perf report schema. *)
 
 open Simkit
 open Workloads
@@ -14,24 +13,6 @@ let with_level l f =
   let saved = Obs.level () in
   Obs.set_level l;
   Fun.protect ~finally:(fun () -> Obs.set_level saved) f
-
-(* --- Heap.pop_le: the single-access bounded pop --- *)
-
-let test_heap_pop_le () =
-  let h = Heap.create () in
-  Heap.push h ~key:5 ~seq:1 "e";
-  Heap.push h ~key:3 ~seq:2 "c";
-  Heap.push h ~key:9 ~seq:3 "i";
-  check_bool "below min: None" true (Heap.pop_le h ~max:2 = None);
-  check_int "nothing removed" 3 (Heap.length h);
-  (match Heap.pop_le h ~max:3 with
-  | Some (3, 2, "c") -> ()
-  | _ -> Alcotest.fail "expected (3, 2, c)");
-  check_int "one removed" 2 (Heap.length h);
-  (match Heap.pop_le h ~max:100 with
-  | Some (5, 1, "e") -> ()
-  | _ -> Alcotest.fail "expected (5, 1, e)");
-  check_bool "empty heap: None" true (Heap.pop_le (Heap.create ()) ~max:max_int = None)
 
 (* --- dispatch hooks --- *)
 
@@ -225,10 +206,17 @@ let test_perf_report_roundtrip () =
       check_bool "events > 0" true (int_field "events" > 0);
       check_bool "events_per_sec > 0" true (float_field "events_per_sec" > 0.0);
       check_bool "committed > 0" true (int_field "committed" > 0);
-      check_bool "layers present" true
-        (match Json.to_list_opt (mem "layers" w) with
-        | Some (_ :: _) -> true
-        | _ -> false))
+      let layers = Option.get (Json.to_list_opt (mem "layers" w)) in
+      check_bool "layers present" true (layers <> []);
+      (* Sections, unattributed handler time and the loop's own time
+         account for every elapsed wall-second. *)
+      let sections =
+        List.fold_left (fun acc l -> acc +. Option.get (Json.to_float_opt (mem "wall_s" l))) 0.0 layers
+      in
+      check_bool "loop time non-negative" true (float_field "loop_wall_s" >= 0.0);
+      Alcotest.(check (float 1e-9))
+        "rows sum to elapsed wall" (float_field "wall_s")
+        (sections +. float_field "unattributed_wall_s" +. float_field "loop_wall_s"))
     workloads;
   (* The PM cell must attribute time to the fabric hot path. *)
   let pm =
@@ -301,7 +289,6 @@ let suite =
   [
     ( "prof",
       [
-        Alcotest.test_case "heap pop_le" `Quick test_heap_pop_le;
         Alcotest.test_case "dispatch hooks" `Quick test_dispatch_hooks;
         Alcotest.test_case "sections + suspension guard" `Quick test_prof_sections;
         Alcotest.test_case "single install" `Quick test_prof_single_install;

@@ -23,39 +23,37 @@ let test_time_pp () =
 
 let test_heap_order () =
   let h = Heap.create () in
-  Heap.push h ~key:5 ~seq:1 "e";
-  Heap.push h ~key:1 ~seq:2 "a";
-  Heap.push h ~key:3 ~seq:3 "c";
-  Heap.push h ~key:1 ~seq:1 "a0";
+  List.iter
+    (fun (key, seq, v) -> ignore (Heap.push h ~key ~seq v : string Heap.entry))
+    [ (5, 1, "e"); (1, 2, "a"); (3, 3, "c"); (1, 1, "a0") ];
   let pop () =
-    match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
+    if Heap.is_empty h then Alcotest.fail "empty" else (Heap.pop h).Heap.value
   in
   let p1 = pop () in
   let p2 = pop () in
   let p3 = pop () in
   let p4 = pop () in
   Alcotest.(check (list string)) "sorted" [ "a0"; "a"; "c"; "e" ] [ p1; p2; p3; p4 ];
-  check_bool "empty after" true (Heap.is_empty h)
+  check_bool "empty after" true (Heap.is_empty h);
+  let stranger = Heap.push (Heap.create ()) ~key:0 ~seq:0 "x" in
+  Alcotest.check_raises "live entry of another heap"
+    (Invalid_argument "Heap.remove: entry of another heap") (fun () -> Heap.remove h stranger)
 
 let test_heap_random () =
   let rng = Rng.create 42L in
   let h = Heap.create () in
   let n = 1000 in
   for i = 1 to n do
-    Heap.push h ~key:(Rng.int rng 100) ~seq:i i
+    ignore (Heap.push h ~key:(Rng.int rng 100) ~seq:i i : int Heap.entry)
   done;
   let last = ref min_int in
   let count = ref 0 in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (k, _, _) ->
-        check_bool "nondecreasing" true (k >= !last);
-        last := k;
-        incr count;
-        drain ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    let k = (Heap.pop h).Heap.key in
+    check_bool "nondecreasing" true (k >= !last);
+    last := k;
+    incr count
+  done;
   check_int "all popped" n !count
 
 (* --- Rng --- *)
@@ -139,6 +137,46 @@ let test_run_until () =
   check_int "clock at bound" (Time.ms 5) (Sim.now sim);
   Sim.run sim;
   check_bool "fires later" true !fired
+
+(* --- Cancelled events leave the queue at once --- *)
+
+let test_cancel_middle_of_instant () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at_100 name = Sim.at_time_cancel sim ~time:100 (fun () -> log := name :: !log) in
+  let (_ : unit -> unit) = at_100 "first" in
+  let cancel_second = at_100 "second" in
+  let (_ : unit -> unit) = at_100 "third" in
+  cancel_second ();
+  check_int "two queued" 2 (Sim.queue_depth sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "first then third" [ "first"; "third" ] (List.rev !log)
+
+let test_cancel_after_fire () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let cancel = Sim.at_time_cancel sim ~time:10 (fun () -> incr fired) in
+  Sim.at_time sim ~time:20 ignore;
+  Sim.run ~until:15 sim;
+  cancel ();
+  check_int "fired once" 1 !fired;
+  check_int "later event untouched" 1 (Sim.queue_depth sim);
+  Sim.run sim;
+  check_int "still once" 1 !fired;
+  check_int "clock at later event" 20 (Sim.now sim)
+
+let test_cancelled_timer_keeps_clock () =
+  List.iter
+    (fun bound ->
+      let sim = Sim.create () in
+      let fired = ref false in
+      let cancel = Sim.at_time_cancel sim ~time:100 (fun () -> fired := true) in
+      cancel ();
+      check_int "queue empty" 0 (Sim.queue_depth sim);
+      Sim.run ~until:bound sim;
+      check_bool "never fired" false !fired;
+      check_int (Printf.sprintf "now after run ~until:%d" bound) 0 (Sim.now sim))
+    [ 50; 200 ]
 
 let test_process_sleep () =
   let sim = Sim.create () in
@@ -362,11 +400,75 @@ let prop_heap_sorts =
     QCheck.(list small_nat)
     (fun keys ->
       let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h ~key:k ~seq:i k) keys;
+      List.iteri (fun i k -> ignore (Heap.push h ~key:k ~seq:i k : int Heap.entry)) keys;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _, _) -> drain (k :: acc)
+        if Heap.is_empty h then List.rev acc else drain ((Heap.pop h).Heap.key :: acc)
       in
       drain [] = List.sort compare keys)
+
+(* Model test of the indexed heap: random push/remove/pop against a
+   sorted list of (key, seq) pairs.  Keys come from a small range so
+   ties are common and must break on seq; removals pick any entry ever
+   pushed, including ones already popped or removed, which must do
+   nothing. *)
+type heap_op = Push of int | Remove of int | Pop
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun k -> Push k) (int_bound 7)); (2, map (fun i -> Remove i) nat); (3, return Pop) ])
+
+let heap_op_print = function
+  | Push k -> Printf.sprintf "push %d" k
+  | Remove i -> Printf.sprintf "remove #%d" i
+  | Pop -> "pop"
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"indexed heap matches a sorted-list model" ~count:300
+    QCheck.(make ~print:Print.(list heap_op_print) Gen.(list_size (0 -- 120) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] (* live (key, seq), kept sorted *) in
+      let pushed = ref [||] (* every entry ever pushed, by seq *) in
+      let step seq op =
+        match op with
+        | Push key ->
+            let e = Heap.push h ~key ~seq seq in
+            pushed := Array.append !pushed [| e |];
+            model := List.merge compare !model [ (key, seq) ];
+            seq + 1
+        | Remove i ->
+            let n = Array.length !pushed in
+            if n > 0 then begin
+              let e = !pushed.(i mod n) in
+              Heap.remove h e;
+              model := List.filter (fun (_, s) -> s <> e.Heap.seq) !model;
+              if e.Heap.slot >= 0 then QCheck.Test.fail_report "removed entry still live"
+            end;
+            seq
+        | Pop -> (
+            match !model with
+            | [] ->
+                if not (Heap.is_empty h) then QCheck.Test.fail_report "model empty, heap not";
+                seq
+            | (k, s) :: rest ->
+                let e = Heap.pop h in
+                if (e.Heap.key, e.Heap.seq, e.Heap.value) <> (k, s, s) then
+                  QCheck.Test.fail_reportf "popped (%d, %d), model (%d, %d)" e.Heap.key e.Heap.seq k s;
+                model := rest;
+                seq)
+      in
+      let (_ : int) =
+        List.fold_left
+          (fun seq op ->
+            let seq = step seq op in
+            if Heap.length h <> List.length !model then
+              QCheck.Test.fail_reportf "length %d, live %d" (Heap.length h) (List.length !model);
+            seq)
+          0 ops
+      in
+      let live = Array.fold_left (fun n e -> if e.Heap.slot >= 0 then n + 1 else n) 0 !pushed in
+      live = List.length !model)
 
 let prop_stat_percentile_bounds =
   QCheck.Test.make ~name:"percentiles lie within [min,max]" ~count:100
@@ -378,7 +480,7 @@ let prop_stat_percentile_bounds =
       sum.p50 >= sum.min && sum.p50 <= sum.max && sum.p99 >= sum.p50)
 
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest
-    [ prop_determinism; prop_heap_sorts; prop_stat_percentile_bounds ]
+    [ prop_determinism; prop_heap_sorts; prop_heap_model; prop_stat_percentile_bounds ]
 
 let suite =
   [
@@ -409,6 +511,9 @@ let suite =
         Alcotest.test_case "callbacks fire in order" `Quick test_callbacks_in_order;
         Alcotest.test_case "same-time events are FIFO" `Quick test_same_time_fifo;
         Alcotest.test_case "run ~until stops the clock" `Quick test_run_until;
+        Alcotest.test_case "cancel inside one instant" `Quick test_cancel_middle_of_instant;
+        Alcotest.test_case "cancel after firing is a no-op" `Quick test_cancel_after_fire;
+        Alcotest.test_case "cancelled timer keeps the clock" `Quick test_cancelled_timer_keeps_clock;
         Alcotest.test_case "process sleep" `Quick test_process_sleep;
         Alcotest.test_case "exit hook on normal exit" `Quick test_process_exit_hook;
         Alcotest.test_case "killing a blocked process" `Quick test_kill_blocked_process;
