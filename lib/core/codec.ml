@@ -95,3 +95,57 @@ module Dec = struct
 
   let pos t = t.cursor
 end
+
+let seal ~magic ~size fields =
+  let enc = Enc.create ~size () in
+  Enc.u32 enc magic;
+  fields enc;
+  let body = Enc.length enc in
+  if body > size - 4 then invalid_arg "Codec.seal: fields overflow the block";
+  Enc.pad enc (size - body);
+  let out = Enc.to_bytes enc in
+  Bytes.set_int32_le out (size - 4) (Crc32.sub out ~pos:0 ~len:(size - 4));
+  out
+
+let unseal ~magic ~size decode buf =
+  if
+    Bytes.length buf < size
+    || not (Int32.equal (Bytes.get_int32_le buf (size - 4)) (Crc32.sub buf ~pos:0 ~len:(size - 4)))
+  then None
+  else
+    try
+      let dec = Dec.of_sub buf ~pos:0 ~len:(size - 4) in
+      if Dec.u32 dec <> magic then None else Some (decode dec)
+    with Dec.Truncated -> None
+
+let frame_header_bytes = 4 + 8 + 4 + 4
+
+let frame_crc_at = 16
+
+let frame ~magic ~generation payload =
+  let len = Bytes.length payload in
+  let enc = Enc.create ~size:(frame_header_bytes + len) () in
+  Enc.u32 enc magic;
+  Enc.u64 enc generation;
+  Enc.u32 enc len;
+  Enc.u32 enc 0;
+  Enc.raw enc payload;
+  let out = Enc.to_bytes enc in
+  Bytes.set_int32_le out frame_crc_at (Crc32.bytes out);
+  out
+
+let unframe ~magic decode buf =
+  try
+    let dec = Dec.of_bytes buf in
+    if Dec.u32 dec <> magic then None
+    else
+      let generation = Dec.u64 dec in
+      let len = Dec.u32 dec in
+      if len > Bytes.length buf - frame_header_bytes then None
+      else
+        let image = Bytes.sub buf 0 (frame_header_bytes + len) in
+        let crc = Bytes.get_int32_le image frame_crc_at in
+        Bytes.set_int32_le image frame_crc_at 0l;
+        if not (Int32.equal crc (Crc32.bytes image)) then None
+        else decode generation (Bytes.sub image frame_header_bytes len)
+  with Dec.Truncated -> None

@@ -1,6 +1,8 @@
 (** Little binary codec for durable structures (PMM metadata, audit-trail
     records).  Integers are little-endian; strings and byte blobs are
-    length-prefixed. *)
+    length-prefixed.  Every fixed PM block is a sealed block and every
+    PMM metadata slot a frame, so how such bytes prove they are intact
+    is decided here alone. *)
 
 module Enc : sig
   type t
@@ -45,3 +47,25 @@ module Dec : sig
   val remaining : t -> int
   val pos : t -> int
 end
+
+val seal : magic:int -> size:int -> (Enc.t -> unit) -> Bytes.t
+(** [seal ~magic ~size fields] is a [size]-byte sealed block: the u32
+    magic, the fields, zero fill, and in the last 4 bytes the CRC32 of
+    everything before them.  Raises [Invalid_argument] when the fields
+    leave no room for the CRC. *)
+
+val unseal : magic:int -> size:int -> (Dec.t -> 'a) -> Bytes.t -> 'a option
+(** Decode the fields of the sealed block at the front of a buffer.
+    [None], never an exception, for a buffer shorter than [size], a bad
+    CRC, the wrong magic, or fields that overrun the block. *)
+
+val frame : magic:int -> generation:int -> Bytes.t -> Bytes.t
+(** A slot frame: magic (u32), generation (u64), payload length (u32),
+    CRC32 (u32), then the payload.  The CRC is taken over the whole frame
+    with its own field read as zero, so it covers the header too. *)
+
+val unframe : magic:int -> (int -> Bytes.t -> 'a option) -> Bytes.t -> 'a option
+(** [unframe ~magic decode buf] runs [decode generation payload] only on
+    a frame at the front of [buf] whose magic and CRC check out; a
+    truncated frame, or a [decode] that raises {!Dec.Truncated}, gives
+    [None]. *)

@@ -28,37 +28,19 @@ let max_keys d = (2 * d) - 1
 (* --- header i/o --- *)
 
 let encode_header hdr =
-  let enc = Codec.Enc.create () in
-  Codec.Enc.u32 enc header_magic;
-  Codec.Enc.u16 enc hdr.degree;
-  Codec.Enc.u32 enc hdr.root_off;
-  Codec.Enc.u32 enc hdr.alloc_off;
-  Codec.Enc.u64 enc hdr.count;
-  let body = Codec.Enc.to_bytes enc in
-  let out = Bytes.make header_bytes '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(header_bytes - 4) in
-  let tail = Codec.Enc.create () in
-  Codec.Enc.u32 tail (Int32.to_int crc land 0xFFFFFFFF);
-  Bytes.blit (Codec.Enc.to_bytes tail) 0 out (header_bytes - 4) 4;
-  out
+  Codec.seal ~magic:header_magic ~size:header_bytes (fun enc ->
+      Codec.Enc.u16 enc hdr.degree;
+      Codec.Enc.u32 enc hdr.root_off;
+      Codec.Enc.u32 enc hdr.alloc_off;
+      Codec.Enc.u64 enc hdr.count)
 
-let decode_header buf =
-  try
-    let crc = Crc32.sub buf ~pos:0 ~len:(header_bytes - 4) in
-    let cdec = Codec.Dec.of_sub buf ~pos:(header_bytes - 4) ~len:4 in
-    if Codec.Dec.u32 cdec <> Int32.to_int crc land 0xFFFFFFFF then None
-    else begin
-      let dec = Codec.Dec.of_bytes buf in
-      if Codec.Dec.u32 dec <> header_magic then None
-      else
-        let degree = Codec.Dec.u16 dec in
-        let root_off = Codec.Dec.u32 dec in
-        let alloc_off = Codec.Dec.u32 dec in
-        let count = Codec.Dec.u64 dec in
-        Some { degree; root_off; alloc_off; count }
-    end
-  with Codec.Dec.Truncated -> None
+let decode_header =
+  Codec.unseal ~magic:header_magic ~size:header_bytes (fun dec ->
+      let degree = Codec.Dec.u16 dec in
+      let root_off = Codec.Dec.u32 dec in
+      let alloc_off = Codec.Dec.u32 dec in
+      let count = Codec.Dec.u64 dec in
+      { degree; root_off; alloc_off; count })
 
 let write_header t =
   Pm_client.write t.client t.handle ~off:0 ~data:(encode_header t.hdr)

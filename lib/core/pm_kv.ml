@@ -21,31 +21,11 @@ type t = {
   mutable alloc : int;  (** next free byte in the value log *)
 }
 
-let encode_log_header alloc =
-  let enc = Codec.Enc.create () in
-  Codec.Enc.u32 enc log_magic;
-  Codec.Enc.u64 enc alloc;
-  let body = Codec.Enc.to_bytes enc in
-  let out = Bytes.make log_header_bytes '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(log_header_bytes - 4) in
-  let tl = Codec.Enc.create () in
-  Codec.Enc.u32 tl (Int32.to_int crc land 0xFFFFFFFF);
-  Bytes.blit (Codec.Enc.to_bytes tl) 0 out (log_header_bytes - 4) 4;
-  out
-
-let decode_log_header buf =
-  try
-    let crc = Crc32.sub buf ~pos:0 ~len:(log_header_bytes - 4) in
-    let cdec = Codec.Dec.of_sub buf ~pos:(log_header_bytes - 4) ~len:4 in
-    if Codec.Dec.u32 cdec <> Int32.to_int crc land 0xFFFFFFFF then None
-    else
-      let dec = Codec.Dec.of_bytes buf in
-      if Codec.Dec.u32 dec <> log_magic then None else Some (Codec.Dec.u64 dec)
-  with Codec.Dec.Truncated -> None
+let decode_log_header = Codec.unseal ~magic:log_magic ~size:log_header_bytes Codec.Dec.u64
 
 let write_log_header t =
-  Pm_client.write t.client t.log ~off:0 ~data:(encode_log_header t.alloc)
+  Pm_client.write t.client t.log ~off:0
+    ~data:(Codec.seal ~magic:log_magic ~size:log_header_bytes (fun enc -> Codec.Enc.u64 enc t.alloc))
 
 let create client ~index ~log =
   match Pm_index.create client index () with

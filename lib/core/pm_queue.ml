@@ -16,38 +16,17 @@ let block_bytes = 64
 
 type t = { client : Pm_client.t; handle : Pm_client.handle; data_len : int }
 
-(* --- control blocks: a single u64 logical position, CRC-stamped --- *)
+(* --- control blocks: a single u64 logical position, sealed --- *)
 
-let encode_block pos =
-  let enc = Codec.Enc.create () in
-  Codec.Enc.u32 enc block_magic;
-  Codec.Enc.u64 enc pos;
-  let body = Codec.Enc.to_bytes enc in
-  let out = Bytes.make block_bytes '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_bytes - 4) in
-  let tail = Codec.Enc.create () in
-  Codec.Enc.u32 tail (Int32.to_int crc land 0xFFFFFFFF);
-  Bytes.blit (Codec.Enc.to_bytes tail) 0 out (block_bytes - 4) 4;
-  out
-
-let decode_block buf =
-  try
-    let crc = Crc32.sub buf ~pos:0 ~len:(block_bytes - 4) in
-    let cdec = Codec.Dec.of_sub buf ~pos:(block_bytes - 4) ~len:4 in
-    if Codec.Dec.u32 cdec <> Int32.to_int crc land 0xFFFFFFFF then None
-    else
-      let dec = Codec.Dec.of_bytes buf in
-      if Codec.Dec.u32 dec <> block_magic then None else Some (Codec.Dec.u64 dec)
-  with Codec.Dec.Truncated -> None
-
-let write_block t ~off pos = Pm_client.write t.client t.handle ~off ~data:(encode_block pos)
+let write_block t ~off pos =
+  Pm_client.write t.client t.handle ~off
+    ~data:(Codec.seal ~magic:block_magic ~size:block_bytes (fun enc -> Codec.Enc.u64 enc pos))
 
 let read_block t ~off =
   match Pm_client.read t.client t.handle ~off ~len:block_bytes with
   | Error e -> Error e
   | Ok buf -> (
-      match decode_block buf with
+      match Codec.unseal ~magic:block_magic ~size:block_bytes Codec.Dec.u64 buf with
       | Some pos -> Ok pos
       | None -> Error (Pm_types.Bad_request "corrupt queue control block"))
 
@@ -86,21 +65,13 @@ let read_stream t ~pos ~len =
 
 (* --- construction --- *)
 
-let encode_meta data_len =
-  let enc = Codec.Enc.create () in
-  Codec.Enc.u32 enc meta_magic;
-  Codec.Enc.u32 enc data_len;
-  let body = Codec.Enc.to_bytes enc in
-  let out = Bytes.make block_bytes '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  out
-
 let create client handle =
   let region_len = (Pm_client.info handle).Pm_types.length in
   if region_len < data_off + 256 then invalid_arg "Pm_queue.create: region too small";
   let data_len = region_len - data_off in
   let t = { client; handle; data_len } in
-  match Pm_client.write client handle ~off:meta_off ~data:(encode_meta data_len) with
+  let meta = Codec.seal ~magic:meta_magic ~size:block_bytes (fun enc -> Codec.Enc.u32 enc data_len) in
+  match Pm_client.write client handle ~off:meta_off ~data:meta with
   | Error e -> Error e
   | Ok () -> (
       match write_block t ~off:producer_off 0 with
@@ -112,14 +83,9 @@ let attach client handle =
   match Pm_client.read client handle ~off:meta_off ~len:block_bytes with
   | Error e -> Error e
   | Ok buf -> (
-      try
-        let dec = Codec.Dec.of_bytes buf in
-        if Codec.Dec.u32 dec <> meta_magic then
-          Error (Pm_types.Bad_request "no queue in this region")
-        else
-          let data_len = Codec.Dec.u32 dec in
-          Ok { client; handle; data_len }
-      with Codec.Dec.Truncated -> Error (Pm_types.Bad_request "no queue in this region"))
+      match Codec.unseal ~magic:meta_magic ~size:block_bytes Codec.Dec.u32 buf with
+      | Some data_len -> Ok { client; handle; data_len }
+      | None -> Error (Pm_types.Bad_request "no queue in this region"))
 
 (* --- operations --- *)
 
@@ -162,19 +128,24 @@ let read_head t ~consume =
             | Error e -> Error e
             | Ok hdr -> (
                 let len = Codec.Dec.u32 (Codec.Dec.of_bytes hdr) in
-                match read_stream t ~pos:(head + 4) ~len:(len + 4) with
-                | Error e -> Error e
-                | Ok body ->
-                    let data = Bytes.sub body 0 len in
-                    let cdec = Codec.Dec.of_sub body ~pos:len ~len:4 in
-                    let crc = Codec.Dec.u32 cdec in
-                    if Int32.to_int (Crc32.bytes data) land 0xFFFFFFFF <> crc then
-                      Error (Pm_types.Bad_request "corrupt queue record")
-                    else if not consume then Ok (Some data)
-                    else (
-                      match write_block t ~off:consumer_off (head + frame_overhead + len) with
-                      | Error e -> Error e
-                      | Ok () -> Ok (Some data))))
+                (* A length running past the tail is a damaged record:
+                   reject it before reading (or allocating) that much. *)
+                if head + frame_overhead + len > tail then
+                  Error (Pm_types.Bad_request "corrupt queue record")
+                else
+                  match read_stream t ~pos:(head + 4) ~len:(len + 4) with
+                  | Error e -> Error e
+                  | Ok body ->
+                      let data = Bytes.sub body 0 len in
+                      let cdec = Codec.Dec.of_sub body ~pos:len ~len:4 in
+                      let crc = Codec.Dec.u32 cdec in
+                      if Int32.to_int (Crc32.bytes data) land 0xFFFFFFFF <> crc then
+                        Error (Pm_types.Bad_request "corrupt queue record")
+                      else if not consume then Ok (Some data)
+                      else (
+                        match write_block t ~off:consumer_off (head + frame_overhead + len) with
+                        | Error e -> Error e
+                        | Ok () -> Ok (Some data))))
 
 let dequeue t = read_head t ~consume:true
 

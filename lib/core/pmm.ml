@@ -118,8 +118,6 @@ type meta = { mutable generation : int; mutable epoch : int; mutable regions : r
 
 let magic = 0x504D4D31 (* "PMM1" *)
 
-let header_bytes = 4 + 8 + 4 + 4
-
 let encode_meta meta =
   let enc = Codec.Enc.create () in
   Codec.Enc.u32 enc (List.length meta.regions);
@@ -151,36 +149,6 @@ let decode_meta blob =
   let epoch = Codec.Dec.u64 dec in
   { generation; epoch; regions }
 
-(* Both kinds of metadata slot share one on-media frame: header (magic,
-   generation, payload length, CRC32 of the payload), then the payload. *)
-let frame ~magic ~generation payload =
-  let hdr = Codec.Enc.create () in
-  Codec.Enc.u32 hdr magic;
-  Codec.Enc.u64 hdr generation;
-  Codec.Enc.u32 hdr (Bytes.length payload);
-  Codec.Enc.u32 hdr (Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF);
-  let out = Bytes.create (header_bytes + Bytes.length payload) in
-  Bytes.blit (Codec.Enc.to_bytes hdr) 0 out 0 header_bytes;
-  Bytes.blit payload 0 out header_bytes (Bytes.length payload);
-  out
-
-(* [decode generation payload] runs only on a frame whose magic and
-   payload CRC check out; a truncated frame or payload is [None]. *)
-let unframe ~magic decode bytes_ =
-  try
-    let dec = Codec.Dec.of_bytes bytes_ in
-    if Codec.Dec.u32 dec <> magic then None
-    else
-      let generation = Codec.Dec.u64 dec in
-      let len = Codec.Dec.u32 dec in
-      let crc = Codec.Dec.u32 dec in
-      if len > Bytes.length bytes_ - header_bytes then None
-      else
-        let payload = Bytes.sub bytes_ header_bytes len in
-        if Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF <> crc then None
-        else decode generation payload
-  with Codec.Dec.Truncated -> None
-
 let meta ~generation ~epoch regions =
   {
     generation;
@@ -189,12 +157,12 @@ let meta ~generation ~epoch regions =
       List.map (fun (rname, offset, length, openers) -> { rname; offset; length; openers }) regions;
   }
 
-let slot_image meta = frame ~magic ~generation:meta.generation (encode_meta meta)
+let slot_image meta = Codec.frame ~magic ~generation:meta.generation (encode_meta meta)
 
 (* The region table repeats its generation inside the payload: a header
    whose generation disagrees is rejected. *)
 let parse_slot =
-  unframe ~magic (fun generation payload ->
+  Codec.unframe ~magic (fun generation payload ->
       let meta = decode_meta payload in
       if meta.generation <> generation then None else Some meta)
 
@@ -781,11 +749,11 @@ let scrub_image ~generation ~chunk_bytes entries quarantined =
       Codec.Enc.u32 enc addr;
       Codec.Enc.u32 enc len)
     quarantined;
-  frame ~magic:scrub_magic ~generation (Codec.Enc.to_bytes enc)
+  Codec.frame ~magic:scrub_magic ~generation (Codec.Enc.to_bytes enc)
 
 (* Returns (generation, chunk_bytes, entries, quarantined). *)
 let parse_scrub_slot =
-  unframe ~magic:scrub_magic (fun generation payload ->
+  Codec.unframe ~magic:scrub_magic (fun generation payload ->
       let pd = Codec.Dec.of_bytes payload in
       let chunk_bytes = Codec.Dec.u32 pd in
       let n = Codec.Dec.u32 pd in
@@ -888,8 +856,8 @@ let load_scrub t st =
       st.s_generation <- generation
   | None -> ()
 
-(* Read one chunk in 64 KiB RDMA slices.  [None] when the device is
-   unreachable. *)
+(* Read one chunk in 64 KiB RDMA slices, each straight into the chunk
+   buffer.  [None] when the device is unreachable. *)
 let scrub_read_chunk t st dev ~addr ~len =
   let buf = Bytes.create len in
   let slice = 64 * 1024 in
@@ -898,13 +866,11 @@ let scrub_read_chunk t st dev ~addr ~len =
     else
       let n = min slice (len - pos) in
       match
-        Servernet.Fabric.rdma_read t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id
-          ~addr:(addr + pos) ~len:n
+        Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id
+          ~addr:(addr + pos) ~len:n ~buf ~pos
       with
       | Error _ -> None
-      | Ok data ->
-          Bytes.blit data 0 buf pos n;
-          go (pos + n)
+      | Ok () -> go (pos + n)
   in
   go 0
 

@@ -96,12 +96,10 @@ val format : config -> device -> device -> unit
 
 (** {2 Metadata slot images}
 
-    Both kinds of metadata slot — the region table and the scrubber's
-    chunk-checksum table — share one CRC-framed layout: magic
-    (["PMM1"] or ["SCRB"]), generation, payload length, the payload's
-    CRC32, then the payload.  Recovery adopts the newest slot whose
-    parser accepts it; a frame with the wrong magic, a bad CRC or a
-    truncated payload parses to [None], never an exception. *)
+    Both kinds of metadata slot — the region table (magic ["PMM1"]) and
+    the scrubber's chunk-checksum table (["SCRB"]) — are
+    {!Codec.frame}s.  Recovery adopts the newest slot whose parser
+    accepts it; a damaged frame parses to [None], never an exception. *)
 
 type meta
 (** The region table as it sits in a slot. *)
@@ -122,8 +120,7 @@ val scrub_image :
 
 val parse_scrub_slot :
   bytes -> (int * int * (int * int32) list * (int * int) list) option
-(** [(generation, chunk_bytes, entries, quarantined)].  The payload does
-    not repeat the generation, so a corrupted generation field parses. *)
+(** [(generation, chunk_bytes, entries, quarantined)]. *)
 
 type t
 

@@ -74,31 +74,18 @@ let encode_framed asn record =
   Codec.Enc.to_bytes enc
 
 (* The header is itself a torn-write target (it is rewritten on every
-   append), so it carries its own CRC over its 9-byte body: recovery
-   that finds it invalid falls back to scanning the whole data area
-   instead of trusting a garbled frontier. *)
+   append), so it is a 13-byte sealed block: recovery that finds it
+   invalid falls back to scanning the whole data area instead of
+   trusting a garbled frontier. *)
+let ring_header_bytes = 13
+
 let pm_header p =
-  let enc = Codec.Enc.create ~size:13 () in
-  Codec.Enc.u32 enc ring_magic;
-  Codec.Enc.u32 enc p.write_off;
-  Codec.Enc.u8 enc (if p.wrapped then 1 else 0);
-  Codec.Enc.u32 enc 0;
-  let out = Codec.Enc.to_bytes enc in
-  Bytes.set_int32_le out 9 (Crc32.sub out ~pos:0 ~len:9);
-  out
+  Codec.seal ~magic:ring_magic ~size:ring_header_bytes (fun enc ->
+      Codec.Enc.u32 enc p.write_off;
+      Codec.Enc.u8 enc (if p.wrapped then 1 else 0))
 
 (* [Some frontier] when the header is intact, [None] when torn/decayed. *)
-let parse_pm_header hdr =
-  try
-    let dec = Codec.Dec.of_bytes hdr in
-    let m = Codec.Dec.u32 dec in
-    let off = Codec.Dec.u32 dec in
-    let _wrapped = Codec.Dec.u8 dec in
-    let crc = Codec.Dec.u32 dec in
-    if m <> ring_magic then None
-    else if Int32.to_int (Crc32.sub hdr ~pos:0 ~len:9) land 0xFFFFFFFF <> crc then None
-    else Some off
-  with Codec.Dec.Truncated -> None
+let parse_pm_header = Codec.unseal ~magic:ring_magic ~size:ring_header_bytes Codec.Dec.u32
 
 let write_records ?parent t records =
   let t0 = t.now () in

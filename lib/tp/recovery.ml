@@ -41,16 +41,14 @@ let outcomes_from_pm_table (client, handle) =
   let in_doubt = Hashtbl.create 16 in
   let chunk = 64 * 1024 in
   let parse data len =
-    let entry_bytes = 32 in
-    let entries = len / entry_bytes in
-    for i = 0 to entries - 1 do
-      try
-        let dec = Pm.Codec.Dec.of_sub data ~pos:(i * entry_bytes) ~len:9 in
-        let txn = Pm.Codec.Dec.u64 dec in
-        let status = Pm.Codec.Dec.u8 dec in
-        if txn > 0 && status = 2 then Hashtbl.replace committed txn ();
-        if txn > 0 && status = 4 then Hashtbl.replace in_doubt txn ()
-      with Pm.Codec.Dec.Truncated -> ()
+    for i = 0 to (len / Tmf.state_entry_bytes) - 1 do
+      let pos = i * Tmf.state_entry_bytes in
+      let txn = Tmf.state_entry_txn data ~pos in
+      if txn > 0 then
+        match Tmf.state_entry_status data ~pos with
+        | 2 -> Hashtbl.replace committed txn ()
+        | 4 -> Hashtbl.replace in_doubt txn ()
+        | _ -> ()
     done
   in
   let rec fetch off =

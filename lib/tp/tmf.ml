@@ -35,7 +35,6 @@ type server = (request, response) Msgsys.server
 type config = {
   begin_cpu : Time.span;
   commit_cpu : Time.span;
-  state_entry_bytes : int;
   admission : bool;
       (** deadline-based admission control at [Begin_txn]: reject when
           the estimated wait (active txns x commit-service EWMA) exceeds
@@ -47,7 +46,6 @@ let default_config =
   {
     begin_cpu = Time.us 30;
     commit_cpu = Time.us 60;
-    state_entry_bytes = 32;
     admission = false;
     ewma_alpha = 0.2;
   }
@@ -148,22 +146,27 @@ let state t =
       t.live <- Some s;
       s
 
-(* Fine-grained txn-state table in PM: one small synchronous write per
-   state change.  Status codes: 1 active, 2 committed, 3 aborted,
-   4 prepared. *)
+(* Fine-grained txn-state table in PM, hashed by txn id: one small
+   synchronous write per state change.  Status codes: 1 active,
+   2 committed, 3 aborted, 4 prepared. *)
+let state_entry_bytes = 32
+
+let state_entry_txn data ~pos = Int64.to_int (Bytes.get_int64_le data pos)
+
+let state_entry_status data ~pos = Bytes.get_uint8 data (pos + 8)
+
+let state_entry_off handle txn =
+  let slots = (Pm.Pm_client.info handle).Pm.Pm_types.length / state_entry_bytes in
+  txn mod slots * state_entry_bytes
+
 let record_state ?span t txn status =
   match t.txn_state with
   | None -> Ok ()
   | Some (client, handle) -> (
-      let entry = Bytes.create t.cfg.state_entry_bytes in
-      let enc = Pm.Codec.Enc.create () in
-      Pm.Codec.Enc.u64 enc txn;
-      Pm.Codec.Enc.u8 enc status;
-      let src = Pm.Codec.Enc.to_bytes enc in
-      Bytes.blit src 0 entry 0 (Bytes.length src);
-      let slots = (Pm.Pm_client.info handle).Pm.Pm_types.length / t.cfg.state_entry_bytes in
-      let off = txn mod slots * t.cfg.state_entry_bytes in
-      match Pm.Pm_client.write ?span client handle ~off ~data:entry with
+      let entry = Bytes.make state_entry_bytes '\000' in
+      Bytes.set_int64_le entry 0 (Int64.of_int txn);
+      Bytes.set_uint8 entry 8 status;
+      match Pm.Pm_client.write ?span client handle ~off:(state_entry_off handle txn) ~data:entry with
       | Ok () -> Ok ()
       | Error e -> Error (Pm.Pm_types.error_to_string e))
 
@@ -183,17 +186,11 @@ let read_state t txn =
   match t.txn_state with
   | None -> None
   | Some (client, handle) -> (
-      let slots = (Pm.Pm_client.info handle).Pm.Pm_types.length / t.cfg.state_entry_bytes in
-      let off = txn mod slots * t.cfg.state_entry_bytes in
-      match Pm.Pm_client.read client handle ~off ~len:t.cfg.state_entry_bytes with
-      | Error _ -> None
-      | Ok data -> (
-          try
-            let dec = Pm.Codec.Dec.of_bytes data in
-            let stored = Pm.Codec.Dec.u64 dec in
-            let status = Pm.Codec.Dec.u8 dec in
-            if stored = txn then Some status else None
-          with Pm.Codec.Dec.Truncated -> None))
+      match
+        Pm.Pm_client.read client handle ~off:(state_entry_off handle txn) ~len:state_entry_bytes
+      with
+      | Ok data when state_entry_txn data ~pos:0 = txn -> Some (state_entry_status data ~pos:0)
+      | Ok _ | Error _ -> None)
 
 (* Answer "what happened to transaction [txn]?" for a remote in-doubt
    resolver, from the most durable source available: the PM txn-state

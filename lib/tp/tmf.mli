@@ -72,7 +72,6 @@ type server = (request, response) Msgsys.server
 type config = {
   begin_cpu : Time.span;
   commit_cpu : Time.span;
-  state_entry_bytes : int;  (** size of a txn-state table entry in PM *)
   admission : bool;
       (** enable deadline-based admission control at [Begin_txn]
           (default off — closed-loop workloads never need it) *)
@@ -82,6 +81,17 @@ type config = {
 }
 
 val default_config : config
+
+val state_entry_bytes : int
+(** Size of an entry of the PM txn-state table: the txn id (u64) and its
+    status (u8, the codes of {!Outcome}), then unused bytes.  Entries
+    carry no CRC. *)
+
+val state_entry_txn : Bytes.t -> pos:int -> Audit.txn_id
+(** The txn id of the entry at [pos]. *)
+
+val state_entry_status : Bytes.t -> pos:int -> int
+(** The status of the entry at [pos]. *)
 
 val admits :
   now:Time.t ->

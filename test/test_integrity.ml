@@ -347,6 +347,30 @@ let test_pm_queue_ignores_corruption_beyond_tail () =
       | Ok None -> ()
       | _ -> Alcotest.fail "torn bytes beyond the tail surfaced")
 
+(* The meta block's [data_len] sizes every ring access: a decayed
+   length must fail the attach, not hand out a queue that reads and
+   writes past its data area. *)
+let test_pm_queue_rejects_corrupt_meta () =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client topo 2 in
+      let h =
+        Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"q" ~size:32768)
+      in
+      ignore (Test_util.ok_or_fail ~msg:"queue" (Pm_queue.create c h));
+      (* [data_len] is the u32 after the 4-byte magic; set its third
+         byte on both copies. *)
+      let off = (Pm_client.info h).Pm_types.net_base + 6 in
+      List.iter
+        (fun d -> Npmu.poke d ~off ~data:(Bytes.of_string "\x7F"))
+        [ topo.npmu_a; topo.npmu_b ];
+      let c2 = client topo 3 in
+      let h2 = Test_util.ok_or_fail ~msg:"open" (Pm_client.open_region c2 ~name:"q") in
+      match Pm_queue.attach c2 h2 with
+      | Error _ -> ()
+      | Ok q ->
+          Alcotest.failf "attached with a corrupt length (capacity %d)" (Pm_queue.capacity_bytes q))
+
 (* --- Log backend: torn tails, torn headers, mirror salvage --- *)
 
 let update_record key =
@@ -477,6 +501,55 @@ let test_ring_wrap_pads_over_stale_bytes () =
                 (Bytes.to_string (Npmu.peek d ~off:(base + 64) ~len:(Bytes.length expected))))
             [ topo.npmu_a; topo.npmu_b ])
 
+(* --- On-media golden vectors --- *)
+
+let hex b =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
+(* A 64-byte sealed block in hex: [fields], zero fill, then [crc]. *)
+let sealed64 fields crc = fields ^ String.make (120 - String.length fields) '0' ^ crc
+
+(* Byte images the hand-rolled encoders wrote before the fixed blocks
+   moved behind [Codec.seal]: the audit-ring header (magic "ADR0",
+   frontier, wrapped flag, CRC; unwrapped and after a wrap), a fresh
+   Pm_index header, a Pm_kv log header and a Pm_queue producer block.
+   A layout change must not move them. *)
+let test_sealed_blocks_golden () =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client topo 2 in
+      let region name size =
+        let h = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name ~size) in
+        (h, (Pm_client.info h).Pm_types.net_base)
+      in
+      let peek base len = hex (Npmu.peek topo.npmu_a ~off:base ~len) in
+      let ring, ring_base = region "ring" 65536 in
+      append_records (Tp.Log_backend.pm c ring) 2;
+      check_str "ring header" ("30524441" ^ "22010000" ^ "00" ^ "65b3c6a8") (peek ring_base 13);
+      let small, small_base = region "small" 4096 in
+      append_records (Tp.Log_backend.pm c small) 50;
+      check_str "wrapped ring header"
+        ("30524441" ^ "df060000" ^ "01" ^ "a62fb2f2")
+        (peek small_base 13);
+      let ix, ix_base = region "ix" 65536 in
+      ignore (Test_util.ok_or_fail ~msg:"index" (Pm_index.create c ix ()));
+      check_str "fresh Pm_index header"
+        (sealed64 ("58494d50" ^ "0800" ^ "00000000" ^ "40000000" ^ "0000000000000000") "99516091")
+        (peek ix_base 64);
+      let kix, _ = region "kix" 65536 in
+      let klog, klog_base = region "klog" 65536 in
+      let kv = Test_util.ok_or_fail ~msg:"kv" (Pm_kv.create c ~index:kix ~log:klog) in
+      Test_util.check_result_ok "put" (Pm_kv.put kv ~key:7 (Bytes.of_string "seven"));
+      check_str "Pm_kv log header"
+        (sealed64 ("564b4d50" ^ "4500000000000000") "24fbf047")
+        (peek klog_base 64);
+      let qh, q_base = region "q" 32768 in
+      let q = Test_util.ok_or_fail ~msg:"queue" (Pm_queue.create c qh) in
+      Test_util.check_result_ok "enq" (Pm_queue.enqueue q (Bytes.of_string "alpha"));
+      check_str "Pm_queue producer block"
+        (sealed64 ("4b4c4251" ^ "0d00000000000000") "7e191dc6")
+        (peek (q_base + 64) 64))
+
 (* --- Faultplan validation --- *)
 
 let test_faultplan_rejects_pm_faults_on_disk () =
@@ -591,6 +664,8 @@ let suite =
       [
         Alcotest.test_case "queue ignores corruption beyond tail" `Quick
           test_pm_queue_ignores_corruption_beyond_tail;
+        Alcotest.test_case "queue rejects a corrupt meta block" `Quick
+          test_pm_queue_rejects_corrupt_meta;
         Alcotest.test_case "recovery truncates a torn tail" `Quick
           test_recovery_truncates_torn_tail;
         Alcotest.test_case "recovery salvages a torn frame from the mirror" `Quick
@@ -600,6 +675,8 @@ let suite =
         Alcotest.test_case "ring wrap pads over stale bytes" `Quick
           test_ring_wrap_pads_over_stale_bytes;
       ] );
+    ( "integrity.formats",
+      [ Alcotest.test_case "sealed blocks keep their bytes" `Quick test_sealed_blocks_golden ] );
     ( "integrity.drill",
       [
         Alcotest.test_case "defended run holds every gate" `Slow

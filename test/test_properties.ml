@@ -147,64 +147,65 @@ let prop_mailbox_fifo =
 
 (* --- Pm metadata: random create/delete sequences keep extents disjoint --- *)
 
+(* A mirrored PM volume (two NPMUs under a PMM pair): [f client
+   devices] runs in a simulated process and its result is returned. *)
+let with_pm_client ~seed f =
+  let sim = Sim.create ~seed () in
+  let node = Nsk.Node.create sim ~cpus:3 () in
+  let fabric = Nsk.Node.fabric node in
+  let a = Pm.Npmu.create sim fabric ~name:"a" ~capacity:(1 lsl 20) in
+  let b = Pm.Npmu.create sim fabric ~name:"b" ~capacity:(1 lsl 20) in
+  let da = Pm.Pmm.device_of_npmu a in
+  let db = Pm.Pmm.device_of_npmu b in
+  Pm.Pmm.format Pm.Pmm.default_config da db;
+  let pmm =
+    Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Nsk.Node.cpu node 0)
+      ~backup_cpu:(Nsk.Node.cpu node 1) ~primary_dev:da ~mirror_dev:db ()
+  in
+  Test_util.run_in sim (fun () ->
+      let client =
+        Pm.Pm_client.attach ~cpu:(Nsk.Node.cpu node 2) ~fabric ~pmm:(Pm.Pmm.server pmm) ()
+      in
+      f client [ a; b ])
+
 let prop_region_extents_disjoint =
   QCheck.Test.make ~name:"PMM allocations never overlap" ~count:20
     (QCheck.make
        ~print:(fun l -> string_of_int (List.length l))
        QCheck.Gen.(list_size (int_range 1 12) (int_range 1 40)))
     (fun sizes ->
-      let sim = Sim.create ~seed:77L () in
-      let node = Nsk.Node.create sim ~cpus:3 () in
-      let fabric = Nsk.Node.fabric node in
-      let a = Pm.Npmu.create sim fabric ~name:"a" ~capacity:(1 lsl 20) in
-      let b = Pm.Npmu.create sim fabric ~name:"b" ~capacity:(1 lsl 20) in
-      let da = Pm.Pmm.device_of_npmu a in
-      let db = Pm.Pmm.device_of_npmu b in
-      Pm.Pmm.format Pm.Pmm.default_config da db;
-      let pmm =
-        Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Nsk.Node.cpu node 0)
-          ~backup_cpu:(Nsk.Node.cpu node 1) ~primary_dev:da ~mirror_dev:db ()
-      in
-      let ok = ref false in
-      let (_ : Sim.pid) =
-        Sim.spawn sim ~name:"driver" (fun () ->
-            let client =
-              Pm.Pm_client.attach ~cpu:(Nsk.Node.cpu node 2) ~fabric ~pmm:(Pm.Pmm.server pmm) ()
-            in
-            (* Create regions of the random sizes (KiB), deleting every
-               third one to fragment the space. *)
-            List.iteri
-              (fun i kib ->
-                let name = Printf.sprintf "r%d" i in
-                match Pm.Pm_client.create_region client ~name ~size:(kib * 1024) with
-                | Ok h when i mod 3 = 2 ->
-                    let (_ : (unit, Pm.Pm_types.error) result) =
-                      Pm.Pm_client.close_region client h
-                    in
-                    let (_ : (unit, Pm.Pm_types.error) result) =
-                      Pm.Pm_client.delete_region client ~name
-                    in
-                    ()
-                | Ok _ -> ()
-                | Error Pm.Pm_types.Out_of_space -> ()
-                | Error e -> failwith (Pm.Pm_types.error_to_string e))
-              sizes;
-            (* Survivors must be pairwise disjoint. *)
-            match Pm.Pm_client.list_regions client with
-            | Error _ -> ()
-            | Ok regions ->
-                let extents =
-                  List.map (fun r -> (r.Pm.Pm_types.net_base, r.Pm.Pm_types.length)) regions
-                in
-                let disjoint (b1, l1) (b2, l2) = b1 + l1 <= b2 || b2 + l2 <= b1 in
-                let rec pairwise = function
-                  | [] -> true
-                  | e :: rest -> List.for_all (disjoint e) rest && pairwise rest
-                in
-                ok := pairwise extents)
-      in
-      Sim.run sim;
-      !ok)
+      with_pm_client ~seed:77L (fun client _ ->
+          (* Create regions of the random sizes (KiB), deleting every
+             third one to fragment the space. *)
+          List.iteri
+            (fun i kib ->
+              let name = Printf.sprintf "r%d" i in
+              match Pm.Pm_client.create_region client ~name ~size:(kib * 1024) with
+              | Ok h when i mod 3 = 2 ->
+                  let (_ : (unit, Pm.Pm_types.error) result) =
+                    Pm.Pm_client.close_region client h
+                  in
+                  let (_ : (unit, Pm.Pm_types.error) result) =
+                    Pm.Pm_client.delete_region client ~name
+                  in
+                  ()
+              | Ok _ -> ()
+              | Error Pm.Pm_types.Out_of_space -> ()
+              | Error e -> failwith (Pm.Pm_types.error_to_string e))
+            sizes;
+          (* Survivors must be pairwise disjoint. *)
+          match Pm.Pm_client.list_regions client with
+          | Error _ -> false
+          | Ok regions ->
+              let extents =
+                List.map (fun r -> (r.Pm.Pm_types.net_base, r.Pm.Pm_types.length)) regions
+              in
+              let disjoint (b1, l1) (b2, l2) = b1 + l1 <= b2 || b2 + l2 <= b1 in
+              let rec pairwise = function
+                | [] -> true
+                | e :: rest -> List.for_all (disjoint e) rest && pairwise rest
+              in
+              pairwise extents))
 
 (* --- PMM slot frames: a flipped byte is caught, never misread --- *)
 
@@ -234,12 +235,11 @@ let flip_byte image (at, xor) =
   let b = Bytes.copy image in
   let i = at mod Bytes.length b in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor xor));
-  (b, i)
+  b
 
-(* Every parse either rejects the image or returns what was written.
-   The one exception is the scrub header's generation field (bytes
-   4-11): the scrub payload does not repeat the generation, so a flip
-   there parses with the table intact and a different generation. *)
+(* Every parse either rejects the image or returns what was written:
+   the frame's CRC covers its header, so even the scrub table's
+   generation (which its payload does not repeat) cannot be misread. *)
 let prop_slot_byte_flip =
   QCheck.Test.make ~name:"flipped PMM slot byte parses to None or the original" ~count:500
     (QCheck.make gen_slot_case)
@@ -249,7 +249,7 @@ let prop_slot_byte_flip =
       let meta_ok =
         Pm.Pmm.parse_slot meta_image = Some meta
         &&
-        match Pm.Pmm.parse_slot (fst (flip_byte meta_image flip)) with
+        match Pm.Pmm.parse_slot (flip_byte meta_image flip) with
         | None -> true
         | Some m -> m = meta
       in
@@ -259,14 +259,89 @@ let prop_slot_byte_flip =
       let scrub_ok =
         Pm.Pmm.parse_scrub_slot scrub_image = Some table
         &&
-        let bad, i = flip_byte scrub_image flip in
-        match Pm.Pmm.parse_scrub_slot bad with
+        match Pm.Pmm.parse_scrub_slot (flip_byte scrub_image flip) with
         | None -> true
-        | Some t when t = table -> true
-        | Some (g, c, e, q) ->
-            i >= 4 && i < 12 && g <> generation && (c, e, q) = (chunk_bytes, entries, quarantined)
+        | Some t -> t = table
       in
       meta_ok && scrub_ok)
+
+(* --- Codec: sealed blocks and slot frames --- *)
+
+(* A sealed block (magic, the u32 fields it carries, slack before the
+   CRC), a slot frame (generation and payload), where to flip one byte,
+   and where to cut a copy short. *)
+let gen_codec_case =
+  QCheck.Gen.(
+    let* magic = int_range 0 0xFFFFFFFF in
+    let* fields = list_size (int_bound 6) (int_range 0 0xFFFFFFFF) in
+    let* slack = int_bound 40 in
+    let* generation = int_range 0 (1 lsl 40) in
+    let* payload = string_size (int_bound 200) in
+    let* flip = pair (int_bound 10_000) (int_range 1 255) in
+    let* cut = int_bound 10_000 in
+    return (magic, fields, slack, generation, payload, flip, cut))
+
+let prop_codec_sealed_formats =
+  QCheck.Test.make ~name:"sealed blocks and slot frames: round trip, byte flip, truncation"
+    ~count:500 (QCheck.make gen_codec_case)
+    (fun (magic, fields, slack, generation, payload, flip, cut) ->
+      let n = List.length fields in
+      let size = 4 + (4 * n) + slack + 4 in
+      let block =
+        Pm.Codec.seal ~magic ~size (fun enc -> List.iter (Pm.Codec.Enc.u32 enc) fields)
+      in
+      let unseal =
+        Pm.Codec.unseal ~magic ~size (fun dec -> List.init n (fun _ -> Pm.Codec.Dec.u32 dec))
+      in
+      let payload = Bytes.of_string payload in
+      let unframe = Pm.Codec.unframe ~magic (fun g p -> Some (g, p)) in
+      (* Intact parses to [v]; one flipped byte to [None] or [v]; any
+         proper prefix to [None]. *)
+      let holds parse image v =
+        parse image = Some v
+        && (match parse (flip_byte image flip) with None -> true | Some w -> w = v)
+        && parse (Bytes.sub image 0 (cut mod Bytes.length image)) = None
+      in
+      Bytes.length block = size
+      && holds unseal block fields
+      && holds unframe (Pm.Codec.frame ~magic ~generation payload) (generation, payload))
+
+(* --- Audit and Pm_queue records: a flipped byte never misreads --- *)
+
+let prop_audit_byte_flip =
+  QCheck.Test.make ~name:"audit frame with a flipped byte decodes to None or the original"
+    ~count:500
+    (QCheck.make QCheck.Gen.(triple gen_record (int_bound 10_000) (int_range 1 255)))
+    (fun (record, at, xor) ->
+      match Tp.Audit.decode (flip_byte (Tp.Audit.encode_to_bytes record) (at, xor)) ~pos:0 with
+      | None -> true
+      | Some (r, _) -> r = record)
+
+(* One record in a fresh queue, one byte of its frame (length, data or
+   CRC) flipped on both devices: the consumer gets an error or the
+   record, never other bytes. *)
+let prop_queue_record_byte_flip =
+  QCheck.Test.make ~name:"queue record with a flipped byte dequeues to Error or the original"
+    ~count:60
+    QCheck.(triple (string_of_size (Gen.int_range 0 300)) (int_bound 10_000) (int_range 1 255))
+    (fun (data, at, xor) ->
+      with_pm_client ~seed:78L (fun client devices ->
+          let h =
+            Test_util.ok_or_fail ~msg:"region"
+              (Pm.Pm_client.create_region client ~name:"q" ~size:8192)
+          in
+          let q = Test_util.ok_or_fail ~msg:"queue" (Pm.Pm_queue.create client h) in
+          let data = Bytes.of_string data in
+          Test_util.check_result_ok "enqueue" (Pm.Pm_queue.enqueue q data);
+          (* The frame sits at the head of the data area, 192 bytes in. *)
+          let off = (Pm.Pm_client.info h).Pm.Pm_types.net_base + 192 in
+          let len = 8 + Bytes.length data in
+          List.iter
+            (fun d -> Pm.Npmu.poke d ~off ~data:(flip_byte (Pm.Npmu.peek d ~off ~len) (at, xor)))
+            devices;
+          match Pm.Pm_queue.dequeue q with
+          | Error _ -> true
+          | Ok got -> got = Some data))
 
 let suite =
   [
@@ -280,5 +355,8 @@ let suite =
           prop_mailbox_fifo;
           prop_region_extents_disjoint;
           prop_slot_byte_flip;
+          prop_codec_sealed_formats;
+          prop_audit_byte_flip;
+          prop_queue_record_byte_flip;
         ] );
   ]
