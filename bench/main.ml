@@ -6,9 +6,21 @@
 open Bechamel
 open Toolkit
 
+(* Non-zero data, so the zero-block skip does not apply. *)
 let bench_crc32 =
-  let buf = Bytes.create 4096 in
+  let buf = Bytes.init 4096 (fun i -> Char.chr (i land 255)) in
   Test.make ~name:"crc32/4KiB" (Staged.stage (fun () -> Pm.Crc32.bytes buf))
+
+(* A scrub chunk of never-written PM: 64 zero blocks. *)
+let bench_crc32_zero =
+  let buf = Bytes.make (256 * 1024) '\000' in
+  Test.make ~name:"crc32/256KiB-zero" (Staged.stage (fun () -> Pm.Crc32.bytes buf))
+
+(* The divergence audit over a never-written chunk of two devices. *)
+let bench_pages_equal =
+  let a = Servernet.Fabric.Pages.create (1 lsl 20) and b = Servernet.Fabric.Pages.create (1 lsl 20) in
+  Test.make ~name:"pages/equal-256KiB-untouched"
+    (Staged.stage (fun () -> Servernet.Fabric.Pages.equal a b ~off:4096 ~len:(256 * 1024)))
 
 let bench_audit_encode =
   let record =
@@ -134,6 +146,8 @@ let micro_tests =
     [
       bench_btree;
       bench_crc32;
+      bench_crc32_zero;
+      bench_pages_equal;
       bench_audit_encode;
       bench_audit_decode;
       bench_heap;

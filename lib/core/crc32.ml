@@ -17,13 +17,52 @@ let tables =
   done;
   t
 
-let sub buf ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Crc32.sub: out of range";
+let zero_block = 4096
+
+(* Feeding zero bytes maps the register linearly over GF(2), so running
+   it past a whole zero block is a fixed 32x32 bit matrix.  [zero_skip]
+   holds that map as four 256-entry tables, one per register byte, built
+   from the images of the 32 basis vectors. *)
+let zero_skip =
+  let image bit =
+    let c = ref (1 lsl bit) in
+    for _ = 1 to zero_block do
+      c := tables.(!c land 0xFF) lxor (!c lsr 8)
+    done;
+    !c
+  in
+  let basis = Array.init 32 image in
+  Array.init (4 * 256) (fun i ->
+      let k = i lsr 8 and b = i land 0xFF in
+      let v = ref 0 in
+      for j = 0 to 7 do
+        if b land (1 lsl j) <> 0 then v := !v lxor basis.((8 * k) + j)
+      done;
+      !v)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* [buf.[p, p + zero_block)] is all zero bytes: four words per test, so
+   a block's first non-zero group ends it. *)
+let block_is_zero buf p =
+  let i = ref p and stop = p + zero_block in
+  while
+    !i < stop
+    && Int64.logor
+         (Int64.logor (get64u buf !i) (get64u buf (!i + 8)))
+         (Int64.logor (get64u buf (!i + 16)) (get64u buf (!i + 24)))
+       = 0L
+  do
+    i := !i + 32
+  done;
+  !i >= stop
+
+(* Fold [buf.[p, stop)] into [crc], eight bytes per step; [stop - p] is a
+   multiple of 8. *)
+let slice8 buf crc p stop =
   let t = tables in
-  let crc = ref 0xFFFFFFFF in
-  let i = ref pos in
-  let stop8 = pos + (len land lnot 7) in
-  while !i < stop8 do
+  let crc = ref crc and i = ref p in
+  while !i < stop do
     let p = !i in
     (* Two 32-bit little-endian words from 16-bit loads; the running CRC
        folds into the first. *)
@@ -40,9 +79,31 @@ let sub buf ~pos ~len =
       lxor Array.unsafe_get t (hi lsr 24);
     i := p + 8
   done;
+  !crc
+
+let sub buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Crc32.sub: out of range";
+  let z = zero_skip in
+  let crc = ref 0xFFFFFFFF in
+  let i = ref pos in
+  (* Whole blocks from [pos]: an all-zero one costs four lookups. *)
+  while !i <= pos + len - zero_block do
+    let p = !i in
+    let c = !crc in
+    crc :=
+      if block_is_zero buf p then
+        Array.unsafe_get z (c land 0xFF)
+        lxor Array.unsafe_get z (0x100 lor ((c lsr 8) land 0xFF))
+        lxor Array.unsafe_get z (0x200 lor ((c lsr 16) land 0xFF))
+        lxor Array.unsafe_get z (0x300 lor (c lsr 24))
+      else slice8 buf c p (p + zero_block);
+    i := p + zero_block
+  done;
+  let stop8 = !i + ((pos + len - !i) land lnot 7) in
+  crc := slice8 buf !crc !i stop8;
   for j = stop8 to pos + len - 1 do
     let byte = Char.code (Bytes.unsafe_get buf j) in
-    crc := Array.unsafe_get t ((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
+    crc := Array.unsafe_get tables ((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
   done;
   Int32.of_int (!crc lxor 0xFFFFFFFF)
 

@@ -81,6 +81,8 @@ let id t = Servernet.Fabric.id t.ep
 
 let avt t = Servernet.Fabric.avt t.ep
 
+let mem t = t.mem
+
 let is_powered t = t.powered
 
 let power_loss t =

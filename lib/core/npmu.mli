@@ -36,6 +36,10 @@ val id : t -> int
 
 val avt : t -> Servernet.Avt.t
 
+val mem : t -> Servernet.Fabric.Pages.t
+(** The device memory itself, for maintenance-path access (no fabric
+    traffic, no timing). *)
+
 val is_powered : t -> bool
 
 val power_cycles : t -> int

@@ -609,17 +609,6 @@ let verify_repair_range t h ~addr ~len =
   in
   sweep addr
 
-(* [a.[pa, pa + n)] and [b.[pb, pb + n)] hold the same bytes. *)
-let sub_equal a pa b pb n =
-  let i = ref 0 in
-  while !i + 8 <= n && Bytes.get_int64_ne a (pa + !i) = Bytes.get_int64_ne b (pb + !i) do
-    i := !i + 8
-  done;
-  while !i < n && Bytes.get a (pa + !i) = Bytes.get b (pb + !i) do
-    incr i
-  done;
-  !i >= n
-
 let read_verified_sp span t h ~off ~len ~buf ~pos =
   let region = h.region in
   if not (bounds_ok region ~off ~len) then Error (Pm_types.Bad_request "read out of bounds")
@@ -640,7 +629,7 @@ let read_verified_sp span t h ~off ~len ~buf ~pos =
       Servernet.Fabric.rdma_read t.fabric ~src ~dst:region.Pm_types.mirror_npmu ~addr ~len
     in
     match (p, m) with
-    | Ok (), Ok dm when sub_equal buf pos dm 0 len -> Ok ()
+    | Ok (), Ok dm when Servernet.Fabric.sub_equal buf pos dm 0 len -> Ok ()
     | Ok (), Ok _ ->
         t.verify_divergent <- t.verify_divergent + 1;
         bump_counter t "pm.verify_divergence";

@@ -1,13 +1,12 @@
 open Simkit
 open Nsk
+module Pages = Servernet.Fabric.Pages
 
 type device = {
   dev_name : string;
   dev_id : int;
-  dev_capacity : int;
   dev_avt : Servernet.Avt.t;
-  dev_peek : off:int -> len:int -> Bytes.t;
-  dev_poke : off:int -> data:Bytes.t -> unit;
+  dev_mem : Pages.t;
   dev_power_cycles : unit -> int;
   dev_alive : unit -> bool;
 }
@@ -16,10 +15,8 @@ let device_of_npmu npmu =
   {
     dev_name = Npmu.name npmu;
     dev_id = Npmu.id npmu;
-    dev_capacity = Npmu.capacity npmu;
     dev_avt = Npmu.avt npmu;
-    dev_peek = (fun ~off ~len -> Npmu.peek npmu ~off ~len);
-    dev_poke = (fun ~off ~data -> Npmu.poke npmu ~off ~data);
+    dev_mem = Npmu.mem npmu;
     dev_power_cycles = (fun () -> Npmu.power_cycles npmu);
     dev_alive = (fun () -> Npmu.is_powered npmu);
   }
@@ -28,10 +25,8 @@ let device_of_pmp pmp =
   {
     dev_name = Pmp.name pmp;
     dev_id = Pmp.id pmp;
-    dev_capacity = Pmp.capacity pmp;
     dev_avt = Pmp.avt pmp;
-    dev_peek = (fun ~off ~len -> Pmp.peek pmp ~off ~len);
-    dev_poke = (fun ~off ~data -> Pmp.poke pmp ~off ~data);
+    dev_mem = Pmp.mem pmp;
     (* A PMP's power loss is terminal; "has it ever died" is the whole
        cycle history. *)
     dev_power_cycles = (fun () -> if Pmp.is_alive pmp then 0 else 1);
@@ -193,6 +188,10 @@ type scrub = {
   mutable s_repairs : int;
   mutable s_quarantined : int;
   s_probe : Probe.t option;
+  mutable s_prim_buf : Bytes.t;
+  mutable s_mirr_buf : Bytes.t;
+      (** the chunk buffers each copy is read into, reused chunk after
+          chunk; only this state's one scrubber fiber touches them *)
 }
 
 (* Mirror-health monitor state: tiny timed RDMA probes of both devices,
@@ -237,8 +236,8 @@ let format cfg prim mirr =
   let meta = { generation = 1; epoch = 1; regions = [] } in
   let image = slot_image meta in
   let write_device dev =
-    dev.dev_poke ~off:(slot_offset cfg 0) ~data:image;
-    dev.dev_poke ~off:(slot_offset cfg 1) ~data:image;
+    Pages.write dev.dev_mem ~off:(slot_offset cfg 0) ~data:image;
+    Pages.write dev.dev_mem ~off:(slot_offset cfg 1) ~data:image;
     (* Leave the metadata window open for management until a PMM claims
        the volume and narrows access to its own CPUs. *)
     (match
@@ -396,7 +395,9 @@ let recover t =
 
 let find_region meta rname = List.find_opt (fun r -> String.equal r.rname rname) meta.regions
 
-let data_capacity t = min t.prim_dev.dev_capacity t.mirr_dev.dev_capacity - t.cfg.meta_reserve
+let data_capacity t =
+  let size dev = Pages.size dev.dev_mem in
+  min (size t.prim_dev) (size t.mirr_dev) - t.cfg.meta_reserve
 
 (* First-fit allocation in [meta_reserve, capacity). *)
 let allocate t meta size =
@@ -856,10 +857,10 @@ let load_scrub t st =
       st.s_generation <- generation
   | None -> ()
 
-(* Read one chunk in 64 KiB RDMA slices, each straight into the chunk
-   buffer.  [None] when the device is unreachable. *)
-let scrub_read_chunk t st dev ~addr ~len =
-  let buf = Bytes.create len in
+(* Read one chunk in 64 KiB RDMA slices, each straight into [buf], which
+   is exactly the chunk's length.  [None] when the device is unreachable. *)
+let scrub_read_chunk t st dev buf ~addr =
+  let len = Bytes.length buf in
   let slice = 64 * 1024 in
   let rec go pos =
     if pos >= len then Some buf
@@ -873,6 +874,18 @@ let scrub_read_chunk t st dev ~addr ~len =
       | Ok () -> go (pos + n)
   in
   go 0
+
+(* Both copies of a chunk, primary first, into the scrubber's own
+   buffers; they are reallocated only when the chunk length changes, at
+   a region tail shorter than a chunk. *)
+let scrub_read_pair t st ~addr ~len =
+  if Bytes.length st.s_prim_buf <> len then begin
+    st.s_prim_buf <- Bytes.create len;
+    st.s_mirr_buf <- Bytes.create len
+  end;
+  let p = scrub_read_chunk t st t.prim_dev st.s_prim_buf ~addr in
+  let m = scrub_read_chunk t st t.mirr_dev st.s_mirr_buf ~addr in
+  (p, m)
 
 let scrub_strike st ~addr ~len =
   let n = (match Hashtbl.find_opt st.s_strikes addr with Some n -> n | None -> 0) + 1 in
@@ -911,6 +924,35 @@ let scrub_repair t st ~dst_dev ~addr ~data ~crc ~len =
       st.s_repairs <- st.s_repairs + 1
   | Error _ -> scrub_strike st ~addr ~len
 
+(* Compare the copies and bless the chunk when they agree.  No
+   suspension inside, so it is one [Prof] section. *)
+let scrub_compare t st ~addr p m =
+  let sect = Prof.section_begin () in
+  let same = Bytes.equal p m in
+  if same then scrub_mark_clean t st ~addr (Crc32.bytes p);
+  Prof.section_end sect "pmm";
+  same
+
+(* A table match only arbitrates if the matching device has not
+   power-cycled since the entry was recorded: a cycle can roll the chunk
+   back to exactly the blessed contents, and repairing the peer from the
+   rollback would destroy the only copy of writes acked since the last
+   clean scan. *)
+let scrub_arbitrate t st ~addr ~len p m =
+  let cp = Crc32.bytes p and cm = Crc32.bytes m in
+  let snap = Hashtbl.find_opt st.s_clean_cycles addr in
+  let steady dev since =
+    match since with
+    | Some c -> dev.dev_power_cycles () = c
+    | None -> false
+  in
+  match Hashtbl.find_opt st.s_table addr with
+  | Some e when Int32.equal e cp && steady t.prim_dev (Option.map fst snap) ->
+      scrub_repair t st ~dst_dev:t.mirr_dev ~addr ~data:p ~crc:cp ~len
+  | Some e when Int32.equal e cm && steady t.mirr_dev (Option.map snd snap) ->
+      scrub_repair t st ~dst_dev:t.prim_dev ~addr ~data:m ~crc:cm ~len
+  | _ -> scrub_strike st ~addr ~len
+
 (* Scan one chunk: compare the copies, and on divergence let the durable
    checksum table arbitrate which copy is truth.  A transient divergence
    (a mirrored write in flight between the two reads) is filtered by a
@@ -918,40 +960,16 @@ let scrub_repair t st ~dst_dev ~addr ~data ~crc ~len =
    legitimate writes landed since the last clean scan, plus corruption —
    cannot be arbitrated and strikes toward quarantine. *)
 let scrub_chunk t st ~addr ~len =
-  match
-    (scrub_read_chunk t st t.prim_dev ~addr ~len, scrub_read_chunk t st t.mirr_dev ~addr ~len)
-  with
-  | Some p, Some m when Bytes.equal p m ->
+  match scrub_read_pair t st ~addr ~len with
+  | Some p, Some m ->
       st.s_chunks <- st.s_chunks + 1;
-      scrub_mark_clean t st ~addr (Crc32.bytes p)
-  | Some _, Some _ -> (
-      st.s_chunks <- st.s_chunks + 1;
-      Sim.sleep st.s_cfg.scrub_recheck;
-      match
-        ( scrub_read_chunk t st t.prim_dev ~addr ~len,
-          scrub_read_chunk t st t.mirr_dev ~addr ~len )
-      with
-      | Some p, Some m when Bytes.equal p m -> scrub_mark_clean t st ~addr (Crc32.bytes p)
-      | Some p, Some m -> (
-          (* A table match only arbitrates if the matching device has not
-             power-cycled since the entry was recorded: a cycle can roll
-             the chunk back to exactly the blessed contents, and repairing
-             the peer from the rollback would destroy the only copy of
-             writes acked since the last clean scan. *)
-          let cp = Crc32.bytes p and cm = Crc32.bytes m in
-          let snap = Hashtbl.find_opt st.s_clean_cycles addr in
-          let steady dev since =
-            match since with
-            | Some c -> dev.dev_power_cycles () = c
-            | None -> false
-          in
-          match Hashtbl.find_opt st.s_table addr with
-          | Some e when Int32.equal e cp && steady t.prim_dev (Option.map fst snap) ->
-              scrub_repair t st ~dst_dev:t.mirr_dev ~addr ~data:p ~crc:cp ~len
-          | Some e when Int32.equal e cm && steady t.mirr_dev (Option.map snd snap) ->
-              scrub_repair t st ~dst_dev:t.prim_dev ~addr ~data:m ~crc:cm ~len
-          | _ -> scrub_strike st ~addr ~len)
-      | _ -> ())
+      if not (scrub_compare t st ~addr p m) then begin
+        Sim.sleep st.s_cfg.scrub_recheck;
+        match scrub_read_pair t st ~addr ~len with
+        | Some p, Some m ->
+            if not (scrub_compare t st ~addr p m) then scrub_arbitrate t st ~addr ~len p m
+        | _ -> ()
+      end
   | _ ->
       (* One copy unreachable: nothing to compare against.  The scrubber
          resumes the chunk when the device returns. *)
@@ -1015,6 +1033,8 @@ let start_scrubber t ~cpu ?(config = default_scrub_config) ?metrics () =
       s_repairs = 0;
       s_quarantined = 0;
       s_probe = probe;
+      s_prim_buf = Bytes.empty;
+      s_mirr_buf = Bytes.empty;
     }
   in
   t.scrub <- Some st;
@@ -1058,10 +1078,10 @@ let scrub_quarantined_chunks t =
   | Some st -> List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.s_quar [])
   | None -> []
 
-(* Maintenance-path full-content audit: peek-compare every allocated
-   extent across the pair, in scrub-chunk geometry, skipping quarantined
-   chunks.  Drills call this after recovery to prove no divergence
-   survived unnoticed. *)
+(* Maintenance-path full-content audit: compare every allocated extent
+   across the pair page by page, in scrub-chunk geometry, skipping
+   quarantined chunks.  Untouched pages compare equal unread.  Drills
+   call this after recovery to prove no divergence survived unnoticed. *)
 let divergent_chunks ?chunk_bytes t =
   let chunk =
     match (chunk_bytes, t.scrub) with
@@ -1072,25 +1092,26 @@ let divergent_chunks ?chunk_bytes t =
   match t.live with
   | None -> []
   | Some meta ->
+      let sect = Prof.section_begin () in
       let quarantined addr =
         match t.scrub with Some st -> Hashtbl.mem st.s_quar addr | None -> false
       in
-      List.concat_map
-        (fun r ->
-          let rec go addr acc =
-            if addr >= r.offset + r.length then List.rev acc
-            else
-              let len = min chunk (r.offset + r.length - addr) in
-              let p = t.prim_dev.dev_peek ~off:addr ~len in
-              let m = t.mirr_dev.dev_peek ~off:addr ~len in
-              let acc =
-                if (not (Bytes.equal p m)) && not (quarantined addr) then (addr, len) :: acc
-                else acc
-              in
-              go (addr + len) acc
-          in
-          go r.offset [])
-        (List.sort (fun a b -> compare a.offset b.offset) meta.regions)
+      let diverged =
+        List.concat_map
+          (fun r ->
+            let rec go addr acc =
+              if addr >= r.offset + r.length then List.rev acc
+              else
+                let len = min chunk (r.offset + r.length - addr) in
+                let same = Pages.equal t.prim_dev.dev_mem t.mirr_dev.dev_mem ~off:addr ~len in
+                let acc = if same || quarantined addr then acc else (addr, len) :: acc in
+                go (addr + len) acc
+            in
+            go r.offset [])
+          (List.sort (fun a b -> compare a.offset b.offset) meta.regions)
+      in
+      Prof.section_end sect "pmm";
+      diverged
 
 (* --- Mirror-health monitor --- *)
 

@@ -20,10 +20,11 @@ open Nsk
 type device = {
   dev_name : string;
   dev_id : int;  (** fabric endpoint id *)
-  dev_capacity : int;
   dev_avt : Servernet.Avt.t;
-  dev_peek : off:int -> len:int -> Bytes.t;
-  dev_poke : off:int -> data:Bytes.t -> unit;
+  dev_mem : Servernet.Fabric.Pages.t;
+      (** the device memory itself, whose size is the device capacity;
+          the maintenance path (volume formatting, the divergence audit)
+          reads and writes it directly: no fabric traffic, no time *)
   dev_power_cycles : unit -> int;
       (** monotone count of power-loss events; the resync path compares
           it across the copy to catch blips invisible to RDMA *)
@@ -222,9 +223,12 @@ val scrub_quarantined_chunks : t -> (int * int) list
 
 val divergent_chunks : ?chunk_bytes:int -> t -> (int * int) list
 (** Maintenance-path full-content audit (no fabric traffic, no time):
-    peek-compare every allocated extent across the pair in scrub-chunk
+    compare every allocated extent across the pair in scrub-chunk
     geometry and return the non-quarantined chunks whose copies differ.
-    Empty on a healthy volume — the drill's final integrity gate. *)
+    Compares page by page in the devices' memory
+    ({!Servernet.Fabric.Pages.equal}); untouched pages compare equal
+    unread.  Empty on a healthy volume — the drill's final integrity
+    gate. *)
 
 (** {2 Mirror-health monitoring and slow-mirror demotion}
 

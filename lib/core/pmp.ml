@@ -39,6 +39,8 @@ let id t = Servernet.Fabric.id t.ep
 
 let avt t = Servernet.Fabric.avt t.ep
 
+let mem t = t.mem
+
 let is_alive t = t.alive
 
 let fenced_writes t = Servernet.Avt.fenced (Servernet.Fabric.avt t.ep)

@@ -34,6 +34,10 @@ val power_loss : t -> unit
 (** Simulated power loss: the process dies and, being DRAM-hosted, the
     memory contents are cleared. *)
 
+val mem : t -> Servernet.Fabric.Pages.t
+(** The pinned memory itself, for maintenance-path access (no fabric
+    traffic, no timing). *)
+
 val peek : t -> off:int -> len:int -> Bytes.t
 (** Maintenance-path read (zeros after a power loss). *)
 

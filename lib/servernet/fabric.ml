@@ -31,6 +31,18 @@ let default_config =
     rails = 2;
   }
 
+(* [a.[pa, pa + n)] and [b.[pb, pb + n)] hold the same bytes: 64-bit
+   loads, then a byte tail. *)
+let sub_equal a pa b pb n =
+  let i = ref 0 in
+  while !i + 8 <= n && Bytes.get_int64_ne a (pa + !i) = Bytes.get_int64_ne b (pb + !i) do
+    i := !i + 8
+  done;
+  while !i < n && Bytes.get a (pa + !i) = Bytes.get b (pb + !i) do
+    incr i
+  done;
+  !i >= n
+
 module Pages = struct
   let page_bits = 12
 
@@ -128,6 +140,23 @@ module Pages = struct
       pos := !pos + n
     done;
     if pad > 0 then fill_zero t ~off:(off + len) ~len:pad
+
+  (* Pages that are the same [Bytes.t] — in practice both still the
+     shared zero page — are equal unread; any other pair is compared in
+     place, so a zeroed resident page equals an untouched one. *)
+  let equal a b ~off ~len =
+    check a "equal" ~off ~len;
+    check b "equal" ~off ~len;
+    let pos = ref 0 and same = ref true in
+    while !same && !pos < len do
+      let x = off + !pos in
+      let in_page = x land (page_size - 1) in
+      let n = min (page_size - in_page) (len - !pos) in
+      let pa = a.pages.(x lsr page_bits) and pb = b.pages.(x lsr page_bits) in
+      same := pa == pb || sub_equal pa in_page pb in_page n;
+      pos := !pos + n
+    done;
+    !same
 
   let get t off =
     check t "get" ~off ~len:1;

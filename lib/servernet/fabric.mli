@@ -37,6 +37,11 @@ val default_config : config
 (** ServerNet II-class: 12 µs, 125 MB/s links, 512-byte packets, 2 rails,
     no corruption. *)
 
+val sub_equal : Bytes.t -> int -> Bytes.t -> int -> int -> bool
+(** [sub_equal a pa b pb n]: [a.[pa, pa + n)] and [b.[pb, pb + n)] hold
+    the same bytes.  Compares in place, with no allocation; raises
+    [Invalid_argument] when it reaches a byte outside either buffer. *)
+
 (** Page-sparse device memory: [size] bytes in 4 KiB pages, each created
     on its first write.  Pages never written read as zero from one shared
     zero page, so a device's unused capacity costs no host memory.  Every
@@ -67,6 +72,13 @@ module Pages : sig
   val fill_zero : t -> off:int -> len:int -> unit
   (** Zero the range: resident pages are cleared in place, untouched
       pages stay shared. *)
+
+  val equal : t -> t -> off:int -> len:int -> bool
+  (** The two stores hold the same bytes over [off, off + len).  Ranges
+      where both still share the zero page compare equal unread; the rest
+      is compared in place, with no allocation.  Content, not identity:
+      a resident page zeroed by {!fill_zero} equals a never-written one.
+      The range must lie inside both stores. *)
 
   val get : t -> int -> char
 

@@ -17,7 +17,11 @@ let test_crc32_known_answers () =
   Alcotest.(check int32) "check value" 0xCBF43926l (Crc32.string "123456789");
   Alcotest.(check int32) "empty" 0l (Crc32.string "");
   Alcotest.(check int32) "a" 0xE8B7BE43l (Crc32.string "a");
-  Alcotest.(check int32) "abc" 0x352441C2l (Crc32.string "abc")
+  Alcotest.(check int32) "abc" 0x352441C2l (Crc32.string "abc");
+  (* Whole zero blocks, the scrubber's common case. *)
+  Alcotest.(check int32) "4 KiB of zeros" 0xC71C0011l (Crc32.bytes (Bytes.make 4096 '\000'));
+  Alcotest.(check int32) "256 KiB of zeros" 0xE20EEA22l
+    (Crc32.bytes (Bytes.make (256 * 1024) '\000'))
 
 (* The textbook definition, one bit at a time on Int32: no table to get
    wrong in the same way as the one under test. *)
@@ -34,13 +38,45 @@ let crc32_bitwise s =
     s;
   Int32.logxor !crc 0xFFFFFFFFl
 
+(* Half the inputs are random bytes; the other half splice zero runs of
+   4-20 KiB between short random pieces, so the runs sit at unaligned
+   offsets, the input ends raggedly, and a random slice usually starts
+   and ends inside a run: the zero-block skip and its seams.  Stray
+   bytes land within 40 bytes of a 4 KiB boundary counted from the slice
+   start or from 0, where a block's zero test begins and ends. *)
+let gen_crc_case =
+  let open QCheck.Gen in
+  let zero_run = map (fun n -> String.make n '\000') (int_range 4096 20480) in
+  let spliced =
+    map (String.concat "") (list_size (int_range 1 4) (oneof [ zero_run; string_size (int_range 0 300) ]))
+  in
+  frequency [ (1, string_size (int_range 0 9000)); (1, spliced) ] >>= fun s ->
+  let n = String.length s in
+  int_bound n >>= fun pos ->
+  int_bound (n - pos) >>= fun len ->
+  let stray =
+    quad (oneofl [ 0; pos ]) (int_range 0 5) (int_range (-40) 40) (map Char.chr (int_range 1 255))
+  in
+  map
+    (fun strays ->
+      let b = Bytes.of_string s in
+      List.iter
+        (fun (base, k, d, c) ->
+          let i = base + (k * 4096) + d in
+          if i >= 0 && i < n then Bytes.set b i c)
+        strays;
+      (Bytes.to_string b, pos, len))
+    (list_size (int_range 0 3) stray)
+
 let prop_crc32_matches_bitwise =
   QCheck.Test.make ~name:"crc32 == bitwise reference on any slice" ~count:300
-    QCheck.(triple (string_of_size (Gen.int_range 0 9000)) (int_bound 9000) (int_bound 9000))
-    (fun (s, a, b) ->
-      let n = String.length s in
-      let pos = a mod (n + 1) in
-      let len = b mod (n - pos + 1) in
+    (QCheck.make
+       ~print:(fun (s, pos, len) ->
+         Printf.sprintf "%d bytes (%d zero), slice %d+%d" (String.length s)
+           (String.fold_left (fun k c -> if c = '\000' then k + 1 else k) 0 s)
+           pos len)
+       gen_crc_case)
+    (fun (s, pos, len) ->
       Crc32.string s = crc32_bitwise s
       && Crc32.sub (Bytes.of_string s) ~pos ~len = crc32_bitwise (String.sub s pos len))
 

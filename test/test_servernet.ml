@@ -300,14 +300,16 @@ let pages_size = (3 * Fabric.Pages.page_size) + 123
 
 let pages_count = (pages_size + Fabric.Pages.page_size - 1) / Fabric.Pages.page_size
 
-let gen_page_ops =
+(* Offsets cluster around page boundaries so ranges straddle them, and
+   the ragged last page. *)
+let gen_page_off =
+  QCheck.Gen.map2
+    (fun k d -> max 0 (min pages_size ((k * Fabric.Pages.page_size) + d)))
+    (QCheck.Gen.int_range 0 4) (QCheck.Gen.int_range (-40) 40)
+
+let gen_page_op =
   let open QCheck.Gen in
-  (* Offsets cluster around page boundaries so ranges straddle them. *)
-  let off =
-    map2
-      (fun k d -> max 0 (min pages_size ((k * Fabric.Pages.page_size) + d)))
-      (int_range 0 4) (int_range (-40) 40)
-  in
+  let off = gen_page_off in
   (* Data is sometimes all zeros, the shape a resync copies out of
      never-written memory. *)
   let data o =
@@ -315,24 +317,23 @@ let gen_page_ops =
     frequency
       [ (3, string_size ~gen:printable n); (1, map (fun k -> String.make k '\000') n) ]
   in
-  let op =
-    frequency
-      [
-        ( 4,
-          off >>= fun o ->
-          data o >>= fun s ->
-          let room = pages_size - o - String.length s in
-          map
-            (fun pad -> P_write (o, s, pad))
-            (frequency [ (1, return 0); (1, int_range 0 (min 6000 room)) ]) );
-        (1, off >>= fun o -> map (fun n -> P_fill_zero (o, n)) (int_range 0 (pages_size - o)));
-        (3, off >>= fun o -> map (fun n -> P_read (o, n)) (int_range 0 (pages_size - o)));
-        (2, map (fun o -> P_get (min o (pages_size - 1))) off);
-        (2, map2 (fun o c -> P_set (min o (pages_size - 1), c)) off printable);
-        (1, return P_clear);
-      ]
-  in
-  list_size (int_range 1 40) op
+  frequency
+    [
+      ( 4,
+        off >>= fun o ->
+        data o >>= fun s ->
+        let room = pages_size - o - String.length s in
+        map
+          (fun pad -> P_write (o, s, pad))
+          (frequency [ (1, return 0); (1, int_range 0 (min 6000 room)) ]) );
+      (1, off >>= fun o -> map (fun n -> P_fill_zero (o, n)) (int_range 0 (pages_size - o)));
+      (3, off >>= fun o -> map (fun n -> P_read (o, n)) (int_range 0 (pages_size - o)));
+      (2, map (fun o -> P_get (min o (pages_size - 1))) off);
+      (2, map2 (fun o c -> P_set (min o (pages_size - 1), c)) off printable);
+      (1, return P_clear);
+    ]
+
+let gen_page_ops = QCheck.Gen.(list_size (int_range 1 40) gen_page_op)
 
 let show_page_op = function
   | P_write (o, s, pad) ->
@@ -345,12 +346,37 @@ let show_page_op = function
   | P_set (o, c) -> Printf.sprintf "set %d %C" o c
   | P_clear -> "clear"
 
+let show_page_ops ops = String.concat "; " (List.map show_page_op ops)
+
+(* Apply one op to the store and to its flat model; [false] when a read
+   or get disagrees with the model. *)
+let apply_page_op p model = function
+  | P_write (o, s, pad) ->
+      Fabric.Pages.write ~pad p ~off:o ~data:(Bytes.of_string s);
+      Bytes.blit_string s 0 model o (String.length s);
+      Bytes.fill model (o + String.length s) pad '\000';
+      true
+  | P_fill_zero (o, n) ->
+      Fabric.Pages.fill_zero p ~off:o ~len:n;
+      Bytes.fill model o n '\000';
+      true
+  | P_read (o, n) -> Bytes.equal (Fabric.Pages.read p ~off:o ~len:n) (Bytes.sub model o n)
+  | P_get o -> Fabric.Pages.get p o = Bytes.get model o
+  | P_set (o, c) ->
+      Fabric.Pages.set p o c;
+      Bytes.set model o c;
+      true
+  | P_clear ->
+      Fabric.Pages.clear p;
+      Bytes.fill model 0 pages_size '\000';
+      true
+
 (* Beside the flat-bytes contents, the model tracks which pages have
    taken a non-zero byte or a [set] since the last clear: exactly those
    are resident, so zero data and padding never create a page. *)
 let prop_pages_match_flat_bytes =
   QCheck.Test.make ~name:"pages behave as one flat zeroed Bytes" ~count:300
-    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_page_op ops)) gen_page_ops)
+    (QCheck.make ~print:show_page_ops gen_page_ops)
     (fun ops ->
       let p = Fabric.Pages.create pages_size in
       let model = Bytes.make pages_size '\000' in
@@ -362,32 +388,72 @@ let prop_pages_match_flat_bytes =
       in
       List.for_all
         (fun op ->
+          let ok = apply_page_op p model op in
           (match op with
-          | P_write (o, s, pad) ->
-              Fabric.Pages.write ~pad p ~off:o ~data:(Bytes.of_string s);
-              Bytes.blit_string s 0 model o (String.length s);
-              Bytes.fill model (o + String.length s) pad '\000';
-              String.iteri (fun i c -> if c <> '\000' then touch (o + i)) s;
-              true
-          | P_fill_zero (o, n) ->
-              Fabric.Pages.fill_zero p ~off:o ~len:n;
-              Bytes.fill model o n '\000';
-              true
-          | P_read (o, n) -> Bytes.equal (Fabric.Pages.read p ~off:o ~len:n) (Bytes.sub model o n)
-          | P_get o -> Fabric.Pages.get p o = Bytes.get model o
-          | P_set (o, c) ->
-              Fabric.Pages.set p o c;
-              Bytes.set model o c;
-              touch o;
-              true
-          | P_clear ->
-              Fabric.Pages.clear p;
-              Bytes.fill model 0 pages_size '\000';
-              Array.fill touched 0 pages_count false;
-              true)
-          && resident_ok ())
+          | P_write (o, s, _) -> String.iteri (fun i c -> if c <> '\000' then touch (o + i)) s
+          | P_set (o, _) -> touch o
+          | P_clear -> Array.fill touched 0 pages_count false
+          | P_fill_zero _ | P_read _ | P_get _ -> ());
+          ok && resident_ok ())
         ops
       && Bytes.equal (Fabric.Pages.read p ~off:0 ~len:pages_size) model)
+
+(* Two stores, each driven by its own ops; often the second replays the
+   first's ops and a few more, so equal resident ranges are common. *)
+let gen_pages_equal_case =
+  let open QCheck.Gen in
+  gen_page_ops >>= fun ops_a ->
+  frequency
+    [
+      (1, gen_page_ops);
+      (2, map (fun more -> ops_a @ more) (list_size (int_range 0 3) gen_page_op));
+    ]
+  >>= fun ops_b ->
+  gen_page_off >>= fun off ->
+  map (fun len -> (ops_a, ops_b, off, len)) (int_range 0 (pages_size - off))
+
+let prop_pages_equal_matches_flat_bytes =
+  QCheck.Test.make ~name:"Pages.equal == Bytes.equal of the flat models" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b, off, len) ->
+         Printf.sprintf "a: %s\nb: %s\nrange %d+%d" (show_page_ops a) (show_page_ops b) off len)
+       gen_pages_equal_case)
+    (fun (ops_a, ops_b, off, len) ->
+      let build ops =
+        let p = Fabric.Pages.create pages_size in
+        let model = Bytes.make pages_size '\000' in
+        List.iter (fun op -> ignore (apply_page_op p model op)) ops;
+        (p, model)
+      in
+      let a, ma = build ops_a and b, mb = build ops_b in
+      Fabric.Pages.equal a b ~off ~len = Bytes.equal (Bytes.sub ma off len) (Bytes.sub mb off len))
+
+let test_pages_equal_compares_content () =
+  let page = Fabric.Pages.page_size in
+  let a = Fabric.Pages.create (4 * page) and b = Fabric.Pages.create (4 * page) in
+  check_bool "untouched stores" true (Fabric.Pages.equal a b ~off:0 ~len:(4 * page));
+  Fabric.Pages.set a (page + 5) 'x';
+  Fabric.Pages.fill_zero a ~off:page ~len:page;
+  check_int "the zeroed page stays resident" 1 (Fabric.Pages.resident_pages a);
+  check_bool "zeroed resident page = never-written page" true
+    (Fabric.Pages.equal a b ~off:0 ~len:(4 * page));
+  Fabric.Pages.write a ~off:(page - 2) ~data:(Bytes.of_string "abcd");
+  Fabric.Pages.write b ~off:(page - 2) ~data:(Bytes.of_string "abcd");
+  check_bool "same bytes in distinct pages" true (Fabric.Pages.equal a b ~off:0 ~len:(4 * page));
+  Fabric.Pages.set b ((4 * page) - 1) 'y';
+  check_bool "last byte differs" false (Fabric.Pages.equal a b ~off:0 ~len:(4 * page));
+  check_bool "range stops short of it" true (Fabric.Pages.equal a b ~off:0 ~len:((4 * page) - 1));
+  let small = Fabric.Pages.create page in
+  List.iter
+    (fun (what, off, len) ->
+      Alcotest.check_raises what (Invalid_argument "Fabric.Pages.equal: out of range") (fun () ->
+          ignore (Fabric.Pages.equal a small ~off ~len)))
+    [
+      ("negative offset", -1, 2);
+      ("negative length", 0, -1);
+      ("past the shorter store", 0, page + 1);
+      ("past both", 4 * page, 1);
+    ]
 
 let test_pages_zero_writes_stay_shared () =
   let page = Fabric.Pages.page_size in
@@ -469,5 +535,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_pages_match_flat_bytes;
         Alcotest.test_case "never-written ranges read zero" `Quick test_pages_unwritten_read_zero;
         Alcotest.test_case "zero writes keep pages shared" `Quick test_pages_zero_writes_stay_shared;
+        QCheck_alcotest.to_alcotest prop_pages_equal_matches_flat_bytes;
+        Alcotest.test_case "equal compares content" `Quick test_pages_equal_compares_content;
       ] );
   ]
