@@ -67,15 +67,11 @@ let instrument t metrics =
 
 let writes t = !(t.st_writes)
 
-let reads t = !(t.st_reads)
-
 let bytes_written t = !(t.st_bytes_written)
 
 let name t = t.npmu_name
 
 let capacity t = t.capacity
-
-let endpoint t = t.ep
 
 let id t = Servernet.Fabric.id t.ep
 

@@ -21,15 +21,11 @@ val instrument : t -> Metrics.t -> unit
 val writes : t -> int
 (** Stores performed through the NIC (RDMA-delivered writes). *)
 
-val reads : t -> int
-
 val bytes_written : t -> int
 
 val name : t -> string
 
 val capacity : t -> int
-
-val endpoint : t -> Servernet.Fabric.endpoint
 
 val id : t -> int
 (** Fabric endpoint id. *)

@@ -7,12 +7,8 @@ type config = {
   mgmt_timeout : Time.span;
   mgmt_retries : int;
   mgmt_backoff : Time.span;
-  data_retries : int;
-  data_backoff : Time.span;
-  fail_fast_after : int;
   verified_reads : bool;
   slo_budget : Time.span;
-  health_window : int;
   health_alpha : float;
   hedged_reads : bool;
   hedge_min : Time.span;
@@ -31,12 +27,8 @@ let default_config =
     mgmt_timeout = Time.sec 2;
     mgmt_retries = 3;
     mgmt_backoff = Time.ms 100;
-    data_retries = 2;
-    data_backoff = Time.us 100;
-    fail_fast_after = 8;
     verified_reads = false;
     slo_budget = 0;
-    health_window = 32;
     health_alpha = 0.3;
     hedged_reads = false;
     hedge_min = Time.us 50;
@@ -44,6 +36,19 @@ let default_config =
     adaptive_backoff = false;
     mgmt_retry_budget = 0.;
   }
+
+(* Bounded retries of transient fabric errors ([Unreachable], [No_path],
+   [Crc_failure]) per device on the data path before the attempt counts
+   as a device failure, and the base of their backoff. *)
+let data_retries = 2
+let data_backoff = Time.us 100
+
+(* Consecutive failures after which a device is presumed down and
+   data-path retries are skipped until it answers again. *)
+let fail_fast_after = 8
+
+(* Ring size of the windowed p99. *)
+let health_window = 32
 
 (* Per-device latency health: an EWMA plus a windowed p99, both compared
    against the configured SLO budget.  Disabled (no samples recorded)
@@ -56,10 +61,10 @@ type health = {
   mutable suspect : bool;  (** currently over budget *)
 }
 
-let health_create cfg =
+let health_create () =
   {
     ewma = 0.0;
-    window = Array.make (max 4 cfg.health_window) 0;
+    window = Array.make health_window 0;
     w_len = 0;
     w_pos = 0;
     suspect = false;
@@ -138,8 +143,8 @@ let attach ~cpu ~fabric ~pmm ?(config = default_config) ?obs () =
       (if config.mgmt_retry_budget > 0. then
          Some (Retry_budget.create ~capacity:config.mgmt_retry_budget ())
        else None);
-    ph = health_create config;
-    mh = health_create config;
+    ph = health_create ();
+    mh = health_create ();
     latency =
       (* With an observability context every client aggregates into the
          one registry-owned stat; otherwise each keeps a private one. *)
@@ -196,10 +201,10 @@ let hedge_delay t =
    observed device EWMA (capped), so a degraded path is retried on its
    own timescale instead of the healthy-case constant. *)
 let data_backoff_base t =
-  if not t.cfg.adaptive_backoff then t.cfg.data_backoff
+  if not t.cfg.adaptive_backoff then data_backoff
   else
     let observed = int_of_float (Float.max t.ph.ewma t.mh.ewma) in
-    min (max t.cfg.data_backoff observed) (t.cfg.data_backoff * 64)
+    min (max data_backoff observed) (data_backoff * 64)
 
 (* Exponential backoff with full jitter: attempt [i] sleeps uniformly in
    [0, base * 2^i], capped at 2^6.  Jitter decorrelates the many clients
@@ -340,7 +345,7 @@ let write ?span ?(pad = 0) t h ~off ~data =
               Ok ()
           | Error (Servernet.Fabric.Unreachable | Servernet.Fabric.No_path
                   | Servernet.Fabric.Crc_failure)
-            when attempt < t.cfg.data_retries && strikes < t.cfg.fail_fast_after ->
+            when attempt < data_retries && strikes < fail_fast_after ->
               t.retried_writes <- t.retried_writes + 1;
               bump_counter t "pm.write_retries";
               backoff_sleep t ~base:(data_backoff_base t) ~attempt;
@@ -529,7 +534,7 @@ let read_plain ?(span = Span.null) t h ~off ~len ~buf ~pos =
               | Error _ -> Error Pm_types.Device_failed)
       in
       match result with
-      | Error Pm_types.Device_failed when attempt < t.cfg.data_retries ->
+      | Error Pm_types.Device_failed when attempt < data_retries ->
           backoff_sleep t ~base:(data_backoff_base t) ~attempt;
           round (attempt + 1)
       | result -> result
@@ -678,8 +683,6 @@ let read ?span t h ~off ~len = alloc_read ~len (read_into ?span t h ~off ~len)
 
 let read_device t h ~mirror ~off ~len = alloc_read ~len (read_device_into t h ~mirror ~off ~len)
 
-let read_verified t h ~off ~len = alloc_read ~len (read_verified_into t h ~off ~len)
-
 let degraded_writes t = t.degraded
 
 let write_retries t = t.retried_writes
@@ -700,7 +703,6 @@ let mgmt_retries_used t = t.mgmt_retried
 
 let mgmt_retry_exhausted t = t.mgmt_exhausted
 
-let mgmt_retry_budget t = t.retry_budget
 
 let slow_suspects t = t.slow_suspects
 

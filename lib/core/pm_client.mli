@@ -21,22 +21,13 @@ type config = {
   mgmt_backoff : Time.span;
       (** base of the jittered exponential backoff between management
           retries: attempt [i] sleeps uniformly in [0, base * 2^i] *)
-  data_retries : int;
-      (** bounded retries of transient fabric errors ([Unreachable],
-          [No_path], [Crc_failure]) per device on the data path before
-          the attempt counts as a device failure *)
-  data_backoff : Time.span;  (** base of the data-path retry backoff *)
-  fail_fast_after : int;
-      (** consecutive failures after which a device is presumed down and
-          data-path retries are skipped until it answers again *)
   verified_reads : bool;
-      (** route every {!read} through {!read_verified}: cross-check the
+      (** route every {!read} through {!read_verified_into}: cross-check the
           mirror and read-repair silent divergence (default [false] —
           it doubles read traffic) *)
   slo_budget : Time.span;
       (** per-op latency budget the health monitor compares against;
           0 (default) disables latency health tracking entirely *)
-  health_window : int;  (** ring size for the windowed p99 *)
   health_alpha : float;  (** EWMA smoothing weight of the newest sample *)
   hedged_reads : bool;
       (** fire the mirror copy of a plain read after the hedge delay
@@ -46,7 +37,7 @@ type config = {
   hedge_max : Time.span;
   adaptive_backoff : bool;
       (** scale the data-path retry backoff to the observed device EWMA
-          instead of the fixed [data_backoff] (default [false]) *)
+          instead of the fixed 100 µs base (default [false]) *)
   mgmt_retry_budget : float;
       (** token-bucket capacity for management-path retries
           ({!Simkit.Retry_budget}): each retry spends a token, each
@@ -112,9 +103,9 @@ val write :
 val read :
   ?span:Span.span -> t -> handle -> off:int -> len:int -> (Bytes.t, Pm_types.error) result
 (** Read from the primary device, failing over to the mirror; transient
-    fabric errors on both devices are retried up to [data_retries]
-    rounds with jittered backoff.  When the client was attached with
-    [verified_reads], this is {!read_verified}.  With [obs], the read
+    fabric errors on both devices are retried up to two rounds with
+    jittered backoff.  When the client was attached with
+    [verified_reads], this is {!read_verified_into}.  With [obs], the read
     gets a ["pm.read"] span on track ["pm"] (child of [span] when
     given), annotated [hedged]/[hedge_won]/[failover] as those paths
     fire. *)
@@ -150,7 +141,8 @@ val read_device_into :
   pos:int ->
   (unit, Pm_types.error) result
 
-val read_verified : t -> handle -> off:int -> len:int -> (Bytes.t, Pm_types.error) result
+val read_verified_into :
+  t -> handle -> off:int -> len:int -> buf:Bytes.t -> pos:int -> (unit, Pm_types.error) result
 (** Integrity-checking read: fetch the range from {e both} devices and
     compare.  On divergence, ask the PMM for the trusted chunk checksum
     ({!Pmm.request.Chunk_crc}) over every chunk of the range, copy the
@@ -160,9 +152,6 @@ val read_verified : t -> handle -> off:int -> len:int -> (Bytes.t, Pm_types.erro
     primary unrepaired (counted in {!verify_unrepaired}); a copy that is
     unreachable degrades to the plain failover read.  Works — minus the
     repair arbitration — even when no scrubber is running. *)
-
-val read_verified_into :
-  t -> handle -> off:int -> len:int -> buf:Bytes.t -> pos:int -> (unit, Pm_types.error) result
 
 val degraded_writes : t -> int
 (** Writes that persisted on only one device. *)
@@ -196,11 +185,6 @@ val mgmt_retries_used : t -> int
 val mgmt_retry_exhausted : t -> int
 (** Management calls that ran out of retries and surfaced
     [Manager_down] (also the [pm.mgmt_retry_exhausted] counter). *)
-
-val mgmt_retry_budget : t -> Retry_budget.t option
-(** The management-path retry token bucket, when
-    {!config.mgmt_retry_budget} enabled one ([pm.retry_budget_denied]
-    counts the retries it refused). *)
 
 (** {1 Gray-failure telemetry}
 

@@ -11,7 +11,6 @@ type error =
   | Fenced  (** write rejected: region grant predates the volume epoch *)
   | Bad_request of string
 
-val pp_error : Format.formatter -> error -> unit
 
 val error_to_string : error -> string
 

@@ -67,29 +67,27 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = { meta_reserve : int; op_cpu_cost : Time.span; mgmt_bytes : int }
+(* Bytes at the front of each device for metadata; the PMM's
+   instruction path per request; the wire size of an AVT-programming
+   command. *)
+let meta_reserve = 64 * 1024
+let op_cpu_cost = Time.us 10
+let mgmt_bytes = 128
 
-let default_config = { meta_reserve = 64 * 1024; op_cpu_cost = Time.us 10; mgmt_bytes = 128 }
+(* Scrub compare granularity (and checksum-table key size), the settle
+   before trusting a divergence, and the consecutive unresolvable passes
+   that quarantine a chunk. *)
+let scrub_chunk_bytes = 256 * 1024
+let scrub_recheck = Time.us 50
+let scrub_quarantine_after = 3
 
-type scrub_config = {
-  scrub_chunk_bytes : int;
-  scrub_interval : Time.span;
-  scrub_recheck : Time.span;
-  scrub_quarantine_after : int;
-}
-
-let default_scrub_config =
-  {
-    scrub_chunk_bytes = 256 * 1024;
-    scrub_interval = Time.us 100;
-    scrub_recheck = Time.us 50;
-    scrub_quarantine_after = 3;
-  }
+(* Size of the monitor's timed probe read, and its per-probe latency
+   budget. *)
+let probe_bytes = 64
+let health_slo = Time.us 100
 
 type health_config = {
   probe_interval : Time.span;
-  probe_bytes : int;
-  health_slo : Time.span;
   health_alpha : float;
   demote_after : int;
   readmit_after : int;
@@ -98,8 +96,6 @@ type health_config = {
 let default_health_config =
   {
     probe_interval = Time.us 250;
-    probe_bytes = 64;
-    health_slo = Time.us 100;
     health_alpha = 0.5;
     demote_after = 2;
     readmit_after = 8;
@@ -167,7 +163,7 @@ let parse_slot =
    offset of a chunk (chunked per region, from the region base) to the
    CRC32 of the chunk's last known-good contents. *)
 type scrub = {
-  s_cfg : scrub_config;
+  s_interval : Time.span;  (** pause between chunk scans *)
   s_cpu : Cpu.t;
   s_table : (int, int32) Hashtbl.t;
   s_clean_cycles : (int, int * int) Hashtbl.t;
@@ -210,7 +206,6 @@ type monitor = {
 type t = {
   fabric : Servernet.Fabric.t;
   pmm_name : string;
-  cfg : config;
   prim_dev : device;
   mirr_dev : device;
   srv : server;
@@ -230,18 +225,18 @@ type t = {
   mutable monitor : monitor option;
 }
 
-let slot_offset cfg slot = slot * (cfg.meta_reserve / 2)
+let slot_offset slot = slot * (meta_reserve / 2)
 
-let format cfg prim mirr =
+let format prim mirr =
   let meta = { generation = 1; epoch = 1; regions = [] } in
   let image = slot_image meta in
   let write_device dev =
-    Pages.write dev.dev_mem ~off:(slot_offset cfg 0) ~data:image;
-    Pages.write dev.dev_mem ~off:(slot_offset cfg 1) ~data:image;
+    Pages.write dev.dev_mem ~off:(slot_offset 0) ~data:image;
+    Pages.write dev.dev_mem ~off:(slot_offset 1) ~data:image;
     (* Leave the metadata window open for management until a PMM claims
        the volume and narrows access to its own CPUs. *)
     (match
-       Servernet.Avt.map dev.dev_avt ~net_base:0 ~length:cfg.meta_reserve ~phys_base:0
+       Servernet.Avt.map dev.dev_avt ~net_base:0 ~length:meta_reserve ~phys_base:0
          ~access:(Servernet.Avt.read_write Servernet.Avt.Any_initiator)
      with
     | Ok () | Error _ -> ());
@@ -251,8 +246,6 @@ let format cfg prim mirr =
   write_device mirr
 
 let server t = t.srv
-
-let config t = t.cfg
 
 let degraded t = not (t.prim_ok && t.mirr_ok)
 
@@ -290,7 +283,7 @@ let unmap_window dev region = ignore (Servernet.Avt.unmap dev.dev_avt ~net_base:
 
 (* The management path to a device: a small command exchange on the
    fabric.  We model its wire time without moving payload. *)
-let mgmt_delay t = Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes:t.cfg.mgmt_bytes)
+let mgmt_delay t = Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes:mgmt_bytes)
 
 let current_cpu t = Procpair.primary_cpu (pair_exn t)
 
@@ -304,7 +297,7 @@ let persist t meta =
   meta.generation <- meta.generation + 1;
   let image = slot_image meta in
   let slot = meta.generation mod 2 in
-  let addr = slot_offset t.cfg slot in
+  let addr = slot_offset slot in
   let write_dev dev =
     match
       Servernet.Fabric.rdma_write ~epoch:meta.epoch t.fabric ~src:(src_endpoint t)
@@ -356,8 +349,8 @@ let claim_metadata_windows t ~primary_cpu ~backup_cpu =
 let recover t =
   let started = Sim.now (Cpu.sim (current_cpu t)) in
   let read_slot dev slot =
-    let addr = slot_offset t.cfg slot in
-    let len = t.cfg.meta_reserve / 2 in
+    let addr = slot_offset slot in
+    let len = meta_reserve / 2 in
     match
       Servernet.Fabric.rdma_read t.fabric ~src:(src_endpoint t) ~dst:dev.dev_id ~addr ~len
     with
@@ -397,17 +390,17 @@ let find_region meta rname = List.find_opt (fun r -> String.equal r.rname rname)
 
 let data_capacity t =
   let size dev = Pages.size dev.dev_mem in
-  min (size t.prim_dev) (size t.mirr_dev) - t.cfg.meta_reserve
+  min (size t.prim_dev) (size t.mirr_dev) - meta_reserve
 
 (* First-fit allocation in [meta_reserve, capacity). *)
 let allocate t meta size =
-  let limit = t.cfg.meta_reserve + data_capacity t in
+  let limit = meta_reserve + data_capacity t in
   let sorted = List.sort (fun a b -> compare a.offset b.offset) meta.regions in
   let rec fit cursor = function
     | [] -> if cursor + size <= limit then Some cursor else None
     | r :: rest -> if cursor + size <= r.offset then Some cursor else fit (r.offset + r.length) rest
   in
-  fit t.cfg.meta_reserve sorted
+  fit meta_reserve sorted
 
 let region_info t r =
   {
@@ -480,7 +473,7 @@ let do_resync t meta ~from_primary =
     go 0
   in
   let extents =
-    (0, t.cfg.meta_reserve) :: List.map (fun r -> (r.offset, r.length)) meta.regions
+    (0, meta_reserve) :: List.map (fun r -> (r.offset, r.length)) meta.regions
   in
   let rec copy_all = function
     | [] -> Ok ()
@@ -625,11 +618,7 @@ let handle_request t req =
       with
       | None -> R_error Pm_types.No_such_region
       | Some r ->
-          let chunk =
-            match t.scrub with
-            | Some st -> st.s_cfg.scrub_chunk_bytes
-            | None -> default_scrub_config.scrub_chunk_bytes
-          in
+          let chunk = scrub_chunk_bytes in
           let chunk_off = r.offset + ((addr - r.offset) / chunk * chunk) in
           let chunk_len = min chunk (r.offset + r.length - chunk_off) in
           let crc =
@@ -680,18 +669,16 @@ let serve t () =
           t.live <- Some meta));
   while true do
     let req, respond = Msgsys.next_request t.srv in
-    Cpu.execute (current_cpu t) t.cfg.op_cpu_cost;
+    Cpu.execute (current_cpu t) op_cpu_cost;
     respond (handle_request t req)
   done
 
-let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev
-    ?(config = default_config) () =
+let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev () =
   let srv = Msgsys.create_server fabric ~cpu:primary_cpu ~name in
   let t =
     {
       fabric;
       pmm_name = name;
-      cfg = config;
       prim_dev = primary_dev;
       mirr_dev = mirror_dev;
       srv;
@@ -731,7 +718,7 @@ let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev
    slot, the scrub table the rest.  Both are dual-slotted,
    generation-stamped and CRC-framed, so a crash mid-persist always
    leaves a valid copy — the same discipline as the region table. *)
-let scrub_slot_gap cfg = cfg.meta_reserve / 8
+let scrub_slot_gap = meta_reserve / 8
 
 let scrub_magic = 0x53435242 (* "SCRB" *)
 
@@ -787,17 +774,17 @@ let persist_scrub t st =
   st.s_generation <- st.s_generation + 1;
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   let image =
-    scrub_image ~generation:st.s_generation ~chunk_bytes:st.s_cfg.scrub_chunk_bytes
+    scrub_image ~generation:st.s_generation ~chunk_bytes:scrub_chunk_bytes
       (sorted st.s_table) (sorted st.s_quar)
   in
-  let gap = scrub_slot_gap t.cfg in
-  if Bytes.length image > (t.cfg.meta_reserve / 2) - gap then begin
+  let gap = scrub_slot_gap in
+  if Bytes.length image > (meta_reserve / 2) - gap then begin
     st.s_generation <- st.s_generation - 1;
     false
   end
   else begin
     let slot = st.s_generation mod 2 in
-    let addr = slot_offset t.cfg slot + gap in
+    let addr = slot_offset slot + gap in
     let epoch = scrub_epoch t in
     let write dev =
       match
@@ -817,10 +804,10 @@ let persist_scrub t st =
   end
 
 let load_scrub t st =
-  let gap = scrub_slot_gap t.cfg in
-  let len = (t.cfg.meta_reserve / 2) - gap in
+  let gap = scrub_slot_gap in
+  let len = (meta_reserve / 2) - gap in
   let read_slot dev slot =
-    let addr = slot_offset t.cfg slot + gap in
+    let addr = slot_offset slot + gap in
     match
       Servernet.Fabric.rdma_read t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id ~addr
         ~len
@@ -847,7 +834,7 @@ let load_scrub t st =
   in
   match best with
   | Some (generation, chunk_bytes, entries, quar)
-    when chunk_bytes = st.s_cfg.scrub_chunk_bytes ->
+    when chunk_bytes = scrub_chunk_bytes ->
       st.s_generation <- generation;
       List.iter (fun (addr, crc) -> Hashtbl.replace st.s_table addr crc) entries;
       List.iter (fun (addr, len) -> Hashtbl.replace st.s_quar addr len) quar
@@ -889,7 +876,7 @@ let scrub_read_pair t st ~addr ~len =
 
 let scrub_strike st ~addr ~len =
   let n = (match Hashtbl.find_opt st.s_strikes addr with Some n -> n | None -> 0) + 1 in
-  if n >= st.s_cfg.scrub_quarantine_after then begin
+  if n >= scrub_quarantine_after then begin
     Hashtbl.replace st.s_quar addr len;
     Hashtbl.remove st.s_table addr;
     Hashtbl.remove st.s_clean_cycles addr;
@@ -964,7 +951,7 @@ let scrub_chunk t st ~addr ~len =
   | Some p, Some m ->
       st.s_chunks <- st.s_chunks + 1;
       if not (scrub_compare t st ~addr p m) then begin
-        Sim.sleep st.s_cfg.scrub_recheck;
+        Sim.sleep scrub_recheck;
         match scrub_read_pair t st ~addr ~len with
         | Some p, Some m ->
             if not (scrub_compare t st ~addr p m) then scrub_arbitrate t st ~addr ~len p m
@@ -986,7 +973,7 @@ let scrub_pass t st =
         (fun (off, len) ->
           let rec go addr =
             if addr < off + len && st.s_running then begin
-              let clen = min st.s_cfg.scrub_chunk_bytes (off + len - addr) in
+              let clen = min scrub_chunk_bytes (off + len - addr) in
               if not (Hashtbl.mem st.s_quar addr) then begin
                 let started = Sim.now (Cpu.sim st.s_cpu) in
                 (match st.s_probe with Some p -> Probe.enqueue p | None -> ());
@@ -997,7 +984,7 @@ let scrub_pass t st =
                     Probe.dequeue p
                 | None -> ())
               end;
-              Sim.sleep st.s_cfg.scrub_interval;
+              Sim.sleep st.s_interval;
               go (addr + clen)
             end
           in
@@ -1006,7 +993,7 @@ let scrub_pass t st =
       st.s_passes <- st.s_passes + 1;
       ignore (persist_scrub t st)
 
-let start_scrubber t ~cpu ?(config = default_scrub_config) ?metrics () =
+let start_scrubber t ~cpu ?(interval = Time.us 100) ?metrics () =
   (match t.scrub with
   | Some _ -> invalid_arg "Pmm.start_scrubber: already running"
   | None -> ());
@@ -1020,7 +1007,7 @@ let start_scrubber t ~cpu ?(config = default_scrub_config) ?metrics () =
   in
   let st =
     {
-      s_cfg = config;
+      s_interval = interval;
       s_cpu = cpu;
       s_table = Hashtbl.create 64;
       s_clean_cycles = Hashtbl.create 64;
@@ -1057,7 +1044,7 @@ let start_scrubber t ~cpu ?(config = default_scrub_config) ?metrics () =
          if st.s_running then load_scrub t st;
          while st.s_running do
            scrub_pass t st;
-           Sim.sleep st.s_cfg.scrub_interval
+           Sim.sleep st.s_interval
          done))
 
 let stop_scrubber t = match t.scrub with Some st -> st.s_running <- false | None -> ()
@@ -1067,8 +1054,6 @@ let scrub_chunks_scanned t = match t.scrub with Some st -> st.s_chunks | None ->
 let scrub_repairs t = match t.scrub with Some st -> st.s_repairs | None -> 0
 
 let scrub_quarantined t = match t.scrub with Some st -> st.s_quarantined | None -> 0
-
-let scrub_passes t = match t.scrub with Some st -> st.s_passes | None -> 0
 
 let scrub_table_entries t =
   match t.scrub with Some st -> Hashtbl.length st.s_table | None -> 0
@@ -1082,13 +1067,8 @@ let scrub_quarantined_chunks t =
    across the pair page by page, in scrub-chunk geometry, skipping
    quarantined chunks.  Untouched pages compare equal unread.  Drills
    call this after recovery to prove no divergence survived unnoticed. *)
-let divergent_chunks ?chunk_bytes t =
-  let chunk =
-    match (chunk_bytes, t.scrub) with
-    | Some c, _ -> c
-    | None, Some st -> st.s_cfg.scrub_chunk_bytes
-    | None, None -> default_scrub_config.scrub_chunk_bytes
-  in
+let divergent_chunks t =
+  let chunk = scrub_chunk_bytes in
   match t.live with
   | None -> []
   | Some meta ->
@@ -1123,7 +1103,7 @@ let monitor_probe t m dev =
   let t0 = Sim.now sim in
   match
     Servernet.Fabric.rdma_read t.fabric ~src:(Cpu.endpoint m.m_cpu) ~dst:dev.dev_id ~addr:0
-      ~len:m.m_cfg.probe_bytes
+      ~len:probe_bytes
   with
   | Ok _ -> Some (Sim.now sim - t0)
   | Error _ -> None
@@ -1145,7 +1125,7 @@ let monitor_round t m =
   | Some dt ->
       m.m_probes <- m.m_probes + 1;
       m.m_mirr_ewma <- monitor_ewma m m.m_mirr_ewma dt;
-      let budget = float_of_int m.m_cfg.health_slo in
+      let budget = float_of_int health_slo in
       if m.m_mirr_ewma > budget then begin
         m.m_mirr_breaches <- m.m_mirr_breaches + 1;
         m.m_mirr_healthy <- 0

@@ -83,15 +83,11 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = {
-  meta_reserve : int;  (** bytes at the front of each device for metadata *)
-  op_cpu_cost : Time.span;  (** PMM instruction-path cost per request *)
-  mgmt_bytes : int;  (** wire size of an AVT-programming command *)
-}
+val meta_reserve : int
+(** Bytes at the front of each device kept for the volume metadata
+    (64 KiB); regions are allocated above it. *)
 
-val default_config : config
-
-val format : config -> device -> device -> unit
+val format : device -> device -> unit
 (** Factory-initialize both devices with an empty, generation-1 metadata
     table (maintenance path, takes no simulated time). *)
 
@@ -132,7 +128,6 @@ val start :
   backup_cpu:Cpu.t ->
   primary_dev:device ->
   mirror_dev:device ->
-  ?config:config ->
   unit ->
   t
 (** Boot the PMM pair.  The primary first {e recovers} the metadata table
@@ -142,8 +137,6 @@ val start :
 
 val server : t -> server
 (** The port clients address management requests to. *)
-
-val config : t -> config
 
 val degraded : t -> bool
 
@@ -180,25 +173,16 @@ val halt : t -> unit
     re-read after a short settle (to filter mirrored writes caught in
     flight), then arbitrated against the table: the copy whose CRC
     matches is copied over the other ({e repair}); when neither matches
-    the chunk strikes, and [scrub_quarantine_after] consecutive strikes
-    quarantine it — it is skipped thereafter and surfaced through
+    the chunk strikes, and three consecutive strikes quarantine it — it
+    is skipped thereafter and surfaced through
     {!scrub_quarantined_chunks} for operator attention. *)
 
-type scrub_config = {
-  scrub_chunk_bytes : int;  (** compare granularity and table key size *)
-  scrub_interval : Time.span;  (** pause between chunk scans *)
-  scrub_recheck : Time.span;  (** settle before trusting a divergence *)
-  scrub_quarantine_after : int;  (** consecutive unresolvable passes *)
-}
-
-val default_scrub_config : scrub_config
-(** 256 KiB chunks, 100 us between chunks, 50 us settle, quarantine
-    after 3. *)
-
 val start_scrubber :
-  t -> cpu:Cpu.t -> ?config:scrub_config -> ?metrics:Metrics.t -> unit -> unit
+  t -> cpu:Cpu.t -> ?interval:Time.span -> ?metrics:Metrics.t -> unit -> unit
 (** Start the background scrub process on [cpu] — must be one of the
-    PMM pair's CPUs (the devices' windows admit only those).  Loads the
+    PMM pair's CPUs (the devices' windows admit only those).  It pauses
+    [interval] (default 100 us) between chunk scans over 256 KiB chunks.
+    Loads the
     durable checksum table, then loops passes until {!stop_scrubber}.
     With [metrics], exports [pmm.scrub.regions] (chunks compared),
     [pmm.scrub.repaired], [pmm.scrub.quarantined] and [pmm.scrub.passes]
@@ -214,14 +198,12 @@ val scrub_repairs : t -> int
 
 val scrub_quarantined : t -> int
 
-val scrub_passes : t -> int
-
 val scrub_table_entries : t -> int
 
 val scrub_quarantined_chunks : t -> (int * int) list
 (** Quarantined chunks as [(offset, length)], sorted. *)
 
-val divergent_chunks : ?chunk_bytes:int -> t -> (int * int) list
+val divergent_chunks : t -> (int * int) list
 (** Maintenance-path full-content audit (no fabric traffic, no time):
     compare every allocated extent across the pair in scrub-chunk
     geometry and return the non-quarantined chunks whose copies differ.
@@ -234,10 +216,10 @@ val divergent_chunks : ?chunk_bytes:int -> t -> (int * int) list
 
     A fail-slow NPMU is worse than a dead one: every mirrored write
     waits for it.  The monitor is a background process that periodically
-    times a tiny RDMA read of each device's metadata window and keeps an
-    EWMA of the service latency.  When the mirror's EWMA stays over
-    [health_slo] for [demote_after] consecutive probes, the mirror is
-    {e demoted}: [mirror_active] goes false, the volume epoch is bumped
+    times a tiny (64-byte) RDMA read of each device's metadata window
+    and keeps an EWMA of the service latency.  When the mirror's EWMA
+    stays over the 100 us budget for [demote_after] consecutive probes,
+    the mirror is {e demoted}: [mirror_active] goes false, the volume epoch is bumped
     (fencing every outstanding grant), and clients that re-open learn
     from the region info that they must write single-copy — the explicit
     degraded-durability contract.  When the device recovers and stays
@@ -248,8 +230,6 @@ val divergent_chunks : ?chunk_bytes:int -> t -> (int * int) list
 
 type health_config = {
   probe_interval : Time.span;  (** pause between probe rounds *)
-  probe_bytes : int;  (** size of the timed probe read *)
-  health_slo : Time.span;  (** per-probe latency budget *)
   health_alpha : float;  (** EWMA weight of the newest sample *)
   demote_after : int;  (** consecutive over-budget probes before demotion *)
   readmit_after : int;

@@ -33,8 +33,6 @@ let name t = t.pmp_name
 
 let capacity t = Pages.size t.mem
 
-let endpoint t = t.ep
-
 let id t = Servernet.Fabric.id t.ep
 
 let avt t = Servernet.Fabric.avt t.ep
@@ -43,13 +41,6 @@ let mem t = t.mem
 
 let is_alive t = t.alive
 
-let fenced_writes t = Servernet.Avt.fenced (Servernet.Fabric.avt t.ep)
-
 let peek t ~off ~len =
   if off < 0 || len < 0 || off + len > capacity t then invalid_arg "Pmp.peek: out of range";
   Pages.read t.mem ~off ~len
-
-let poke t ~off ~data =
-  let len = Bytes.length data in
-  if off < 0 || off + len > capacity t then invalid_arg "Pmp.poke: out of range";
-  Pages.write t.mem ~off ~data

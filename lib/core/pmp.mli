@@ -17,18 +17,11 @@ val create : Cpu.t -> Servernet.Fabric.t -> name:string -> capacity:int -> t
 
 val name : t -> string
 
-val capacity : t -> int
-
-val endpoint : t -> Servernet.Fabric.endpoint
-
 val id : t -> int
 
 val avt : t -> Servernet.Avt.t
 
 val is_alive : t -> bool
-
-val fenced_writes : t -> int
-(** Writes this endpoint's AVT rejected with [Stale_epoch]. *)
 
 val power_loss : t -> unit
 (** Simulated power loss: the process dies and, being DRAM-hosted, the
@@ -40,7 +33,3 @@ val mem : t -> Servernet.Fabric.Pages.t
 
 val peek : t -> off:int -> len:int -> Bytes.t
 (** Maintenance-path read (zeros after a power loss). *)
-
-val poke : t -> off:int -> data:Bytes.t -> unit
-(** Maintenance-path write — the hosting process writing its own buffer
-    (e.g. volume formatting). *)

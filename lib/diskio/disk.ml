@@ -21,14 +21,12 @@ let default_geometry =
     sequential_settle = Time.us 300;
   }
 
-type cache_config = {
-  cache_bytes : int;
-  cache_latency : Time.span;
-  destage_bytes_per_ns : float;
-}
+type cache_config = { cache_bytes : int; destage_bytes_per_ns : float }
 
-let default_cache =
-  { cache_bytes = 8 * 1024 * 1024; cache_latency = Time.us 150; destage_bytes_per_ns = 0.03 }
+let default_cache = { cache_bytes = 8 * 1024 * 1024; destage_bytes_per_ns = 0.03 }
+
+(* Completion time of a write the cache absorbs. *)
+let cache_latency = Time.us 150
 
 type t = {
   sim : Sim.t;
@@ -54,8 +52,6 @@ let create sim ?(geometry = default_geometry) ?cache () =
     slow_factor = 1.0;
     slow_jitter = 0;
   }
-
-let geometry t = t.geom
 
 let blocks_of t len = max 1 ((len + t.geom.block_bytes - 1) / t.geom.block_bytes)
 
@@ -131,7 +127,7 @@ let service_parts t ~kind ~block ~len =
         drain_cache t cfg;
         if t.cache_used + len <= cfg.cache_bytes then begin
           t.cache_used <- t.cache_used + len;
-          { seek = 0; rotation = 0; transfer = cfg.cache_latency; cache_hit = true }
+          { seek = 0; rotation = 0; transfer = cache_latency; cache_hit = true }
         end
         else begin
           (* Cache full: the write waits for media like an uncached one. *)

@@ -29,19 +29,18 @@ val default_geometry : geometry
 
 type cache_config = {
   cache_bytes : int;  (** battery-backed write cache capacity *)
-  cache_latency : Time.span;  (** completion time when absorbed by cache *)
   destage_bytes_per_ns : float;  (** sustained drain rate to media *)
 }
 
 val default_cache : cache_config
+(** 8 MiB draining at 30 MB/s.  A write the cache absorbs completes in a
+    fixed 150 µs. *)
 
 type t
 
 val create : Sim.t -> ?geometry:geometry -> ?cache:cache_config -> unit -> t
 (** [cache] enables a write cache (reads and cache-miss writes still pay
     mechanical time). *)
-
-val geometry : t -> geometry
 
 type parts = {
   seek : Time.span;  (** seek, or settle on a sequential access *)

@@ -2,10 +2,6 @@ type t = { prim : Volume.t; mirr : Volume.t }
 
 let create ~primary ~mirror = { prim = primary; mirr = mirror }
 
-let primary t = t.prim
-
-let mirror t = t.mirr
-
 let write t ~block ~len =
   let a = Volume.submit t.prim ~kind:`Write ~block ~len in
   let b = Volume.submit t.mirr ~kind:`Write ~block ~len in

@@ -7,10 +7,6 @@ type t
 
 val create : primary:Volume.t -> mirror:Volume.t -> t
 
-val primary : t -> Volume.t
-
-val mirror : t -> Volume.t
-
 val write : t -> block:int -> len:int -> (unit, Volume.error) result
 (** Completes when both sides have written; if one side is down the write
     still succeeds on the survivor (degraded), failing only when both

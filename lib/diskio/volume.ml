@@ -2,13 +2,10 @@ open Simkit
 
 type error = Volume_down
 
-let pp_error ppf Volume_down = Format.pp_print_string ppf "volume down"
-
 type request = {
   kind : [ `Read | `Write ];
   block : int;
   len : int;
-  issued : Time.t;
   done_ : (unit, error) result Ivar.t;
   req_span : Span.span;
 }
@@ -29,7 +26,6 @@ type t = {
   mutable ops : int;
   mutable bytes : int;
   mutable busy : Time.span;
-  latency : Stat.t;
   mutable obs : Obs.t option;
   mutable svc_stat : Stat.t option;
   mutable rot_stat : Stat.t option;
@@ -148,7 +144,6 @@ let server t () =
           if t.up then begin
             t.ops <- t.ops + 1;
             t.bytes <- t.bytes + req.len;
-            Stat.add_span t.latency (Sim.now t.sim - req.issued);
             Ivar.fill req.done_ (Ok ())
           end
           else Ivar.fill req.done_ (Error Volume_down)
@@ -171,7 +166,6 @@ let create sim ~name ?geometry ?cache ?(scheduling = Fifo) () =
       ops = 0;
       bytes = 0;
       busy = 0;
-      latency = Stat.create ~name ();
       obs = None;
       svc_stat = None;
       rot_stat = None;
@@ -231,7 +225,7 @@ let submit ?parent t ~kind ~block ~len =
   else begin
     (match t.probe with Some p -> Probe.enqueue p | None -> ());
     Mailbox.send t.queue
-      { kind; block; len; issued = Sim.now t.sim; done_; req_span }
+      { kind; block; len; done_; req_span }
   end;
   done_
 
@@ -262,5 +256,3 @@ let completed_ops t = t.ops
 let completed_bytes t = t.bytes
 
 let busy_time t = t.busy
-
-let service_stat t = t.latency

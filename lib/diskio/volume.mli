@@ -7,8 +7,6 @@ open Simkit
 
 type error = Volume_down
 
-val pp_error : Format.formatter -> error -> unit
-
 type t
 
 type scheduling = Fifo | Elevator
@@ -78,6 +76,3 @@ val completed_ops : t -> int
 val completed_bytes : t -> int
 
 val busy_time : t -> Time.span
-
-val service_stat : t -> Stat.t
-(** Distribution of per-request total latency (queueing + service). *)

@@ -27,8 +27,6 @@ let create sim fabric ~index =
     probe = None;
   }
 
-let index t = t.idx
-
 let sim t = t.cpu_sim
 
 let endpoint t = t.ep

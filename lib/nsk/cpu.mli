@@ -14,8 +14,6 @@ val create : Sim.t -> Servernet.Fabric.t -> index:int -> t
 (** Attach CPU [index] to the fabric with a small RAM-backed store used
     for incoming RDMA (e.g. checkpoint pushes). *)
 
-val index : t -> int
-
 val sim : t -> Sim.t
 
 val endpoint : t -> Servernet.Fabric.endpoint

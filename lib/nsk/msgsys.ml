@@ -75,10 +75,6 @@ let set_extra_latency s span =
   if span < 0 then invalid_arg "Msgsys.set_extra_latency: negative span";
   s.extra_latency <- span
 
-let server_name s = s.name
-
-let server_cpu s = s.cpu
-
 let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
   let reply = Ivar.create () in
   if not (Cpu.is_up from) then Ivar.fill reply (Error Server_down)
@@ -141,10 +137,6 @@ let accept s env =
   (env.payload, respond)
 
 let next_request s = accept s (Mailbox.recv s.inbox)
-
-let next_request_timeout s span = Option.map (accept s) (Mailbox.recv_timeout s.inbox span)
-
-let pending s = Mailbox.length s.inbox
 
 let outstanding s = Hashtbl.length s.outstanding
 

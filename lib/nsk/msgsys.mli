@@ -23,10 +23,6 @@ val set_extra_latency : ('req, 'resp) server -> Time.span -> unit
     how an inter-node (Expand-style) link is modelled when callers sit on
     another node's fabric. *)
 
-val server_name : ('req, 'resp) server -> string
-
-val server_cpu : ('req, 'resp) server -> Cpu.t
-
 val set_obs : ('req, 'resp) server -> Obs.t -> unit
 (** Register this port with an observability context: request/reply hop
     latencies feed the shared [msg.hop_ns] stat and requests bump
@@ -73,11 +69,6 @@ val call_async :
 val next_request : ('req, 'resp) server -> 'req * ('resp -> unit)
 (** Dequeue the next request, blocking if none.  The returned closure
     sends the reply (call it exactly once).  Process context only. *)
-
-val next_request_timeout :
-  ('req, 'resp) server -> Time.span -> ('req * ('resp -> unit)) option
-
-val pending : ('req, 'resp) server -> int
 
 val outstanding : ('req, 'resp) server -> int
 (** Calls delivered to this port whose reply has not been filled yet:

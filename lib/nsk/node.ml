@@ -1,19 +1,12 @@
 open Simkit
 
-type t = {
-  node_sim : Sim.t;
-  node_fabric : Servernet.Fabric.t;
-  node_cpus : Cpu.t array;
-  mutable node_volumes : Diskio.Volume.t list;
-}
+type t = { node_sim : Sim.t; node_fabric : Servernet.Fabric.t; node_cpus : Cpu.t array }
 
 let create sim ?fabric_config ~cpus () =
   if cpus <= 0 then invalid_arg "Node.create: need at least one CPU";
   let fabric = Servernet.Fabric.create sim ?config:fabric_config () in
   let node_cpus = Array.init cpus (fun index -> Cpu.create sim fabric ~index) in
-  { node_sim = sim; node_fabric = fabric; node_cpus; node_volumes = [] }
-
-let sim t = t.node_sim
+  { node_sim = sim; node_fabric = fabric; node_cpus }
 
 let fabric t = t.node_fabric
 
@@ -21,16 +14,5 @@ let cpu t i =
   if i < 0 || i >= Array.length t.node_cpus then invalid_arg "Node.cpu: bad index";
   t.node_cpus.(i)
 
-let cpus t = t.node_cpus
-
-let cpu_count t = Array.length t.node_cpus
-
 let add_volume t ~name ?geometry ?cache ?scheduling () =
-  let vol = Diskio.Volume.create t.node_sim ~name ?geometry ?cache ?scheduling () in
-  t.node_volumes <- vol :: t.node_volumes;
-  vol
-
-let volumes t = List.rev t.node_volumes
-
-let find_volume t name =
-  List.find_opt (fun v -> String.equal (Diskio.Volume.name v) name) t.node_volumes
+  Diskio.Volume.create t.node_sim ~name ?geometry ?cache ?scheduling ()

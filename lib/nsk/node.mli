@@ -1,23 +1,17 @@
 open Simkit
 
-(** A NonStop node: a set of CPUs on a shared ServerNet fabric plus its
-    disk volumes.  Convenience container used by the transaction stack,
+(** A NonStop node: a set of CPUs on a shared ServerNet fabric, and the
+    disk volumes added on its simulation.  Convenience container used by the transaction stack,
     examples and benchmarks. *)
 
 type t
 
 val create : Sim.t -> ?fabric_config:Servernet.Fabric.config -> cpus:int -> unit -> t
 
-val sim : t -> Sim.t
-
 val fabric : t -> Servernet.Fabric.t
 
 val cpu : t -> int -> Cpu.t
 (** Raises [Invalid_argument] for an out-of-range index. *)
-
-val cpus : t -> Cpu.t array
-
-val cpu_count : t -> int
 
 val add_volume :
   t ->
@@ -27,7 +21,3 @@ val add_volume :
   ?scheduling:Diskio.Volume.scheduling ->
   unit ->
   Diskio.Volume.t
-
-val volumes : t -> Diskio.Volume.t list
-
-val find_volume : t -> string -> Diskio.Volume.t option

@@ -108,8 +108,6 @@ let checkpoint t ?(bytes = 256) ckpt =
     end
   end
 
-let name t = t.pp_name
-
 let primary_cpu t = t.primary
 
 let has_backup t = backup_alive t

@@ -48,8 +48,6 @@ val checkpoint : 'ckpt t -> ?bytes:int -> 'ckpt -> unit
     no backup is alive.  Must be called from the primary (process
     context). *)
 
-val name : 'ckpt t -> string
-
 val primary_cpu : 'ckpt t -> Cpu.t
 
 val has_backup : 'ckpt t -> bool

@@ -6,8 +6,6 @@ type access = { readers : who; writers : who }
 
 let read_write who = { readers = who; writers = who }
 
-let read_only who = { readers = who; writers = Initiators [] }
-
 type error = Unmapped | Access_denied | Crosses_window | Stale_epoch
 
 let pp_error ppf = function
@@ -24,9 +22,8 @@ type t = {
   mutable fenced : int;
 }
 
-let address_space_bits = 32
-
-let space_limit = 1 lsl address_space_bits
+(* Network virtual addresses must fit in 32 bits. *)
+let space_limit = 1 lsl 32
 
 let create () = { windows = []; current_epoch = 0; fenced = 0 }
 
@@ -94,4 +91,3 @@ let translate ?epoch t ~initiator ~op ~addr ~len =
           if allowed who initiator then Ok (w.phys_base + (addr - w.net_base))
           else Error Access_denied
 
-let windows t = List.map (fun w -> (w.net_base, w.length)) t.windows

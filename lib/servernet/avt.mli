@@ -19,9 +19,6 @@ type access = { readers : who; writers : who }
 val read_write : who -> access
 (** Window readable and writable by the same set. *)
 
-val read_only : who -> access
-(** Window readable by the set, writable by nobody. *)
-
 type error =
   | Unmapped  (** no window covers the address *)
   | Access_denied  (** window exists but the initiator lacks the right *)
@@ -31,9 +28,6 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 type t
-
-val address_space_bits : int
-(** 32: network virtual addresses must fit in 32 bits. *)
 
 val create : unit -> t
 
@@ -67,5 +61,3 @@ val set_epoch : t -> int -> unit
 val fenced : t -> int
 (** Number of writes rejected with [Stale_epoch] since creation. *)
 
-val windows : t -> (int * int) list
-(** [(net_base, length)] of every programmed window, ascending. *)

@@ -10,11 +10,15 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
+(* One-way software+hardware latency per operation (the paper reports
+   10-20 µs for ServerNet), maximum payload per packet, and the
+   per-packet overhead. *)
+let sw_latency = Time.us 12
+let packet_bytes = 512
+let per_packet_overhead = Time.ns 200
+
 type config = {
-  sw_latency : Time.span;
   bytes_per_ns : float;
-  packet_bytes : int;
-  per_packet_overhead : Time.span;
   crc_error_rate : float;
   max_retries : int;
   rails : int;
@@ -22,10 +26,7 @@ type config = {
 
 let default_config =
   {
-    sw_latency = Time.us 12;
     bytes_per_ns = 0.125 (* 125 MB/s *);
-    packet_bytes = 512;
-    per_packet_overhead = Time.ns 200;
     crc_error_rate = 0.0;
     max_retries = 8;
     rails = 2;
@@ -331,13 +332,9 @@ let name ep = ep.ep_name
 
 let avt ep = ep.ep_avt
 
-let endpoint_store ep = ep.ep_store
-
 let find t i = List.find_opt (fun ep -> ep.ep_id = i) t.endpoints
 
 let set_alive ep alive = ep.ep_alive <- alive
-
-let is_alive ep = ep.ep_alive
 
 let set_rail t rail up =
   if rail < 0 || rail >= Array.length t.rail_up then invalid_arg "Fabric.set_rail: bad rail";
@@ -376,12 +373,12 @@ let pick_rail t =
   let rec go i = if i >= n then None else if t.rail_up.(i) then Some i else go (i + 1) in
   go 0
 
-let packets_of t len = max 1 ((len + t.cfg.packet_bytes - 1) / t.cfg.packet_bytes)
+let packets_of len = max 1 ((len + packet_bytes - 1) / packet_bytes)
 
 let transfer_time t ~bytes =
-  let packets = packets_of t bytes in
-  t.cfg.sw_latency
-  + (packets * t.cfg.per_packet_overhead)
+  let packets = packets_of bytes in
+  sw_latency
+  + (packets * per_packet_overhead)
   + int_of_float (float_of_int bytes /. t.cfg.bytes_per_ns)
 
 (* Sample the number of CRC retransmissions needed for [packets] packets;
@@ -409,7 +406,7 @@ let do_transfer t src dst bytes =
   | Some rail ->
       let sect = Prof.section_begin () in
       let start = max (Sim.now t.sim) (max src.nic_free_at dst.nic_free_at) in
-      let packets = packets_of t bytes in
+      let packets = packets_of bytes in
       Prof.bump_packets packets;
       let retries = sample_retries t packets in
       let retry_count, ok =
@@ -421,7 +418,7 @@ let do_transfer t src dst bytes =
       | _ -> ());
       let duration =
         transfer_time t ~bytes
-        + (retry_count * (t.cfg.per_packet_overhead + Time.ns 4096))
+        + (retry_count * (per_packet_overhead + Time.ns 4096))
       in
       (* Gray-failure injection: a degraded endpoint or rail stretches
          the whole attempt, plus seeded jitter so tails are noisy rather

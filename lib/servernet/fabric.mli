@@ -17,25 +17,20 @@ type error =
   | Avt_error of Avt.error  (** target NIC rejected the address or rights *)
   | Crc_failure  (** retries exhausted on a corrupted link *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 type config = {
-  sw_latency : Time.span;
-      (** one-way software+hardware latency per operation; the paper
-          reports 10-20 µs for ServerNet *)
   bytes_per_ns : float;  (** link bandwidth *)
-  packet_bytes : int;  (** maximum payload carried per packet *)
-  per_packet_overhead : Time.span;
   crc_error_rate : float;  (** per-packet corruption probability *)
   max_retries : int;  (** per-packet retransmissions before giving up *)
   rails : int;  (** redundant fabrics; NonStop uses X and Y *)
 }
 
 val default_config : config
-(** ServerNet II-class: 12 µs, 125 MB/s links, 512-byte packets, 2 rails,
-    no corruption. *)
+(** ServerNet II-class: 125 MB/s links, 2 rails, no corruption.  Fixed
+    for every fabric: 12 µs one-way latency per operation (the paper
+    reports 10-20 µs for ServerNet), 512-byte packets, 200 ns per
+    packet. *)
 
 val sub_equal : Bytes.t -> int -> Bytes.t -> int -> int -> bool
 (** [sub_equal a pa b pb n]: [a.[pa, pa + n)] and [b.[pb, pb + n)] hold
@@ -137,20 +132,12 @@ val name : endpoint -> string
 
 val avt : endpoint -> Avt.t
 
-val endpoint_store : endpoint -> store
-
-val find : t -> int -> endpoint option
-
 val set_alive : endpoint -> bool -> unit
 (** Dead endpoints fail all RDMA directed at them with [Unreachable]. *)
-
-val is_alive : endpoint -> bool
 
 val set_rail : t -> int -> bool -> unit
 (** Bring a rail up or down.  Operations in flight on a rail that goes
     down are retried on a surviving rail at completion time. *)
-
-val rail_is_up : t -> int -> bool
 
 (** {1 Gray-failure (fail-slow) injection}
 

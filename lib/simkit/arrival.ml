@@ -1,33 +1,15 @@
-type process = Poisson | Uniform | Burst of int
-
-type phase = { rate : float; duration : Time.span; process : process }
+type phase = { rate : float; duration : Time.span }
 
 type schedule = phase list
 
-let phase ?(process = Poisson) ~rate ~duration () = { rate; duration; process }
+let constant ~rate ~duration () = [ { rate; duration } ]
 
-let constant ?process ~rate ~duration () = [ phase ?process ~rate ~duration () ]
-
-let ramp ?process ?(steps = 8) ~from_rate ~to_rate ~duration () =
-  let steps = max 1 steps in
-  let slice = max 1 (duration / steps) in
-  List.init steps (fun i ->
-      let frac = float_of_int i /. float_of_int (max 1 (steps - 1)) in
-      let rate =
-        if steps = 1 then to_rate
-        else from_rate +. ((to_rate -. from_rate) *. frac)
-      in
-      phase ?process ~rate ~duration:slice ())
-
-let flash_crowd ?process ~base ~spike ~cool ~warmup ~spike_for ~cooldown () =
+let flash_crowd ~base ~spike ~cool ~warmup ~spike_for ~cooldown () =
   [
-    phase ?process ~rate:base ~duration:warmup ();
-    phase ?process ~rate:spike ~duration:spike_for ();
-    phase ?process ~rate:cool ~duration:cooldown ();
+    { rate = base; duration = warmup };
+    { rate = spike; duration = spike_for };
+    { rate = cool; duration = cooldown };
   ]
-
-let total_duration schedule =
-  List.fold_left (fun acc p -> acc + p.duration) 0 schedule
 
 (* Gaps are clamped to >= 1 ns so the dispatch loop always advances
    virtual time, whatever the rate. *)
@@ -45,22 +27,9 @@ let run ~rng schedule ~f =
           let interval_ns = 1e9 /. p.rate in
           let rec loop () =
             if Sim.now sim < phase_end then begin
-              (match p.process with
-              | Poisson ->
-                  f !count;
-                  incr count;
-                  Sim.sleep (span_of_ns (Rng.exponential rng ~mean:interval_ns))
-              | Uniform ->
-                  f !count;
-                  incr count;
-                  Sim.sleep (span_of_ns interval_ns)
-              | Burst n ->
-                  let n = max 1 n in
-                  for _ = 1 to n do
-                    f !count;
-                    incr count
-                  done;
-                  Sim.sleep (span_of_ns (float_of_int n *. interval_ns)));
+              f !count;
+              incr count;
+              Sim.sleep (span_of_ns (Rng.exponential rng ~mean:interval_ns));
               loop ()
             end
           in

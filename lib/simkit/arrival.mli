@@ -1,51 +1,27 @@
 (** Open-loop arrival schedules.
 
-    A schedule is a sequence of phases, each offering load at a fixed
-    mean rate for a fixed duration.  [run] dispatches one callback per
-    arrival at the scheduled instants — the caller decides what an
-    arrival does (typically spawn a transaction worker).  Crucially the
-    schedule never waits for the work it dispatched: offered load is
-    independent of service capacity, so queues can actually explode.
+    A schedule is a sequence of phases, each offering Poisson arrivals
+    (exponential inter-arrival gaps) at a fixed mean rate for a fixed
+    duration.  [run] dispatches one callback per arrival at the
+    scheduled instants — the caller decides what an arrival does
+    (typically spawn a transaction worker).  Crucially the schedule
+    never waits for the work it dispatched: offered load is independent
+    of service capacity, so queues can actually explode.
 
     All draws come from the caller's [Rng.t]; equal seeds give
     bit-equal arrival sequences. *)
 
-type process =
-  | Poisson  (** exponential inter-arrival gaps (memoryless) *)
-  | Uniform  (** evenly spaced arrivals at exactly the phase rate *)
-  | Burst of int
-      (** arrivals delivered [n] at a time, with gaps scaled so the
-          mean rate still matches the phase rate *)
-
 type phase = {
   rate : float;  (** mean arrivals per second; [<= 0.] idles the phase *)
   duration : Time.span;
-  process : process;
 }
 
 type schedule = phase list
 
-val phase : ?process:process -> rate:float -> duration:Time.span -> unit -> phase
-(** One phase; [process] defaults to [Poisson]. *)
-
-val constant :
-  ?process:process -> rate:float -> duration:Time.span -> unit -> schedule
+val constant : rate:float -> duration:Time.span -> unit -> schedule
 (** Single-phase schedule at a constant mean rate. *)
 
-val ramp :
-  ?process:process ->
-  ?steps:int ->
-  from_rate:float ->
-  to_rate:float ->
-  duration:Time.span ->
-  unit ->
-  schedule
-(** Linear ramp approximated by [steps] (default 8) equal-duration
-    phases with interpolated rates.  Composable: append to any other
-    schedule. *)
-
 val flash_crowd :
-  ?process:process ->
   base:float ->
   spike:float ->
   cool:float ->
@@ -59,9 +35,6 @@ val flash_crowd :
     for [cooldown].  A healthy system recovers during the cool phase;
     a metastable one stays collapsed even though [cool] is below
     capacity. *)
-
-val total_duration : schedule -> Time.span
-(** Sum of phase durations. *)
 
 val run : rng:Rng.t -> schedule -> f:(int -> unit) -> int
 (** [run ~rng schedule ~f] must be called from inside a simulation

@@ -1,31 +1,30 @@
 type state = Closed | Open | Half_open
 
+(* Consecutive failures that trip the breaker, and how long it then
+   stays Open. *)
+let failure_threshold = 5
+let cooldown = Time.ms 100
+
 type t = {
-  threshold : int;
-  cooldown : Time.span;
   mutable st : state;
   mutable failures : int;  (* consecutive, while Closed *)
   mutable open_until : Time.t;
   mutable probing : bool;  (* Half_open probe outstanding *)
   mutable trips : int;
-  mutable rejected : int;
 }
 
-let create ?(failure_threshold = 5) ?(cooldown = Time.ms 100) () =
+let create () =
   {
-    threshold = max 1 failure_threshold;
-    cooldown;
     st = Closed;
     failures = 0;
     open_until = 0;
     probing = false;
     trips = 0;
-    rejected = 0;
   }
 
 let trip t ~now =
   t.st <- Open;
-  t.open_until <- now + t.cooldown;
+  t.open_until <- now + cooldown;
   t.probing <- false;
   t.trips <- t.trips + 1
 
@@ -38,15 +37,9 @@ let allow t ~now =
         t.probing <- true;
         true
       end
-      else begin
-        t.rejected <- t.rejected + 1;
-        false
-      end
+      else false
   | Half_open ->
-      if t.probing then begin
-        t.rejected <- t.rejected + 1;
-        false
-      end
+      if t.probing then false
       else begin
         t.probing <- true;
         true
@@ -64,10 +57,8 @@ let record_failure t ~now =
   match t.st with
   | Closed ->
       t.failures <- t.failures + 1;
-      if t.failures >= t.threshold then trip t ~now
+      if t.failures >= failure_threshold then trip t ~now
   | Half_open -> trip t ~now
   | Open -> ()
 
-let state t = t.st
 let trips t = t.trips
-let rejected t = t.rejected

@@ -12,11 +12,9 @@
 
 type t
 
-type state = Closed | Open | Half_open
-
-val create : ?failure_threshold:int -> ?cooldown:Time.span -> unit -> t
-(** [failure_threshold] (default 5) consecutive failures trip the
-    breaker; [cooldown] (default 100ms) is how long it stays Open. *)
+val create : unit -> t
+(** A Closed breaker.  Five consecutive failures trip it; it then stays
+    Open for 100 ms. *)
 
 val allow : t -> now:Time.t -> bool
 (** May a request be sent now?  Closed: yes.  Open: no, until the
@@ -31,10 +29,5 @@ val record_failure : t -> now:Time.t -> unit
 (** Report a failed request.  May trip Closed→Open, and always returns
     a Half-open breaker to Open for a fresh cooldown. *)
 
-val state : t -> state
-
 val trips : t -> int
 (** Closed/Half-open → Open transitions. *)
-
-val rejected : t -> int
-(** Requests refused by [allow]. *)

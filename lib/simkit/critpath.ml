@@ -29,10 +29,14 @@ type agg = { mutable a_count : int; mutable a_queue : int; mutable a_service : i
 
 type bucket = { b_seq : int; mutable b_recs : Span.record list; mutable b_n : int }
 
+(* The slowest transactions keep full DAGs; records buffered for
+   unfinalized traces are capped; the link-resolution window holds the
+   most recent finished spans. *)
+let ex_cap = 32
+let max_pending = 100_000
+let recent_cap = 8192
+
 type t = {
-  ex_cap : int;
-  max_pending : int;
-  recent_cap : int;
   pending : (int, bucket) Hashtbl.t;  (* trace id -> unfinalized records *)
   mutable pending_n : int;
   mutable seq : int;
@@ -51,11 +55,8 @@ type t = {
   mutable exs : exemplar list;  (* slowest first, length <= ex_cap *)
 }
 
-let create ?(exemplars = 32) ?(max_pending = 100_000) ?(recent = 8192) () =
+let create () =
   {
-    ex_cap = exemplars;
-    max_pending;
-    recent_cap = recent;
     pending = Hashtbl.create 64;
     pending_n = 0;
     seq = 0;
@@ -91,7 +92,7 @@ let remember t (r : Span.record) =
       | None -> Hashtbl.replace t.recent_kids p (ref [ r.Span.r_id ]))
   | None -> ());
   Queue.push r.Span.r_id t.recent_q;
-  while Queue.length t.recent_q > t.recent_cap do
+  while Queue.length t.recent_q > recent_cap do
     let old = Queue.pop t.recent_q in
     (match Hashtbl.find_opt t.recent old with
     | Some o -> (
@@ -243,7 +244,7 @@ let finalize t (root : Span.record) recs =
       a.a_service <- a.a_service + s)
     steps;
   (* Reservoir of the slowest traces, full DAG kept for export. *)
-  let full = List.length t.exs >= t.ex_cap in
+  let full = List.length t.exs >= ex_cap in
   let floor =
     match List.rev t.exs with last :: _ when full -> last.ex_ack | _ -> min_int
   in
@@ -266,8 +267,8 @@ let finalize t (root : Span.record) recs =
       List.sort (fun a b -> compare b.ex_ack a.ex_ack) (ex :: t.exs)
     in
     t.exs <-
-      (if List.length merged > t.ex_cap then
-         List.filteri (fun i _ -> i < t.ex_cap) merged
+      (if List.length merged > ex_cap then
+         List.filteri (fun i _ -> i < ex_cap) merged
        else merged)
   end
 
@@ -295,7 +296,7 @@ let observe t (r : Span.record) =
         b.b_recs <- r :: b.b_recs;
         b.b_n <- b.b_n + 1;
         t.pending_n <- t.pending_n + 1;
-        while t.pending_n > t.max_pending do
+        while t.pending_n > max_pending do
           evict_oldest t
         done
 
@@ -304,10 +305,6 @@ let attach t spans = Span.set_consumer spans (Some (observe t))
 let txns t = t.n_txns
 
 let evicted t = t.n_evicted
-
-let pending_traces t = Hashtbl.length t.pending
-
-let latency t = t.lat
 
 let hops t =
   Hashtbl.fold

@@ -12,8 +12,8 @@
 
     Memory is bounded everywhere: unfinalized traces are capped (oldest
     evicted, counted), link resolution uses a sliding window of recent
-    records, and only the slowest [exemplars] transactions keep their
-    full DAGs. *)
+    records, and only the slowest transactions keep their full DAGs
+    (bounds in {!create}). *)
 
 type t
 
@@ -35,10 +35,10 @@ type exemplar = {
       (** the full DAG: every trace record plus walk-reachable links *)
 }
 
-val create : ?exemplars:int -> ?max_pending:int -> ?recent:int -> unit -> t
-(** [exemplars] (default 32) slowest transactions keep full DAGs;
-    [max_pending] (default 100k) caps records buffered for unfinalized
-    traces; [recent] (default 8192) sizes the link-resolution window. *)
+val create : unit -> t
+(** The 32 slowest transactions keep full DAGs; at most 100k records
+    are buffered for unfinalized traces; the link-resolution window
+    holds the 8192 most recent finished spans. *)
 
 val observe : t -> Span.record -> unit
 (** Feed one finished span.  Untraced records only enter the link
@@ -53,12 +53,7 @@ val txns : t -> int
 (** Traces finalized. *)
 
 val evicted : t -> int
-(** Unfinalized traces dropped by the [max_pending] cap. *)
-
-val pending_traces : t -> int
-
-val latency : t -> Stat.t
-(** Distribution of root (ack) latencies across finalized traces. *)
+(** Unfinalized traces dropped by the pending-records cap. *)
 
 val hops : t -> hop list
 (** Aggregate attribution, ranked by total (queue + service) descending. *)

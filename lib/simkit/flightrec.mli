@@ -13,9 +13,6 @@ val create : ?spans:int -> ?marks:int -> unit -> t
 (** Ring capacities: [spans] (default 2048) finished span records,
     [marks] (default 256) fault marks. *)
 
-val observe : t -> Span.record -> unit
-(** Feed one finished span (overwrites the oldest once full). *)
-
 val attach : t -> Span.t -> unit
 (** Stream a collector into the recorder via {!Span.set_consumer}. *)
 

@@ -15,4 +15,3 @@ let is_open t = Ivar.is_filled t.door
 
 let await t = Ivar.read t.door
 
-let remaining t = t.remaining

@@ -16,5 +16,3 @@ val is_open : t -> bool
 
 val await : t -> unit
 (** Block the calling process until the gate opens. *)
-
-val remaining : t -> int

@@ -61,8 +61,6 @@ let to_string v =
   add b v;
   Buffer.contents b
 
-let add_to_buffer = add
-
 (* --- parsing --- *)
 
 exception Parse_error of string

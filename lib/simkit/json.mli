@@ -17,8 +17,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialization. *)
 
-val add_to_buffer : Buffer.t -> t -> unit
-
 val parse : string -> (t, string) result
 (** Parse one JSON document (the whole string; trailing non-whitespace is
     an error).  Numbers without [.]/exponent parse as [Int], everything

@@ -15,8 +15,6 @@ let send t v =
 
 let length t = Queue.length t.q
 
-let is_empty t = Queue.is_empty t.q
-
 let try_recv t = Queue.take_opt t.q
 
 let rec recv t =

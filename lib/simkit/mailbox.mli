@@ -13,8 +13,6 @@ val send : 'a t -> 'a -> unit
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val recv : 'a t -> 'a
 (** Block until a message arrives.  Must run in process context. *)
 

@@ -1,7 +1,6 @@
 type instrument =
   | Stat of Stat.t
   | Counter of Stat.Counter.t
-  | Histogram of Stat.Histogram.t
   | Gauge of (unit -> float)
   | Probe of Probe.t
 
@@ -12,17 +11,12 @@ let create () = { tbl = Hashtbl.create 64 }
 let kind_name = function
   | Stat _ -> "stat"
   | Counter _ -> "counter"
-  | Histogram _ -> "histogram"
   | Gauge _ -> "gauge"
   | Probe _ -> "probe"
 
 let register t path instrument = Hashtbl.replace t.tbl path instrument
 
-let register_stat t path s = register t path (Stat s)
-let register_counter t path c = register t path (Counter c)
-let register_histogram t path h = register t path (Histogram h)
 let register_gauge t path fn = register t path (Gauge fn)
-let register_probe t path p = register t path (Probe p)
 
 let wrong_kind path found want =
   invalid_arg
@@ -46,15 +40,6 @@ let counter t path =
       let c = Stat.Counter.create ~name:path () in
       register t path (Counter c);
       c
-
-let histogram t path =
-  match Hashtbl.find_opt t.tbl path with
-  | Some (Histogram h) -> h
-  | Some other -> wrong_kind path other "histogram"
-  | None ->
-      let h = Stat.Histogram.create () in
-      register t path (Histogram h);
-      h
 
 let probe t path =
   match Hashtbl.find_opt t.tbl path with
@@ -96,15 +81,7 @@ let pp_table ppf t =
           (* value = current depth, mean = cumulative busy (ms), n = completions *)
           Format.fprintf ppf "%-36s %-9s %12d %12.1f %12s %8d@." path "probe" (Probe.depth p)
             (float_of_int (Probe.busy_total p) /. 1e6)
-            "-" (Probe.dequeued p)
-      | Histogram h ->
-          let mode =
-            match Stat.Histogram.max_bucket h with
-            | Some (ub, _) -> Printf.sprintf "<=%d" ub
-            | None -> "-"
-          in
-          Format.fprintf ppf "%-36s %-9s %12s %12s %12s %8d@." path "histogram" mode "-" "-"
-            (Stat.Histogram.total h))
+            "-" (Probe.dequeued p))
     (instruments t)
 
 let to_json t =
@@ -135,15 +112,6 @@ let to_json t =
             ("enqueued", Json.Int (Probe.enqueued p));
             ("dequeued", Json.Int (Probe.dequeued p));
             ("busy_ns", Json.Int (Probe.busy_total p));
-          ]
-      | Histogram h ->
-          [
-            ("kind", Json.String "histogram");
-            ( "buckets",
-              Json.List
-                (List.map
-                   (fun (ub, c) -> Json.List [ Json.Int ub; Json.Int c ])
-                   (Stat.Histogram.buckets h)) );
           ]
     in
     (path, Json.Obj body)

@@ -4,14 +4,13 @@
     hierarchical dotted path — e.g. [adp.flush_latency],
     [fabric.rdma_writes], [disk.rotational_miss_ns] — and the whole
     registry dumps as a text table or a JSON document.  The find-or-create
-    accessors ({!stat}, {!counter}, {!histogram}) return the {e same}
+    accessors ({!stat}, {!counter}, {!probe}) return the {e same}
     instrument for the same path, so independent components (say, four
     ADPs) naturally share one aggregate instrument. *)
 
 type instrument =
   | Stat of Stat.t
   | Counter of Stat.Counter.t
-  | Histogram of Stat.Histogram.t
   | Gauge of (unit -> float)
       (** Sampled at dump time — register a closure over an existing
           mutable counter instead of double-counting. *)
@@ -29,21 +28,14 @@ val stat : t -> string -> Stat.t
     registered as a different kind. *)
 
 val counter : t -> string -> Stat.Counter.t
-val histogram : t -> string -> Stat.Histogram.t
 
 val probe : t -> string -> Probe.t
 (** Find-or-create, like {!stat}.  The caller is responsible for
     attaching a clock ({!Probe.set_clock}) so the depth integral
     advances against simulated time. *)
 
-val register : t -> string -> instrument -> unit
-(** Register (or replace) an existing instrument under [path]. *)
-
-val register_stat : t -> string -> Stat.t -> unit
-val register_counter : t -> string -> Stat.Counter.t -> unit
-val register_histogram : t -> string -> Stat.Histogram.t -> unit
 val register_gauge : t -> string -> (unit -> float) -> unit
-val register_probe : t -> string -> Probe.t -> unit
+(** Register (or replace) a gauge under [path]. *)
 
 val find : t -> string -> instrument option
 

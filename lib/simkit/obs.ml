@@ -22,5 +22,3 @@ let set_level = Level.set
 let level = Level.get
 
 let spans_on = Level.spans_on
-
-let counters_on = Level.counters_on

@@ -32,5 +32,3 @@ val set_level : level -> unit
 val level : unit -> level
 
 val spans_on : unit -> bool
-
-val counters_on : unit -> bool

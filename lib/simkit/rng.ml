@@ -33,10 +33,3 @@ let exponential t ~mean =
 
 let uniform_span t s = if s <= 0 then 0 else int t s
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

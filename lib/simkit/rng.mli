@@ -34,5 +34,3 @@ val exponential : t -> mean:float -> float
 val uniform_span : t -> Time.span -> Time.span
 (** [uniform_span t s] is uniform in [\[0, s)] nanoseconds. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

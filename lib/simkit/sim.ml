@@ -192,10 +192,6 @@ let run ?(until = max_int) t =
 let self_full () =
   try Effect.perform Self_eff with Effect.Unhandled _ -> raise Not_in_process
 
-let self () =
-  let _, p = self_full () in
-  p.pid
-
 let current () =
   let t, _ = self_full () in
   t

@@ -103,8 +103,6 @@ val clear_dispatch_hooks : t -> unit
 
 exception Not_in_process
 
-val self : unit -> pid
-
 val current : unit -> t
 (** The simulation the calling process belongs to. *)
 

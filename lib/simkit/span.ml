@@ -51,15 +51,10 @@ let enable t =
      sure the global gate lets it through. *)
   Level.raise_to_spans ()
 
-let disable t = t.on <- false
-let enabled t = t.on
-
 let new_trace t =
   let id = t.next_trace in
   t.next_trace <- id + 1;
   id
-
-let id sp = sp.sp_id
 
 let is_null sp = sp.sp_id < 0
 
@@ -154,16 +149,6 @@ let finish t sp =
   end
 
 let set_consumer t consumer = t.consumer <- consumer
-
-let with_span t ?track ?parent name f =
-  let sp = start t ?track ?parent name in
-  match f sp with
-  | v ->
-      finish t sp;
-      v
-  | exception e ->
-      finish t sp;
-      raise e
 
 let count t = t.n
 

@@ -41,12 +41,6 @@ val enable : t -> unit
 (** Also raises the global {!Level} to [Spans] — an enabled collector is
     an explicit request for span data. *)
 
-val disable : t -> unit
-val enabled : t -> bool
-
-val new_trace : t -> int
-(** Fresh trace (correlation) id, e.g. one per transaction. *)
-
 val start : t -> ?track:string -> ?parent:span -> ?trace:int -> string -> span
 (** Open a span named [name] on [track] (default ["main"]).  [parent]
     links the span under another one, possibly on a different track.
@@ -58,7 +52,7 @@ val start : t -> ?track:string -> ?parent:span -> ?trace:int -> string -> span
     before formatting annotation strings. *)
 
 val root : t -> ?track:string -> string -> span
-(** {!start} with a fresh trace id from {!new_trace} — the head of a new
+(** {!start} with a fresh trace (correlation) id — the head of a new
     causal DAG (one per transaction).  Mints no trace id (and allocates
     nothing) when the collector or global level is off. *)
 
@@ -88,14 +82,10 @@ val finish : t -> span -> unit
 (** Close the span at the collector's current clock and record it.
     Double-finish is a no-op. *)
 
-val with_span : t -> ?track:string -> ?parent:span -> string -> (span -> 'a) -> 'a
-(** Run the thunk inside a span, finishing it even on exceptions. *)
-
 val null : span
 (** The shared no-op span: useful as a default before any context is
     known.  Annotating or finishing it does nothing. *)
 
-val id : span -> int
 val is_null : span -> bool
 
 val trace_of : span -> int

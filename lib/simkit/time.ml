@@ -11,7 +11,6 @@ let sec x = x * 1_000_000_000
 let round_to_int f = int_of_float (Float.round f)
 
 let us_f x = round_to_int (x *. 1e3)
-let ms_f x = round_to_int (x *. 1e6)
 let sec_f x = round_to_int (x *. 1e9)
 
 let to_us t = float_of_int t /. 1e3

@@ -22,10 +22,8 @@ val sec : int -> span
 val us_f : float -> span
 (** [us_f x] is [x] microseconds rounded to the nearest nanosecond. *)
 
-val ms_f : float -> span
 val sec_f : float -> span
 
-val to_us : t -> float
 val to_ms : t -> float
 val to_sec : t -> float
 

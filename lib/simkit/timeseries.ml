@@ -71,9 +71,6 @@ let columns_of t ~dt_s ~dt_ns (path, instrument) =
   | Metrics.Counter c ->
       let d = delta t (path ^ "#count") (float_of_int (Stat.Counter.get c)) in
       [ (path ^ ".delta", d); (path ^ ".rate", d /. dt_s) ]
-  | Metrics.Histogram h ->
-      let d = delta t (path ^ "#total") (float_of_int (Stat.Histogram.total h)) in
-      [ (path ^ ".delta", d) ]
   | Metrics.Stat s ->
       let n = Stat.count s in
       let prev_n =
@@ -135,7 +132,6 @@ let take_sample t =
     t.last_time <- now
   end
 
-let sample_now t = take_sample t
 
 let rec tick t () =
   if t.running then begin

@@ -50,10 +50,6 @@ val stop : t -> unit
 (** Disarm the tick and take one final sample, so even a run shorter
     than one interval yields a row. *)
 
-val sample_now : t -> unit
-(** Force an extra sample at the current sim time (no-op if no time has
-    passed since the last one). *)
-
 val mark : t -> time:Time.t -> string -> unit
 (** Annotate the series with a labelled event (e.g. a fault injection);
     rendered as [# mark] comment lines in CSV and a [marks] array in

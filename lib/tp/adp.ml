@@ -16,9 +16,9 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = { append_cpu : Time.span; flush_cpu : Time.span }
-
-let default_config = { append_cpu = Time.us 15; flush_cpu = Time.us 25 }
+(* Instruction path per appended record, and per flush request. *)
+let append_cpu = Time.us 15
+let flush_cpu = Time.us 25
 
 type waiter = {
   w_through : Audit.asn;
@@ -41,7 +41,6 @@ type ckpt =
 
 type t = {
   adp_name : string;
-  cfg : config;
   backend : Log_backend.t;
   srv : server;
   mutable pair : ckpt Procpair.t option;
@@ -152,7 +151,7 @@ let flusher t ~epoch ~wakeup () =
       let last = match s.buffer with (asn, _) :: _ -> asn | [] -> s.durable in
       s.buffer <- [];
       Prof.section_end sect "adp";
-      Cpu.execute (current_cpu t) t.cfg.flush_cpu;
+      Cpu.execute (current_cpu t) flush_cpu;
       let sp = start_span t "adp.flush" in
       if not (Span.is_null sp) then
         Span.annotate sp ~key:"batch" (string_of_int (List.length batch));
@@ -178,7 +177,7 @@ let handle t s req respond =
       Span.note_queue sp (Msgsys.caller_wait t.srv);
       if not (Span.is_null sp) then
         Span.annotate sp ~key:"records" (string_of_int (List.length records));
-      Cpu.execute (current_cpu t) (List.length records * t.cfg.append_cpu);
+      Cpu.execute (current_cpu t) (List.length records * append_cpu);
       (* Section opens after the CPU charge ([Cpu.execute] suspends) and
          closes before the backend write does. *)
       let sect = Prof.section_begin () in
@@ -280,12 +279,11 @@ let apply_ckpt t = function
       t.shadow.buffer <- List.filter (fun (a, _) -> a > asn) t.shadow.buffer;
       t.shadow.next_asn <- max t.shadow.next_asn (asn + 1)
 
-let start ~fabric ~name ~primary ~backup ~backend ?(config = default_config) ?obs () =
+let start ~fabric ~name ~primary ~backup ~backend ?obs () =
   let srv = Msgsys.create_server fabric ~cpu:primary ~name in
   let t =
     {
       adp_name = name;
-      cfg = config;
       backend;
       srv;
       pair = None;
@@ -343,8 +341,6 @@ let backend t = t.backend
 let durable_asn t =
   match t.live with Some s -> s.durable | None -> t.shadow.durable
 
-let next_asn t = match t.live with Some s -> s.next_asn | None -> t.shadow.next_asn
-
 let appended_records t = t.appended
 
 let flushes_performed t = Log_backend.writes t.backend
@@ -360,5 +356,3 @@ let outage_time t = Procpair.outage_time (pair_exn t)
 let checkpoint_bytes t = Procpair.checkpoint_bytes (pair_exn t)
 
 let kill_primary t = Procpair.kill_primary (pair_exn t)
-
-let halt t = Procpair.halt (pair_exn t)

@@ -32,13 +32,6 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = {
-  append_cpu : Time.span;  (** instruction path per appended record *)
-  flush_cpu : Time.span;
-}
-
-val default_config : config
-
 type t
 
 val start :
@@ -47,7 +40,6 @@ val start :
   primary:Cpu.t ->
   backup:Cpu.t ->
   backend:Log_backend.t ->
-  ?config:config ->
   ?obs:Obs.t ->
   unit ->
   t
@@ -61,8 +53,6 @@ val server : t -> server
 val backend : t -> Log_backend.t
 
 val durable_asn : t -> Audit.asn
-
-val next_asn : t -> Audit.asn
 
 val appended_records : t -> int
 
@@ -87,5 +77,3 @@ val checkpoint_bytes : t -> int
 val kill_primary : t -> unit
 (** Fault injection: kill the primary process; the backup takes over with
     the checkpointed buffer. *)
-
-val halt : t -> unit

@@ -20,11 +20,6 @@ type record =
   | Prepared of { txn : txn_id }
   | Control_point of { active : txn_id list }
 
-let txn_of = function
-  | Begin { txn } | Commit { txn } | Abort { txn } | Prepared { txn } -> Some txn
-  | Update u -> Some u.txn
-  | Control_point _ -> None
-
 let magic = 0xAD17
 
 let tag_of = function
@@ -133,15 +128,3 @@ let decode buf ~pos =
         end
       end
   with Codec.Dec.Truncated -> None
-
-let pp ppf = function
-  | Begin { txn } -> Format.fprintf ppf "BEGIN txn=%d" txn
-  | Update { txn; file; partition; key; payload_len; _ } ->
-      Format.fprintf ppf "UPDATE txn=%d file=%d part=%d key=%d len=%d" txn file partition key
-        payload_len
-  | Commit { txn } -> Format.fprintf ppf "COMMIT txn=%d" txn
-  | Abort { txn } -> Format.fprintf ppf "ABORT txn=%d" txn
-  | Prepared { txn } -> Format.fprintf ppf "PREPARED txn=%d" txn
-  | Control_point { active } ->
-      Format.fprintf ppf "CONTROL-POINT active=[%s]"
-        (String.concat ";" (List.map string_of_int active))

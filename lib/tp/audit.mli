@@ -35,9 +35,6 @@ type record =
   | Control_point of { active : txn_id list }
       (** periodic recovery horizon: redo scans start at the last one *)
 
-val txn_of : record -> txn_id option
-(** [None] for control points. *)
-
 val wire_size : record -> int
 (** Bytes this record occupies in a trail, payload included. *)
 
@@ -58,5 +55,3 @@ val decode : Bytes.t -> pos:int -> (record * int) option
 (** [decode buf ~pos] parses the framed record at [pos], returning it and
     the offset just past it; [None] if the bytes there are not a valid
     record (bad magic, bad CRC, truncated). *)
-
-val pp : Format.formatter -> record -> unit

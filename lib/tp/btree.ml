@@ -51,7 +51,6 @@ let rec find_in node k =
 
 let find t ~key = find_in t.root key
 
-let mem t ~key = find t ~key <> None
 
 (* Split the full child [child] = parent.children.(i); parent is not full. *)
 let split_child t parent i child =
@@ -331,10 +330,6 @@ let cardinal t = t.size
 let rec node_height node = if node.leaf then 1 else 1 + node_height node.children.(0)
 
 let height t = node_height t.root
-
-let clear t =
-  t.root <- new_node t ~leaf:true;
-  t.size <- 0
 
 let check_invariants t =
   let errors = ref [] in

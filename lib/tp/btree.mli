@@ -17,7 +17,6 @@ val insert : 'a t -> key:int -> 'a -> 'a option
 
 val find : 'a t -> key:int -> 'a option
 
-val mem : 'a t -> key:int -> bool
 
 val remove : 'a t -> key:int -> 'a option
 (** Delete; returns the removed binding if present. *)
@@ -35,8 +34,6 @@ val height : 'a t -> int
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit
 (** Ascending key order. *)
-
-val clear : 'a t -> unit
 
 val check_invariants : 'a t -> (unit, string) result
 (** Structural validation for tests: key ordering, node occupancy,

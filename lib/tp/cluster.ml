@@ -26,8 +26,6 @@ let system t i =
   if i < 0 || i >= Array.length t.systems then invalid_arg "Cluster.system: bad node";
   t.systems.(i)
 
-let wan_latency t = t.wan
-
 let partition t = t.wan_up <- false
 
 let heal t = t.wan_up <- true

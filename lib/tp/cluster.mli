@@ -25,8 +25,6 @@ val node_count : t -> int
 val system : t -> int -> System.t
 (** Raises [Invalid_argument] for an out-of-range node. *)
 
-val wan_latency : t -> Time.span
-
 val partition : t -> unit
 (** Sever the inter-node link.  Cross-node calls in flight lose their
     request or reply leg and time out; local traffic is unaffected. *)

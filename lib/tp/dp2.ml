@@ -8,7 +8,6 @@ type request =
       key : int;
       len : int;
       crc : int;
-      payload : Bytes.t option;
       deadline : Time.t;  (** transaction deadline, 0 = none *)
     }
   | Lookup of { file : int; key : int }
@@ -19,7 +18,7 @@ type request =
 
 type response =
   | Inserted of { asn : Audit.asn; adp : int }
-  | Found of { len : int; crc : int; payload : Bytes.t option }
+  | Found of { len : int; crc : int }
   | Absent
   | Rows of (int * int * int) list
   | Finished
@@ -28,26 +27,20 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = {
-  insert_cpu : Time.span;
-  lookup_cpu : Time.span;
-  lock_timeout : Time.span;
-  extent_blocks : int;
-  cp_interval : int;
-  store_payloads : bool;
-}
+(* Instruction path per insert, and per lookup, read or scan probe. *)
+let insert_cpu = Time.us 400
+let lookup_cpu = Time.us 60
 
-let default_config =
-  {
-    insert_cpu = Time.us 400;
-    lookup_cpu = Time.us 60;
-    lock_timeout = Time.sec 5;
-    extent_blocks = 2_000_000;
-    cp_interval = 1_000;
-    store_payloads = false;
-  }
+(* Longest wait for a key lock. *)
+let lock_timeout = Time.sec 5
 
-type cell = { len : int; crc : int; payload : Bytes.t option }
+(* Data blocks this writer spreads its lazy volume writes over. *)
+let extent_blocks = 2_000_000
+
+(* Inserts between automatic control points. *)
+let cp_interval = 1_000
+
+type cell = { len : int; crc : int }
 
 type undo_entry = { u_file : int; u_key : int; before : cell option }
 
@@ -65,7 +58,6 @@ type t = {
   dp2_name : string;
   index : int;
   adp_index : int;
-  cfg : config;
   volume : Diskio.Volume.t;
   adp : Adp.server;
   locks : Lockmgr.t;
@@ -164,7 +156,7 @@ let emit_control_point t s =
 
 let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
   match req with
-  | Insert { txn; file; key; len; crc; payload; deadline } -> (
+  | Insert { txn; file; key; len; crc; deadline } -> (
       let isp = start_span t ~parent:caller "dp2.insert" in
       Span.note_queue isp queued;
       if not (Span.is_null isp) then begin
@@ -178,7 +170,7 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
         finish_span t isp;
         respond r
       in
-      Cpu.execute (current_cpu t) t.cfg.insert_cpu;
+      Cpu.execute (current_cpu t) insert_cpu;
       if deadline > 0 && Sim.now (Cpu.sim (current_cpu t)) >= deadline then
         (* Expired before touching any resource: shed, don't lock. *)
         respond (D_failed "shed: deadline expired")
@@ -192,9 +184,7 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
       match lock_result with
       | Error Lockmgr.Lock_timeout -> respond (D_failed "lock timeout")
       | Ok () -> (
-          let cell =
-            { len; crc; payload = (if t.cfg.store_payloads then payload else None) }
-          in
+          let cell = { len; crc } in
           let before = apply_to s ~txn ~file ~key cell in
           let audit_record =
             Audit.Update
@@ -221,26 +211,26 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
               Procpair.checkpoint (pair_exn t) ~bytes:(len + 64)
                 (Ck_apply { txn; file; key; cell; before });
               (* Lazy data-volume write, off the critical path. *)
-              let block = Rng.int t.rng t.cfg.extent_blocks in
+              let block = Rng.int t.rng extent_blocks in
               let (_ : (unit, Diskio.Volume.error) result Ivar.t) =
                 Diskio.Volume.submit ~parent:isp t.volume ~kind:`Write ~block ~len
               in
               t.insert_count <- t.insert_count + 1;
               respond (Inserted { asn = last_asn; adp = t.adp_index });
-              if t.insert_count mod t.cfg.cp_interval = 0 then emit_control_point t s
+              if t.insert_count mod cp_interval = 0 then emit_control_point t s
           | Ok (Adp.A_failed e) -> respond (D_failed ("audit: " ^ e))
           | Ok (Adp.Flushed _ | Adp.Trimmed _) -> respond (D_failed "audit: unexpected reply")
           | Error e -> respond (D_failed (Format.asprintf "audit: %a" Msgsys.pp_error e))))
   | Lookup { file; key } -> (
-      Cpu.execute (current_cpu t) t.cfg.lookup_cpu;
+      Cpu.execute (current_cpu t) lookup_cpu;
       (match t.lookup_counter with Some c -> Stat.Counter.incr c | None -> ());
       match Btree.find (file_index s file) ~key with
       | Some cell ->
           (match t.hit_counter with Some c -> Stat.Counter.incr c | None -> ());
-          respond (Found { len = cell.len; crc = cell.crc; payload = cell.payload })
+          respond (Found { len = cell.len; crc = cell.crc })
       | None -> respond Absent)
   | Read { txn; file; key } -> (
-      Cpu.execute (current_cpu t) t.cfg.lookup_cpu;
+      Cpu.execute (current_cpu t) lookup_cpu;
       (match t.lookup_counter with Some c -> Stat.Counter.incr c | None -> ());
       match Lockmgr.acquire t.locks ~owner:txn ~key:(file, key) Lockmgr.Shared with
       | Error Lockmgr.Lock_timeout -> respond (D_failed "lock timeout")
@@ -248,13 +238,13 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
           match Btree.find (file_index s file) ~key with
           | Some cell ->
               (match t.hit_counter with Some c -> Stat.Counter.incr c | None -> ());
-              respond (Found { len = cell.len; crc = cell.crc; payload = cell.payload })
+              respond (Found { len = cell.len; crc = cell.crc })
           | None -> respond Absent))
   | Scan { file; lo; hi; limit } ->
       let rows = Btree.range (file_index s file) ~lo ~hi in
       let rows = if limit > 0 && List.length rows > limit then List.filteri (fun i _ -> i < limit) rows else rows in
       (* Probe cost plus a per-row touch. *)
-      Cpu.execute (current_cpu t) (t.cfg.lookup_cpu + (List.length rows * Time.us 2));
+      Cpu.execute (current_cpu t) (lookup_cpu + (List.length rows * Time.us 2));
       respond (Rows (List.map (fun (key, cell) -> (key, cell.len, cell.crc)) rows))
   | Finish { txn; committed } ->
       finish_on s ~txn ~committed;
@@ -291,15 +281,13 @@ let apply_ckpt t = function
       ignore (Btree.insert (file_index t.shadow file) ~key cell)
   | Ck_finish { txn; committed } -> finish_on t.shadow ~txn ~committed
 
-let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~locks
-    ?(config = default_config) ?obs () =
+let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~locks ?obs () =
   let srv = Msgsys.create_server fabric ~cpu:primary ~name in
   let t =
     {
       dp2_name = name;
       index = dp2_index;
       adp_index;
-      cfg = config;
       volume;
       adp;
       locks;
@@ -344,8 +332,6 @@ let server t = t.srv
 
 let inserts t = t.insert_count
 
-let last_cp_asn t = t.cp_asn
-
 let active_state t = match t.live with Some s -> s | None -> t.shadow
 
 let table_size t =
@@ -368,12 +354,10 @@ let load_table t rows =
   Hashtbl.reset s.undo;
   List.iter
     (fun (file, key, len, crc) ->
-      ignore (Btree.insert (file_index s file) ~key { len; crc; payload = None }))
+      ignore (Btree.insert (file_index s file) ~key { len; crc }))
     rows
 
 let kill_primary t = Procpair.kill_primary (pair_exn t)
-
-let halt t = Procpair.halt (pair_exn t)
 
 let pair_takeovers t = Procpair.takeovers (pair_exn t)
 

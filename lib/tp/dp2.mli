@@ -19,7 +19,6 @@ type request =
       key : int;
       len : int;
       crc : int;
-      payload : Bytes.t option;  (** stored only with [store_payloads] *)
       deadline : Time.t;
           (** transaction deadline (absolute, 0 = none): an insert that
               arrives expired is shed before taking its key lock, and
@@ -39,7 +38,7 @@ type request =
 
 type response =
   | Inserted of { asn : Audit.asn; adp : int }
-  | Found of { len : int; crc : int; payload : Bytes.t option }
+  | Found of { len : int; crc : int }
   | Absent
   | Rows of (int * int * int) list  (** (key, len, crc), ascending *)
   | Finished
@@ -48,18 +47,9 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = {
-  insert_cpu : Time.span;  (** instruction path per insert *)
-  lookup_cpu : Time.span;
-  lock_timeout : Time.span;
-  extent_blocks : int;  (** data blocks this DP2 spreads its writes over *)
-  cp_interval : int;  (** inserts between automatic control points *)
-  store_payloads : bool;
-      (** keep row contents in the table (entity/content workloads); off
-          by default so multi-gigabyte benchmark runs stay lean *)
-}
-
-val default_config : config
+val lock_timeout : Time.span
+(** Longest wait for a key lock (5 s): the lock manager the writers
+    share is built with it. *)
 
 type t
 
@@ -73,7 +63,6 @@ val start :
   volume:Diskio.Volume.t ->
   adp:Adp.server ->
   locks:Lockmgr.t ->
-  ?config:config ->
   ?obs:Obs.t ->
   unit ->
   t
@@ -85,10 +74,6 @@ val start :
 val server : t -> server
 
 val inserts : t -> int
-
-val last_cp_asn : t -> Audit.asn
-(** ASN of this writer's latest control-point record (0 before the
-    first): where a redo scan of its trail starts. *)
 
 val table_size : t -> int
 
@@ -106,8 +91,6 @@ val load_table : t -> (int * int * int * int) list -> unit
 val kill_primary : t -> unit
 (** Fault injection: kill the primary; the backup takes over with the
     checkpoint-built table. *)
-
-val halt : t -> unit
 
 val pair_takeovers : t -> int
 

@@ -381,14 +381,11 @@ let partition_plan =
    gotten to yet. *)
 let corruption_region_bytes = 2 * 1024 * 1024
 
-let corruption_scrub_config =
-  { Pm.Pmm.default_scrub_config with Pm.Pmm.scrub_interval = Time.us 100 }
-
 let corruption_config =
   {
     System.pm_config with
     System.pm_region_bytes = corruption_region_bytes;
-    pm_scrub = Some corruption_scrub_config;
+    pm_scrub = Some (Time.us 100);
     pm_verified_reads = true;
   }
 
@@ -397,7 +394,7 @@ let corruption_config =
    creates the 1 MiB transaction-state table first, then the trail
    regions in ADP order (MAT last). *)
 let corruption_trail_base i =
-  Pm.Pmm.default_config.Pm.Pmm.meta_reserve + (1 lsl 20) + (i * corruption_region_bytes)
+  Pm.Pmm.meta_reserve + (1 lsl 20) + (i * corruption_region_bytes)
 
 (* The early decays and tears land mid-load inside each trail's first
    chunk — a chunk the ring header keeps active, so the scrubber can
@@ -466,6 +463,10 @@ let gray_no_defense_config =
     pm_hedged_reads = false;
     pm_adaptive_backoff = false;
   }
+
+(* The gray gate: the degraded run's p99 commit latency may be at most
+   this multiple of the healthy baseline's. *)
+let gray_p99_limit = 8.0
 
 (* Enough commits that the detection window's handful of slow commits
    sits below the p99 index: 2 drivers x 300 txns = 600 samples, so p99
@@ -579,7 +580,7 @@ let overload_config =
     client_retry_budget = 12.0;
     client_breakers = true;
     pm_retry_budget = 12.0;
-    tmf = { Tmf.default_config with Tmf.admission = true };
+    tmf_admission = true;
   }
 
 let overload_no_defense_config =
@@ -589,7 +590,7 @@ let overload_no_defense_config =
     client_retry_budget = 0.0;
     client_breakers = false;
     pm_retry_budget = 0.0;
-    tmf = { overload_config.System.tmf with Tmf.admission = false };
+    tmf_admission = false;
   }
 
 let overload_plan p =
@@ -1060,10 +1061,10 @@ let single ?(seed = 0xD5177L) ?config ?obs ?prof ?sample_interval ?(params = def
   in
   harness family ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?recovery_plan plan
 
-let run ?seed ?config ?obs ?prof ?sample_interval ?params ?crash_decay ?horizon
-    ?recovery_plan ?inspect ?flight ?max_outage ~mode ~plan () =
-  single ?seed ?config ?obs ?prof ?sample_interval ?params ?crash_decay ?horizon
-    ?recovery_plan ?inspect ?flight ~mode ~plan ()
+let run ?seed ?config ?obs ?prof ?sample_interval ?params ?horizon ?recovery_plan ?inspect
+    ?flight ?max_outage ~mode ~plan () =
+  single ?seed ?config ?obs ?prof ?sample_interval ?params ?horizon ?recovery_plan ?inspect
+    ?flight ~mode ~plan ()
   |> gated ~family:"drill" ~flight (Oracle.of_report ?max_outage)
 
 (* The corruption drill proper: hot-stock load under [corruption_plan]
@@ -1082,7 +1083,7 @@ let run_corruption ?seed ?obs ?sample_interval ?(params = default_params)
   |> gated ~family:"corruption" ~flight Oracle.of_report
 
 let run_gray ?(seed = 0x66A7L) ?obs ?sample_interval ?(params = gray_params)
-    ?(defenses = true) ?(p99_limit = 8.0) ?flight () =
+    ?(defenses = true) ?flight () =
   let config = if defenses then gray_config else gray_no_defense_config in
   (* Healthy baseline: identical platform, identical seed, no faults.
      Its p99 is the denominator of the latency gate. *)
@@ -1102,7 +1103,7 @@ let run_gray ?(seed = 0x66A7L) ?obs ?sample_interval ?(params = gray_params)
               g_healthy = healthy;
               g_degraded = healthy;
               g_p99_ratio = nan;
-              g_p99_limit = p99_limit;
+              g_p99_limit = gray_p99_limit;
               g_demotions = on_pmm Pm.Pmm.demotions 0;
               g_readmissions = on_pmm Pm.Pmm.readmissions 0;
               g_mirror_active = on_pmm Pm.Pmm.mirror_active true;

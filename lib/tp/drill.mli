@@ -128,32 +128,11 @@ val corruption_config : System.config
     regions, the background scrubber on a tight cadence, and verified
     reads on every PM client. *)
 
-val corruption_region_bytes : int
-(** Trail region size under {!corruption_config} (2 MiB). *)
-
 val corruption_trail_base : int -> int
 (** Device byte offset where trail region [i] starts under
     {!corruption_config}'s first-fit layout — where a decay or torn
     store must land to hit written frames.  The explorer aims its
     media faults with this. *)
-
-val corruption_plan : Faultplan.t
-(** The silent-corruption schedule: mirror and primary media decay plus
-    torn stores mid-load (landing in scrubber-unarbitratable active
-    chunks, exercising quarantine and mirror salvage), then post-load
-    decay in settled chunks the scrubber must catch and repair.
-    Offsets assume {!default_params}-scale load under
-    {!corruption_config}. *)
-
-val gray_config : System.config
-(** {!System.pm_config} armed for the gray-failure drill: 2 MiB trail
-    regions, the PMM mirror-health monitor, client latency-health
-    tracking (150 us SLO budget), hedged reads, and adaptive data-path
-    backoff. *)
-
-val gray_no_defense_config : System.config
-(** {!gray_config} with every fail-slow defense off — the negative
-    control platform. *)
 
 val gray_params : params
 (** {!default_params} scaled to 600 commits, so the detection window's
@@ -164,7 +143,7 @@ val gray_plan : Faultplan.t
     mid-load, then a rail congests 2x and a data spindle drags 3x, then
     everything restores — so one run proves detection, demotion, bounded
     latency, and re-admission.  Offsets assume {!gray_params}-scale load
-    under {!gray_config}. *)
+    on the gray platform of {!run_gray}. *)
 
 type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
 
@@ -186,7 +165,6 @@ val run :
   ?prof:Prof.t ->
   ?sample_interval:Time.span ->
   ?params:params ->
-  ?crash_decay:(int * int * int) list ->
   ?horizon:Time.span ->
   ?recovery_plan:Faultplan.t ->
   ?inspect:(System.t -> unit) ->
@@ -200,11 +178,7 @@ val run :
     carries a recovery or plan-validation failure.  [prof] is installed
     on the drill's simulation for the whole run (see {!Simkit.Prof}).
     [sample_interval] (requires [obs], else [Invalid_argument]) records
-    a telemetry timeline into {!report.timeline}.  Each [crash_decay]
-    [(device, off, bits)] flips bits on that NPMU at the crash itself —
-    after the scrubber is stopped, before recovery — so only a verified
-    read can catch it; entries with out-of-range device indices are
-    ignored.  [inspect] runs against the live system after recovery
+    a telemetry timeline into {!report.timeline}.  [inspect] runs against the live system after recovery
     succeeds, before the simulation is torn down — the hook gray drills
     use to harvest counters the report does not carry.
 
@@ -233,8 +207,14 @@ val run_corruption :
   ?flight:string ->
   unit ->
   (report, string) result
-(** The end-to-end storage-integrity drill: {!run} under
-    {!corruption_config} / {!corruption_plan} with crash decay, PM mode.
+(** The end-to-end storage-integrity drill: {!run} in PM mode under
+    {!corruption_config} and the silent-corruption schedule — mirror and
+    primary media decay plus torn stores mid-load (landing in
+    scrubber-unarbitratable active chunks, exercising quarantine and
+    mirror salvage), then post-load decay in settled chunks the
+    scrubber must catch and repair — plus decay at the crash itself,
+    after the scrubber stops and before recovery, so only a verified
+    read can catch it.
     Gated by {!Oracle.of_report} (flight mark ["corruption gate
     failed: ..."]).  A clean run satisfies {!integrity_clean} with [scrub_repairs >= 1]
     and [read_repairs >= 1] — both defense layers proven live.
@@ -269,14 +249,17 @@ val run_gray :
   ?sample_interval:Time.span ->
   ?params:params ->
   ?defenses:bool ->
-  ?p99_limit:float ->
   ?flight:string ->
   unit ->
   (gray_report, string) result
 (** The end-to-end gray-failure drill: a healthy baseline run (same
-    seed, no faults), then {!gray_plan} under {!gray_config} — or
-    {!gray_no_defense_config} with [~defenses:false], the negative
-    control whose commit p99 collapses to the slow mirror's latency.
+    seed, no faults), then {!gray_plan} on {!System.pm_config} armed
+    for it: 2 MiB trail regions, the PMM mirror-health monitor, client
+    latency-health tracking (150 us SLO budget), hedged reads, and
+    adaptive data-path backoff.  [~defenses:false] turns every one of
+    those defenses off: the negative control whose commit p99 collapses
+    to the slow mirror's latency.
+    The gate holds the degraded p99 to at most 8× the baseline's.
     [obs] / [sample_interval] / [flight] instrument the degraded run
     only; the recorder dumps once, marked ["gray gate failed: ..."],
     when {!Oracle.of_gray} rejects the combined report. *)
@@ -320,16 +303,9 @@ val overload_config : System.config
     retries (12-token buckets), per-destination breakers — plus the
     300 ms client patience that is the storm's raw material. *)
 
-val overload_no_defense_config : System.config
-(** {!overload_config} with every defense off and the same impatient
-    clients — the negative-control platform that goes metastable. *)
-
 val overload_plan : overload_params -> Faultplan.t
 (** The [Flash_crowd] marker event at the spike's offset; validated with
     {!Faultplan.validate_overload}. *)
-
-val overload_schedule : overload_params -> Arrival.schedule
-(** The open-loop flash-crowd schedule the drill offers. *)
 
 type overload_report = {
   v_seed : int64;

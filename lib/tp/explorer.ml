@@ -609,6 +609,11 @@ let replay_verdict = function
   | Clustered rep -> Drill.Oracle.of_cluster rep
   | Overloaded rep -> Drill.Oracle.of_overload rep
 
+(* Run one schedule on its drill platform and judge it with the
+   matching oracle: [replay] then [replay_verdict].  [defenses:false]
+   strips the PM integrity defenses (scrubber, verified reads) and the
+   overload defenses — the weakened platform the explorer must find
+   known failures on. *)
 let execute ?flight ~defenses s =
   let repro =
     {

@@ -31,8 +31,6 @@ type kind =
 val kind_name : kind -> string
 (** ["pm"], ["disk"], ["cluster"], ["overload"]. *)
 
-val kind_of_name : string -> kind option
-
 type schedule = {
   s_index : int;  (** position in the corpus *)
   s_seed : int64;  (** the drill's simulation seed *)
@@ -49,8 +47,6 @@ val generate : seed:int -> index:int -> schedule
 val corpus : seed:int -> budget:int -> schedule list
 (** [generate] for indices [0 .. budget-1]. *)
 
-val schedule_to_json : schedule -> Json.t
-
 val corpus_json : seed:int -> budget:int -> Json.t
 (** The serialized corpus — the byte-identity witness for the
     same-seed determinism property. *)
@@ -62,28 +58,16 @@ val horizon : Time.span
 (** Validation horizon passed to every drill: no generated or replayed
     event may be offset past it. *)
 
-val layer_of : Faultplan.action -> string
-(** Coverage layer of an action: ["process"], ["pm_device"],
-    ["fabric"], ["disk"], ["wan"], ["control"] or ["load"]. *)
-
 val coverage : schedule list -> ((string * string * string) * int) list
 (** (fault family, phase, layer) cells with event counts, sorted.
-    Phase is ["load"] or ["recovery"]. *)
+    Phase is ["load"] or ["recovery"]; layer is ["process"],
+    ["pm_device"], ["fabric"], ["disk"], ["wan"], ["control"] or
+    ["load"]. *)
 
 (** Outcome of running one schedule. *)
 type verdict_or_error =
   | Verdict of Drill.Oracle.verdict
   | Harness_error of string  (** the drill itself refused or wedged *)
-
-val violates : verdict_or_error -> bool
-
-val verdict_json : verdict_or_error -> Json.t
-
-val execute : ?flight:string -> defenses:bool -> schedule -> verdict_or_error
-(** Run one schedule on its drill platform and judge it with the
-    matching oracle: {!replay} then {!replay_verdict}.  [defenses:false] strips the PM integrity
-    defenses (scrubber, verified reads) and the overload defenses —
-    the weakened platform the explorer must find known failures on. *)
 
 val minimize :
   ?max_replays:int ->
@@ -155,11 +139,6 @@ type repro = {
   rp_plan : Faultplan.t;
   rp_recovery : Faultplan.t;
 }
-
-val repro_schema : string
-(** The repro document's [schema] tag: ["odsbench-repro"]. *)
-
-val repro_of_violation : defenses:bool -> violation -> repro
 
 val repro_to_json : ?violation:Json.t -> repro -> Json.t
 (** Serialize; [violation] embeds the oracle verdict for the record

@@ -180,9 +180,6 @@ let release_all t ~owner =
 let holders t key =
   match Hashtbl.find_opt t.table key with Some e -> e.lock_holders | None -> []
 
-let held_by t owner =
-  match Hashtbl.find_opt t.by_owner owner with Some keys -> !keys | None -> []
-
 let held_total t =
   Hashtbl.fold (fun _ keys acc -> acc + List.length !keys) t.by_owner 0
 

@@ -47,8 +47,6 @@ val release_all : t -> owner:Audit.txn_id -> unit
 
 val holders : t -> key -> (Audit.txn_id * mode) list
 
-val held_by : t -> Audit.txn_id -> key list
-
 val held_total : t -> int
 (** Locks currently held across all owners — zero once every
     transaction has finished or been resolved (the drills' no-orphaned-

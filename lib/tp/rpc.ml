@@ -1,8 +1,10 @@
 open Simkit
 open Nsk
 
-let call_retry server ~from ?req_bytes ?(attempts = 6) ?(timeout = Time.sec 1)
-    ?(backoff = Time.ms 200) ?span req =
+(* Pause between attempts. *)
+let backoff = Time.ms 200
+
+let call_retry server ~from ?req_bytes ?(attempts = 6) ?(timeout = Time.sec 1) ?span req =
   let rec go n =
     match Msgsys.call server ~from ?req_bytes ~timeout ?span req with
     | Ok resp -> Ok resp

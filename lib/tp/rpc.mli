@@ -12,10 +12,9 @@ val call_retry :
   ?req_bytes:int ->
   ?attempts:int ->
   ?timeout:Time.span ->
-  ?backoff:Time.span ->
   ?span:Span.span ->
   'req ->
   ('resp, Msgsys.error) result
-(** Defaults: 6 attempts, 1 s per-call timeout, 200 ms backoff —
-    comfortably covering a sub-second takeover.  [span] rides in each
+(** Defaults: 6 attempts, 1 s per-call timeout; attempts are 200 ms
+    apart — comfortably covering a sub-second takeover.  [span] rides in each
     attempt's envelope (see {!Msgsys.call}). *)

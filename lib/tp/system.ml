@@ -18,7 +18,7 @@ type config = {
   pm_write_penalty : Time.span;
   pm_mirrored : bool;
   pm_verified_reads : bool;
-  pm_scrub : Pm.Pmm.scrub_config option;
+  pm_scrub : Time.span option;
   pm_health : Pm.Pmm.health_config option;
   pm_slo_budget : Time.span;
   pm_hedged_reads : bool;
@@ -30,9 +30,7 @@ type config = {
   client_breakers : bool;
   pm_retry_budget : float;
   fabric : Servernet.Fabric.config;
-  adp : Adp.config;
-  dp2 : Dp2.config;
-  tmf : Tmf.config;
+  tmf_admission : bool;
 }
 
 let default_config =
@@ -61,9 +59,7 @@ let default_config =
     client_breakers = false;
     pm_retry_budget = 0.;
     fabric = Servernet.Fabric.default_config;
-    adp = Adp.default_config;
-    dp2 = Dp2.default_config;
-    tmf = Tmf.default_config;
+    tmf_admission = false;
   }
 
 let pm_config = { default_config with log_mode = Pm_audit; txn_state_in_pm = true }
@@ -96,7 +92,7 @@ type t = {
 }
 
 (* One client library attachment per CPU that needs PM access. *)
-let make_pm_client ?obs cfg node fabric pmm ~cpu =
+let make_pm_client ?obs cfg fabric pmm ~cpu =
   let client_cfg =
     {
       Pm.Pm_client.default_config with
@@ -109,7 +105,6 @@ let make_pm_client ?obs cfg node fabric pmm ~cpu =
       mgmt_retry_budget = cfg.pm_retry_budget;
     }
   in
-  ignore node;
   Pm.Pm_client.attach ~cpu ~fabric ~pmm:(Pm.Pmm.server pmm) ~config:client_cfg ?obs ()
 
 (* PM regions must exist before the ADPs that log into them; region
@@ -134,14 +129,14 @@ let build_pm ?obs cfg sim node =
         ([], (Pm.Pmm.device_of_pmp a, Pm.Pmm.device_of_pmp b))
   in
   let dev_a, dev_b = dev_pair in
-  Pm.Pmm.format Pm.Pmm.default_config dev_a dev_b;
+  Pm.Pmm.format dev_a dev_b;
   let pmm =
     Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0)
       ~backup_cpu:(Node.cpu node 1) ~primary_dev:dev_a ~mirror_dev:dev_b ()
   in
   (match cfg.pm_scrub with
-  | Some scrub_cfg ->
-      Pm.Pmm.start_scrubber pmm ~cpu:(Node.cpu node 0) ~config:scrub_cfg
+  | Some interval ->
+      Pm.Pmm.start_scrubber pmm ~cpu:(Node.cpu node 0) ~interval
         ?metrics:(Option.map Obs.metrics obs) ()
   | None -> ());
   (* The mirror-health monitor probes from the backup CPU: its endpoint
@@ -247,7 +242,7 @@ let build ?obs sim cfg =
           match Hashtbl.find_opt clients cpu_idx with
           | Some c -> c
           | None ->
-              let c = make_pm_client ?obs cfg node fabric pmm ~cpu:(worker cpu_idx) in
+              let c = make_pm_client ?obs cfg fabric pmm ~cpu:(worker cpu_idx) in
               Hashtbl.replace clients cpu_idx c;
               c
         in
@@ -280,14 +275,14 @@ let build ?obs sim cfg =
     Array.init cfg.adps_per_node (fun i ->
         Adp.start ~fabric
           ~name:(Printf.sprintf "$ADP%d" i)
-          ~primary:(worker i) ~backup:(backup_of i) ~backend:(backend_of i) ~config:cfg.adp
+          ~primary:(worker i) ~backup:(backup_of i) ~backend:(backend_of i)
           ?obs ())
   in
   let mat =
     Adp.start ~fabric ~name:"$MAT" ~primary:(worker 0) ~backup:(backup_of 0)
-      ~backend:(backend_of cfg.adps_per_node) ~config:cfg.adp ?obs ()
+      ~backend:(backend_of cfg.adps_per_node) ?obs ()
   in
-  let locks = Lockmgr.create sim ~timeout:cfg.dp2.Dp2.lock_timeout ?obs () in
+  let locks = Lockmgr.create sim ~timeout:Dp2.lock_timeout ?obs () in
   let adp_servers = Array.map Adp.server adps in
   let dp2s =
     Array.init n_dp2 (fun v ->
@@ -296,7 +291,7 @@ let build ?obs sim cfg =
         Dp2.start ~fabric
           ~name:(Printf.sprintf "$DP2-%02d" v)
           ~dp2_index:v ~adp_index ~primary:(worker cpu_idx) ~backup:(backup_of cpu_idx)
-          ~volume:data_vols.(v) ~adp:adp_servers.(adp_index) ~locks ~config:cfg.dp2 ?obs ())
+          ~volume:data_vols.(v) ~adp:adp_servers.(adp_index) ~locks ?obs ())
   in
   let dp2_servers = Array.map Dp2.server dp2s in
   let txn_state = match pm_parts with Some p -> p.txn_state | None -> None in
@@ -318,7 +313,7 @@ let build ?obs sim cfg =
   let tmf =
     Tmf.start ~fabric ~name:"$TMF" ~primary:(Node.cpu node 0) ~backup:(Node.cpu node 1)
       ~adps:adp_servers ~dp2s:dp2_servers ~mat:(Adp.server mat) ?txn_state ~outcome_probe
-      ~config:cfg.tmf ?obs ()
+      ~admission:cfg.tmf_admission ?obs ()
   in
   {
     sys_sim = sim;
@@ -358,8 +353,6 @@ let locks t = t.sys_locks
 
 let data_volumes t = t.sys_data_vols
 
-let audit_volumes t = t.sys_audit_vols
-
 let pmm t = match t.sys_pm with Some p -> Some p.pmm | None -> None
 
 let npmus t = match t.sys_pm with Some p -> p.devices | None -> []
@@ -376,9 +369,6 @@ let degraded_pm_writes t =
 
 let pm_write_retries t =
   List.fold_left (fun acc c -> acc + Pm.Pm_client.write_retries c) 0 (pm_clients t)
-
-let pm_fenced_writes t =
-  List.fold_left (fun acc c -> acc + Pm.Pm_client.fenced_writes c) 0 (pm_clients t)
 
 let pm_read_repairs t =
   List.fold_left (fun acc c -> acc + Pm.Pm_client.read_repairs c) 0 (pm_clients t)
@@ -397,9 +387,6 @@ let pm_hedge_wins t =
 
 let pm_single_copy_writes t =
   List.fold_left (fun acc c -> acc + Pm.Pm_client.single_copy_writes c) 0 (pm_clients t)
-
-let pm_mgmt_retry_exhausted t =
-  List.fold_left (fun acc c -> acc + Pm.Pm_client.mgmt_retry_exhausted c) 0 (pm_clients t)
 
 (* Probe the epoch fence: a write stamped one epoch behind the volume
    must bounce off the NPMU's AVT with [Stale_epoch].  The probe uses a

@@ -31,11 +31,11 @@ type config = {
   pm_mirrored : bool;
   pm_verified_reads : bool;
       (** every PM client read cross-checks the mirror and read-repairs
-          divergence ({!Pm.Pm_client.read_verified}) *)
-  pm_scrub : Pm.Pmm.scrub_config option;
-      (** run the PMM's background scrubber with this configuration
-          ([None] — the default — leaves it off; whoever turns it on
-          owns stopping it: {!Pm.Pmm.stop_scrubber}) *)
+          divergence ({!Pm.Pm_client.read_verified_into}) *)
+  pm_scrub : Time.span option;
+      (** run the PMM's background scrubber, pausing this long between
+          chunk scans ([None] — the default — leaves it off; whoever
+          turns it on owns stopping it: {!Pm.Pmm.stop_scrubber}) *)
   pm_health : Pm.Pmm.health_config option;
       (** run the PMM's mirror-health monitor (slow-mirror demotion and
           re-admission) with this configuration ([None] — the default —
@@ -65,9 +65,9 @@ type config = {
       (** PM-client management-path retry token-bucket capacity; 0 (the
           default) leaves those retries unbudgeted *)
   fabric : Servernet.Fabric.config;
-  adp : Adp.config;
-  dp2 : Dp2.config;
-  tmf : Tmf.config;
+  tmf_admission : bool;
+      (** deadline-based admission control at the monitor
+          ({!Tmf.start}'s [admission]) *)
 }
 
 val default_config : config
@@ -111,9 +111,6 @@ val locks : t -> Lockmgr.t
 
 val data_volumes : t -> Diskio.Volume.t array
 
-val audit_volumes : t -> Diskio.Volume.t array
-(** Empty in PM mode. *)
-
 val pmm : t -> Pm.Pmm.t option
 
 val npmus : t -> Pm.Npmu.t list
@@ -132,10 +129,6 @@ val degraded_pm_writes : t -> int
 val pm_write_retries : t -> int
 (** Transient fabric errors retried on the PM data path, across all
     clients. *)
-
-val pm_fenced_writes : t -> int
-(** Writes bounced with [Stale_epoch] across all PM clients (each then
-    refreshed its grant and retried). *)
 
 val pm_read_repairs : t -> int
 (** Divergent chunks verified reads repaired, across all clients. *)
@@ -157,9 +150,6 @@ val pm_hedge_wins : t -> int
 val pm_single_copy_writes : t -> int
 (** Writes persisted primary-only under the degraded-durability
     contract (mirror demoted), across all clients. *)
-
-val pm_mgmt_retry_exhausted : t -> int
-(** Management calls that ran out of retries, across all clients. *)
 
 val fence_check : t -> (unit, string) result
 (** Verify the epoch fence is armed: issue a write stamped one epoch

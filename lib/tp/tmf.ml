@@ -32,23 +32,12 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = {
-  begin_cpu : Time.span;
-  commit_cpu : Time.span;
-  admission : bool;
-      (** deadline-based admission control at [Begin_txn]: reject when
-          the estimated wait (active txns x commit-service EWMA) exceeds
-          the transaction's remaining deadline *)
-  ewma_alpha : float;  (** smoothing for the windowed service-time EWMA *)
-}
+(* Instruction path per begin, and per commit, abort or decision. *)
+let begin_cpu = Time.us 30
+let commit_cpu = Time.us 60
 
-let default_config =
-  {
-    begin_cpu = Time.us 30;
-    commit_cpu = Time.us 60;
-    admission = false;
-    ewma_alpha = 0.2;
-  }
+(* Smoothing of the commit service-time EWMA admission control reads. *)
+let ewma_alpha = 0.2
 
 (* The admission decision, pure so its arithmetic is property-testable:
    a transaction whose deadline has already passed is never admitted,
@@ -89,7 +78,10 @@ type finish_job = { fj_txn : Audit.txn_id; fj_committed : bool; fj_involved : in
 
 type t = {
   tmf_name : string;
-  cfg : config;
+  admission : bool;
+      (** deadline-based admission control at [Begin_txn]: reject when
+          the estimated wait (active txns x commit-service EWMA) exceeds
+          the transaction's remaining deadline *)
   adps : Adp.server array;
   dp2s : Dp2.server array;
   mat : Adp.server;
@@ -260,9 +252,9 @@ let write_commit_record ?span t txn = write_mat_record ?span t (Audit.Commit { t
 let handle t s req respond =
   match req with
   | Begin_txn { deadline } -> (
-      Cpu.execute (current_cpu t) t.cfg.begin_cpu;
+      Cpu.execute (current_cpu t) begin_cpu;
       let verdict =
-        if not t.cfg.admission then `Admit
+        if not t.admission then `Admit
         else
           admits ~now:(now t) ~deadline ~queue:(Hashtbl.length s.active)
             ~svc_ewma_ns:t.svc_ewma
@@ -302,7 +294,7 @@ let handle t s req respond =
           finish_span t csp;
           respond (T_failed msg)
         in
-        Cpu.execute (current_cpu t) t.cfg.commit_cpu;
+        Cpu.execute (current_cpu t) commit_cpu;
         match Hashtbl.find_opt s.active txn with
         | None -> finish_failed "unknown transaction"
         | Some deadline when deadline > 0 && now t >= deadline ->
@@ -353,8 +345,8 @@ let handle t s req respond =
                   t.svc_ewma <-
                     (if t.svc_ewma = 0. then float_of_int svc
                      else
-                       (t.cfg.ewma_alpha *. float_of_int svc)
-                       +. ((1. -. t.cfg.ewma_alpha) *. t.svc_ewma));
+                       (ewma_alpha *. float_of_int svc)
+                       +. ((1. -. ewma_alpha) *. t.svc_ewma));
                   Stat.add_span t.latency svc;
                   finish_span t csp;
                   respond Committed;
@@ -365,7 +357,7 @@ let handle t s req respond =
       in
       ignore (Cpu.spawn (current_cpu t) ~name:(t.tmf_name ^ ":commit") commit_work)
   | Abort_txn { txn; involved } ->
-      Cpu.execute (current_cpu t) t.cfg.commit_cpu;
+      Cpu.execute (current_cpu t) commit_cpu;
       if not (Hashtbl.mem s.active txn) then respond (T_failed "unknown transaction")
       else begin
         (* Presumed abort: the record can reach the trail lazily. *)
@@ -397,7 +389,7 @@ let handle t s req respond =
           respond r
         in
         let respond = finish in
-        Cpu.execute (current_cpu t) t.cfg.commit_cpu;
+        Cpu.execute (current_cpu t) commit_cpu;
         if not (Hashtbl.mem s.active txn) then respond (T_failed "unknown transaction")
         else
           match flush_trails ~span:psp t flushes with
@@ -431,7 +423,7 @@ let handle t s req respond =
               finish_span t dsp;
               respond r
             in
-            Cpu.execute (current_cpu t) t.cfg.commit_cpu;
+            Cpu.execute (current_cpu t) commit_cpu;
             let record = if commit then Audit.Commit { txn } else Audit.Abort { txn } in
             match write_mat_record ~span:dsp t record with
             | Error e -> respond (T_failed ("decision record: " ^ e))
@@ -451,7 +443,7 @@ let handle t s req respond =
   | Query_outcome { txn } ->
       (* Served inline — the resolver protocol is tiny and read-only.
          The PM read needs process context, which the serve loop has. *)
-      Cpu.execute (current_cpu t) t.cfg.begin_cpu;
+      Cpu.execute (current_cpu t) begin_cpu;
       respond (Outcome { status = query_outcome t s txn })
 
 let serve t () =
@@ -487,12 +479,12 @@ let apply_ckpt t = function
       Hashtbl.replace t.shadow.prepared txn { pi_involved = involved; pi_gtid = gtid }
 
 let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_probe
-    ?(config = default_config) ?obs () =
+    ?(admission = false) ?obs () =
   let srv = Msgsys.create_server fabric ~cpu:primary ~name in
   let t =
     {
       tmf_name = name;
-      cfg = config;
+      admission;
       adps;
       dp2s;
       mat;
@@ -581,13 +573,10 @@ let rejected t = t.n_rejected
 
 let expired t = t.n_expired
 
-let service_ewma_ns t = t.svc_ewma
 
 let commit_latency t = t.latency
 
 let kill_primary t = Procpair.kill_primary (pair_exn t)
-
-let halt t = Procpair.halt (pair_exn t)
 
 let pair_takeovers t = Procpair.takeovers (pair_exn t)
 

@@ -22,7 +22,7 @@ open Nsk
 type request =
   | Begin_txn of { deadline : Time.t }
       (** [deadline] is an absolute sim time minted by the client at
-          arrival ([0] = none).  With {!config.admission} on, the
+          arrival ([0] = none).  With [admission] on ({!start}), the
           monitor rejects the begin when the estimated wait — active
           transactions times the commit-service EWMA — exceeds the
           remaining deadline, and the deadline rides every downstream
@@ -69,19 +69,6 @@ type response =
 
 type server = (request, response) Msgsys.server
 
-type config = {
-  begin_cpu : Time.span;
-  commit_cpu : Time.span;
-  admission : bool;
-      (** enable deadline-based admission control at [Begin_txn]
-          (default off — closed-loop workloads never need it) *)
-  ewma_alpha : float;
-      (** smoothing factor for the commit service-time EWMA the
-          admission estimate uses (default 0.2) *)
-}
-
-val default_config : config
-
 val state_entry_bytes : int
 (** Size of an entry of the PM txn-state table: the txn id (u64) and its
     status (u8, the codes of {!Outcome}), then unused bytes.  Entries
@@ -117,11 +104,14 @@ val start :
   mat:Adp.server ->
   ?txn_state:Pm.Pm_client.t * Pm.Pm_client.handle ->
   ?outcome_probe:(Audit.txn_id -> int) ->
-  ?config:config ->
+  ?admission:bool ->
   ?obs:Obs.t ->
   unit ->
   t
-(** With [obs]: commit latency feeds the registry's [tmf.commit_ns]
+(** [admission] (default off — closed-loop workloads never need it)
+    enables deadline-based admission control at [Begin_txn]; its
+    estimate smooths commit service times with a fixed EWMA weight of
+    0.2.  With [obs]: commit latency feeds the registry's [tmf.commit_ns]
     stat, the two commit-path stages feed [tmf.flush_wait_ns] (parallel
     trail flushes, measured once per commit) and [tmf.mat_write_ns]
     (commit record to the MAT), and each commit gets a ["tmf"]-track
@@ -157,16 +147,11 @@ val expired : t -> int
     expired plus commits shed before flushing (the [tmf.expired]
     gauge). *)
 
-val service_ewma_ns : t -> float
-(** Current commit service-time estimate feeding admission. *)
-
 val commit_latency : t -> Stat.t
 (** Time from commit request dequeue to reply, the monitor-side view of
     the paper's response-time story. *)
 
 val kill_primary : t -> unit
-
-val halt : t -> unit
 
 val pair_takeovers : t -> int
 

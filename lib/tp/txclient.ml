@@ -32,7 +32,6 @@ type t = {
   tmf : Tmf.server;
   dp2s : Dp2.server array;
   routing : routing;
-  issue_cpu : Time.span;
   wan : Time.span;
   link : unit -> bool;
   crc_rng : Rng.t;
@@ -48,7 +47,6 @@ type t = {
   budget : Retry_budget.t option;
   breakers : Breaker.t array option;
       (** one per destination: indices [0..n-1] the DP2s, [n] the TMF *)
-  mutable n_rejected : int;  (** begins refused (server or circuit) *)
   mutable n_timeouts : int;  (** calls abandoned after [op_timeout] *)
 }
 
@@ -58,7 +56,6 @@ type pending_insert = {
   p_key : int;
   p_len : int;
   p_crc : int;
-  p_payload : Bytes.t option;
   p_reply : (Dp2.response, Msgsys.error) result Ivar.t;
 }
 
@@ -73,7 +70,12 @@ type txn = {
   mutable failed : string option;
 }
 
-let create ~cpu ~tmf ~dp2s ~routing ?(issue_cpu = Time.us 500) ?(wan_latency = 0)
+(* Application-side instruction path per insert — SQL processing, buffer
+   marshalling — consumed on the session's CPU before the request
+   leaves it. *)
+let issue_cpu = Time.us 500
+
+let create ~cpu ~tmf ~dp2s ~routing ?(wan_latency = 0)
     ?(link = fun () -> true) ?(deadline_budget = 0) ?(op_timeout = 0) ?retry_budget
     ?(breakers = false) ?obs () =
   {
@@ -81,7 +83,6 @@ let create ~cpu ~tmf ~dp2s ~routing ?(issue_cpu = Time.us 500) ?(wan_latency = 0
     tmf;
     dp2s;
     routing;
-    issue_cpu;
     wan = wan_latency;
     link;
     crc_rng = Rng.create 0xC4CL;
@@ -105,7 +106,6 @@ let create ~cpu ~tmf ~dp2s ~routing ?(issue_cpu = Time.us 500) ?(wan_latency = 0
       (if breakers then
          Some (Array.init (Array.length dp2s + 1) (fun _ -> Breaker.create ()))
        else None);
-    n_rejected = 0;
     n_timeouts = 0;
   }
 
@@ -206,16 +206,11 @@ let wan_call_async t server ?req_bytes ?resp_bytes ?span req =
     out
   end
 
-let cpu t = t.client_cpu
-
 let txn_id txn = txn.id
 
 let begin_txn t =
   let br = tmf_breaker t in
-  if not (breaker_allow t br) then begin
-    t.n_rejected <- t.n_rejected + 1;
-    Error (Tx_rejected "circuit open: tmf")
-  end
+  if not (breaker_allow t br) then Error (Tx_rejected "circuit open: tmf")
   else begin
     let root = root_span t "txn" in
     let bsp = start_span t ~parent:root "txn.begin" in
@@ -248,7 +243,6 @@ let begin_txn t =
     | Ok (Tmf.Rejected { reason }) ->
         (* The server is alive and answered — no breaker failure. *)
         breaker_success br;
-        t.n_rejected <- t.n_rejected + 1;
         finish_span t bsp;
         finish_span t root;
         Error (Tx_rejected reason)
@@ -297,7 +291,6 @@ let note_insert_reply t txn p result =
                    key = p.p_key;
                    len = p.p_len;
                    crc = p.p_crc;
-                   payload = p.p_payload;
                    deadline = txn.deadline;
                  })
           in
@@ -309,32 +302,18 @@ let note_insert_reply t txn p result =
   in
   note result
 
-let insert_async t txn ?payload ~file ~key ~len () =
+let insert_async t txn ~file ~key ~len () =
   (* The application pays its own instruction path before the request
      leaves the CPU. *)
-  Cpu.execute t.client_cpu t.issue_cpu;
+  Cpu.execute t.client_cpu issue_cpu;
   let dp2_idx = t.routing.dp2_of ~file ~key in
-  let len = match payload with Some p -> Bytes.length p | None -> len in
-  let crc =
-    match payload with
-    | Some p -> Int32.to_int (Pm.Crc32.bytes p) land 0x3FFFFFFF
-    | None -> Rng.int t.crc_rng 0x40000000
-  in
+  let crc = Rng.int t.crc_rng 0x40000000 in
   let reply =
     wan_call_async t t.dp2s.(dp2_idx) ~req_bytes:(len + 128) ~span:txn.root
-      (Dp2.Insert
-         { txn = txn.id; file; key; len; crc; payload; deadline = txn.deadline })
+      (Dp2.Insert { txn = txn.id; file; key; len; crc; deadline = txn.deadline })
   in
   txn.pending <-
-    {
-      p_dp2 = dp2_idx;
-      p_file = file;
-      p_key = key;
-      p_len = len;
-      p_crc = crc;
-      p_payload = payload;
-      p_reply = reply;
-    }
+    { p_dp2 = dp2_idx; p_file = file; p_key = key; p_len = len; p_crc = crc; p_reply = reply }
     :: txn.pending
 
 let await_inserts t txn =
@@ -361,8 +340,8 @@ let await_inserts t txn =
       finish_span t sp);
   match txn.failed with None -> Ok () | Some e -> Error (Tx_failed e)
 
-let insert t txn ?payload ~file ~key ~len () =
-  insert_async t txn ?payload ~file ~key ~len ();
+let insert t txn ~file ~key ~len () =
+  insert_async t txn ~file ~key ~len ();
   await_inserts t txn
 
 let flush_list txn = Hashtbl.fold (fun adp asn acc -> (adp, asn) :: acc) txn.high_water []
@@ -474,15 +453,6 @@ let lookup t ~file ~key =
   | Ok _ -> Error (Tx_failed "unexpected DP2 reply")
   | Error e -> Error (Tx_failed (Format.asprintf "%a" Msgsys.pp_error e))
 
-let lookup_payload t ~file ~key =
-  let dp2_idx = t.routing.dp2_of ~file ~key in
-  match wan_call t t.dp2s.(dp2_idx) ~resp_bytes:4096 (Dp2.Lookup { file; key }) with
-  | Ok (Dp2.Found { payload; _ }) -> Ok payload
-  | Ok Dp2.Absent -> Ok None
-  | Ok (Dp2.D_failed e) -> Error (Tx_failed e)
-  | Ok _ -> Error (Tx_failed "unexpected DP2 reply")
-  | Error e -> Error (Tx_failed (Format.asprintf "%a" Msgsys.pp_error e))
-
 let scan t ~file ~lo ~hi ?(limit = 0) () =
   (* The file is spread over partitions_per_file DP2s; fan the scan out
      and merge the sorted slices. *)
@@ -505,9 +475,6 @@ let scan t ~file ~lo ~hi ?(limit = 0) () =
   | Ok slices ->
       Ok (List.sort (fun (a, _, _) (b, _, _) -> compare a b) (List.concat slices))
 
-let response_time t = t.rt
-
-let rejections t = t.n_rejected
 
 let timeouts t = t.n_timeouts
 
@@ -517,8 +484,3 @@ let breaker_trips t =
   match t.breakers with
   | None -> 0
   | Some bs -> Array.fold_left (fun acc b -> acc + Breaker.trips b) 0 bs
-
-let breaker_rejected t =
-  match t.breakers with
-  | None -> 0
-  | Some bs -> Array.fold_left (fun acc b -> acc + Breaker.rejected b) 0 bs

@@ -40,7 +40,6 @@ val create :
   tmf:Tmf.server ->
   dp2s:Dp2.server array ->
   routing:routing ->
-  ?issue_cpu:Time.span ->
   ?wan_latency:Time.span ->
   ?link:(unit -> bool) ->
   ?deadline_budget:Time.span ->
@@ -50,9 +49,9 @@ val create :
   ?obs:Obs.t ->
   unit ->
   t
-(** [issue_cpu] (default 500 µs) is the application-side instruction path
-    per insert — SQL processing, buffer marshalling — consumed on the
-    session's CPU before the request leaves it.  [wan_latency] (default
+(** Each insert first pays a fixed 500 µs application-side instruction
+    path — SQL processing, buffer marshalling — on the session's CPU.
+    [wan_latency] (default
     0) is the one-way inter-node link latency a remote session pays on
     every request and reply — an application tier reaching an ODS node
     across the cluster interconnect (§1.3 scale-out).  [link] (default
@@ -80,26 +79,20 @@ val create :
     monitor and each writer, so a destination that keeps timing out is
     rested and probed instead of hammered. *)
 
-val cpu : t -> Cpu.t
-
 type txn
 
 val txn_id : txn -> Audit.txn_id
 
 val begin_txn : t -> (txn, error) result
 
-val insert_async : t -> txn -> ?payload:Bytes.t -> file:int -> key:int -> len:int -> unit -> unit
-(** Fire an insert without waiting.  With [payload], [len] is taken from
-    it, its CRC rides in the audit record, and writers configured with
-    [store_payloads] keep the bytes; otherwise the row is content-free
-    (the simulator's default).  Failures surface at the next
-    {!await_inserts} or {!commit}. *)
+val insert_async : t -> txn -> file:int -> key:int -> len:int -> unit -> unit
+(** Fire an insert of a content-free [len]-byte row (its CRC is drawn
+    from the session's stream) without waiting.  Failures surface at
+    the transaction's next {!insert}, {!commit}, {!prepare} or
+    {!abort}, which first collect every outstanding insert. *)
 
-val insert : t -> txn -> ?payload:Bytes.t -> file:int -> key:int -> len:int -> unit -> (unit, error) result
+val insert : t -> txn -> file:int -> key:int -> len:int -> unit -> (unit, error) result
 (** Synchronous insert. *)
-
-val await_inserts : t -> txn -> (unit, error) result
-(** Collect every outstanding asynchronous insert of this transaction. *)
 
 val commit : t -> txn -> (unit, error) result
 (** Await outstanding inserts, then run the commit protocol.  On success
@@ -131,22 +124,10 @@ val read : t -> txn -> file:int -> key:int -> ((int * int) option, error) result
 val lookup : t -> file:int -> key:int -> ((int * int) option, error) result
 (** [(len, crc)] of a row, reading the owning DP2. *)
 
-val lookup_payload : t -> file:int -> key:int -> (Bytes.t option, error) result
-(** The stored row contents ([None] for an absent row or a content-free
-    writer). *)
-
 val scan : t -> file:int -> lo:int -> hi:int -> ?limit:int -> unit -> ((int * int * int) list, error) result
 (** Range scan: [(key, len, crc)] rows with [lo <= key <= hi], merged in
     ascending key order across the file's partitions.  [limit] (default
     unlimited) caps rows per partition. *)
-
-val response_time : t -> Stat.t
-(** Begin-to-commit-reply times of completed transactions. *)
-
-val rejections : t -> int
-(** Begins refused — by the monitor's admission control or by the local
-    TMF breaker.  Rejected work was never acknowledged: it is the
-    degraded-service contract, not loss. *)
 
 val timeouts : t -> int
 (** Synchronous calls abandoned after [op_timeout] — each one left the
@@ -157,6 +138,3 @@ val retry_budget : t -> Retry_budget.t option
 
 val breaker_trips : t -> int
 (** Closed→Open transitions summed over this session's breakers. *)
-
-val breaker_rejected : t -> int
-(** Requests short-circuited locally by open breakers. *)

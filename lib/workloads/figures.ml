@@ -25,8 +25,8 @@ let simulate ?prof ~seed f =
   | Some v -> v
   | None -> failwith "Figures.simulate: the simulation ended before its main process returned"
 
-let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval
-    ?sample_capacity ~mode ~drivers ~inserts_per_txn ~records_per_driver () =
+let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval ~mode ~drivers
+    ~inserts_per_txn ~records_per_driver () =
   (match (sample_interval, obs) with
   | Some _, None ->
       invalid_arg "Figures.run_cell_sampled: sample_interval requires obs"
@@ -38,10 +38,7 @@ let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval
       let ts =
         match (sample_interval, obs) with
         | Some interval, Some o ->
-            let t =
-              Timeseries.create ?capacity:sample_capacity ~sim ~metrics:(Obs.metrics o)
-                ~interval ()
-            in
+            let t = Timeseries.create ~sim ~metrics:(Obs.metrics o) ~interval () in
             Timeseries.start t;
             Some t
         | _ -> None

@@ -47,7 +47,6 @@ val run_cell_sampled :
   ?obs:Obs.t ->
   ?prof:Prof.t ->
   ?sample_interval:Time.span ->
-  ?sample_capacity:int ->
   mode:Tp.System.log_mode ->
   drivers:int ->
   inserts_per_txn:int ->

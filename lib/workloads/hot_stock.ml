@@ -70,80 +70,6 @@ let driver system params ~index ~response_stat ~committed ~on_done () =
    txn_loop ());
   on_done ()
 
-type open_result = {
-  o_arrivals : int;
-  o_committed : int;
-  o_rejected : int;  (** begins refused by admission control / breakers *)
-  o_failed : int;  (** began but did not commit *)
-  o_elapsed : Time.span;
-  o_response : Stat.summary;
-  o_goodput_tps : float;
-}
-
-(* Open-loop variant: transactions arrive on the schedule, not after the
-   previous ack — offered load is independent of service capacity, so
-   in-flight work is unbounded unless the system's admission control
-   bounds it.  Each arrival runs as its own worker over a small session
-   pool; keys are unique per arrival. *)
-let run_open ?sessions system schedule ~record_bytes ~inserts_per_txn =
-  let cfg = Tp.System.config system in
-  let sim = Tp.System.sim system in
-  let node = Tp.System.node system in
-  let workers = cfg.Tp.System.worker_cpus in
-  let n_sessions = match sessions with Some n -> max 1 n | None -> workers in
-  let pool =
-    Array.init n_sessions (fun i -> Tp.System.session system ~cpu:(i mod workers))
-  in
-  let files = cfg.Tp.System.files in
-  let rng = Rng.split (Sim.rng sim) in
-  let response_stat = Stat.create ~name:"hot-stock-open-rt" () in
-  let committed = ref 0 and rejected = ref 0 and failed = ref 0 in
-  let outstanding = ref 0 in
-  let started = Sim.now sim in
-  let worker index () =
-    let session = pool.(index mod n_sessions) in
-    let t0 = Sim.now sim in
-    (match Tp.Txclient.begin_txn session with
-    | Error e -> if Tp.Txclient.is_rejected e then incr rejected else incr failed
-    | Ok txn -> (
-        let key_base = 900_000_000 + (index * (inserts_per_txn + 1)) in
-        for i = 0 to inserts_per_txn - 1 do
-          Tp.Txclient.insert_async session txn ~file:(i mod files)
-            ~key:(key_base + i) ~len:record_bytes ()
-        done;
-        match Tp.Txclient.commit session txn with
-        | Ok () ->
-            incr committed;
-            Stat.add_span response_stat (Sim.now sim - t0)
-        | Error _ -> incr failed));
-    decr outstanding
-  in
-  let arrivals =
-    Arrival.run ~rng schedule ~f:(fun index ->
-        incr outstanding;
-        ignore
-          (Cpu.spawn
-             (Node.cpu node (index mod workers))
-             ~name:(Printf.sprintf "open%d" index)
-             (worker index)))
-  in
-  (* Drain: arrivals have all been dispatched; wait for the stragglers
-     (which under collapse can be long — that is the point). *)
-  while !outstanding > 0 do
-    Sim.sleep (Time.ms 10)
-  done;
-  {
-    o_arrivals = arrivals;
-    o_committed = !committed;
-    o_rejected = !rejected;
-    o_failed = !failed;
-    o_elapsed = Sim.now sim - started;
-    o_response = Stat.summary response_stat;
-    o_goodput_tps =
-      (let dt = Sim.now sim - started in
-       if dt = 0 then 0.0 else float_of_int !committed /. Time.to_sec dt);
-  }
-
 let run system params =
   if params.drivers < 1 then invalid_arg "Hot_stock.run: need at least one driver";
   if params.inserts_per_txn < 1 then

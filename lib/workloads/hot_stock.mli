@@ -40,35 +40,3 @@ val run : Tp.System.t -> params -> result
 
 val txn_size_label : params -> string
 (** "32k" / "64k" / "128k" as the paper labels its x-axis. *)
-
-(** {1 Open-loop variant}
-
-    {!run} is closed-loop: each driver waits for its commit before the
-    next transaction, so offered load self-limits to service capacity
-    and overload is unobservable.  {!run_open} instead dispatches
-    transactions on an {!Arrival} schedule — arrivals do not wait for
-    earlier transactions, so in-flight work is unbounded unless the
-    system's admission control bounds it. *)
-
-type open_result = {
-  o_arrivals : int;
-  o_committed : int;
-  o_rejected : int;
-      (** begins refused by admission control or client breakers —
-          back-pressure, not failures: nothing was acknowledged *)
-  o_failed : int;  (** transactions that began but did not commit *)
-  o_elapsed : Time.span;  (** first arrival to last straggler *)
-  o_response : Stat.summary;  (** per-committed-transaction latency *)
-  o_goodput_tps : float;  (** committed transactions per elapsed second *)
-}
-
-val run_open :
-  ?sessions:int ->
-  Tp.System.t ->
-  Arrival.schedule ->
-  record_bytes:int ->
-  inserts_per_txn:int ->
-  open_result
-(** Drive the schedule to completion and drain stragglers.  Each arrival
-    runs one transaction over a session pool ([sessions] defaults to one
-    per worker CPU).  Process context only. *)

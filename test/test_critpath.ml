@@ -188,7 +188,7 @@ let test_fence_refresh_retry_shares_trace () =
   let npmu_b = Pm.Npmu.create sim fabric ~name:"npmu-b" ~capacity:(1 lsl 20) in
   let dev_a = Pm.Pmm.device_of_npmu npmu_a in
   let dev_b = Pm.Pmm.device_of_npmu npmu_b in
-  Pm.Pmm.format Pm.Pmm.default_config dev_a dev_b;
+  Pm.Pmm.format dev_a dev_b;
   let pmm =
     Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Nsk.Node.cpu node 0)
       ~backup_cpu:(Nsk.Node.cpu node 1) ~primary_dev:dev_a ~mirror_dev:dev_b ()

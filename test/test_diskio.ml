@@ -63,7 +63,7 @@ let test_write_cache_absorbs () =
 
 let test_write_cache_fills_then_blocks () =
   Test_util.run_process (fun sim ->
-      let cache = { Disk.default_cache with cache_bytes = 8192; destage_bytes_per_ns = 1e-6 } in
+      let cache = { Disk.cache_bytes = 8192; destage_bytes_per_ns = 1e-6 } in
       let disk = Disk.create sim ~cache () in
       let fast1 = Disk.service disk ~kind:`Write ~block:0 ~len:4096 in
       let fast2 = Disk.service disk ~kind:`Write ~block:8 ~len:4096 in

@@ -151,7 +151,7 @@ let test_pm_ring_wraps_without_error () =
         let b = Pm.Npmu.create sim fabric ~name:"b" ~capacity:(1 lsl 20) in
         let da = Pm.Pmm.device_of_npmu a in
         let db = Pm.Pmm.device_of_npmu b in
-        Pm.Pmm.format Pm.Pmm.default_config da db;
+        Pm.Pmm.format da db;
         let pmm =
           Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Nsk.Node.cpu node 0)
             ~backup_cpu:(Nsk.Node.cpu node 1) ~primary_dev:da ~mirror_dev:db ()

@@ -1,5 +1,5 @@
 (* Second corner-case sweep: protocol edges of TMF/Dtx, message-system
-   link latency, client counters, entity/queue small cases. *)
+   link latency, client counters, small cases. *)
 
 open Simkit
 open Nsk
@@ -123,7 +123,7 @@ let test_pm_client_write_latency_stat () =
         let b = Pm.Npmu.create sim fabric ~name:"b" ~capacity:(1 lsl 20) in
         let da = Pm.Pmm.device_of_npmu a in
         let db = Pm.Pmm.device_of_npmu b in
-        Pm.Pmm.format Pm.Pmm.default_config da db;
+        Pm.Pmm.format da db;
         let pmm =
           Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0)
             ~backup_cpu:(Node.cpu node 1) ~primary_dev:da ~mirror_dev:db ()
@@ -186,30 +186,7 @@ let suite =
       [ Alcotest.test_case "archiver bounds the replayable trail" `Quick test_trail_archiver_bounds_replay ] );
   ]
 
-(* --- Entity + queue extras --- *)
-
-let test_entity_two_schemas_coexist () =
-  let cfg =
-    { System.default_config with System.dp2 = { Dp2.default_config with Dp2.store_payloads = true } }
-  in
-  in_system ~cfg ~seed:0x4AL (fun system ->
-      let c = Entity.create (System.session system ~cpu:2) in
-      let users = Entity.schema ~name:"user" ~file:0 ~fields:[ ("name", Entity.F_string) ] in
-      let carts = Entity.schema ~name:"cart" ~file:1 ~fields:[ ("items", Entity.F_int) ] in
-      (match Entity.with_txn c (fun txn -> Entity.persist c txn users ~id:1 [ ("name", Entity.V_string "ada") ]) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Entity.error_to_string e));
-      (match Entity.with_txn c (fun txn -> Entity.persist c txn carts ~id:1 [ ("items", Entity.V_int 3) ]) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Entity.error_to_string e));
-      (* Same id, different schemas/files: both live, and a schema cannot
-         decode the other's row. *)
-      (match Entity.find c users ~id:1 with
-      | Ok (Some [ ("name", Entity.V_string "ada") ]) -> ()
-      | _ -> Alcotest.fail "user lost");
-      match Entity.find c carts ~id:1 with
-      | Ok (Some [ ("items", Entity.V_int 3) ]) -> ()
-      | _ -> Alcotest.fail "cart lost")
+(* --- Extras --- *)
 
 let test_time_roundtrips () =
   check_int "ms of us" (Time.ms 3) (Time.us 3000);
@@ -218,35 +195,7 @@ let test_time_roundtrips () =
 
 let extra2_cases =
   [
-    Alcotest.test_case "two entity schemas coexist" `Quick test_entity_two_schemas_coexist;
     Alcotest.test_case "time conversions" `Quick test_time_roundtrips;
   ]
 
 let suite = suite @ [ ("edges.more", extra2_cases) ]
-
-(* --- Entity persistence across a monitor takeover --- *)
-
-let test_entity_survives_tmf_takeover () =
-  let cfg =
-    { System.default_config with System.dp2 = { Dp2.default_config with Dp2.store_payloads = true } }
-  in
-  in_system ~cfg ~seed:0x5AL (fun system ->
-      let c = Entity.create (System.session system ~cpu:2) in
-      let s = Entity.schema ~name:"acct" ~file:0 ~fields:[ ("bal", Entity.F_int) ] in
-      (match Entity.with_txn c (fun txn -> Entity.persist c txn s ~id:1 [ ("bal", Entity.V_int 10) ]) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Entity.error_to_string e));
-      Tmf.kill_primary (System.tmf system);
-      Sim.sleep (Time.sec 1);
-      (* The promoted monitor serves new units of work; old data intact. *)
-      (match Entity.with_txn c (fun txn -> Entity.persist c txn s ~id:2 [ ("bal", Entity.V_int 20) ]) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Entity.error_to_string e));
-      match (Entity.find c s ~id:1, Entity.find c s ~id:2) with
-      | Ok (Some _), Ok (Some _) -> ()
-      | _ -> Alcotest.fail "entities lost across takeover")
-
-let takeover_cases =
-  [ Alcotest.test_case "entity container across TMF takeover" `Quick test_entity_survives_tmf_takeover ]
-
-let suite = suite @ [ ("edges.entity_takeover", takeover_cases) ]

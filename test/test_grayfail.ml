@@ -27,7 +27,7 @@ let make_topo ?(capacity = 1 lsl 20) () =
   let npmu_b = Npmu.create sim fabric ~name:"npmu-b" ~capacity in
   let dev_a = Pmm.device_of_npmu npmu_a in
   let dev_b = Pmm.device_of_npmu npmu_b in
-  Pmm.format Pmm.default_config dev_a dev_b;
+  Pmm.format dev_a dev_b;
   let pmm =
     Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0) ~backup_cpu:(Node.cpu node 1)
       ~primary_dev:dev_a ~mirror_dev:dev_b ()

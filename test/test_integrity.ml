@@ -98,7 +98,7 @@ let make_topo ?(capacity = 1 lsl 20) () =
   let npmu_b = Npmu.create sim fabric ~name:"npmu-b" ~capacity in
   let dev_a = Pmm.device_of_npmu npmu_a in
   let dev_b = Pmm.device_of_npmu npmu_b in
-  Pmm.format Pmm.default_config dev_a dev_b;
+  Pmm.format dev_a dev_b;
   let pmm =
     Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0)
       ~backup_cpu:(Node.cpu node 1) ~primary_dev:dev_a ~mirror_dev:dev_b ()
@@ -114,8 +114,7 @@ let verified_config =
 
 (* A scrubber cadence fast enough that a few simulated milliseconds
    cover many passes over the small test regions. *)
-let fast_scrub =
-  { Pmm.default_scrub_config with Pmm.scrub_interval = Time.us 10 }
+let fast_scrub = Time.us 10
 
 (* --- Npmu decay and torn stores --- *)
 
@@ -251,7 +250,7 @@ let test_scrubber_repairs_decayed_mirror () =
       let info = Pm_client.info h in
       Test_util.check_result_ok "write"
         (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 'd'));
-      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~config:fast_scrub ();
+      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ();
       (* Let a clean pass record the chunk in the checksum table. *)
       Sim.sleep (Time.ms 5);
       check_bool "table populated" true (Pmm.scrub_table_entries topo.pmm >= 1);
@@ -274,7 +273,7 @@ let test_scrubber_quarantines_double_corruption () =
       let info = Pm_client.info h in
       Test_util.check_result_ok "write"
         (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 'q'));
-      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~config:fast_scrub ();
+      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ();
       Sim.sleep (Time.ms 5);
       (* Both copies rot differently: no copy matches the table, so the
          scrubber cannot arbitrate and must quarantine after repeated
@@ -294,10 +293,10 @@ let test_scrubber_quarantines_double_corruption () =
 let test_scrubber_restart_rejected () =
   let topo = make_topo () in
   Test_util.run_in topo.sim (fun () ->
-      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~config:fast_scrub ();
+      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ();
       Alcotest.check_raises "double start"
         (Invalid_argument "Pmm.start_scrubber: already running") (fun () ->
-          Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~config:fast_scrub ());
+          Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ());
       Pmm.stop_scrubber topo.pmm;
       Pmm.stop_scrubber topo.pmm (* idempotent *))
 
@@ -315,7 +314,7 @@ let test_verified_read_repairs_decayed_primary () =
         (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 'v'));
       (* One scrub pass builds the trusted checksum table, then the
          scrubber stops — read repair must work on its own. *)
-      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~config:fast_scrub ();
+      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ();
       Sim.sleep (Time.ms 5);
       Pmm.stop_scrubber topo.pmm;
       Sim.sleep (Time.ms 2);

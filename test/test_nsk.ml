@@ -330,53 +330,3 @@ let suite =
           test_procpair_checkpoint_degrades_without_backup;
       ] );
   ]
-
-(* --- Duplicate and compare (paper section 1.3) --- *)
-
-let test_dandc_agreement () =
-  let sim, node = make_node () in
-  let outcome = ref None in
-  let t0 = ref Time.zero in
-  let elapsed = ref Time.zero in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"main" (fun () ->
-        t0 := Sim.now sim;
-        outcome :=
-          Some
-            (Dandc.run ~fabric:(Node.fabric node) ~primary:(Node.cpu node 0)
-               ~shadow:(Node.cpu node 1) ~work:(Time.ms 2)
-               ~compute:(fun ~replica -> ignore replica; 40 + 2)
-               ~checksum:(fun v -> v * 31));
-        elapsed := Sim.now sim - !t0)
-  in
-  Sim.run sim;
-  (match !outcome with
-  | Some (Dandc.Agreed 42) -> ()
-  | _ -> Alcotest.fail "expected agreement on 42");
-  (* Replicas run in parallel: total is ~one work quantum, not two. *)
-  check_bool "parallel execution" true (!elapsed < Time.ms 4)
-
-let test_dandc_detects_corruption () =
-  let sim, node = make_node () in
-  let outcome = ref None in
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"main" (fun () ->
-        outcome :=
-          Some
-            (Dandc.run ~fabric:(Node.fabric node) ~primary:(Node.cpu node 0)
-               ~shadow:(Node.cpu node 1) ~work:(Time.us 100)
-               ~compute:(fun ~replica -> if replica = 1 then 99 (* SDC *) else 42)
-               ~checksum:(fun v -> v * 31)))
-  in
-  Sim.run sim;
-  match !outcome with
-  | Some (Dandc.Mismatch _) -> ()
-  | _ -> Alcotest.fail "silent corruption not detected"
-
-let dandc_cases =
-  [
-    Alcotest.test_case "replicas agree in parallel" `Quick test_dandc_agreement;
-    Alcotest.test_case "detects silent corruption" `Quick test_dandc_detects_corruption;
-  ]
-
-let suite = suite @ [ ("nsk.dandc", dandc_cases) ]

@@ -72,7 +72,7 @@ let make_topo ?(capacity = 1 lsl 20) () =
   let npmu_b = Npmu.create sim fabric ~name:"npmu-b" ~capacity in
   let dev_a = Pmm.device_of_npmu npmu_a in
   let dev_b = Pmm.device_of_npmu npmu_b in
-  Pmm.format Pmm.default_config dev_a dev_b;
+  Pmm.format dev_a dev_b;
   let pmm =
     Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0) ~backup_cpu:(Node.cpu node 1)
       ~primary_dev:dev_a ~mirror_dev:dev_b ()
@@ -138,7 +138,7 @@ let test_create_write_read () =
       let info = Pm_client.info h in
       check_int "size" 65536 info.Pm_types.length;
       check_bool "data area starts past metadata" true
-        (info.Pm_types.net_base >= Pmm.default_config.Pmm.meta_reserve);
+        (info.Pm_types.net_base >= Pmm.meta_reserve);
       let data = Bytes.of_string "transaction-audit-record" in
       Test_util.check_result_ok "write" (Pm_client.write c h ~off:128 ~data);
       (match Pm_client.read c h ~off:128 ~len:(Bytes.length data) with
@@ -347,7 +347,7 @@ let test_torn_metadata_slot_recovers_older () =
       Sim.sleep (Time.ms 1);
       (* Generation counter: format wrote gen 1 in both slots; creates made
          gens 2 ("a") and 3 ("a","b").  Tear gen 3 (slot 1). *)
-      let meta_half = Pmm.default_config.Pmm.meta_reserve / 2 in
+      let meta_half = Pmm.meta_reserve / 2 in
       let garbage = Bytes.make 64 '\xFF' in
       Npmu.poke topo.npmu_a ~off:meta_half ~data:garbage;
       Npmu.poke topo.npmu_b ~off:meta_half ~data:garbage;

@@ -1,5 +1,5 @@
-(* Tests for the persistent-memory extensions: mmap-style access,
-   pointer-rich structure storage, and mirror resync. *)
+(* Tests for the persistent-memory extensions: mirror resync, epoch
+   fencing and the durable queue. *)
 
 open Simkit
 open Nsk
@@ -25,7 +25,7 @@ let make_topo ?(capacity = 1 lsl 20) () =
   let npmu_b = Npmu.create sim fabric ~name:"npmu-b" ~capacity in
   let dev_a = Pmm.device_of_npmu npmu_a in
   let dev_b = Pmm.device_of_npmu npmu_b in
-  Pmm.format Pmm.default_config dev_a dev_b;
+  Pmm.format dev_a dev_b;
   let pmm =
     Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0) ~backup_cpu:(Node.cpu node 1)
       ~primary_dev:dev_a ~mirror_dev:dev_b ()
@@ -41,195 +41,6 @@ let with_region topo ~size f =
       let c = client topo 2 in
       let h = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"r" ~size) in
       f c h)
-
-(* --- Pm_mmap --- *)
-
-let test_mmap_store_load () =
-  let topo = make_topo () in
-  with_region topo ~size:65536 (fun c h ->
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c h ()) in
-      check_int "length" 65536 (Pm_mmap.length m);
-      Test_util.check_result_ok "store" (Pm_mmap.store m ~off:1000 ~data:(Bytes.of_string "cached"));
-      match Pm_mmap.load m ~off:1000 ~len:6 with
-      | Ok d -> check_str "read back through cache" "cached" (Bytes.to_string d)
-      | Error _ -> Alcotest.fail "load failed")
-
-let test_mmap_not_durable_until_msync () =
-  let topo = make_topo () in
-  with_region topo ~size:16384 (fun c h ->
-      let info = Pm_client.info h in
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c h ()) in
-      Test_util.check_result_ok "store" (Pm_mmap.store m ~off:0 ~data:(Bytes.of_string "volatile"));
-      check_int "one dirty page" 1 (Pm_mmap.dirty_pages m);
-      (* The devices must not have it yet. *)
-      let on_device = Npmu.peek topo.npmu_a ~off:info.Pm_types.net_base ~len:8 in
-      check_str "device untouched" (String.make 8 '\000') (Bytes.to_string on_device);
-      Test_util.check_result_ok "msync" (Pm_mmap.msync m);
-      check_int "clean after msync" 0 (Pm_mmap.dirty_pages m);
-      let after = Npmu.peek topo.npmu_a ~off:info.Pm_types.net_base ~len:8 in
-      check_str "durable after msync" "volatile" (Bytes.to_string after);
-      let mirror = Npmu.peek topo.npmu_b ~off:info.Pm_types.net_base ~len:8 in
-      check_str "mirror too" "volatile" (Bytes.to_string mirror))
-
-let test_mmap_msync_range () =
-  let topo = make_topo () in
-  with_region topo ~size:32768 (fun c h ->
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c h ()) in
-      Test_util.check_result_ok "store A" (Pm_mmap.store m ~off:0 ~data:(Bytes.make 16 'a'));
-      Test_util.check_result_ok "store B" (Pm_mmap.store m ~off:20000 ~data:(Bytes.make 16 'b'));
-      check_int "two dirty pages" 2 (Pm_mmap.dirty_pages m);
-      Test_util.check_result_ok "range sync" (Pm_mmap.msync_range m ~off:0 ~len:100);
-      check_int "one still dirty" 1 (Pm_mmap.dirty_pages m))
-
-let test_mmap_partial_store_merges () =
-  let topo = make_topo () in
-  with_region topo ~size:8192 (fun c h ->
-      (* Write a base image directly, then patch 3 bytes via the map. *)
-      Test_util.check_result_ok "base" (Pm_client.write c h ~off:0 ~data:(Bytes.of_string "0123456789"));
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c h ()) in
-      Test_util.check_result_ok "patch" (Pm_mmap.store m ~off:3 ~data:(Bytes.of_string "XYZ"));
-      Test_util.check_result_ok "msync" (Pm_mmap.msync m);
-      match Pm_client.read c h ~off:0 ~len:10 with
-      | Ok d -> check_str "merged" "012XYZ6789" (Bytes.to_string d)
-      | Error _ -> Alcotest.fail "read failed")
-
-let test_mmap_refresh_sees_other_writer () =
-  let topo = make_topo () in
-  Test_util.run_in topo.sim (fun () ->
-      let c1 = client topo 2 in
-      let c2 = client topo 3 in
-      let h1 = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c1 ~name:"shared" ~size:8192) in
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c1 h1 ()) in
-      (* Fault the page in with the old contents. *)
-      (match Pm_mmap.load m ~off:0 ~len:4 with Ok _ -> () | Error _ -> Alcotest.fail "load");
-      let h2 = Test_util.ok_or_fail ~msg:"open" (Pm_client.open_region c2 ~name:"shared") in
-      Test_util.check_result_ok "other writer" (Pm_client.write c2 h2 ~off:0 ~data:(Bytes.of_string "new!"));
-      (* Stale until refresh. *)
-      (match Pm_mmap.load m ~off:0 ~len:4 with
-      | Ok d -> check_str "stale cache" (String.make 4 '\000') (Bytes.to_string d)
-      | Error _ -> Alcotest.fail "load");
-      Pm_mmap.refresh m;
-      match Pm_mmap.load m ~off:0 ~len:4 with
-      | Ok d -> check_str "fresh after refresh" "new!" (Bytes.to_string d)
-      | Error _ -> Alcotest.fail "load after refresh")
-
-let test_mmap_bounds () =
-  let topo = make_topo () in
-  with_region topo ~size:4096 (fun c h ->
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c h ()) in
-      (match Pm_mmap.store m ~off:4090 ~data:(Bytes.create 16) with
-      | Error (Pm_types.Bad_request _) -> ()
-      | _ -> Alcotest.fail "oob store accepted");
-      match Pm_mmap.load m ~off:(-1) ~len:4 with
-      | Error (Pm_types.Bad_request _) -> ()
-      | _ -> Alcotest.fail "oob load accepted")
-
-let test_mmap_survives_power_cycle () =
-  let topo = make_topo () in
-  with_region topo ~size:8192 (fun c h ->
-      let m = Test_util.ok_or_fail ~msg:"map" (Pm_mmap.map c h ()) in
-      Test_util.check_result_ok "synced" (Pm_mmap.store m ~off:0 ~data:(Bytes.of_string "durable!"));
-      Test_util.check_result_ok "msync" (Pm_mmap.msync m);
-      Test_util.check_result_ok "unsynced" (Pm_mmap.store m ~off:4096 ~data:(Bytes.of_string "doomed"));
-      Npmu.power_loss topo.npmu_a;
-      Npmu.power_loss topo.npmu_b;
-      Npmu.power_restore topo.npmu_a;
-      Npmu.power_restore topo.npmu_b;
-      let m2 = Test_util.ok_or_fail ~msg:"remap" (Pm_mmap.map c h ()) in
-      (match Pm_mmap.load m2 ~off:0 ~len:8 with
-      | Ok d -> check_str "synced page survived" "durable!" (Bytes.to_string d)
-      | Error _ -> Alcotest.fail "load");
-      match Pm_mmap.load m2 ~off:4096 ~len:6 with
-      | Ok d -> check_str "unsynced page lost" (String.make 6 '\000') (Bytes.to_string d)
-      | Error _ -> Alcotest.fail "load 2")
-
-(* --- Pm_struct --- *)
-
-let sample_tree =
-  Pm_struct.branch "root"
-    [
-      Pm_struct.branch "left"
-        [ Pm_struct.leaf ~payload:(Bytes.of_string "L0") "l0"; Pm_struct.leaf "l1" ];
-      Pm_struct.leaf ~payload:(Bytes.of_string "R") "right";
-    ]
-
-let rec tree_equal a b =
-  String.equal a.Pm_struct.label b.Pm_struct.label
-  && Bytes.equal a.Pm_struct.payload b.Pm_struct.payload
-  && List.length a.Pm_struct.children = List.length b.Pm_struct.children
-  && List.for_all2 tree_equal a.Pm_struct.children b.Pm_struct.children
-
-let test_struct_roundtrip_cross_client () =
-  let topo = make_topo () in
-  Test_util.run_in topo.sim (fun () ->
-      let writer = client topo 2 in
-      let h = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region writer ~name:"tree" ~size:65536) in
-      let stored = Test_util.ok_or_fail ~msg:"store" (Pm_struct.store writer h sample_tree) in
-      check_int "node count" 5 stored.Pm_struct.nodes;
-      (* A different client (different CPU = different address space)
-         follows the offsets without any pointer fixup. *)
-      let reader = client topo 3 in
-      let h2 = Test_util.ok_or_fail ~msg:"open" (Pm_client.open_region reader ~name:"tree") in
-      let back =
-        Test_util.ok_or_fail ~msg:"load" (Pm_struct.load reader h2 ~root:stored.Pm_struct.root_off)
-      in
-      check_bool "structure identical" true (tree_equal sample_tree back))
-
-let test_struct_selective_read () =
-  let topo = make_topo () in
-  with_region topo ~size:65536 (fun c h ->
-      let stored = Test_util.ok_or_fail ~msg:"store" (Pm_struct.store c h sample_tree) in
-      match Pm_struct.load_path c h ~root:stored.Pm_struct.root_off ~path:[ 0; 1 ] with
-      | Ok (Some n, reads) ->
-          check_str "reached l1" "l1" n.Pm_struct.label;
-          check_bool "read fewer than all nodes" true (reads < stored.Pm_struct.nodes);
-          check_int "exactly path length + 1" 3 reads
-      | Ok (None, _) -> Alcotest.fail "path not found"
-      | Error _ -> Alcotest.fail "load_path failed")
-
-let test_struct_bad_path () =
-  let topo = make_topo () in
-  with_region topo ~size:65536 (fun c h ->
-      let stored = Test_util.ok_or_fail ~msg:"store" (Pm_struct.store c h sample_tree) in
-      match Pm_struct.load_path c h ~root:stored.Pm_struct.root_off ~path:[ 7 ] with
-      | Ok (None, _) -> ()
-      | _ -> Alcotest.fail "expected None for missing child")
-
-let test_struct_out_of_space () =
-  let topo = make_topo () in
-  with_region topo ~size:8192 (fun c h ->
-      let big = Pm_struct.leaf ~payload:(Bytes.create 100000) "big" in
-      match Pm_struct.store c h big with
-      | Error Pm_types.Out_of_space -> ()
-      | _ -> Alcotest.fail "expected Out_of_space")
-
-let prop_struct_roundtrip =
-  let gen_tree =
-    QCheck.Gen.(
-      sized @@ fix (fun self n ->
-          let label = map (Printf.sprintf "n%d") (int_bound 1000) in
-          if n <= 0 then map (fun l -> Pm_struct.leaf l) label
-          else
-            map2
-              (fun l cs -> Pm_struct.branch l cs)
-              label
-              (list_size (int_bound 3) (self (n / 2)))))
-  in
-  let arb = QCheck.make ~print:(fun n -> n.Pm_struct.label) gen_tree in
-  QCheck.Test.make ~name:"pm_struct roundtrips random trees" ~count:25 arb (fun tree ->
-      QCheck.assume (Pm_struct.count_nodes tree <= 80);
-      let topo = make_topo () in
-      Test_util.run_in topo.sim (fun () ->
-          let c = client topo 2 in
-          match Pm_client.create_region c ~name:"t" ~size:(1 lsl 19) with
-          | Error _ -> false
-          | Ok h -> (
-              match Pm_struct.store c h tree with
-              | Error _ -> false
-              | Ok stored -> (
-                  match Pm_struct.load c h ~root:stored.Pm_struct.root_off with
-                  | Ok back -> tree_equal tree back
-                  | Error _ -> false))))
 
 (* --- Pmm resync --- *)
 
@@ -393,24 +204,6 @@ let test_resync_fails_if_device_cycles_mid_copy () =
 
 let suite =
   [
-    ( "pm.mmap",
-      [
-        Alcotest.test_case "store/load through cache" `Quick test_mmap_store_load;
-        Alcotest.test_case "durable only after msync" `Quick test_mmap_not_durable_until_msync;
-        Alcotest.test_case "msync_range is selective" `Quick test_mmap_msync_range;
-        Alcotest.test_case "partial store merges page" `Quick test_mmap_partial_store_merges;
-        Alcotest.test_case "refresh sees other writers" `Quick test_mmap_refresh_sees_other_writer;
-        Alcotest.test_case "bounds checked" `Quick test_mmap_bounds;
-        Alcotest.test_case "synced pages survive power cycle" `Quick test_mmap_survives_power_cycle;
-      ] );
-    ( "pm.struct",
-      [
-        Alcotest.test_case "cross-client roundtrip, no fixup" `Quick test_struct_roundtrip_cross_client;
-        Alcotest.test_case "selective path read" `Quick test_struct_selective_read;
-        Alcotest.test_case "missing child path" `Quick test_struct_bad_path;
-        Alcotest.test_case "out of space" `Quick test_struct_out_of_space;
-        QCheck_alcotest.to_alcotest prop_struct_roundtrip;
-      ] );
     ( "pm.resync",
       [
         Alcotest.test_case "rebuilds a stale mirror" `Quick test_resync_rebuilds_stale_mirror;

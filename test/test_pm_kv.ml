@@ -18,7 +18,7 @@ let make_rig () =
   let npmu_b = Npmu.create sim fabric ~name:"kv-b" ~capacity:(8 * 1024 * 1024) in
   let da = Pmm.device_of_npmu npmu_a in
   let db = Pmm.device_of_npmu npmu_b in
-  Pmm.format Pmm.default_config da db;
+  Pmm.format da db;
   let pmm =
     Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0) ~backup_cpu:(Node.cpu node 1)
       ~primary_dev:da ~mirror_dev:db ()

@@ -120,7 +120,7 @@ let test_pm_adp_append_is_durable () =
         let npmu_b = Pm.Npmu.create sim fabric ~name:"b" ~capacity:(1 lsl 20) in
         let dev_a = Pm.Pmm.device_of_npmu npmu_a in
         let dev_b = Pm.Pmm.device_of_npmu npmu_b in
-        Pm.Pmm.format Pm.Pmm.default_config dev_a dev_b;
+        Pm.Pmm.format dev_a dev_b;
         let pmm =
           Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0)
             ~backup_cpu:(Node.cpu node 1) ~primary_dev:dev_a ~mirror_dev:dev_b ()
@@ -294,13 +294,24 @@ let test_tmf_takeover_between_txns () =
         let system = System.build sim System.default_config in
         let session = System.session system ~cpu:2 in
         let t1 = Test_util.ok_or_fail ~msg:"b1" (Txclient.begin_txn session) in
+        Test_util.check_result_ok "i1" (Txclient.insert session t1 ~file:0 ~key:1 ~len:100 ());
         Test_util.check_result_ok "c1" (Txclient.commit session t1);
         Tmf.kill_primary (System.tmf system);
         Sim.sleep (Time.sec 1);
         (* The promoted backup knows the txn counter from checkpoints. *)
         let t2 = Test_util.ok_or_fail ~msg:"b2 after takeover" (Txclient.begin_txn session) in
         check_bool "txn ids keep increasing" true (Txclient.txn_id t2 > Txclient.txn_id t1);
+        Test_util.check_result_ok "i2" (Txclient.insert session t2 ~file:0 ~key:2 ~len:200 ());
         Test_util.check_result_ok "c2" (Txclient.commit session t2);
+        (* Rows committed on either side of the takeover are both found. *)
+        let row key =
+          match Txclient.lookup session ~file:0 ~key with
+          | Ok (Some (len, _)) -> len
+          | Ok None -> Alcotest.failf "row %d lost across the takeover" key
+          | Error e -> Alcotest.fail (Txclient.error_to_string e)
+        in
+        check_int "row from before the takeover" 100 (row 1);
+        check_int "row from after the takeover" 200 (row 2);
         ok := true)
   in
   Sim.run sim;
