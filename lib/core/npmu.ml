@@ -2,7 +2,6 @@ module Pages = Servernet.Fabric.Pages
 
 type t = {
   npmu_name : string;
-  npmu_sim : Simkit.Sim.t;
   capacity : int;
   mem : Pages.t;
   ep : Servernet.Fabric.endpoint;
@@ -18,7 +17,7 @@ type t = {
   mutable st_degrade_events : int;
 }
 
-let create sim fabric ~name ~capacity =
+let create (_ : Simkit.Sim.t) fabric ~name ~capacity =
   if capacity <= 0 then invalid_arg "Npmu.create: capacity must be positive";
   let mem = Pages.create capacity in
   let st_writes = ref 0 and st_reads = ref 0 and st_bytes_written = ref 0 in
@@ -40,30 +39,24 @@ let create sim fabric ~name ~capacity =
     }
   in
   let ep = Servernet.Fabric.attach fabric ~name ~store in
-  { npmu_name = name; npmu_sim = sim; capacity; mem; ep; powered = true;
+  { npmu_name = name; capacity; mem; ep; powered = true;
     st_power_cycles = 0; st_writes; st_reads; st_bytes_written; last_write;
     st_decay_events = 0; st_bits_flipped = 0; st_torn_writes = 0;
     st_degrade_events = 0 }
 
-let instrument t metrics =
+let instrument ?obs t =
   let prefix = "npmu." ^ t.npmu_name in
-  Simkit.Metrics.register_gauge metrics (prefix ^ ".writes") (fun () ->
-      float_of_int !(t.st_writes));
-  Simkit.Metrics.register_gauge metrics (prefix ^ ".reads") (fun () ->
-      float_of_int !(t.st_reads));
-  Simkit.Metrics.register_gauge metrics (prefix ^ ".bytes_written") (fun () ->
-      float_of_int !(t.st_bytes_written));
-  Simkit.Metrics.register_gauge metrics (prefix ^ ".fenced_writes") (fun () ->
+  let gauge suffix fn = Simkit.Obs.gauge obs (prefix ^ suffix) fn in
+  gauge ".writes" (fun () -> float_of_int !(t.st_writes));
+  gauge ".reads" (fun () -> float_of_int !(t.st_reads));
+  gauge ".bytes_written" (fun () -> float_of_int !(t.st_bytes_written));
+  gauge ".fenced_writes" (fun () ->
       float_of_int (Servernet.Avt.fenced (Servernet.Fabric.avt t.ep)));
-  Simkit.Metrics.register_gauge metrics (prefix ^ ".decay_events") (fun () ->
-      float_of_int t.st_decay_events);
-  Simkit.Metrics.register_gauge metrics (prefix ^ ".torn_writes") (fun () ->
-      float_of_int t.st_torn_writes);
+  gauge ".decay_events" (fun () -> float_of_int t.st_decay_events);
+  gauge ".torn_writes" (fun () -> float_of_int t.st_torn_writes);
   (* Outstanding RDMA operations targeting this NPMU, accounted by the
      fabric at the target side. *)
-  let p = Simkit.Metrics.probe metrics ("npmu." ^ t.npmu_name) in
-  Simkit.Probe.set_clock p (fun () -> Simkit.Sim.now t.npmu_sim);
-  Servernet.Fabric.set_endpoint_probe t.ep p
+  Servernet.Fabric.set_endpoint_probe t.ep (Simkit.Obs.probe obs prefix)
 
 let writes t = !(t.st_writes)
 

@@ -14,9 +14,11 @@ type t
 
 val create : Sim.t -> Servernet.Fabric.t -> name:string -> capacity:int -> t
 
-val instrument : t -> Metrics.t -> unit
+val instrument : ?obs:Obs.t -> t -> unit
 (** Export the device's cumulative store traffic as gauges under
-    [npmu.<name>.*] ([writes], [reads], [bytes_written]). *)
+    [npmu.<name>.*] ([writes], [reads], [bytes_written], ...), and the
+    RDMA operations targeting it as an [npmu.<name>] probe.  Does
+    nothing without [obs]. *)
 
 val writes : t -> int
 (** Stores performed through the NIC (RDMA-delivered writes). *)

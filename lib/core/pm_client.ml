@@ -148,24 +148,11 @@ let attach ~cpu ~fabric ~pmm ?(config = default_config) ?obs () =
     latency =
       (* With an observability context every client aggregates into the
          one registry-owned stat; otherwise each keeps a private one. *)
-      (match obs with
-      | Some o -> Metrics.stat (Obs.metrics o) "pm.write_ns"
-      | None -> Stat.create ~name:"pm_write" ());
+      Obs.stat_or_private obs "pm.write_ns";
     obs;
-    write_probe =
-      (match obs with
-      | Some o ->
-          (* Aggregate across clients: depth = mirrored writes in flight. *)
-          let p = Metrics.probe (Obs.metrics o) "pm.client_writes" in
-          Probe.set_clock p (fun () -> Sim.now (Cpu.sim cpu));
-          Some p
-      | None -> None);
+    (* Aggregate across clients: depth = mirrored writes in flight. *)
+    write_probe = Obs.probe obs "pm.client_writes";
   }
-
-let bump_counter t name =
-  match t.obs with
-  | Some o -> Stat.Counter.incr (Metrics.counter (Obs.metrics o) name)
-  | None -> ()
 
 (* Record one data-path op's latency against a device's health and flag
    the healthy->suspect edge.  The suspect state clears itself once the
@@ -184,7 +171,7 @@ let health_note t hs dt =
     if breach && not hs.suspect then begin
       hs.suspect <- true;
       t.slow_suspects <- t.slow_suspects + 1;
-      bump_counter t "pm.slow_suspect"
+      Obs.bump t.obs "pm.slow_suspect"
     end
     else if (not breach) && hs.suspect then hs.suspect <- false
   end
@@ -237,7 +224,7 @@ let mgmt_call t req =
     | Error (Msgsys.Server_down | Msgsys.Timed_out) ->
         if attempt >= t.cfg.mgmt_retries then begin
           t.mgmt_exhausted <- t.mgmt_exhausted + 1;
-          bump_counter t "pm.mgmt_retry_exhausted";
+          Obs.bump t.obs "pm.mgmt_retry_exhausted";
           Error Pm_types.Manager_down
         end
         else if
@@ -247,12 +234,12 @@ let mgmt_call t req =
         then begin
           (* Out of tokens: the client tier as a whole is failing faster
              than it succeeds — stop amplifying and surface the error. *)
-          bump_counter t "pm.retry_budget_denied";
+          Obs.bump t.obs "pm.retry_budget_denied";
           Error Pm_types.Manager_down
         end
         else begin
           t.mgmt_retried <- t.mgmt_retried + 1;
-          bump_counter t "pm.mgmt_retries";
+          Obs.bump t.obs "pm.mgmt_retries";
           backoff_sleep t ~base:t.cfg.mgmt_backoff ~attempt;
           go (attempt + 1)
         end
@@ -308,22 +295,16 @@ let write ?span ?(pad = 0) t h ~off ~data =
     else begin
       let sect = Prof.section_begin () in
       let started = Sim.now (Cpu.sim t.client_cpu) in
-      let sp =
-        match t.obs with
-        | None -> Span.null
-        | Some o ->
-            let sp = Span.start (Obs.spans o) ~track:"pm" ?parent:span "pm.write" in
-            if not (Span.is_null sp) then begin
-              Span.annotate sp ~key:"region" region.Pm_types.region_name;
-              Span.annotate sp ~key:"len" (string_of_int len)
-            end;
-            sp
-      in
+      let sp = Obs.start t.obs ~track:"pm" ?parent:span "pm.write" in
+      if not (Span.is_null sp) then begin
+        Span.annotate sp ~key:"region" region.Pm_types.region_name;
+        Span.annotate sp ~key:"len" (string_of_int len)
+      end;
       let addr = region.Pm_types.net_base + off in
       let epoch = region.Pm_types.epoch in
       let src = Cpu.endpoint t.client_cpu in
       Prof.bump_pm_write ();
-      (match t.write_probe with Some p -> Probe.enqueue p | None -> ());
+      Obs.enqueue t.write_probe;
       (* End before the penalty sleep and the RDMA calls — both suspend. *)
       Prof.section_end sect "pm";
       if t.cfg.write_penalty > 0 then Sim.sleep t.cfg.write_penalty;
@@ -347,7 +328,7 @@ let write ?span ?(pad = 0) t h ~off ~data =
                   | Servernet.Fabric.Crc_failure)
             when attempt < data_retries && strikes < fail_fast_after ->
               t.retried_writes <- t.retried_writes + 1;
-              bump_counter t "pm.write_retries";
+              Obs.bump t.obs "pm.write_retries";
               backoff_sleep t ~base:(data_backoff_base t) ~attempt;
               go (attempt + 1)
           | Error e ->
@@ -372,7 +353,7 @@ let write ?span ?(pad = 0) t h ~off ~data =
              contract and is counted as such, not as a failure. *)
           if t.cfg.mirrored_writes && not region.Pm_types.mirror_active then begin
             t.single_copy <- t.single_copy + 1;
-            bump_counter t "pm.single_copy_writes"
+            Obs.bump t.obs "pm.single_copy_writes"
           end;
           primary_result
         end
@@ -391,7 +372,7 @@ let write ?span ?(pad = 0) t h ~off ~data =
           | Ok (), Ok () -> Ok ()
           | Ok (), Error _ | Error _, Ok () ->
               t.degraded <- t.degraded + 1;
-              bump_counter t "pm.degraded_writes";
+              Obs.bump t.obs "pm.degraded_writes";
               Ok ()
           | Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied), _
           | _, Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied) ->
@@ -401,16 +382,12 @@ let write ?span ?(pad = 0) t h ~off ~data =
       (match outcome with
       | Ok () -> Stat.add_span t.latency (Sim.now (Cpu.sim t.client_cpu) - started)
       | Error _ -> ());
-      (match t.write_probe with
-      | Some p ->
-          Probe.busy_span p (Sim.now (Cpu.sim t.client_cpu) - started);
-          Probe.dequeue p
-      | None -> ());
-      (match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ());
+      Obs.served t.write_probe (Sim.now (Cpu.sim t.client_cpu) - started);
+      Obs.finish t.obs sp;
       match outcome with
       | Error Pm_types.Fenced ->
           t.fenced <- t.fenced + 1;
-          bump_counter t "pm.fenced_writes";
+          Obs.bump t.obs "pm.fenced_writes";
           if refreshes <= 0 then Error Pm_types.Fenced
           else begin
             match open_region t ~name:region.Pm_types.region_name with
@@ -448,7 +425,7 @@ let timed_read t region ~mirror ~addr ~len ~buf ~pos =
    the caller has moved on, and must not land in the caller's memory. *)
 let hedged_fetch ?(span = Span.null) t region ~addr ~len ~buf ~pos =
   let sim = Cpu.sim t.client_cpu in
-  let mb = Mailbox.create ~name:"pm-hedge" () in
+  let mb = Mailbox.create () in
   let fetch ~mirror () =
     let own = Bytes.create len in
     Mailbox.send mb
@@ -468,12 +445,12 @@ let hedged_fetch ?(span = Span.null) t region ~addr ~len ~buf ~pos =
           if mirror then
             if hedged then begin
               t.hedge_won <- t.hedge_won + 1;
-              bump_counter t "pm.hedge_wins";
+              Obs.bump t.obs "pm.hedge_wins";
               Span.annotate span ~key:"hedge_won" "1"
             end
             else begin
               t.read_failovers <- t.read_failovers + 1;
-              bump_counter t "pm.read_failovers";
+              Obs.bump t.obs "pm.read_failovers";
               Span.annotate span ~key:"failover" "1"
             end;
           won data
@@ -491,7 +468,7 @@ let hedged_fetch ?(span = Span.null) t region ~addr ~len ~buf ~pos =
       collect ~hedged:false ~outstanding:1
   | None ->
       t.hedged <- t.hedged + 1;
-      bump_counter t "pm.hedged_reads";
+      Obs.bump t.obs "pm.hedged_reads";
       Span.annotate span ~key:"hedged" "1";
       ignore (Sim.spawn sim ~name:"pm-read-hedge" (fetch ~mirror:true));
       collect ~hedged:true ~outstanding:2
@@ -526,7 +503,7 @@ let read_plain ?(span = Span.null) t h ~off ~len ~buf ~pos =
               match timed_read t region ~mirror:true ~addr ~len ~buf ~pos with
               | Ok () ->
                   t.read_failovers <- t.read_failovers + 1;
-                  bump_counter t "pm.read_failovers";
+                  Obs.bump t.obs "pm.read_failovers";
                   Span.annotate span ~key:"failover" "1";
                   Ok ()
               | Error (Servernet.Fabric.Avt_error Servernet.Avt.Access_denied) ->
@@ -574,10 +551,10 @@ let verify_repair_range t h ~addr ~len =
     with
     | Ok () ->
         t.read_repaired <- t.read_repaired + 1;
-        bump_counter t "pm.read_repairs"
+        Obs.bump t.obs "pm.read_repairs"
     | Error _ ->
         t.verify_unrepaired <- t.verify_unrepaired + 1;
-        bump_counter t "pm.verify_unrepaired"
+        Obs.bump t.obs "pm.verify_unrepaired"
   in
   let rec sweep pos =
     if pos < addr + len then
@@ -598,11 +575,11 @@ let verify_repair_range t h ~addr ~len =
                        repair ~dst:region.Pm_types.primary_npmu ~chunk_off ~data:m
                      else begin
                        t.verify_unrepaired <- t.verify_unrepaired + 1;
-                       bump_counter t "pm.verify_unrepaired"
+                       Obs.bump t.obs "pm.verify_unrepaired"
                      end
                  | None ->
                      t.verify_unrepaired <- t.verify_unrepaired + 1;
-                     bump_counter t "pm.verify_unrepaired")
+                     Obs.bump t.obs "pm.verify_unrepaired")
              | _ -> ());
           sweep (chunk_off + chunk_len)
       | Ok _ | Error _ ->
@@ -610,7 +587,7 @@ let verify_repair_range t h ~addr ~len =
              the range fell off the region map); the plain read below
              still serves data, just unverified. *)
           t.verify_unrepaired <- t.verify_unrepaired + 1;
-          bump_counter t "pm.verify_unrepaired"
+          Obs.bump t.obs "pm.verify_unrepaired"
   in
   sweep addr
 
@@ -637,7 +614,7 @@ let read_verified_sp span t h ~off ~len ~buf ~pos =
     | Ok (), Ok dm when Servernet.Fabric.sub_equal buf pos dm 0 len -> Ok ()
     | Ok (), Ok _ ->
         t.verify_divergent <- t.verify_divergent + 1;
-        bump_counter t "pm.verify_divergence";
+        Obs.bump t.obs "pm.verify_divergence";
         Span.annotate span ~key:"divergent" "1";
         verify_repair_range t h ~addr ~len;
         (* Serve the post-repair contents; where repair was impossible
@@ -655,23 +632,17 @@ let read_verified_into t h ~off ~len ~buf ~pos =
 
 let read_into ?span t h ~off ~len ~buf ~pos =
   check_dst ~len ~buf ~pos;
-  let sp =
-    match t.obs with
-    | None -> Span.null
-    | Some o ->
-        let sp = Span.start (Obs.spans o) ~track:"pm" ?parent:span "pm.read" in
-        if not (Span.is_null sp) then begin
-          Span.annotate sp ~key:"region" h.region.Pm_types.region_name;
-          Span.annotate sp ~key:"len" (string_of_int len)
-        end;
-        sp
-  in
+  let sp = Obs.start t.obs ~track:"pm" ?parent:span "pm.read" in
+  if not (Span.is_null sp) then begin
+    Span.annotate sp ~key:"region" h.region.Pm_types.region_name;
+    Span.annotate sp ~key:"len" (string_of_int len)
+  end;
   let r =
     if t.cfg.verified_reads then read_verified_sp sp t h ~off ~len ~buf ~pos
     else read_plain ~span:sp t h ~off ~len ~buf ~pos
   in
   (match r with Error _ -> Span.annotate sp ~key:"error" "1" | Ok () -> ());
-  (match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ());
+  Obs.finish t.obs sp;
   r
 
 (* The allocating reads: a fresh buffer handed to the [_into] form. *)

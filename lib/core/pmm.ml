@@ -976,13 +976,9 @@ let scrub_pass t st =
               let clen = min scrub_chunk_bytes (off + len - addr) in
               if not (Hashtbl.mem st.s_quar addr) then begin
                 let started = Sim.now (Cpu.sim st.s_cpu) in
-                (match st.s_probe with Some p -> Probe.enqueue p | None -> ());
+                Obs.enqueue st.s_probe;
                 scrub_chunk t st ~addr ~len:clen;
-                (match st.s_probe with
-                | Some p ->
-                    Probe.busy_span p (Sim.now (Cpu.sim st.s_cpu) - started);
-                    Probe.dequeue p
-                | None -> ())
+                Obs.served st.s_probe (Sim.now (Cpu.sim st.s_cpu) - started)
               end;
               Sim.sleep st.s_interval;
               go (addr + clen)
@@ -993,18 +989,10 @@ let scrub_pass t st =
       st.s_passes <- st.s_passes + 1;
       ignore (persist_scrub t st)
 
-let start_scrubber t ~cpu ?(interval = Time.us 100) ?metrics () =
+let start_scrubber t ~cpu ?(interval = Time.us 100) ?obs () =
   (match t.scrub with
   | Some _ -> invalid_arg "Pmm.start_scrubber: already running"
   | None -> ());
-  let probe =
-    Option.map
-      (fun m ->
-        let p = Metrics.probe m "pmm.scrub" in
-        Probe.set_clock p (fun () -> Sim.now (Cpu.sim cpu));
-        p)
-      metrics
-  in
   let st =
     {
       s_interval = interval;
@@ -1019,20 +1007,16 @@ let start_scrubber t ~cpu ?(interval = Time.us 100) ?metrics () =
       s_chunks = 0;
       s_repairs = 0;
       s_quarantined = 0;
-      s_probe = probe;
+      s_probe = Obs.probe obs "pmm.scrub";
       s_prim_buf = Bytes.empty;
       s_mirr_buf = Bytes.empty;
     }
   in
   t.scrub <- Some st;
-  (match metrics with
-  | Some m ->
-      Metrics.register_gauge m "pmm.scrub.regions" (fun () -> float_of_int st.s_chunks);
-      Metrics.register_gauge m "pmm.scrub.repaired" (fun () -> float_of_int st.s_repairs);
-      Metrics.register_gauge m "pmm.scrub.quarantined" (fun () ->
-          float_of_int st.s_quarantined);
-      Metrics.register_gauge m "pmm.scrub.passes" (fun () -> float_of_int st.s_passes)
-  | None -> ());
+  Obs.gauge obs "pmm.scrub.regions" (fun () -> float_of_int st.s_chunks);
+  Obs.gauge obs "pmm.scrub.repaired" (fun () -> float_of_int st.s_repairs);
+  Obs.gauge obs "pmm.scrub.quarantined" (fun () -> float_of_int st.s_quarantined);
+  Obs.gauge obs "pmm.scrub.passes" (fun () -> float_of_int st.s_passes);
   ignore
     (Cpu.spawn cpu ~name:(t.pmm_name ^ "-scrubber") (fun () ->
          (* Wait for the serve loop to adopt metadata before the first
@@ -1145,7 +1129,7 @@ let monitor_round t m =
                streak keeps growing and the next round retries. *)
             (match do_resync t meta ~from_primary:true with Ok _ -> () | Error _ -> ())
 
-let start_monitor t ~cpu ?(config = default_health_config) ?metrics () =
+let start_monitor t ~cpu ?(config = default_health_config) ?obs () =
   (match t.monitor with
   | Some _ -> invalid_arg "Pmm.start_monitor: already running"
   | None -> ());
@@ -1162,15 +1146,11 @@ let start_monitor t ~cpu ?(config = default_health_config) ?metrics () =
     }
   in
   t.monitor <- Some m;
-  (match metrics with
-  | Some mx ->
-      Metrics.register_gauge mx "pmm.mirror_health" (fun () ->
-          if t.mirror_active then 1.0 else 0.0);
-      Metrics.register_gauge mx "pmm.mirror_ewma_ns" (fun () -> m.m_mirr_ewma);
-      Metrics.register_gauge mx "pmm.primary_ewma_ns" (fun () -> m.m_prim_ewma);
-      Metrics.register_gauge mx "pmm.demotions" (fun () -> float_of_int t.demotions);
-      Metrics.register_gauge mx "pmm.readmissions" (fun () -> float_of_int t.readmissions)
-  | None -> ());
+  Obs.gauge obs "pmm.mirror_health" (fun () -> if t.mirror_active then 1.0 else 0.0);
+  Obs.gauge obs "pmm.mirror_ewma_ns" (fun () -> m.m_mirr_ewma);
+  Obs.gauge obs "pmm.primary_ewma_ns" (fun () -> m.m_prim_ewma);
+  Obs.gauge obs "pmm.demotions" (fun () -> float_of_int t.demotions);
+  Obs.gauge obs "pmm.readmissions" (fun () -> float_of_int t.readmissions);
   ignore
     (Cpu.spawn cpu ~name:(t.pmm_name ^ "-monitor") (fun () ->
          (* Wait for the serve loop to adopt metadata: probes read the

@@ -178,13 +178,13 @@ val halt : t -> unit
     {!scrub_quarantined_chunks} for operator attention. *)
 
 val start_scrubber :
-  t -> cpu:Cpu.t -> ?interval:Time.span -> ?metrics:Metrics.t -> unit -> unit
+  t -> cpu:Cpu.t -> ?interval:Time.span -> ?obs:Obs.t -> unit -> unit
 (** Start the background scrub process on [cpu] — must be one of the
     PMM pair's CPUs (the devices' windows admit only those).  It pauses
     [interval] (default 100 us) between chunk scans over 256 KiB chunks.
     Loads the
     durable checksum table, then loops passes until {!stop_scrubber}.
-    With [metrics], exports [pmm.scrub.regions] (chunks compared),
+    With [obs], exports [pmm.scrub.regions] (chunks compared),
     [pmm.scrub.repaired], [pmm.scrub.quarantined] and [pmm.scrub.passes]
     gauges plus a [pmm.scrub] progress probe for the time-series
     sampler.  Raises [Invalid_argument] if already running. *)
@@ -241,10 +241,10 @@ val default_health_config : health_config
     2 breaches, re-admit after 8 healthy probes. *)
 
 val start_monitor :
-  t -> cpu:Cpu.t -> ?config:health_config -> ?metrics:Metrics.t -> unit -> unit
+  t -> cpu:Cpu.t -> ?config:health_config -> ?obs:Obs.t -> unit -> unit
 (** Start the mirror-health monitor on [cpu] — must be one of the PMM
     pair's CPUs (the metadata windows admit only those).  With
-    [metrics], exports gauges [pmm.mirror_health] (1 active / 0
+    [obs], exports gauges [pmm.mirror_health] (1 active / 0
     demoted), [pmm.mirror_ewma_ns], [pmm.primary_ewma_ns],
     [pmm.demotions] and [pmm.readmissions].  Raises [Invalid_argument]
     if already running. *)

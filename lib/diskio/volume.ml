@@ -15,6 +15,7 @@ type scheduling = Fifo | Elevator
 type t = {
   sim : Sim.t;
   vol_name : string;
+  track : string;  (** the server process's name, and its span track *)
   disk : Disk.t;
   queue : request Mailbox.t;
   scheduling : scheduling;
@@ -26,16 +27,13 @@ type t = {
   mutable ops : int;
   mutable bytes : int;
   mutable busy : Time.span;
-  mutable obs : Obs.t option;
-  mutable svc_stat : Stat.t option;
-  mutable rot_stat : Stat.t option;
-  mutable probe : Probe.t option;
-  mutable ops_counter : Stat.Counter.t option;
-  mutable hit_counter : Stat.Counter.t option;
+  obs : Obs.t option;
+  svc_stat : Stat.t option;
+  rot_stat : Stat.t option;
+  probe : Probe.t option;
+  ops_counter : Stat.Counter.t option;
+  hit_counter : Stat.Counter.t option;
 }
-
-let finish_span t sp =
-  match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ()
 
 (* Pick the next request: FIFO order, or the SCAN sweep for elevators. *)
 let next_request t =
@@ -98,8 +96,8 @@ let server t () =
     | None -> ()
     | Some req ->
         if not t.up then begin
-          finish_span t req.req_span;
-          (match t.probe with Some p -> Probe.dequeue p | None -> ());
+          Obs.finish t.obs req.req_span;
+          Obs.dequeue t.probe;
           Ivar.fill req.done_ (Error Volume_down)
         end
         else begin
@@ -108,21 +106,11 @@ let server t () =
             Disk.service_parts t.disk ~kind:req.kind ~block:req.block ~len:req.len
           in
           let dt = Disk.parts_total parts in
-          let counters = Level.counters_on () in
-          (match t.svc_stat with
-          | Some st when counters -> Stat.add_span st dt
-          | _ -> ());
-          (match t.ops_counter with
-          | Some c when counters -> Stat.Counter.incr c
-          | _ -> ());
-          if parts.Disk.cache_hit then
-            (match t.hit_counter with
-            | Some c when counters -> Stat.Counter.incr c
-            | _ -> ());
+          Obs.note t.svc_stat dt;
+          Obs.incr t.ops_counter;
+          if parts.Disk.cache_hit then Obs.incr t.hit_counter;
           if req.kind = `Write && parts.Disk.rotation > 0 then begin
-            (match t.rot_stat with
-            | Some st when counters -> Stat.add_span st parts.Disk.rotation
-            | _ -> ());
+            Obs.note t.rot_stat parts.Disk.rotation;
             if not (Span.is_null req.req_span) then
               Span.annotate req.req_span ~key:"rotation_ns"
                 (string_of_int parts.Disk.rotation)
@@ -135,12 +123,8 @@ let server t () =
           Prof.section_end sect "diskio";
           Sim.sleep dt;
           t.busy <- t.busy + dt;
-          (match t.probe with
-          | Some p ->
-              Probe.busy_span p dt;
-              Probe.dequeue p
-          | None -> ());
-          finish_span t req.req_span;
+          Obs.served t.probe dt;
+          Obs.finish t.obs req.req_span;
           if t.up then begin
             t.ops <- t.ops + 1;
             t.bytes <- t.bytes + req.len;
@@ -150,13 +134,19 @@ let server t () =
         end
   done
 
-let create sim ~name ?geometry ?cache ?(scheduling = Fifo) () =
+let create sim ~name ?geometry ?cache ?(scheduling = Fifo) ?obs () =
+  let track = "vol:" ^ name in
+  let ops_counter = Obs.counter obs "disk.ops" in
+  let hit_counter = Obs.counter obs "disk.cache_hits" in
+  (* Fleet-wide write-cache hit accounting, shared across every volume. *)
+  Obs.ratio obs "disk.cache_hit_ratio" ~num:hit_counter ~den:ops_counter;
   let t =
     {
       sim;
       vol_name = name;
+      track;
       disk = Disk.create sim ?geometry ?cache ();
-      queue = Mailbox.create ~name ();
+      queue = Mailbox.create ();
       scheduling;
       pending = [];
       sweep_up = true;
@@ -166,64 +156,37 @@ let create sim ~name ?geometry ?cache ?(scheduling = Fifo) () =
       ops = 0;
       bytes = 0;
       busy = 0;
-      obs = None;
-      svc_stat = None;
-      rot_stat = None;
-      probe = None;
-      ops_counter = None;
-      hit_counter = None;
+      obs;
+      svc_stat = Obs.stat obs "disk.service_ns";
+      rot_stat = Obs.stat obs "disk.rotational_miss_ns";
+      probe = Obs.probe obs ("vol." ^ name);
+      ops_counter;
+      hit_counter;
     }
   in
-  let (_ : Sim.pid) = Sim.spawn sim ~name:("vol:" ^ name) (server t) in
+  let (_ : Sim.pid) = Sim.spawn sim ~name:track (server t) in
   t
 
 let name t = t.vol_name
 
 let sim t = t.sim
 
-let set_obs t obs =
-  t.obs <- Some obs;
-  let m = Obs.metrics obs in
-  t.svc_stat <- Some (Metrics.stat m "disk.service_ns");
-  t.rot_stat <- Some (Metrics.stat m "disk.rotational_miss_ns");
-  (* Per-volume queue/utilization probe, plus fleet-wide write-cache hit
-     accounting shared across every volume. *)
-  let p = Metrics.probe m ("vol." ^ t.vol_name) in
-  Probe.set_clock p (fun () -> Sim.now t.sim);
-  t.probe <- Some p;
-  let ops = Metrics.counter m "disk.ops" in
-  let hits = Metrics.counter m "disk.cache_hits" in
-  t.ops_counter <- Some ops;
-  t.hit_counter <- Some hits;
-  if Metrics.find m "disk.cache_hit_ratio" = None then
-    Metrics.register_gauge m "disk.cache_hit_ratio" (fun () ->
-        let n = Stat.Counter.get ops in
-        if n = 0 then 0.0 else float_of_int (Stat.Counter.get hits) /. float_of_int n)
-
 let submit ?parent t ~kind ~block ~len =
   let req_span =
-    match t.obs with
-    (* The track string is concatenated eagerly, so the whole span
-       construction sits behind the global level check. *)
-    | Some o when Obs.spans_on () ->
-        let sp =
-          Span.start (Obs.spans o) ~track:("vol:" ^ t.vol_name) ?parent
-            (match kind with `Read -> "disk.read" | `Write -> "disk.write")
-        in
-        if not (Span.is_null sp) then begin
-          Span.annotate sp ~key:"block" (string_of_int block);
-          Span.annotate sp ~key:"len" (string_of_int len)
-        end;
-        sp
-    | _ -> Span.null
+    Obs.start t.obs ~track:t.track ?parent
+      (match kind with `Read -> "disk.read" | `Write -> "disk.write")
   in
+  if not (Span.is_null req_span) then begin
+    Span.annotate req_span ~key:"block" (string_of_int block);
+    Span.annotate req_span ~key:"len" (string_of_int len)
+  end;
   let done_ = Ivar.create () in
   if not t.up then begin
-    finish_span t req_span;
+    Obs.finish t.obs req_span;
     Ivar.fill done_ (Error Volume_down)
   end
   else begin
-    (match t.probe with Some p -> Probe.enqueue p | None -> ());
+    Obs.enqueue t.probe;
     Mailbox.send t.queue
       { kind; block; len; done_; req_span }
   end;

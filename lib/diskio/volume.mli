@@ -20,19 +20,19 @@ val create :
   ?geometry:Disk.geometry ->
   ?cache:Disk.cache_config ->
   ?scheduling:scheduling ->
+  ?obs:Obs.t ->
   unit ->
   t
-(** [scheduling] defaults to [Fifo]. *)
+(** [scheduling] defaults to [Fifo].  With [obs], every request gets a
+    span on track ["vol:<name>"], service times feed the shared
+    [disk.service_ns] stat, writes that waited out a rotational miss
+    feed [disk.rotational_miss_ns], a [vol.<name>] probe tracks the
+    queue, and [disk.ops]/[disk.cache_hits] count service and
+    write-cache hits across every volume. *)
 
 val name : t -> string
 
 val sim : t -> Sim.t
-
-val set_obs : t -> Obs.t -> unit
-(** Observe this volume: every request gets a span on track
-    ["vol:<name>"], service times feed the shared [disk.service_ns]
-    stat, and writes that waited out a rotational miss feed
-    [disk.rotational_miss_ns]. *)
 
 val submit :
   ?parent:Span.span ->

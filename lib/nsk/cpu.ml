@@ -9,12 +9,12 @@ type t = {
   mutable failure_hooks : (unit -> unit) list;
   mutable busy_until : Time.t;
   mutable busy : Time.span;
-  mutable probe : Probe.t option;
+  probe : Probe.t option;
 }
 
-let create sim fabric ~index =
+let create ?obs sim fabric ~index =
   let store = Servernet.Fabric.byte_store (1 lsl 20) in
-  let ep = Servernet.Fabric.attach fabric ~name:(Printf.sprintf "cpu%d" index) ~store in
+  let ep = Servernet.Fabric.attach fabric ~name:"cpu" ~store in
   {
     cpu_sim = sim;
     idx = index;
@@ -24,7 +24,7 @@ let create sim fabric ~index =
     failure_hooks = [];
     busy_until = Time.zero;
     busy = 0;
-    probe = None;
+    probe = Obs.probe obs ("cpu." ^ string_of_int index);
   }
 
 let sim t = t.cpu_sim
@@ -52,7 +52,7 @@ let execute t span =
   let finish = start + span in
   t.busy_until <- finish;
   t.busy <- t.busy + span;
-  (match t.probe with Some p -> Probe.busy_span p span | None -> ());
+  Obs.busy t.probe span;
   Sim.wait_until finish
 
 let fail t =
@@ -75,5 +75,3 @@ let restart t =
 let on_failure t hook = t.failure_hooks <- hook :: t.failure_hooks
 
 let busy_time t = t.busy
-
-let set_probe t p = t.probe <- Some p

@@ -10,9 +10,11 @@ open Simkit
 
 type t
 
-val create : Sim.t -> Servernet.Fabric.t -> index:int -> t
+val create : ?obs:Obs.t -> Sim.t -> Servernet.Fabric.t -> index:int -> t
 (** Attach CPU [index] to the fabric with a small RAM-backed store used
-    for incoming RDMA (e.g. checkpoint pushes). *)
+    for incoming RDMA (e.g. checkpoint pushes).  With [obs], {!execute}
+    spans feed a [cpu.<index>] probe, so the time-series sampler can
+    report per-CPU busy fraction. *)
 
 val sim : t -> Sim.t
 
@@ -44,7 +46,3 @@ val on_failure : t -> (unit -> unit) -> unit
 
 val busy_time : t -> Time.span
 (** Total time consumed through {!execute}. *)
-
-val set_probe : t -> Probe.t -> unit
-(** Mirror {!execute} spans into a utilization probe so the time-series
-    sampler can report per-CPU busy fraction. *)

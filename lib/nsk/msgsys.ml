@@ -17,7 +17,6 @@ type ('req, 'resp) envelope = {
 
 type ('req, 'resp) server = {
   fabric : Servernet.Fabric.t;
-  name : string;
   mutable cpu : Cpu.t;
   mutable inbox : ('req, 'resp) envelope Mailbox.t;
   outstanding : (int, ('resp, error) result Ivar.t) Hashtbl.t;
@@ -27,49 +26,32 @@ type ('req, 'resp) server = {
   mutable extra_latency : Time.span;
   mutable last_span : Span.span;
   mutable last_wait : Time.span;
-  mutable hop_stat : Stat.t option;
-  mutable req_counter : Stat.Counter.t option;
-  mutable inbox_probe : Probe.t option;
+  hop_stat : Stat.t option;
+  req_counter : Stat.Counter.t option;
+  inbox_probe : Probe.t option;
 }
 
-let create_server fabric ~cpu ~name =
+let create_server ?obs fabric ~cpu ~name:_ =
   {
     fabric;
-    name;
     cpu;
-    inbox = Mailbox.create ~name ();
+    inbox = Mailbox.create ();
     outstanding = Hashtbl.create 16;
     delivered = 0;
     epoch = 0;
     extra_latency = 0;
     last_span = Span.null;
     last_wait = 0;
-    hop_stat = None;
-    req_counter = None;
-    inbox_probe = None;
+    hop_stat = Obs.stat obs "msg.hop_ns";
+    req_counter = Obs.counter obs "msg.requests";
+    (* One aggregate probe across every server: depth = total queued
+       requests, busy = wire time spent moving envelopes. *)
+    inbox_probe = Obs.probe obs "msgsys.inbox";
   }
 
-let set_obs s obs =
-  let m = Obs.metrics obs in
-  s.hop_stat <- Some (Metrics.stat m "msg.hop_ns");
-  s.req_counter <- Some (Metrics.counter m "msg.requests");
-  (* One aggregate probe across every server: depth = total queued
-     requests, busy = wire time spent moving envelopes. *)
-  let p = Metrics.probe m "msgsys.inbox" in
-  Probe.set_clock p (fun () -> Sim.now (Cpu.sim s.cpu));
-  s.inbox_probe <- Some p
-
 let note_hop s dt =
-  if Level.counters_on () then begin
-    (match s.hop_stat with Some st -> Stat.add_span st dt | None -> ());
-    match s.inbox_probe with Some p -> Probe.busy_span p dt | None -> ()
-  end
-
-let probe_enqueue s =
-  match s.inbox_probe with Some p -> Probe.enqueue p | None -> ()
-
-let probe_dequeue s =
-  match s.inbox_probe with Some p -> Probe.dequeue p | None -> ()
+  Obs.note s.hop_stat dt;
+  Obs.busy s.inbox_probe dt
 
 let set_extra_latency s span =
   if span < 0 then invalid_arg "Msgsys.set_extra_latency: negative span";
@@ -84,9 +66,7 @@ let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
     (* Request wire time, then delivery (if the target is still up). *)
     let dt = Servernet.Fabric.transfer_time s.fabric ~bytes:req_bytes + s.extra_latency in
     note_hop s dt;
-    (match s.req_counter with
-    | Some c when Level.counters_on () -> Stat.Counter.incr c
-    | _ -> ());
+    Obs.incr s.req_counter;
     let env_span = match span with Some sp -> sp | None -> Span.null in
     Sim.at sim ~after:dt (fun () ->
         if not (Cpu.is_up s.cpu) then ignore (Ivar.try_fill reply (Error Server_down))
@@ -94,7 +74,7 @@ let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
           let env_seq = s.delivered in
           s.delivered <- env_seq + 1;
           Hashtbl.replace s.outstanding env_seq reply;
-          probe_enqueue s;
+          Obs.enqueue s.inbox_probe;
           Prof.bump_envelope ();
           Mailbox.send s.inbox
             { payload; resp_bytes; reply; env_span; env_sent = Sim.now sim; env_seq }
@@ -118,7 +98,7 @@ let caller_wait s = s.last_wait
    is a no-op once the port has failed or moved since the dequeue; its
    scheduled fill retires the call's [outstanding] entry. *)
 let accept s env =
-  probe_dequeue s;
+  Obs.dequeue s.inbox_probe;
   s.last_span <- env.env_span;
   s.last_wait <- Sim.now (Cpu.sim s.cpu) - env.env_sent;
   let epoch = s.epoch in
@@ -147,7 +127,7 @@ let fail_outstanding s =
     match Mailbox.try_recv s.inbox with
     | None -> ()
     | Some env ->
-        probe_dequeue s;
+        Obs.dequeue s.inbox_probe;
         ignore (Ivar.try_fill env.reply (Error Server_down));
         drain ()
   in
@@ -162,4 +142,4 @@ let fail_outstanding s =
 let move s ~cpu =
   fail_outstanding s;
   s.cpu <- cpu;
-  s.inbox <- Mailbox.create ~name:s.name ()
+  s.inbox <- Mailbox.create ()

@@ -16,17 +16,16 @@ val pp_error : Format.formatter -> error -> unit
 type ('req, 'resp) server
 
 val create_server :
-  Servernet.Fabric.t -> cpu:Cpu.t -> name:string -> ('req, 'resp) server
+  ?obs:Obs.t -> Servernet.Fabric.t -> cpu:Cpu.t -> name:string -> ('req, 'resp) server
+(** [name] labels the call site only: the port keeps no copy.  With
+    [obs], request/reply hop latencies feed the shared [msg.hop_ns]
+    stat, requests bump [msg.requests], and a [msgsys.inbox] probe
+    shared by every observed port tracks queued requests. *)
 
 val set_extra_latency : ('req, 'resp) server -> Time.span -> unit
 (** Additional one-way wire latency applied to every request and reply —
     how an inter-node (Expand-style) link is modelled when callers sit on
     another node's fabric. *)
-
-val set_obs : ('req, 'resp) server -> Obs.t -> unit
-(** Register this port with an observability context: request/reply hop
-    latencies feed the shared [msg.hop_ns] stat and requests bump
-    [msg.requests]. *)
 
 val caller_span : ('req, 'resp) server -> Span.span
 (** The span carried by the most recently dequeued request (the null span

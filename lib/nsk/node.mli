@@ -6,7 +6,9 @@ open Simkit
 
 type t
 
-val create : Sim.t -> ?fabric_config:Servernet.Fabric.config -> cpus:int -> unit -> t
+val create :
+  Sim.t -> ?fabric_config:Servernet.Fabric.config -> ?obs:Obs.t -> cpus:int -> unit -> t
+(** [obs] observes the fabric, every CPU and every volume added later. *)
 
 val fabric : t -> Servernet.Fabric.t
 

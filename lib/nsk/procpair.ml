@@ -76,7 +76,7 @@ let start ~fabric ~name ~primary ~backup ?(config = default_config) ~apply ~serv
       backup = Some backup;
       primary_pid = None;
       applier_pid = None;
-      ckpt_chan = Mailbox.create ~name:(name ^ ":ckpt") ();
+      ckpt_chan = Mailbox.create ();
       halted = false;
       takeovers = 0;
       outage = 0;

@@ -189,7 +189,6 @@ let byte_store size = pages_store (Pages.create size)
 
 type endpoint = {
   ep_id : int;
-  ep_name : string;
   ep_store : store;
   ep_avt : Avt.t;
   mutable ep_alive : bool;
@@ -223,96 +222,67 @@ type t = {
   mutable st_bytes_read : int;
   mutable st_retries : int;
   mutable st_failures : int;
-  mutable obs : Obs.t option;
-  mutable xfer_stat : Stat.t option;
-  mutable rail_probe : Probe.t option;
-  mutable retry_counter : Stat.Counter.t option;
+  obs : Obs.t option;
+  xfer_stat : Stat.t option;
+  rail_probe : Probe.t option;
+  retry_counter : Stat.Counter.t option;
 }
 
-let create sim ?(config = default_config) () =
+let create sim ?(config = default_config) ?obs () =
   if config.rails <= 0 then invalid_arg "Fabric.create: need at least one rail";
-  {
-    sim;
-    cfg = config;
-    rng = Rng.split (Sim.rng sim);
-    endpoints = [];
-    next_id = 0;
-    rail_up = Array.make config.rails true;
-    rail_slow = Array.make config.rails 1.0;
-    crc_rate = config.crc_error_rate;
-    st_writes = 0;
-    st_reads = 0;
-    st_bytes_written = 0;
-    st_bytes_read = 0;
-    st_retries = 0;
-    st_failures = 0;
-    obs = None;
-    xfer_stat = None;
-    rail_probe = None;
-    retry_counter = None;
-  }
+  let t =
+    {
+      sim;
+      cfg = config;
+      rng = Rng.split (Sim.rng sim);
+      endpoints = [];
+      next_id = 0;
+      rail_up = Array.make config.rails true;
+      rail_slow = Array.make config.rails 1.0;
+      crc_rate = config.crc_error_rate;
+      st_writes = 0;
+      st_reads = 0;
+      st_bytes_written = 0;
+      st_bytes_read = 0;
+      st_retries = 0;
+      st_failures = 0;
+      obs;
+      xfer_stat = Obs.stat obs "fabric.xfer_ns";
+      (* In-flight RDMA operations across the whole fabric; busy time is
+         the initiator-observed duration, so an aggregate util above 1.0
+         means concurrent transfers. *)
+      rail_probe = Obs.probe obs "fabric.rail";
+      retry_counter = Obs.counter obs "fabric.retries";
+    }
+  in
+  Obs.gauge obs "fabric.rdma_writes" (fun () -> float_of_int t.st_writes);
+  Obs.gauge obs "fabric.rdma_reads" (fun () -> float_of_int t.st_reads);
+  Obs.gauge obs "fabric.bytes_written" (fun () -> float_of_int t.st_bytes_written);
+  Obs.gauge obs "fabric.bytes_read" (fun () -> float_of_int t.st_bytes_read);
+  Obs.gauge obs "fabric.packet_retries" (fun () -> float_of_int t.st_retries);
+  Obs.gauge obs "fabric.failures" (fun () -> float_of_int t.st_failures);
+  t
 
-let set_obs t obs =
-  t.obs <- Some obs;
-  let m = Obs.metrics obs in
-  t.xfer_stat <- Some (Metrics.stat m "fabric.xfer_ns");
-  Metrics.register_gauge m "fabric.rdma_writes" (fun () -> float_of_int t.st_writes);
-  Metrics.register_gauge m "fabric.rdma_reads" (fun () -> float_of_int t.st_reads);
-  Metrics.register_gauge m "fabric.bytes_written" (fun () ->
-      float_of_int t.st_bytes_written);
-  Metrics.register_gauge m "fabric.bytes_read" (fun () -> float_of_int t.st_bytes_read);
-  Metrics.register_gauge m "fabric.packet_retries" (fun () -> float_of_int t.st_retries);
-  Metrics.register_gauge m "fabric.failures" (fun () -> float_of_int t.st_failures);
-  (* In-flight RDMA operations across the whole fabric; busy time is the
-     initiator-observed duration, so an aggregate util above 1.0 means
-     concurrent transfers. *)
-  let p = Metrics.probe m "fabric.rail" in
-  Probe.set_clock p (fun () -> Sim.now t.sim);
-  t.rail_probe <- Some p;
-  t.retry_counter <- Some (Metrics.counter m "fabric.retries")
+let set_endpoint_probe ep p = ep.ep_probe <- p
 
-let set_endpoint_probe ep p = ep.ep_probe <- Some p
-
-let start_span t ?parent name ~bytes =
-  match t.obs with
-  | None -> Span.null
-  | Some o ->
-      let sp = Span.start (Obs.spans o) ~track:"fabric" ?parent name in
-      if not (Span.is_null sp) then
-        Span.annotate sp ~key:"bytes" (string_of_int bytes);
-      sp
-
-let op_begin t = match t.rail_probe with Some p -> Probe.enqueue p | None -> ()
+let start_op t ?parent name ~bytes =
+  Obs.enqueue t.rail_probe;
+  let sp = Obs.start t.obs ~track:"fabric" ?parent name in
+  if not (Span.is_null sp) then Span.annotate sp ~key:"bytes" (string_of_int bytes);
+  sp
 
 let finish_op t sp ~t0 =
   let dt = Sim.now t.sim - t0 in
-  (match t.xfer_stat with
-  | Some st when Level.counters_on () -> Stat.add_span st dt
-  | _ -> ());
-  (match t.rail_probe with
-  | Some p ->
-      Probe.busy_span p dt;
-      Probe.dequeue p
-  | None -> ());
-  match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ()
-
-let target_probe_begin target =
-  match target.ep_probe with Some p -> Probe.enqueue p | None -> ()
-
-let target_probe_end t target ~t0 =
-  match target.ep_probe with
-  | Some p ->
-      Probe.busy_span p (Sim.now t.sim - t0);
-      Probe.dequeue p
-  | None -> ()
+  Obs.note t.xfer_stat dt;
+  Obs.served t.rail_probe dt;
+  Obs.finish t.obs sp
 
 let config t = t.cfg
 
-let attach t ~name ~store =
+let attach t ~name:_ ~store =
   let ep =
     {
       ep_id = t.next_id;
-      ep_name = name;
       ep_store = store;
       ep_avt = Avt.create ();
       ep_alive = true;
@@ -327,8 +297,6 @@ let attach t ~name ~store =
   ep
 
 let id ep = ep.ep_id
-
-let name ep = ep.ep_name
 
 let avt ep = ep.ep_avt
 
@@ -413,9 +381,7 @@ let do_transfer t src dst bytes =
         match retries with Some r -> (r, true) | None -> (t.cfg.max_retries, false)
       in
       t.st_retries <- t.st_retries + retry_count;
-      (match t.retry_counter with
-      | Some c when Level.counters_on () -> Stat.Counter.add c retry_count
-      | _ -> ());
+      Obs.add t.retry_counter retry_count;
       let duration =
         transfer_time t ~bytes
         + (retry_count * (per_packet_overhead + Time.ns 4096))
@@ -474,13 +440,12 @@ let rdma_write ?span ?epoch ?(pad = 0) t ~src ~dst ~addr ~data =
      and counted like any other byte, but never built or copied. *)
   let len = Bytes.length data + pad in
   let t0 = Sim.now t.sim in
-  let sp = start_span t ?parent:span "fabric.rdma_write" ~bytes:len in
-  op_begin t;
+  let sp = start_op t ?parent:span "fabric.rdma_write" ~bytes:len in
   let result =
     match resolve_target t dst with
     | Error e -> fail t e
     | Ok target ->
-        target_probe_begin target;
+        Obs.enqueue target.ep_probe;
         let r =
           if not src.ep_alive then fail t Unreachable
           else
@@ -503,7 +468,7 @@ let rdma_write ?span ?epoch ?(pad = 0) t ~src ~dst ~addr ~data =
                     Prof.section_end sect "fabric";
                     Ok ())
         in
-        target_probe_end t target ~t0;
+        Obs.served target.ep_probe (Sim.now t.sim - t0);
         r
   in
   (match result with
@@ -517,13 +482,12 @@ let rdma_read_into ?span t ~src ~dst ~addr ~len ~buf ~pos =
   if pos < 0 || len < 0 || pos > Bytes.length buf - len then
     invalid_arg "Fabric.rdma_read_into: destination out of range";
   let t0 = Sim.now t.sim in
-  let sp = start_span t ?parent:span "fabric.rdma_read" ~bytes:len in
-  op_begin t;
+  let sp = start_op t ?parent:span "fabric.rdma_read" ~bytes:len in
   let result =
     match resolve_target t dst with
     | Error e -> fail t e
     | Ok target ->
-        target_probe_begin target;
+        Obs.enqueue target.ep_probe;
         let r =
           if not src.ep_alive then fail t Unreachable
           else
@@ -542,7 +506,7 @@ let rdma_read_into ?span t ~src ~dst ~addr ~len ~buf ~pos =
                     t.st_bytes_read <- t.st_bytes_read + len;
                     Ok ())
         in
-        target_probe_end t target ~t0;
+        Obs.served target.ep_probe (Sim.now t.sim - t0);
         r
   in
   (match result with

@@ -106,17 +106,15 @@ type t
 
 type endpoint
 
-val create : Sim.t -> ?config:config -> unit -> t
-
-val set_obs : t -> Obs.t -> unit
-(** Observe the fabric: operation durations feed [fabric.xfer_ns], each
-    RDMA op gets a span on track ["fabric"] (parented under the caller's
+val create : Sim.t -> ?config:config -> ?obs:Obs.t -> unit -> t
+(** With [obs], operation durations feed [fabric.xfer_ns], each RDMA op
+    gets a span on track ["fabric"] (parented under the caller's
     [?span]), the cumulative counters below double as gauges
     ([fabric.rdma_writes], [fabric.bytes_written], ...), a [fabric.rail]
     probe tracks in-flight RDMA operations, and [fabric.retries] counts
     CRC retransmissions as a counter the sampler can turn into a rate. *)
 
-val set_endpoint_probe : endpoint -> Probe.t -> unit
+val set_endpoint_probe : endpoint -> Probe.t option -> unit
 (** Account RDMA operations {e targeting} this endpoint (outstanding ops
     and target-observed service time) to [p] — used by NPMUs to expose
     outstanding persistent-memory operations. *)
@@ -124,11 +122,10 @@ val set_endpoint_probe : endpoint -> Probe.t -> unit
 val config : t -> config
 
 val attach : t -> name:string -> store:store -> endpoint
-(** Attach an endpoint; it starts alive, with an empty AVT. *)
+(** Attach an endpoint; it starts alive, with an empty AVT.  [name]
+    labels the call site only: the fabric keeps no copy. *)
 
 val id : endpoint -> int
-
-val name : endpoint -> string
 
 val avt : endpoint -> Avt.t
 

@@ -1,16 +1,11 @@
-type t = Off | Counters | Spans
+type t = Off | Spans
 
-(* Default [Spans]: every existing call path behaves exactly as before
-   the global gate existed.  Lowering the level is an explicit act by a
-   measurement harness. *)
+(* Default [Spans]: every call path records.  Lowering the level is an
+   explicit act by a measurement harness. *)
 let current = ref Spans
 
 let set l = current := l
 
 let get () = !current
 
-let spans_on () = match !current with Spans -> true | _ -> false
-
-let counters_on () = match !current with Off -> false | _ -> true
-
-let raise_to_spans () = current := Spans
+let on () = match !current with Spans -> true | Off -> false

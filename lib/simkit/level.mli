@@ -1,40 +1,33 @@
 (** Process-wide telemetry level: the single global flag hot paths check
-    before doing any observability work that allocates.
+    before doing any observability work.
 
-    Instrumented code costs three tiers:
+    Instrumented code has two tiers:
 
     - [Spans] (the default): everything — span records, annotation
-      strings, per-layer stats, probes, time-series sampling.
-    - [Counters]: counters, stats, probes and sampling stay live, but
-      {!Span.start} returns the null span before allocating anything, so
-      callers guarding on {!Span.is_null} (or {!spans_on}) skip label
-      formatting entirely.
-    - [Off]: the true zero-cost path.  Span starts, hot-path stat/probe
+      strings, per-layer stats, counters, probes, time-series sampling.
+    - [Off]: the zero-cost path.  Span starts, stat/counter/probe
       updates and time-series samples are all skipped behind this one
       flag check; a run at [Off] performs no telemetry allocation on the
       hot paths.
+
+    Code that runs without an {!Obs} context does no registry work at
+    either level; the level gates what a context records.
 
     The level is deliberately global (the simulator is single-threaded):
     threading it through every constructor would put an option deref on
     the paths this gate exists to make free.  Toggling mid-run is
     supported but skews cumulative instruments (a probe enqueue seen at
-    [Counters] may miss its dequeue at [Off]); measurement harnesses
-    should set the level before building a system and restore it after.
+    [Spans] may miss its dequeue at [Off]); measurement harnesses should
+    set the level before building a system and restore it after.
 
     {!Span.enable} raises the level back to [Spans] — enabling a span
     collector is an explicit request for span data. *)
 
-type t = Off | Counters | Spans
+type t = Off | Spans
 
 val set : t -> unit
 
 val get : unit -> t
 
-val spans_on : unit -> bool
+val on : unit -> bool
 (** [get () = Spans]. *)
-
-val counters_on : unit -> bool
-(** [get () <> Off]. *)
-
-val raise_to_spans : unit -> unit
-(** Used by {!Span.enable}; idempotent. *)

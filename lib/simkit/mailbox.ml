@@ -1,8 +1,6 @@
-type 'a t = { mb_name : string; q : 'a Queue.t; mutable waiters : (unit -> unit) list }
+type 'a t = { q : 'a Queue.t; mutable waiters : (unit -> unit) list }
 
-let create ?(name = "") () = { mb_name = name; q = Queue.create (); waiters = [] }
-
-let name t = t.mb_name
+let create () = { q = Queue.create (); waiters = [] }
 
 let wake_all t =
   let ws = t.waiters in

@@ -5,9 +5,7 @@
 
 type 'a t
 
-val create : ?name:string -> unit -> 'a t
-
-val name : 'a t -> string
+val create : unit -> 'a t
 
 val send : 'a t -> 'a -> unit
 

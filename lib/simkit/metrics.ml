@@ -37,16 +37,16 @@ let counter t path =
   | Some (Counter c) -> c
   | Some other -> wrong_kind path other "counter"
   | None ->
-      let c = Stat.Counter.create ~name:path () in
+      let c = Stat.Counter.create () in
       register t path (Counter c);
       c
 
-let probe t path =
+let probe t ?clock path =
   match Hashtbl.find_opt t.tbl path with
   | Some (Probe p) -> p
   | Some other -> wrong_kind path other "probe"
   | None ->
-      let p = Probe.create ~name:path () in
+      let p = Probe.create ?clock () in
       register t path (Probe p);
       p
 

@@ -29,10 +29,10 @@ val stat : t -> string -> Stat.t
 
 val counter : t -> string -> Stat.Counter.t
 
-val probe : t -> string -> Probe.t
-(** Find-or-create, like {!stat}.  The caller is responsible for
-    attaching a clock ({!Probe.set_clock}) so the depth integral
-    advances against simulated time. *)
+val probe : t -> ?clock:(unit -> Time.t) -> string -> Probe.t
+(** Find-or-create, like {!stat}.  A probe created here runs its depth
+    integral against [clock]; finding an existing probe leaves its clock
+    as it is. *)
 
 val register_gauge : t -> string -> (unit -> float) -> unit
 (** Register (or replace) a gauge under [path]. *)

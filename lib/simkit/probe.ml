@@ -1,5 +1,4 @@
 type t = {
-  probe_name : string;
   mutable clock : (unit -> Time.t) option;
   mutable depth : int;
   mutable max_depth : int;
@@ -10,9 +9,8 @@ type t = {
   mutable last_change : Time.t;
 }
 
-let create ?clock ~name () =
+let create ?clock () =
   {
-    probe_name = name;
     clock;
     depth = 0;
     max_depth = 0;
@@ -22,8 +20,6 @@ let create ?clock ~name () =
     integral = 0.0;
     last_change = Time.zero;
   }
-
-let name t = t.probe_name
 
 let set_clock t clock =
   t.clock <- Some clock;
@@ -42,7 +38,7 @@ let advance t =
   end
 
 let enqueue t =
-  if Level.counters_on () then begin
+  if Level.on () then begin
     advance t;
     t.depth <- t.depth + 1;
     t.enqueued <- t.enqueued + 1;
@@ -50,14 +46,14 @@ let enqueue t =
   end
 
 let dequeue t =
-  if Level.counters_on () then begin
+  if Level.on () then begin
     advance t;
     if t.depth > 0 then t.depth <- t.depth - 1;
     t.dequeued <- t.dequeued + 1
   end
 
 let busy_span t span =
-  if span > 0 && Level.counters_on () then t.busy <- t.busy + span
+  if span > 0 && Level.on () then t.busy <- t.busy + span
 
 let depth t = t.depth
 

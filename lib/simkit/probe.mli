@@ -16,14 +16,13 @@
     components (e.g. every message server feeding one [msgsys.inbox]
     probe) utilization can legitimately exceed 1.0.
 
-    The depth integral needs a clock; without one ({!set_clock} never
-    called) depth and counts still work but the integral stays zero. *)
+    The depth integral needs a clock, given at {!create} or attached by
+    {!set_clock}; without one depth and counts still work but the
+    integral stays zero. *)
 
 type t
 
-val create : ?clock:(unit -> Time.t) -> name:string -> unit -> t
-
-val name : t -> string
+val create : ?clock:(unit -> Time.t) -> unit -> t
 
 val set_clock : t -> (unit -> Time.t) -> unit
 (** Attach (or replace) the clock.  Resets the depth-integral epoch to

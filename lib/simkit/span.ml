@@ -49,7 +49,7 @@ let enable t =
   t.on <- true;
   (* Enabling a collector is an explicit request for span data: make
      sure the global gate lets it through. *)
-  Level.raise_to_spans ()
+  Level.set Level.Spans
 
 let new_trace t =
   let id = t.next_trace in
@@ -70,8 +70,8 @@ let trace_from parent = function
   | Some tr -> tr
   | None -> ( match parent with Some p when p.sp_id >= 0 -> p.sp_trace | _ -> -1)
 
-let start t ?(track = "main") ?parent ?trace name =
-  if not (t.on && Level.spans_on ()) then null_span
+let start t ~track ?parent ?trace name =
+  if not (t.on && Level.on ()) then null_span
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
@@ -80,8 +80,8 @@ let start t ?(track = "main") ?parent ?trace name =
       sp_track = track; sp_name = name; sp_start = now; sp_args = []; sp_open = true }
   end
 
-let root t ?(track = "main") name =
-  if not (t.on && Level.spans_on ()) then null_span
+let root t ~track name =
+  if not (t.on && Level.on ()) then null_span
   else start t ~track ~trace:(new_trace t) name
 
 let annotate sp ~key value =

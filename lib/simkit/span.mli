@@ -41,8 +41,8 @@ val enable : t -> unit
 (** Also raises the global {!Level} to [Spans] — an enabled collector is
     an explicit request for span data. *)
 
-val start : t -> ?track:string -> ?parent:span -> ?trace:int -> string -> span
-(** Open a span named [name] on [track] (default ["main"]).  [parent]
+val start : t -> track:string -> ?parent:span -> ?trace:int -> string -> span
+(** Open a span named [name] on [track].  [parent]
     links the span under another one, possibly on a different track.
     The span's trace id is [trace] when given, else inherited from
     [parent] — so a context threaded through message envelopes carries
@@ -51,7 +51,7 @@ val start : t -> ?track:string -> ?parent:span -> ?trace:int -> string -> span
     global {!Level} is [Spans]; hot callers should check {!is_null}
     before formatting annotation strings. *)
 
-val root : t -> ?track:string -> string -> span
+val root : t -> track:string -> string -> span
 (** {!start} with a fresh trace (correlation) id — the head of a new
     causal DAG (one per transaction).  Mints no trace id (and allocates
     nothing) when the collector or global level is off. *)

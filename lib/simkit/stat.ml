@@ -34,8 +34,6 @@ let create ?(name = "") () =
     sorted = true;
   }
 
-let name t = t.stat_name
-
 let add (t : t) x =
   let cap = Array.length t.samples in
   if t.n = cap then begin
@@ -106,64 +104,10 @@ let pp_summary ppf t =
     (int_of_float s.p99) Time.pp (int_of_float s.max)
 
 module Counter = struct
-  type t = { counter_name : string; mutable v : int }
+  type t = { mutable v : int }
 
-  let create ?(name = "") () = { counter_name = name; v = 0 }
+  let create () = { v = 0 }
   let incr t = t.v <- t.v + 1
   let add t x = t.v <- t.v + x
   let get t = t.v
-  let name t = t.counter_name
-end
-
-module Histogram = struct
-  type t = { mutable counts : int array }
-
-  let nbuckets = 64
-
-  let create () = { counts = Array.make nbuckets 0 }
-
-  let bucket_of x =
-    if x <= 0 then 0
-    else
-      let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v lsr 1) in
-      min (nbuckets - 1) (log2 0 x + 1)
-
-  let add t x =
-    let b = bucket_of x in
-    t.counts.(b) <- t.counts.(b) + 1
-
-  let buckets t =
-    let out = ref [] in
-    for b = nbuckets - 1 downto 0 do
-      if t.counts.(b) > 0 then out := (1 lsl b, t.counts.(b)) :: !out
-    done;
-    !out
-
-  let total t = Array.fold_left ( + ) 0 t.counts
-
-  let max_bucket t =
-    let best = ref None in
-    Array.iteri
-      (fun b c ->
-        if c > 0 then
-          match !best with
-          | Some (_, bc) when bc >= c -> ()  (* ties go to the smaller bucket *)
-          | _ -> best := Some (1 lsl b, c))
-      t.counts;
-    !best
-
-  let pp ppf t =
-    let n = total t in
-    if n = 0 then Format.pp_print_string ppf "empty"
-    else begin
-      Format.fprintf ppf "n=%d" n;
-      (match max_bucket t with
-      | Some (ub, c) -> Format.fprintf ppf " mode<=%d (%d)" ub c
-      | None -> ());
-      Format.fprintf ppf " [";
-      List.iteri
-        (fun i (ub, c) -> Format.fprintf ppf "%s%d:%d" (if i = 0 then "" else " ") ub c)
-        (buckets t);
-      Format.fprintf ppf "]"
-    end
 end

@@ -20,8 +20,6 @@ type summary = {
 
 val create : ?name:string -> unit -> t
 
-val name : t -> string
-
 val add : t -> float -> unit
 
 val add_span : t -> Time.span -> unit
@@ -50,34 +48,12 @@ val summary : t -> summary
 
 val pp_summary : Format.formatter -> t -> unit
 
-(** Monotonically increasing named counters. *)
+(** Monotonically increasing counters. *)
 module Counter : sig
   type t
 
-  val create : ?name:string -> unit -> t
+  val create : unit -> t
   val incr : t -> unit
   val add : t -> int -> unit
   val get : t -> int
-  val name : t -> string
-end
-
-(** Log-scale latency histogram (powers of two in nanoseconds), useful to
-    eyeball multi-modal service-time distributions in traces. *)
-module Histogram : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> int -> unit
-  val buckets : t -> (int * int) list
-  (** [(upper_bound_ns, count)] for each non-empty bucket, ascending. *)
-
-  val total : t -> int
-  (** Total count across every bucket. *)
-
-  val max_bucket : t -> (int * int) option
-  (** [(upper_bound, count)] of the fullest bucket — the distribution's
-      mode.  Ties go to the smallest bucket; [None] when empty. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** ["n=12 mode<=4096 (7) [2048:5 4096:7]"], or ["empty"]. *)
 end

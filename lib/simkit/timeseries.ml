@@ -113,7 +113,7 @@ let columns_of t ~dt_s ~dt_ns (path, instrument) =
       ]
 
 let take_sample t =
-  if not (Level.counters_on ()) then ()
+  if not (Level.on ()) then ()
   else
   let now = Sim.now t.sim in
   if now > t.last_time then begin

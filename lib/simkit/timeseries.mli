@@ -16,7 +16,6 @@
     - counter [p] → [p.delta], [p.rate] (per second)
     - stat [p] → [p.n], [p.mean], [p.p50], [p.p99] (interval slice; zero
       when the interval recorded nothing)
-    - histogram [p] → [p.delta]
     - probe [p] → [p.util], [p.qlen], [p.depth], [p.rate] *)
 
 type sample = {

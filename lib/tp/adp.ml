@@ -52,8 +52,8 @@ type t = {
   mutable appended : int;
   mutable flush_reqs : int;
   mutable shed : int;  (** expired flush waits dropped before batching *)
-  mutable obs : Obs.t option;
-  mutable flush_stat : Stat.t option;
+  obs : Obs.t option;
+  flush_stat : Stat.t option;
 }
 
 let ckpt_size records =
@@ -65,16 +65,6 @@ let current_cpu t = Procpair.primary_cpu (pair_exn t)
 
 let now t = Sim.now (Cpu.sim (current_cpu t))
 
-let start_span t ?parent name =
-  match t.obs with
-  | Some o -> Span.start (Obs.spans o) ~track:t.adp_name ?parent name
-  | None -> Span.null
-
-let finish_span t sp =
-  match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ()
-
-let note_flush_wait t dt =
-  match t.flush_stat with Some st -> Stat.add_span st dt | None -> ()
 
 let state t =
   match t.live with
@@ -92,7 +82,7 @@ let satisfy_waiters ?(flush = Span.null) t s =
   t.waiters <- pending;
   List.iter
     (fun w ->
-      note_flush_wait t (now t - w.w_start);
+      Obs.note t.flush_stat (now t - w.w_start);
       if not (Span.is_null w.w_span) && not (Span.is_null flush) then begin
         (* Group commit: this transaction's durability rode the batch
            flush it piggybacked on — record the causal edge, and count
@@ -100,7 +90,7 @@ let satisfy_waiters ?(flush = Span.null) t s =
         Span.link w.w_span flush;
         Span.mark_queue w.w_span (Span.start_time flush - w.w_start)
       end;
-      finish_span t w.w_span;
+      Obs.finish t.obs w.w_span;
       w.w_respond (Flushed { durable = s.durable }))
     ready
 
@@ -119,7 +109,7 @@ let shed_expired t =
       t.shed <- t.shed + 1;
       if not (Span.is_null w.w_span) then
         Span.annotate w.w_span ~key:"error" "shed: deadline expired";
-      finish_span t w.w_span;
+      Obs.finish t.obs w.w_span;
       w.w_respond (A_failed "shed: deadline expired"))
     expired
 
@@ -129,7 +119,7 @@ let fail_waiters t msg =
   List.iter
     (fun w ->
       if not (Span.is_null w.w_span) then Span.annotate w.w_span ~key:"error" msg;
-      finish_span t w.w_span;
+      Obs.finish t.obs w.w_span;
       w.w_respond (A_failed msg))
     ws
 
@@ -152,19 +142,19 @@ let flusher t ~epoch ~wakeup () =
       s.buffer <- [];
       Prof.section_end sect "adp";
       Cpu.execute (current_cpu t) flush_cpu;
-      let sp = start_span t "adp.flush" in
+      let sp = Obs.start t.obs ~track:t.adp_name "adp.flush" in
       if not (Span.is_null sp) then
         Span.annotate sp ~key:"batch" (string_of_int (List.length batch));
       (match Log_backend.write_records ~parent:sp t.backend batch with
       | Ok () ->
           s.durable <- max s.durable last;
-          finish_span t sp;
+          Obs.finish t.obs sp;
           Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_durable s.durable);
           satisfy_waiters ~flush:sp t s
       | Error e ->
           (* Put the batch back so a takeover can still flush it. *)
           if not (Span.is_null sp) then Span.annotate sp ~key:"error" e;
-          finish_span t sp;
+          Obs.finish t.obs sp;
           s.buffer <- List.rev_append batch s.buffer;
           fail_waiters t e)
     done
@@ -173,7 +163,9 @@ let flusher t ~epoch ~wakeup () =
 let handle t s req respond =
   match req with
   | Append records -> (
-      let sp = start_span t ~parent:(Msgsys.caller_span t.srv) "adp.append" in
+      let sp =
+        Obs.start t.obs ~track:t.adp_name ~parent:(Msgsys.caller_span t.srv) "adp.append"
+      in
       Span.note_queue sp (Msgsys.caller_wait t.srv);
       if not (Span.is_null sp) then
         Span.annotate sp ~key:"records" (string_of_int (List.length records));
@@ -199,11 +191,11 @@ let handle t s req respond =
         | Ok () ->
             s.durable <- last_asn;
             Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_durable s.durable);
-            finish_span t sp;
+            Obs.finish t.obs sp;
             respond (Appended { last_asn })
         | Error e ->
             if not (Span.is_null sp) then Span.annotate sp ~key:"error" e;
-            finish_span t sp;
+            Obs.finish t.obs sp;
             respond (A_failed e)
       else begin
         (* Disk path: buffer now, flush later — but the buffered records
@@ -211,14 +203,14 @@ let handle t s req respond =
            before acknowledging. *)
         s.buffer <- List.rev_append stamped s.buffer;
         Procpair.checkpoint (pair_exn t) ~bytes:(ckpt_size stamped) (Ck_appended stamped);
-        finish_span t sp;
+        Obs.finish t.obs sp;
         respond (Appended { last_asn })
       end)
   | Flush { through; deadline } ->
       t.flush_reqs <- t.flush_reqs + 1;
       if through <= s.durable then begin
         (* Already durable: a zero-wait flush, counted as such. *)
-        note_flush_wait t 0;
+        Obs.note t.flush_stat 0;
         respond (Flushed { durable = s.durable })
       end
       else if deadline > 0 && now t >= deadline then begin
@@ -238,7 +230,9 @@ let handle t s req respond =
              (Printf.sprintf "trail degraded: ASN %d past durable horizon %d" through
                 s.durable))
       else begin
-        let sp = start_span t ~parent:(Msgsys.caller_span t.srv) "adp.flush_wait" in
+        let sp =
+          Obs.start t.obs ~track:t.adp_name ~parent:(Msgsys.caller_span t.srv) "adp.flush_wait"
+        in
         Span.note_queue sp (Msgsys.caller_wait t.srv);
         if not (Span.is_null sp) then
           Span.annotate sp ~key:"through" (string_of_int through);
@@ -280,7 +274,7 @@ let apply_ckpt t = function
       t.shadow.next_asn <- max t.shadow.next_asn (asn + 1)
 
 let start ~fabric ~name ~primary ~backup ~backend ?obs () =
-  let srv = Msgsys.create_server fabric ~cpu:primary ~name in
+  let srv = Msgsys.create_server ?obs fabric ~cpu:primary ~name in
   let t =
     {
       adp_name = name;
@@ -290,33 +284,24 @@ let start ~fabric ~name ~primary ~backup ~backend ?obs () =
       live = None;
       shadow = { next_asn = 1; durable = 0; buffer = [] };
       waiters = [];
-      wakeup = Mailbox.create ~name:(name ^ ":wakeup") ();
+      wakeup = Mailbox.create ();
       epoch = 0;
       appended = 0;
       flush_reqs = 0;
       shed = 0;
       obs;
-      flush_stat =
-        (match obs with
-        | Some o -> Some (Metrics.stat (Obs.metrics o) "adp.flush_latency")
-        | None -> None);
+      flush_stat = Obs.stat obs "adp.flush_latency";
     }
   in
-  (match obs with
-  | Some o ->
-      Msgsys.set_obs srv o;
-      let m = Obs.metrics o in
-      (* Gauges, not a probe: the ADP's flush busy time is the serial sum
-         of its primary+mirror volume writes, which would double-count
-         the disks in the bottleneck ranking. *)
-      Metrics.register_gauge m ("adp." ^ name ^ ".buffer") (fun () ->
-          let s = match t.live with Some s -> s | None -> t.shadow in
-          float_of_int (List.length s.buffer));
-      Metrics.register_gauge m ("adp." ^ name ^ ".flush_backlog") (fun () ->
-          float_of_int (List.length t.waiters));
-      Metrics.register_gauge m ("adp." ^ name ^ ".shed_expired") (fun () ->
-          float_of_int t.shed)
-  | None -> ());
+  (* Gauges, not a probe: the ADP's flush busy time is the serial sum of
+     its primary+mirror volume writes, which would double-count the disks
+     in the bottleneck ranking. *)
+  Obs.gauge obs ("adp." ^ name ^ ".buffer") (fun () ->
+      let s = match t.live with Some s -> s | None -> t.shadow in
+      float_of_int (List.length s.buffer));
+  Obs.gauge obs ("adp." ^ name ^ ".flush_backlog") (fun () ->
+      float_of_int (List.length t.waiters));
+  Obs.gauge obs ("adp." ^ name ^ ".shed_expired") (fun () -> float_of_int t.shed);
   let pair =
     Procpair.start ~fabric ~name ~primary ~backup
       ~apply:(fun ck -> apply_ckpt t ck)
@@ -327,7 +312,7 @@ let start ~fabric ~name ~primary ~backup ~backend ?obs () =
            move and will retry against the new primary.  A fresh wakeup
            mailbox orphans any flusher that survived the failure. *)
         t.waiters <- [];
-        t.wakeup <- Mailbox.create ~name:(t.adp_name ^ ":wakeup") ();
+        t.wakeup <- Mailbox.create ();
         Msgsys.move t.srv ~cpu:backup)
       ()
   in

@@ -68,9 +68,9 @@ type t = {
   rng : Rng.t;
   mutable insert_count : int;
   mutable cp_asn : Audit.asn;
-  mutable obs : Obs.t option;
-  mutable lookup_counter : Stat.Counter.t option;
-  mutable hit_counter : Stat.Counter.t option;
+  obs : Obs.t option;
+  lookup_counter : Stat.Counter.t option;
+  hit_counter : Stat.Counter.t option;
 }
 
 let new_state () = { files = Hashtbl.create 8; undo = Hashtbl.create 64 }
@@ -87,13 +87,6 @@ let pair_exn t = match t.pair with Some p -> p | None -> invalid_arg "Dp2: not s
 
 let current_cpu t = Procpair.primary_cpu (pair_exn t)
 
-let start_span t ?parent name =
-  match t.obs with
-  | Some o -> Span.start (Obs.spans o) ~track:t.dp2_name ?parent name
-  | None -> Span.null
-
-let finish_span t sp =
-  match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ()
 
 let copy_state src =
   let dst = new_state () in
@@ -157,7 +150,7 @@ let emit_control_point t s =
 let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
   match req with
   | Insert { txn; file; key; len; crc; deadline } -> (
-      let isp = start_span t ~parent:caller "dp2.insert" in
+      let isp = Obs.start t.obs ~track:t.dp2_name ~parent:caller "dp2.insert" in
       Span.note_queue isp queued;
       if not (Span.is_null isp) then begin
         Span.annotate isp ~key:"txn" (string_of_int txn);
@@ -167,7 +160,7 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
         (match r with
         | D_failed e -> Span.annotate isp ~key:"error" e
         | _ -> ());
-        finish_span t isp;
+        Obs.finish t.obs isp;
         respond r
       in
       Cpu.execute (current_cpu t) insert_cpu;
@@ -175,12 +168,12 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
         (* Expired before touching any resource: shed, don't lock. *)
         respond (D_failed "shed: deadline expired")
       else
-      let lsp = start_span t ~parent:isp "dp2.lock" in
+      let lsp = Obs.start t.obs ~track:t.dp2_name ~parent:isp "dp2.lock" in
       let lock_result =
         Lockmgr.acquire t.locks ~span:lsp ~deadline ~owner:txn ~key:(file, key)
           Lockmgr.Exclusive
       in
-      finish_span t lsp;
+      Obs.finish t.obs lsp;
       match lock_result with
       | Error Lockmgr.Lock_timeout -> respond (D_failed "lock timeout")
       | Ok () -> (
@@ -223,21 +216,21 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
           | Error e -> respond (D_failed (Format.asprintf "audit: %a" Msgsys.pp_error e))))
   | Lookup { file; key } -> (
       Cpu.execute (current_cpu t) lookup_cpu;
-      (match t.lookup_counter with Some c -> Stat.Counter.incr c | None -> ());
+      Obs.incr t.lookup_counter;
       match Btree.find (file_index s file) ~key with
       | Some cell ->
-          (match t.hit_counter with Some c -> Stat.Counter.incr c | None -> ());
+          Obs.incr t.hit_counter;
           respond (Found { len = cell.len; crc = cell.crc })
       | None -> respond Absent)
   | Read { txn; file; key } -> (
       Cpu.execute (current_cpu t) lookup_cpu;
-      (match t.lookup_counter with Some c -> Stat.Counter.incr c | None -> ());
+      Obs.incr t.lookup_counter;
       match Lockmgr.acquire t.locks ~owner:txn ~key:(file, key) Lockmgr.Shared with
       | Error Lockmgr.Lock_timeout -> respond (D_failed "lock timeout")
       | Ok () -> (
           match Btree.find (file_index s file) ~key with
           | Some cell ->
-              (match t.hit_counter with Some c -> Stat.Counter.incr c | None -> ());
+              Obs.incr t.hit_counter;
               respond (Found { len = cell.len; crc = cell.crc })
           | None -> respond Absent))
   | Scan { file; lo; hi; limit } ->
@@ -282,7 +275,10 @@ let apply_ckpt t = function
   | Ck_finish { txn; committed } -> finish_on t.shadow ~txn ~committed
 
 let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~locks ?obs () =
-  let srv = Msgsys.create_server fabric ~cpu:primary ~name in
+  let srv = Msgsys.create_server ?obs fabric ~cpu:primary ~name in
+  let lookup_counter = Obs.counter obs "dp2.lookups" in
+  let hit_counter = Obs.counter obs "dp2.lookup_hits" in
+  Obs.ratio obs "dp2.hit_ratio" ~num:hit_counter ~den:lookup_counter;
   let t =
     {
       dp2_name = name;
@@ -299,23 +295,10 @@ let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~loc
       insert_count = 0;
       cp_asn = 0;
       obs;
-      lookup_counter = None;
-      hit_counter = None;
+      lookup_counter;
+      hit_counter;
     }
   in
-  (match obs with
-  | Some o ->
-      Msgsys.set_obs srv o;
-      let m = Obs.metrics o in
-      let lookups = Metrics.counter m "dp2.lookups" in
-      let hits = Metrics.counter m "dp2.lookup_hits" in
-      t.lookup_counter <- Some lookups;
-      t.hit_counter <- Some hits;
-      if Metrics.find m "dp2.hit_ratio" = None then
-        Metrics.register_gauge m "dp2.hit_ratio" (fun () ->
-            let n = Stat.Counter.get lookups in
-            if n = 0 then 0.0 else float_of_int (Stat.Counter.get hits) /. float_of_int n)
-  | None -> ());
   let pair =
     Procpair.start ~fabric ~name ~primary ~backup
       ~apply:(fun ck -> apply_ckpt t ck)

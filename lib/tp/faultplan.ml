@@ -368,12 +368,9 @@ let record run ?(detail = "") action =
     if detail = "" then describe action else describe action ^ " — " ^ detail
   in
   run.r_injected <- (now, desc) :: run.r_injected;
-  match System.obs system with
-  | None -> ()
-  | Some o ->
-      let m = Obs.metrics o in
-      Stat.Counter.incr (Metrics.counter m "fault.injected");
-      Stat.Counter.incr (Metrics.counter m ("fault." ^ action_name action))
+  let obs = System.obs system in
+  Obs.bump obs "fault.injected";
+  Obs.bump obs ("fault." ^ action_name action)
 
 (* Injection runs in the scheduler process; anything that must happen at
    the end of a window (power restore, noise end) is a non-blocking
@@ -381,17 +378,9 @@ let record run ?(detail = "") action =
 let inject run action =
   let system = run.r_system in
   let sim = System.sim system in
-  let sp =
-    match System.obs system with
-    | None -> Span.null
-    | Some o ->
-        let sp = Span.start (Obs.spans o) ~track:"fault" (action_name action) in
-        Span.annotate sp ~key:"fault" (describe action);
-        sp
-  in
-  let finish () =
-    match System.obs system with Some o -> Span.finish (Obs.spans o) sp | None -> ()
-  in
+  let sp = Obs.start (System.obs system) ~track:"fault" (action_name action) in
+  if not (Span.is_null sp) then Span.annotate sp ~key:"fault" (describe action);
+  let finish () = Obs.finish (System.obs system) sp in
   (match action with
   | Kill_primary (Adp i) ->
       Adp.kill_primary (System.adps system).(i);

@@ -38,25 +38,15 @@ let create sim ?(timeout = Time.sec 5) ?obs () =
       blocked = 0;
       conflict_count = 0;
       timed_out = 0;
-      wait_stat =
-        (match obs with
-        | Some o -> Metrics.stat (Obs.metrics o) "lock.wait_ns"
-        | None -> Stat.create ~name:"lock.wait_ns" ());
+      wait_stat = Obs.stat_or_private obs "lock.wait_ns";
     }
   in
-  (match obs with
-  | Some o ->
-      let m = Obs.metrics o in
-      Metrics.register_gauge m "lock.conflicts" (fun () ->
-          float_of_int t.conflict_count);
-      Metrics.register_gauge m "lock.timeouts" (fun () -> float_of_int t.timed_out);
-      Metrics.register_gauge m "lock.waiting" (fun () -> float_of_int t.blocked);
-      Metrics.register_gauge m "lock.held" (fun () ->
-          Hashtbl.fold
-            (fun _ e acc -> acc + List.length e.lock_holders)
-            t.table 0
-          |> float_of_int)
-  | None -> ());
+  Obs.gauge obs "lock.conflicts" (fun () -> float_of_int t.conflict_count);
+  Obs.gauge obs "lock.timeouts" (fun () -> float_of_int t.timed_out);
+  Obs.gauge obs "lock.waiting" (fun () -> float_of_int t.blocked);
+  Obs.gauge obs "lock.held" (fun () ->
+      Hashtbl.fold (fun _ e acc -> acc + List.length e.lock_holders) t.table 0
+      |> float_of_int);
   t
 
 let entry t key =

@@ -30,18 +30,13 @@ type t = {
   now : unit -> Simkit.Time.t;
 }
 
-let stat_of obs =
-  match obs with
-  | Some o -> Some (Simkit.Metrics.stat (Simkit.Obs.metrics o) "log.write_ns")
-  | None -> None
-
 let disk ?mirror ?obs vol =
   {
     kind = Disk { vol; mirror; shadow = [] };
     bytes = 0;
     ops = 0;
     obs;
-    write_stat = stat_of obs;
+    write_stat = Simkit.Obs.stat obs "log.write_ns";
     now = (fun () -> Simkit.Sim.now (Diskio.Volume.sim vol));
   }
 
@@ -55,7 +50,7 @@ let pm ?obs client handle =
     bytes = 0;
     ops = 0;
     obs;
-    write_stat = stat_of obs;
+    write_stat = Simkit.Obs.stat obs "log.write_ns";
     now = (fun () -> Simkit.Sim.now (Nsk.Cpu.sim (Pm_client.cpu client)));
   }
 
@@ -89,18 +84,11 @@ let parse_pm_header = Codec.unseal ~magic:ring_magic ~size:ring_header_bytes Cod
 
 let write_records ?parent t records =
   let t0 = t.now () in
-  let sp =
-    match t.obs with
-    | None -> Simkit.Span.null
-    | Some o ->
-        let sp = Simkit.Span.start (Simkit.Obs.spans o) ~track:"log" ?parent "log.write" in
-        if not (Simkit.Span.is_null sp) then begin
-          Simkit.Span.annotate sp ~key:"records" (string_of_int (List.length records));
-          Simkit.Span.annotate sp ~key:"backend"
-            (match t.kind with Disk _ -> "disk" | Pm _ -> "pm")
-        end;
-        sp
-  in
+  let sp = Simkit.Obs.start t.obs ~track:"log" ?parent "log.write" in
+  if not (Simkit.Span.is_null sp) then begin
+    Simkit.Span.annotate sp ~key:"records" (string_of_int (List.length records));
+    Simkit.Span.annotate sp ~key:"backend" (match t.kind with Disk _ -> "disk" | Pm _ -> "pm")
+  end;
   let result =
     match t.kind with
     | Disk d ->
@@ -160,10 +148,8 @@ let write_records ?parent t records =
             | Ok () -> Ok ()
             | Error e -> Error (Pm_types.error_to_string e)))
   in
-  (match t.write_stat with
-  | Some st -> Simkit.Stat.add_span st (t.now () - t0)
-  | None -> ());
-  (match t.obs with Some o -> Simkit.Span.finish (Simkit.Obs.spans o) sp | None -> ());
+  Simkit.Obs.note t.write_stat (t.now () - t0);
+  Simkit.Obs.finish t.obs sp;
   result
 
 let trim t ~through =

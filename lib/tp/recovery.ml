@@ -213,16 +213,12 @@ let run ?outcome_of system =
               | Ok _ | Error _ -> ());
               Lockmgr.release_all locks ~owner:txn)
             (Tmf.active_txns tmf);
-          (match System.obs system with
-          | Some o ->
-              let m = Obs.metrics o in
-              for _ = 1 to !resolved_commit do
-                Stat.Counter.incr (Metrics.counter m "dtx.resolved_commit")
-              done;
-              for _ = 1 to !resolved_abort do
-                Stat.Counter.incr (Metrics.counter m "dtx.resolved_abort")
-              done
-          | None -> ());
+          for _ = 1 to !resolved_commit do
+            Obs.bump (System.obs system) "dtx.resolved_commit"
+          done;
+          for _ = 1 to !resolved_abort do
+            Obs.bump (System.obs system) "dtx.resolved_abort"
+          done;
           Ok
             {
               mttr = Sim.now sim - started;

@@ -135,53 +135,34 @@ let build_pm ?obs cfg sim node =
       ~backup_cpu:(Node.cpu node 1) ~primary_dev:dev_a ~mirror_dev:dev_b ()
   in
   (match cfg.pm_scrub with
-  | Some interval ->
-      Pm.Pmm.start_scrubber pmm ~cpu:(Node.cpu node 0) ~interval
-        ?metrics:(Option.map Obs.metrics obs) ()
+  | Some interval -> Pm.Pmm.start_scrubber pmm ~cpu:(Node.cpu node 0) ~interval ?obs ()
   | None -> ());
   (* The mirror-health monitor probes from the backup CPU: its endpoint
      is already admitted to the metadata windows, and it keeps probing
      through a primary takeover. *)
   (match cfg.pm_health with
   | Some health_cfg ->
-      Pm.Pmm.start_monitor pmm ~cpu:(Node.cpu node 1) ~config:health_cfg
-        ?metrics:(Option.map Obs.metrics obs) ()
+      Pm.Pmm.start_monitor pmm ~cpu:(Node.cpu node 1) ~config:health_cfg ?obs ()
   | None -> ());
   (pmm, devices)
 
 let build ?obs sim cfg =
   if cfg.worker_cpus < 2 then invalid_arg "System.build: need at least two worker CPUs";
-  (* Spans timestamp against this simulation from here on. *)
+  (* Spans and probes timestamp against this simulation from here on. *)
   (match obs with Some o -> Obs.set_clock o (fun () -> Sim.now sim) | None -> ());
   let extra_cpus = match cfg.pm_device_kind with Prototype_pmp -> 2 | Hardware_npmu -> 0 in
   let node =
-    Node.create sim ~fabric_config:cfg.fabric ~cpus:(cfg.worker_cpus + extra_cpus) ()
+    Node.create sim ~fabric_config:cfg.fabric ?obs ~cpus:(cfg.worker_cpus + extra_cpus) ()
   in
   let fabric = Node.fabric node in
-  (match obs with
-  | Some o ->
-      Servernet.Fabric.set_obs fabric o;
-      let m = Obs.metrics o in
-      for i = 0 to cfg.worker_cpus + extra_cpus - 1 do
-        let cpu = Node.cpu node i in
-        let p = Metrics.probe m (Printf.sprintf "cpu.%d" i) in
-        Probe.set_clock p (fun () -> Sim.now sim);
-        Cpu.set_probe cpu p
-      done
-  | None -> ());
-  let observe_vol v =
-    (match obs with Some o -> Diskio.Volume.set_obs v o | None -> ());
-    v
-  in
   let n_dp2 = cfg.files * cfg.partitions_per_file in
   (* Data volumes: battery-backed write caches and elevator scheduling,
      as the disk processes of the era ran them. *)
   let data_vols =
     Array.init n_dp2 (fun v ->
-        observe_vol
-          (Node.add_volume node
-             ~name:(Printf.sprintf "$DATA%02d" v)
-             ~cache:Diskio.Disk.default_cache ~scheduling:Diskio.Volume.Elevator ()))
+        Node.add_volume node
+          ~name:(Printf.sprintf "$DATA%02d" v)
+          ~cache:Diskio.Disk.default_cache ~scheduling:Diskio.Volume.Elevator ())
   in
   (* Audit volumes: the flush must reach the spindle — no cache.  These
      are 15 kRPM log disks (2004 enterprise class), faster than the data
@@ -199,20 +180,14 @@ let build ?obs sim cfg =
     | Pm_audit -> [||]
     | Disk_audit ->
         Array.init (cfg.adps_per_node + 1) (fun i ->
-            observe_vol
-              (Node.add_volume node
-                 ~name:(Printf.sprintf "$AUDIT%d" i)
-                 ~geometry:audit_geometry ()))
+            Node.add_volume node ~name:(Printf.sprintf "$AUDIT%d" i) ~geometry:audit_geometry ())
   in
   let audit_mirrors =
     match cfg.log_mode with
     | Pm_audit -> [||]
     | Disk_audit ->
         Array.init (cfg.adps_per_node + 1) (fun i ->
-            observe_vol
-              (Node.add_volume node
-                 ~name:(Printf.sprintf "$AUDIT%dM" i)
-                 ~geometry:audit_geometry ()))
+            Node.add_volume node ~name:(Printf.sprintf "$AUDIT%dM" i) ~geometry:audit_geometry ())
   in
   let worker i = Node.cpu node (i mod cfg.worker_cpus) in
   let backup_of i = Node.cpu node ((i + 1) mod cfg.worker_cpus) in
@@ -222,19 +197,14 @@ let build ?obs sim cfg =
         (None, fun i -> Log_backend.disk ~mirror:audit_mirrors.(i) ?obs audit_vols.(i))
     | Pm_audit ->
         let pmm, devices = build_pm ?obs cfg sim node in
-        (match obs with
-        | Some o ->
-            let m = Obs.metrics o in
-            List.iter (fun d -> Pm.Npmu.instrument d m) devices;
-            (match devices with
-            | [ a; b ] ->
-                (* Mirror-resync lag: bytes the two halves of the pair
-                   disagree by.  Zero while both halves ack every write. *)
-                Metrics.register_gauge m "pm.mirror_lag_bytes" (fun () ->
-                    float_of_int
-                      (abs (Pm.Npmu.bytes_written a - Pm.Npmu.bytes_written b)))
-            | _ -> ())
-        | None -> ());
+        List.iter (Pm.Npmu.instrument ?obs) devices;
+        (match devices with
+        | [ a; b ] ->
+            (* Mirror-resync lag: bytes the two halves of the pair
+               disagree by.  Zero while both halves ack every write. *)
+            Obs.gauge obs "pm.mirror_lag_bytes" (fun () ->
+                float_of_int (abs (Pm.Npmu.bytes_written a - Pm.Npmu.bytes_written b)))
+        | _ -> ());
         (* Trail regions, one per data ADP plus the MAT, plus the
            transaction-state table. *)
         let clients = Hashtbl.create 8 in

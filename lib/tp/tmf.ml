@@ -114,15 +114,6 @@ let current_cpu t = Procpair.primary_cpu (pair_exn t)
 
 let now t = Sim.now (Cpu.sim (current_cpu t))
 
-let start_span t ?parent name =
-  match t.obs with
-  | Some o -> Span.start (Obs.spans o) ~track:"tmf" ?parent name
-  | None -> Span.null
-
-let finish_span t sp =
-  match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ()
-
-let note stat dt = match stat with Some st -> Stat.add_span st dt | None -> ()
 
 let state t =
   match t.live with
@@ -285,13 +276,13 @@ let handle t s req respond =
          multithreaded; the trails group-commit concurrent flushes). *)
       let commit_work () =
         let started = Sim.now (Cpu.sim (current_cpu t)) in
-        let csp = start_span t ~parent:caller "tmf.commit" in
+        let csp = Obs.start t.obs ~track:"tmf" ~parent:caller "tmf.commit" in
         Span.note_queue csp queued;
         if not (Span.is_null csp) then
           Span.annotate csp ~key:"txn" (string_of_int txn);
         let finish_failed msg =
           Span.annotate csp ~key:"error" msg;
-          finish_span t csp;
+          Obs.finish t.obs csp;
           respond (T_failed msg)
         in
         Cpu.execute (current_cpu t) commit_cpu;
@@ -307,24 +298,24 @@ let handle t s req respond =
             t.n_aborted <- t.n_aborted + 1;
             record_state_advisory t txn 3;
             Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_outcome (txn, false));
-            finish_span t csp;
+            Obs.finish t.obs csp;
             respond (T_failed "shed: deadline expired");
             Mailbox.send t.finish_queue
               { fj_txn = txn; fj_committed = false; fj_involved = involved }
         | Some deadline -> begin
-          let fsp = start_span t ~parent:csp "tmf.flush_trails" in
+          let fsp = Obs.start t.obs ~track:"tmf" ~parent:csp "tmf.flush_trails" in
           let f0 = now t in
           let flush_result = flush_trails ~span:fsp ~deadline t flushes in
-          note t.flush_wait_stat (now t - f0);
-          finish_span t fsp;
+          Obs.note t.flush_wait_stat (now t - f0);
+          Obs.finish t.obs fsp;
           match flush_result with
           | Error e -> finish_failed ("flush: " ^ e)
           | Ok () -> (
-              let msp = start_span t ~parent:csp "tmf.commit_record" in
+              let msp = Obs.start t.obs ~track:"tmf" ~parent:csp "tmf.commit_record" in
               let m0 = now t in
               let mat_result = write_commit_record ~span:msp t txn in
-              note t.mat_write_stat (now t - m0);
-              finish_span t msp;
+              Obs.note t.mat_write_stat (now t - m0);
+              Obs.finish t.obs msp;
               match mat_result with
               | Error e -> finish_failed ("commit record: " ^ e)
               | Ok () ->
@@ -348,7 +339,7 @@ let handle t s req respond =
                        (ewma_alpha *. float_of_int svc)
                        +. ((1. -. ewma_alpha) *. t.svc_ewma));
                   Stat.add_span t.latency svc;
-                  finish_span t csp;
+                  Obs.finish t.obs csp;
                   respond Committed;
                   (* Lock release happens behind the reply. *)
                   Mailbox.send t.finish_queue
@@ -380,12 +371,12 @@ let handle t s req respond =
       let queued = Msgsys.caller_wait t.srv in
       (* Phase 1 runs in its own worker like a commit. *)
       let prepare_work () =
-        let psp = start_span t ~parent:caller "tmf.prepare" in
+        let psp = Obs.start t.obs ~track:"tmf" ~parent:caller "tmf.prepare" in
         Span.note_queue psp queued;
         if not (Span.is_null psp) then
           Span.annotate psp ~key:"txn" (string_of_int txn);
         let finish r =
-          finish_span t psp;
+          Obs.finish t.obs psp;
           respond r
         in
         let respond = finish in
@@ -415,12 +406,12 @@ let handle t s req respond =
           let caller = Msgsys.caller_span t.srv in
           let queued = Msgsys.caller_wait t.srv in
           let decide_work () =
-            let dsp = start_span t ~parent:caller "tmf.decide" in
+            let dsp = Obs.start t.obs ~track:"tmf" ~parent:caller "tmf.decide" in
             Span.note_queue dsp queued;
             if not (Span.is_null dsp) then
               Span.annotate dsp ~key:"txn" (string_of_int txn);
             let respond r =
-              finish_span t dsp;
+              Obs.finish t.obs dsp;
               respond r
             in
             Cpu.execute (current_cpu t) commit_cpu;
@@ -480,7 +471,7 @@ let apply_ckpt t = function
 
 let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_probe
     ?(admission = false) ?obs () =
-  let srv = Msgsys.create_server fabric ~cpu:primary ~name in
+  let srv = Msgsys.create_server ?obs fabric ~cpu:primary ~name in
   let t =
     {
       tmf_name = name;
@@ -493,7 +484,7 @@ let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_pr
       pair = None;
       live = None;
       shadow = { next_txn = 1; active = Hashtbl.create 64; prepared = Hashtbl.create 16 };
-      finish_queue = Mailbox.create ~name:(name ^ ":finish") ();
+      finish_queue = Mailbox.create ();
       n_begun = 0;
       n_committed = 0;
       n_aborted = 0;
@@ -501,35 +492,19 @@ let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_pr
       n_rejected = 0;
       n_expired = 0;
       svc_ewma = 0.;
-      latency =
-        (match obs with
-        | Some o -> Metrics.stat (Obs.metrics o) "tmf.commit_ns"
-        | None -> Stat.create ~name:(name ^ ":commit") ());
+      latency = Obs.stat_or_private obs ~name:(name ^ ":commit") "tmf.commit_ns";
       obs;
-      flush_wait_stat =
-        (match obs with
-        | Some o -> Some (Metrics.stat (Obs.metrics o) "tmf.flush_wait_ns")
-        | None -> None);
-      mat_write_stat =
-        (match obs with
-        | Some o -> Some (Metrics.stat (Obs.metrics o) "tmf.mat_write_ns")
-        | None -> None);
+      flush_wait_stat = Obs.stat obs "tmf.flush_wait_ns";
+      mat_write_stat = Obs.stat obs "tmf.mat_write_ns";
       outcome_probe;
     }
   in
-  (match obs with
-  | Some o ->
-      Msgsys.set_obs srv o;
-      Metrics.register_gauge (Obs.metrics o) "tmf.active_txns" (fun () ->
-          let s = match t.live with Some s -> s | None -> t.shadow in
-          float_of_int (Hashtbl.length s.active));
-      Metrics.register_gauge (Obs.metrics o) "tmf.admitted" (fun () ->
-          float_of_int t.n_admitted);
-      Metrics.register_gauge (Obs.metrics o) "tmf.rejected" (fun () ->
-          float_of_int t.n_rejected);
-      Metrics.register_gauge (Obs.metrics o) "tmf.expired" (fun () ->
-          float_of_int t.n_expired)
-  | None -> ());
+  Obs.gauge obs "tmf.active_txns" (fun () ->
+      let s = match t.live with Some s -> s | None -> t.shadow in
+      float_of_int (Hashtbl.length s.active));
+  Obs.gauge obs "tmf.admitted" (fun () -> float_of_int t.n_admitted);
+  Obs.gauge obs "tmf.rejected" (fun () -> float_of_int t.n_rejected);
+  Obs.gauge obs "tmf.expired" (fun () -> float_of_int t.n_expired);
   let spawn_helpers cpu =
     ignore (Cpu.spawn cpu ~name:(name ^ ":finisher") (fun () -> finisher t ()))
   in

@@ -86,19 +86,10 @@ let create ~cpu ~tmf ~dp2s ~routing ?(wan_latency = 0)
     wan = wan_latency;
     link;
     crc_rng = Rng.create 0xC4CL;
-    rt =
-      (match obs with
-      | Some o -> Metrics.stat (Obs.metrics o) "txn.response_ns"
-      | None -> Stat.create ~name:"txn_response" ());
+    rt = Obs.stat_or_private obs "txn.response_ns";
     obs;
-    insert_wait_stat =
-      (match obs with
-      | Some o -> Some (Metrics.stat (Obs.metrics o) "txn.insert_wait_ns")
-      | None -> None);
-    commit_call_stat =
-      (match obs with
-      | Some o -> Some (Metrics.stat (Obs.metrics o) "txn.commit_call_ns")
-      | None -> None);
+    insert_wait_stat = Obs.stat obs "txn.insert_wait_ns";
+    commit_call_stat = Obs.stat obs "txn.commit_call_ns";
     deadline_budget;
     op_timeout;
     budget = retry_budget;
@@ -134,23 +125,6 @@ let spend_retry t =
 let budget_success t =
   match t.budget with None -> () | Some b -> Retry_budget.success b
 
-let start_span t ?parent name =
-  match t.obs with
-  | Some o -> Span.start (Obs.spans o) ~track:"client" ?parent name
-  | None -> Span.null
-
-(* The head of a transaction's causal DAG: a root span minting a fresh
-   trace id that every downstream hop — DP2, ADP, TMF, PM, volumes —
-   inherits through the envelope/parent chain. *)
-let root_span t name =
-  match t.obs with
-  | Some o -> Span.root (Obs.spans o) ~track:"client" name
-  | None -> Span.null
-
-let finish_span t sp =
-  match t.obs with Some o -> Span.finish (Obs.spans o) sp | None -> ()
-
-let note stat dt = match stat with Some st -> Stat.add_span st dt | None -> ()
 
 (* Synchronous call with the session's inter-node link latency on both
    legs.  A severed link loses the request (or the reply, when the
@@ -212,11 +186,11 @@ let begin_txn t =
   let br = tmf_breaker t in
   if not (breaker_allow t br) then Error (Tx_rejected "circuit open: tmf")
   else begin
-    let root = root_span t "txn" in
-    let bsp = start_span t ~parent:root "txn.begin" in
+    let root = Obs.root t.obs ~track:"client" "txn" in
+    let bsp = Obs.start t.obs ~track:"client" ~parent:root "txn.begin" in
     let fail msg =
-      finish_span t bsp;
-      finish_span t root;
+      Obs.finish t.obs bsp;
+      Obs.finish t.obs root;
       Error (Tx_failed msg)
     in
     (* The deadline is minted at arrival and propagates — in the begin
@@ -226,7 +200,7 @@ let begin_txn t =
     match wan_call t t.tmf ~span:bsp (Tmf.Begin_txn { deadline }) with
     | Ok (Tmf.Began { txn }) ->
         breaker_success br;
-        finish_span t bsp;
+        Obs.finish t.obs bsp;
         if not (Span.is_null root) then
           Span.annotate root ~key:"txn" (string_of_int txn);
         Ok
@@ -243,8 +217,8 @@ let begin_txn t =
     | Ok (Tmf.Rejected { reason }) ->
         (* The server is alive and answered — no breaker failure. *)
         breaker_success br;
-        finish_span t bsp;
-        finish_span t root;
+        Obs.finish t.obs bsp;
+        Obs.finish t.obs root;
         Error (Tx_rejected reason)
     | Ok (Tmf.T_failed e) ->
         breaker_success br;
@@ -322,7 +296,7 @@ let await_inserts t txn =
   (match outstanding with
   | [] -> ()
   | _ ->
-      let sp = start_span t ~parent:txn.root "txn.await_inserts" in
+      let sp = Obs.start t.obs ~track:"client" ~parent:txn.root "txn.await_inserts" in
       if not (Span.is_null sp) then
         Span.annotate sp ~key:"inserts" (string_of_int (List.length outstanding));
       let t0 = now t in
@@ -336,8 +310,8 @@ let await_inserts t txn =
               Error Msgsys.Timed_out
       in
       List.iter (fun p -> note_insert_reply t txn p (read_reply p)) outstanding;
-      note t.insert_wait_stat (now t - t0);
-      finish_span t sp);
+      Obs.note t.insert_wait_stat (now t - t0);
+      Obs.finish t.obs sp);
   match txn.failed with None -> Ok () | Some e -> Error (Tx_failed e)
 
 let insert t txn ~file ~key ~len () =
@@ -351,18 +325,18 @@ let involved_list txn = Hashtbl.fold (fun dp2 () acc -> dp2 :: acc) txn.involved
 let commit t txn =
   match await_inserts t txn with
   | Error e ->
-      finish_span t txn.root;
+      Obs.finish t.obs txn.root;
       Error e
   | Ok () ->
-      let csp = start_span t ~parent:txn.root "txn.commit" in
+      let csp = Obs.start t.obs ~track:"client" ~parent:txn.root "txn.commit" in
       let c0 = now t in
       let result =
         wan_call t t.tmf ~span:csp
           (Tmf.Commit_txn
              { txn = txn.id; flushes = flush_list txn; involved = involved_list txn })
       in
-      note t.commit_call_stat (now t - c0);
-      finish_span t csp;
+      Obs.note t.commit_call_stat (now t - c0);
+      Obs.finish t.obs csp;
       let out =
         match result with
         | Ok Tmf.Committed ->
@@ -376,14 +350,14 @@ let commit t txn =
             breaker_failure t (tmf_breaker t);
             Error (Tx_failed (Format.asprintf "%a" Msgsys.pp_error e))
       in
-      finish_span t txn.root;
+      Obs.finish t.obs txn.root;
       out
 
 let abort t txn =
   (* Collect stragglers first so their locks are covered by the release. *)
   let (_ : (unit, error) result) = await_inserts t txn in
   Span.annotate txn.root ~key:"outcome" "abort";
-  finish_span t txn.root;
+  Obs.finish t.obs txn.root;
   match
     wan_call t t.tmf (Tmf.Abort_txn { txn = txn.id; involved = involved_list txn })
   with
@@ -409,13 +383,13 @@ let prepare ?gtid t txn =
   match await_inserts t txn with
   | Error e -> Error e
   | Ok () -> (
-      let psp = start_span t ~parent:txn.root "txn.prepare" in
+      let psp = Obs.start t.obs ~track:"client" ~parent:txn.root "txn.prepare" in
       let result =
         wan_call t t.tmf ~span:psp
           (Tmf.Prepare_txn
              { txn = txn.id; flushes = flush_list txn; involved = involved_list txn; gtid })
       in
-      finish_span t psp;
+      Obs.finish t.obs psp;
       match result with
       | Ok Tmf.Prepared_ok -> Ok ()
       | Ok (Tmf.T_failed e) -> Error (Tx_failed e)
@@ -423,12 +397,12 @@ let prepare ?gtid t txn =
       | Error e -> Error (Tx_failed (Format.asprintf "%a" Msgsys.pp_error e)))
 
 let decide t txn ~commit =
-  let dsp = start_span t ~parent:txn.root "txn.decide" in
+  let dsp = Obs.start t.obs ~track:"client" ~parent:txn.root "txn.decide" in
   if not (Span.is_null dsp) then
     Span.annotate dsp ~key:"commit" (if commit then "true" else "false");
   let result = wan_call t t.tmf ~span:dsp (Tmf.Decide_txn { txn = txn.id; commit }) in
-  finish_span t dsp;
-  finish_span t txn.root;
+  Obs.finish t.obs dsp;
+  Obs.finish t.obs txn.root;
   match result with
   | Ok Tmf.Decided ->
       if commit then Stat.add_span t.rt (Sim.now (Cpu.sim t.client_cpu) - txn.started);

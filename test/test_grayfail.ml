@@ -127,7 +127,7 @@ let test_ivar_timeout_waker_cleanup () =
 
 let test_mailbox_timeout_waker_cleanup () =
   Test_util.run_process (fun sim ->
-      let mb = Mailbox.create ~name:"gray" () in
+      let mb = Mailbox.create () in
       for i = 1 to 500 do
         let (_ : Sim.pid) =
           Sim.spawn sim ~name:"sender" (fun () -> Mailbox.send mb i)

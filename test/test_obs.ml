@@ -16,7 +16,7 @@ let manual_clock () =
 
 let test_span_disabled_is_free () =
   let c = Span.create () in
-  let sp = Span.start c "op" in
+  let sp = Span.start c ~track:"main" "op" in
   check_bool "null span" true (Span.is_null sp);
   Span.annotate sp ~key:"k" "v";
   Span.finish c sp;
@@ -58,7 +58,7 @@ let test_span_double_finish_and_capacity () =
     List.map
       (fun i ->
         set (i * 10);
-        Span.start c (Printf.sprintf "s%d" i))
+        Span.start c ~track:"main" (Printf.sprintf "s%d" i))
       [ 1; 2; 3 ]
   in
   set 100;
@@ -207,6 +207,42 @@ let test_cell_trace_tree () =
   check_bool "chrome wrapper" true (has "\"traceEvents\"");
   check_bool "contains commit spans" true (has "\"tmf.commit\"")
 
+(* Telemetry only reads the simulation: a cell run with no context, with
+   an enabled context feeding a critical-path analyzer, and with a
+   context at level [Off] must agree on every simulated result. *)
+let test_telemetry_never_changes_the_simulation () =
+  let saved = Obs.level () in
+  Fun.protect ~finally:(fun () -> Obs.set_level saved) @@ fun () ->
+  List.iter
+    (fun mode ->
+      let run ?obs () =
+        (Workloads.Figures.run_cell ?obs ~mode ~drivers:2 ~inserts_per_txn:4
+           ~records_per_driver:40 ())
+          .Workloads.Figures.result
+      in
+      Obs.set_level Obs.Spans;
+      let bare = run () in
+      let traced =
+        let obs = Obs.create () in
+        Span.enable (Obs.spans obs);
+        let cp = Critpath.create () in
+        Critpath.attach cp (Obs.spans obs);
+        let r = run ~obs () in
+        check_bool "the analyzer saw commits" true (Critpath.txns cp > 0);
+        r
+      in
+      Obs.set_level Obs.Off;
+      let off = run ~obs:(Obs.create ()) () in
+      List.iter
+        (fun (what, r) ->
+          let same name f = check_bool (what ^ ": same " ^ name) true (f bare = f r) in
+          same "elapsed" (fun r -> r.Workloads.Hot_stock.elapsed);
+          same "commits" (fun r -> r.Workloads.Hot_stock.committed);
+          same "audit bytes" (fun r -> r.Workloads.Hot_stock.audit_bytes);
+          same "response summary" (fun r -> r.Workloads.Hot_stock.response))
+        [ ("traced", traced); ("off", off) ])
+    [ Tp.System.Disk_audit; Tp.System.Pm_audit ]
+
 let test_breakdown_flush_shares () =
   let b = Workloads.Figures.breakdown ~records_per_driver:300 ~drivers:1 ~boxcar:8 () in
   check_bool "commits happened (disk)" true (b.Workloads.Figures.bd_disk.Workloads.Figures.b_commits > 0);
@@ -247,6 +283,8 @@ let suite =
       [
         Alcotest.test_case "cell populates the registry" `Quick test_cell_metrics_populate;
         Alcotest.test_case "cell produces a span tree" `Quick test_cell_trace_tree;
+        Alcotest.test_case "telemetry never changes the simulation" `Quick
+          test_telemetry_never_changes_the_simulation;
         Alcotest.test_case "breakdown: flush dominates disk only" `Quick
           test_breakdown_flush_shares;
       ] );

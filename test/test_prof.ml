@@ -151,7 +151,7 @@ let test_disabled_path_allocates_nothing () =
     Prof.bump_packets 3;
     Prof.bump_pm_write ();
     Prof.section_end s "hot";
-    let sp = Span.start span_collector "op" in
+    let sp = Span.start span_collector ~track:"main" "op" in
     Span.annotate sp ~key:"k" "v";
     Span.finish span_collector sp
   done;
@@ -165,7 +165,7 @@ let test_disabled_path_allocates_nothing () =
 
 let test_level_gates_counters () =
   with_level Obs.Off @@ fun () ->
-  let probe = Probe.create ~name:"gated" () in
+  let probe = Probe.create () in
   Probe.enqueue probe;
   Probe.enqueue probe;
   Probe.dequeue probe;

@@ -19,7 +19,7 @@ let contains hay needle =
 
 let test_probe_accounting () =
   let now = ref 0 in
-  let p = Probe.create ~clock:(fun () -> !now) ~name:"r" () in
+  let p = Probe.create ~clock:(fun () -> !now) () in
   Probe.enqueue p;
   now := 100;
   Probe.enqueue p;
@@ -44,7 +44,7 @@ let test_probe_accounting () =
 
 let test_probe_clock_attach_resets_epoch () =
   let now = ref 0 in
-  let p = Probe.create ~name:"late" () in
+  let p = Probe.create () in
   Probe.enqueue p;
   now := 1_000;
   (* attaching the clock must not retroactively charge [0,1000) *)
@@ -306,27 +306,6 @@ let test_json_escaping () =
     (Json.to_string (Json.List [ Json.Float Float.infinity; Json.Float Float.neg_infinity ]));
   check_string "integral floats stay exact" "1234567890" (Json.to_string (Json.Float 1234567890.0))
 
-(* --- Histogram rendering helpers --- *)
-
-let test_histogram_pp () =
-  let h = Stat.Histogram.create () in
-  check_int "empty total" 0 (Stat.Histogram.total h);
-  check_bool "empty mode" true (Stat.Histogram.max_bucket h = None);
-  check_string "empty renders" "empty" (Format.asprintf "%a" Stat.Histogram.pp h);
-  Stat.Histogram.add h 2;
-  Stat.Histogram.add h 2;
-  Stat.Histogram.add h 1000;
-  check_int "total" 3 (Stat.Histogram.total h);
-  check_bool "mode is the fullest bucket" true
-    (Stat.Histogram.max_bucket h = Some (4, 2));
-  check_string "render" "n=3 mode<=4 (2) [4:2 1024:1]"
-    (Format.asprintf "%a" Stat.Histogram.pp h);
-  let tie = Stat.Histogram.create () in
-  Stat.Histogram.add tie 2;
-  Stat.Histogram.add tie 1000;
-  check_bool "ties go to the smaller bucket" true
-    (Stat.Histogram.max_bucket tie = Some (4, 1))
-
 let suite =
   [
     ( "timeseries.probe",
@@ -357,6 +336,5 @@ let suite =
     ( "timeseries.rendering",
       [
         Alcotest.test_case "json escaping" `Quick test_json_escaping;
-        Alcotest.test_case "histogram pp/total/max_bucket" `Quick test_histogram_pp;
       ] );
   ]
