@@ -22,6 +22,27 @@ let bench_pages_equal =
   Test.make ~name:"pages/equal-256KiB-untouched"
     (Staged.stage (fun () -> Servernet.Fabric.Pages.equal a b ~off:4096 ~len:(256 * 1024)))
 
+(* An audit trail's memory: a 60-byte frame head every 4,156 bytes, the
+   rest padding, written into a fresh store. *)
+let bench_pages_write_heads =
+  let head = Bytes.make 60 'h' in
+  Test.make ~name:"pages/write-heads-1MiB"
+    (Staged.stage (fun () ->
+         let p = Servernet.Fabric.Pages.create (1 lsl 20) in
+         let off = ref 0 in
+         while !off + 4156 <= 1 lsl 20 do
+           Servernet.Fabric.Pages.write ~pad:(4156 - 60) p ~off:!off ~data:head;
+           off := !off + 4156
+         done))
+
+(* The page-by-page walk of a read over written memory. *)
+let bench_pages_read_resident =
+  let p = Servernet.Fabric.Pages.create (1 lsl 20) and dst = Bytes.create (64 * 1024) in
+  Servernet.Fabric.Pages.write p ~off:0 ~data:(Bytes.make (64 * 1024) 'r');
+  Test.make ~name:"pages/read_into-64KiB-resident"
+    (Staged.stage (fun () ->
+         Servernet.Fabric.Pages.read_into p ~off:0 ~len:(64 * 1024) ~dst ~dst_off:0))
+
 let bench_audit_encode =
   let record =
     Tp.Audit.Update
@@ -148,6 +169,8 @@ let micro_tests =
       bench_crc32;
       bench_crc32_zero;
       bench_pages_equal;
+      bench_pages_write_heads;
+      bench_pages_read_resident;
       bench_audit_encode;
       bench_audit_decode;
       bench_heap;

@@ -45,19 +45,28 @@ let sub_equal a pa b pb n =
   !i >= n
 
 module Pages = struct
-  let page_bits = 12
+  (* A store is a table with one entry per 4 KiB of its range; an entry
+     holds 16 pages of 256 bytes.  A small write (an audit frame's head)
+     thus costs one small page, while the table stays as long as a
+     4 KiB-paged store's. *)
+  let page_bits = 8 and entry_bits = 12
 
-  let page_size = 1 lsl page_bits
+  let page_size = 1 lsl page_bits and entry_size = 1 lsl entry_bits
 
-  (* Every untouched page of every store aliases this one; it is never
-     written, because a write first swaps in a private page. *)
+  let per_entry = entry_size / page_size
+
+  (* Every untouched page of every store aliases [zero], and every
+     untouched entry [zero_entry]; neither is ever written, because a
+     write first swaps in a private copy. *)
   let zero = Bytes.make page_size '\000'
 
-  type t = { size : int; pages : Bytes.t array; mutable resident : int }
+  let zero_entry = Array.make per_entry zero
+
+  type t = { size : int; entries : Bytes.t array array; mutable resident : int }
 
   let create size =
     if size < 0 then invalid_arg "Fabric.Pages.create: negative size";
-    { size; pages = Array.make ((size + page_size - 1) lsr page_bits) zero; resident = 0 }
+    { size; entries = Array.make ((size + entry_size - 1) lsr entry_bits) zero_entry; resident = 0 }
 
   let size t = t.size
 
@@ -67,15 +76,33 @@ module Pages = struct
     if off < 0 || len < 0 || off > t.size - len then
       invalid_arg ("Fabric.Pages." ^ what ^ ": out of range")
 
-  let writable t i =
-    let p = t.pages.(i) in
-    if p != zero then p
-    else begin
-      let p = Bytes.make page_size '\000' in
-      t.pages.(i) <- p;
-      t.resident <- t.resident + 1;
-      p
-    end
+  let entry t a = t.entries.(a lsr entry_bits)
+
+  let page e a = e.((a lsr page_bits) land (per_entry - 1))
+
+  (* Bytes from [a], capped at [rest], in [a]'s page or, when that is
+     the zero page, in the run of zero pages it starts within [a]'s entry
+     [e]: an untouched entry is one run. *)
+  let run e a rest =
+    let j = ref ((a lsr page_bits) land (per_entry - 1)) in
+    if e == zero_entry then j := per_entry - 1
+    else if e.(!j) == zero then
+      while !j + 1 < per_entry && e.(!j + 1) == zero do
+        incr j
+      done;
+    Int.min (((!j + 1) lsl page_bits) - (a land (entry_size - 1))) rest
+
+  let page_rest a rest = Int.min (page_size - (a land (page_size - 1))) rest
+
+  let writable t a =
+    let i = a lsr entry_bits and j = (a lsr page_bits) land (per_entry - 1) in
+    if t.entries.(i) == zero_entry then t.entries.(i) <- Array.make per_entry zero;
+    let e = t.entries.(i) in
+    if e.(j) == zero then begin
+      e.(j) <- Bytes.make page_size '\000';
+      t.resident <- t.resident + 1
+    end;
+    e.(j)
 
   (* [data.[pos, pos + n)] is all zero bytes; 64-bit loads, then a byte
      tail. *)
@@ -89,9 +116,9 @@ module Pages = struct
     done;
     !i >= stop
 
-  (* The loops below split [off, off + len) at page boundaries; [pos]
-     counts from [off].  They are written out rather than sharing an
-     iterator so the RDMA hot path allocates no closure. *)
+  (* The loops below split [off, off + len) into resident pages and runs
+     of zero pages; [pos] counts from [off].  They are written out rather
+     than sharing an iterator so the RDMA hot path allocates no closure. *)
   let read_into t ~off ~len ~dst ~dst_off =
     check t "read_into" ~off ~len;
     if dst_off < 0 || dst_off > Bytes.length dst - len then
@@ -99,9 +126,10 @@ module Pages = struct
     let pos = ref 0 in
     while !pos < len do
       let a = off + !pos in
-      let in_page = a land (page_size - 1) in
-      let n = min (page_size - in_page) (len - !pos) in
-      Bytes.blit t.pages.(a lsr page_bits) in_page dst (dst_off + !pos) n;
+      let e = entry t a in
+      let n = run e a (len - !pos) and p = page e a in
+      if p == zero then Bytes.fill dst (dst_off + !pos) n '\000'
+      else Bytes.blit p (a land (page_size - 1)) dst (dst_off + !pos) n;
       pos := !pos + n
     done
 
@@ -119,10 +147,9 @@ module Pages = struct
     let pos = ref 0 in
     while !pos < len do
       let a = off + !pos in
-      let in_page = a land (page_size - 1) in
-      let n = min (page_size - in_page) (len - !pos) in
-      let p = t.pages.(a lsr page_bits) in
-      if p != zero then Bytes.fill p in_page n '\000';
+      let e = entry t a in
+      let n = run e a (len - !pos) and p = page e a in
+      if p != zero then Bytes.fill p (a land (page_size - 1)) n '\000';
       pos := !pos + n
     done
 
@@ -133,42 +160,46 @@ module Pages = struct
     let pos = ref 0 in
     while !pos < len do
       let a = off + !pos in
-      let in_page = a land (page_size - 1) in
-      let n = min (page_size - in_page) (len - !pos) in
-      let i = a lsr page_bits in
-      if not (t.pages.(i) == zero && is_zero data !pos n) then
-        Bytes.blit data !pos (writable t i) in_page n;
+      let n = page_rest a (len - !pos) in
+      if not (page (entry t a) a == zero && is_zero data !pos n) then
+        Bytes.blit data !pos (writable t a) (a land (page_size - 1)) n;
       pos := !pos + n
     done;
     if pad > 0 then fill_zero t ~off:(off + len) ~len:pad
 
-  (* Pages that are the same [Bytes.t] — in practice both still the
-     shared zero page — are equal unread; any other pair is compared in
-     place, so a zeroed resident page equals an untouched one. *)
+  (* Entries or pages that are the same value — in practice both still
+     the shared zero entry or page — are equal unread; any other pair of
+     pages is compared in place, so a zeroed resident page equals an
+     untouched one. *)
   let equal a b ~off ~len =
     check a "equal" ~off ~len;
     check b "equal" ~off ~len;
     let pos = ref 0 and same = ref true in
     while !same && !pos < len do
       let x = off + !pos in
-      let in_page = x land (page_size - 1) in
-      let n = min (page_size - in_page) (len - !pos) in
-      let pa = a.pages.(x lsr page_bits) and pb = b.pages.(x lsr page_bits) in
-      same := pa == pb || sub_equal pa in_page pb in_page n;
+      let ea = entry a x and eb = entry b x in
+      let n =
+        if ea == eb then Int.min (entry_size - (x land (entry_size - 1))) (len - !pos)
+        else begin
+          let n = page_rest x (len - !pos) and pa = page ea x and pb = page eb x in
+          same := pa == pb || sub_equal pa (x land (page_size - 1)) pb (x land (page_size - 1)) n;
+          n
+        end
+      in
       pos := !pos + n
     done;
     !same
 
   let get t off =
     check t "get" ~off ~len:1;
-    Bytes.get t.pages.(off lsr page_bits) (off land (page_size - 1))
+    Bytes.get (page (entry t off) off) (off land (page_size - 1))
 
   let set t off c =
     check t "set" ~off ~len:1;
-    Bytes.set (writable t (off lsr page_bits)) (off land (page_size - 1)) c
+    Bytes.set (writable t off) (off land (page_size - 1)) c
 
   let clear t =
-    Array.fill t.pages 0 (Array.length t.pages) zero;
+    Array.fill t.entries 0 (Array.length t.entries) zero_entry;
     t.resident <- 0
 end
 

@@ -37,10 +37,12 @@ val sub_equal : Bytes.t -> int -> Bytes.t -> int -> int -> bool
     the same bytes.  Compares in place, with no allocation; raises
     [Invalid_argument] when it reaches a byte outside either buffer. *)
 
-(** Page-sparse device memory: [size] bytes in 4 KiB pages, each created
-    on its first write.  Pages never written read as zero from one shared
-    zero page, so a device's unused capacity costs no host memory.  Every
-    operation raises [Invalid_argument] on a range outside [0, size). *)
+(** Page-sparse device memory: [size] bytes in 256-byte pages, each
+    created on its first non-zero write, under a table with one entry per
+    4 KiB.  Pages and entries never written read as zero from one shared
+    zero page or entry, so unused capacity costs one table word per 4 KiB
+    and a small write one small page.  Every operation raises
+    [Invalid_argument] on a range outside [0, size). *)
 module Pages : sig
   type t
 

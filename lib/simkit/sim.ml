@@ -8,6 +8,8 @@ type proc = {
   mutable alive : bool;
   mutable reason : exit_reason option;
   mutable exit_hooks : (exit_reason -> unit) list;
+  mutable parked : (unit, unit) Effect.Deep.continuation option;
+      (* the suspension the process waits in; its waker clears it *)
 }
 
 type hooks = { h_before : int -> unit; h_after : unit -> unit }
@@ -108,10 +110,11 @@ let exec t p body =
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let fired = ref false in
+                  let parked = Some k in
+                  p.parked <- parked;
                   let waker () =
-                    if not !fired then begin
-                      fired := true;
+                    if p.parked == parked then begin
+                      p.parked <- None;
                       schedule t ~time:t.now (fun () ->
                           if p.alive then continue k ()
                           else
@@ -128,7 +131,7 @@ let exec t p body =
 let spawn t ~name body =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let p = { pid; pname = name; alive = true; reason = None; exit_hooks = [] } in
+  let p = { pid; pname = name; alive = true; reason = None; exit_hooks = []; parked = None } in
   Hashtbl.replace t.procs pid p;
   t.live <- t.live + 1;
   schedule t ~time:t.now (fun () -> if p.alive then exec t p body);
@@ -142,6 +145,16 @@ let proc_exn t pid =
 let kill t pid =
   let p = proc_exn t pid in
   if p.alive then finish t p Killed
+
+(* On OCaml 5 a continuation never resumed keeps its fiber's stack for
+   good, so a finished simulation unwinds every parked process. *)
+let discard t =
+  Hashtbl.fold (fun _ p acc -> match p.parked with Some k -> (p, k) :: acc | None -> acc) t.procs []
+  |> List.iter (fun (p, k) ->
+         p.parked <- None;
+         p.exit_hooks <- [];
+         finish t p Killed;
+         try Effect.Deep.discontinue k Killed_exn with _ -> ())
 
 let on_exit t pid hook =
   let p = proc_exn t pid in

@@ -76,6 +76,12 @@ val run : ?until:Time.t -> t -> unit
 val stop : t -> unit
 (** Make {!run} return after the current event. *)
 
+val discard : t -> unit
+(** End a finished simulation: unwind every process parked on a
+    suspension so its fiber's stack is freed (on OCaml 5 a continuation
+    never resumed keeps it for good).  Each dies {!Killed} without
+    running its exit hooks; the simulation must not be run again. *)
+
 val live_processes : t -> int
 
 val queue_depth : t -> int

@@ -81,9 +81,11 @@ let encode_to_bytes record =
   encode enc record;
   Codec.Enc.to_bytes enc
 
-let decode buf ~pos =
+let decode ?stop buf ~pos =
+  let stop = Option.value stop ~default:(Bytes.length buf) in
+  let bound = min stop (Bytes.length buf) in
   try
-    let dec = Codec.Dec.of_sub buf ~pos ~len:(Bytes.length buf - pos) in
+    let dec = Codec.Dec.of_sub buf ~pos ~len:(bound - pos) in
     let m = Codec.Dec.u16 dec in
     if m <> magic then None
     else
@@ -91,15 +93,14 @@ let decode buf ~pos =
       if body_len = 0 then None
       else begin
         let body_pos = Codec.Dec.pos dec in
-        if body_pos + body_len + 4 > Bytes.length buf then None
+        if body_pos + body_len + 4 > bound then None
         else begin
-          let body = Bytes.sub buf body_pos body_len in
-          let bdec = Codec.Dec.of_bytes body in
           let crc_pos = body_pos + body_len in
           let cdec = Codec.Dec.of_sub buf ~pos:crc_pos ~len:4 in
           let crc = Codec.Dec.u32 cdec in
-          if Int32.to_int (Crc32.bytes body) land 0xFFFFFFFF <> crc then None
+          if Int32.to_int (Crc32.sub buf ~pos:body_pos ~len:body_len) land 0xFFFFFFFF <> crc then None
           else
+            let bdec = Codec.Dec.of_sub buf ~pos:body_pos ~len:body_len in
             let record =
               match Codec.Dec.u8 bdec with
               | 1 -> Some (Begin { txn = Codec.Dec.u64 bdec })
@@ -124,7 +125,7 @@ let decode buf ~pos =
             | None -> None
             | Some r ->
                 let next = crc_pos + 4 + payload_padding r in
-                if next > Bytes.length buf then None else Some (r, next)
+                if next > stop then None else Some (r, next)
         end
       end
   with Codec.Dec.Truncated -> None

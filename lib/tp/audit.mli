@@ -51,7 +51,10 @@ val encode : Codec.Enc.t -> record -> unit
 
 val encode_to_bytes : record -> Bytes.t
 
-val decode : Bytes.t -> pos:int -> (record * int) option
-(** [decode buf ~pos] parses the framed record at [pos], returning it and
-    the offset just past it; [None] if the bytes there are not a valid
-    record (bad magic, bad CRC, truncated). *)
+val decode : ?stop:int -> Bytes.t -> pos:int -> (record * int) option
+(** [decode buf ~pos] parses the framed record at [pos] in place,
+    returning it and the offset just past it; [None] if the bytes there
+    are not a valid record (bad magic, bad CRC, truncated).  The trail
+    ends at [stop] (default [Bytes.length buf]), possibly past [buf]'s
+    end: the head must lie in both; the padding is skipped unread and
+    must end by [stop]. *)

@@ -860,6 +860,7 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?(recovery_pl
   in
   Sim.run sim;
   Option.iter Prof.uninstall prof;
+  Sim.discard sim;
   (!out, recorder)
 
 (* The one gate: judge a drill's report with its family's oracle

@@ -168,6 +168,27 @@ let bytes_written t = t.bytes
 
 let writes t = t.ops
 
+(* Parse the frames of [buf.[pos, filled)], a window onto a trail that
+   ends at [stop] (window offsets; past [filled] while the trail goes
+   on), pushing [(asn, record)]s onto [acc].  Returns [acc], the offset
+   where parsing stopped, and whether the frame there is bad rather than
+   cut off by the window's end.  A frame's head is its 8-byte ASN, the
+   magic, the body length at +10, the body and a 4-byte CRC. *)
+let parse_frames buf ~pos ~filled ~stop acc =
+  let rec go pos acc =
+    let avail = filled - pos in
+    if pos >= stop || (filled < stop && (avail < 12 || avail < 16 + Bytes.get_uint16_le buf (pos + 10)))
+    then (acc, pos, false)
+    else
+      match
+        let asn = Codec.Dec.u64 (Codec.Dec.of_sub buf ~pos ~len:avail) in
+        (asn, Audit.decode ~stop buf ~pos:(pos + 8))
+      with
+      | asn, Some (record, next) -> go next ((asn, record) :: acc)
+      | _, None | (exception Codec.Dec.Truncated) -> (acc, pos, true)
+  in
+  go pos acc
+
 let recovery_read t =
   match t.kind with
   | Disk d ->
@@ -230,51 +251,48 @@ let recovery_read t =
           if limit <= header_size then Ok []
           else begin
             let chunk = 64 * 1024 in
-            let buf = Bytes.create limit in
-            Bytes.blit hdr 0 buf 0 header_size;
+            (* Each chunk lands in one reused window behind the head of a
+               frame the previous chunk cut off ([keep] bytes); [base] is
+               the trail offset of the window's first byte, [next] that
+               of the next frame to parse.  A frame's payload padding is
+               skipped by length, so [next] may lie chunks ahead. *)
+            let win = ref (Bytes.create (min (2 * chunk) (limit - header_size))) in
+            let base = ref header_size and next = ref header_size in
+            let records = ref [] and bad = ref None in
             let rec fetch off =
               if off >= limit then Ok ()
               else
                 (* Past the routed frontier lies the mirror-only tail. *)
                 let tail = off >= routed_limit in
                 let len = min chunk ((if tail then limit else routed_limit) - off) in
+                let keep = if !bad = None then max 0 (off - !next) else 0 in
+                let w = if Bytes.length !win >= keep + len then !win else Bytes.create (keep + len) in
+                Bytes.blit !win (off - keep - !base) w 0 keep;
+                win := w;
+                base := off - keep;
                 match
                   if tail then
-                    Pm_client.read_device_into p.client p.handle ~mirror:true ~off ~len ~buf
-                      ~pos:off
-                  else region_read_into p.client p.handle ~off ~len ~buf ~pos:off
+                    Pm_client.read_device_into p.client p.handle ~mirror:true ~off ~len ~buf:w
+                      ~pos:keep
+                  else region_read_into p.client p.handle ~off ~len ~buf:w ~pos:keep
                 with
-                | Ok () -> fetch (off + len)
                 | Error e -> Error (Pm_types.error_to_string e)
+                | Ok () ->
+                    if !bad = None then begin
+                      let acc, at, failed =
+                        parse_frames w ~pos:(!next - !base) ~filled:(keep + len) ~stop:(limit - !base)
+                          !records
+                      in
+                      records := acc;
+                      next := !base + at;
+                      if failed then bad := Some !next
+                    end;
+                    fetch (off + len)
             in
             match fetch header_size with
             | Error e -> Error e
             | Ok () -> (
-                let parse_from start =
-                  let out = ref [] in
-                  let pos = ref start in
-                  let fail = ref None in
-                  let keep_going = ref true in
-                  while !keep_going && !pos < limit do
-                    match
-                      let adec = Codec.Dec.of_sub buf ~pos:!pos ~len:8 in
-                      let asn = Codec.Dec.u64 adec in
-                      (asn, Audit.decode buf ~pos:(!pos + 8))
-                    with
-                    | asn, Some (record, next) ->
-                        out := (asn, record) :: !out;
-                        pos := next
-                    | _, None ->
-                        fail := Some !pos;
-                        keep_going := false
-                    | exception Codec.Dec.Truncated ->
-                        fail := Some !pos;
-                        keep_going := false
-                  done;
-                  (List.rev !out, !fail)
-                in
-                let records, fail = parse_from header_size in
-                match fail with
+                match !bad with
                 | Some bad when Pm_client.verified_reads_enabled p.client -> (
                     (* A frame that fails its CRC mid-trail may be a store
                        torn on this copy only: every record was written to
@@ -283,13 +301,16 @@ let recovery_read t =
                        the area from the mirror and keep parsing; if the
                        mirror fails at the same spot it is a genuine torn
                        tail and the replay truncates there. *)
+                    let rest = Bytes.create (limit - bad) in
                     match
                       Pm_client.read_device_into p.client p.handle ~mirror:true ~off:bad
-                        ~len:(limit - bad) ~buf ~pos:bad
+                        ~len:(limit - bad) ~buf:rest ~pos:0
                     with
                     | Ok () ->
-                        let more, _ = parse_from bad in
-                        Ok (records @ more)
-                    | Error _ -> Ok records)
-                | _ -> Ok records)
+                        let acc, _, _ =
+                          parse_frames rest ~pos:0 ~filled:(limit - bad) ~stop:(limit - bad) !records
+                        in
+                        Ok (List.rev acc)
+                    | Error _ -> Ok (List.rev !records))
+                | _ -> Ok (List.rev !records))
           end)

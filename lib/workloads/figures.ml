@@ -21,6 +21,7 @@ let simulate ?prof ~seed f =
   let (_ : Sim.pid) = Sim.spawn sim ~name:"main" (fun () -> out := Some (f sim)) in
   Sim.run sim;
   Option.iter Prof.uninstall prof;
+  Sim.discard sim;
   match !out with
   | Some v -> v
   | None -> failwith "Figures.simulate: the simulation ended before its main process returned"

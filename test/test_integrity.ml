@@ -536,6 +536,102 @@ let test_ring_wrap_pads_over_stale_bytes () =
                 (Bytes.to_string (Npmu.peek d ~off:(base + 64) ~len:(Bytes.length expected))))
             [ topo.npmu_a; topo.npmu_b ])
 
+(* --- Streaming recovery at its fetch seams --- *)
+
+(* The replay as one parse of a whole trail image: frames from [from]
+   until the first that does not decode, and where that one starts. *)
+let parse_trail buf ~from =
+  let rec go pos acc =
+    if pos >= Bytes.length buf then (List.rev acc, None)
+    else
+      match Tp.Audit.decode buf ~pos:(pos + 8) with
+      | Some (r, next) -> go next ((Int64.to_int (Bytes.get_int64_le buf pos), r) :: acc)
+      | None -> (List.rev acc, Some pos)
+  in
+  go from []
+
+(* Recovery fetches the trail in 64 KiB chunks from offset 64 and parses
+   each as it lands, keeping only a frame head the chunk cut off.  This
+   trail puts a frame head across every fetch boundary — cut inside the
+   ASN, inside the body length, and inside the CRC — holds a frame whose
+   padding runs past the reused window, and ends in a tail that only the
+   mirror holds: the primary keeps an older, intact ring header and
+   never saw the later appends.  With [tear], the head that
+   straddles the second boundary is torn on the primary.  Recovery must
+   equal the same replay run on whole [Npmu.peek] images of both
+   devices. *)
+let streamed_recovery ~verified ~tear =
+  let topo = make_topo ~capacity:(2 lsl 20) () in
+  let chunk = 64 * 1024 and head = 49 (* ASN + an update frame's head *) in
+  let out = ref ([], [], 0) in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client ?config:(if verified then Some verified_config else None) topo 2 in
+      let size = 1 lsl 20 in
+      let h = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"t" ~size) in
+      let base = (Pm_client.info h).Pm_types.net_base in
+      let log = Tp.Log_backend.pm c h in
+      let written = ref [] in
+      let frontier () = 64 + Tp.Log_backend.bytes_written log in
+      let append payload_len =
+        let r =
+          ( List.length !written + 1,
+            Tp.Audit.Update
+              { txn = 1; file = 0; partition = 0; key = frontier (); payload_len; payload_crc = 0; before_len = 0 } )
+        in
+        Test_util.check_result_ok "append" (Tp.Log_backend.write_records log [ r ]);
+        written := r :: !written
+      in
+      (* Pad up to [b - cut], then a frame whose head runs across [b]. *)
+      let straddle b cut =
+        append (b - cut - frontier () - head);
+        let at = frontier () in
+        append 100;
+        at
+      in
+      ignore (straddle (64 + chunk) 5 : int);
+      let torn = straddle (64 + (2 * chunk)) 11 in
+      ignore (straddle (64 + (3 * chunk)) 40 : int);
+      append (3 * chunk);
+      append 7;
+      let routed = frontier () in
+      let stale_header = Npmu.peek topo.npmu_a ~off:base ~len:64 in
+      ignore (straddle (routed + chunk) 20 : int);
+      append 0;
+      append 3000;
+      let limit = frontier () in
+      Npmu.poke topo.npmu_a ~off:base ~data:stale_header;
+      Npmu.poke topo.npmu_a ~off:(base + routed) ~data:(Bytes.make (limit - routed) '\000');
+      if tear then Npmu.decay topo.npmu_a ~off:(base + torn + 12) ~bits:32;
+      let image d = Npmu.peek d ~off:base ~len:limit in
+      let prim = image topo.npmu_a and mirr = image topo.npmu_b in
+      let spliced = Bytes.cat (Bytes.sub prim 0 routed) (Bytes.sub mirr routed (limit - routed)) in
+      let expected =
+        match parse_trail spliced ~from:64 with
+        | records, Some bad when verified -> records @ fst (parse_trail mirr ~from:bad)
+        | records, _ -> records
+      in
+      match Tp.Log_backend.recovery_read log with
+      | Error e -> Alcotest.fail ("recovery errored: " ^ e)
+      | Ok records ->
+          check_bool "the replay equals the whole-image parse" true (records = expected);
+          out := (records, List.rev !written, List.length (fst (parse_trail spliced ~from:64))));
+  !out
+
+let test_streamed_recovery_clean () =
+  let records, written, _ = streamed_recovery ~verified:false ~tear:false in
+  check_int "every record, the mirror-only tail included" (List.length written) (List.length records);
+  check_bool "in order" true (records = written)
+
+let test_streamed_recovery_salvages () =
+  let records, written, before_tear = streamed_recovery ~verified:true ~tear:true in
+  check_int "the torn head is the fourth frame" 3 before_tear;
+  check_bool "the mirror salvage continues past it" true (records = written)
+
+let test_streamed_recovery_truncates () =
+  let records, written, _ = streamed_recovery ~verified:false ~tear:true in
+  check_bool "the replay stops at the torn head" true
+    (records = List.filteri (fun i _ -> i < 3) written)
+
 (* --- On-media golden vectors --- *)
 
 let hex b =
@@ -709,6 +805,12 @@ let suite =
           test_recovery_scans_past_torn_header;
         Alcotest.test_case "ring wrap pads over stale bytes" `Quick
           test_ring_wrap_pads_over_stale_bytes;
+        Alcotest.test_case "streamed recovery across fetch seams" `Quick
+          test_streamed_recovery_clean;
+        Alcotest.test_case "streamed recovery salvages a torn head" `Quick
+          test_streamed_recovery_salvages;
+        Alcotest.test_case "streamed recovery truncates at a torn head" `Quick
+          test_streamed_recovery_truncates;
       ] );
     ( "integrity.formats",
       [ Alcotest.test_case "sealed blocks keep their bytes" `Quick test_sealed_blocks_golden ] );

@@ -295,17 +295,25 @@ type page_op =
   | P_set of int * char
   | P_clear
 
-(* Three pages and a ragged tail, so the last page is partial. *)
-let pages_size = (3 * Fabric.Pages.page_size) + 123
+(* The store's table has one entry per 4 KiB, each holding 16 pages. *)
+let entry_size = 4096
+
+(* Three table entries and a ragged tail, so the last entry and its
+   last page are partial. *)
+let pages_size = (3 * entry_size) + 123
 
 let pages_count = (pages_size + Fabric.Pages.page_size - 1) / Fabric.Pages.page_size
 
-(* Offsets cluster around page boundaries so ranges straddle them, and
-   the ragged last page. *)
+(* Offsets cluster around page and entry boundaries so ranges straddle
+   them, and the ragged end. *)
 let gen_page_off =
-  QCheck.Gen.map2
-    (fun k d -> max 0 (min pages_size ((k * Fabric.Pages.page_size) + d)))
-    (QCheck.Gen.int_range 0 4) (QCheck.Gen.int_range (-40) 40)
+  let near unit k d = max 0 (min pages_size ((k * unit) + d)) in
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (near Fabric.Pages.page_size) (int_range 0 pages_count) (int_range (-40) 40);
+        map2 (near entry_size) (int_range 0 4) (int_range (-40) 40);
+      ])
 
 let gen_page_op =
   let open QCheck.Gen in
@@ -482,6 +490,24 @@ let test_pages_zero_writes_stay_shared () =
   Alcotest.check_raises "pad past the end" (Invalid_argument "Fabric.Pages.write: out of range")
     (fun () -> Fabric.Pages.write ~pad:2 p ~off:((16 * page) - 1) ~data:Bytes.empty)
 
+(* An audit trail's frames: a 60-byte head every 4,156 bytes, the rest
+   zero padding.  Each head costs at most the two small pages it lands
+   on, not a 4 KiB page. *)
+let test_pages_small_heads_stay_small () =
+  let size = 1 lsl 20 and stride = 4156 and head = 60 in
+  let p = Fabric.Pages.create size and model = Bytes.make size '\000' in
+  let heads = (size - head) / stride + 1 in
+  for i = 0 to heads - 1 do
+    let off = i * stride in
+    let data = Bytes.init head (fun j -> Char.chr (1 + ((off + j) mod 251))) in
+    Fabric.Pages.write ~pad:(min (stride - head) (size - off - head)) p ~off ~data;
+    Bytes.blit data 0 model off head
+  done;
+  check_bool "at most two 256-byte pages per head" true
+    (Fabric.Pages.resident_pages p * Fabric.Pages.page_size <= 2 * 256 * heads);
+  check_bool "the range reads back as the flat model" true
+    (Bytes.equal (Fabric.Pages.read p ~off:0 ~len:size) model)
+
 let test_pages_unwritten_read_zero () =
   let page = Fabric.Pages.page_size in
   let p = Fabric.Pages.create (1 lsl 30) in
@@ -537,5 +563,6 @@ let suite =
         Alcotest.test_case "zero writes keep pages shared" `Quick test_pages_zero_writes_stay_shared;
         QCheck_alcotest.to_alcotest prop_pages_equal_matches_flat_bytes;
         Alcotest.test_case "equal compares content" `Quick test_pages_equal_compares_content;
+        Alcotest.test_case "small heads stay small" `Quick test_pages_small_heads_stay_small;
       ] );
   ]

@@ -226,6 +226,25 @@ let test_kill_hook_runs_immediately () =
   Sim.run sim;
   check_int "hook at kill time" (Time.us 7) !killed_at
 
+(* A finished simulation's parked processes are unwound, a killed one
+   that was never woken included, without running exit hooks. *)
+let test_discard_unwinds_parked () =
+  let sim = Sim.create () in
+  let mb : int Mailbox.t = Mailbox.create () in
+  let unwound = ref 0 and hooks = ref 0 in
+  let park () = Fun.protect ~finally:(fun () -> incr unwound) (fun () -> ignore (Mailbox.recv mb)) in
+  let a = Sim.spawn sim ~name:"a" park in
+  let (_ : Sim.pid) = Sim.spawn sim ~name:"b" park in
+  let killed = Sim.spawn sim ~name:"killed" park in
+  Sim.on_exit sim a (fun _ -> incr hooks);
+  Sim.at sim ~after:(Time.us 1) (fun () -> Sim.kill sim killed);
+  Sim.run sim;
+  check_int "all three still parked" 0 !unwound;
+  Sim.discard sim;
+  check_int "every parked fiber unwound" 3 !unwound;
+  check_int "no exit hook ran" 0 !hooks;
+  check_int "none alive" 0 (Sim.live_processes sim)
+
 let test_crash_raises_by_default () =
   let sim = Sim.create () in
   let _ = Sim.spawn sim ~name:"boom" (fun () -> failwith "bang") in
@@ -518,6 +537,7 @@ let suite =
         Alcotest.test_case "exit hook on normal exit" `Quick test_process_exit_hook;
         Alcotest.test_case "killing a blocked process" `Quick test_kill_blocked_process;
         Alcotest.test_case "kill hooks run immediately" `Quick test_kill_hook_runs_immediately;
+        Alcotest.test_case "discard unwinds parked processes" `Quick test_discard_unwinds_parked;
         Alcotest.test_case "crash raises by default" `Quick test_crash_raises_by_default;
         Alcotest.test_case "crash recorded with `Record" `Quick test_crash_recorded;
         Alcotest.test_case "blocking ops outside process raise" `Quick test_not_in_process;
