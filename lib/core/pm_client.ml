@@ -246,11 +246,18 @@ let mgmt_call t req =
   in
   go 0
 
-let region_result t = function
-  | Ok (Pmm.R_region region) -> Ok { t; region }
-  | Ok (Pmm.R_error e) -> Error e
-  | Ok _ -> Error (Pm_types.Bad_request "unexpected PMM response")
-  | Error e -> Error e
+(* Decode a management reply: [expect] accepts the one response the
+   request calls for; a PMM error or a transport error passes through. *)
+let decode expect = function
+  | Ok (Pmm.R_error e) | Error e -> Error e
+  | Ok resp -> (
+      match expect resp with
+      | Some v -> Ok v
+      | None -> Error (Pm_types.Bad_request "unexpected PMM response"))
+
+let region_result t = decode (function Pmm.R_region region -> Some { t; region } | _ -> None)
+
+let unit_result = decode (function Pmm.R_ok -> Some () | _ -> None)
 
 let create_region t ~name ~size =
   let client = Cpu.endpoint_id t.client_cpu in
@@ -260,12 +267,6 @@ let open_region t ~name =
   let client = Cpu.endpoint_id t.client_cpu in
   region_result t (mgmt_call t (Pmm.Open { rname = name; client }))
 
-let unit_result = function
-  | Ok Pmm.R_ok -> Ok ()
-  | Ok (Pmm.R_error e) -> Error e
-  | Ok _ -> Error (Pm_types.Bad_request "unexpected PMM response")
-  | Error e -> Error e
-
 let close_region t h =
   let client = Cpu.endpoint_id t.client_cpu in
   unit_result (mgmt_call t (Pmm.Close { rname = h.region.Pm_types.region_name; client }))
@@ -273,11 +274,7 @@ let close_region t h =
 let delete_region t ~name = unit_result (mgmt_call t (Pmm.Delete { rname = name }))
 
 let list_regions t =
-  match mgmt_call t Pmm.List_regions with
-  | Ok (Pmm.R_regions rs) -> Ok rs
-  | Ok (Pmm.R_error e) -> Error e
-  | Ok _ -> Error (Pm_types.Bad_request "unexpected PMM response")
-  | Error e -> Error e
+  decode (function Pmm.R_regions rs -> Some rs | _ -> None) (mgmt_call t Pmm.List_regions)
 
 let bounds_ok region ~off ~len =
   off >= 0 && len >= 0 && off + len <= region.Pm_types.length
@@ -534,16 +531,22 @@ let read_device_into t h ~mirror ~off ~len ~buf ~pos =
         Error Pm_types.Permission_denied
     | Error _ -> Error Pm_types.Device_failed
 
-(* Arbitrate and repair every chunk of a divergent range.  The PMM's
-   durable chunk-checksum table decides which copy is truth: the copy
-   whose CRC matches is written over the other (read-repair).  A chunk
-   the table cannot vouch for — never scanned clean, quarantined, or
-   both copies corrupt — is left alone and counted as unrepaired; the
-   scrubber's strike machinery owns its fate. *)
+(* Arbitrate and repair every chunk of a divergent range by the
+   scrubber's own rule ({!Pmm.arbitrate}) over the PMM's durable
+   chunk-checksum table: the copy that matches it, on a device that has
+   not power-cycled since the chunk was marked clean, is written over the
+   other (read-repair).  A chunk no copy qualifies for — never scanned
+   clean, quarantined, rolled back by a power cycle, or both copies
+   corrupt — is left alone and counted as unrepaired; the scrubber's
+   strike machinery owns its fate. *)
 let verify_repair_range t h ~addr ~len =
   let region = h.region in
   let src = Cpu.endpoint t.client_cpu in
   let read_dev dst ~addr ~len = Servernet.Fabric.rdma_read t.fabric ~src ~dst ~addr ~len in
+  let unrepaired () =
+    t.verify_unrepaired <- t.verify_unrepaired + 1;
+    Obs.bump t.obs "pm.verify_unrepaired"
+  in
   let repair ~dst ~chunk_off ~data =
     match
       Servernet.Fabric.rdma_write ~epoch:region.Pm_types.epoch t.fabric ~src ~dst
@@ -552,42 +555,29 @@ let verify_repair_range t h ~addr ~len =
     | Ok () ->
         t.read_repaired <- t.read_repaired + 1;
         Obs.bump t.obs "pm.read_repairs"
-    | Error _ ->
-        t.verify_unrepaired <- t.verify_unrepaired + 1;
-        Obs.bump t.obs "pm.verify_unrepaired"
+    | Error _ -> unrepaired ()
   in
   let rec sweep pos =
     if pos < addr + len then
       match mgmt_call t (Pmm.Chunk_crc { addr = pos }) with
-      | Ok (Pmm.R_chunk_crc { chunk_off; chunk_len; crc; quarantined }) ->
+      | Ok (Pmm.R_chunk_crc { chunk_off; chunk_len; crc; steady; quarantined }) ->
           (if not quarantined then
              match
                ( read_dev region.Pm_types.primary_npmu ~addr:chunk_off ~len:chunk_len,
                  read_dev region.Pm_types.mirror_npmu ~addr:chunk_off ~len:chunk_len )
              with
              | Ok p, Ok m when not (Bytes.equal p m) -> (
-                 match crc with
-                 | Some trusted ->
-                     let cp = Crc32.bytes p and cm = Crc32.bytes m in
-                     if Int32.equal trusted cp then
-                       repair ~dst:region.Pm_types.mirror_npmu ~chunk_off ~data:p
-                     else if Int32.equal trusted cm then
-                       repair ~dst:region.Pm_types.primary_npmu ~chunk_off ~data:m
-                     else begin
-                       t.verify_unrepaired <- t.verify_unrepaired + 1;
-                       Obs.bump t.obs "pm.verify_unrepaired"
-                     end
-                 | None ->
-                     t.verify_unrepaired <- t.verify_unrepaired + 1;
-                     Obs.bump t.obs "pm.verify_unrepaired")
+                 match Pmm.arbitrate ~trusted:crc ~steady p m with
+                 | Some `Primary -> repair ~dst:region.Pm_types.mirror_npmu ~chunk_off ~data:p
+                 | Some `Mirror -> repair ~dst:region.Pm_types.primary_npmu ~chunk_off ~data:m
+                 | None -> unrepaired ())
              | _ -> ());
           sweep (chunk_off + chunk_len)
       | Ok _ | Error _ ->
           (* The PMM cannot arbitrate right now (takeover in flight, or
              the range fell off the region map); the plain read below
              still serves data, just unverified. *)
-          t.verify_unrepaired <- t.verify_unrepaired + 1;
-          Obs.bump t.obs "pm.verify_unrepaired"
+          unrepaired ()
   in
   sweep addr
 
@@ -673,7 +663,6 @@ let fenced_writes t = t.fenced
 let mgmt_retries_used t = t.mgmt_retried
 
 let mgmt_retry_exhausted t = t.mgmt_exhausted
-
 
 let slow_suspects t = t.slow_suspects
 

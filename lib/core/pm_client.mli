@@ -145,10 +145,12 @@ val read_verified_into :
   t -> handle -> off:int -> len:int -> buf:Bytes.t -> pos:int -> (unit, Pm_types.error) result
 (** Integrity-checking read: fetch the range from {e both} devices and
     compare.  On divergence, ask the PMM for the trusted chunk checksum
-    ({!Pmm.request.Chunk_crc}) over every chunk of the range, copy the
-    matching side over the corrupt one ({e read-repair}, counted in
-    {!read_repairs} / [pm.read_repairs]), and serve the repaired
-    contents.  A chunk the table cannot arbitrate is served from the
+    ({!Pmm.request.Chunk_crc}) over every chunk of the range and let the
+    scrubber's rule ({!Pmm.arbitrate}) pick the copy to keep: it is
+    written over the other ({e read-repair}, counted in {!read_repairs}
+    / [pm.read_repairs]), and the repaired contents are served.  A chunk
+    the rule cannot arbitrate — including a match on a device that has
+    power-cycled since the chunk was marked clean — is served from the
     primary unrepaired (counted in {!verify_unrepaired}); a copy that is
     unreachable degrades to the plain failover read.  Works — minus the
     repair arbitration — even when no scrubber is running. *)

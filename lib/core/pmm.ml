@@ -39,28 +39,19 @@ type request =
   | Close of { rname : string; client : int }
   | Delete of { rname : string }
   | List_regions
-  | Stat
   | Resync of { from_primary : bool }
   | Chunk_crc of { addr : int }
-
-type stat_info = {
-  capacity : int;
-  allocated : int;
-  region_count : int;
-  degraded : bool;
-  generation : int;
-}
 
 type response =
   | R_region of Pm_types.region_info
   | R_regions of Pm_types.region_info list
-  | R_stat of stat_info
   | R_ok
   | R_resynced of { bytes : int }
   | R_chunk_crc of {
       chunk_off : int;
       chunk_len : int;
       crc : int32 option;
+      steady : bool * bool;
       quarantined : bool;
     }
   | R_error of Pm_types.error
@@ -101,9 +92,10 @@ let default_health_config =
     readmit_after = 8;
   }
 
+
 (* --- Metadata representation --- *)
 
-type region = { rname : string; offset : int; length : int; mutable openers : int list }
+type region = { rname : string; offset : int; length : int; openers : int list }
 
 type meta = { mutable generation : int; mutable epoch : int; mutable regions : region list }
 
@@ -156,6 +148,23 @@ let parse_slot =
   Codec.unframe ~magic (fun generation payload ->
       let meta = decode_meta payload in
       if meta.generation <> generation then None else Some meta)
+
+(* The metadata reserve is two slots, and each slot holds both tables:
+   the region table in its front [meta_reserve/8] bytes, the scrubber's
+   chunk-checksum table in the rest.  A table is written whole, with a
+   new generation, to slot [generation mod 2] of both devices, so a
+   crash mid-persist always leaves the previous copy intact. *)
+type 'a table = {
+  base : int;  (** offset of the table inside each slot *)
+  area : int;  (** the most bytes its image may take *)
+  parse : bytes -> 'a option;
+  generation_of : 'a -> int;
+}
+
+let slot_offset slot = slot * (meta_reserve / 2)
+
+let region_table =
+  { base = 0; area = meta_reserve / 8; parse = parse_slot; generation_of = (fun m -> m.generation) }
 
 (* --- The manager --- *)
 
@@ -225,8 +234,6 @@ type t = {
   mutable monitor : monitor option;
 }
 
-let slot_offset slot = slot * (meta_reserve / 2)
-
 let format prim mirr =
   let meta = { generation = 1; epoch = 1; regions = [] } in
   let image = slot_image meta in
@@ -289,26 +296,73 @@ let current_cpu t = Procpair.primary_cpu (pair_exn t)
 
 let src_endpoint t = Cpu.endpoint (current_cpu t)
 
-(* Persist the table to both devices (new generation, alternating slot).
-   Returns false when neither device accepted the write.  Metadata writes
-   carry the table's own epoch, so a deposed primary that lost a takeover
-   race is fenced off the volume like any other stale writer. *)
+(* The newest epoch either device enforces, and arming both with one. *)
+let armed_epoch t =
+  max (Servernet.Avt.epoch t.prim_dev.dev_avt) (Servernet.Avt.epoch t.mirr_dev.dev_avt)
+
+let arm t epoch =
+  Servernet.Avt.set_epoch t.prim_dev.dev_avt epoch;
+  Servernet.Avt.set_epoch t.mirr_dev.dev_avt epoch
+
+(* Write a table image to its slot on the primary, then the mirror.
+   [None], with nothing written, when the image overflows the table's
+   area; otherwise whether each device took it.  [src] is asked afresh
+   for each transfer: a takeover can move the manager between the two. *)
+let write_table t ~src ~epoch table ~generation image =
+  if Bytes.length image > table.area then None
+  else begin
+    let addr = slot_offset (generation mod 2) + table.base in
+    let write dev =
+      Result.is_ok
+        (Servernet.Fabric.rdma_write ~epoch t.fabric ~src:(src ()) ~dst:dev.dev_id ~addr
+           ~data:image)
+    in
+    let p = write t.prim_dev in
+    let m = write t.mirr_dev in
+    Some (p, m)
+  end
+
+(* Read a table from both slots of both devices and keep the newest copy
+   that parses (the first one read on a tie).  Each read runs to the end
+   of the slot: a frame carries its own length. *)
+let read_table t ~src table =
+  let read dev slot =
+    match
+      Servernet.Fabric.rdma_read t.fabric ~src:(src ()) ~dst:dev.dev_id
+        ~addr:(slot_offset slot + table.base)
+        ~len:((meta_reserve / 2) - table.base)
+    with
+    | Ok data -> table.parse data
+    | Error _ -> None
+  in
+  List.fold_left
+    (fun best c ->
+      match (best, c) with
+      | Some b, Some c when table.generation_of c > table.generation_of b -> Some c
+      | None, c -> c
+      | best, _ -> best)
+    None
+    [ read t.prim_dev 0; read t.prim_dev 1; read t.mirr_dev 0; read t.mirr_dev 1 ]
+
+let table_full () =
+  Pm_types.Bad_request (Printf.sprintf "region table limited to %d bytes" region_table.area)
+
+(* Persist the region table (new generation, alternating slot).  Metadata
+   writes carry the table's own epoch, so a deposed primary that lost a
+   takeover race is fenced off the volume like any other stale writer.
+   An over-long table is refused before any write, leaving the device
+   health flags as they were. *)
 let persist t meta =
   meta.generation <- meta.generation + 1;
-  let image = slot_image meta in
-  let slot = meta.generation mod 2 in
-  let addr = slot_offset slot in
-  let write_dev dev =
-    match
-      Servernet.Fabric.rdma_write ~epoch:meta.epoch t.fabric ~src:(src_endpoint t)
-        ~dst:dev.dev_id ~addr ~data:image
-    with
-    | Ok () -> true
-    | Error _ -> false
-  in
-  t.prim_ok <- write_dev t.prim_dev;
-  t.mirr_ok <- write_dev t.mirr_dev;
-  t.prim_ok || t.mirr_ok
+  match
+    write_table t ~src:(fun () -> src_endpoint t) ~epoch:meta.epoch region_table
+      ~generation:meta.generation (slot_image meta)
+  with
+  | None -> Error (table_full ())
+  | Some (p, m) ->
+      t.prim_ok <- p;
+      t.mirr_ok <- m;
+      if p || m then Ok () else Error Pm_types.Device_failed
 
 let checkpoint_meta t meta =
   let blob = encode_meta meta in
@@ -322,15 +376,9 @@ let checkpoint_meta t meta =
    from the set_epoch on, every write descriptor stamped with an older
    grant bounces with [Stale_epoch]. *)
 let bump_epoch t meta =
-  let armed =
-    max
-      (Servernet.Avt.epoch t.prim_dev.dev_avt)
-      (Servernet.Avt.epoch t.mirr_dev.dev_avt)
-  in
-  meta.epoch <- max (meta.epoch + 1) (armed + 1);
+  meta.epoch <- max (meta.epoch + 1) (armed_epoch t + 1);
   ignore (persist t meta);
-  Servernet.Avt.set_epoch t.prim_dev.dev_avt meta.epoch;
-  Servernet.Avt.set_epoch t.mirr_dev.dev_avt meta.epoch;
+  arm t meta.epoch;
   checkpoint_meta t meta
 
 (* Narrow the metadata windows to this PMM's CPUs. *)
@@ -344,43 +392,17 @@ let claim_metadata_windows t ~primary_cpu ~backup_cpu =
   claim t.prim_dev;
   claim t.mirr_dev
 
-(* Cold-boot recovery: RDMA-read every slot of both devices and adopt the
-   newest CRC-valid table. *)
+(* Cold-boot recovery: adopt the newest CRC-valid region table. *)
 let recover t =
   let started = Sim.now (Cpu.sim (current_cpu t)) in
-  let read_slot dev slot =
-    let addr = slot_offset slot in
-    let len = meta_reserve / 2 in
-    match
-      Servernet.Fabric.rdma_read t.fabric ~src:(src_endpoint t) ~dst:dev.dev_id ~addr ~len
-    with
-    | Ok data -> parse_slot data
-    | Error _ -> None
-  in
-  let candidates =
-    [
-      read_slot t.prim_dev 0;
-      read_slot t.prim_dev 1;
-      read_slot t.mirr_dev 0;
-      read_slot t.mirr_dev 1;
-    ]
-  in
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match (acc, c) with
-        | None, c -> c
-        | Some a, Some b -> if b.generation > a.generation then Some b else Some a
-        | Some a, None -> Some a)
-      None candidates
-  in
   let meta =
-    match best with Some m -> m | None -> { generation = 1; epoch = 1; regions = [] }
+    match read_table t ~src:(fun () -> src_endpoint t) region_table with
+    | Some m -> m
+    | None -> { generation = 1; epoch = 1; regions = [] }
   in
   (* Re-assert data windows (idempotent on devices that kept their AVT). *)
-  let assert_windows dev = List.iter (program_window t dev) meta.regions in
-  assert_windows t.prim_dev;
-  assert_windows t.mirr_dev;
+  List.iter (program_window t t.prim_dev) meta.regions;
+  List.iter (program_window t t.mirr_dev) meta.regions;
   t.recovery_time <- Some (Sim.now (Cpu.sim (current_cpu t)) - started);
   meta
 
@@ -415,16 +437,26 @@ let region_info t r =
 
 let epoch t = match t.live with Some m -> m.epoch | None -> 0
 
-let apply_mutation t meta =
-  if persist t meta then begin
-    checkpoint_meta t meta;
-    true
-  end
-  else begin
-    (* Roll the generation back: nothing durable changed. *)
-    meta.generation <- meta.generation - 1;
-    false
-  end
+(* Every allocated extent as [(offset, length)], in table order, and in
+   address order. *)
+let extents meta = List.map (fun r -> (r.offset, r.length)) meta.regions
+
+let sorted_extents meta = List.sort compare (extents meta)
+
+(* Walk each extent in turn in pieces of at most [step] bytes (an
+   extent's last piece may be short), calling [f addr len] on each until
+   one answers [Error].  Scrub chunks and 64 KiB RDMA slices are both cut
+   here. *)
+let walk ~step extents f =
+  let rec go addr len rest =
+    if len > 0 then
+      let n = min step len in
+      match f addr n with Ok () -> go (addr + n) (len - n) rest | Error _ as e -> e
+    else match rest with [] -> Ok () | (off, len) :: rest -> go off len rest
+  in
+  go 0 0 extents
+
+let slice_bytes = 64 * 1024
 
 (* Copy every durable byte from one device of the pair onto the other:
    the metadata reserve plus every allocated extent, in 64 KiB RDMA
@@ -437,52 +469,36 @@ let do_resync t meta ~from_primary =
   let src_dev, dst_dev =
     if from_primary then (t.prim_dev, t.mirr_dev) else (t.mirr_dev, t.prim_dev)
   in
-  let mark_dst_failed () = if from_primary then t.mirr_ok <- false else t.prim_ok <- false in
   (* A power cycle entirely inside one chunk transfer is invisible to
      the RDMA completion (the NIC only checks liveness at initiation),
      so snapshot the devices' cycle counters and compare after the
      copy: any blip means the rebuilt image cannot be trusted. *)
   let cycles () = src_dev.dev_power_cycles () + dst_dev.dev_power_cycles () in
   let cycles_before = cycles () in
-  let chunk = 64 * 1024 in
-  (* One staging buffer for the whole copy: each chunk is read into it
+  (* One staging buffer for the whole copy: each slice is read into it
      and written out of it before the next read starts. *)
-  let staging = Bytes.create chunk in
+  let staging = Bytes.create slice_bytes in
   let copied = ref 0 in
-  let copy_extent ~off ~len =
-    let rec go pos =
-      if pos >= len then Ok ()
-      else
-        let n = min chunk (len - pos) in
+  let copy addr n =
+    match
+      Servernet.Fabric.rdma_read_into t.fabric ~src:(src_endpoint t) ~dst:src_dev.dev_id ~addr
+        ~len:n ~buf:staging ~pos:0
+    with
+    | Error _ as e -> e
+    | Ok () -> (
+        let data = if n = slice_bytes then staging else Bytes.sub staging 0 n in
         match
-          Servernet.Fabric.rdma_read_into t.fabric ~src:(src_endpoint t) ~dst:src_dev.dev_id
-            ~addr:(off + pos) ~len:n ~buf:staging ~pos:0
+          Servernet.Fabric.rdma_write t.fabric ~src:(src_endpoint t) ~dst:dst_dev.dev_id ~addr
+            ~data
         with
-        | Error e -> Error (Servernet.Fabric.error_to_string e)
-        | Ok () -> (
-            let data = if n = chunk then staging else Bytes.sub staging 0 n in
-            match
-              Servernet.Fabric.rdma_write t.fabric ~src:(src_endpoint t) ~dst:dst_dev.dev_id
-                ~addr:(off + pos) ~data
-            with
-            | Error e -> Error (Servernet.Fabric.error_to_string e)
-            | Ok () ->
-                copied := !copied + n;
-                go (pos + n))
-    in
-    go 0
-  in
-  let extents =
-    (0, meta_reserve) :: List.map (fun r -> (r.offset, r.length)) meta.regions
-  in
-  let rec copy_all = function
-    | [] -> Ok ()
-    | (off, len) :: rest -> (
-        match copy_extent ~off ~len with Ok () -> copy_all rest | Error e -> Error e)
+        | Error _ as e -> e
+        | Ok () ->
+            copied := !copied + n;
+            Ok ())
   in
   let result =
-    match copy_all extents with
-    | Error e -> Error e
+    match walk ~step:slice_bytes ((0, meta_reserve) :: extents meta) copy with
+    | Error e -> Error (Servernet.Fabric.error_to_string e)
     | Ok () when cycles () <> cycles_before -> Error "device power-cycled during copy"
     | Ok () -> Ok ()
   in
@@ -506,7 +522,7 @@ let do_resync t meta ~from_primary =
   | Error e ->
       (* The destination holds a half-built image: the volume stays
          degraded until a clean resync completes. *)
-      mark_dst_failed ();
+      if from_primary then t.mirr_ok <- false else t.prim_ok <- false;
       Error e
 
 (* Demote a persistently slow mirror: clients stop writing to (and
@@ -526,120 +542,124 @@ let demote_mirror t =
       end
       else false
 
-let handle_request t req =
-  let meta = live_exn t in
+(* Whether each copy of the chunk at [addr] can still be trusted to hold
+   what the scrubber last blessed: its device has not power-cycled since
+   the chunk was marked clean.  Neither can without a mark on record. *)
+let steady t st addr =
+  match Hashtbl.find_opt st.s_clean_cycles addr with
+  | Some (p, m) -> (t.prim_dev.dev_power_cycles () = p, t.mirr_dev.dev_power_cycles () = m)
+  | None -> (false, false)
+
+(* A table match only arbitrates if the matching device has not
+   power-cycled since the entry was recorded: a cycle can roll the chunk
+   back to exactly the blessed contents, and repairing the peer from the
+   rollback would destroy the only copy of writes acked since the last
+   clean scan. *)
+let arbitrate ~trusted ~steady:(prim_steady, mirr_steady) p m =
+  match trusted with
+  | Some crc when prim_steady && Int32.equal crc (Crc32.bytes p) -> Some `Primary
+  | Some crc when mirr_steady && Int32.equal crc (Crc32.bytes m) -> Some `Mirror
+  | _ -> None
+
+(* What a request does: answer at once, or change the region table —
+   the new region list, the window change it needs on each device, and
+   the answer once the change is durable. *)
+type action =
+  | Answer of response
+  | Mutate of { regions : region list; window : device -> unit; reply : unit -> response }
+
+let plan t meta req =
+  let replace region region' = List.map (fun r -> if r == region then region' else r) meta.regions in
+  (* Map [region] on both devices once [regions] is durable. *)
+  let remap regions region reply =
+    Mutate { regions; window = (fun dev -> program_window t dev region); reply }
+  in
   match req with
   | Create { rname; size; client } -> (
-      if size <= 0 then R_error (Pm_types.Bad_request "size must be positive")
-      else if find_region meta rname <> None then R_error Pm_types.Region_exists
+      if size <= 0 then Answer (R_error (Pm_types.Bad_request "size must be positive"))
+      else if String.length rname > region_table.area then Answer (R_error (table_full ()))
+      else if find_region meta rname <> None then Answer (R_error Pm_types.Region_exists)
       else
         match allocate t meta size with
-        | None -> R_error Pm_types.Out_of_space
+        | None -> Answer (R_error Pm_types.Out_of_space)
         | Some offset ->
             let region = { rname; offset; length = size; openers = [ client ] } in
-            let saved = meta.regions in
-            meta.regions <- region :: meta.regions;
-            if apply_mutation t meta then begin
-              program_window t t.prim_dev region;
-              program_window t t.mirr_dev region;
-              mgmt_delay t;
-              R_region (region_info t region)
-            end
-            else begin
-              meta.regions <- saved;
-              R_error Pm_types.Device_failed
-            end)
+            remap (region :: meta.regions) region (fun () -> R_region (region_info t region)))
   | Open { rname; client } -> (
       match find_region meta rname with
-      | None -> R_error Pm_types.No_such_region
+      | None -> Answer (R_error Pm_types.No_such_region)
+      | Some region when List.mem client region.openers -> Answer (R_region (region_info t region))
       | Some region ->
-          if List.mem client region.openers then R_region (region_info t region)
-          else begin
-            let saved = region.openers in
-            region.openers <- client :: region.openers;
-            if apply_mutation t meta then begin
-              program_window t t.prim_dev region;
-              program_window t t.mirr_dev region;
-              mgmt_delay t;
-              R_region (region_info t region)
-            end
-            else begin
-              region.openers <- saved;
-              R_error Pm_types.Device_failed
-            end
-          end)
+          let region' = { region with openers = client :: region.openers } in
+          remap (replace region region') region' (fun () -> R_region (region_info t region')))
   | Close { rname; client } -> (
       match find_region meta rname with
-      | None -> R_error Pm_types.No_such_region
+      | None -> Answer (R_error Pm_types.No_such_region)
+      | Some region when not (List.mem client region.openers) -> Answer R_ok
       | Some region ->
-          if not (List.mem client region.openers) then R_ok
-          else begin
-            let saved = region.openers in
-            region.openers <- List.filter (fun c -> c <> client) region.openers;
-            if apply_mutation t meta then begin
-              program_window t t.prim_dev region;
-              program_window t t.mirr_dev region;
-              mgmt_delay t;
-              R_ok
-            end
-            else begin
-              region.openers <- saved;
-              R_error Pm_types.Device_failed
-            end
-          end)
+          let region' = { region with openers = List.filter (fun c -> c <> client) region.openers } in
+          remap (replace region region') region' (fun () -> R_ok))
   | Delete { rname } -> (
       match find_region meta rname with
-      | None -> R_error Pm_types.No_such_region
+      | None -> Answer (R_error Pm_types.No_such_region)
+      | Some region when region.openers <> [] -> Answer (R_error Pm_types.Region_busy)
       | Some region ->
-          if region.openers <> [] then R_error Pm_types.Region_busy
-          else begin
-            let saved = meta.regions in
-            meta.regions <- List.filter (fun r -> r != region) meta.regions;
-            if apply_mutation t meta then begin
-              unmap_window t.prim_dev region;
-              unmap_window t.mirr_dev region;
-              mgmt_delay t;
-              R_ok
-            end
-            else begin
-              meta.regions <- saved;
-              R_error Pm_types.Device_failed
-            end
-          end)
+          Mutate
+            {
+              regions = List.filter (fun r -> r != region) meta.regions;
+              window = (fun dev -> unmap_window dev region);
+              reply = (fun () -> R_ok);
+            })
   | List_regions ->
-      R_regions (List.map (region_info t) (List.sort (fun a b -> compare a.offset b.offset) meta.regions))
-  | Resync { from_primary } -> (
-      match do_resync t meta ~from_primary with
-      | Ok bytes -> R_resynced { bytes }
-      | Error e -> R_error (Pm_types.Bad_request ("resync: " ^ e)))
-  | Chunk_crc { addr } -> (
-      match
-        List.find_opt (fun r -> addr >= r.offset && addr < r.offset + r.length) meta.regions
-      with
-      | None -> R_error Pm_types.No_such_region
-      | Some r ->
-          let chunk = scrub_chunk_bytes in
-          let chunk_off = r.offset + ((addr - r.offset) / chunk * chunk) in
-          let chunk_len = min chunk (r.offset + r.length - chunk_off) in
-          let crc =
-            match t.scrub with
-            | Some st -> Hashtbl.find_opt st.s_table chunk_off
-            | None -> None
-          in
-          let quarantined =
-            match t.scrub with Some st -> Hashtbl.mem st.s_quar chunk_off | None -> false
-          in
-          R_chunk_crc { chunk_off; chunk_len; crc; quarantined })
-  | Stat ->
-      let allocated = List.fold_left (fun acc r -> acc + r.length) 0 meta.regions in
-      R_stat
-        {
-          capacity = data_capacity t;
-          allocated;
-          region_count = List.length meta.regions;
-          degraded = degraded t;
-          generation = meta.generation;
-        }
+      Answer
+        (R_regions
+           (List.map (region_info t) (List.sort (fun a b -> compare a.offset b.offset) meta.regions)))
+  | Resync { from_primary } ->
+      Answer
+        (match do_resync t meta ~from_primary with
+        | Ok bytes -> R_resynced { bytes }
+        | Error e -> R_error (Pm_types.Bad_request ("resync: " ^ e)))
+  | Chunk_crc { addr } ->
+      (* The chunk holding [addr], cut exactly as the scrubber walks it. *)
+      let holds off len = if addr >= off && addr < off + len then Error (off, len) else Ok () in
+      Answer
+        (match walk ~step:scrub_chunk_bytes (extents meta) holds with
+        | Ok () -> R_error Pm_types.No_such_region
+        | Error (chunk_off, chunk_len) ->
+            let crc, steady, quarantined =
+              match t.scrub with
+              | Some st ->
+                  ( Hashtbl.find_opt st.s_table chunk_off,
+                    steady t st chunk_off,
+                    Hashtbl.mem st.s_quar chunk_off )
+              | None -> (None, (false, false), false)
+            in
+            R_chunk_crc { chunk_off; chunk_len; crc; steady; quarantined })
+
+(* The one path every region-table change takes: install the new
+   regions, persist, then set each device's window and answer; when the
+   table cannot be persisted, put the old regions back. *)
+let apply_mutation t meta ~regions ~window ~reply =
+  let saved = meta.regions in
+  meta.regions <- regions;
+  match persist t meta with
+  | Ok () ->
+      checkpoint_meta t meta;
+      window t.prim_dev;
+      window t.mirr_dev;
+      mgmt_delay t;
+      reply ()
+  | Error e ->
+      (* Roll the generation back: nothing durable changed. *)
+      meta.generation <- meta.generation - 1;
+      meta.regions <- saved;
+      R_error e
+
+let handle_request t req =
+  let meta = live_exn t in
+  match plan t meta req with
+  | Answer r -> r
+  | Mutate { regions; window; reply } -> apply_mutation t meta ~regions ~window ~reply
 
 let serve t () =
   (match t.live with
@@ -658,14 +678,8 @@ let serve t () =
              whatever epoch the devices already enforce (they may be
              ahead if a previous incarnation's epoch persist was lost). *)
           let meta = recover t in
-          let armed =
-            max
-              (Servernet.Avt.epoch t.prim_dev.dev_avt)
-              (Servernet.Avt.epoch t.mirr_dev.dev_avt)
-          in
-          meta.epoch <- max meta.epoch armed;
-          Servernet.Avt.set_epoch t.prim_dev.dev_avt meta.epoch;
-          Servernet.Avt.set_epoch t.mirr_dev.dev_avt meta.epoch;
+          meta.epoch <- max meta.epoch (armed_epoch t);
+          arm t meta.epoch;
           t.live <- Some meta));
   while true do
     let req, respond = Msgsys.next_request t.srv in
@@ -713,13 +727,6 @@ let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev () =
 
 (* --- Background scrubber --- *)
 
-(* The chunk-checksum table lives in the back of each metadata slot: the
-   region table's image occupies the front [meta_reserve/8] bytes of a
-   slot, the scrub table the rest.  Both are dual-slotted,
-   generation-stamped and CRC-framed, so a crash mid-persist always
-   leaves a valid copy — the same discipline as the region table. *)
-let scrub_slot_gap = meta_reserve / 8
-
 let scrub_magic = 0x53435242 (* "SCRB" *)
 
 let scrub_image ~generation ~chunk_bytes entries quarantined =
@@ -760,81 +767,37 @@ let parse_scrub_slot =
       in
       Some (generation, chunk_bytes, entries, quar))
 
-let scrub_epoch t =
-  match t.live with
-  | Some m -> m.epoch
-  | None -> max (Servernet.Avt.epoch t.prim_dev.dev_avt) (Servernet.Avt.epoch t.mirr_dev.dev_avt)
+let scrub_table =
+  {
+    base = meta_reserve / 8;
+    area = (meta_reserve / 2) - (meta_reserve / 8);
+    parse = parse_scrub_slot;
+    generation_of = (fun (g, _, _, _) -> g);
+  }
 
-(* Persist the table to both devices (new generation, alternating slot).
+let scrub_epoch t = match t.live with Some m -> m.epoch | None -> armed_epoch t
+
+(* Persist the checksum table (new generation, alternating slot).
    Written {e after} a pass's repairs: a table older than the data is
    merely conservative (the stale chunk strikes toward quarantine
    instead of auto-repairing), a table newer than the data could bless a
    write that never landed. *)
 let persist_scrub t st =
-  st.s_generation <- st.s_generation + 1;
+  let generation = st.s_generation + 1 in
   let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   let image =
-    scrub_image ~generation:st.s_generation ~chunk_bytes:scrub_chunk_bytes
-      (sorted st.s_table) (sorted st.s_quar)
+    scrub_image ~generation ~chunk_bytes:scrub_chunk_bytes (sorted st.s_table) (sorted st.s_quar)
   in
-  let gap = scrub_slot_gap in
-  if Bytes.length image > (meta_reserve / 2) - gap then begin
-    st.s_generation <- st.s_generation - 1;
-    false
-  end
-  else begin
-    let slot = st.s_generation mod 2 in
-    let addr = slot_offset slot + gap in
-    let epoch = scrub_epoch t in
-    let write dev =
-      match
-        Servernet.Fabric.rdma_write ~epoch t.fabric ~src:(Cpu.endpoint st.s_cpu)
-          ~dst:dev.dev_id ~addr ~data:image
-      with
-      | Ok () -> true
-      | Error _ -> false
-    in
-    let p = write t.prim_dev in
-    let m = write t.mirr_dev in
-    if p || m then true
-    else begin
-      st.s_generation <- st.s_generation - 1;
-      false
-    end
-  end
+  match
+    write_table t ~src:(fun () -> Cpu.endpoint st.s_cpu) ~epoch:(scrub_epoch t) scrub_table
+      ~generation image
+  with
+  | Some (p, m) when p || m -> st.s_generation <- generation
+  | _ -> ()
 
 let load_scrub t st =
-  let gap = scrub_slot_gap in
-  let len = (meta_reserve / 2) - gap in
-  let read_slot dev slot =
-    let addr = slot_offset slot + gap in
-    match
-      Servernet.Fabric.rdma_read t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id ~addr
-        ~len
-    with
-    | Ok data -> parse_scrub_slot data
-    | Error _ -> None
-  in
-  let candidates =
-    [
-      read_slot t.prim_dev 0;
-      read_slot t.prim_dev 1;
-      read_slot t.mirr_dev 0;
-      read_slot t.mirr_dev 1;
-    ]
-  in
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match (acc, c) with
-        | None, c -> c
-        | Some (ga, _, _, _), Some (gb, _, _, _) when gb > ga -> c
-        | acc, _ -> acc)
-      None candidates
-  in
-  match best with
-  | Some (generation, chunk_bytes, entries, quar)
-    when chunk_bytes = scrub_chunk_bytes ->
+  match read_table t ~src:(fun () -> Cpu.endpoint st.s_cpu) scrub_table with
+  | Some (generation, chunk_bytes, entries, quar) when chunk_bytes = scrub_chunk_bytes ->
       st.s_generation <- generation;
       List.iter (fun (addr, crc) -> Hashtbl.replace st.s_table addr crc) entries;
       List.iter (fun (addr, len) -> Hashtbl.replace st.s_quar addr len) quar
@@ -847,20 +810,13 @@ let load_scrub t st =
 (* Read one chunk in 64 KiB RDMA slices, each straight into [buf], which
    is exactly the chunk's length.  [None] when the device is unreachable. *)
 let scrub_read_chunk t st dev buf ~addr =
-  let len = Bytes.length buf in
-  let slice = 64 * 1024 in
-  let rec go pos =
-    if pos >= len then Some buf
-    else
-      let n = min slice (len - pos) in
-      match
-        Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id
-          ~addr:(addr + pos) ~len:n ~buf ~pos
-      with
-      | Error _ -> None
-      | Ok () -> go (pos + n)
+  let read a n =
+    Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id
+      ~addr:a ~len:n ~buf ~pos:(a - addr)
   in
-  go 0
+  match walk ~step:slice_bytes [ (addr, Bytes.length buf) ] read with
+  | Ok () -> Some buf
+  | Error _ -> None
 
 (* Both copies of a chunk, primary first, into the scrubber's own
    buffers; they are reallocated only when the chunk length changes, at
@@ -901,13 +857,13 @@ let scrub_mark_clean t st ~addr crc =
   end;
   Hashtbl.remove st.s_strikes addr
 
-let scrub_repair t st ~dst_dev ~addr ~data ~crc ~len =
+let scrub_repair t st ~dst_dev ~addr ~data ~len =
   match
     Servernet.Fabric.rdma_write ~epoch:(scrub_epoch t) t.fabric ~src:(Cpu.endpoint st.s_cpu)
       ~dst:dst_dev.dev_id ~addr ~data
   with
   | Ok () ->
-      scrub_mark_clean t st ~addr crc;
+      scrub_mark_clean t st ~addr (Crc32.bytes data);
       st.s_repairs <- st.s_repairs + 1
   | Error _ -> scrub_strike st ~addr ~len
 
@@ -920,25 +876,11 @@ let scrub_compare t st ~addr p m =
   Prof.section_end sect "pmm";
   same
 
-(* A table match only arbitrates if the matching device has not
-   power-cycled since the entry was recorded: a cycle can roll the chunk
-   back to exactly the blessed contents, and repairing the peer from the
-   rollback would destroy the only copy of writes acked since the last
-   clean scan. *)
 let scrub_arbitrate t st ~addr ~len p m =
-  let cp = Crc32.bytes p and cm = Crc32.bytes m in
-  let snap = Hashtbl.find_opt st.s_clean_cycles addr in
-  let steady dev since =
-    match since with
-    | Some c -> dev.dev_power_cycles () = c
-    | None -> false
-  in
-  match Hashtbl.find_opt st.s_table addr with
-  | Some e when Int32.equal e cp && steady t.prim_dev (Option.map fst snap) ->
-      scrub_repair t st ~dst_dev:t.mirr_dev ~addr ~data:p ~crc:cp ~len
-  | Some e when Int32.equal e cm && steady t.mirr_dev (Option.map snd snap) ->
-      scrub_repair t st ~dst_dev:t.prim_dev ~addr ~data:m ~crc:cm ~len
-  | _ -> scrub_strike st ~addr ~len
+  match arbitrate ~trusted:(Hashtbl.find_opt st.s_table addr) ~steady:(steady t st addr) p m with
+  | Some `Primary -> scrub_repair t st ~dst_dev:t.mirr_dev ~addr ~data:p ~len
+  | Some `Mirror -> scrub_repair t st ~dst_dev:t.prim_dev ~addr ~data:m ~len
+  | None -> scrub_strike st ~addr ~len
 
 (* Scan one chunk: compare the copies, and on divergence let the durable
    checksum table arbitrate which copy is truth.  A transient divergence
@@ -966,28 +908,22 @@ let scrub_pass t st =
   match t.live with
   | None -> ()
   | Some meta ->
-      let extents =
-        List.sort compare (List.map (fun r -> (r.offset, r.length)) meta.regions)
+      let scan addr len =
+        if not st.s_running then Error ()
+        else begin
+          if not (Hashtbl.mem st.s_quar addr) then begin
+            let started = Sim.now (Cpu.sim st.s_cpu) in
+            Obs.enqueue st.s_probe;
+            scrub_chunk t st ~addr ~len;
+            Obs.served st.s_probe (Sim.now (Cpu.sim st.s_cpu) - started)
+          end;
+          Sim.sleep st.s_interval;
+          Ok ()
+        end
       in
-      List.iter
-        (fun (off, len) ->
-          let rec go addr =
-            if addr < off + len && st.s_running then begin
-              let clen = min scrub_chunk_bytes (off + len - addr) in
-              if not (Hashtbl.mem st.s_quar addr) then begin
-                let started = Sim.now (Cpu.sim st.s_cpu) in
-                Obs.enqueue st.s_probe;
-                scrub_chunk t st ~addr ~len:clen;
-                Obs.served st.s_probe (Sim.now (Cpu.sim st.s_cpu) - started)
-              end;
-              Sim.sleep st.s_interval;
-              go (addr + clen)
-            end
-          in
-          go off)
-        extents;
+      ignore (walk ~step:scrub_chunk_bytes (sorted_extents meta) scan);
       st.s_passes <- st.s_passes + 1;
-      ignore (persist_scrub t st)
+      persist_scrub t st
 
 let start_scrubber t ~cpu ?(interval = Time.us 100) ?obs () =
   (match t.scrub with
@@ -1052,7 +988,6 @@ let scrub_quarantined_chunks t =
    quarantined chunks.  Untouched pages compare equal unread.  Drills
    call this after recovery to prove no divergence survived unnoticed. *)
 let divergent_chunks t =
-  let chunk = scrub_chunk_bytes in
   match t.live with
   | None -> []
   | Some meta ->
@@ -1060,22 +995,15 @@ let divergent_chunks t =
       let quarantined addr =
         match t.scrub with Some st -> Hashtbl.mem st.s_quar addr | None -> false
       in
-      let diverged =
-        List.concat_map
-          (fun r ->
-            let rec go addr acc =
-              if addr >= r.offset + r.length then List.rev acc
-              else
-                let len = min chunk (r.offset + r.length - addr) in
-                let same = Pages.equal t.prim_dev.dev_mem t.mirr_dev.dev_mem ~off:addr ~len in
-                let acc = if same || quarantined addr then acc else (addr, len) :: acc in
-                go (addr + len) acc
-            in
-            go r.offset [])
-          (List.sort (fun a b -> compare a.offset b.offset) meta.regions)
+      let diverged = ref [] in
+      let audit addr len =
+        let same = Pages.equal t.prim_dev.dev_mem t.mirr_dev.dev_mem ~off:addr ~len in
+        if not (same || quarantined addr) then diverged := (addr, len) :: !diverged;
+        Ok ()
       in
+      ignore (walk ~step:scrub_chunk_bytes (sorted_extents meta) audit);
       Prof.section_end sect "pmm";
-      diverged
+      List.rev !diverged
 
 (* --- Mirror-health monitor --- *)
 

@@ -39,12 +39,14 @@ val device_of_pmp : Pmp.t -> device
 
 type request =
   | Create of { rname : string; size : int; client : int }
-      (** the creator is granted access immediately *)
+      (** the creator is granted access immediately.  The region table
+          must fit in 8 KiB ([meta_reserve/8]): a [Create] or [Open] that
+          would outgrow it answers [Bad_request] naming the limit, with
+          nothing written *)
   | Open of { rname : string; client : int }
   | Close of { rname : string; client : int }
   | Delete of { rname : string }
   | List_regions
-  | Stat
   | Resync of { from_primary : bool }
       (** administrative mirror rebuild: copy every allocated region (and
           the metadata) from one device of the pair onto the other, e.g.
@@ -59,24 +61,18 @@ type request =
           truth.  Answers with the chunk's geometry even when no
           scrubber runs (the checksum is then [None]). *)
 
-type stat_info = {
-  capacity : int;  (** data capacity (metadata reserve excluded) *)
-  allocated : int;
-  region_count : int;
-  degraded : bool;  (** one device of the pair unreachable *)
-  generation : int;  (** metadata generation *)
-}
-
 type response =
   | R_region of Pm_types.region_info
   | R_regions of Pm_types.region_info list
-  | R_stat of stat_info
   | R_ok
   | R_resynced of { bytes : int }
   | R_chunk_crc of {
       chunk_off : int;  (** absolute device offset of the chunk *)
       chunk_len : int;
       crc : int32 option;  (** durable checksum; [None] if never scanned clean *)
+      steady : bool * bool;
+          (** (primary, mirror): the device has not power-cycled since the
+              chunk was marked clean; both false without such a mark *)
       quarantined : bool;
     }
   | R_error of Pm_types.error
@@ -171,11 +167,22 @@ val halt : t -> unit
     once per completed pass — {e after} the pass's repairs, so the table
     is never newer than the data it vouches for).  A divergent chunk is
     re-read after a short settle (to filter mirrored writes caught in
-    flight), then arbitrated against the table: the copy whose CRC
-    matches is copied over the other ({e repair}); when neither matches
-    the chunk strikes, and three consecutive strikes quarantine it — it
+    flight), then arbitrated against the table by {!arbitrate}: the copy
+    whose CRC matches, on a device that has not power-cycled since, is
+    copied over the other ({e repair}); when neither qualifies the chunk
+    strikes, and three consecutive strikes quarantine it — it
     is skipped thereafter and surfaced through
     {!scrub_quarantined_chunks} for operator attention. *)
+
+val arbitrate :
+  trusted:int32 option -> steady:bool * bool -> bytes -> bytes -> [ `Primary | `Mirror ] option
+(** [arbitrate ~trusted ~steady p m] picks which of a divergent chunk's
+    primary ([p]) and mirror ([m]) copies is truth, for the scrubber and
+    for read repair alike: the copy whose CRC32 is the [trusted]
+    checksum, provided its device is [steady].  A device that has
+    power-cycled since the chunk's clean mark may have rolled back to
+    exactly the blessed contents, so its match proves nothing.  [None]
+    when neither copy qualifies: repair nothing. *)
 
 val start_scrubber :
   t -> cpu:Cpu.t -> ?interval:Time.span -> ?obs:Obs.t -> unit -> unit

@@ -300,6 +300,65 @@ let test_scrubber_restart_rejected () =
       Pmm.stop_scrubber topo.pmm;
       Pmm.stop_scrubber topo.pmm (* idempotent *))
 
+(* The scrubber's checksum table sits behind the region table in each
+   metadata slot: slot [generation mod 2] of both devices, from byte
+   [meta_reserve/8] of the slot.  These tests write crafted tables there
+   (maintenance path) and check what a restarted manager's scrubber
+   adopts; a quarantined chunk stays quarantined across passes, so the
+   adopted list shows which generation won. *)
+let scrub_chunk = 256 * 1024
+
+let poke_scrub_table npmu ~generation quarantined =
+  let off = (generation mod 2 * (Pmm.meta_reserve / 2)) + (Pmm.meta_reserve / 8) in
+  Npmu.poke npmu ~off
+    ~data:(Pmm.scrub_image ~generation ~chunk_bytes:scrub_chunk [] quarantined)
+
+let reloaded_quarantine ~tear_newest =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client topo 2 in
+      let h =
+        Test_util.ok_or_fail ~msg:"create"
+          (Pm_client.create_region c ~name:"r" ~size:(2 * scrub_chunk))
+      in
+      let base = (Pm_client.info h).Pm_types.net_base in
+      Pmm.halt topo.pmm;
+      Sim.sleep (Time.ms 1);
+      List.iter
+        (fun npmu -> poke_scrub_table npmu ~generation:4 [ (base, scrub_chunk) ])
+        [ topo.npmu_a; topo.npmu_b ];
+      (* Generation 5 only on the mirror: the reload reads all four
+         candidates, not just the primary's. *)
+      poke_scrub_table topo.npmu_b ~generation:5 [ (base + scrub_chunk, scrub_chunk) ];
+      if tear_newest then begin
+        poke_scrub_table topo.npmu_a ~generation:5 [ (base + scrub_chunk, scrub_chunk) ];
+        let torn = (Pmm.meta_reserve / 2) + (Pmm.meta_reserve / 8) in
+        List.iter
+          (fun npmu -> Npmu.poke npmu ~off:torn ~data:(Bytes.make 64 '\xFF'))
+          [ topo.npmu_a; topo.npmu_b ]
+      end;
+      let pmm2 =
+        Pmm.start ~fabric:(Node.fabric topo.node) ~name:"$PMM2"
+          ~primary_cpu:(Node.cpu topo.node 2) ~backup_cpu:(Node.cpu topo.node 3)
+          ~primary_dev:(Pmm.device_of_npmu topo.npmu_a)
+          ~mirror_dev:(Pmm.device_of_npmu topo.npmu_b) ()
+      in
+      Pmm.start_scrubber pmm2 ~cpu:(Node.cpu topo.node 2) ~interval:fast_scrub ();
+      Sim.sleep (Time.ms 5);
+      Pmm.stop_scrubber pmm2;
+      check_int "no new quarantine" 0 (Pmm.scrub_quarantined pmm2);
+      (base, Pmm.scrub_quarantined_chunks pmm2))
+
+let check_chunks = Alcotest.(check (list (pair int int)))
+
+let test_scrubber_reloads_newest_table () =
+  let base, chunks = reloaded_quarantine ~tear_newest:false in
+  check_chunks "generation 5 adopted" [ (base + scrub_chunk, scrub_chunk) ] chunks
+
+let test_scrubber_reload_falls_back_a_generation () =
+  let base, chunks = reloaded_quarantine ~tear_newest:true in
+  check_chunks "generation 4 adopted" [ (base, scrub_chunk) ] chunks
+
 (* --- Verified reads --- *)
 
 let test_verified_read_repairs_decayed_primary () =
@@ -347,6 +406,42 @@ let test_verified_read_without_table_serves_primary () =
       check_bool "divergence seen" true (Pm_client.verify_divergences c >= 1);
       check_bool "counted unrepaired" true (Pm_client.verify_unrepaired c >= 1);
       check_int "no repair invented" 0 (Pm_client.read_repairs c))
+
+(* A write acked while one device was dark leaves that device holding
+   what the last clean scan blessed: its copy still matches the checksum
+   table, but the device has power-cycled since the chunk was marked
+   clean, so read repair must not copy it over the acked write. *)
+let test_verified_read_keeps_degraded_write ~dark_primary () =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client ~config:verified_config topo 2 in
+      let h =
+        Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"r" ~size:8192)
+      in
+      let info = Pm_client.info h in
+      Test_util.check_result_ok "write old"
+        (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 'o'));
+      Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ();
+      Sim.sleep (Time.ms 5);
+      Pmm.stop_scrubber topo.pmm;
+      Sim.sleep (Time.ms 2);
+      let dark, lit =
+        if dark_primary then (topo.npmu_a, topo.npmu_b) else (topo.npmu_b, topo.npmu_a)
+      in
+      Npmu.power_loss dark;
+      Test_util.check_result_ok "write new"
+        (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 'n'));
+      check_int "acked degraded" 1 (Pm_client.degraded_writes c);
+      Npmu.power_restore dark;
+      (match Pm_client.read c h ~off:0 ~len:4096 with
+      | Ok data when not dark_primary ->
+          check_str "serves the acked write" (String.make 4096 'n') (Bytes.to_string data)
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "verified read failed");
+      check_int "no read repair" 0 (Pm_client.read_repairs c);
+      check_bool "counted unrepaired" true (Pm_client.verify_unrepaired c >= 1);
+      check_str "acked write kept" (String.make 4096 'n')
+        (Bytes.to_string (Npmu.peek lit ~off:info.Pm_types.net_base ~len:4096)))
 
 (* --- Pm_queue: torn record beyond the tail --- *)
 
@@ -781,6 +876,10 @@ let suite =
           test_scrubber_repairs_decayed_mirror;
         Alcotest.test_case "quarantines double corruption" `Quick
           test_scrubber_quarantines_double_corruption;
+        Alcotest.test_case "restart reloads the newest table" `Quick
+          test_scrubber_reloads_newest_table;
+        Alcotest.test_case "torn newest table falls back a generation" `Quick
+          test_scrubber_reload_falls_back_a_generation;
         Alcotest.test_case "single instance, idempotent stop" `Quick
           test_scrubber_restart_rejected;
       ] );
@@ -788,6 +887,10 @@ let suite =
       [
         Alcotest.test_case "repairs a decayed primary" `Quick
           test_verified_read_repairs_decayed_primary;
+        Alcotest.test_case "no rollback after a mirror outage" `Quick
+          (test_verified_read_keeps_degraded_write ~dark_primary:false);
+        Alcotest.test_case "no rollback after a primary outage" `Quick
+          (test_verified_read_keeps_degraded_write ~dark_primary:true);
         Alcotest.test_case "unarbitratable divergence serves primary" `Quick
           test_verified_read_without_table_serves_primary;
       ] );

@@ -414,23 +414,76 @@ let suite =
       ] );
   ]
 
-(* --- PMM stat and close/delete edges --- *)
+(* --- PMM close/delete edges and the region-table bound --- *)
 
-let test_pmm_stat () =
+let restart_pmm topo =
+  Pmm.halt topo.pmm;
+  Sim.sleep (Time.ms 1);
+  let pmm2 =
+    Pmm.start ~fabric:(Node.fabric topo.node) ~name:"$PMM2" ~primary_cpu:(Node.cpu topo.node 2)
+      ~backup_cpu:(Node.cpu topo.node 3)
+      ~primary_dev:(Pmm.device_of_npmu topo.npmu_a)
+      ~mirror_dev:(Pmm.device_of_npmu topo.npmu_b) ()
+  in
+  Pm_client.attach ~cpu:(Node.cpu topo.node 3) ~fabric:(Node.fabric topo.node)
+    ~pmm:(Pmm.server pmm2) ()
+
+(* The region table fits in the front eighth of a metadata slot (8 KiB).
+   A create whose name cannot fit, or whose table would outgrow that area,
+   is refused with nothing written: the device health flags stay as they
+   were, and a restarted manager still finds every earlier region. *)
+let test_region_table_bound names () =
   let topo = make_topo () in
   Test_util.run_in topo.sim (fun () ->
       let c = client topo 2 in
-      let _ = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"s1" ~size:65536) in
-      match
-        Msgsys.call (Pmm.server topo.pmm) ~from:(Node.cpu topo.node 2) Pmm.Stat
-      with
-      | Ok (Pmm.R_stat info) ->
-          check_int "allocated" 65536 info.Pmm.allocated;
-          check_int "regions" 1 info.Pmm.region_count;
-          check_bool "healthy" false info.Pmm.degraded;
-          check_bool "capacity positive" true (info.Pmm.capacity > 0);
-          check_bool "generation advanced" true (info.Pmm.generation > 1)
-      | _ -> Alcotest.fail "stat failed")
+      let _ = Test_util.ok_or_fail ~msg:"a" (Pm_client.create_region c ~name:"a" ~size:4096) in
+      let _ = Test_util.ok_or_fail ~msg:"b" (Pm_client.create_region c ~name:"b" ~size:4096) in
+      (* Every name but the last fits; the last is refused. *)
+      let rec create kept = function
+        | [] -> Alcotest.fail "no name was refused"
+        | [ n ] -> (
+            match Pm_client.create_region c ~name:(String.make n 'x') ~size:4096 with
+            | Error (Pm_types.Bad_request msg) ->
+                check_str "names the limit" "region table limited to 8192 bytes" msg;
+                kept
+            | Ok _ -> Alcotest.failf "%d-byte name accepted" n
+            | Error e -> Alcotest.failf "unexpected error: %s" (Pm_types.error_to_string e))
+        | n :: rest ->
+            let name = String.make n (Char.chr (Char.code 'c' + List.length rest)) in
+            let _ = Test_util.ok_or_fail ~msg:"fits" (Pm_client.create_region c ~name ~size:4096) in
+            create (name :: kept) rest
+      in
+      let kept = create [ "a"; "b" ] names in
+      check_bool "health flags untouched" false (Pmm.degraded topo.pmm);
+      let c2 = restart_pmm topo in
+      List.iter
+        (fun name ->
+          let _ = Test_util.ok_or_fail ~msg:"reopen" (Pm_client.open_region c2 ~name) in
+          ())
+        kept)
+
+(* An open that adds one opener to a full table is refused too.  The
+   frame header (20 bytes), the region count, two one-letter regions with
+   one opener each, the generation and the epoch take 84 bytes, so an
+   8,108-byte name fills the table to exactly 8 KiB. *)
+let test_open_outgrowing_table () =
+  let topo = make_topo () in
+  Test_util.run_in topo.sim (fun () ->
+      let c = client topo 2 in
+      let big = String.make 8_108 'z' in
+      List.iter
+        (fun name ->
+          let _ = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name ~size:4096) in
+          ())
+        [ "a"; "b"; big ];
+      (match Pm_client.open_region (client topo 3) ~name:big with
+      | Error (Pm_types.Bad_request msg) ->
+          check_str "names the limit" "region table limited to 8192 bytes" msg
+      | Ok _ -> Alcotest.fail "open outgrew the table"
+      | Error e -> Alcotest.failf "unexpected error: %s" (Pm_types.error_to_string e));
+      match Pm_client.list_regions (restart_pmm topo) with
+      | Ok rs -> check_int "every region survives" 3 (List.length rs)
+      | Error _ -> Alcotest.fail "list after restart failed")
 
 let test_close_unknown_region () =
   let topo = make_topo () in
@@ -456,9 +509,14 @@ let test_list_after_delete () =
 
 let pmm_edge_cases =
   [
-    Alcotest.test_case "volume stat" `Quick test_pmm_stat;
     Alcotest.test_case "close unknown region" `Quick test_close_unknown_region;
     Alcotest.test_case "list after delete" `Quick test_list_after_delete;
+    Alcotest.test_case "9000-byte name refused" `Quick (test_region_table_bound [ 9_000 ]);
+    Alcotest.test_case "40000-byte name refused" `Quick (test_region_table_bound [ 40_000 ]);
+    Alcotest.test_case "70000-byte name refused" `Quick (test_region_table_bound [ 70_000 ]);
+    Alcotest.test_case "full region table refused" `Quick
+      (test_region_table_bound [ 5_000; 5_000 ]);
+    Alcotest.test_case "open outgrowing the table refused" `Quick test_open_outgrowing_table;
   ]
 
 let suite = suite @ [ ("pm.manager_edges", pmm_edge_cases) ]
