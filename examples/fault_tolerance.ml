@@ -56,7 +56,9 @@ let part1_and_2 () =
         match Pm_client.open_region client ~name:"ledger" with
         | Ok _ ->
             Format.printf "PMM takeover transparent to clients (takeovers=%d, outage=%a)@."
-              (Pmm.takeovers pmm) Time.pp (Pmm.outage_time pmm)
+              (Procpair.takeovers (Pmm.pair pmm))
+              Time.pp
+              (Procpair.outage_time (Pmm.pair pmm))
         | Error e -> failwith (Pm_types.error_to_string e))
   in
   Sim.run sim

@@ -51,7 +51,7 @@ let () =
         (* Power-cycle both devices and tear the manager down. *)
         Npmu.power_loss npmu_a;
         Npmu.power_loss npmu_b;
-        Pmm.halt pmm;
+        Procpair.halt (Pmm.pair pmm);
         Format.printf "power lost on both NPMUs; PMM halted@.";
         Sim.sleep (Time.ms 10);
         Npmu.power_restore npmu_a;

@@ -27,7 +27,6 @@ module Enc : sig
   val pad : t -> int -> unit
   (** append that many zero bytes *)
 
-  val length : t -> int
   val to_bytes : t -> Bytes.t
 end
 

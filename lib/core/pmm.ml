@@ -218,9 +218,9 @@ type t = {
   prim_dev : device;
   mirr_dev : device;
   srv : server;
-  mutable pair : Bytes.t Procpair.t option;
-  mutable live : meta option;
-  mutable shadow : Bytes.t option;
+  pair : (meta, Bytes.t option, Bytes.t) Procpair.t;
+      (** the primary serves the live table; the backup keeps the last
+          checkpointed image *)
   mutable prim_ok : bool;
   mutable mirr_ok : bool;
   mutable mgmt_initiators : int list;  (** the PMM pair's own endpoints *)
@@ -258,19 +258,7 @@ let degraded t = not (t.prim_ok && t.mirr_ok)
 
 let last_recovery_time t = t.recovery_time
 
-let pair_exn t =
-  match t.pair with Some p -> p | None -> invalid_arg "Pmm: pair not started"
-
-let takeovers t = Procpair.takeovers (pair_exn t)
-
-let kill_primary t = Procpair.kill_primary (pair_exn t)
-
-let outage_time t = Procpair.outage_time (pair_exn t)
-
-let halt t = Procpair.halt (pair_exn t)
-
-let live_exn t =
-  match t.live with Some m -> m | None -> invalid_arg "Pmm: no live metadata"
+let pair t = t.pair
 
 (* Program (or reprogram) the AVT window of a region on one device.  The
    manager's own CPUs stay on the list: they need the data path for
@@ -292,7 +280,7 @@ let unmap_window dev region = ignore (Servernet.Avt.unmap dev.dev_avt ~net_base:
    fabric.  We model its wire time without moving payload. *)
 let mgmt_delay t = Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes:mgmt_bytes)
 
-let current_cpu t = Procpair.primary_cpu (pair_exn t)
+let current_cpu t = Procpair.primary_cpu t.pair
 
 let src_endpoint t = Cpu.endpoint (current_cpu t)
 
@@ -366,9 +354,7 @@ let persist t meta =
 
 let checkpoint_meta t meta =
   let blob = encode_meta meta in
-  match t.pair with
-  | Some pair -> Procpair.checkpoint pair ~bytes:(Bytes.length blob) blob
-  | None -> ()
+  Procpair.checkpoint t.pair ~bytes:(Bytes.length blob) blob
 
 (* Fence the volume: advance the epoch past anything either device has
    seen, persist it durably, then arm both AVTs.  The persist happens
@@ -424,18 +410,18 @@ let allocate t meta size =
   in
   fit meta_reserve sorted
 
-let region_info t r =
+let region_info t meta r =
   {
     Pm_types.region_name = r.rname;
     net_base = r.offset;
     length = r.length;
     primary_npmu = t.prim_dev.dev_id;
     mirror_npmu = t.mirr_dev.dev_id;
-    epoch = (live_exn t).epoch;
+    epoch = meta.epoch;
     mirror_active = t.mirror_active;
   }
 
-let epoch t = match t.live with Some m -> m.epoch | None -> 0
+let epoch t = match Procpair.live t.pair with Some m -> m.epoch | None -> 0
 
 (* Every allocated extent as [(offset, length)], in table order, and in
    address order. *)
@@ -531,7 +517,7 @@ let do_resync t meta ~from_primary =
    see [mirror_active = false] in the refreshed region info, and switch
    to single-copy writes.  Re-admission is a resync. *)
 let demote_mirror t =
-  match t.live with
+  match Procpair.live t.pair with
   | None -> false
   | Some meta ->
       if t.mirror_active then begin
@@ -584,14 +570,15 @@ let plan t meta req =
         | None -> Answer (R_error Pm_types.Out_of_space)
         | Some offset ->
             let region = { rname; offset; length = size; openers = [ client ] } in
-            remap (region :: meta.regions) region (fun () -> R_region (region_info t region)))
+            remap (region :: meta.regions) region (fun () -> R_region (region_info t meta region)))
   | Open { rname; client } -> (
       match find_region meta rname with
       | None -> Answer (R_error Pm_types.No_such_region)
-      | Some region when List.mem client region.openers -> Answer (R_region (region_info t region))
+      | Some region when List.mem client region.openers ->
+          Answer (R_region (region_info t meta region))
       | Some region ->
           let region' = { region with openers = client :: region.openers } in
-          remap (replace region region') region' (fun () -> R_region (region_info t region')))
+          remap (replace region region') region' (fun () -> R_region (region_info t meta region')))
   | Close { rname; client } -> (
       match find_region meta rname with
       | None -> Answer (R_error Pm_types.No_such_region)
@@ -613,7 +600,8 @@ let plan t meta req =
   | List_regions ->
       Answer
         (R_regions
-           (List.map (region_info t) (List.sort (fun a b -> compare a.offset b.offset) meta.regions)))
+           (List.map (region_info t meta)
+              (List.sort (fun a b -> compare a.offset b.offset) meta.regions)))
   | Resync { from_primary } ->
       Answer
         (match do_resync t meta ~from_primary with
@@ -655,40 +643,44 @@ let apply_mutation t meta ~regions ~window ~reply =
       meta.regions <- saved;
       R_error e
 
-let handle_request t req =
-  let meta = live_exn t in
+let handle_request t meta req =
   match plan t meta req with
   | Answer r -> r
   | Mutate { regions; window; reply } -> apply_mutation t meta ~regions ~window ~reply
 
-let serve t () =
-  (match t.live with
-  | Some _ -> ()
-  | None -> (
-      match t.shadow with
-      | Some blob ->
-          (* Takeover: the checkpoint stream already built our state.
-             The promotion fences the volume — the deposed primary and
-             every client granted under it must re-open before writing. *)
-          let meta = decode_meta blob in
-          t.live <- Some meta;
-          bump_epoch t meta
-      | None ->
-          (* Boot/cold-boot: adopt the durable table and realign with
-             whatever epoch the devices already enforce (they may be
-             ahead if a previous incarnation's epoch persist was lost). *)
-          let meta = recover t in
-          meta.epoch <- max meta.epoch (armed_epoch t);
-          arm t meta.epoch;
-          t.live <- Some meta));
+let adopt t = function
+  | Some blob ->
+      (* Takeover: the checkpoint stream already built our state. *)
+      decode_meta blob
+  | None ->
+      (* Boot/cold-boot: adopt the durable table and realign with
+         whatever epoch the devices already enforce (they may be ahead
+         if a previous incarnation's epoch persist was lost). *)
+      let meta = recover t in
+      meta.epoch <- max meta.epoch (armed_epoch t);
+      arm t meta.epoch;
+      meta
+
+let serve t meta =
+  (* A promotion onto the checkpointed table fences the volume: the
+     deposed primary and every client granted under it must re-open
+     before writing.  The fence runs here, once the table is adopted, so
+     the scrubber and monitor already work against it while the new
+     epoch persists. *)
+  if Option.is_some (Procpair.shadow t.pair) then bump_epoch t meta;
   while true do
     let req, respond = Msgsys.next_request t.srv in
     Cpu.execute (current_cpu t) op_cpu_cost;
-    respond (handle_request t req)
+    respond (handle_request t meta req)
   done
 
 let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev () =
   let srv = Msgsys.create_server fabric ~cpu:primary_cpu ~name in
+  let pair =
+    Procpair.create ~fabric ~name ~primary:primary_cpu ~backup:backup_cpu ~port:srv ~shadow:None
+      ~apply:(fun _ blob -> Some blob)
+      ()
+  in
   let t =
     {
       fabric;
@@ -696,9 +688,7 @@ let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev () =
       prim_dev = primary_dev;
       mirr_dev = mirror_dev;
       srv;
-      pair = None;
-      live = None;
-      shadow = None;
+      pair;
       prim_ok = true;
       mirr_ok = true;
       mgmt_initiators = [ Cpu.endpoint_id primary_cpu; Cpu.endpoint_id backup_cpu ];
@@ -711,18 +701,7 @@ let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev () =
     }
   in
   claim_metadata_windows t ~primary_cpu ~backup_cpu;
-  let pair =
-    Procpair.start ~fabric ~name ~primary:primary_cpu ~backup:backup_cpu
-      ~apply:(fun blob -> t.shadow <- Some blob)
-      ~serve:(fun () -> serve t ())
-      ~on_takeover:(fun () ->
-        (* The primary's in-memory table died with it; the promoted side
-           parses its checkpointed copy when its serve loop starts. *)
-        t.live <- None;
-        Msgsys.move t.srv ~cpu:backup_cpu)
-      ()
-  in
-  t.pair <- Some pair;
+  Procpair.start pair ~adopt:(adopt t) (serve t);
   t
 
 (* --- Background scrubber --- *)
@@ -775,7 +754,7 @@ let scrub_table =
     generation_of = (fun (g, _, _, _) -> g);
   }
 
-let scrub_epoch t = match t.live with Some m -> m.epoch | None -> armed_epoch t
+let scrub_epoch t = match Procpair.live t.pair with Some m -> m.epoch | None -> armed_epoch t
 
 (* Persist the checksum table (new generation, alternating slot).
    Written {e after} a pass's repairs: a table older than the data is
@@ -905,7 +884,7 @@ let scrub_chunk t st ~addr ~len =
       ()
 
 let scrub_pass t st =
-  match t.live with
+  match Procpair.live t.pair with
   | None -> ()
   | Some meta ->
       let scan addr len =
@@ -958,7 +937,7 @@ let start_scrubber t ~cpu ?(interval = Time.us 100) ?obs () =
          (* Wait for the serve loop to adopt metadata before the first
             pass (and before loading the durable table: the epoch realign
             happens there too). *)
-         while st.s_running && t.live = None do
+         while st.s_running && Procpair.live t.pair = None do
            Sim.sleep (Time.ms 1)
          done;
          if st.s_running then load_scrub t st;
@@ -988,7 +967,7 @@ let scrub_quarantined_chunks t =
    quarantined chunks.  Untouched pages compare equal unread.  Drills
    call this after recovery to prove no divergence survived unnoticed. *)
 let divergent_chunks t =
-  match t.live with
+  match Procpair.live t.pair with
   | None -> []
   | Some meta ->
       let sect = Prof.section_begin () in
@@ -1050,7 +1029,7 @@ let monitor_round t m =
         if m.m_mirr_breaches >= m.m_cfg.demote_after then ignore (demote_mirror t)
       end
       else if m.m_mirr_healthy >= m.m_cfg.readmit_after then
-        match t.live with
+        match Procpair.live t.pair with
         | None -> ()
         | Some meta ->
             (* A failed resync leaves the mirror demoted; the healthy
@@ -1083,7 +1062,7 @@ let start_monitor t ~cpu ?(config = default_health_config) ?obs () =
     (Cpu.spawn cpu ~name:(t.pmm_name ^ "-monitor") (fun () ->
          (* Wait for the serve loop to adopt metadata: probes read the
             metadata window, and demotion needs a live table to fence. *)
-         while m.m_running && t.live = None do
+         while m.m_running && Procpair.live t.pair = None do
            Sim.sleep (Time.ms 1)
          done;
          while m.m_running do

@@ -146,16 +146,10 @@ val last_recovery_time : t -> Time.span option
 (** Wall-clock (simulated) duration of the most recent metadata recovery,
     [None] before first boot completes. *)
 
-val takeovers : t -> int
-
-val kill_primary : t -> unit
-(** Fault injection: kill the primary manager process; the backup takes
-    over from the checkpointed metadata (and, on its first request, the
-    PM-resident metadata region). *)
-
-val outage_time : t -> Time.span
-
-val halt : t -> unit
+val pair : t -> (meta, Bytes.t option, Bytes.t) Procpair.t
+(** The manager's process pair: takeovers, outage time, fault injection
+    and teardown.  The backup keeps the last checkpointed table image; a
+    promotion serves from it and fences the volume with a fresh epoch. *)
 
 (** {2 Scrubbing}
 

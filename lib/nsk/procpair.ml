@@ -4,18 +4,21 @@ type config = { takeover_delay : Time.span; ack_bytes : int }
 
 let default_config = { takeover_delay = Time.ms 500; ack_bytes = 64 }
 
-type 'ckpt t = {
+type ('live, 'shadow, 'ckpt) t = {
   fabric : Servernet.Fabric.t;
   pp_name : string;
   cfg : config;
-  apply : 'ckpt -> unit;
-  serve : unit -> unit;
-  on_takeover : unit -> unit;
+  apply : 'shadow -> 'ckpt -> 'shadow;
+  move_port : Cpu.t -> unit;
+  mutable body : unit -> unit;  (** adopt, then serve *)
+  mutable on_takeover : unit -> unit;
+  mutable shadow : 'shadow;
+  mutable live : 'live option;
   mutable primary : Cpu.t;
   mutable backup : Cpu.t option;
   mutable primary_pid : Sim.pid option;
   mutable applier_pid : Sim.pid option;
-  mutable ckpt_chan : ('ckpt * unit Ivar.t) Mailbox.t;
+  ckpt_chan : ('ckpt * unit Ivar.t) Mailbox.t;
   mutable halted : bool;
   mutable takeovers : int;
   mutable outage : Time.span;
@@ -25,8 +28,11 @@ type 'ckpt t = {
 
 let sim t = Cpu.sim t.primary
 
+let kill t = function Some pid when Sim.is_alive (sim t) pid -> Sim.kill (sim t) pid | _ -> ()
+
 let rec spawn_primary t =
-  let pid = Cpu.spawn t.primary ~name:(t.pp_name ^ ":primary") t.serve in
+  let pid =
+Cpu.spawn t.primary ~name:(t.pp_name ^ ":primary") t.body in
   t.primary_pid <- Some pid;
   Sim.on_exit (sim t) pid (fun _ -> if t.primary_pid = Some pid then primary_died t)
 
@@ -38,16 +44,18 @@ and primary_died t =
         let died_at = Sim.now (sim t) in
         Sim.at (sim t) ~after:t.cfg.takeover_delay (fun () ->
             if (not t.halted) && Cpu.is_up backup_cpu then begin
-              (* Promote: the applier stops, the port moves, the serve
-                 loop restarts against the checkpoint-built state. *)
-              (match t.applier_pid with
-              | Some pid when Sim.is_alive (sim t) pid -> Sim.kill (sim t) pid
-              | _ -> ());
+              (* Promote: the applier stops, the dead primary's
+                 uncheckpointed state goes with it, the port moves
+                 (failing its outstanding callers), and the serve loop
+                 restarts against the checkpoint-built shadow. *)
+              kill t t.applier_pid;
               t.applier_pid <- None;
               t.primary <- backup_cpu;
               t.backup <- None;
               t.takeovers <- t.takeovers + 1;
               t.outage <- t.outage + (Sim.now (sim t) - died_at);
+              t.live <- None;
+              t.move_port backup_cpu;
               t.on_takeover ();
               spawn_primary t
             end
@@ -58,36 +66,51 @@ and primary_died t =
 let applier_loop t () =
   while true do
     let ckpt, ack = Mailbox.recv t.ckpt_chan in
-    t.apply ckpt;
+    t.shadow <- t.apply t.shadow ckpt;
     Ivar.fill ack ()
   done
 
-let start ~fabric ~name ~primary ~backup ?(config = default_config) ~apply ~serve
-    ~on_takeover () =
-  let t =
-    {
-      fabric;
-      pp_name = name;
-      cfg = config;
-      apply;
-      serve;
-      on_takeover;
-      primary;
-      backup = Some backup;
-      primary_pid = None;
-      applier_pid = None;
-      ckpt_chan = Mailbox.create ();
-      halted = false;
-      takeovers = 0;
-      outage = 0;
-      ckpts = 0;
-      ckpt_bytes = 0;
-    }
-  in
+let create ~fabric ~name ~primary ~backup ?(config = default_config) ~port ~shadow ~apply () =
+  {
+    fabric;
+    pp_name = name;
+    cfg = config;
+    apply;
+    move_port = (fun cpu -> Msgsys.move port ~cpu);
+    body = ignore;
+    on_takeover = ignore;
+    shadow;
+    live = None;
+    primary;
+    backup = Some backup;
+    primary_pid = None;
+    applier_pid = None;
+    ckpt_chan = Mailbox.create ();
+    halted = false;
+    takeovers = 0;
+    outage = 0;
+    ckpts = 0;
+    ckpt_bytes = 0;
+  }
+
+let start t ~adopt ?(on_takeover = ignore) serve =
+  t.body <-
+    (fun () ->
+      let s = adopt t.shadow in
+      t.live <- Some s;
+      serve s);
+  t.on_takeover <- on_takeover;
   spawn_primary t;
-  let pid = Cpu.spawn backup ~name:(name ^ ":backup") (applier_loop t) in
-  t.applier_pid <- Some pid;
-  t
+  Option.iter
+    (fun backup ->
+      t.applier_pid <- Some (Cpu.spawn backup ~name:(t.pp_name ^ ":backup") (applier_loop t)))
+    t.backup
+
+let view t = match t.live with Some s -> s | None -> t.shadow
+
+let live t = t.live
+
+let shadow t = t.shadow
 
 let backup_alive t =
   match t.backup with Some cpu -> Cpu.is_up cpu | None -> false
@@ -122,16 +145,9 @@ let checkpoints_sent t = t.ckpts
 
 let checkpoint_bytes t = t.ckpt_bytes
 
-let kill_primary t =
-  match t.primary_pid with
-  | Some pid when Sim.is_alive (sim t) pid -> Sim.kill (sim t) pid
-  | _ -> ()
+let kill_primary t = kill t t.primary_pid
 
 let halt t =
   t.halted <- true;
-  (match t.primary_pid with
-  | Some pid when Sim.is_alive (sim t) pid -> Sim.kill (sim t) pid
-  | _ -> ());
-  match t.applier_pid with
-  | Some pid when Sim.is_alive (sim t) pid -> Sim.kill (sim t) pid
-  | _ -> ()
+  kill t t.primary_pid;
+  kill t t.applier_pid

@@ -43,9 +43,7 @@ type t = {
   adp_name : string;
   backend : Log_backend.t;
   srv : server;
-  mutable pair : ckpt Procpair.t option;
-  mutable live : state option;
-  shadow : state;
+  pair : (state, state, ckpt) Procpair.t;
   mutable waiters : waiter list;
   mutable wakeup : unit Mailbox.t;  (** kicks the flusher *)
   mutable epoch : int;  (** bumped per serve incarnation; stale flushers exit *)
@@ -59,23 +57,9 @@ type t = {
 let ckpt_size records =
   List.fold_left (fun acc (_, r) -> acc + 16 + Audit.wire_size r) 0 records
 
-let pair_exn t = match t.pair with Some p -> p | None -> invalid_arg "Adp: not started"
-
-let current_cpu t = Procpair.primary_cpu (pair_exn t)
+let current_cpu t = Procpair.primary_cpu t.pair
 
 let now t = Sim.now (Cpu.sim (current_cpu t))
-
-
-let state t =
-  match t.live with
-  | Some s -> s
-  | None ->
-      (* First run, or takeover: adopt the checkpoint-built shadow. *)
-      let s =
-        { next_asn = t.shadow.next_asn; durable = t.shadow.durable; buffer = t.shadow.buffer }
-      in
-      t.live <- Some s;
-      s
 
 let satisfy_waiters ?(flush = Span.null) t s =
   let ready, pending = List.partition (fun w -> w.w_through <= s.durable) t.waiters in
@@ -127,12 +111,11 @@ let fail_waiters t msg =
    moment it starts; commits that arrive during the write ride the next
    one.  Runs in a dedicated flusher process so the serve loop keeps
    absorbing appends while the spindle turns. *)
-let flusher t ~epoch ~wakeup () =
+let flusher t s ~epoch ~wakeup () =
   while t.epoch = epoch do
     (* Purely event-driven: every Flush request drops a kick here, so
        commits that arrive during a write are covered by the next one. *)
     Mailbox.recv wakeup;
-    let s = state t in
     shed_expired t;
     while t.epoch = epoch && t.waiters <> [] && s.buffer <> [] do
       shed_expired t;
@@ -149,7 +132,7 @@ let flusher t ~epoch ~wakeup () =
       | Ok () ->
           s.durable <- max s.durable last;
           Obs.finish t.obs sp;
-          Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_durable s.durable);
+          Procpair.checkpoint t.pair ~bytes:16 (Ck_durable s.durable);
           satisfy_waiters ~flush:sp t s
       | Error e ->
           (* Put the batch back so a takeover can still flush it. *)
@@ -190,7 +173,7 @@ let handle t s req respond =
         match Log_backend.write_records ~parent:sp t.backend stamped with
         | Ok () ->
             s.durable <- last_asn;
-            Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_durable s.durable);
+            Procpair.checkpoint t.pair ~bytes:16 (Ck_durable s.durable);
             Obs.finish t.obs sp;
             respond (Appended { last_asn })
         | Error e ->
@@ -202,7 +185,7 @@ let handle t s req respond =
            must survive a takeover, so checkpoint them to the backup
            before acknowledging. *)
         s.buffer <- List.rev_append stamped s.buffer;
-        Procpair.checkpoint (pair_exn t) ~bytes:(ckpt_size stamped) (Ck_appended stamped);
+        Procpair.checkpoint t.pair ~bytes:(ckpt_size stamped) (Ck_appended stamped);
         Obs.finish t.obs sp;
         respond (Appended { last_asn })
       end)
@@ -251,38 +234,42 @@ let handle t s req respond =
       if through > s.durable then respond (A_failed "cannot trim past the durable horizon")
       else respond (Trimmed { records = Log_backend.trim t.backend ~through })
 
-let serve t () =
-  let s = state t in
+let serve t s =
   t.epoch <- t.epoch + 1;
   let epoch = t.epoch in
   if not (Log_backend.synchronous t.backend) then
     ignore
       (Cpu.spawn (current_cpu t) ~name:(t.adp_name ^ ":flusher")
-         (flusher t ~epoch ~wakeup:t.wakeup));
+         (flusher t s ~epoch ~wakeup:t.wakeup));
   while true do
     let req, respond = Msgsys.next_request t.srv in
     handle t s req respond
   done
 
-let apply_ckpt t = function
+let apply_ckpt shadow ckpt =
+  (match ckpt with
   | Ck_appended records ->
-      t.shadow.buffer <- List.rev_append records t.shadow.buffer;
-      List.iter (fun (a, _) -> t.shadow.next_asn <- max t.shadow.next_asn (a + 1)) records
+      shadow.buffer <- List.rev_append records shadow.buffer;
+      List.iter (fun (a, _) -> shadow.next_asn <- max shadow.next_asn (a + 1)) records
   | Ck_durable asn ->
-      t.shadow.durable <- max t.shadow.durable asn;
-      t.shadow.buffer <- List.filter (fun (a, _) -> a > asn) t.shadow.buffer;
-      t.shadow.next_asn <- max t.shadow.next_asn (asn + 1)
+      shadow.durable <- max shadow.durable asn;
+      shadow.buffer <- List.filter (fun (a, _) -> a > asn) shadow.buffer;
+      shadow.next_asn <- max shadow.next_asn (asn + 1));
+  shadow
 
 let start ~fabric ~name ~primary ~backup ~backend ?obs () =
   let srv = Msgsys.create_server ?obs fabric ~cpu:primary ~name in
+  let pair =
+    Procpair.create ~fabric ~name ~primary ~backup ~port:srv
+      ~shadow:{ next_asn = 1; durable = 0; buffer = [] }
+      ~apply:apply_ckpt ()
+  in
   let t =
     {
       adp_name = name;
       backend;
       srv;
-      pair = None;
-      live = None;
-      shadow = { next_asn = 1; durable = 0; buffer = [] };
+      pair;
       waiters = [];
       wakeup = Mailbox.create ();
       epoch = 0;
@@ -297,34 +284,28 @@ let start ~fabric ~name ~primary ~backup ~backend ?obs () =
      its primary+mirror volume writes, which would double-count the disks
      in the bottleneck ranking. *)
   Obs.gauge obs ("adp." ^ name ^ ".buffer") (fun () ->
-      let s = match t.live with Some s -> s | None -> t.shadow in
-      float_of_int (List.length s.buffer));
+      float_of_int (List.length (Procpair.view pair).buffer));
   Obs.gauge obs ("adp." ^ name ^ ".flush_backlog") (fun () ->
       float_of_int (List.length t.waiters));
   Obs.gauge obs ("adp." ^ name ^ ".shed_expired") (fun () -> float_of_int t.shed);
-  let pair =
-    Procpair.start ~fabric ~name ~primary ~backup
-      ~apply:(fun ck -> apply_ckpt t ck)
-      ~serve:(fun () -> serve t ())
-      ~on_takeover:(fun () ->
-        t.live <- None;
-        (* Callers of in-flight flushes were already failed by the port
-           move and will retry against the new primary.  A fresh wakeup
-           mailbox orphans any flusher that survived the failure. *)
-        t.waiters <- [];
-        t.wakeup <- Mailbox.create ();
-        Msgsys.move t.srv ~cpu:backup)
-      ()
-  in
-  t.pair <- Some pair;
+  Procpair.start pair
+    ~adopt:(fun sh -> { next_asn = sh.next_asn; durable = sh.durable; buffer = sh.buffer })
+    ~on_takeover:(fun () ->
+      (* Callers of in-flight flushes were already failed by the port
+         move and will retry against the new primary.  A fresh wakeup
+         mailbox orphans any flusher that survived the failure. *)
+      t.waiters <- [];
+      t.wakeup <- Mailbox.create ())
+    (serve t);
   t
 
 let server t = t.srv
 
 let backend t = t.backend
 
-let durable_asn t =
-  match t.live with Some s -> s.durable | None -> t.shadow.durable
+let pair t = t.pair
+
+let durable_asn t = (Procpair.view t.pair).durable
 
 let appended_records t = t.appended
 
@@ -333,11 +314,3 @@ let flushes_performed t = Log_backend.writes t.backend
 let flush_requests t = t.flush_reqs
 
 let shed_expired_count t = t.shed
-
-let pair_takeovers t = Procpair.takeovers (pair_exn t)
-
-let outage_time t = Procpair.outage_time (pair_exn t)
-
-let checkpoint_bytes t = Procpair.checkpoint_bytes (pair_exn t)
-
-let kill_primary t = Procpair.kill_primary (pair_exn t)

@@ -34,6 +34,11 @@ type server = (request, response) Msgsys.server
 
 type t
 
+type state
+(** The trail writer's state: next ASN, durable horizon, buffered records. *)
+
+type ckpt
+
 val start :
   fabric:Servernet.Fabric.t ->
   name:string ->
@@ -50,6 +55,10 @@ val start :
 
 val server : t -> server
 
+val pair : t -> (state, state, ckpt) Procpair.t
+(** The process pair: takeovers, outage time, checkpoint bytes, fault
+    injection.  A takeover keeps the checkpointed buffer. *)
+
 val backend : t -> Log_backend.t
 
 val durable_asn : t -> Audit.asn
@@ -65,15 +74,3 @@ val flush_requests : t -> int
 val shed_expired_count : t -> int
 (** Flush waits dropped because their transaction deadline had already
     passed (exported as the [adp.<name>.shed_expired] gauge). *)
-
-val pair_takeovers : t -> int
-
-val outage_time : t -> Simkit.Time.span
-(** Cumulative time this trail writer had no serving process. *)
-
-val checkpoint_bytes : t -> int
-(** Process-pair checkpoint traffic this ADP generated. *)
-
-val kill_primary : t -> unit
-(** Fault injection: kill the primary process; the backup takes over with
-    the checkpointed buffer. *)

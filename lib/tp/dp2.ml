@@ -62,9 +62,7 @@ type t = {
   adp : Adp.server;
   locks : Lockmgr.t;
   srv : server;
-  mutable pair : ckpt Procpair.t option;
-  mutable live : state option;
-  shadow : state;
+  pair : (state, state, ckpt) Procpair.t;
   rng : Rng.t;
   mutable insert_count : int;
   mutable cp_asn : Audit.asn;
@@ -83,10 +81,7 @@ let file_index s file =
       Hashtbl.replace s.files file tree;
       tree
 
-let pair_exn t = match t.pair with Some p -> p | None -> invalid_arg "Dp2: not started"
-
-let current_cpu t = Procpair.primary_cpu (pair_exn t)
-
+let current_cpu t = Procpair.primary_cpu t.pair
 
 let copy_state src =
   let dst = new_state () in
@@ -97,14 +92,6 @@ let copy_state src =
     src.files;
   Hashtbl.iter (fun k v -> Hashtbl.replace dst.undo k (ref !v)) src.undo;
   dst
-
-let state t =
-  match t.live with
-  | Some s -> s
-  | None ->
-      let s = copy_state t.shadow in
-      t.live <- Some s;
-      s
 
 let note_undo s ~txn entry =
   let entries =
@@ -201,7 +188,7 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
           with
           | Ok (Adp.Appended { last_asn }) ->
               (* Mirror the update into the backup before externalizing. *)
-              Procpair.checkpoint (pair_exn t) ~bytes:(len + 64)
+              Procpair.checkpoint t.pair ~bytes:(len + 64)
                 (Ck_apply { txn; file; key; cell; before });
               (* Lazy data-volume write, off the critical path. *)
               let block = Rng.int t.rng extent_blocks in
@@ -242,15 +229,14 @@ let handle ?(caller = Span.null) ?(queued = 0) t s req respond =
   | Finish { txn; committed } ->
       finish_on s ~txn ~committed;
       Lockmgr.release_all t.locks ~owner:txn;
-      Procpair.checkpoint (pair_exn t) ~bytes:32 (Ck_finish { txn; committed });
+      Procpair.checkpoint t.pair ~bytes:32 (Ck_finish { txn; committed });
       respond Finished
   | Control_point ->
       emit_control_point t s;
       if t.cp_asn > 0 then respond (Cp_done { asn = t.cp_asn })
       else respond (D_failed "control point append failed")
 
-let serve t () =
-  let s = state t in
+let serve t s =
   while true do
     let req, respond = Msgsys.next_request t.srv in
     (* Read synchronously: the next dequeue overwrites them. *)
@@ -268,17 +254,23 @@ let serve t () =
     | Lookup _ | Scan _ | Finish _ | Control_point -> handle ~caller ~queued t s req respond
   done
 
-let apply_ckpt t = function
+let apply_ckpt shadow ckpt =
+  (match ckpt with
   | Ck_apply { txn; file; key; cell; before } ->
-      note_undo t.shadow ~txn { u_file = file; u_key = key; before };
-      ignore (Btree.insert (file_index t.shadow file) ~key cell)
-  | Ck_finish { txn; committed } -> finish_on t.shadow ~txn ~committed
+      note_undo shadow ~txn { u_file = file; u_key = key; before };
+      ignore (Btree.insert (file_index shadow file) ~key cell)
+  | Ck_finish { txn; committed } -> finish_on shadow ~txn ~committed);
+  shadow
 
 let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~locks ?obs () =
   let srv = Msgsys.create_server ?obs fabric ~cpu:primary ~name in
   let lookup_counter = Obs.counter obs "dp2.lookups" in
   let hit_counter = Obs.counter obs "dp2.lookup_hits" in
   Obs.ratio obs "dp2.hit_ratio" ~num:hit_counter ~den:lookup_counter;
+  let pair =
+    Procpair.create ~fabric ~name ~primary ~backup ~port:srv ~shadow:(new_state ())
+      ~apply:apply_ckpt ()
+  in
   let t =
     {
       dp2_name = name;
@@ -288,9 +280,7 @@ let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~loc
       adp;
       locks;
       srv;
-      pair = None;
-      live = None;
-      shadow = new_state ();
+      pair;
       rng = Rng.create (Int64.of_int (0x0D20000 + dp2_index));
       insert_count = 0;
       cp_asn = 0;
@@ -299,32 +289,23 @@ let start ~fabric ~name ~dp2_index ~adp_index ~primary ~backup ~volume ~adp ~loc
       hit_counter;
     }
   in
-  let pair =
-    Procpair.start ~fabric ~name ~primary ~backup
-      ~apply:(fun ck -> apply_ckpt t ck)
-      ~serve:(fun () -> serve t ())
-      ~on_takeover:(fun () ->
-        t.live <- None;
-        Msgsys.move t.srv ~cpu:backup)
-      ()
-  in
-  t.pair <- Some pair;
+  Procpair.start pair ~adopt:copy_state (serve t);
   t
 
 let server t = t.srv
 
+let pair t = t.pair
+
 let inserts t = t.insert_count
 
-let active_state t = match t.live with Some s -> s | None -> t.shadow
-
 let table_size t =
-  Hashtbl.fold (fun _ tree acc -> acc + Btree.cardinal tree) (active_state t).files 0
+  Hashtbl.fold (fun _ tree acc -> acc + Btree.cardinal tree) (Procpair.view t.pair).files 0
 
 let index_height t =
-  Hashtbl.fold (fun _ tree acc -> max acc (Btree.height tree)) (active_state t).files 1
+  Hashtbl.fold (fun _ tree acc -> max acc (Btree.height tree)) (Procpair.view t.pair).files 1
 
 let lookup_direct t ~file ~key =
-  match Hashtbl.find_opt (active_state t).files file with
+  match Hashtbl.find_opt (Procpair.view t.pair).files file with
   | None -> None
   | Some tree -> (
       match Btree.find tree ~key with
@@ -332,16 +313,10 @@ let lookup_direct t ~file ~key =
       | None -> None)
 
 let load_table t rows =
-  let s = active_state t in
+  let s = Procpair.view t.pair in
   Hashtbl.reset s.files;
   Hashtbl.reset s.undo;
   List.iter
     (fun (file, key, len, crc) ->
       ignore (Btree.insert (file_index s file) ~key { len; crc }))
     rows
-
-let kill_primary t = Procpair.kill_primary (pair_exn t)
-
-let pair_takeovers t = Procpair.takeovers (pair_exn t)
-
-let outage_time t = Procpair.outage_time (pair_exn t)

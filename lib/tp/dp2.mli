@@ -53,6 +53,11 @@ val lock_timeout : Time.span
 
 type t
 
+type state
+(** The writer's keyed files and per-transaction undo lists. *)
+
+type ckpt
+
 val start :
   fabric:Servernet.Fabric.t ->
   name:string ->
@@ -73,6 +78,10 @@ val start :
 
 val server : t -> server
 
+val pair : t -> (state, state, ckpt) Procpair.t
+(** The process pair: takeovers, outage time, fault injection.  A
+    takeover keeps the checkpoint-built table. *)
+
 val inserts : t -> int
 
 val table_size : t -> int
@@ -87,12 +96,3 @@ val lookup_direct : t -> file:int -> key:int -> (int * int) option
 val load_table : t -> (int * int * int * int) list -> unit
 (** Maintenance-path bulk load of [(file, key, len, crc)], used by
     recovery to install a rebuilt image. *)
-
-val kill_primary : t -> unit
-(** Fault injection: kill the primary; the backup takes over with the
-    checkpoint-built table. *)
-
-val pair_takeovers : t -> int
-
-val outage_time : t -> Simkit.Time.span
-(** Cumulative time this partition had no serving process. *)

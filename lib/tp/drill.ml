@@ -108,6 +108,10 @@ type overload_report = {
   v_breaker_trips : int;
   v_acked_rows : int;
   v_lost_rows : int;
+  v_in_doubt_after : int;
+  v_orphaned_locks : int;
+  v_fence_checks : int;
+  v_fence_failures : int;
   v_elapsed : Time.span;
   v_warmup_goodput : float;
   v_spike_goodput : float;
@@ -283,8 +287,10 @@ module Oracle = struct
         ]
     in
     make
-      ([
-         acked_durable ~lost:r.v_lost_rows ~acked:r.v_acked_rows;
+      ((acked_durable ~lost:r.v_lost_rows ~acked:r.v_acked_rows
+       :: drained ~in_doubt:r.v_in_doubt_after ~locks:r.v_orphaned_locks
+            ~fence_checks:r.v_fence_checks ~fence_failures:r.v_fence_failures)
+      @ [
          check "warmup_progress"
            (r.v_warmup_goodput > 0.0)
            (Printf.sprintf "warmup goodput %.1f tps" r.v_warmup_goodput);
@@ -946,26 +952,27 @@ let driver system params tally index =
   done
 
 let availability_of system =
-  let sum_arr f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
-  let adps = System.adps system in
-  let dp2s = System.dp2s system in
+  (* Every ADP pair (the MAT's too) and every DP2 pair, summed. *)
+  let adp = Array.map Adp.pair (Array.append (System.adps system) [| System.mat system |]) in
+  let dp2 = Array.map Dp2.pair (System.dp2s system) in
+  let sum_arr pairs f = Array.fold_left (fun acc p -> acc + f p) 0 pairs in
   let tmf = System.tmf system in
   let pmm_takeovers, pmm_outage =
     match System.pmm system with
-    | Some p -> (Pm.Pmm.takeovers p, Pm.Pmm.outage_time p)
+    | Some p -> Procpair.(takeovers (Pm.Pmm.pair p), outage_time (Pm.Pmm.pair p))
     | None -> (0, 0)
   in
   let fs = Servernet.Fabric.stats (Node.fabric (System.node system)) in
   {
-    adp_takeovers = sum_arr Adp.pair_takeovers adps + Adp.pair_takeovers (System.mat system);
-    dp2_takeovers = sum_arr Dp2.pair_takeovers dp2s;
-    tmf_takeovers = Tmf.pair_takeovers tmf;
+    adp_takeovers = sum_arr adp Procpair.takeovers;
+    dp2_takeovers = sum_arr dp2 Procpair.takeovers;
+    tmf_takeovers = Procpair.takeovers (Tmf.pair tmf);
     pmm_takeovers;
     outage =
-      sum_arr Adp.outage_time adps
-      + Adp.outage_time (System.mat system)
-      + sum_arr Dp2.outage_time dp2s
-      + Tmf.outage_time tmf + pmm_outage;
+      sum_arr adp Procpair.outage_time
+      + sum_arr dp2 Procpair.outage_time
+      + Procpair.outage_time (Tmf.pair tmf)
+      + pmm_outage;
     degraded_writes = System.degraded_pm_writes system;
     pm_write_retries = System.pm_write_retries system;
     packet_retries = fs.Servernet.Fabric.packet_retries;
@@ -1282,6 +1289,10 @@ let run_overload ?(seed = 0xD5177L) ?obs ?sample_interval ?(params = overload_pa
         v_breaker_trips = breaker_trips;
         v_acked_rows = List.length t.t_acked;
         v_lost_rows = o.o_lost;
+        v_in_doubt_after = o.o_in_doubt;
+        v_orphaned_locks = o.o_locks;
+        v_fence_checks = o.o_fence_checks;
+        v_fence_failures = o.o_fence_failures;
         v_elapsed = o.o_elapsed;
         v_warmup_goodput = warmup_g;
         v_spike_goodput = phase_rate spike_start spike_end;

@@ -325,6 +325,10 @@ type overload_report = {
   v_breaker_trips : int;
   v_acked_rows : int;
   v_lost_rows : int;  (** acked rows missing after recovery: must be 0 *)
+  v_in_doubt_after : int;  (** prepared branches still undecided: must be 0 *)
+  v_orphaned_locks : int;  (** locks still held after recovery: must be 0 *)
+  v_fence_checks : int;
+  v_fence_failures : int;  (** stale-epoch writes that landed: must be 0 *)
   v_elapsed : Time.span;  (** schedule plus straggler drain *)
   v_warmup_goodput : float;  (** committed/s during warmup *)
   v_spike_goodput : float;
@@ -469,8 +473,9 @@ module Oracle : sig
       ratio check — the negative control. *)
 
   val of_overload : overload_report -> verdict
-  (** Zero acked-lost rows, spike goodput at or above the floor,
-      recovery within the bound, and — defended runs only — at least
+  (** Zero acked-lost rows, the in-doubt window drained with no
+      orphaned locks or fence failures, spike goodput at or above the
+      floor, recovery within the bound, and — defended runs only — at least
       one rejection (proof the admission path fired).  The undefended
       run stays collapsed after the load drops and fails. *)
 end

@@ -383,17 +383,17 @@ let inject run action =
   let finish () = Obs.finish (System.obs system) sp in
   (match action with
   | Kill_primary (Adp i) ->
-      Adp.kill_primary (System.adps system).(i);
+      Procpair.kill_primary (Adp.pair (System.adps system).(i));
       record run action
   | Kill_primary (Dp2 i) ->
-      Dp2.kill_primary (System.dp2s system).(i);
+      Procpair.kill_primary (Dp2.pair (System.dp2s system).(i));
       record run action
   | Kill_primary Tmf ->
-      Tmf.kill_primary (System.tmf system);
+      Procpair.kill_primary (Tmf.pair (System.tmf system));
       record run action
   | Kill_primary Pmm ->
       (match System.pmm system with
-      | Some pmm -> Pm.Pmm.kill_primary pmm
+      | Some pmm -> Procpair.kill_primary (Pm.Pmm.pair pmm)
       | None -> ());
       record run action
   | Npmu_power_cycle { device; off_for } ->

@@ -423,8 +423,8 @@ let total_audit_bytes t =
   + Log_backend.bytes_written (Adp.backend t.sys_mat)
 
 let checkpoint_message_bytes t =
-  Array.fold_left (fun acc adp -> acc + Adp.checkpoint_bytes adp) 0 t.sys_adps
-  + Adp.checkpoint_bytes t.sys_mat
+  let bytes adp = Procpair.checkpoint_bytes (Adp.pair adp) in
+  Array.fold_left (fun acc adp -> acc + bytes adp) 0 t.sys_adps + bytes t.sys_mat
 
 let adp_shed_expired t =
   Array.fold_left (fun acc adp -> acc + Adp.shed_expired_count adp) 0 t.sys_adps
@@ -442,12 +442,13 @@ let report ppf t =
     (fun i adp ->
       Format.fprintf ppf "ADP%d: appended=%d flush-reqs=%d writes=%d durable-asn=%d ckpt=%dB@." i
         (Adp.appended_records adp) (Adp.flush_requests adp) (Adp.flushes_performed adp)
-        (Adp.durable_asn adp) (Adp.checkpoint_bytes adp))
+        (Adp.durable_asn adp)
+        (Procpair.checkpoint_bytes (Adp.pair adp)))
     t.sys_adps;
   Format.fprintf ppf "MAT: appended=%d writes=%d ckpt=%dB@."
     (Adp.appended_records t.sys_mat)
     (Adp.flushes_performed t.sys_mat)
-    (Adp.checkpoint_bytes t.sys_mat);
+    (Procpair.checkpoint_bytes (Adp.pair t.sys_mat));
   let dp2_inserts = Array.fold_left (fun acc d -> acc + Dp2.inserts d) 0 t.sys_dp2s in
   let dp2_rows = Array.fold_left (fun acc d -> acc + Dp2.table_size d) 0 t.sys_dp2s in
   let max_height = Array.fold_left (fun acc d -> max acc (Dp2.index_height d)) 1 t.sys_dp2s in

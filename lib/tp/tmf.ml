@@ -87,9 +87,7 @@ type t = {
   mat : Adp.server;
   txn_state : (Pm.Pm_client.t * Pm.Pm_client.handle) option;
   srv : server;
-  mutable pair : ckpt Procpair.t option;
-  mutable live : state option;
-  shadow : state;
+  pair : (state, state, ckpt) Procpair.t;
   finish_queue : finish_job Mailbox.t;
   mutable n_begun : int;
   mutable n_committed : int;
@@ -108,26 +106,9 @@ type t = {
           0 unknown) *)
 }
 
-let pair_exn t = match t.pair with Some p -> p | None -> invalid_arg "Tmf: not started"
-
-let current_cpu t = Procpair.primary_cpu (pair_exn t)
+let current_cpu t = Procpair.primary_cpu t.pair
 
 let now t = Sim.now (Cpu.sim (current_cpu t))
-
-
-let state t =
-  match t.live with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          next_txn = t.shadow.next_txn;
-          active = Hashtbl.copy t.shadow.active;
-          prepared = Hashtbl.copy t.shadow.prepared;
-        }
-      in
-      t.live <- Some s;
-      s
 
 (* Fine-grained txn-state table in PM, hashed by txn id: one small
    synchronous write per state change.  Status codes: 1 active,
@@ -264,7 +245,7 @@ let handle t s req respond =
           Hashtbl.replace s.active txn deadline;
           t.n_begun <- t.n_begun + 1;
           record_state_advisory t txn 1;
-          Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_begin txn);
+          Procpair.checkpoint t.pair ~bytes:16 (Ck_begin txn);
           respond (Began { txn }))
   | Commit_txn { txn; flushes; involved } ->
       (* The caller's span (and its inbox wait) must be read before
@@ -297,7 +278,7 @@ let handle t s req respond =
             Hashtbl.remove s.active txn;
             t.n_aborted <- t.n_aborted + 1;
             record_state_advisory t txn 3;
-            Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_outcome (txn, false));
+            Procpair.checkpoint t.pair ~bytes:16 (Ck_outcome (txn, false));
             Obs.finish t.obs csp;
             respond (T_failed "shed: deadline expired");
             Mailbox.send t.finish_queue
@@ -330,7 +311,7 @@ let handle t s req respond =
               | Ok () ->
                   Hashtbl.remove s.active txn;
                   t.n_committed <- t.n_committed + 1;
-                  Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_outcome (txn, true));
+                  Procpair.checkpoint t.pair ~bytes:16 (Ck_outcome (txn, true));
                   let svc = Sim.now (Cpu.sim (current_cpu t)) - started in
                   (* The windowed service-time estimate admission uses. *)
                   t.svc_ewma <-
@@ -362,7 +343,7 @@ let handle t s req respond =
         Hashtbl.remove s.active txn;
         t.n_aborted <- t.n_aborted + 1;
         record_state_advisory t txn 3;
-        Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_outcome (txn, false));
+        Procpair.checkpoint t.pair ~bytes:16 (Ck_outcome (txn, false));
         respond Aborted;
         Mailbox.send t.finish_queue { fj_txn = txn; fj_committed = false; fj_involved = involved }
       end
@@ -394,7 +375,7 @@ let handle t s req respond =
                   | Ok () ->
                       Hashtbl.remove s.active txn;
                       Hashtbl.replace s.prepared txn { pi_involved = involved; pi_gtid = gtid };
-                      Procpair.checkpoint (pair_exn t) ~bytes:32
+                      Procpair.checkpoint t.pair ~bytes:32
                         (Ck_prepared (txn, involved, gtid));
                       respond Prepared_ok))
       in
@@ -425,7 +406,7 @@ let handle t s req respond =
                 Hashtbl.remove s.prepared txn;
                 if commit then t.n_committed <- t.n_committed + 1
                 else t.n_aborted <- t.n_aborted + 1;
-                Procpair.checkpoint (pair_exn t) ~bytes:16 (Ck_outcome (txn, commit));
+                Procpair.checkpoint t.pair ~bytes:16 (Ck_outcome (txn, commit));
                 respond Decided;
                 Mailbox.send t.finish_queue
                   { fj_txn = txn; fj_committed = commit; fj_involved = involved }
@@ -437,8 +418,7 @@ let handle t s req respond =
       Cpu.execute (current_cpu t) begin_cpu;
       respond (Outcome { status = query_outcome t s txn })
 
-let serve t () =
-  let s = state t in
+let serve t s =
   while true do
     let req, respond = Msgsys.next_request t.srv in
     handle t s req respond
@@ -458,20 +438,34 @@ let finisher t () =
       job.fj_involved
   done
 
-let apply_ckpt t = function
+let apply_ckpt shadow ckpt =
+  (match ckpt with
   | Ck_begin txn ->
-      Hashtbl.replace t.shadow.active txn 0;
-      t.shadow.next_txn <- max t.shadow.next_txn (txn + 1)
+      Hashtbl.replace shadow.active txn 0;
+      shadow.next_txn <- max shadow.next_txn (txn + 1)
   | Ck_outcome (txn, _) ->
-      Hashtbl.remove t.shadow.active txn;
-      Hashtbl.remove t.shadow.prepared txn
+      Hashtbl.remove shadow.active txn;
+      Hashtbl.remove shadow.prepared txn
   | Ck_prepared (txn, involved, gtid) ->
-      Hashtbl.remove t.shadow.active txn;
-      Hashtbl.replace t.shadow.prepared txn { pi_involved = involved; pi_gtid = gtid }
+      Hashtbl.remove shadow.active txn;
+      Hashtbl.replace shadow.prepared txn { pi_involved = involved; pi_gtid = gtid });
+  shadow
+
+let adopt shadow =
+  {
+    next_txn = shadow.next_txn;
+    active = Hashtbl.copy shadow.active;
+    prepared = Hashtbl.copy shadow.prepared;
+  }
 
 let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_probe
     ?(admission = false) ?obs () =
   let srv = Msgsys.create_server ?obs fabric ~cpu:primary ~name in
+  let pair =
+    Procpair.create ~fabric ~name ~primary ~backup ~port:srv
+      ~shadow:{ next_txn = 1; active = Hashtbl.create 64; prepared = Hashtbl.create 16 }
+      ~apply:apply_ckpt ()
+  in
   let t =
     {
       tmf_name = name;
@@ -481,9 +475,7 @@ let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_pr
       mat;
       txn_state;
       srv;
-      pair = None;
-      live = None;
-      shadow = { next_txn = 1; active = Hashtbl.create 64; prepared = Hashtbl.create 16 };
+      pair;
       finish_queue = Mailbox.create ();
       n_begun = 0;
       n_committed = 0;
@@ -500,29 +492,20 @@ let start ~fabric ~name ~primary ~backup ~adps ~dp2s ~mat ?txn_state ?outcome_pr
     }
   in
   Obs.gauge obs "tmf.active_txns" (fun () ->
-      let s = match t.live with Some s -> s | None -> t.shadow in
-      float_of_int (Hashtbl.length s.active));
+      float_of_int (Hashtbl.length (Procpair.view pair).active));
   Obs.gauge obs "tmf.admitted" (fun () -> float_of_int t.n_admitted);
   Obs.gauge obs "tmf.rejected" (fun () -> float_of_int t.n_rejected);
   Obs.gauge obs "tmf.expired" (fun () -> float_of_int t.n_expired);
-  let spawn_helpers cpu =
-    ignore (Cpu.spawn cpu ~name:(name ^ ":finisher") (fun () -> finisher t ()))
+  let spawn_finisher () =
+    ignore (Cpu.spawn (current_cpu t) ~name:(name ^ ":finisher") (fun () -> finisher t ()))
   in
-  let pair =
-    Procpair.start ~fabric ~name ~primary ~backup
-      ~apply:(fun ck -> apply_ckpt t ck)
-      ~serve:(fun () -> serve t ())
-      ~on_takeover:(fun () ->
-        t.live <- None;
-        Msgsys.move t.srv ~cpu:backup;
-        spawn_helpers backup)
-      ()
-  in
-  t.pair <- Some pair;
-  spawn_helpers primary;
+  Procpair.start pair ~adopt ~on_takeover:spawn_finisher (serve t);
+  spawn_finisher ();
   t
 
 let server t = t.srv
+
+let pair t = t.pair
 
 let begun t = t.n_begun
 
@@ -531,15 +514,15 @@ let committed t = t.n_committed
 let aborted t = t.n_aborted
 
 let active_txns t =
-  let s = match t.live with Some s -> s | None -> t.shadow in
+  let s = Procpair.view t.pair in
   Hashtbl.fold (fun txn _ acc -> txn :: acc) s.active []
 
 let prepared_txns t =
-  let s = match t.live with Some s -> s | None -> t.shadow in
+  let s = Procpair.view t.pair in
   Hashtbl.fold (fun txn _ acc -> txn :: acc) s.prepared []
 
 let in_doubt t =
-  let s = match t.live with Some s -> s | None -> t.shadow in
+  let s = Procpair.view t.pair in
   Hashtbl.fold (fun txn info acc -> (txn, info.pi_involved, info.pi_gtid) :: acc) s.prepared []
 
 let admitted t = t.n_admitted
@@ -548,11 +531,4 @@ let rejected t = t.n_rejected
 
 let expired t = t.n_expired
 
-
 let commit_latency t = t.latency
-
-let kill_primary t = Procpair.kill_primary (pair_exn t)
-
-let pair_takeovers t = Procpair.takeovers (pair_exn t)
-
-let outage_time t = Procpair.outage_time (pair_exn t)

@@ -94,6 +94,11 @@ val admits :
 
 type t
 
+type state
+(** The monitor's transaction table: next id, active and prepared txns. *)
+
+type ckpt
+
 val start :
   fabric:Servernet.Fabric.t ->
   name:string ->
@@ -118,6 +123,11 @@ val start :
     span tree parented under the client's span. *)
 
 val server : t -> server
+
+val pair : t -> (state, state, ckpt) Procpair.t
+(** The process pair: takeovers, outage time, fault injection.  A
+    takeover keeps the checkpointed transaction table and respawns the
+    lock-release finisher. *)
 
 val begun : t -> int
 
@@ -150,10 +160,3 @@ val expired : t -> int
 val commit_latency : t -> Stat.t
 (** Time from commit request dequeue to reply, the monitor-side view of
     the paper's response-time story. *)
-
-val kill_primary : t -> unit
-
-val pair_takeovers : t -> int
-
-val outage_time : t -> Simkit.Time.span
-(** Cumulative time the monitor had no serving process. *)

@@ -426,7 +426,7 @@ let failover_under_load ?(records_per_driver = 400) () =
       (* Kill ADP 1's primary mid-run. *)
       Sim.at sim ~after:(Time.ms 500) (fun () ->
           committed_before := Tp.Tmf.committed (Tp.System.tmf system);
-          Tp.Adp.kill_primary (Tp.System.adps system).(1));
+          Nsk.Procpair.kill_primary (Tp.Adp.pair (Tp.System.adps system).(1)));
       let result = Hot_stock.run system params in
       (* Every committed transaction must be recoverable from the
          (takeover-surviving) trails. *)
@@ -440,7 +440,7 @@ let failover_under_load ?(records_per_driver = 400) () =
       {
         committed_before = !committed_before;
         committed_total = result.Hot_stock.committed;
-        adp_takeovers = Tp.Adp.pair_takeovers (Tp.System.adps system).(1);
+        adp_takeovers = Nsk.Procpair.takeovers (Tp.Adp.pair (Tp.System.adps system).(1));
         outage = Nsk.Procpair.default_config.Nsk.Procpair.takeover_delay;
         lost_transactions = max 0 (expected_rows - rows_rebuilt);
       })

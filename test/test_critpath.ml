@@ -205,7 +205,7 @@ let test_fence_refresh_retry_shares_trace () =
       (* Manager takeover bumps the volume epoch; the handle still
          carries the old grant, so the next write bounces off the fence,
          refreshes, and retries. *)
-      Pm.Pmm.kill_primary pmm;
+      Nsk.Procpair.kill_primary (Pm.Pmm.pair pmm);
       Sim.sleep (Time.ms 800);
       let spans = Obs.spans obs in
       let root = Span.root spans ~track:"client" "txn" in

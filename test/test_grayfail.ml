@@ -152,7 +152,7 @@ let test_mgmt_retry_exhausted () =
         }
       in
       let c = client ~config topo 2 in
-      Pmm.halt topo.pmm;
+      Procpair.halt (Pmm.pair topo.pmm);
       (match Pm_client.open_region c ~name:"absent" with
       | Error Pm_types.Manager_down -> ()
       | Ok _ -> Alcotest.fail "open succeeded against a halted manager"

@@ -322,7 +322,7 @@ let reloaded_quarantine ~tear_newest =
           (Pm_client.create_region c ~name:"r" ~size:(2 * scrub_chunk))
       in
       let base = (Pm_client.info h).Pm_types.net_base in
-      Pmm.halt topo.pmm;
+      Procpair.halt (Pmm.pair topo.pmm);
       Sim.sleep (Time.ms 1);
       List.iter
         (fun npmu -> poke_scrub_table npmu ~generation:4 [ (base, scrub_chunk) ])

@@ -201,35 +201,31 @@ let test_rpc_late_reply_after_timeout () =
 
 (* --- Procpair --- *)
 
-(* A counting service: requests increment a counter; the primary
-   checkpoints the counter before replying.  After takeover the backup
-   must continue from the checkpointed value. *)
-let start_counter_pair node ~primary ~backup =
+(* A counting service: requests increment the live counter and the
+   primary checkpoints the new value before replying.  Both sides hold
+   the count in an [int ref]: the backup's shadow takes each checkpoint,
+   and every serve incarnation adopts a fresh copy of it. *)
+let start_counter_pair ?on_takeover node ~primary ~backup =
   let fabric = Node.fabric node in
   let server = Msgsys.create_server fabric ~cpu:primary ~name:"counter" in
-  let live = ref 0 in
-  let shadow = ref 0 in
-  let pair = ref None in
-  let serve () =
-    (* A promoted primary starts from the checkpointed shadow. *)
-    live := !shadow;
-    while true do
-      let (), respond = Msgsys.next_request server in
-      incr live;
-      (match !pair with Some p -> Procpair.checkpoint p ~bytes:8 !live | None -> ());
-      respond !live
-    done
-  in
-  let p =
-    Procpair.start ~fabric ~name:"counter" ~primary ~backup
+  let pair =
+    Procpair.create ~fabric ~name:"counter" ~primary ~backup
       ~config:{ Procpair.takeover_delay = Time.ms 100; ack_bytes = 64 }
-      ~apply:(fun v -> shadow := v)
-      ~serve
-      ~on_takeover:(fun () -> Msgsys.move server ~cpu:backup)
+      ~port:server ~shadow:(ref 0)
+      ~apply:(fun shadow v ->
+        shadow := v;
+        shadow)
       ()
   in
-  pair := Some p;
-  (server, p)
+  let on_takeover = Option.map (fun f () -> f pair) on_takeover in
+  Procpair.start pair ~adopt:(fun shadow -> ref !shadow) ?on_takeover (fun live ->
+      while true do
+        let (), respond = Msgsys.next_request server in
+        incr live;
+        Procpair.checkpoint pair ~bytes:8 !live;
+        respond !live
+      done);
+  (server, pair)
 
 let test_procpair_checkpointing () =
   let sim, node = make_node () in
@@ -273,6 +269,46 @@ let test_procpair_takeover_preserves_state () =
   check_int "one takeover" 1 (Procpair.takeovers pair);
   check_bool "sub-second outage" true (Procpair.outage_time pair < Time.sec 1);
   check_bool "no backup anymore" false (Procpair.has_backup pair)
+
+(* The pair's state contract: after a primary kill, a change the primary
+   made to its live state without checkpointing it is gone, every
+   checkpointed change survives, the view falls back to the shadow until
+   the promoted side adopts it, and the port follows the backup. *)
+let test_procpair_state_contract () =
+  let sim, node = make_node () in
+  let primary = Node.cpu node 0 and client = Node.cpu node 2 in
+  let at_promotion = ref None in
+  let server, pair =
+    start_counter_pair node ~primary ~backup:(Node.cpu node 1) ~on_takeover:(fun pair ->
+        at_promotion := Some (Procpair.live pair = None, !(Procpair.view pair)))
+  in
+  let after_takeover = ref 0 in
+  let (_ : Sim.pid) =
+    Cpu.spawn client ~name:"client" (fun () ->
+        for _ = 1 to 3 do
+          match Msgsys.call server ~from:client () with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.fail "pre-failure call failed"
+        done;
+        (* An in-memory change the primary never checkpointed. *)
+        (match Procpair.live pair with Some live -> incr live | None -> ());
+        check_int "view reads the live state" 4 !(Procpair.view pair);
+        Procpair.kill_primary pair;
+        Sim.sleep (Time.ms 200);
+        (* With the old primary's CPU down, only the backup can answer. *)
+        Cpu.fail primary;
+        match Msgsys.call server ~from:client ~timeout:(Time.ms 500) () with
+        | Ok v -> after_takeover := v
+        | Error _ -> Alcotest.fail "call after takeover failed")
+  in
+  Sim.run sim;
+  check_int "one takeover" 1 (Procpair.takeovers pair);
+  (match !at_promotion with
+  | Some (dropped, seen) ->
+      check_bool "live state dropped at promotion" true dropped;
+      check_int "view reads the shadow until adoption" 3 seen
+  | None -> Alcotest.fail "no promotion");
+  check_int "uncheckpointed change gone, checkpointed ones kept" 4 !after_takeover
 
 let test_procpair_halted_when_both_die () =
   let sim, node = make_node () in
@@ -325,6 +361,8 @@ let suite =
         Alcotest.test_case "checkpoints flow to backup" `Quick test_procpair_checkpointing;
         Alcotest.test_case "takeover preserves checkpointed state" `Quick
           test_procpair_takeover_preserves_state;
+        Alcotest.test_case "takeover drops uncheckpointed state" `Quick
+          test_procpair_state_contract;
         Alcotest.test_case "halted when both sides die" `Quick test_procpair_halted_when_both_die;
         Alcotest.test_case "degrades without backup" `Quick
           test_procpair_checkpoint_degrades_without_backup;

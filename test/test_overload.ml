@@ -133,9 +133,21 @@ let run_drill ?seed ?defenses () =
   | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
   | Ok r -> r
 
+(* Recovery after the storm leaves nothing behind, defended or not: the
+   oracle judges the drain like every other drill family's. *)
+let check_drained r =
+  let checks = (Tp.Drill.Oracle.of_overload r).Tp.Drill.Oracle.checks in
+  List.iter
+    (fun name ->
+      match List.find_opt (fun c -> c.Tp.Drill.Oracle.ck_name = name) checks with
+      | Some c -> check_bool name true c.Tp.Drill.Oracle.ck_ok
+      | None -> Alcotest.fail ("oracle lacks " ^ name))
+    [ "in_doubt_drained"; "no_orphaned_locks"; "no_fence_failures" ]
+
 let test_overload_drill_defended () =
   let r = run_drill () in
   check_int "zero acked rows lost" 0 r.Tp.Drill.v_lost_rows;
+  check_drained r;
   check_bool "admission actually fired" true (r.Tp.Drill.v_rejected > 0);
   check_bool "spike goodput above the floor" true
     (r.Tp.Drill.v_spike_goodput
@@ -165,7 +177,8 @@ let test_overload_drill_negative_control () =
   check_bool "the storm showed up as timeouts" true (r.Tp.Drill.v_timeouts > 0);
   (* Rejected is backpressure, lost is betrayal: even collapsed, every
      acknowledged row must survive the crash. *)
-  check_int "still zero acked rows lost" 0 r.Tp.Drill.v_lost_rows
+  check_int "still zero acked rows lost" 0 r.Tp.Drill.v_lost_rows;
+  check_drained r
 
 let test_overload_drill_second_seed () =
   let seed = 0xBEEF1L in

@@ -302,7 +302,7 @@ let test_metadata_survives_pmm_restart () =
       let h = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"keep" ~size:8192) in
       Test_util.check_result_ok "write" (Pm_client.write c h ~off:0 ~data:(Bytes.of_string "precious"));
       (* Tear the whole manager down; devices keep metadata + data. *)
-      Pmm.halt topo.pmm;
+      Procpair.halt (Pmm.pair topo.pmm);
       Sim.sleep (Time.ms 10);
       let pmm2 =
         Pmm.start ~fabric:(Node.fabric topo.node) ~name:"$PMM2"
@@ -333,7 +333,7 @@ let test_pmm_takeover_keeps_metadata () =
       let h = Test_util.ok_or_fail ~msg:"open after takeover" (Pm_client.open_region c ~name:"ha") in
       Test_util.check_result_ok "write after takeover"
         (Pm_client.write c h ~off:0 ~data:(Bytes.of_string "alive"));
-      check_int "one takeover" 1 (Pmm.takeovers topo.pmm))
+      check_int "one takeover" 1 (Procpair.takeovers (Pmm.pair topo.pmm)))
 
 let test_torn_metadata_slot_recovers_older () =
   (* Corrupt the newest slot on both devices: recovery must fall back to
@@ -343,7 +343,7 @@ let test_torn_metadata_slot_recovers_older () =
       let c = client topo 2 in
       let _ = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"a" ~size:4096) in
       let _ = Test_util.ok_or_fail ~msg:"create" (Pm_client.create_region c ~name:"b" ~size:4096) in
-      Pmm.halt topo.pmm;
+      Procpair.halt (Pmm.pair topo.pmm);
       Sim.sleep (Time.ms 1);
       (* Generation counter: format wrote gen 1 in both slots; creates made
          gens 2 ("a") and 3 ("a","b").  Tear gen 3 (slot 1). *)
@@ -417,7 +417,7 @@ let suite =
 (* --- PMM close/delete edges and the region-table bound --- *)
 
 let restart_pmm topo =
-  Pmm.halt topo.pmm;
+  Procpair.halt (Pmm.pair topo.pmm);
   Sim.sleep (Time.ms 1);
   let pmm2 =
     Pmm.start ~fabric:(Node.fabric topo.node) ~name:"$PMM2" ~primary_cpu:(Node.cpu topo.node 2)

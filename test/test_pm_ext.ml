@@ -144,7 +144,7 @@ let test_takeover_bumps_epoch_and_fences () =
       check_int "window carries the volume epoch" before info.Pm_types.epoch;
       (* Manager takeover: the new primary durably bumps the epoch and
          re-arms every device's fence before serving. *)
-      Pmm.kill_primary topo.pmm;
+      Procpair.kill_primary (Pmm.pair topo.pmm);
       (* Takeover detection alone costs the pair's 500 ms delay. *)
       Sim.sleep (Time.ms 800);
       check_bool "takeover bumps the epoch" true (Pmm.epoch topo.pmm > before);

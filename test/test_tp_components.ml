@@ -95,7 +95,7 @@ let test_adp_takeover_preserves_buffer () =
         let from = Node.cpu node 2 in
         let asn = append_one adp ~from 1 in
         let (_ : Audit.asn) = append_one adp ~from 2 in
-        Adp.kill_primary adp;
+        Procpair.kill_primary (Adp.pair adp);
         Sim.sleep (Time.sec 1);
         (* The promoted backup can still flush them. *)
         match
@@ -106,7 +106,7 @@ let test_adp_takeover_preserves_buffer () =
   in
   Sim.run sim;
   check_bool "durable past both appends" true (!result >= 2);
-  check_int "one takeover" 1 (Adp.pair_takeovers adp)
+  check_int "one takeover" 1 (Procpair.takeovers (Adp.pair adp))
 
 let test_pm_adp_append_is_durable () =
   (* With a PM backend, Append alone advances the durable horizon. *)
@@ -269,14 +269,15 @@ let test_dp2_takeover_under_load () =
   let (_ : Sim.pid) =
     Sim.spawn sim ~name:"main" (fun () ->
         let system = System.build sim System.default_config in
-        Sim.at sim ~after:(Time.ms 100) (fun () -> Dp2.kill_primary (System.dp2s system).(3));
+        Sim.at sim ~after:(Time.ms 100) (fun () ->
+            Procpair.kill_primary (Dp2.pair (System.dp2s system).(3)));
         let params =
           Workloads.Hot_stock.scaled_params ~drivers:2 ~inserts_per_txn:8 ~records_per_driver:200
         in
         let r = Workloads.Hot_stock.run system params in
         Sim.sleep (Time.sec 1);
         let rows = Array.fold_left (fun acc d -> acc + Dp2.table_size d) 0 (System.dp2s system) in
-        out := Some (r, rows, Dp2.pair_takeovers (System.dp2s system).(3)))
+        out := Some (r, rows, Procpair.takeovers (Dp2.pair (System.dp2s system).(3))))
   in
   Sim.run sim;
   match !out with
@@ -296,7 +297,7 @@ let test_tmf_takeover_between_txns () =
         let t1 = Test_util.ok_or_fail ~msg:"b1" (Txclient.begin_txn session) in
         Test_util.check_result_ok "i1" (Txclient.insert session t1 ~file:0 ~key:1 ~len:100 ());
         Test_util.check_result_ok "c1" (Txclient.commit session t1);
-        Tmf.kill_primary (System.tmf system);
+        Procpair.kill_primary (Tmf.pair (System.tmf system));
         Sim.sleep (Time.sec 1);
         (* The promoted backup knows the txn counter from checkpoints. *)
         let t2 = Test_util.ok_or_fail ~msg:"b2 after takeover" (Txclient.begin_txn session) in
