@@ -406,458 +406,18 @@ let hot_stock mode device drivers boxcar records report =
 
 (* --- drill: fault schedule + durability audit --- *)
 
-let faults_json faults =
-  Json.List
-    (List.map
-       (fun (t, desc) ->
-         Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-       faults)
-
-let faults_text faults =
-  hr ();
-  List.iter (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc) faults;
-  hr ()
-
-let response_json (s : Stat.summary) =
-  Json.Obj
-    [
-      ("mean", Json.Float (s.Stat.mean /. 1e6));
-      ("p50", Json.Float (s.Stat.p50 /. 1e6));
-      ("p99", Json.Float (s.Stat.p99 /. 1e6));
-    ]
-
-let response_text (s : Stat.summary) =
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n" (s.Stat.mean /. 1e6) (s.Stat.p99 /. 1e6)
-
-(* Every recovery field a report can carry; each drill family emits the
-   subset its schema has always had. *)
-let recovery_json keys (rr : Tp.Recovery.report) =
-  Json.Obj
-    (List.filter
-       (fun (k, _) -> List.mem k keys)
-       [
-         ("mttr_ms", Json.Float (Time.to_ms rr.Tp.Recovery.mttr));
-         ( "outcome_source",
-           Json.String
-             (match rr.Tp.Recovery.outcome_source with
-             | Tp.Recovery.Mat_scan -> "mat_scan"
-             | Tp.Recovery.Pm_txn_table -> "pm_txn_table") );
-         ("committed_txns", Json.Int rr.Tp.Recovery.committed_txns);
-         ("in_doubt_txns", Json.Int rr.Tp.Recovery.in_doubt_txns);
-         ("resolved_commit", Json.Int rr.Tp.Recovery.resolved_commit);
-         ("resolved_abort", Json.Int rr.Tp.Recovery.resolved_abort);
-         ("rows_rebuilt", Json.Int rr.Tp.Recovery.rows_rebuilt);
-       ])
-
-let recovery_keys =
-  [ "mttr_ms"; "committed_txns"; "in_doubt_txns"; "resolved_commit"; "resolved_abort"; "rows_rebuilt" ]
-
-let recovery_text label (rr : Tp.Recovery.report) =
-  Printf.printf "%-19sMTTR %s, %d committed txns, %d rows\n" label
-    (Time.to_string rr.Tp.Recovery.mttr)
-    rr.Tp.Recovery.committed_txns rr.Tp.Recovery.rows_rebuilt
-
-let timeline_json ?(bottlenecks = false) = function
-  | Some ts ->
-      Json.Obj
-        ([
-           ("samples", Json.Int (Timeseries.sample_count ts));
-           ("evicted", Json.Int (Timeseries.evicted ts));
-           ("series", Timeseries.json ts);
-         ]
-        @ if bottlenecks then [ ("bottlenecks", Timeseries.attribution_json ts) ] else [])
-  | None -> Json.Null
-
-(* Every drill report names its seed and plan at top level so a CI
-   artifact is self-describing without knowing which command wrote it. *)
-let drill_json ~plan (r : Tp.Drill.report) =
-  let a = r.Tp.Drill.availability in
-  Json.Obj
-    [
-      ("mode", Json.String (mode_to_string r.Tp.Drill.mode));
-      ("plan", Json.String plan);
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.seed));
-      ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.elapsed));
-      ("faults", faults_json r.Tp.Drill.faults);
-      ("attempted_txns", Json.Int r.Tp.Drill.attempted_txns);
-      ("committed", Json.Int r.Tp.Drill.committed);
-      ("failed_txns", Json.Int r.Tp.Drill.failed_txns);
-      ("acked_rows", Json.Int r.Tp.Drill.acked_rows);
-      ("recovered_rows", Json.Int r.Tp.Drill.recovered_rows);
-      ("lost_rows", Json.Int r.Tp.Drill.lost_rows);
-      ("in_doubt_after", Json.Int r.Tp.Drill.in_doubt_after);
-      ("orphaned_locks", Json.Int r.Tp.Drill.orphaned_locks);
-      ("fence_checks", Json.Int r.Tp.Drill.fence_checks);
-      ("fence_failures", Json.Int r.Tp.Drill.fence_failures);
-      ("zero_loss", Json.Bool (Tp.Drill.zero_loss r));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_report r));
-      ( "integrity",
-        match r.Tp.Drill.integrity with
-        | None -> Json.Null
-        | Some i ->
-            Json.Obj
-              [
-                ("decay_injected", Json.Int i.Tp.Drill.decay_injected);
-                ("torn_injected", Json.Int i.Tp.Drill.torn_injected);
-                ("scrub_chunks", Json.Int i.Tp.Drill.scrub_chunks);
-                ("scrub_repairs", Json.Int i.Tp.Drill.scrub_repairs);
-                ("scrub_quarantined", Json.Int i.Tp.Drill.scrub_quarantined);
-                ("read_repairs", Json.Int i.Tp.Drill.read_repairs);
-                ("verify_unrepaired", Json.Int i.Tp.Drill.verify_unrepaired);
-                ("unrepaired_divergence", Json.Int i.Tp.Drill.unrepaired_divergence);
-                ("clean", Json.Bool (Tp.Drill.integrity_clean r));
-              ] );
-      ("response_ms", response_json r.Tp.Drill.response);
-      ( "availability",
-        Json.Obj
-          [
-            ( "takeovers",
-              Json.Obj
-                [
-                  ("adp", Json.Int a.Tp.Drill.adp_takeovers);
-                  ("dp2", Json.Int a.Tp.Drill.dp2_takeovers);
-                  ("tmf", Json.Int a.Tp.Drill.tmf_takeovers);
-                  ("pmm", Json.Int a.Tp.Drill.pmm_takeovers);
-                ] );
-            ("outage_ms", Json.Float (Time.to_ms a.Tp.Drill.outage));
-            ("degraded_writes", Json.Int a.Tp.Drill.degraded_writes);
-            ("pm_write_retries", Json.Int a.Tp.Drill.pm_write_retries);
-            ("packet_retries", Json.Int a.Tp.Drill.packet_retries);
-          ] );
-      ("recovery", recovery_json ("outcome_source" :: recovery_keys) r.Tp.Drill.recovery);
-      ("timeline", timeline_json ~bottlenecks:true r.Tp.Drill.timeline);
-    ]
-
-(* Event-aligned availability overlay: the sampled commit/failure gauges
-   interleaved, in time order, with the fault injections as marks. *)
-let drill_overlay (ts : Timeseries.t) =
-  Printf.printf "availability overlay (sampled every %s, %d samples, %d evicted):\n"
-    (Time.to_string (Timeseries.interval ts))
-    (Timeseries.sample_count ts) (Timeseries.evicted ts);
-  Printf.printf "%12s %10s %8s\n" "t(ms)" "committed" "failed";
-  let value s key =
-    match List.assoc_opt key s.Timeseries.s_values with Some v -> v | None -> 0.0
-  in
-  let rec go samples marks =
-    match (samples, marks) with
-    | [], [] -> ()
-    | _, (mt, label) :: ms
-      when (match samples with
-           | [] -> true
-           | s :: _ -> mt <= s.Timeseries.s_time) ->
-        Printf.printf "%12.1f  >> fault: %s\n" (Time.to_ms mt) label;
-        go samples ms
-    | s :: ss, _ ->
-        Printf.printf "%12.1f %10.0f %8.0f\n"
-          (Time.to_ms s.Timeseries.s_time)
-          (value s "drill.committed") (value s "drill.failed");
-        go ss marks
-    | [], _ :: _ -> ()
-  in
-  go (Timeseries.samples ts) (Timeseries.marks ts)
-
-let drill_text (r : Tp.Drill.report) =
-  let a = r.Tp.Drill.availability in
-  Printf.printf "drill: mode=%s seed=0x%Lx — hot-stock load under a fault schedule\n"
-    (mode_to_string r.Tp.Drill.mode) r.Tp.Drill.seed;
-  faults_text r.Tp.Drill.faults;
-  Printf.printf "load elapsed       %.3f s\n" (Time.to_sec r.Tp.Drill.elapsed);
-  Printf.printf "transactions       %d attempted, %d acked, %d failed\n"
-    r.Tp.Drill.attempted_txns r.Tp.Drill.committed r.Tp.Drill.failed_txns;
-  response_text r.Tp.Drill.response;
-  Printf.printf "takeovers          adp=%d dp2=%d tmf=%d pmm=%d (outage %s)\n"
-    a.Tp.Drill.adp_takeovers a.Tp.Drill.dp2_takeovers a.Tp.Drill.tmf_takeovers
-    a.Tp.Drill.pmm_takeovers
-    (Time.to_string a.Tp.Drill.outage);
-  Printf.printf "degraded PM writes %d (retried %d, packet retries %d)\n"
-    a.Tp.Drill.degraded_writes a.Tp.Drill.pm_write_retries a.Tp.Drill.packet_retries;
-  recovery_text "recovery" r.Tp.Drill.recovery;
-  Printf.printf "durability         %d acked rows, %d recovered, %d LOST — %s\n"
-    r.Tp.Drill.acked_rows r.Tp.Drill.recovered_rows r.Tp.Drill.lost_rows
-    (if Tp.Drill.zero_loss r then "zero loss" else "DATA LOSS");
-  (match r.Tp.Drill.integrity with
-  | None -> ()
-  | Some i ->
-      Printf.printf "corruption         %d decay, %d torn injected\n"
-        i.Tp.Drill.decay_injected i.Tp.Drill.torn_injected;
-      Printf.printf "scrubber           %d chunks scanned, %d repaired, %d quarantined\n"
-        i.Tp.Drill.scrub_chunks i.Tp.Drill.scrub_repairs i.Tp.Drill.scrub_quarantined;
-      Printf.printf "verified reads     %d repaired, %d unrepaired\n"
-        i.Tp.Drill.read_repairs i.Tp.Drill.verify_unrepaired;
-      Printf.printf "integrity audit    %d divergent chunks left — %s\n"
-        i.Tp.Drill.unrepaired_divergence
-        (if i.Tp.Drill.unrepaired_divergence = 0 then "clean" else "SILENT CORRUPTION"));
-  hr ();
-  match r.Tp.Drill.timeline with
-  | Some ts ->
-      drill_overlay ts;
-      hr ();
-      Printf.printf "bottleneck attribution (load phase):\n";
-      Format.printf "%a@?" Timeseries.pp_attribution ts;
-      hr ()
-  | None -> ()
-
-let cluster_drill_json ~plan (r : Tp.Drill.cluster_report) =
-  Json.Obj
-    [
-      ("mode", Json.String "cluster");
-      ("plan", Json.String plan);
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.c_seed));
-      ("nodes", Json.Int r.Tp.Drill.c_nodes);
-      ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.c_elapsed));
-      ("faults", faults_json r.Tp.Drill.c_faults);
-      ("attempted_txns", Json.Int r.Tp.Drill.c_attempted);
-      ("committed", Json.Int r.Tp.Drill.c_committed);
-      ("failed_txns", Json.Int r.Tp.Drill.c_failed);
-      ("acked_rows", Json.Int r.Tp.Drill.c_acked_rows);
-      ("lost_rows", Json.Int r.Tp.Drill.c_lost_rows);
-      ("in_doubt_before", Json.Int r.Tp.Drill.c_in_doubt_before);
-      ("resolved_commit", Json.Int r.Tp.Drill.c_resolved_commit);
-      ("resolved_abort", Json.Int r.Tp.Drill.c_resolved_abort);
-      ("in_doubt_after", Json.Int r.Tp.Drill.c_in_doubt_after);
-      ("orphaned_locks", Json.Int r.Tp.Drill.c_orphaned_locks);
-      ("fence_checks", Json.Int r.Tp.Drill.c_fence_checks);
-      ("fence_failures", Json.Int r.Tp.Drill.c_fence_failures);
-      ("fenced_writes", Json.Int r.Tp.Drill.c_fenced_writes);
-      ("zero_loss", Json.Bool (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_cluster r)));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_cluster r));
-      ("response_ms", response_json r.Tp.Drill.c_response);
-      ("recoveries", Json.List (List.map (recovery_json recovery_keys) r.Tp.Drill.c_recoveries));
-    ]
-
-let cluster_drill_text (r : Tp.Drill.cluster_report) =
-  Printf.printf
-    "drill: mode=cluster nodes=%d seed=0x%Lx — distributed hot-stock load under a WAN \
-     partition\n"
-    r.Tp.Drill.c_nodes r.Tp.Drill.c_seed;
-  faults_text r.Tp.Drill.c_faults;
-  Printf.printf "load elapsed       %.3f s\n" (Time.to_sec r.Tp.Drill.c_elapsed);
-  Printf.printf "transactions       %d attempted, %d acked, %d failed\n"
-    r.Tp.Drill.c_attempted r.Tp.Drill.c_committed r.Tp.Drill.c_failed;
-  response_text r.Tp.Drill.c_response;
-  Printf.printf "in-doubt window    %d entering recovery, %d resolved commit, %d resolved \
-                 abort, %d left\n"
-    r.Tp.Drill.c_in_doubt_before r.Tp.Drill.c_resolved_commit r.Tp.Drill.c_resolved_abort
-    r.Tp.Drill.c_in_doubt_after;
-  Printf.printf "epoch fence        %d checks, %d failures, %d stale writes rejected\n"
-    r.Tp.Drill.c_fence_checks r.Tp.Drill.c_fence_failures r.Tp.Drill.c_fenced_writes;
-  Printf.printf "orphaned locks     %d\n" r.Tp.Drill.c_orphaned_locks;
-  List.iteri
-    (fun i rr -> recovery_text (Printf.sprintf "recovery node %d" i) rr)
-    r.Tp.Drill.c_recoveries;
-  Printf.printf "durability         %d acked rows, %d LOST — %s\n" r.Tp.Drill.c_acked_rows
-    r.Tp.Drill.c_lost_rows
-    (if Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_cluster r) then "zero loss"
-     else "INVARIANT VIOLATED");
-  hr ()
-
-let gray_drill_json (g : Tp.Drill.gray_report) =
-  Json.Obj
-    [
-      ("mode", Json.String "pm");
-      ("plan", Json.String "grayfail");
-      ("seed", Json.String (Printf.sprintf "0x%Lx" g.Tp.Drill.g_seed));
-      ("defended", Json.Bool g.Tp.Drill.g_defended);
-      ( "latency_ms",
-        Json.Obj
-          [
-            ("healthy_p99", Json.Float (g.Tp.Drill.g_healthy.Tp.Drill.response.Stat.p99 /. 1e6));
-            ( "degraded_p99",
-              Json.Float (g.Tp.Drill.g_degraded.Tp.Drill.response.Stat.p99 /. 1e6) );
-            ("p99_ratio", Json.Float g.Tp.Drill.g_p99_ratio);
-            ("p99_limit", Json.Float g.Tp.Drill.g_p99_limit);
-          ] );
-      ( "mitigation",
-        Json.Obj
-          [
-            ("demotions", Json.Int g.Tp.Drill.g_demotions);
-            ("readmissions", Json.Int g.Tp.Drill.g_readmissions);
-            ("mirror_active", Json.Bool g.Tp.Drill.g_mirror_active);
-            ("monitor_probes", Json.Int g.Tp.Drill.g_monitor_probes);
-            ("slow_suspects", Json.Int g.Tp.Drill.g_slow_suspects);
-            ("hedged_reads", Json.Int g.Tp.Drill.g_hedged_reads);
-            ("hedge_wins", Json.Int g.Tp.Drill.g_hedge_wins);
-            ("single_copy_writes", Json.Int g.Tp.Drill.g_single_copy_writes);
-          ] );
-      ("zero_loss", Json.Bool (Tp.Drill.zero_loss g.Tp.Drill.g_degraded));
-      ("pass", Json.Bool (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_gray g)));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_gray g));
-      ("healthy", drill_json ~plan:"grayfail" g.Tp.Drill.g_healthy);
-      ("degraded", drill_json ~plan:"grayfail" g.Tp.Drill.g_degraded);
-    ]
-
-let defenses_label defended = if defended then "on" else "OFF (negative control)"
-
-let verdict_label v = if Tp.Drill.Oracle.pass v then "PASS" else "FAIL"
-
-let gray_drill_text (g : Tp.Drill.gray_report) =
-  Printf.printf
-    "drill: mode=pm plan=grayfail seed=0x%Lx defenses=%s — fail-slow hardware under \
-     hot-stock load\n"
-    g.Tp.Drill.g_seed
-    (defenses_label g.Tp.Drill.g_defended);
-  faults_text g.Tp.Drill.g_degraded.Tp.Drill.faults;
-  let h = g.Tp.Drill.g_healthy and d = g.Tp.Drill.g_degraded in
-  Printf.printf "healthy baseline   %d commits, mean/p99 %.2f / %.2f ms\n"
-    h.Tp.Drill.committed
-    (h.Tp.Drill.response.Stat.mean /. 1e6)
-    (h.Tp.Drill.response.Stat.p99 /. 1e6);
-  Printf.printf "degraded run       %d commits, mean/p99 %.2f / %.2f ms\n"
-    d.Tp.Drill.committed
-    (d.Tp.Drill.response.Stat.mean /. 1e6)
-    (d.Tp.Drill.response.Stat.p99 /. 1e6);
-  Printf.printf "p99 ratio          %.2fx (gate: <= %.1fx) — %s\n" g.Tp.Drill.g_p99_ratio
-    g.Tp.Drill.g_p99_limit
-    (if g.Tp.Drill.g_p99_ratio <= g.Tp.Drill.g_p99_limit then "bounded"
-     else "LATENCY COLLAPSE");
-  Printf.printf "mirror health      %d probes, %d demotions, %d readmissions, mirror %s\n"
-    g.Tp.Drill.g_monitor_probes g.Tp.Drill.g_demotions g.Tp.Drill.g_readmissions
-    (if g.Tp.Drill.g_mirror_active then "active" else "DEMOTED");
-  Printf.printf "client defenses    %d slow suspects, %d hedged reads (%d won), %d \
-                 single-copy writes\n"
-    g.Tp.Drill.g_slow_suspects g.Tp.Drill.g_hedged_reads g.Tp.Drill.g_hedge_wins
-    g.Tp.Drill.g_single_copy_writes;
-  Printf.printf "durability         %d acked rows, %d LOST — %s\n" d.Tp.Drill.acked_rows
-    d.Tp.Drill.lost_rows
-    (if Tp.Drill.zero_loss d then "zero loss" else "DATA LOSS");
-  Printf.printf "verdict            %s\n" (verdict_label (Tp.Drill.Oracle.of_gray g));
-  hr ()
-
-let overload_drill_json (r : Tp.Drill.overload_report) =
-  Json.Obj
-    [
-      ("mode", Json.String "pm");
-      ("plan", Json.String "overload");
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.v_seed));
-      ("defended", Json.Bool r.Tp.Drill.v_defended);
-      ("arrivals", Json.Int r.Tp.Drill.v_arrivals);
-      ("committed", Json.Int r.Tp.Drill.v_committed);
-      ("rejected", Json.Int r.Tp.Drill.v_rejected);
-      ("failed", Json.Int r.Tp.Drill.v_failed);
-      ("client_timeouts", Json.Int r.Tp.Drill.v_timeouts);
-      ( "admission",
-        Json.Obj
-          [
-            ("admitted", Json.Int r.Tp.Drill.v_admitted);
-            ("rejected", Json.Int r.Tp.Drill.v_tmf_rejected);
-            ("expired", Json.Int r.Tp.Drill.v_tmf_expired);
-            ("adp_shed_expired", Json.Int r.Tp.Drill.v_adp_shed);
-          ] );
-      ( "containment",
-        Json.Obj
-          [
-            ("retry_denied", Json.Int r.Tp.Drill.v_retry_denied);
-            ("breaker_trips", Json.Int r.Tp.Drill.v_breaker_trips);
-          ] );
-      ( "goodput_tps",
-        Json.Obj
-          [
-            ("warmup", Json.Float r.Tp.Drill.v_warmup_goodput);
-            ("spike", Json.Float r.Tp.Drill.v_spike_goodput);
-            ("cooldown", Json.Float r.Tp.Drill.v_cooldown_goodput);
-            ("spike_floor", Json.Float r.Tp.Drill.v_spike_floor);
-            ("recovery_frac", Json.Float r.Tp.Drill.v_recovery_frac);
-          ] );
-      ( "recovery_ms",
-        match r.Tp.Drill.v_recovery_time with
-        | Some t -> Json.Float (Time.to_ms t)
-        | None -> Json.Null );
-      ("recovery_limit_ms", Json.Float (Time.to_ms r.Tp.Drill.v_recovery_limit));
-      ( "goodput_windows",
-        Json.List
-          (List.map
-             (fun (t, d) ->
-               Json.Obj [ ("t_ms", Json.Float (Time.to_ms t)); ("committed", Json.Int d) ])
-             r.Tp.Drill.v_goodput) );
-      ("acked_rows", Json.Int r.Tp.Drill.v_acked_rows);
-      ("lost_rows", Json.Int r.Tp.Drill.v_lost_rows);
-      ("zero_loss", Json.Bool (r.Tp.Drill.v_lost_rows = 0));
-      ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.v_elapsed));
-      ("response_ms", response_json r.Tp.Drill.v_response);
-      ("faults", faults_json r.Tp.Drill.v_faults);
-      ( "recovery",
-        recovery_json [ "mttr_ms"; "committed_txns"; "rows_rebuilt" ] r.Tp.Drill.v_recovery );
-      ("pass", Json.Bool (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload r)));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_overload r));
-      ("timeline", timeline_json r.Tp.Drill.v_timeline);
-    ]
-
-let overload_drill_text (r : Tp.Drill.overload_report) =
-  Printf.printf
-    "drill: mode=pm plan=overload seed=0x%Lx defenses=%s — open-loop flash crowd \
-     against impatient clients\n"
-    r.Tp.Drill.v_seed
-    (defenses_label r.Tp.Drill.v_defended);
-  faults_text r.Tp.Drill.v_faults;
-  Printf.printf "offered load       %d arrivals over %.3f s\n" r.Tp.Drill.v_arrivals
-    (Time.to_sec r.Tp.Drill.v_elapsed);
-  Printf.printf "outcomes           %d committed, %d rejected (backpressure), %d failed\n"
-    r.Tp.Drill.v_committed r.Tp.Drill.v_rejected r.Tp.Drill.v_failed;
-  Printf.printf "client impatience  %d call timeouts\n" r.Tp.Drill.v_timeouts;
-  Printf.printf "admission          %d admitted, %d rejected at begin, %d expired at \
-                 commit, %d flush waits shed\n"
-    r.Tp.Drill.v_admitted r.Tp.Drill.v_tmf_rejected r.Tp.Drill.v_tmf_expired
-    r.Tp.Drill.v_adp_shed;
-  Printf.printf "containment        %d resends denied by budget, %d breaker trips\n"
-    r.Tp.Drill.v_retry_denied r.Tp.Drill.v_breaker_trips;
-  response_text r.Tp.Drill.v_response;
-  Printf.printf "goodput            warmup %.1f tps, spike %.1f tps (floor %.1f), \
-                 cooldown %.1f tps\n"
-    r.Tp.Drill.v_warmup_goodput r.Tp.Drill.v_spike_goodput
-    (r.Tp.Drill.v_spike_floor *. r.Tp.Drill.v_warmup_goodput)
-    r.Tp.Drill.v_cooldown_goodput;
-  Printf.printf "recovery           %s (limit %s after spike end)\n"
-    (match r.Tp.Drill.v_recovery_time with
-    | Some t -> Time.to_string t
-    | None -> "NEVER — stayed collapsed under base load (metastable)")
-    (Time.to_string r.Tp.Drill.v_recovery_limit);
-  Printf.printf "goodput over time (%d windows):\n" (List.length r.Tp.Drill.v_goodput);
-  Printf.printf "%12s %10s\n" "t(ms)" "committed";
-  List.iter
-    (fun (t, d) -> Printf.printf "%12.1f %10d\n" (Time.to_ms t) d)
-    r.Tp.Drill.v_goodput;
-  Printf.printf "durability         %d acked rows, %d LOST — %s\n" r.Tp.Drill.v_acked_rows
-    r.Tp.Drill.v_lost_rows
-    (if r.Tp.Drill.v_lost_rows = 0 then "rejected is not lost" else "DATA LOSS");
-  Printf.printf "verdict            %s\n" (verdict_label (Tp.Drill.Oracle.of_overload r));
-  hr ()
-
-(* A finished drill as the command emits it: its report in either
-   format, and the family's oracle verdict that sets the exit code. *)
-type shown = { json : unit -> Json.t; text : unit -> unit; verdict : Tp.Drill.Oracle.verdict }
-
-let show_single ?(verdict = fun r -> Tp.Drill.Oracle.of_report r) ~plan r =
-  { json = (fun () -> drill_json ~plan r); text = (fun () -> drill_text r); verdict = verdict r }
-
-let show_cluster ~plan r =
-  {
-    json = (fun () -> cluster_drill_json ~plan r);
-    text = (fun () -> cluster_drill_text r);
-    verdict = Tp.Drill.Oracle.of_cluster r;
-  }
-
-let show_gray g =
-  {
-    json = (fun () -> gray_drill_json g);
-    text = (fun () -> gray_drill_text g);
-    verdict = Tp.Drill.Oracle.of_gray g;
-  }
-
-let show_overload r =
-  {
-    json = (fun () -> overload_drill_json r);
-    text = (fun () -> overload_drill_text r);
-    verdict = Tp.Drill.Oracle.of_overload r;
-  }
-
 let drill_usage msg =
   prerr_endline ("odsbench drill: " ^ msg);
   exit 2
 
+(* A finished drill as the command shows it: the plan label, the report,
+   and the one verdict that both renders and sets the exit code. *)
+let judged plan r = (plan, r, Tp.Drill.Oracle.of_report r)
+
 (* --plan-file: replay a schedule from disk.  A full repro document
    (schema "odsbench-repro", as written by the explorer) pins the
    platform, seed and defenses, so the replay is bit-for-bit and is
-   judged by the oracle the explorer used; a bare JSON array is just a
+   judged as the explorer judged it; a bare JSON array is just a
    fault plan, run under --mode with the command-line seed and sizing. *)
 let plan_file_runner path scope ~seed ~params ?flight () =
   let invalid e = drill_usage (Printf.sprintf "%s: %s" path e) in
@@ -871,18 +431,15 @@ let plan_file_runner path scope ~seed ~params ?flight () =
             "a bare plan array needs --mode disk or pm (wrap cluster or overload \
              schedules in a repro document)"
       | Ok plan, `Single mode ->
-          Tp.Drill.run ~seed ~params ?flight ~mode ~plan () |> Result.map (show_single ~plan:path))
+          Tp.Drill.run ~seed ~params ?flight ~mode ~plan () |> Result.map (judged path))
   | _ -> (
       match Tp.Explorer.repro_of_json doc with
       | Error e -> invalid e
       | Ok repro ->
           Tp.Explorer.replay ?flight repro
           |> Result.map (fun result ->
-                 let verdict _ = Tp.Explorer.replay_verdict result in
-                 match result with
-                 | Tp.Explorer.Single r -> show_single ~verdict ~plan:path r
-                 | Tp.Explorer.Clustered r -> show_cluster ~plan:path r
-                 | Tp.Explorer.Overloaded r -> show_overload r))
+                 let (Tp.Explorer.Single r | Clustered r | Overloaded r) = result in
+                 (path, r, Tp.Explorer.replay_verdict result)))
 
 let drill scope plan plan_file drivers boxcar records seed interval_ms flight list_plans
     no_defenses json =
@@ -918,7 +475,7 @@ let drill scope plan plan_file drivers boxcar records seed interval_ms flight li
           in
           let params = { Tp.Drill.cluster_params with Tp.Drill.drivers } in
           Tp.Drill.run_cluster ~seed ~params ?flight ~plan ()
-          |> Result.map (show_cluster ~plan:label)
+          |> Result.map (judged label)
       | None, `Cluster, _ ->
           drill_usage
             (Printf.sprintf "plan '%s' does not run in cluster mode (%s)" name
@@ -933,7 +490,7 @@ let drill scope plan plan_file drivers boxcar records seed interval_ms flight li
              verified reads) and crash-time decay, and is gated on the
              integrity audit, not just row durability. *)
           Tp.Drill.run_corruption ~seed ?obs ?sample_interval ~params ~defenses ?flight ()
-          |> Result.map (show_single ~plan:name)
+          |> Result.map (judged name)
       | None, _, Tp.Drill.Grayfail ->
           (* The gray-failure drill owns its load shape (the p99 gate
              needs a known sample count) and runs twice — healthy
@@ -941,13 +498,13 @@ let drill scope plan plan_file drivers boxcar records seed interval_ms flight li
              ignores --records and --boxcar. *)
           let params = { Tp.Drill.gray_params with Tp.Drill.drivers } in
           Tp.Drill.run_gray ~seed ?obs ?sample_interval ~params ~defenses ?flight ()
-          |> Result.map show_gray
+          |> Result.map (judged name)
       | None, _, Tp.Drill.Overload ->
           (* The overload drill owns its load shape entirely — an
              open-loop flash-crowd arrival schedule is the experiment —
              so it ignores --records, --boxcar and --drivers. *)
           Tp.Drill.run_overload ~seed ?obs ?sample_interval ~defenses ?flight ()
-          |> Result.map show_overload
+          |> Result.map (judged name)
       | None, `Single mode, Tp.Drill.(Standard | Kills | No_faults) ->
           let faults =
             match plan with
@@ -963,18 +520,19 @@ let drill scope plan plan_file drivers boxcar records seed interval_ms flight li
             | _ -> Tp.Drill.standard_plan mode
           in
           Tp.Drill.run ~seed ?obs ?sample_interval ~params ?flight ~mode ~plan:faults ()
-          |> Result.map (show_single ~plan:name)
+          |> Result.map (judged name)
     in
     match result with
     | Error e ->
         emit json (fun () -> Json.Obj [ ("error", Json.String e) ]) ignore;
         prerr_endline ("odsbench drill: " ^ e);
         exit 1
-    | Ok shown ->
-        emit json shown.json shown.text;
-        if not (Tp.Drill.Oracle.pass shown.verdict) then begin
-          prerr_endline
-            ("odsbench drill: gate failed — " ^ Tp.Drill.Oracle.summary shown.verdict);
+    | Ok (plan, r, verdict) ->
+        emit json
+          (fun () -> Tp.Drill.to_json ~plan verdict r)
+          (fun () -> Format.printf "%a@?" (Tp.Drill.pp verdict) r);
+        if not (Tp.Drill.Oracle.pass verdict) then begin
+          prerr_endline ("odsbench drill: gate failed — " ^ Tp.Drill.Oracle.summary verdict);
           exit 1
         end
 

@@ -66,16 +66,21 @@ type integrity = {
           be 0 *)
 }
 
+(** One report for every drill family.  The harness fills the core
+    ([mode] through [flight]) from the run itself; a family's evidence
+    adds the optional sections it produced.  {!Oracle.of_report} judges
+    every report with one check table, and {!to_json} and {!pp} render
+    every report with one layout. *)
 type report = {
   mode : System.log_mode;
   seed : int64;
   elapsed : Time.span;  (** load phase duration *)
   faults : (Time.t * string) list;  (** injection log, oldest first *)
-  attempted_txns : int;
+  attempted_txns : int;  (** committed + failed + rejected *)
   committed : int;  (** acknowledged commits — the durability contract *)
   failed_txns : int;  (** begins or commits the client saw fail *)
   acked_rows : int;  (** rows inside acknowledged transactions *)
-  recovered_rows : int;  (** rows recovery rebuilt *)
+  recovered_rows : int;  (** rows recovery rebuilt, summed over nodes *)
   lost_rows : int;  (** acknowledged rows missing after recovery: must be 0 *)
   in_doubt_after : int;
       (** prepared branches still undecided after recovery: must be 0 *)
@@ -84,12 +89,7 @@ type report = {
   fence_failures : int;
       (** probes whose stale write was accepted: must be 0 *)
   response : Stat.summary;  (** response times of acknowledged commits *)
-  availability : availability;
-  recovery : Recovery.report;
-  integrity : integrity option;
-      (** present in PM mode: the post-recovery full-content audit of
-          both mirrors ({!Pm.Pmm.divergent_chunks}) plus the repair
-          counters *)
+  recovery : Recovery.report;  (** the first (or only) node's recovery *)
   timeline : Timeseries.t option;
       (** continuous telemetry over the load phase when [sample_interval]
           was given: cumulative [drill.committed]/[drill.failed] gauges
@@ -99,10 +99,79 @@ type report = {
       (** the armed flight recorder when [flight] was given: the bounded
           ring of recent spans plus every fault mark, already dumped to
           the given path if the drill's gate failed *)
+  integrity : integrity option;
+      (** single-system PM runs: the post-recovery full-content audit
+          of both mirrors ({!Pm.Pmm.divergent_chunks}) plus the repair
+          counters *)
+  availability : availability option;  (** single-system runs *)
+  gray : gray option;  (** {!run_gray} *)
+  overload : overload option;  (** {!run_overload} *)
+  cluster : cluster option;  (** {!run_cluster} *)
+}
+
+(** The gray-failure section: the healthy baseline next to this
+    (degraded) run, plus the demotion/re-admission evidence. *)
+and gray = {
+  g_defended : bool;
+  g_baseline : report;  (** same platform and seed, empty fault plan *)
+  g_p99_ratio : float;  (** degraded p99 commit latency / baseline p99 *)
+  g_p99_limit : float;  (** the gate the ratio is judged against *)
+  g_demotions : int;  (** slow-mirror demotions the PMM performed *)
+  g_readmissions : int;  (** demoted mirrors resynced back in *)
+  g_mirror_active : bool;  (** mirror re-admitted by the end *)
+  g_monitor_probes : int;
+  g_slow_suspects : int;  (** client-side SLO-breach transitions *)
+  g_hedged_reads : int;
+  g_hedge_wins : int;
+  g_single_copy_writes : int;
+      (** writes under the degraded-durability contract *)
+}
+
+(** The overload section: goodput phases, admission and containment. *)
+and overload = {
+  v_defended : bool;
+  v_arrivals : int;  (** transactions the schedule offered *)
+  v_rejected : int;
+      (** attempts refused by admission or breakers — backpressure,
+          not loss *)
+  v_timeouts : int;  (** client calls abandoned after [op_timeout] *)
+  v_admitted : int;  (** TMF admission verdicts *)
+  v_tmf_rejected : int;
+  v_tmf_expired : int;  (** commits shed server-side past deadline *)
+  v_adp_shed : int;  (** flush waits shed past deadline *)
+  v_retry_denied : int;  (** resends the token buckets refused *)
+  v_breaker_trips : int;
+  v_warmup_goodput : float;  (** committed/s during warmup *)
+  v_spike_goodput : float;
+  v_cooldown_goodput : float;
+  v_recovery_time : Time.span option;
+      (** spike end to the first cooldown window back at the recovery
+          fraction of warmup goodput; [None] = stayed collapsed while
+          load was still arriving — metastability *)
+  v_spike_floor : float;
+  v_recovery_frac : float;
+  v_recovery_limit : Time.span;
+  v_goodput : (Time.t * int) list;
+      (** commits per window (window end, count), oldest first — the
+          goodput-over-time series E17 tabulates *)
+}
+
+(** The cluster section: the partition's in-doubt window and fence. *)
+and cluster = {
+  c_nodes : int;
+  c_in_doubt_before : int;
+      (** prepared-but-undecided branches entering recovery, across all
+          nodes — the partition's wreckage *)
+  c_resolved_commit : int;  (** in-doubt branches committed by resolution *)
+  c_resolved_abort : int;  (** in-doubt branches aborted by resolution *)
+  c_fenced_writes : int;
+      (** stale-epoch writes the devices rejected (includes the probes) *)
+  c_recoveries : Recovery.report list;  (** per node, in node order *)
 }
 
 val zero_loss : report -> bool
-(** [lost_rows = 0] — the invariant every drill asserts. *)
+(** [lost_rows = 0] — the invariant every drill asserts, and the
+    [zero_loss] every rendered report shows. *)
 
 val integrity_clean : report -> bool
 (** The corruption drill's invariant: {!zero_loss} {e and} an integrity
@@ -223,26 +292,6 @@ val run_corruption :
     divergence behind — evidence the injection is real, and what silent
     corruption costs without the defenses. *)
 
-(** Result of a gray-failure drill: the healthy-baseline and degraded
-    runs side by side, plus the demotion/re-admission evidence. *)
-type gray_report = {
-  g_seed : int64;
-  g_defended : bool;
-  g_healthy : report;  (** same platform and seed, empty fault plan *)
-  g_degraded : report;  (** under {!gray_plan} *)
-  g_p99_ratio : float;  (** degraded p99 commit latency / healthy p99 *)
-  g_p99_limit : float;  (** the gate the ratio is judged against *)
-  g_demotions : int;  (** slow-mirror demotions the PMM performed *)
-  g_readmissions : int;  (** demoted mirrors resynced back in *)
-  g_mirror_active : bool;  (** mirror re-admitted by the end *)
-  g_monitor_probes : int;
-  g_slow_suspects : int;  (** client-side SLO-breach transitions *)
-  g_hedged_reads : int;
-  g_hedge_wins : int;
-  g_single_copy_writes : int;
-      (** writes under the degraded-durability contract *)
-}
-
 val run_gray :
   ?seed:int64 ->
   ?obs:Obs.t ->
@@ -251,7 +300,7 @@ val run_gray :
   ?defenses:bool ->
   ?flight:string ->
   unit ->
-  (gray_report, string) result
+  (report, string) result
 (** The end-to-end gray-failure drill: a healthy baseline run (same
     seed, no faults), then {!gray_plan} on {!System.pm_config} armed
     for it: 2 MiB trail regions, the PMM mirror-health monitor, client
@@ -261,8 +310,9 @@ val run_gray :
     to the slow mirror's latency.
     The gate holds the degraded p99 to at most 8× the baseline's.
     [obs] / [sample_interval] / [flight] instrument the degraded run
-    only; the recorder dumps once, marked ["gray gate failed: ..."],
-    when {!Oracle.of_gray} rejects the combined report. *)
+    only.  The report is the degraded run with a {!gray} section
+    holding the baseline; the recorder dumps once, marked ["gray gate
+    failed: ..."], when {!Oracle.of_report} rejects it. *)
 
 (** {1 Overload drill}
 
@@ -307,49 +357,6 @@ val overload_plan : overload_params -> Faultplan.t
 (** The [Flash_crowd] marker event at the spike's offset; validated with
     {!Faultplan.validate_overload}. *)
 
-type overload_report = {
-  v_seed : int64;
-  v_defended : bool;
-  v_arrivals : int;  (** transactions the schedule offered *)
-  v_committed : int;  (** client-acknowledged commits *)
-  v_rejected : int;
-      (** attempts refused by admission or breakers — backpressure,
-          not loss *)
-  v_failed : int;  (** attempts that exhausted their retries *)
-  v_timeouts : int;  (** client calls abandoned after [op_timeout] *)
-  v_admitted : int;  (** TMF admission verdicts *)
-  v_tmf_rejected : int;
-  v_tmf_expired : int;  (** commits shed server-side past deadline *)
-  v_adp_shed : int;  (** flush waits shed past deadline *)
-  v_retry_denied : int;  (** resends the token buckets refused *)
-  v_breaker_trips : int;
-  v_acked_rows : int;
-  v_lost_rows : int;  (** acked rows missing after recovery: must be 0 *)
-  v_in_doubt_after : int;  (** prepared branches still undecided: must be 0 *)
-  v_orphaned_locks : int;  (** locks still held after recovery: must be 0 *)
-  v_fence_checks : int;
-  v_fence_failures : int;  (** stale-epoch writes that landed: must be 0 *)
-  v_elapsed : Time.span;  (** schedule plus straggler drain *)
-  v_warmup_goodput : float;  (** committed/s during warmup *)
-  v_spike_goodput : float;
-  v_cooldown_goodput : float;
-  v_recovery_time : Time.span option;
-      (** spike end to the first cooldown window back at the recovery
-          fraction of warmup goodput; [None] = stayed collapsed while
-          load was still arriving — metastability *)
-  v_spike_floor : float;
-  v_recovery_frac : float;
-  v_recovery_limit : Time.span;
-  v_goodput : (Time.t * int) list;
-      (** commits per window (window end, count), oldest first — the
-          goodput-over-time series E17 tabulates *)
-  v_response : Stat.summary;
-  v_faults : (Time.t * string) list;
-  v_recovery : Recovery.report;
-  v_timeline : Timeseries.t option;
-  v_flight : Flightrec.t option;
-}
-
 val run_overload :
   ?seed:int64 ->
   ?obs:Obs.t ->
@@ -359,41 +366,13 @@ val run_overload :
   ?horizon:Time.span ->
   ?flight:string ->
   unit ->
-  (overload_report, string) result
+  (report, string) result
 (** Run the flash-crowd schedule open-loop against a fresh system, drain
     the stragglers, crash, recover, and audit durability plus the
     goodput gates.  Owns its simulation.  [~defenses:false] runs the
     same schedule and seed on the undefended platform.  [flight] dumps
     the black box, marked ["overload gate failed: ..."], when
-    {!Oracle.of_overload} rejects the report. *)
-
-(** Result of a cluster drill: the per-node durability audit plus the
-    partition-specific invariants. *)
-type cluster_report = {
-  c_seed : int64;
-  c_nodes : int;
-  c_elapsed : Time.span;  (** load phase duration *)
-  c_faults : (Time.t * string) list;
-  c_attempted : int;
-  c_committed : int;  (** acknowledged distributed commits *)
-  c_failed : int;
-  c_acked_rows : int;
-  c_lost_rows : int;  (** acked rows missing after recovery: must be 0 *)
-  c_in_doubt_before : int;
-      (** prepared-but-undecided branches entering recovery, across all
-          nodes — the partition's wreckage *)
-  c_resolved_commit : int;  (** in-doubt branches committed by resolution *)
-  c_resolved_abort : int;  (** in-doubt branches aborted by resolution *)
-  c_in_doubt_after : int;  (** branches still undecided after: must be 0 *)
-  c_orphaned_locks : int;
-      (** locks still held anywhere after recovery settles: must be 0 *)
-  c_fence_checks : int;  (** epoch-fence probes executed *)
-  c_fence_failures : int;  (** probes whose stale write was accepted: must be 0 *)
-  c_fenced_writes : int;
-      (** stale-epoch writes the devices rejected (includes the probes) *)
-  c_recoveries : Recovery.report list;  (** per node, in node order *)
-  c_response : Stat.summary;
-}
+    {!Oracle.of_report} rejects the report. *)
 
 val run_cluster :
   ?seed:int64 ->
@@ -406,40 +385,53 @@ val run_cluster :
   ?flight:string ->
   plan:Faultplan.t ->
   unit ->
-  (cluster_report, string) result
+  (report, string) result
 (** A partition drill: build an [nodes]-node PM-mode cluster, run the
     distributed hot-stock mix (every transaction spreads rows across
     nodes and commits two-phase) while the plan fires, crash every
     node's DP2 images, run {!Cluster.recover} — which resolves each
-    node's in-doubt branches against their coordinators — and audit the
-    {!Oracle.of_cluster} invariants ([flight] dumps, marked ["cluster
-    gate failed: ..."], when they fail).  Always PM mode (the fence probe
+    node's in-doubt branches against their coordinators — and judge the
+    report with {!Oracle.of_report} ([flight] dumps, marked ["cluster
+    gate failed: ..."], when it fails).  Always PM mode (the fence probe
     requires it).  Owns its simulation.  [horizon] and [recovery_plan]
     behave as in {!run}: past-horizon events are rejected at
     validation, and the recovery plan races {!Cluster.recover}. *)
 
 (** {1 The shared invariant oracle}
 
-    One statement of the platform's safety invariants, applied
-    uniformly to every drill family.  Each invariant is a named check
-    with a pass flag and a human-readable detail; a verdict is the
-    conjunction.  Every drill family is gated by [pass] of its verdict,
-    and {!Explorer} judges every generated schedule with the same
-    verdicts — so an explorer violation is exactly a drill-gate
+    One check table states the platform's safety invariants once and
+    judges every drill family with them.  Each row names a check, the
+    report section it reads and its rule; a row whose section the
+    report lacks goes into [not_applicable] with a reason instead of
+    being skipped.  Every drill family is gated by [pass] of its
+    verdict, and {!Explorer} judges every generated schedule with the
+    same verdicts — so an explorer violation is exactly a drill-gate
     failure, never a third opinion. *)
 module Oracle : sig
   type check = {
     ck_name : string;  (** stable identifier, e.g. ["acked_durable"] *)
     ck_ok : bool;
-    ck_detail : string;  (** human-readable evidence either way *)
+    ck_detail : string;  (** the observed value, either way *)
   }
 
-  type verdict = { ok : bool; checks : check list }
+  type not_applicable = { na_name : string; na_reason : string }
 
-  val check : string -> bool -> string -> check
+  type verdict = { ok : bool; checks : check list; not_applicable : not_applicable list }
 
-  val make : check list -> verdict
-  (** [ok] is the conjunction of the checks. *)
+  val of_report : ?max_outage:Time.span -> report -> verdict
+  (** Every row of the table, in table order, either judged (in
+      [checks]) or not applicable (with its reason): the core's
+      [acked_durable], [in_doubt_drained], [no_orphaned_locks] and
+      [no_fence_failures]; [integrity_clean] on the integrity section
+      (reported, not judged, on gray runs until the re-admission resync
+      leaves no divergence); [bounded_unavailability] on the
+      availability section when [max_outage] is given; the gray
+      section's [baseline_durable], [p99_bounded] and — defended runs
+      only — [mirror_demoted], [mirror_readmitted], [mirror_active] and
+      [slow_suspects_flagged]; the overload section's
+      [warmup_progress], [spike_goodput_floor], [goodput_recovered] and
+      — defended runs only — [admission_shed].  [ok] is the conjunction
+      of [checks]. *)
 
   val pass : verdict -> bool
 
@@ -450,32 +442,19 @@ module Oracle : sig
       [";"]-joined — the flight-recorder mark a failing drill leaves. *)
 
   val to_json : verdict -> Json.t
-  (** [{"pass": bool, "checks": [{"name", "ok", "detail"}, ...]}] — the
-      uniform schema every drill JSON report and explorer repro
-      embeds. *)
-
-  val of_report : ?max_outage:Time.span -> report -> verdict
-  (** Single-node invariants: zero acked-but-lost rows, in-doubt window
-      drained, no orphaned locks, no fence failures, integrity clean
-      (trivially true when the report carries no integrity audit —
-      unlike {!integrity_clean}, which demands one), plus
-      bounded unavailability when [max_outage] is given. *)
-
-  val of_cluster : cluster_report -> verdict
-  (** Zero acked-but-lost rows, an empty in-doubt window, no orphaned
-      locks, and no fence failures. *)
-
-  val of_gray : gray_report -> verdict
-  (** Durability in both runs and the p99 ratio within [g_p99_limit];
-      a defended run must also show at least one demotion, one
-      re-admission, the mirror active again, and at least one
-      client-side slow-suspect transition.  An undefended run fails the
-      ratio check — the negative control. *)
-
-  val of_overload : overload_report -> verdict
-  (** Zero acked-lost rows, the in-doubt window drained with no
-      orphaned locks or fence failures, spike goodput at or above the
-      floor, recovery within the bound, and — defended runs only — at least
-      one rejection (proof the admission path fired).  The undefended
-      run stays collapsed after the load drops and fails. *)
+  (** [{"pass": bool, "checks": [{"name", "ok", "detail"}, ...],
+      "not_applicable": [{"name", "reason"}, ...]}] — the uniform
+      schema every drill report and explorer repro embeds. *)
 end
+
+(** {1 The one renderer} *)
+
+val to_json : plan:string -> Oracle.verdict -> report -> Json.t
+(** The report as one JSON object: the core, then each section it
+    carries, with [verdict] as its ["oracle"].  [plan] labels the
+    schedule.  A nested run (the gray baseline) renders without a
+    verdict of its own. *)
+
+val pp : Oracle.verdict -> Format.formatter -> report -> unit
+(** The same report as text; a failed [verdict] adds one line naming
+    the failed checks. *)

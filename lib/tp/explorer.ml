@@ -581,10 +581,7 @@ let repro_of_json json =
     let* rp_recovery = Faultplan.of_json rec_json in
     Ok { rp_kind; rp_seed; rp_defenses; rp_plan; rp_recovery }
 
-type replay_result =
-  | Single of Drill.report
-  | Clustered of Drill.cluster_report
-  | Overloaded of Drill.overload_report
+type replay_result = Single of Drill.report | Clustered of Drill.report | Overloaded of Drill.report
 
 let replay ?flight r =
   let seed = r.rp_seed and plan = r.rp_plan and recovery_plan = r.rp_recovery in
@@ -604,13 +601,11 @@ let replay ?flight r =
       Drill.run_overload ~seed ~defenses:r.rp_defenses ?flight ()
       |> Result.map (fun rep -> Overloaded rep)
 
-let replay_verdict = function
-  | Single rep -> Drill.Oracle.of_report ~max_outage rep
-  | Clustered rep -> Drill.Oracle.of_cluster rep
-  | Overloaded rep -> Drill.Oracle.of_overload rep
+let replay_verdict (Single rep | Clustered rep | Overloaded rep) =
+  Drill.Oracle.of_report ~max_outage rep
 
 (* Run one schedule on its drill platform and judge it with the
-   matching oracle: [replay] then [replay_verdict].  [defenses:false]
+   oracle: [replay] then [replay_verdict].  [defenses:false]
    strips the PM integrity defenses (scrubber, verified reads) and the
    overload defenses — the weakened platform the explorer must find
    known failures on. *)

@@ -148,10 +148,12 @@ val repro_of_json : Json.t -> (repro, string) result
 (** Parse a repro document.  Errors name the missing field, bad kind,
     or — delegated to {!Faultplan.of_json} — the offending action. *)
 
+(** Which platform replayed the repro; every kind carries the one
+    {!Drill.report}. *)
 type replay_result =
   | Single of Drill.report
-  | Clustered of Drill.cluster_report
-  | Overloaded of Drill.overload_report
+  | Clustered of Drill.report
+  | Overloaded of Drill.report
 
 val replay : ?flight:string -> repro -> (replay_result, string) result
 (** Re-run a repro exactly: same platform, same seed, same plans.
@@ -159,4 +161,5 @@ val replay : ?flight:string -> repro -> (replay_result, string) result
     reports.  [flight] dumps when {!replay_verdict} fails. *)
 
 val replay_verdict : replay_result -> Drill.Oracle.verdict
-(** Judge a replay with the oracle the explorer used for that kind. *)
+(** Judge a replay as the explorer does: {!Drill.Oracle.of_report}
+    with [max_outage], for every kind. *)

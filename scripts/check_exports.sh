@@ -13,8 +13,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Kept on purpose: Sim.process_name for charging wall time to the
-# process that spent it (ROADMAP item 2), and the Pm_kv, Pm_index and
-# Pm_queue APIs for the workload axis (ROADMAP item 5).
+# process that spent it (ROADMAP item 4), and the Pm_kv, Pm_index and
+# Pm_queue APIs for the workload axis (ROADMAP item 7).
 allowed() {
   case "$1" in
     Sim.process_name | Pm_kv.* | Pm_index.* | Pm_queue.*) return 0 ;;

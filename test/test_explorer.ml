@@ -131,26 +131,26 @@ let test_drill_run_horizon () =
 (* --- The shared oracle --- *)
 
 let test_oracle_verdicts () =
+  let r =
+    match Tp.Drill.run ~mode:Tp.System.Pm_audit ~plan:[] () with
+    | Ok r -> r
+    | Error e -> Alcotest.fail ("faultless drill refused: " ^ e)
+  in
   let open Tp.Drill.Oracle in
-  let good = check "a" true "fine" in
-  let bad = check "b" false "broken" in
-  let v = make [ good; bad ] in
-  check_bool "any failed check fails the verdict" false (pass v);
-  check_int "failures lists only the failed" 1 (List.length (failures v));
-  check_bool "summary names the check" true (contains (summary v) "b: broken");
-  let ok = make [ good ] in
+  let ok = of_report r in
   check_bool "all-green passes" true (pass ok);
   check_string "all-green summary" "all invariants hold" (summary ok);
+  let v = of_report { r with Tp.Drill.lost_rows = 3 } in
+  check_bool "any failed check fails the verdict" false (pass v);
+  check_int "failures lists only the failed" 1 (List.length (failures v));
+  check_bool "summary names the check" true (contains (summary v) "acked_durable: 3 of");
+  let length = function Some (Json.List l) -> List.length l | _ -> -1 in
   match to_json v with
   | Json.Obj fields ->
-      check_bool "pass field present" true
-        (match List.assoc_opt "pass" fields with
-        | Some (Json.Bool b) -> b = false
-        | _ -> false);
-      check_bool "checks listed" true
-        (match List.assoc_opt "checks" fields with
-        | Some (Json.List l) -> List.length l = 2
-        | _ -> false)
+      check_bool "pass field present" true (List.assoc_opt "pass" fields = Some (Json.Bool false));
+      check_int "checks listed" (List.length v.checks) (length (List.assoc_opt "checks" fields));
+      check_int "not-applicable rows listed" (List.length v.not_applicable)
+        (length (List.assoc_opt "not_applicable" fields))
   | _ -> Alcotest.fail "oracle verdict is not an object"
 
 (* --- Generator properties --- *)

@@ -318,38 +318,40 @@ let test_faultplan_rejects_bad_slow_events () =
 let test_gray_drill_defended () =
   let run () =
     match Tp.Drill.run_gray () with
+    | Ok ({ Tp.Drill.gray = Some g; _ } as r) -> (r, g)
+    | Ok _ -> Alcotest.fail "gray drill reported no gray section"
     | Error e -> Alcotest.fail ("gray drill failed: " ^ e)
-    | Ok g -> g
   in
-  let g = run () in
-  check_int "zero acked rows lost (healthy)" 0 g.Tp.Drill.g_healthy.Tp.Drill.lost_rows;
-  check_int "zero acked rows lost (degraded)" 0 g.Tp.Drill.g_degraded.Tp.Drill.lost_rows;
+  let r, g = run () in
+  check_int "zero acked rows lost (healthy)" 0 g.Tp.Drill.g_baseline.Tp.Drill.lost_rows;
+  check_int "zero acked rows lost (degraded)" 0 r.Tp.Drill.lost_rows;
   check_bool "p99 bounded" true (g.Tp.Drill.g_p99_ratio <= g.Tp.Drill.g_p99_limit);
   check_bool "demoted" true (g.Tp.Drill.g_demotions >= 1);
   check_bool "re-admitted" true (g.Tp.Drill.g_readmissions >= 1);
   check_bool "mirror active at the end" true g.Tp.Drill.g_mirror_active;
   check_bool "client noticed" true (g.Tp.Drill.g_slow_suspects >= 1);
   check_bool "degraded durability used" true (g.Tp.Drill.g_single_copy_writes >= 1);
-  check_bool "gate bundle" true (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_gray g));
+  check_bool "gate bundle" true (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_report r));
   (* Bit-determinism: the same seed replays to the same report. *)
-  let g2 = run () in
+  let r2, g2 = run () in
   check_bool "same seed, same drill" true
     ( g.Tp.Drill.g_p99_ratio = g2.Tp.Drill.g_p99_ratio
     && g.Tp.Drill.g_demotions = g2.Tp.Drill.g_demotions
     && g.Tp.Drill.g_monitor_probes = g2.Tp.Drill.g_monitor_probes
-    && g.Tp.Drill.g_degraded.Tp.Drill.elapsed = g2.Tp.Drill.g_degraded.Tp.Drill.elapsed
+    && r.Tp.Drill.elapsed = r2.Tp.Drill.elapsed
     && g.Tp.Drill.g_single_copy_writes = g2.Tp.Drill.g_single_copy_writes )
 
 let test_gray_drill_negative_control () =
   match Tp.Drill.run_gray ~defenses:false () with
   | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
-  | Ok g ->
-      check_int "still zero loss" 0 g.Tp.Drill.g_degraded.Tp.Drill.lost_rows;
+  | Ok ({ Tp.Drill.gray = Some g; _ } as r) ->
+      check_int "still zero loss" 0 r.Tp.Drill.lost_rows;
       check_bool "latency collapses past the gate" true
         (g.Tp.Drill.g_p99_ratio > g.Tp.Drill.g_p99_limit);
       check_int "no monitor ran" 0 g.Tp.Drill.g_monitor_probes;
       check_int "no demotion" 0 g.Tp.Drill.g_demotions;
-      check_bool "gate violated" false (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_gray g))
+      check_bool "gate violated" false (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_report r))
+  | Ok _ -> Alcotest.fail "gray drill reported no gray section"
 
 (* CI's negative control finds the dump by its gate mark: exactly one,
    labelled by the family. *)

@@ -130,13 +130,16 @@ let test_overload_plan_validates () =
 
 let run_drill ?seed ?defenses () =
   match Tp.Drill.run_overload ?seed ?defenses () with
+  | Ok ({ Tp.Drill.overload = Some v; _ } as r) -> (r, v)
+  | Ok _ -> Alcotest.fail "overload drill reported no overload section"
   | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
-  | Ok r -> r
+
+let passes r = Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_report r)
 
 (* Recovery after the storm leaves nothing behind, defended or not: the
    oracle judges the drain like every other drill family's. *)
 let check_drained r =
-  let checks = (Tp.Drill.Oracle.of_overload r).Tp.Drill.Oracle.checks in
+  let checks = (Tp.Drill.Oracle.of_report r).Tp.Drill.Oracle.checks in
   List.iter
     (fun name ->
       match List.find_opt (fun c -> c.Tp.Drill.Oracle.ck_name = name) checks with
@@ -145,49 +148,45 @@ let check_drained r =
     [ "in_doubt_drained"; "no_orphaned_locks"; "no_fence_failures" ]
 
 let test_overload_drill_defended () =
-  let r = run_drill () in
-  check_int "zero acked rows lost" 0 r.Tp.Drill.v_lost_rows;
+  let r, v = run_drill () in
+  check_int "zero acked rows lost" 0 r.Tp.Drill.lost_rows;
   check_drained r;
-  check_bool "admission actually fired" true (r.Tp.Drill.v_rejected > 0);
+  check_bool "admission actually fired" true (v.Tp.Drill.v_rejected > 0);
   check_bool "spike goodput above the floor" true
-    (r.Tp.Drill.v_spike_goodput
-    >= r.Tp.Drill.v_spike_floor *. r.Tp.Drill.v_warmup_goodput);
-  (match r.Tp.Drill.v_recovery_time with
-  | Some t -> check_bool "recovery within the bound" true (t <= r.Tp.Drill.v_recovery_limit)
+    (v.Tp.Drill.v_spike_goodput
+    >= v.Tp.Drill.v_spike_floor *. v.Tp.Drill.v_warmup_goodput);
+  (match v.Tp.Drill.v_recovery_time with
+  | Some t -> check_bool "recovery within the bound" true (t <= v.Tp.Drill.v_recovery_limit)
   | None -> Alcotest.fail "defended run never recovered");
-  check_bool "gate bundle" true (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload r));
+  check_bool "gate bundle" true (passes r);
   (* Bit-determinism: the same seed replays to the same report,
      including the whole goodput-over-time series. *)
-  let r2 = run_drill () in
-  check_int "same arrivals" r.Tp.Drill.v_arrivals r2.Tp.Drill.v_arrivals;
-  check_int "same commits" r.Tp.Drill.v_committed r2.Tp.Drill.v_committed;
-  check_int "same rejections" r.Tp.Drill.v_rejected r2.Tp.Drill.v_rejected;
-  check_int "same timeouts" r.Tp.Drill.v_timeouts r2.Tp.Drill.v_timeouts;
-  check_bool "same goodput series" true (r.Tp.Drill.v_goodput = r2.Tp.Drill.v_goodput);
+  let r2, v2 = run_drill () in
+  check_int "same arrivals" v.Tp.Drill.v_arrivals v2.Tp.Drill.v_arrivals;
+  check_int "same commits" r.Tp.Drill.committed r2.Tp.Drill.committed;
+  check_int "same rejections" v.Tp.Drill.v_rejected v2.Tp.Drill.v_rejected;
+  check_int "same timeouts" v.Tp.Drill.v_timeouts v2.Tp.Drill.v_timeouts;
+  check_bool "same goodput series" true (v.Tp.Drill.v_goodput = v2.Tp.Drill.v_goodput);
   check_bool "same recovery time" true
-    (r.Tp.Drill.v_recovery_time = r2.Tp.Drill.v_recovery_time)
+    (v.Tp.Drill.v_recovery_time = v2.Tp.Drill.v_recovery_time)
 
 let test_overload_drill_negative_control () =
-  let r = run_drill ~defenses:false () in
-  check_bool "gate fails undefended" false
-    (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload r));
+  let r, v = run_drill ~defenses:false () in
+  check_bool "gate fails undefended" false (passes r);
   check_bool "stayed collapsed under base load" true
-    (r.Tp.Drill.v_recovery_time = None);
-  check_int "nothing was rejected (no admission)" 0 r.Tp.Drill.v_rejected;
-  check_bool "the storm showed up as timeouts" true (r.Tp.Drill.v_timeouts > 0);
+    (v.Tp.Drill.v_recovery_time = None);
+  check_int "nothing was rejected (no admission)" 0 v.Tp.Drill.v_rejected;
+  check_bool "the storm showed up as timeouts" true (v.Tp.Drill.v_timeouts > 0);
   (* Rejected is backpressure, lost is betrayal: even collapsed, every
      acknowledged row must survive the crash. *)
-  check_int "still zero acked rows lost" 0 r.Tp.Drill.v_lost_rows;
+  check_int "still zero acked rows lost" 0 r.Tp.Drill.lost_rows;
   check_drained r
 
 let test_overload_drill_second_seed () =
   let seed = 0xBEEF1L in
-  let d = run_drill ~seed () in
-  check_bool "defended passes on a second seed" true
-    (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload d));
-  let u = run_drill ~seed ~defenses:false () in
+  check_bool "defended passes on a second seed" true (passes (fst (run_drill ~seed ())));
   check_bool "negative control fails on a second seed" false
-    (Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_overload u))
+    (passes (fst (run_drill ~seed ~defenses:false ())))
 
 (* CI's negative control finds the dump by its gate mark: exactly one,
    labelled by the family. *)

@@ -747,6 +747,8 @@ let run_drill ?(seed = 0xD211L) ~mode plan =
   | Ok report -> report
   | Error e -> Alcotest.fail ("drill: " ^ e)
 
+let avail r = Option.get r.Drill.availability
+
 let assert_zero_loss r =
   check_bool
     (Printf.sprintf "zero loss (%d acked rows, %d lost)" r.Drill.acked_rows r.Drill.lost_rows)
@@ -767,9 +769,9 @@ let test_drill_adp_kills () =
   in
   assert_zero_loss r;
   check_bool
-    (Printf.sprintf "ADP takeovers (%d)" r.Drill.availability.Drill.adp_takeovers)
+    (Printf.sprintf "ADP takeovers (%d)" (avail r).Drill.adp_takeovers)
     true
-    (r.Drill.availability.Drill.adp_takeovers >= 2)
+    ((avail r).Drill.adp_takeovers >= 2)
 
 let test_drill_dp2_kills () =
   let r =
@@ -783,21 +785,21 @@ let test_drill_dp2_kills () =
   in
   assert_zero_loss r;
   check_bool
-    (Printf.sprintf "DP2 takeovers (%d)" r.Drill.availability.Drill.dp2_takeovers)
+    (Printf.sprintf "DP2 takeovers (%d)" (avail r).Drill.dp2_takeovers)
     true
-    (r.Drill.availability.Drill.dp2_takeovers >= 3)
+    ((avail r).Drill.dp2_takeovers >= 3)
 
 let test_drill_tmf_kill () =
   let r =
     run_drill ~mode:System.Disk_audit Faultplan.[ at (Time.ms 800) (Kill_primary Tmf) ]
   in
   assert_zero_loss r;
-  check_int "TMF takeover" 1 r.Drill.availability.Drill.tmf_takeovers
+  check_int "TMF takeover" 1 (avail r).Drill.tmf_takeovers
 
 let test_drill_pmm_kill () =
   let r = run_drill ~mode:System.Pm_audit Faultplan.[ at (Time.ms 20) (Kill_primary Pmm) ] in
   assert_zero_loss r;
-  check_int "PMM takeover" 1 r.Drill.availability.Drill.pmm_takeovers;
+  check_int "PMM takeover" 1 (avail r).Drill.pmm_takeovers;
   check_bool "recovery read outcomes from PM" true
     (r.Drill.recovery.Recovery.outcome_source = Recovery.Pm_txn_table)
 
@@ -810,8 +812,8 @@ let test_drill_standard_pm_deterministic () =
   check_bool "faults injected" true (List.length a.Drill.faults >= 5);
   check_int "committed deterministic" a.Drill.committed b.Drill.committed;
   check_int "acked rows deterministic" a.Drill.acked_rows b.Drill.acked_rows;
-  check_int "degraded writes deterministic" a.Drill.availability.Drill.degraded_writes
-    b.Drill.availability.Drill.degraded_writes;
+  check_int "degraded writes deterministic" (avail a).Drill.degraded_writes
+    (avail b).Drill.degraded_writes;
   check_bool "elapsed deterministic" true (a.Drill.elapsed = b.Drill.elapsed);
   check_bool "fault log deterministic" true (a.Drill.faults = b.Drill.faults)
 
@@ -1032,19 +1034,20 @@ let test_cluster_partition_drill_seeds () =
     (fun seed ->
       match Drill.run_cluster ~seed ~plan:Drill.partition_plan () with
       | Error e -> Alcotest.fail (Printf.sprintf "drill seed 0x%Lx: %s" seed e)
-      | Ok r ->
+      | Ok ({ Drill.cluster = Some c; _ } as r) ->
           check_bool
             (Printf.sprintf
                "seed 0x%Lx invariants (lost=%d in-doubt=%d locks=%d fence-failures=%d)"
-               seed r.Drill.c_lost_rows r.Drill.c_in_doubt_after r.Drill.c_orphaned_locks
-               r.Drill.c_fence_failures)
-            true (Drill.Oracle.pass (Drill.Oracle.of_cluster r));
-          check_bool "made progress" true (r.Drill.c_committed > 0);
-          check_bool "partition stranded branches" true (r.Drill.c_in_doubt_before > 0);
-          check_int "every stranded branch resolved" r.Drill.c_in_doubt_before
-            (r.Drill.c_resolved_commit + r.Drill.c_resolved_abort);
-          check_int "fence probed" 1 r.Drill.c_fence_checks;
-          check_bool "stale writes fenced" true (r.Drill.c_fenced_writes > 0))
+               seed r.Drill.lost_rows r.Drill.in_doubt_after r.Drill.orphaned_locks
+               r.Drill.fence_failures)
+            true (Drill.Oracle.pass (Drill.Oracle.of_report r));
+          check_bool "made progress" true (r.Drill.committed > 0);
+          check_bool "partition stranded branches" true (c.Drill.c_in_doubt_before > 0);
+          check_int "every stranded branch resolved" c.Drill.c_in_doubt_before
+            (c.Drill.c_resolved_commit + c.Drill.c_resolved_abort);
+          check_int "fence probed" 1 r.Drill.fence_checks;
+          check_bool "stale writes fenced" true (c.Drill.c_fenced_writes > 0)
+      | Ok _ -> Alcotest.fail "cluster drill reported no cluster section")
     [ 0x7L; 0x2AL; 0xBEEFL ]
 
 let partition_cases =
