@@ -25,7 +25,7 @@ let checked base expected ok =
 
 let positive = checked Arg.int "a positive integer" (fun n -> n > 0)
 
-let positive_float = checked Arg.float "a positive number" (fun x -> x > 0.)
+let percent = checked Arg.float "a percentage in (0, 100)" (fun x -> x > 0. && x < 100.)
 
 (* The non-negative variants are only for flags where 0 has a documented
    meaning. *)
@@ -110,22 +110,21 @@ let f2 = Printf.sprintf "%.2f"
 
 let ms us = f2 (us /. 1e3)
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* An unreadable input or unwritable output path is the operator's
+   error: say which path and why, and exit 2. *)
+let file_error e =
+  prerr_endline ("odsbench: " ^ e);
+  exit 2
 
-(* An unwritable output path is the operator's error: say which path and
-   why, and exit 2. *)
+let read_whole_file path =
+  try In_channel.with_open_bin path In_channel.input_all with Sys_error e -> file_error e
+
 let write_text_file path contents =
   try
     let oc = open_out path in
     output_string oc contents;
     close_out oc
-  with Sys_error e ->
-    prerr_endline ("odsbench: " ^ e);
-    exit 2
+  with Sys_error e -> file_error e
 
 (* With --mode both one output path serves two runs: the mode name goes
    before the extension (out.csv -> out-disk.csv, out-pm.csv). *)
@@ -307,74 +306,7 @@ let dtx transfers =
     ]
     (Figures.dtx_latency ~transfers ())
 
-(* --- single cells: breakdown, trace, metrics, hot-stock --- *)
-
-let breakdown_json b =
-  let mode_json m =
-    Json.Obj
-      [
-        ("mode", Json.String (mode_to_string m.Figures.b_mode));
-        ("commits", Json.Int m.Figures.b_commits);
-        ("rt_mean_ns", Json.Float m.Figures.b_rt_ns);
-        ("flush_share", Json.Float m.Figures.b_flush_share);
-        ( "stages",
-          Json.List
-            (List.map
-               (fun st ->
-                 Json.Obj
-                   [
-                     ("stage", Json.String st.Figures.stage_name);
-                     ("mean_ns", Json.Float st.Figures.stage_ns);
-                     ("share", Json.Float st.Figures.stage_share);
-                   ])
-               m.Figures.b_stages) );
-      ]
-  in
-  Json.Obj
-    [
-      ("drivers", Json.Int b.Figures.bd_drivers);
-      ("boxcar", Json.Int b.Figures.bd_boxcar);
-      ("disk", mode_json b.Figures.bd_disk);
-      ("pm", mode_json b.Figures.bd_pm);
-      ("disk_flush_share", Json.Float b.Figures.bd_disk_flush_share);
-      ("pm_flush_share", Json.Float b.Figures.bd_pm_flush_share);
-    ]
-
-let breakdown records drivers boxcar json =
-  let b = Figures.breakdown ~records_per_driver:records ~drivers ~boxcar () in
-  emit json
-    (fun () -> breakdown_json b)
-    (fun () ->
-      Printf.printf "Commit-latency breakdown (%d drivers, boxcar %d, %d records/driver)\n"
-        b.Figures.bd_drivers b.Figures.bd_boxcar records;
-      Printf.printf "(where a committed transaction's response time goes, per the registry)\n";
-      let one m =
-        hr ();
-        Printf.printf "mode=%s  commits=%d  mean RT=%.2f ms  flush share=%.0f%%\n"
-          (mode_to_string m.Figures.b_mode) m.Figures.b_commits (m.Figures.b_rt_ns /. 1e6)
-          (m.Figures.b_flush_share *. 100.);
-        List.iter
-          (fun st ->
-            Printf.printf "  %-40s %10.3f ms %6.1f%%\n" st.Figures.stage_name
-              (st.Figures.stage_ns /. 1e6)
-              (st.Figures.stage_share *. 100.))
-          m.Figures.b_stages
-      in
-      one b.Figures.bd_disk;
-      one b.Figures.bd_pm;
-      hr ())
-
-let trace mode drivers boxcar records out =
-  let obs = Obs.create () in
-  Span.enable (Obs.spans obs);
-  let (_ : Figures.cell) =
-    Figures.run_cell ~obs ~mode ~drivers ~inserts_per_txn:boxcar ~records_per_driver:records ()
-  in
-  let spans = Obs.spans obs in
-  write_text_file out (Span.to_chrome_json spans ^ "\n");
-  Printf.printf "wrote %d spans to %s (%d dropped)\n" (Span.count spans) out
-    (Span.dropped spans);
-  Printf.printf "open in a Chromium browser at chrome://tracing, or https://ui.perfetto.dev\n"
+(* --- single cells: metrics, hot-stock --- *)
 
 let metrics mode drivers boxcar records json =
   let obs = Obs.create () in
@@ -941,19 +873,24 @@ let perf_verdicts verdicts regress_pct =
 let perf records list_workloads baseline regress_pct json =
   if list_workloads then List.iter print_endline Perf.workload_names
   else begin
+    (* The baseline is read before the suite runs, so a bad path costs
+       nothing. *)
+    let baseline =
+      Option.map
+        (fun path ->
+          match Json.parse (read_whole_file path) with
+          | Ok b -> b
+          | Error e ->
+              Printf.eprintf "odsbench perf: baseline %s: %s\n" path e;
+              exit 2)
+        baseline
+    in
     let report = or_die (fun () -> Perf.run ~records ()) in
     let doc = Perf.to_json report in
     emit json (fun () -> doc) (fun () -> perf_text report);
     match baseline with
     | None -> ()
-    | Some path ->
-        let base =
-          match Json.parse (read_whole_file path) with
-          | Ok b -> b
-          | Error e ->
-              Printf.eprintf "odsbench perf: baseline %s: %s\n" path e;
-              exit 2
-        in
+    | Some base ->
         (match Perf.compare_baseline ~baseline:base ~current:doc ~regress_pct with
         | Error e ->
             Printf.eprintf "odsbench perf: %s\n" e;
@@ -1022,16 +959,10 @@ let experiments =
         const perf $ records 300
         $ flag "list-workloads" ~doc:"Print the fixed workload-matrix names and exit."
         $ perf_baseline
-        $ opt positive_float [ "regress-pct" ] 25.0
+        $ opt percent [ "regress-pct" ] 25.0
             ~docv:"PCT" ~doc:"Allowed events/sec regression vs the baseline, percent."
         $ json)
       ~all:(fun n -> perf (min n 300) false None 25.0 false);
-    row "breakdown" ~doc:"Attribute commit latency to pipeline stages, disk vs PM audit"
-      Term.(const breakdown $ records 2_000 $ drivers 1 $ boxcar 8 $ json);
-    row "trace" ~doc:"Run a hot-stock cell with span tracing on and write a Chrome trace file"
-      Term.(
-        const trace $ backend $ drivers 1 $ boxcar 8 $ records 200
-        $ opt Arg.string [ "out"; "o" ] "trace.json" ~docv:"FILE" ~doc:"Output trace file.");
     row "metrics" ~doc:"Run a hot-stock cell and dump the whole metrics registry"
       Term.(const metrics $ backend $ drivers 2 $ boxcar 8 $ records 1_000 $ json);
     row "timeline"

@@ -204,8 +204,6 @@ let append ?parent t ~len =
 
 let set_up t up = t.up <- up
 
-let is_up t = t.up
-
 let degrade t ~factor ?jitter () = Disk.degrade t.disk ~factor ?jitter ()
 
 let restore_speed t = Disk.restore_speed t.disk

@@ -56,8 +56,6 @@ val append : ?parent:Span.span -> t -> len:int -> (unit, error) result
 val set_up : t -> bool -> unit
 (** A down volume fails new and queued requests with [Volume_down]. *)
 
-val is_up : t -> bool
-
 val degrade : t -> factor:float -> ?jitter:Time.span -> unit -> unit
 (** Fail-slow injection on the backing disk ({!Disk.degrade}): requests
     keep completing, [factor]x late plus seeded jitter. *)

@@ -300,7 +300,7 @@ let observe t (r : Span.record) =
           evict_oldest t
         done
 
-let attach t spans = Span.set_consumer spans (Some (observe t))
+let attach t spans = Span.subscribe spans (observe t)
 
 let txns t = t.n_txns
 

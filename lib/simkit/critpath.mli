@@ -1,7 +1,7 @@
 (** Critical-path attribution over causal span DAGs.
 
     Consumes finished span records (streaming, via {!attach} /
-    {!Span.set_consumer}) and, whenever a trace's root span arrives —
+    {!Span.subscribe}) and, whenever a trace's root span arrives —
     the root of a transaction finishes last — walks its DAG backwards
     from the ack.  Every nanosecond of the root's interval is attributed
     to exactly one span (the deepest one covering it, with explicit
@@ -40,14 +40,11 @@ val create : unit -> t
     are buffered for unfinalized traces; the link-resolution window
     holds the 8192 most recent finished spans. *)
 
-val observe : t -> Span.record -> unit
-(** Feed one finished span.  Untraced records only enter the link
-    window; a traced parentless record is a root and finalizes its
-    trace. *)
-
 val attach : t -> Span.t -> unit
-(** [Span.set_consumer spans (Some (observe t))]: stream the collector
-    into this analyzer, retaining nothing in the collector itself. *)
+(** Subscribe the analyzer to the collector, next to any other
+    subscriber.  Untraced records only enter the link window; a traced
+    parentless record is a root and finalizes its trace.  The collector
+    itself keeps nothing unless it is {!Span.retain}ed. *)
 
 val txns : t -> int
 (** Traces finalized. *)

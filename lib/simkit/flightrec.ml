@@ -51,7 +51,7 @@ let mark t ~time label =
   t.mark_next <- (t.mark_next + 1) mod t.mark_cap;
   t.mark_n <- t.mark_n + 1
 
-let attach t spans = Span.set_consumer spans (Some (observe t))
+let attach t spans = Span.subscribe spans (observe t)
 
 let span_count t = t.span_n
 

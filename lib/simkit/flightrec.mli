@@ -14,7 +14,8 @@ val create : ?spans:int -> ?marks:int -> unit -> t
     [marks] (default 256) fault marks. *)
 
 val attach : t -> Span.t -> unit
-(** Stream a collector into the recorder via {!Span.set_consumer}. *)
+(** Stream a collector into the recorder via {!Span.subscribe}, next to
+    any other subscriber. *)
 
 val mark : t -> time:Time.t -> string -> unit
 (** Record a fault event — an injection firing, a detection, a gate

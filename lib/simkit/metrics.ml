@@ -52,9 +52,6 @@ let probe t ?clock path =
 
 let find t path = Hashtbl.find_opt t.tbl path
 
-let stat_total t path =
-  match find t path with Some (Stat s) -> Stat.total s | _ -> 0.0
-
 let instruments t =
   Hashtbl.fold (fun path i acc -> (path, i) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

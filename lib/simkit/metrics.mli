@@ -39,9 +39,6 @@ val register_gauge : t -> string -> (unit -> float) -> unit
 
 val find : t -> string -> instrument option
 
-val stat_total : t -> string -> float
-(** Total of the stat at [path]; 0 if absent or not a stat. *)
-
 val instruments : t -> (string * instrument) list
 (** Sorted by path. *)
 

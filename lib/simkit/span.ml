@@ -35,13 +35,13 @@ type t = {
   mutable n_dropped : int;
   mutable next_id : int;
   mutable next_trace : int;
-  mutable consumer : (record -> unit) option;
+  mutable subscribers : (record -> unit) list;  (* in subscription order *)
 }
 
 let create ?(clock = fun () -> Time.zero) ?(capacity = 1_000_000) () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
   { on = false; clock; capacity; recs = []; n = 0; n_dropped = 0; next_id = 0;
-    next_trace = 0; consumer = None }
+    next_trace = 0; subscribers = [] }
 
 let set_clock t clock = t.clock <- clock
 
@@ -113,12 +113,10 @@ let mark_queue sp dt =
 let finish t sp =
   if sp.sp_id >= 0 && sp.sp_open then begin
     sp.sp_open <- false;
-    let now = t.clock () in
-    match t.consumer with
-    | Some f ->
-        (* Streaming mode: the record is handed off, not retained, so
-           memory stays bounded by whatever the consumer keeps. *)
-        f
+    match t.subscribers with
+    | [] -> ()
+    | subscribers ->
+        let r =
           {
             r_id = sp.sp_id;
             r_parent = (if sp.sp_parent >= 0 then Some sp.sp_parent else None);
@@ -126,29 +124,24 @@ let finish t sp =
             r_track = sp.sp_track;
             r_name = sp.sp_name;
             r_start = sp.sp_start;
-            r_end = now;
+            r_end = t.clock ();
             r_args = List.rev sp.sp_args;
           }
-    | None ->
-        if t.n >= t.capacity then t.n_dropped <- t.n_dropped + 1
-        else begin
-          t.recs <-
-            {
-              r_id = sp.sp_id;
-              r_parent = (if sp.sp_parent >= 0 then Some sp.sp_parent else None);
-              r_trace = sp.sp_trace;
-              r_track = sp.sp_track;
-              r_name = sp.sp_name;
-              r_start = sp.sp_start;
-              r_end = now;
-              r_args = List.rev sp.sp_args;
-            }
-            :: t.recs;
-          t.n <- t.n + 1
-        end
+        in
+        List.iter (fun f -> f r) subscribers
   end
 
-let set_consumer t consumer = t.consumer <- consumer
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
+
+(* Retention is one subscriber among the others: the bounded buffer
+   behind {!records} and the Chrome export. *)
+let retain t =
+  subscribe t (fun r ->
+      if t.n >= t.capacity then t.n_dropped <- t.n_dropped + 1
+      else begin
+        t.recs <- r :: t.recs;
+        t.n <- t.n + 1
+      end)
 
 let count t = t.n
 

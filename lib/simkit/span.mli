@@ -9,8 +9,13 @@
 
     Spans on the same track nest by time containment; spans caused by a
     request from another track carry an explicit parent id, exported as a
-    flow arrow.  {!to_chrome_json} renders everything in the Chrome
-    trace-event format, loadable by [chrome://tracing] and Perfetto. *)
+    flow arrow.
+
+    A finished span becomes one {!record}, passed in one pass to every
+    subscriber: analyzers such as {!Critpath} and the flight recorder
+    stream it, and {!retain} keeps it for {!to_chrome_json}, which
+    renders the Chrome trace-event format loadable by
+    [chrome://tracing] and Perfetto. *)
 
 type t
 (** A span collector. *)
@@ -31,9 +36,10 @@ type record = {
 }
 
 val create : ?clock:(unit -> Time.t) -> ?capacity:int -> unit -> t
-(** Disabled collector retaining at most [capacity] finished spans
-    (default 1M); later spans are counted in {!dropped}.  [clock] supplies
-    timestamps — typically [fun () -> Sim.now sim]. *)
+(** Disabled collector with no subscriber.  Once {!retain}ed it keeps at
+    most [capacity] finished spans (default 1M); later spans are counted
+    in {!dropped}.  [clock] supplies timestamps — typically
+    [fun () -> Sim.now sim]. *)
 
 val set_clock : t -> (unit -> Time.t) -> unit
 
@@ -79,8 +85,9 @@ val mark_queue : span -> Time.span -> unit
     without moving the start. *)
 
 val finish : t -> span -> unit
-(** Close the span at the collector's current clock and record it.
-    Double-finish is a no-op. *)
+(** Close the span at the collector's current clock and pass its record
+    to every subscriber, in subscription order.  With no subscriber the
+    record is not even built.  Double-finish is a no-op. *)
 
 val null : span
 (** The shared no-op span: useful as a default before any context is
@@ -93,21 +100,26 @@ val trace_of : span -> int
 
 val start_time : span -> Time.t
 
+val subscribe : t -> (record -> unit) -> unit
+(** Pass every span finished from now on to [f], after the subscribers
+    already there — how {!Critpath}, the flight recorder and {!retain}
+    attach.  Subscribers are never replaced: one collector feeds them
+    all from one stream. *)
+
+val retain : t -> unit
+(** Subscribe the collector's own bounded buffer, which {!records},
+    {!count}, {!dropped} and {!to_chrome_json} read.  A collector that
+    is never retained keeps nothing.  Retain a collector once. *)
+
 val count : t -> int
 val dropped : t -> int
 val clear : t -> unit
 
-val set_consumer : t -> (record -> unit) option -> unit
-(** Stream finished spans to [f] instead of retaining them: {!records}
-    stays empty and memory is bounded by whatever the consumer keeps —
-    how {!Critpath} and the flight recorder attach.  [None] restores
-    the retaining default. *)
-
 val records : t -> record list
-(** Finished spans, ordered by start time then id. *)
+(** Retained spans, ordered by start time then id. *)
 
 val to_chrome_json : t -> string
-(** The whole collector as one Chrome trace-event JSON document.
+(** The retained spans as one Chrome trace-event JSON document.
     Cross-track parent/child edges and ["link"] annotations are emitted
     as flow arrows ([ph:"s"]/[ph:"f"]), so Perfetto draws the causal
     DAG across tracks; each complete event also carries its trace id. *)

@@ -2,10 +2,9 @@ open Simkit
 
 (* Causal-tracing runs: the hot-stock mix (or its distributed 2PC
    variant) with spans enabled and every transaction's cross-node DAG
-   fed to a {!Simkit.Critpath} analyzer.  Streaming by default — the
-   collector retains nothing — unless a Chrome trace export is wanted,
-   in which case the collector keeps the records and the analyzer is
-   replayed from them in finish order. *)
+   streamed into a {!Simkit.Critpath} analyzer.  A Chrome trace export
+   keeps the records as one more subscriber of the same stream, so the
+   analyzer sees the same spans in the same order either way. *)
 
 type mode_run = {
   cp_mode : Tp.System.log_mode;
@@ -15,43 +14,33 @@ type mode_run = {
   cp_chrome : string option;
 }
 
-(* Replay a retained collector into an analyzer: observe order must be
-   finish order (children and link targets before their trace's root),
-   so sort by end time, deeper (higher-id) spans first on ties. *)
-let replay cp spans =
-  let by_finish =
-    List.sort
-      (fun (a : Span.record) (b : Span.record) ->
-        match compare a.Span.r_end b.Span.r_end with
-        | 0 -> compare b.Span.r_id a.Span.r_id
-        | c -> c)
-      (Span.records spans)
-  in
-  List.iter (Critpath.observe cp) by_finish
+(* An enabled context streaming into a fresh analyzer and, for a Chrome
+   export, into the collector's own buffer as well. *)
+let traced ~chrome =
+  let obs = Obs.create () in
+  let spans = Obs.spans obs in
+  Span.enable spans;
+  let cp = Critpath.create () in
+  Critpath.attach cp spans;
+  if chrome then Span.retain spans;
+  (obs, cp)
+
+let chrome_json ~chrome obs =
+  if chrome then Some (Span.to_chrome_json (Obs.spans obs)) else None
 
 let run_mode ?(seed = 0xCA75AL) ?config ?(drivers = 2) ?(inserts_per_txn = 8)
     ?(records_per_driver = 500) ?(chrome = false) ~mode () =
-  let obs = Obs.create () in
-  Span.enable (Obs.spans obs);
-  let cp = Critpath.create () in
-  if not chrome then Critpath.attach cp (Obs.spans obs);
+  let obs, cp = traced ~chrome in
   let cell =
     Figures.run_cell ~seed ?config ~obs ~mode ~drivers ~inserts_per_txn
       ~records_per_driver ()
-  in
-  let chrome_json =
-    if chrome then begin
-      replay cp (Obs.spans obs);
-      Some (Span.to_chrome_json (Obs.spans obs))
-    end
-    else None
   in
   {
     cp_mode = mode;
     cp_committed = cell.Figures.result.Hot_stock.committed;
     cp_elapsed = cell.Figures.result.Hot_stock.elapsed;
     cp = cp;
-    cp_chrome = chrome_json;
+    cp_chrome = chrome_json ~chrome obs;
   }
 
 type cluster_run = {
@@ -70,10 +59,7 @@ type cluster_run = {
 let run_cluster ?(seed = 0xC10CL) ?(nodes = 2) ?(drivers = 2) ?(txns_per_driver = 60)
     ?(inserts_per_txn = 4) ?(record_bytes = 1024) ?(chrome = false) () =
   if nodes < 2 then invalid_arg "Causal.run_cluster: need at least two nodes";
-  let obs = Obs.create () in
-  Span.enable (Obs.spans obs);
-  let cp = Critpath.create () in
-  if not chrome then Critpath.attach cp (Obs.spans obs);
+  let obs, cp = traced ~chrome in
   let cfg =
     {
       Tp.System.pm_config with
@@ -135,18 +121,11 @@ let run_cluster ?(seed = 0xC10CL) ?(nodes = 2) ?(drivers = 2) ?(txns_per_driver 
         Gate.await gate;
         Sim.now sim - started)
   in
-  let chrome_json =
-    if chrome then begin
-      replay cp (Obs.spans obs);
-      Some (Span.to_chrome_json (Obs.spans obs))
-    end
-    else None
-  in
   {
     cl_nodes = nodes;
     cl_committed = !committed;
     cl_failed = !failed;
     cl_elapsed = elapsed;
     cl_cp = cp;
-    cl_chrome = chrome_json;
+    cl_chrome = chrome_json ~chrome obs;
   }

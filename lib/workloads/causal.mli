@@ -5,10 +5,11 @@ open Simkit
     {!Simkit.Critpath} analyzer — where each transaction's microseconds
     actually went, queue vs service, hop by hop.
 
-    By default the collector streams into the analyzer and retains
-    nothing; with [~chrome:true] the records are kept and exported as a
-    Chrome trace-event document (flow arrows included), and the analyzer
-    is replayed from the retained records instead. *)
+    The collector streams into the analyzer and retains nothing; with
+    [~chrome:true] it also retains the records, as one more subscriber
+    of the same stream, and exports them as a Chrome trace-event
+    document (flow arrows included).  The analyzer's report is the same
+    with or without the export. *)
 
 type mode_run = {
   cp_mode : Tp.System.log_mode;

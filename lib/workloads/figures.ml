@@ -61,79 +61,6 @@ let boxcars = [ 8; 16; 32 ]
 
 let label_of boxcar = Printf.sprintf "%dk" (boxcar * 4096 / 1024)
 
-(* --- commit-latency breakdown --- *)
-
-type stage = { stage_name : string; stage_ns : float; stage_share : float }
-
-type mode_breakdown = {
-  b_mode : Tp.System.log_mode;
-  b_commits : int;
-  b_rt_ns : float;
-  b_stages : stage list;
-  b_flush_share : float;
-}
-
-(* Where a committed transaction's response time goes, from the metrics
-   registry: totals of the commit-path stage stats divided by the commit
-   count give per-transaction contributions; whatever the instrumented
-   stages don't explain (client issue CPU, messaging, data-volume writes
-   overlapped with thinking) lands in "other".  The flush share — audit
-   flush wait plus the MAT commit record — is the fraction the paper's PM
-   trails attack. *)
-let mode_breakdown ?(records_per_driver = 2_000) ?(drivers = 1) ?(boxcar = 8) mode =
-  let obs = Obs.create () in
-  let (_ : cell) =
-    run_cell ~obs ~mode ~drivers ~inserts_per_txn:boxcar ~records_per_driver ()
-  in
-  let m = Obs.metrics obs in
-  let rt = Stat.summary (Metrics.stat m "txn.response_ns") in
-  let commits = rt.Stat.n in
-  let per_txn path =
-    if commits = 0 then 0.0 else Metrics.stat_total m path /. float_of_int commits
-  in
-  let share ns = if rt.Stat.mean > 0.0 then ns /. rt.Stat.mean else 0.0 in
-  let lock_ns = per_txn "lock.wait_ns" in
-  let flush_ns = per_txn "tmf.flush_wait_ns" in
-  let mat_ns = per_txn "tmf.mat_write_ns" in
-  let other_ns = Float.max 0.0 (rt.Stat.mean -. lock_ns -. flush_ns -. mat_ns) in
-  let stage stage_name stage_ns = { stage_name; stage_ns; stage_share = share stage_ns } in
-  {
-    b_mode = mode;
-    b_commits = commits;
-    b_rt_ns = rt.Stat.mean;
-    b_stages =
-      [
-        stage "lock wait" lock_ns;
-        stage "audit flush wait" flush_ns;
-        stage "commit record (MAT)" mat_ns;
-        stage "other (issue, messaging, data writes)" other_ns;
-      ];
-    b_flush_share = share (flush_ns +. mat_ns);
-  }
-
-type breakdown = {
-  bd_drivers : int;
-  bd_boxcar : int;
-  bd_disk : mode_breakdown;
-  bd_pm : mode_breakdown;
-  bd_disk_flush_share : float;
-  bd_pm_flush_share : float;
-}
-
-let breakdown ?(records_per_driver = 2_000) ?(drivers = 1) ?(boxcar = 8) () =
-  let disk =
-    mode_breakdown ~records_per_driver ~drivers ~boxcar Tp.System.Disk_audit
-  in
-  let pm = mode_breakdown ~records_per_driver ~drivers ~boxcar Tp.System.Pm_audit in
-  {
-    bd_drivers = drivers;
-    bd_boxcar = boxcar;
-    bd_disk = disk;
-    bd_pm = pm;
-    bd_disk_flush_share = disk.b_flush_share;
-    bd_pm_flush_share = pm.b_flush_share;
-  }
-
 (* --- Figure 1 --- *)
 
 type fig1_point = {

@@ -60,39 +60,6 @@ val run_cell_sampled :
     export or bottleneck attribution.  Without [sample_interval] this is
     exactly {!run_cell}. *)
 
-(** {1 Commit-latency breakdown (machine-readable)} *)
-
-type stage = { stage_name : string; stage_ns : float; stage_share : float }
-(** One commit-path stage: its mean per-transaction contribution in
-    nanoseconds and as a fraction of mean response time. *)
-
-type mode_breakdown = {
-  b_mode : Tp.System.log_mode;
-  b_commits : int;
-  b_rt_ns : float;  (** mean response time *)
-  b_stages : stage list;  (** lock wait, audit flush wait, MAT record, other *)
-  b_flush_share : float;
-      (** fraction of response time waiting on trail durability (audit
-          flush wait + commit record) — the cost PM trails attack *)
-}
-
-type breakdown = {
-  bd_drivers : int;
-  bd_boxcar : int;
-  bd_disk : mode_breakdown;
-  bd_pm : mode_breakdown;
-  bd_disk_flush_share : float;
-  bd_pm_flush_share : float;
-}
-
-val breakdown :
-  ?records_per_driver:int -> ?drivers:int -> ?boxcar:int -> unit -> breakdown
-(** Run one disk-mode and one PM-mode cell under a metrics registry and
-    attribute where commit latency goes in each.  Defaults: 2 000
-    records, 1 driver, boxcar 8.  Expect [bd_disk_flush_share] to
-    dominate disk-mode commit time and [bd_pm_flush_share] to be small
-    — the paper's whole argument, as data. *)
-
 (** {1 Figure 1 — response-time speedup vs transaction size} *)
 
 type fig1_point = {

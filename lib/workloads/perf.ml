@@ -150,6 +150,7 @@ let measure_overhead ~records =
       Obs.set_level Obs.Spans;
       let obs = Obs.create () in
       Span.enable (Obs.spans obs);
+      Span.retain (Obs.spans obs);
       let on, enabled_wall, enabled_minor = run_with (`Enabled obs) in
       Obs.set_level Obs.Off;
       let off, disabled_wall, disabled_minor = run_with `Disabled in
@@ -268,8 +269,8 @@ let events_per_sec_of_json doc =
                  | Some name, Some eps -> Some (name, eps)
                  | _ -> None)
                items)
-      | None -> Error "perf: \"workloads\" is not a list")
-  | None -> Error "perf: no \"workloads\" field"
+      | None -> Error "\"workloads\" is not a list")
+  | None -> Error "no \"workloads\" field"
 
 type verdict = {
   v_workload : string;
@@ -280,7 +281,7 @@ type verdict = {
 
 let compare_baseline ~baseline ~current ~regress_pct =
   if regress_pct <= 0.0 || regress_pct >= 100.0 then
-    Error "perf: regression threshold must be in (0, 100)"
+    Error "regression threshold must be in (0, 100)"
   else
     match (events_per_sec_of_json baseline, events_per_sec_of_json current) with
     | Error e, _ | _, Error e -> Error e

@@ -92,6 +92,7 @@ let test_trace_crosses_remote_2pc_hop () =
   with_level Obs.Spans @@ fun () ->
   let obs = Obs.create () in
   Span.enable (Obs.spans obs);
+  Span.retain (Obs.spans obs);
   let sim = Sim.create ~seed:0x2FCL () in
   let committed = ref 0 in
   Test_util.run_in sim (fun () ->
@@ -155,6 +156,7 @@ let test_group_commit_batch_links_flush () =
   with_level Obs.Spans @@ fun () ->
   let obs = Obs.create () in
   Span.enable (Obs.spans obs);
+  Span.retain (Obs.spans obs);
   let (_ : Workloads.Figures.cell) =
     Workloads.Figures.run_cell ~obs ~mode:Tp.System.Disk_audit ~drivers:2
       ~inserts_per_txn:4 ~records_per_driver:40 ()
@@ -181,6 +183,7 @@ let test_fence_refresh_retry_shares_trace () =
   with_level Obs.Spans @@ fun () ->
   let obs = Obs.create () in
   Span.enable (Obs.spans obs);
+  Span.retain (Obs.spans obs);
   let sim = Sim.create ~seed:0x51L () in
   let node = Nsk.Node.create sim ~cpus:4 () in
   let fabric = Nsk.Node.fabric node in
@@ -241,6 +244,50 @@ let test_critpath_deterministic () =
   let a = run () and b = run () in
   check_bool "same seed, identical report" true (String.equal a b)
 
+(* --- One stream: every subscriber sees every span --- *)
+
+let test_one_collector_feeds_every_subscriber () =
+  with_level Obs.Spans @@ fun () ->
+  let run ~with_others =
+    let obs = Obs.create () in
+    let spans = Obs.spans obs in
+    Span.enable spans;
+    let cp = Critpath.create () in
+    Critpath.attach cp spans;
+    let fr = Flightrec.create () in
+    if with_others then begin
+      Flightrec.attach fr spans;
+      Span.retain spans
+    end;
+    let cell =
+      Workloads.Figures.run_cell ~obs ~mode:Tp.System.Disk_audit ~drivers:2
+        ~inserts_per_txn:4 ~records_per_driver:40 ()
+    in
+    (cell.Workloads.Figures.result.Workloads.Hot_stock.committed, cp, fr, spans)
+  in
+  let committed, cp, fr, spans = run ~with_others:true in
+  check_bool "spans finished" true (Span.count spans > 0);
+  check_int "the recorder saw every span" (Span.count spans) (Flightrec.span_count fr);
+  check_int "the analyzer finalized every commit" committed (Critpath.txns cp);
+  let _, alone, _, _ = run ~with_others:false in
+  check_string "the analyzer's report ignores its neighbours"
+    (Json.to_string (Critpath.to_json alone))
+    (Json.to_string (Critpath.to_json cp))
+
+(* --- A Chrome export leaves the report as it is --- *)
+
+let test_chrome_export_keeps_the_report () =
+  with_level Obs.Spans @@ fun () ->
+  let report chrome =
+    let r =
+      Workloads.Causal.run_mode ~seed:0xD07L ~drivers:2 ~inserts_per_txn:4
+        ~records_per_driver:80 ~chrome ~mode:Tp.System.Disk_audit ()
+    in
+    check_bool "export only when asked" chrome (r.Workloads.Causal.cp_chrome <> None);
+    Json.to_string (Critpath.to_json r.Workloads.Causal.cp)
+  in
+  check_string "same report with and without --chrome" (report false) (report true)
+
 (* --- Flight recorder: bounded rings, oldest evicted --- *)
 
 let test_flightrec_rings_bounded () =
@@ -289,6 +336,7 @@ let test_off_level_allocates_nothing () =
   Obs.set_level Obs.Off;
   let cp = Critpath.create () in
   Critpath.attach cp c;
+  Span.retain c;
   Gc.full_major ();
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
@@ -327,6 +375,10 @@ let suite =
           test_fence_refresh_retry_shares_trace;
         Alcotest.test_case "same seed, identical report" `Quick
           test_critpath_deterministic;
+        Alcotest.test_case "one collector feeds every subscriber" `Quick
+          test_one_collector_feeds_every_subscriber;
+        Alcotest.test_case "chrome export keeps the report" `Quick
+          test_chrome_export_keeps_the_report;
         Alcotest.test_case "flight recorder rings are bounded" `Quick
           test_flightrec_rings_bounded;
         Alcotest.test_case "Off level allocates nothing" `Quick

@@ -147,30 +147,6 @@ let test_elevator_serves_everything () =
       check_int "all ops" 10 (Volume.completed_ops vol);
       check_int "queue drained" 0 (Volume.queue_depth vol))
 
-let test_mirror_write_both () =
-  Test_util.run_process (fun sim ->
-      let a = Volume.create sim ~name:"$MA" () in
-      let b = Volume.create sim ~name:"$MB" () in
-      let m = Mirror.create ~primary:a ~mirror:b in
-      Test_util.check_result_ok "mirror write" (Mirror.write m ~block:10 ~len:4096);
-      check_int "primary wrote" 1 (Volume.completed_ops a);
-      check_int "mirror wrote" 1 (Volume.completed_ops b);
-      check_bool "not degraded" false (Mirror.degraded m))
-
-let test_mirror_survives_one_side () =
-  Test_util.run_process (fun sim ->
-      let a = Volume.create sim ~name:"$MA" () in
-      let b = Volume.create sim ~name:"$MB" () in
-      let m = Mirror.create ~primary:a ~mirror:b in
-      Volume.set_up a false;
-      Test_util.check_result_ok "degraded write ok" (Mirror.write m ~block:0 ~len:512);
-      check_bool "degraded" true (Mirror.degraded m);
-      Test_util.check_result_ok "read fails over" (Mirror.read m ~block:0 ~len:512);
-      Volume.set_up b false;
-      match Mirror.write m ~block:0 ~len:512 with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "write with both sides down succeeded")
-
 let prop_service_time_positive =
   QCheck.Test.make ~name:"disk service times are positive" ~count:100
     QCheck.(pair (int_bound 1_000_000) (int_bound 65536))
@@ -201,10 +177,5 @@ let suite =
       [
         Alcotest.test_case "SCAN beats FIFO on random queues" `Quick test_elevator_beats_fifo;
         Alcotest.test_case "no starvation" `Quick test_elevator_serves_everything;
-      ] );
-    ( "diskio.mirror",
-      [
-        Alcotest.test_case "writes go to both sides" `Quick test_mirror_write_both;
-        Alcotest.test_case "survives one side down" `Quick test_mirror_survives_one_side;
       ] );
   ]

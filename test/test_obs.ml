@@ -1,5 +1,5 @@
 (* Tests for the observability layer: spans, the metrics registry, the
-   trace ring, and the latency breakdowns built on them. *)
+   trace ring, and the commit-latency attribution built on them. *)
 
 open Simkit
 
@@ -16,6 +16,7 @@ let manual_clock () =
 
 let test_span_disabled_is_free () =
   let c = Span.create () in
+  Span.retain c;
   let sp = Span.start c ~track:"main" "op" in
   check_bool "null span" true (Span.is_null sp);
   Span.annotate sp ~key:"k" "v";
@@ -27,6 +28,7 @@ let test_span_nesting_and_order () =
   let clock, set = manual_clock () in
   let c = Span.create ~clock () in
   Span.enable c;
+  Span.retain c;
   set 100;
   let outer = Span.start c ~track:"tmf" "commit" in
   set 200;
@@ -54,6 +56,7 @@ let test_span_double_finish_and_capacity () =
   let clock, set = manual_clock () in
   let c = Span.create ~clock ~capacity:2 () in
   Span.enable c;
+  Span.retain c;
   let spans =
     List.map
       (fun i ->
@@ -73,6 +76,7 @@ let test_span_chrome_json_golden () =
   let clock, set = manual_clock () in
   let c = Span.create ~clock () in
   Span.enable c;
+  Span.retain c;
   set 1000;
   let sp = Span.start c ~track:"pm" "pm.write" in
   Span.annotate sp ~key:"len" "64";
@@ -91,6 +95,7 @@ let test_span_cross_track_flow () =
   let clock, set = manual_clock () in
   let c = Span.create ~clock () in
   Span.enable c;
+  Span.retain c;
   set 0;
   let caller = Span.start c ~track:"client" "txn" in
   set 10;
@@ -176,6 +181,7 @@ let test_cell_metrics_populate () =
 let test_cell_trace_tree () =
   let obs = Obs.create () in
   Span.enable (Obs.spans obs);
+  Span.retain (Obs.spans obs);
   let (_ : Workloads.Figures.cell) =
     Workloads.Figures.run_cell ~obs ~mode:Tp.System.Disk_audit ~drivers:1
       ~inserts_per_txn:4 ~records_per_driver:20 ()
@@ -243,25 +249,25 @@ let test_telemetry_never_changes_the_simulation () =
         [ ("traced", traced); ("off", off) ])
     [ Tp.System.Disk_audit; Tp.System.Pm_audit ]
 
-let test_breakdown_flush_shares () =
-  let b = Workloads.Figures.breakdown ~records_per_driver:300 ~drivers:1 ~boxcar:8 () in
-  check_bool "commits happened (disk)" true (b.Workloads.Figures.bd_disk.Workloads.Figures.b_commits > 0);
-  check_bool "commits happened (pm)" true (b.Workloads.Figures.bd_pm.Workloads.Figures.b_commits > 0);
-  (* The paper's claim as an assertion: waiting on trail durability
-     dominates the disk-mode commit but not the PM-mode one. *)
-  check_bool "disk flush share dominates" true (b.Workloads.Figures.bd_disk_flush_share > 0.5);
-  check_bool "pm flush share is small" true (b.Workloads.Figures.bd_pm_flush_share < 0.2);
-  check_bool "disk > pm" true
-    (b.Workloads.Figures.bd_disk_flush_share > b.Workloads.Figures.bd_pm_flush_share);
-  (* Shares of response time must be sane fractions. *)
-  List.iter
-    (fun m ->
-      List.iter
-        (fun st ->
-          check_bool "share in [0,1]" true
-            (st.Workloads.Figures.stage_share >= 0.0 && st.Workloads.Figures.stage_share <= 1.0))
-        m.Workloads.Figures.b_stages)
-    [ b.Workloads.Figures.bd_disk; b.Workloads.Figures.bd_pm ]
+(* The paper's claim as an assertion on the critical path: waiting on
+   the audit trail's disk writes dominates the disk-mode commit, and the
+   PM writes that replace them are a small part of the PM-mode one. *)
+let test_critpath_flush_shares () =
+  let share mode prefixes =
+    let r = Workloads.Causal.run_mode ~drivers:1 ~records_per_driver:300 ~mode () in
+    check_bool "commits happened" true (Critpath.txns r.Workloads.Causal.cp > 0);
+    let hops = Critpath.hops r.Workloads.Causal.cp in
+    let total h = h.Critpath.h_queue + h.Critpath.h_service in
+    let sum f = List.fold_left (fun acc h -> if f h then acc + total h else acc) 0 hops in
+    let on_trail h =
+      List.exists (fun p -> String.starts_with ~prefix:p h.Critpath.h_name) prefixes
+    in
+    float_of_int (sum on_trail) /. float_of_int (sum (fun _ -> true))
+  in
+  let disk = share Tp.System.Disk_audit [ "vol:$AUDIT" ] in
+  let pm = share Tp.System.Pm_audit [ "pm"; "fabric" ] in
+  check_bool "audit volume writes dominate disk" true (disk > 0.5);
+  check_bool "pm writes are small" true (pm < 0.2)
 
 let suite =
   [
@@ -285,7 +291,7 @@ let suite =
         Alcotest.test_case "cell produces a span tree" `Quick test_cell_trace_tree;
         Alcotest.test_case "telemetry never changes the simulation" `Quick
           test_telemetry_never_changes_the_simulation;
-        Alcotest.test_case "breakdown: flush dominates disk only" `Quick
-          test_breakdown_flush_shares;
+        Alcotest.test_case "critpath: flush dominates disk only" `Quick
+          test_critpath_flush_shares;
       ] );
   ]

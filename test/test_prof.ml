@@ -142,6 +142,7 @@ let test_disabled_path_allocates_nothing () =
   let span_collector = Span.create () in
   (* [enable] forces the level up; undo that to test the gate itself. *)
   Span.enable span_collector;
+  Span.retain span_collector;
   Obs.set_level Obs.Off;
   Gc.full_major ();
   let w0 = Gc.minor_words () in
