@@ -837,18 +837,16 @@ let perf_text (r : Perf.report) =
     (fun (w : Perf.run_report) ->
       Printf.printf "%s: committed=%d envelopes=%d packets=%d pm-writes=%d\n" w.Perf.r_name
         w.Perf.r_committed w.Perf.r_envelopes w.Perf.r_packets w.Perf.r_pm_writes;
+      let row name slices secs note =
+        Printf.printf "  %-22s %8s %10.3f ms %5.1f%% wall %s\n" name slices (secs *. 1e3)
+          (Perf.wall_share w secs *. 100.) note
+      in
       List.iter
-        (fun (l : Perf.layer_share) ->
-          Printf.printf "  %-8s %8d sections %10.3f ms %5.1f%% wall %14.0f minor words%s\n"
-            l.Perf.ls_layer l.Perf.ls_events (l.Perf.ls_wall_s *. 1e3)
-            (l.Perf.ls_wall_share *. 100.) l.Perf.ls_minor_words
-            (if l.Perf.ls_discarded > 0 then
-               Printf.sprintf " (%d discarded)" l.Perf.ls_discarded
-             else ""))
-        w.Perf.r_layers;
-      let residual name secs note = Printf.printf "  %-26s %10.3f ms  %s\n" name (secs *. 1e3) note in
-      residual "loop" w.Perf.r_loop_wall_s "outside any handler: heap pops, dispatch hooks";
-      residual "unattributed" w.Perf.r_unattributed_wall_s "handler time outside every section")
+        (fun (l : Prof.layer_row) ->
+          row l.Prof.l_name (string_of_int l.Prof.l_events) l.Prof.l_wall
+            (Printf.sprintf "%14.0f minor words" l.Prof.l_minor))
+        w.Perf.r_roles;
+      row "loop" "" w.Perf.r_loop_wall_s "outside any handler: heap pops, dispatch hooks")
     r.Perf.p_runs;
   hr ();
   let o = r.Perf.p_overhead in

@@ -290,7 +290,6 @@ let write ?span ?(pad = 0) t h ~off ~data =
     if not (bounds_ok region ~off ~len) then
       Error (Pm_types.Bad_request "write out of bounds")
     else begin
-      let sect = Prof.section_begin () in
       let started = Sim.now (Cpu.sim t.client_cpu) in
       let sp = Obs.start t.obs ~track:"pm" ?parent:span "pm.write" in
       if not (Span.is_null sp) then begin
@@ -302,8 +301,6 @@ let write ?span ?(pad = 0) t h ~off ~data =
       let src = Cpu.endpoint t.client_cpu in
       Prof.bump_pm_write ();
       Obs.enqueue t.write_probe;
-      (* End before the penalty sleep and the RDMA calls — both suspend. *)
-      Prof.section_end sect "pm";
       if t.cfg.write_penalty > 0 then Sim.sleep t.cfg.write_penalty;
       (* One device's worth of the mirrored write, with bounded retry of
          transient fabric errors (a rail flapping, a burst of CRC noise)

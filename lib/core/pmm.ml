@@ -846,13 +846,10 @@ let scrub_repair t st ~dst_dev ~addr ~data ~len =
       st.s_repairs <- st.s_repairs + 1
   | Error _ -> scrub_strike st ~addr ~len
 
-(* Compare the copies and bless the chunk when they agree.  No
-   suspension inside, so it is one [Prof] section. *)
+(* Compare the copies and bless the chunk when they agree. *)
 let scrub_compare t st ~addr p m =
-  let sect = Prof.section_begin () in
   let same = Bytes.equal p m in
   if same then scrub_mark_clean t st ~addr (Crc32.bytes p);
-  Prof.section_end sect "pmm";
   same
 
 let scrub_arbitrate t st ~addr ~len p m =
@@ -970,7 +967,6 @@ let divergent_chunks t =
   match Procpair.live t.pair with
   | None -> []
   | Some meta ->
-      let sect = Prof.section_begin () in
       let quarantined addr =
         match t.scrub with Some st -> Hashtbl.mem st.s_quar addr | None -> false
       in
@@ -981,7 +977,6 @@ let divergent_chunks t =
         Ok ()
       in
       ignore (walk ~step:scrub_chunk_bytes (sorted_extents meta) audit);
-      Prof.section_end sect "pmm";
       List.rev !diverged
 
 (* --- Mirror-health monitor --- *)

@@ -101,7 +101,6 @@ let server t () =
           Ivar.fill req.done_ (Error Volume_down)
         end
         else begin
-          let sect = Prof.section_begin () in
           let parts =
             Disk.service_parts t.disk ~kind:req.kind ~block:req.block ~len:req.len
           in
@@ -118,9 +117,6 @@ let server t () =
           if parts.Disk.cache_hit && not (Span.is_null req.req_span) then
             Span.annotate req.req_span ~key:"cache" "hit";
           t.head_hint <- req.block;
-          (* End before the service sleep: the suspension would invalidate
-             the sample. *)
-          Prof.section_end sect "diskio";
           Sim.sleep dt;
           t.busy <- t.busy + dt;
           Obs.served t.probe dt;

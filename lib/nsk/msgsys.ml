@@ -61,7 +61,6 @@ let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
   let reply = Ivar.create () in
   if not (Cpu.is_up from) then Ivar.fill reply (Error Server_down)
   else begin
-    let sect = Prof.section_begin () in
     let sim = Cpu.sim from in
     (* Request wire time, then delivery (if the target is still up). *)
     let dt = Servernet.Fabric.transfer_time s.fabric ~bytes:req_bytes + s.extra_latency in
@@ -78,8 +77,7 @@ let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
           Prof.bump_envelope ();
           Mailbox.send s.inbox
             { payload; resp_bytes; reply; env_span; env_sent = Sim.now sim; env_seq }
-        end);
-    Prof.section_end sect "msgsys"
+        end)
   end;
   reply
 

@@ -403,7 +403,6 @@ let do_transfer t src dst bytes =
   match pick_rail t with
   | None -> Error No_path
   | Some rail ->
-      let sect = Prof.section_begin () in
       let start = max (Sim.now t.sim) (max src.nic_free_at dst.nic_free_at) in
       let packets = packets_of bytes in
       Prof.bump_packets packets;
@@ -438,9 +437,6 @@ let do_transfer t src dst bytes =
       let finish = start + duration in
       src.nic_free_at <- start + src_hold;
       dst.nic_free_at <- finish;
-      (* The section ends before the wait: [Sim.wait_until] suspends, and
-         a section crossing an event boundary would be discarded. *)
-      Prof.section_end sect "fabric";
       Sim.wait_until finish;
       if not ok then Error Crc_failure
       else if not (rail_is_up t rail) then
@@ -483,20 +479,16 @@ let rdma_write ?span ?epoch ?(pad = 0) t ~src ~dst ~addr ~data =
             match transfer_with_failover t src target len ~attempts:t.cfg.rails with
             | Error e -> fail t e
             | Ok () -> (
-                let sect = Prof.section_begin () in
                 (* Address validation happens in the target NIC on arrival. *)
                 match
                   Avt.translate ?epoch target.ep_avt ~initiator:src.ep_id ~op:`Write
                     ~addr ~len
                 with
-                | Error e ->
-                    Prof.section_end sect "fabric";
-                    fail t (Avt_error e)
+                | Error e -> fail t (Avt_error e)
                 | Ok phys ->
                     target.ep_store.write ~off:phys ~data ~pad;
                     t.st_writes <- t.st_writes + 1;
                     t.st_bytes_written <- t.st_bytes_written + len;
-                    Prof.section_end sect "fabric";
                     Ok ())
         in
         Obs.served target.ep_probe (Sim.now t.sim - t0);

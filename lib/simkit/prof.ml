@@ -2,90 +2,125 @@
    in place instead of boxing a fresh float.  The profiler must not
    pollute the very minor-word counts it reports. *)
 type acct = {
-  mutable a_events : float;
+  mutable a_slices : float;
   mutable a_wall : float;
   mutable a_minor : float;
-  mutable a_major : float;
-  mutable a_discarded : float;
 }
 
-let fresh_acct () =
-  { a_events = 0.; a_wall = 0.; a_minor = 0.; a_major = 0.; a_discarded = 0. }
+let fresh_acct () = { a_slices = 0.; a_wall = 0.; a_minor = 0. }
 
 type t = {
-  layers : (string, acct) Hashtbl.t;
-  total : acct;
+  roles : (string, acct) Hashtbl.t;
+  mutable by_pid : acct option array;  (* each owner's role account, once looked up *)
+  mutable slice : acct;  (* the account the running slice is charged to *)
   mutable heap_hwm : int;
   mutable envelopes : int;
   mutable packets : int;
   mutable pm_writes : int;
-  (* Dispatch-entry marks: wall seconds, minor words, major words. *)
+  (* Dispatch-entry marks: wall seconds, minor words. *)
   marks : float array;
   mutable installed : Sim.t option;
   mutable t0_wall : float;
 }
 
-type section = {
-  s_wall : float;
-  s_minor : float;
-  s_major : float;
-  s_events : float;
-}
-
-(* Shared sentinel returned by [section_begin] when no profiler is
-   installed: the disabled path allocates nothing. *)
-let none = { s_wall = 0.; s_minor = 0.; s_major = 0.; s_events = -1. }
-
 let current : t option ref = ref None
 
 let now_s () = Unix.gettimeofday ()
 
-(* Minor words come from [Gc.minor_words], which counts this domain's
-   allocation exactly; the minor count of [Gc.counters] does not repeat
-   across identical runs on OCaml 5.  [Gc.counters] still serves the
-   major count, read outside the minor window so its own allocation is
-   not charged to the section. *)
-let major_words () =
-  let _, _, ma = Gc.counters () in
-  ma
-
 let create () =
   {
-    layers = Hashtbl.create 16;
-    total = fresh_acct ();
+    roles = Hashtbl.create 16;
+    by_pid = [||];
+    slice = fresh_acct ();
     heap_hwm = 0;
     envelopes = 0;
     packets = 0;
     pm_writes = 0;
-    marks = Array.make 3 0.;
+    marks = Array.make 2 0.;
     installed = None;
     t0_wall = 0.;
   }
 
 let enabled () = !current != None
 
+(* The one attribution rule: a slice is charged to its owner's role, the
+   spawn name without its [cpu<i>:] prefix and with the last digit run of
+   each [:]-part (and a [-] before it) dropped as the instance number:
+   [cpu2:$ADP1:flusher] and [cpu3:$ADP2:flusher] share [$ADP:flusher],
+   [$DP2-03:worker] is [$DP2:worker] and [vol:$AUDIT1M] is
+   [vol:$AUDITM]. *)
+let role name =
+  let digit p i = p.[i] >= '0' && p.[i] <= '9' in
+  let strip p =
+    let n = String.length p in
+    let stop = ref n in
+    while !stop > 0 && not (digit p (!stop - 1)) do
+      decr stop
+    done;
+    let start = ref !stop in
+    while !start > 0 && digit p (!start - 1) do
+      decr start
+    done;
+    if !start > 0 && p.[!start - 1] = '-' then decr start;
+    String.sub p 0 !start ^ String.sub p !stop (n - !stop)
+  in
+  match List.map strip (String.split_on_char ':' name) with
+  | "cpu" :: (_ :: _ as rest) -> String.concat ":" rest
+  | parts -> String.concat ":" parts
+
+(* Each owner's account is found once; later slices index an array. *)
+let account p sim owner =
+  let i = (owner : Sim.pid :> int) in
+  let len = Array.length p.by_pid in
+  if i >= len then begin
+    let a = Array.make (max (i + 1) (2 * len)) None in
+    Array.blit p.by_pid 0 a 0 len;
+    p.by_pid <- a
+  end;
+  match p.by_pid.(i) with
+  | Some a -> a
+  | None ->
+      let name =
+        match Sim.process_name sim owner with
+        | n -> role n
+        | exception Invalid_argument _ -> "toplevel"
+      in
+      let a =
+        match Hashtbl.find_opt p.roles name with
+        | Some a -> a
+        | None ->
+            let a = fresh_acct () in
+            Hashtbl.add p.roles name a;
+            a
+      in
+      p.by_pid.(i) <- Some a;
+      a
+
 let install p sim =
   (match !current with
   | Some _ -> invalid_arg "Prof.install: a profiler is already installed"
   | None -> ());
   p.installed <- Some sim;
+  p.by_pid <- [||];
   p.t0_wall <- now_s ();
   current := Some p;
-  let before qdepth =
+  (* Minor words come from [Gc.minor_words], which counts this domain's
+     allocation exactly and, like the clock, allocates nothing to read;
+     the minor count of [Gc.counters] does not repeat across identical
+     runs on OCaml 5, and reading it allocates. *)
+  let before owner qdepth =
     (* [qdepth] excludes the event just popped; count it back in. *)
     if qdepth + 1 > p.heap_hwm then p.heap_hwm <- qdepth + 1;
-    p.marks.(2) <- major_words ();
+    p.slice <- account p sim owner;
     p.marks.(0) <- now_s ();
     p.marks.(1) <- Gc.minor_words ()
   in
   let after () =
     let mi = Gc.minor_words () in
-    let ma = major_words () in
-    let tot = p.total in
-    tot.a_wall <- tot.a_wall +. (now_s () -. p.marks.(0));
-    tot.a_minor <- tot.a_minor +. (mi -. p.marks.(1));
-    tot.a_major <- tot.a_major +. (ma -. p.marks.(2));
-    tot.a_events <- tot.a_events +. 1.
+    let a = p.slice in
+    a.a_wall <- a.a_wall +. (now_s () -. p.marks.(0));
+    a.a_minor <- a.a_minor +. (mi -. p.marks.(1));
+    a.a_slices <- a.a_slices +. 1.
   in
   Sim.set_dispatch_hooks sim ~before ~after
 
@@ -95,42 +130,6 @@ let uninstall p =
   | None -> ());
   p.installed <- None;
   (match !current with Some q when q == p -> current := None | _ -> ())
-
-let layer_acct p name =
-  match Hashtbl.find_opt p.layers name with
-  | Some a -> a
-  | None ->
-      let a = fresh_acct () in
-      Hashtbl.add p.layers name a;
-      a
-
-let section_begin () =
-  match !current with
-  | None -> none
-  | Some p ->
-      let ma = major_words () in
-      let wall = now_s () in
-      { s_wall = wall; s_minor = Gc.minor_words (); s_major = ma; s_events = p.total.a_events }
-
-let section_end s layer =
-  if s != none then
-    match !current with
-    | None -> ()
-    | Some p ->
-        let a = layer_acct p layer in
-        if p.total.a_events <> s.s_events then
-          (* An event boundary (suspension) was crossed between begin and
-             end: the deltas would include unrelated handlers.  Drop the
-             sample but account the drop. *)
-          a.a_discarded <- a.a_discarded +. 1.
-        else begin
-          let mi = Gc.minor_words () in
-          let ma = major_words () in
-          a.a_events <- a.a_events +. 1.;
-          a.a_wall <- a.a_wall +. (now_s () -. s.s_wall);
-          a.a_minor <- a.a_minor +. (mi -. s.s_minor);
-          a.a_major <- a.a_major +. (ma -. s.s_major)
-        end
 
 (* Hot-path counters: one option check when disabled. *)
 
@@ -143,15 +142,15 @@ let bump_packets n =
 let bump_pm_write () =
   match !current with None -> () | Some p -> p.pm_writes <- p.pm_writes + 1
 
-(* Report accessors. *)
+(* Report accessors: totals are sums over the role accounts. *)
 
-let events p = int_of_float p.total.a_events
+let sum p field = Hashtbl.fold (fun _ a acc -> acc +. field a) p.roles 0.
 
-let wall_total p = p.total.a_wall
+let events p = int_of_float (sum p (fun a -> a.a_slices))
 
-let minor_words p = p.total.a_minor
+let wall_total p = sum p (fun a -> a.a_wall)
 
-let major_words p = p.total.a_major
+let minor_words p = sum p (fun a -> a.a_minor)
 
 let wall_elapsed p = now_s () -. p.t0_wall
 
@@ -168,8 +167,6 @@ type layer_row = {
   l_events : int;
   l_wall : float;
   l_minor : float;
-  l_major : float;
-  l_discarded : int;
 }
 
 let layer_rows p =
@@ -177,12 +174,10 @@ let layer_rows p =
     (fun name a rows ->
       {
         l_name = name;
-        l_events = int_of_float a.a_events;
+        l_events = int_of_float a.a_slices;
         l_wall = a.a_wall;
         l_minor = a.a_minor;
-        l_major = a.a_major;
-        l_discarded = int_of_float a.a_discarded;
       }
       :: rows)
-    p.layers []
+    p.roles []
   |> List.sort (fun r1 r2 -> compare r2.l_wall r1.l_wall)

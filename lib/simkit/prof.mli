@@ -2,27 +2,30 @@
     allocation go while simulated time advances?
 
     A profiler installs dispatch hooks on one {!Sim.t} (see
-    {!Sim.set_dispatch_hooks}) and accumulates, per dispatched event,
-    wall-clock time and GC minor/major word deltas, plus the event-queue
-    depth high-water mark.  Layers (msgsys, fabric, diskio, pm, adp)
-    additionally bracket their non-blocking hot sections with
-    {!section_begin}/{!section_end} to attribute those costs by name.
+    {!Sim.set_dispatch_hooks}) and accumulates, per dispatched slice,
+    wall-clock time and minor-heap words allocated, plus the event-queue
+    depth high-water mark.
 
-    Sections must not span a suspension: with effect-based processes,
-    any blocking call returns control to the event loop, so a section
-    crossing it would absorb unrelated handlers.  The profiler detects
-    this deterministically — the dispatched-event count changed between
-    begin and end — and discards the sample, counting the discard.
+    One rule attributes every slice: it is charged to the {e role} of
+    its owner, the process it runs (a plain callback is owned by the
+    process whose slice scheduled it; see {!Sim}).  A role is the spawn
+    name without its [cpu<i>:] prefix and instance numbers, so
+    [cpu2:$ADP1:flusher] and [cpu3:$ADP2:flusher] share the row
+    [$ADP:flusher], and [$DP2-03:worker] is [$DP2:worker]; a callback
+    scheduled outside every process is charged to [toplevel].  The role
+    rows therefore sum to {!wall_total}, and with the loop's own time to
+    {!wall_elapsed}.  A layer's code (msgsys, fabric, PM client) is part
+    of whichever role called it.
 
     At most one profiler is installed process-wide at a time.  When none
     is installed every entry point here is a single check with no
-    allocation, so instrumentation can stay in hot code permanently.
+    allocation, so instrumentation can stay in hot code permanently; an
+    installed one allocates nothing per slice.
 
-    Determinism: event counts, section counts and minor-word deltas are
-    exact functions of the workload and seed, so tests can compare them
-    across identical runs — minor words from the second run in a process
-    on, since one-time lazy initialisation lands in the first.  Major/promoted words depend on minor-GC
-    timing and are reported but not comparable; wall times are
+    Determinism: slice counts and minor-word deltas are exact functions
+    of the workload and seed, so tests can compare them across identical
+    runs — minor words from the second run in a process on, since
+    one-time lazy initialisation lands in the first.  Wall times are
     measurement, never fed back into the simulation. *)
 
 type t
@@ -38,17 +41,7 @@ val uninstall : t -> unit
 
 val enabled : unit -> bool
 
-(** {1 Hot-path instrumentation} *)
-
-type section
-
-val section_begin : unit -> section
-(** Snapshot wall/alloc marks.  Returns a shared sentinel (no
-    allocation) when no profiler is installed. *)
-
-val section_end : section -> string -> unit
-(** Charge the deltas since [section_begin] to the named layer, or
-    discard the sample if an event boundary was crossed. *)
+(** {1 Hot-path counters} *)
 
 val bump_envelope : unit -> unit
 (** Count one msgsys envelope allocation. *)
@@ -62,14 +55,12 @@ val bump_pm_write : unit -> unit
 (** {1 Report} *)
 
 val events : t -> int
-(** Total events dispatched while installed. *)
+(** Total slices (events) dispatched while installed. *)
 
 val wall_total : t -> float
-(** Seconds spent inside event handlers (sum of per-event deltas). *)
+(** Seconds spent inside event handlers: the sum of the role rows. *)
 
 val minor_words : t -> float
-
-val major_words : t -> float
 
 val wall_elapsed : t -> float
 (** Seconds since {!install} — the denominator for events/sec. *)
@@ -83,16 +74,14 @@ val packet_count : t -> int
 val pm_write_count : t -> int
 
 type layer_row = {
-  l_name : string;
-  l_events : int;  (** completed sections *)
+  l_name : string;  (** the role *)
+  l_events : int;  (** slices charged to it *)
   l_wall : float;
   l_minor : float;
-  l_major : float;
-  l_discarded : int;  (** sections dropped for crossing an event boundary *)
 }
 
 val layer_rows : t -> layer_row list
-(** Per-layer attribution, sorted by descending wall time. *)
+(** One row per role, sorted by descending wall time. *)
 
 val now_s : unit -> float
 (** The profiler's wall clock ([Unix.gettimeofday]), exposed so

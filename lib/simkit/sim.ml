@@ -12,7 +12,11 @@ type proc = {
       (* the suspension the process waits in; its waker clears it *)
 }
 
-type hooks = { h_before : int -> unit; h_after : unit -> unit }
+type hooks = {
+  h_before : pid -> int -> unit;
+  h_after : unit -> unit;
+  mutable h_owner : pid;  (* owner of the slice running now; 0 between slices *)
+}
 
 (* The heap entry is the event: it leaves the heap when it fires or is
    cancelled, so the heap holds exactly the live events. *)
@@ -53,7 +57,7 @@ let create ?(seed = 0x5EEDL) ?(on_crash = `Raise) () =
   }
 
 let set_dispatch_hooks t ~before ~after =
-  t.hooks <- Some { h_before = before; h_after = after }
+  t.hooks <- Some { h_before = before; h_after = after; h_owner = 0 }
 
 let clear_dispatch_hooks t = t.hooks <- None
 
@@ -63,10 +67,23 @@ let now t = t.now
 
 let rng t = t.root_rng
 
-let schedule_event t ~time thunk =
+(* An event's tie-break [seq] also carries its owner, the pid its slice
+   is charged to (0: none).  The scheduling counter sits above 24 owner
+   bits, so equal times still fire in scheduling order and the owner
+   costs no allocation. *)
+let[@inline] owner_bits seq = seq land 0xFF_FFFF
+
+let push t ~owner ~time thunk =
   if time < t.now then invalid_arg "Sim: scheduling in the past";
   t.seq <- t.seq + 1;
-  Heap.push t.events ~key:time ~seq:t.seq thunk
+  Heap.push t.events ~key:time ~seq:((t.seq lsl 24) lor owner) thunk
+
+(* A process's own slice is charged to it; a plain callback is charged
+   to the slice that schedules it. *)
+let resume t p thunk = ignore (push t ~owner:p.pid ~time:t.now thunk : (unit -> unit) Heap.entry)
+
+let schedule_event t ~time thunk =
+  push t ~owner:(match t.hooks with None -> 0 | Some h -> h.h_owner) ~time thunk
 
 let schedule t ~time thunk = ignore (schedule_event t ~time thunk : (unit -> unit) Heap.entry)
 
@@ -115,7 +132,7 @@ let exec t p body =
                   let waker () =
                     if p.parked == parked then begin
                       p.parked <- None;
-                      schedule t ~time:t.now (fun () ->
+                      resume t p (fun () ->
                           if p.alive then continue k ()
                           else
                             (* The process was killed while parked: unwind
@@ -130,11 +147,12 @@ let exec t p body =
 
 let spawn t ~name body =
   let pid = t.next_pid in
+  if owner_bits pid <> pid then invalid_arg "Sim.spawn: pids exhausted";
   t.next_pid <- pid + 1;
   let p = { pid; pname = name; alive = true; reason = None; exit_hooks = []; parked = None } in
   Hashtbl.replace t.procs pid p;
   t.live <- t.live + 1;
-  schedule t ~time:t.now (fun () -> if p.alive then exec t p body);
+  resume t p (fun () -> if p.alive then exec t p body);
   pid
 
 let proc_exn t pid =
@@ -193,9 +211,11 @@ let run ?(until = max_int) t =
         match t.hooks with
         | None -> e.Heap.value ()
         | Some h ->
-            h.h_before (Heap.length t.events);
+            h.h_owner <- owner_bits e.Heap.seq;
+            h.h_before h.h_owner (Heap.length t.events);
             e.Heap.value ();
-            h.h_after ()
+            h.h_after ();
+            h.h_owner <- 0
       end
     end
   done

@@ -46,7 +46,8 @@ val at_time_cancel : t -> time:Time.t -> (unit -> unit) -> unit -> unit
 
 val spawn : t -> name:string -> (unit -> unit) -> pid
 (** Start a process.  Its body begins at the current simulated time, after
-    already-queued events for this instant. *)
+    already-queued events for this instant.  Raises [Invalid_argument]
+    past 2{^24}-1 processes in one simulation. *)
 
 val kill : t -> pid -> unit
 (** Terminate a process.  Exit hooks run immediately with {!Killed}; if
@@ -60,6 +61,8 @@ val on_exit : t -> pid -> (exit_reason -> unit) -> unit
 val is_alive : t -> pid -> bool
 
 val process_name : t -> pid -> string
+(** The [name] it was spawned with.  Raises [Invalid_argument] for a pid
+    no process of [t] has. *)
 
 val crashed : t -> (pid * string * exn) list
 (** Processes that died from uncaught exceptions (only populated with
@@ -90,14 +93,20 @@ val queue_depth : t -> int
 (** {1 Dispatch hooks}
 
     A profiler (see {!Prof}) can observe every event the loop executes.
-    [before] receives the queue depth after the event was popped;
-    [after] runs once the thunk returns (to completion or suspension —
-    with effect-based processes every blocking operation returns control
-    to the loop, so the pair brackets exactly one execution slice).
-    At most one hook pair is installed; installing replaces the previous
-    one.  The unhooked loop pays a single mutable-field check. *)
+    [before owner depth] receives the slice's owner and the queue depth
+    after the event was popped; [after] runs once the thunk returns (to
+    completion or suspension — with effect-based processes every
+    blocking operation returns control to the loop, so the pair brackets
+    exactly one execution slice).  The owner of a process's own slice
+    (its start, each resumption) is that process; a plain callback
+    ({!at}, a timeout) is owned by the owner of the slice that scheduled
+    it.  A callback scheduled outside every slice has an owner that names
+    no process: {!process_name} raises on it.  At most one hook pair is
+    installed; installing replaces the previous one.  The unhooked loop
+    pays a single mutable-field check per event, and scheduling a
+    callback one more. *)
 
-val set_dispatch_hooks : t -> before:(int -> unit) -> after:(unit -> unit) -> unit
+val set_dispatch_hooks : t -> before:(pid -> int -> unit) -> after:(unit -> unit) -> unit
 
 val clear_dispatch_hooks : t -> unit
 

@@ -119,11 +119,9 @@ let flusher t s ~epoch ~wakeup () =
     shed_expired t;
     while t.epoch = epoch && t.waiters <> [] && s.buffer <> [] do
       shed_expired t;
-      let sect = Prof.section_begin () in
       let batch = List.rev s.buffer in
       let last = match s.buffer with (asn, _) :: _ -> asn | [] -> s.durable in
       s.buffer <- [];
-      Prof.section_end sect "adp";
       Cpu.execute (current_cpu t) flush_cpu;
       let sp = Obs.start t.obs ~track:t.adp_name "adp.flush" in
       if not (Span.is_null sp) then
@@ -153,9 +151,6 @@ let handle t s req respond =
       if not (Span.is_null sp) then
         Span.annotate sp ~key:"records" (string_of_int (List.length records));
       Cpu.execute (current_cpu t) (List.length records * append_cpu);
-      (* Section opens after the CPU charge ([Cpu.execute] suspends) and
-         closes before the backend write does. *)
-      let sect = Prof.section_begin () in
       let stamped =
         List.map
           (fun r ->
@@ -166,7 +161,6 @@ let handle t s req respond =
       in
       t.appended <- t.appended + List.length stamped;
       let last_asn = match List.rev stamped with (asn, _) :: _ -> asn | [] -> s.durable in
-      Prof.section_end sect "adp";
       if Log_backend.synchronous t.backend then
         (* PM path: durable as soon as the RDMA write completes; nothing
            to checkpoint but the counters. *)

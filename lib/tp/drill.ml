@@ -1048,6 +1048,11 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?(recovery_pl
   Option.iter (fun p -> Prof.install p sim) prof;
   let out = ref (Error "drill: simulation did not complete") in
   let pf = fam.platform in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Prof.uninstall prof;
+      Sim.discard sim)
+  @@ fun () ->
   let (_ : Sim.pid) =
     Sim.spawn sim ~name:"drill-main" (fun () ->
         let p = pf.build sim obs in
@@ -1169,8 +1174,6 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?(recovery_pl
                 out := Ok (sections o core)))
   in
   Sim.run sim;
-  Option.iter Prof.uninstall prof;
-  Sim.discard sim;
   (!out, recorder)
 
 (* The one gate: judge a drill's report with the oracle and, when that

@@ -18,10 +18,13 @@ let simulate ?prof ~seed f =
   let sim = Sim.create ~seed () in
   Option.iter (fun p -> Prof.install p sim) prof;
   let out = ref None in
-  let (_ : Sim.pid) = Sim.spawn sim ~name:"main" (fun () -> out := Some (f sim)) in
-  Sim.run sim;
-  Option.iter Prof.uninstall prof;
-  Sim.discard sim;
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Prof.uninstall prof;
+      Sim.discard sim)
+    (fun () ->
+      let (_ : Sim.pid) = Sim.spawn sim ~name:"main" (fun () -> out := Some (f sim)) in
+      Sim.run sim);
   match !out with
   | Some v -> v
   | None -> failwith "Figures.simulate: the simulation ended before its main process returned"

@@ -2,21 +2,11 @@ open Simkit
 
 let schema = "odsbench-perf"
 
-let schema_version = 1
+let schema_version = 2
 
 let cell_seed = 0xF19L
 
 let drill_seed = 0xD5177L
-
-type layer_share = {
-  ls_layer : string;
-  ls_events : int;
-  ls_wall_s : float;
-  ls_wall_share : float;
-  ls_minor_words : float;
-  ls_major_words : float;
-  ls_discarded : int;
-}
 
 type run_report = {
   r_name : string;
@@ -27,16 +17,14 @@ type run_report = {
   r_events_per_sec : float;
   r_wall_ms_per_sim_s : float;
   r_minor_words : float;
-  r_major_words : float;
   r_minor_words_per_event : float;
   r_heap_depth_hwm : int;
   r_envelopes : int;
   r_packets : int;
   r_pm_writes : int;
   r_committed : int;
-  r_layers : layer_share list;
+  r_roles : Prof.layer_row list;
   r_loop_wall_s : float;
-  r_unattributed_wall_s : float;
 }
 
 type overhead = {
@@ -64,23 +52,7 @@ let profiled ~name ~seed f =
   let sim_elapsed, committed = f p in
   let wall = Prof.wall_elapsed p in
   let events = Prof.events p in
-  let handler_wall = Prof.wall_total p in
   let sim_s = Time.to_sec sim_elapsed in
-  let layers =
-    List.map
-      (fun (r : Prof.layer_row) ->
-        {
-          ls_layer = r.Prof.l_name;
-          ls_events = r.Prof.l_events;
-          ls_wall_s = r.Prof.l_wall;
-          ls_wall_share =
-            (if handler_wall > 0.0 then r.Prof.l_wall /. handler_wall else 0.0);
-          ls_minor_words = r.Prof.l_minor;
-          ls_major_words = r.Prof.l_major;
-          ls_discarded = r.Prof.l_discarded;
-        })
-      (Prof.layer_rows p)
-  in
   {
     r_name = name;
     r_seed = seed;
@@ -90,7 +62,6 @@ let profiled ~name ~seed f =
     r_events_per_sec = (if wall > 0.0 then float_of_int events /. wall else 0.0);
     r_wall_ms_per_sim_s = (if sim_s > 0.0 then wall *. 1e3 /. sim_s else 0.0);
     r_minor_words = Prof.minor_words p;
-    r_major_words = Prof.major_words p;
     r_minor_words_per_event =
       (if events > 0 then Prof.minor_words p /. float_of_int events else 0.0);
     r_heap_depth_hwm = Prof.heap_depth_hwm p;
@@ -98,11 +69,10 @@ let profiled ~name ~seed f =
     r_packets = Prof.packet_count p;
     r_pm_writes = Prof.pm_write_count p;
     r_committed = committed;
-    r_layers = layers;
-    (* With the sections these two rows sum to the elapsed wall time. *)
-    r_loop_wall_s = wall -. handler_wall;
-    r_unattributed_wall_s =
-      handler_wall -. List.fold_left (fun acc l -> acc +. l.ls_wall_s) 0.0 layers;
+    r_roles = Prof.layer_rows p;
+    (* The role rows sum to [Prof.wall_total], so with the loop's own
+       time they sum to the elapsed wall time. *)
+    r_loop_wall_s = wall -. Prof.wall_total p;
   }
 
 let hot_stock_run ~records ~mode ~drivers prof =
@@ -122,7 +92,9 @@ let drill_run prof =
 
 (* Enabled-vs-disabled telemetry cost, measured around the run rather
    than from inside it: the profiler's own hooks are part of the cost
-   being compared, so neither arm installs one.  Both arms must agree on
+   being compared, so neither arm installs one.  The enabled arm streams
+   spans into a critical-path analyzer and keeps no record, as the traced
+   commands and the benchmark's tracer do.  Both arms must agree on
    simulated time and committed count — telemetry that changes results
    is a bug this report would surface. *)
 let measure_overhead ~records =
@@ -150,7 +122,7 @@ let measure_overhead ~records =
       Obs.set_level Obs.Spans;
       let obs = Obs.create () in
       Span.enable (Obs.spans obs);
-      Span.retain (Obs.spans obs);
+      Critpath.attach (Critpath.create ()) (Obs.spans obs);
       let on, enabled_wall, enabled_minor = run_with (`Enabled obs) in
       Obs.set_level Obs.Off;
       let off, disabled_wall, disabled_minor = run_with `Disabled in
@@ -189,16 +161,16 @@ let run ?(records = 300) () =
 
 (* --- JSON --- *)
 
-let layer_json l =
+let wall_share r secs = if r.r_wall_s > 0.0 then secs /. r.r_wall_s else 0.0
+
+let role_json r (l : Prof.layer_row) =
   Json.Obj
     [
-      ("layer", Json.String l.ls_layer);
-      ("events", Json.Int l.ls_events);
-      ("wall_s", Json.Float l.ls_wall_s);
-      ("wall_share", Json.Float l.ls_wall_share);
-      ("minor_words", Json.Float l.ls_minor_words);
-      ("major_words", Json.Float l.ls_major_words);
-      ("discarded", Json.Int l.ls_discarded);
+      ("role", Json.String l.Prof.l_name);
+      ("slices", Json.Int l.Prof.l_events);
+      ("wall_s", Json.Float l.Prof.l_wall);
+      ("wall_share", Json.Float (wall_share r l.Prof.l_wall));
+      ("minor_words", Json.Float l.Prof.l_minor);
     ]
 
 let run_json r =
@@ -212,7 +184,6 @@ let run_json r =
       ("events_per_sec", Json.Float r.r_events_per_sec);
       ("wall_ms_per_sim_s", Json.Float r.r_wall_ms_per_sim_s);
       ("minor_words", Json.Float r.r_minor_words);
-      ("major_words", Json.Float r.r_major_words);
       ("minor_words_per_event", Json.Float r.r_minor_words_per_event);
       ("heap_depth_hwm", Json.Int r.r_heap_depth_hwm);
       ( "alloc_counters",
@@ -223,9 +194,8 @@ let run_json r =
             ("pm_writes", Json.Int r.r_pm_writes);
           ] );
       ("committed", Json.Int r.r_committed);
-      ("layers", Json.List (List.map layer_json r.r_layers));
+      ("roles", Json.List (List.map (role_json r) r.r_roles));
       ("loop_wall_s", Json.Float r.r_loop_wall_s);
-      ("unattributed_wall_s", Json.Float r.r_unattributed_wall_s);
     ]
 
 let overhead_json o =

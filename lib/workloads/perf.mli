@@ -4,11 +4,13 @@ open Simkit
     workload matrix run under {!Simkit.Prof}, reported as the
     schema-versioned [BENCH_*.json] trajectory committed to [bench/].
 
-    Wall-clock numbers vary with the host; {e event counts}, section
-    counts and minor-word totals are exact functions of workload + seed,
-    so repeated runs on any machine agree on them bit-for-bit.  CI
-    compares [events_per_sec] against the committed baseline and fails
-    on a configurable regression. *)
+    Each run reports one row per process role ({!Simkit.Prof}'s
+    attribution rule) plus the loop's own time, which together sum to
+    the run's wall time.  Wall-clock numbers vary with the host; {e event
+    counts}, slice counts and minor-word totals are exact functions of
+    workload + seed, so repeated runs on any machine agree on them
+    bit-for-bit.  CI compares [events_per_sec] against the committed
+    baseline and fails on a configurable regression. *)
 
 val schema : string
 (** ["odsbench-perf"]. *)
@@ -19,16 +21,6 @@ val workload_names : string list
 (** The matrix, in run order: ["hot-stock-disk"], ["hot-stock-pm"],
     ["drill-pm"], ["fig1-cell"]. *)
 
-type layer_share = {
-  ls_layer : string;
-  ls_events : int;  (** completed profiler sections *)
-  ls_wall_s : float;
-  ls_wall_share : float;  (** of total handler wall time *)
-  ls_minor_words : float;
-  ls_major_words : float;
-  ls_discarded : int;
-}
-
 type run_report = {
   r_name : string;
   r_seed : int64;
@@ -38,25 +30,24 @@ type run_report = {
   r_events_per_sec : float;
   r_wall_ms_per_sim_s : float;
   r_minor_words : float;
-  r_major_words : float;
   r_minor_words_per_event : float;
   r_heap_depth_hwm : int;
   r_envelopes : int;  (** msgsys envelope allocations *)
   r_packets : int;  (** fabric packets transferred *)
   r_pm_writes : int;  (** PM client writes issued *)
   r_committed : int;  (** result invariance check across trajectory points *)
-  r_layers : layer_share list;
+  r_roles : Prof.layer_row list;  (** their slices sum to [r_events] *)
   r_loop_wall_s : float;
       (** {!Prof.wall_elapsed} minus {!Prof.wall_total}: time outside
-          every handler — heap pops and the dispatch hooks *)
-  r_unattributed_wall_s : float;
-      (** handler wall time outside every layer section; with
-          [r_layers] and [r_loop_wall_s] it sums to [r_wall_s] *)
+          every handler — heap pops and the dispatch hooks; with
+          [r_roles] it sums to [r_wall_s] *)
 }
 
 type overhead = {
   o_workload : string;
-  o_enabled_wall_s : float;  (** obs attached, spans enabled *)
+  o_enabled_wall_s : float;
+      (** obs attached, spans streamed into a {!Critpath} analyzer and
+          not retained *)
   o_disabled_wall_s : float;  (** no obs, {!Obs.level} [Off] *)
   o_overhead_pct : float;
   o_enabled_minor_words : float;
@@ -73,8 +64,12 @@ val run : ?records:int -> unit -> report
     cells ([records_per_driver]); the drill always runs at
     {!Tp.Drill.default_params} scale so its fault-plan offsets stay
     valid.  Finishes with the telemetry-overhead pair: the same PM cell
-    with spans enabled vs everything {!Obs.Off}, measured without a
-    profiler installed so the comparison is of the telemetry alone. *)
+    with spans streamed into a critical-path analyzer vs everything
+    {!Obs.Off}, measured without a profiler installed so the comparison
+    is of the telemetry alone. *)
+
+val wall_share : run_report -> float -> float
+(** [wall_share r secs]: [secs] as a share of the run's elapsed wall. *)
 
 val to_json : report -> Json.t
 (** The schema-versioned document written to [bench/BENCH_N.json]. *)

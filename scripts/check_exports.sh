@@ -12,12 +12,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Kept on purpose: Sim.process_name for charging wall time to the
-# process that spent it (ROADMAP item 4), and the Pm_kv, Pm_index and
-# Pm_queue APIs for the workload axis (ROADMAP item 7).
+# Kept on purpose: the Pm_kv, Pm_index and Pm_queue APIs for the
+# workload axis (ROADMAP item 7).
 allowed() {
   case "$1" in
-    Sim.process_name | Pm_kv.* | Pm_index.* | Pm_queue.*) return 0 ;;
+    Pm_kv.* | Pm_index.* | Pm_queue.*) return 0 ;;
     *) return 1 ;;
   esac
 }

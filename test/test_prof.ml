@@ -20,7 +20,7 @@ let test_dispatch_hooks () =
   let sim = Sim.create ~seed:1L () in
   let befores = ref 0 and afters = ref 0 and depth_hwm = ref 0 in
   Sim.set_dispatch_hooks sim
-    ~before:(fun depth ->
+    ~before:(fun _owner depth ->
       incr befores;
       if depth > !depth_hwm then depth_hwm := depth)
     ~after:(fun () -> incr afters);
@@ -43,43 +43,45 @@ let test_dispatch_hooks () =
   Sim.run sim;
   check_int "cleared hooks silent" b !befores
 
-(* --- sections: attribution and the suspension guard --- *)
+(* --- the attribution rule: every slice charged to its owner's role --- *)
 
-let test_prof_sections () =
+let test_prof_roles () =
   let sim = Sim.create ~seed:2L () in
   let p = Prof.create () in
   Prof.install p sim;
+  (* Scheduled outside every process: one [toplevel] slice. *)
+  Sim.at sim ~after:(Time.ms 5) (fun () -> ());
+  (* Two instances of one role: a start slice each, and the sleeper adds
+     its timer callback and its resumption. *)
   let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"worker" (fun () ->
-        (* Clean section: begins and ends inside one dispatch slice. *)
-        let s = Prof.section_begin () in
-        Sys.opaque_identity (String.make 64 'x') |> ignore;
-        Prof.section_end s "clean";
-        (* Poisoned section: crosses a suspension, must be discarded. *)
-        let s = Prof.section_begin () in
-        Sim.sleep (Time.ms 1);
-        Prof.section_end s "torn")
+    Sim.spawn sim ~name:"cpu0:$ADP0:flusher" (fun () -> Sim.sleep (Time.ms 1))
+  in
+  let (_ : Sim.pid) = Sim.spawn sim ~name:"cpu3:$ADP1:flusher" (fun () -> ()) in
+  (* A callback runs after its scheduler has ended and is still charged
+     to it, as is the allocation inside it. *)
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"cpu1:$DP2-03:worker" (fun () ->
+        Sim.at sim ~after:(Time.ms 2) (fun () ->
+            Sys.opaque_identity (String.make 64 'x') |> ignore))
   in
   Sim.run sim;
   Prof.uninstall p;
-  check_bool "events counted" true (Prof.events p > 0);
-  let row name =
-    match List.find_opt (fun r -> r.Prof.l_name = name) (Prof.layer_rows p) with
-    | Some r -> r
-    | None -> Alcotest.fail ("no row for " ^ name)
-  in
-  let clean = row "clean" in
-  check_int "clean counted" 1 clean.Prof.l_events;
-  check_int "clean kept" 0 clean.Prof.l_discarded;
-  check_bool "clean saw the allocation" true (clean.Prof.l_minor > 0.0);
-  let torn = row "torn" in
-  check_int "torn not charged" 0 torn.Prof.l_events;
-  check_int "torn discarded" 1 torn.Prof.l_discarded;
-  (* With the profiler uninstalled the entry points are inert. *)
+  Alcotest.(check (list (pair string int)))
+    "role rows and slices"
+    [ ("$ADP:flusher", 4); ("$DP2:worker", 2); ("toplevel", 1) ]
+    (List.sort compare (List.map (fun r -> (r.Prof.l_name, r.Prof.l_events)) (Prof.layer_rows p)));
+  check_int "slices sum to events" (Prof.events p)
+    (List.fold_left (fun n r -> n + r.Prof.l_events) 0 (Prof.layer_rows p));
+  Alcotest.(check (float 1e-12))
+    "rows sum to handler wall" (Prof.wall_total p)
+    (List.fold_left (fun acc r -> acc +. r.Prof.l_wall) 0.0 (Prof.layer_rows p));
+  let dp2 = List.find (fun r -> r.Prof.l_name = "$DP2:worker") (Prof.layer_rows p) in
+  check_bool "callback allocation charged to its scheduler" true (dp2.Prof.l_minor >= 9.0);
+  (* Uninstalled, the simulation runs on unobserved. *)
   check_bool "uninstalled" true (not (Prof.enabled ()));
-  let s = Prof.section_begin () in
-  Prof.section_end s "clean";
-  check_int "no new sections" 1 (row "clean").Prof.l_events
+  Sim.at sim ~after:(Time.ms 1) (fun () -> ());
+  Sim.run sim;
+  check_int "no new slices" 7 (Prof.events p)
 
 let test_prof_single_install () =
   let sim = Sim.create ~seed:3L () in
@@ -91,6 +93,21 @@ let test_prof_single_install () =
       match Prof.install (Prof.create ()) sim with
       | () -> Alcotest.fail "second install must raise"
       | exception Invalid_argument _ -> ())
+
+(* A run that raises must not leave its profiler installed: a PM cell
+   with no inserts per transaction raises inside the simulation. *)
+let test_prof_released_on_raise () =
+  let p = Prof.create () in
+  (match
+     Figures.run_cell ~prof:p ~mode:Tp.System.Pm_audit ~drivers:1 ~inserts_per_txn:0
+       ~records_per_driver:8 ()
+   with
+  | _ -> Alcotest.fail "an empty transaction must raise"
+  | exception Invalid_argument _ -> ());
+  check_bool "uninstalled after the raise" false (Prof.enabled ());
+  let q = Prof.create () in
+  Prof.install q (Sim.create ());
+  Prof.uninstall q
 
 (* --- determinism: identical seeded runs agree bit-for-bit --- *)
 
@@ -122,18 +139,18 @@ let test_prof_deterministic () =
   check_int "envelopes equal" (Prof.envelope_count a) (Prof.envelope_count b);
   check_int "packets equal" (Prof.packet_count a) (Prof.packet_count b);
   check_int "pm writes equal" (Prof.pm_write_count a) (Prof.pm_write_count b);
-  check_bool "pm cell has sections" true (Prof.layer_rows a <> []);
+  check_bool "pm cell has role rows" true (Prof.layer_rows a <> []);
+  let by_name rows = List.sort (fun r1 r2 -> compare r1.Prof.l_name r2.Prof.l_name) rows in
   List.iter2
     (fun (ra : Prof.layer_row) (rb : Prof.layer_row) ->
-      check_string "layer name" ra.Prof.l_name rb.Prof.l_name;
-      check_int ("sections " ^ ra.Prof.l_name) ra.Prof.l_events rb.Prof.l_events;
-      check_int ("discards " ^ ra.Prof.l_name) ra.Prof.l_discarded rb.Prof.l_discarded;
+      check_string "role" ra.Prof.l_name rb.Prof.l_name;
+      check_int ("slices " ^ ra.Prof.l_name) ra.Prof.l_events rb.Prof.l_events;
       check_bool
         ("minor words " ^ ra.Prof.l_name)
         true
         (ra.Prof.l_minor = rb.Prof.l_minor))
-    (List.sort compare (Prof.layer_rows a))
-    (List.sort compare (Prof.layer_rows b))
+    (by_name (Prof.layer_rows a))
+    (by_name (Prof.layer_rows b))
 
 (* --- the zero-cost disabled path --- *)
 
@@ -147,11 +164,9 @@ let test_disabled_path_allocates_nothing () =
   Gc.full_major ();
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    let s = Prof.section_begin () in
     Prof.bump_envelope ();
     Prof.bump_packets 3;
     Prof.bump_pm_write ();
-    Prof.section_end s "hot";
     let sp = Span.start span_collector ~track:"main" "op" in
     Span.annotate sp ~key:"k" "v";
     Span.finish span_collector sp
@@ -207,29 +222,33 @@ let test_perf_report_roundtrip () =
       check_bool "events > 0" true (int_field "events" > 0);
       check_bool "events_per_sec > 0" true (float_field "events_per_sec" > 0.0);
       check_bool "committed > 0" true (int_field "committed" > 0);
-      let layers = Option.get (Json.to_list_opt (mem "layers" w)) in
-      check_bool "layers present" true (layers <> []);
-      (* Sections, unattributed handler time and the loop's own time
-         account for every elapsed wall-second. *)
-      let sections =
-        List.fold_left (fun acc l -> acc +. Option.get (Json.to_float_opt (mem "wall_s" l))) 0.0 layers
+      check_bool "no unattributed row" true (Json.member "unattributed_wall_s" w = None);
+      let roles = Option.get (Json.to_list_opt (mem "roles" w)) in
+      check_bool "roles present" true (roles <> []);
+      (* Role rows and the loop's own time account for every elapsed
+         wall-second, and every dispatched slice is in one row. *)
+      let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 roles in
+      let slices = sum (fun r -> float_of_int (Option.get (Json.to_int_opt (mem "slices" r))))
       in
+      check_int "slices sum to events" (int_field "events") (int_of_float slices);
       check_bool "loop time non-negative" true (float_field "loop_wall_s" >= 0.0);
       Alcotest.(check (float 1e-9))
         "rows sum to elapsed wall" (float_field "wall_s")
-        (sections +. float_field "unattributed_wall_s" +. float_field "loop_wall_s"))
+        (sum (fun r -> Option.get (Json.to_float_opt (mem "wall_s" r)))
+        +. float_field "loop_wall_s"))
     workloads;
-  (* The PM cell must attribute time to the fabric hot path. *)
+  (* The PM cell's commit path runs in the ADP and DP2 processes. *)
   let pm =
     List.find (fun w -> Json.to_string_opt (mem "name" w) = Some "hot-stock-pm") workloads
   in
-  let layer_names =
+  let role_names =
     List.map
-      (fun l -> Option.get (Json.to_string_opt (mem "layer" l)))
-      (Option.get (Json.to_list_opt (mem "layers" pm)))
+      (fun r -> Option.get (Json.to_string_opt (mem "role" r)))
+      (Option.get (Json.to_list_opt (mem "roles" pm)))
   in
-  check_bool "fabric attributed" true (List.mem "fabric" layer_names);
-  check_bool "pm attributed" true (List.mem "pm" layer_names);
+  let has prefix = List.exists (String.starts_with ~prefix) role_names in
+  check_bool "ADP rows" true (has "$ADP:");
+  check_bool "DP2 rows" true (has "$DP2:");
   (* Telemetry must not change simulated results. *)
   let o = mem "telemetry_overhead" parsed in
   check_bool "sim elapsed unchanged" true
@@ -291,8 +310,9 @@ let suite =
     ( "prof",
       [
         Alcotest.test_case "dispatch hooks" `Quick test_dispatch_hooks;
-        Alcotest.test_case "sections + suspension guard" `Quick test_prof_sections;
+        Alcotest.test_case "role attribution" `Quick test_prof_roles;
         Alcotest.test_case "single install" `Quick test_prof_single_install;
+        Alcotest.test_case "raising run uninstalls" `Quick test_prof_released_on_raise;
         Alcotest.test_case "deterministic across runs" `Quick test_prof_deterministic;
         Alcotest.test_case "disabled path allocates nothing" `Quick
           test_disabled_path_allocates_nothing;
