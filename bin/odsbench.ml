@@ -824,13 +824,14 @@ let perf_text (r : Perf.report) =
   Printf.printf "perf: self-profiled workload matrix (%d records/driver, schema v%d)\n"
     r.Perf.p_records Perf.schema_version;
   hr ();
-  Printf.printf "%-15s %10s %11s %14s %11s %9s\n" "workload" "events" "events/s"
-    "wall ms/sim s" "minor w/ev" "heap hwm";
+  Printf.printf "%-15s %10s %11s %14s %11s %9s %10s %12s\n" "workload" "events" "events/s"
+    "wall ms/sim s" "minor w/ev" "heap hwm" "ev/commit" "words/commit";
   List.iter
     (fun (w : Perf.run_report) ->
-      Printf.printf "%-15s %10d %11.0f %14.2f %11.1f %9d\n" w.Perf.r_name w.Perf.r_events
-        w.Perf.r_events_per_sec w.Perf.r_wall_ms_per_sim_s w.Perf.r_minor_words_per_event
-        w.Perf.r_heap_depth_hwm)
+      Printf.printf "%-15s %10d %11.0f %14.2f %11.1f %9d %10.1f %12.0f\n" w.Perf.r_name
+        w.Perf.r_events w.Perf.r_events_per_sec w.Perf.r_wall_ms_per_sim_s
+        w.Perf.r_minor_words_per_event w.Perf.r_heap_depth_hwm w.Perf.r_events_per_commit
+        w.Perf.r_minor_words_per_commit)
     r.Perf.p_runs;
   hr ();
   List.iter

@@ -17,8 +17,8 @@ type ('live, 'shadow, 'ckpt) t = {
   mutable primary : Cpu.t;
   mutable backup : Cpu.t option;
   mutable primary_pid : Sim.pid option;
-  mutable applier_pid : Sim.pid option;
-  ckpt_chan : ('ckpt * unit Ivar.t) Mailbox.t;
+  mutable applying : bool;  (** the backup side is alive to apply checkpoints *)
+  pending : ('ckpt * unit Ivar.t) Queue.t;  (** shipped, not yet applied *)
   mutable halted : bool;
   mutable takeovers : int;
   mutable outage : Time.span;
@@ -29,6 +29,22 @@ type ('live, 'shadow, 'ckpt) t = {
 let sim t = Cpu.sim t.primary
 
 let kill t = function Some pid when Sim.is_alive (sim t) pid -> Sim.kill (sim t) pid | _ -> ()
+
+(* The backup applies checkpoints in a zero-delay callback, queued when
+   the first shipped checkpoint finds the queue empty: the callback
+   applies every checkpoint queued by then and acknowledges each, in
+   order.  A backup that has died (promotion, [halt], its CPU's failure)
+   drops what is queued and never acknowledges it. *)
+let drain t =
+  while not (Queue.is_empty t.pending) do
+    let ckpt, ack = Queue.pop t.pending in
+    t.shadow <- t.apply t.shadow ckpt;
+    Ivar.fill ack ()
+  done
+
+let stop_applying t =
+  t.applying <- false;
+  Queue.clear t.pending
 
 let rec spawn_primary t =
   let pid =
@@ -44,12 +60,11 @@ and primary_died t =
         let died_at = Sim.now (sim t) in
         Sim.at (sim t) ~after:t.cfg.takeover_delay (fun () ->
             if (not t.halted) && Cpu.is_up backup_cpu then begin
-              (* Promote: the applier stops, the dead primary's
-                 uncheckpointed state goes with it, the port moves
-                 (failing its outstanding callers), and the serve loop
-                 restarts against the checkpoint-built shadow. *)
-              kill t t.applier_pid;
-              t.applier_pid <- None;
+              (* Promote: the backup stops applying, the dead
+                 primary's uncheckpointed state goes with it, the port
+                 moves (failing its outstanding callers), and the serve
+                 loop restarts against the checkpoint-built shadow. *)
+              stop_applying t;
               t.primary <- backup_cpu;
               t.backup <- None;
               t.takeovers <- t.takeovers + 1;
@@ -62,13 +77,6 @@ and primary_died t =
             else t.halted <- true)
     | _ -> t.halted <- true
   end
-
-let applier_loop t () =
-  while true do
-    let ckpt, ack = Mailbox.recv t.ckpt_chan in
-    t.shadow <- t.apply t.shadow ckpt;
-    Ivar.fill ack ()
-  done
 
 let create ~fabric ~name ~primary ~backup ?(config = default_config) ~port ~shadow ~apply () =
   {
@@ -84,8 +92,8 @@ let create ~fabric ~name ~primary ~backup ?(config = default_config) ~port ~shad
     primary;
     backup = Some backup;
     primary_pid = None;
-    applier_pid = None;
-    ckpt_chan = Mailbox.create ();
+    applying = false;
+    pending = Queue.create ();
     halted = false;
     takeovers = 0;
     outage = 0;
@@ -103,7 +111,8 @@ let start t ~adopt ?(on_takeover = ignore) serve =
   spawn_primary t;
   Option.iter
     (fun backup ->
-      t.applier_pid <- Some (Cpu.spawn backup ~name:(t.pp_name ^ ":backup") (applier_loop t)))
+      t.applying <- Cpu.is_up backup;
+      Cpu.on_failure backup (fun () -> stop_applying t))
     t.backup
 
 let view t = match t.live with Some s -> s | None -> t.shadow
@@ -123,7 +132,10 @@ let checkpoint t ?(bytes = 256) ckpt =
     Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes);
     if backup_alive t then begin
       let ack = Ivar.create () in
-      Mailbox.send t.ckpt_chan (ckpt, ack);
+      if t.applying then begin
+        Queue.push (ckpt, ack) t.pending;
+        if Queue.length t.pending = 1 then Sim.at (sim t) ~after:0 (fun () -> drain t)
+      end;
       (* ... and wait for the backup to acknowledge before externalizing. *)
       match Ivar.read_timeout ack t.cfg.takeover_delay with
       | Some () -> Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes:t.cfg.ack_bytes)
@@ -150,4 +162,4 @@ let kill_primary t = kill t t.primary_pid
 let halt t =
   t.halted <- true;
   kill t t.primary_pid;
-  kill t t.applier_pid
+  stop_applying t

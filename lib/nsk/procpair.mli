@@ -2,8 +2,8 @@ open Simkit
 
 (** NonStop process pairs (Gray, TR-85.7).
 
-    A pair runs a primary serve loop on one CPU and a checkpoint applier
-    on another, and owns the fault model every component shares: the
+    A pair runs a primary serve loop on one CPU, backed by a shadow on
+    another, and owns the fault model every component shares: the
     primary serves from its {e live} state; before externalizing a
     change it {!checkpoint}s the delta, which the backup folds into its
     {e shadow} state.  When the primary dies — process crash or CPU
@@ -16,7 +16,15 @@ open Simkit
     serves exactly what the checkpoints built.
 
     ['live] is the primary's state, ['shadow] the backup's (the same
-    type for most components) and ['ckpt] the checkpoint record. *)
+    type for most components) and ['ckpt] the checkpoint record.
+
+    The backup is not a process.  {!checkpoint} queues the checkpoint
+    with its acknowledgement; the first one queued schedules one
+    zero-delay drain that applies every queued checkpoint and
+    acknowledges each, in order.  The drain is charged to the process
+    that checkpointed.  The backup is alive until promotion, {!halt} or
+    its CPU's failure: a checkpoint still queued then is never applied
+    or acknowledged. *)
 
 type ('live, 'shadow, 'ckpt) t
 
@@ -44,7 +52,7 @@ val create :
 (** A pair that has not started: nothing runs until {!start}, so the
     component record can hold the pair before its serve loop exists.
     [port] is moved to the backup CPU at promotion.  [apply] folds each
-    checkpoint into the shadow, in the backup applier. *)
+    checkpoint into the shadow, in the backup's drain. *)
 
 val start :
   ('live, 'shadow, 'ckpt) t ->
@@ -52,8 +60,8 @@ val start :
   ?on_takeover:(unit -> unit) ->
   ('live -> unit) ->
   unit
-(** Spawn the serve loop on the primary, then the applier on the backup.
-    Every serve incarnation (boot and takeover) first builds the live
+(** Spawn the serve loop on the primary and arm the backup (its
+    liveness follows its CPU from here on).  Every serve incarnation (boot and takeover) first builds the live
     state from the shadow with [adopt], in process context, and is
     handed it; it is re-spawned on the surviving CPU after a takeover.
     [on_takeover] runs during promotion, after the port move and before
@@ -73,7 +81,9 @@ val shadow : ('live, 'shadow, 'ckpt) t -> 'shadow
 val checkpoint : ('live, 'shadow, 'ckpt) t -> ?bytes:int -> 'ckpt -> unit
 (** Ship a checkpoint to the backup and wait for its acknowledgement
     ([bytes], default 256, drives wire time).  Degrades to a no-op when
-    no backup is alive.  Must be called from the primary (process
+    no backup CPU is up.  If the backup dies with the checkpoint
+    unapplied, no acknowledgement comes and the caller goes on after
+    [takeover_delay].  Must be called from the primary (process
     context). *)
 
 val primary_cpu : ('live, 'shadow, 'ckpt) t -> Cpu.t
@@ -99,4 +109,5 @@ val kill_primary : ('live, 'shadow, 'ckpt) t -> unit
     promotes the backup as for any failure). *)
 
 val halt : ('live, 'shadow, 'ckpt) t -> unit
-(** Tear the pair down deliberately (kills both sides, no takeover). *)
+(** Tear the pair down deliberately (kills the primary, stops the
+    backup, no takeover). *)

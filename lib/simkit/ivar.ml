@@ -28,26 +28,16 @@ let rec read t =
       Sim.suspend (fun waker -> t.waiters <- waker :: t.waiters);
       read t
 
+(* Only a fill wakes a reader and an ivar never empties, so whichever
+   side won, the value is the answer.  A deadline that fired first leaves
+   its spent waker behind; retract it. *)
 let read_timeout t span =
-  let sim = Sim.current () in
-  let deadline = Sim.now sim + span in
-  let rec loop () =
-    match t.value with
-    | Some v -> Some v
-    | None ->
-        if Sim.now sim >= deadline then None
-        else begin
-          let cancel = ref ignore in
-          let me = ref ignore in
-          Sim.suspend (fun waker ->
-              me := waker;
-              t.waiters <- waker :: t.waiters;
-              cancel := Sim.at_time_cancel sim ~time:deadline waker);
-          (* Whichever side woke us, retire the other: drop the deadline
-             event from the heap and our spent waker from the list. *)
-          !cancel ();
-          t.waiters <- List.filter (fun w -> w != !me) t.waiters;
-          loop ()
-        end
-  in
-  loop ()
+  match t.value with
+  | Some _ as v -> v
+  | None when span <= 0 -> None
+  | None -> (
+      match Sim.suspend_for span (fun waker -> t.waiters <- waker :: t.waiters) with
+      | Sim.Woken _ -> t.value
+      | Sim.Timed_out waker ->
+          t.waiters <- List.filter (fun w -> w != waker) t.waiters;
+          t.value)

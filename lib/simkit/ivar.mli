@@ -22,4 +22,9 @@ val read : 'a t -> 'a
     process context. *)
 
 val read_timeout : 'a t -> Time.span -> 'a option
-(** Like {!read} but gives up after the given span, returning [None]. *)
+(** Like {!read} but gives up after the given span, returning [None].
+    One {!Sim.suspend_for}: a fill wakes the reader and removes the
+    deadline from the queue at once; a deadline that fires first
+    retracts the reader's waker, so nothing of the wait is left behind
+    either way.  A fill at the deadline's own instant still wins if it
+    lands before the reader resumes. *)

@@ -22,26 +22,16 @@ let rec recv t =
       Sim.suspend (fun waker -> t.waiters <- waker :: t.waiters);
       recv t
 
-let recv_timeout t span =
-  let sim = Sim.current () in
-  let deadline = Sim.now sim + span in
-  let rec loop () =
-    match Queue.take_opt t.q with
-    | Some v -> Some v
-    | None ->
-        if Sim.now sim >= deadline then None
-        else begin
-          let cancel = ref ignore in
-          let me = ref ignore in
-          Sim.suspend (fun waker ->
-              me := waker;
-              t.waiters <- waker :: t.waiters;
-              cancel := Sim.at_time_cancel sim ~time:deadline waker);
-          (* Whichever side woke us, retire the other: drop the deadline
-             event from the heap and our spent waker from the list. *)
-          !cancel ();
-          t.waiters <- List.filter (fun w -> w != !me) t.waiters;
-          loop ()
-        end
-  in
-  loop ()
+(* A wake-up does not promise a message (another receiver may take it
+   first), so a woken receiver waits again for the time it has left.  A
+   deadline that fired first leaves its spent waker behind; retract it. *)
+let rec recv_timeout t span =
+  match Queue.take_opt t.q with
+  | Some _ as v -> v
+  | None when span <= 0 -> None
+  | None -> (
+      match Sim.suspend_for span (fun waker -> t.waiters <- waker :: t.waiters) with
+      | Sim.Woken left -> recv_timeout t left
+      | Sim.Timed_out waker ->
+          t.waiters <- List.filter (fun w -> w != waker) t.waiters;
+          Queue.take_opt t.q)

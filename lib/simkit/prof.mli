@@ -8,7 +8,10 @@
 
     One rule attributes every slice: it is charged to the {e role} of
     its owner, the process it runs (a plain callback is owned by the
-    process whose slice scheduled it; see {!Sim}).  A role is the spawn
+    process whose slice scheduled it; see {!Sim}).  A timer that resumes
+    its process in place is one slice of that process, and a
+    process-pair checkpoint drain is charged to the role that
+    checkpointed, so backups have no row.  A role is the spawn
     name without its [cpu<i>:] prefix and instance numbers, so
     [cpu2:$ADP1:flusher] and [cpu3:$ADP2:flusher] share the row
     [$ADP:flusher], and [$DP2-03:worker] is [$DP2:worker]; a callback
@@ -66,6 +69,7 @@ val wall_elapsed : t -> float
 (** Seconds since {!install} — the denominator for events/sec. *)
 
 val heap_depth_hwm : t -> int
+(** The deepest the event queue (heap and same-instant FIFO) got. *)
 
 val envelope_count : t -> int
 

@@ -5,7 +5,20 @@
     OCaml-5 effect-based fibers that can block ({!sleep}, {!suspend},
     {!Mailbox.recv}, {!Ivar.read}) without tying up the host thread.
     Events at equal timestamps fire in scheduling order, so a run is a
-    pure function of its inputs and seed. *)
+    pure function of its inputs and seed.
+
+    The queue is a binary heap for future events beside a FIFO for
+    events due at the current instant (resumptions, spawns, zero-delay
+    callbacks).  Every heap entry due now was scheduled at an earlier
+    instant, so running those first and then the FIFO is exactly
+    scheduling order; the FIFO only spares same-instant events the heap.
+
+    Every blocking primitive costs one effect.  A timer ({!sleep},
+    {!wait_until}, {!yield}, a {!suspend_for} deadline) that fires when
+    nothing else is due at its instant resumes its process in the
+    timer's own slice: that resumption would have been the very next
+    event.  Otherwise the resumption queues behind the events already due
+    at that instant. *)
 
 type t
 
@@ -38,9 +51,8 @@ val at_time_cancel : t -> time:Time.t -> (unit -> unit) -> unit -> unit
     that already fired (or was already cancelled) is a no-op.  A
     cancelled event leaves the queue at once (O(log n)): it is never
     dispatched, never moves the clock and never counts in
-    {!queue_depth}, so heavy timeout use cannot bloat the event queue.
-    This is the primitive under {!Ivar.read_timeout} and
-    {!Mailbox.recv_timeout}. *)
+    {!queue_depth}, so heavy timeout use cannot bloat the event queue;
+    this holds for an event due at the current instant too. *)
 
 (** {1 Processes} *)
 
@@ -73,8 +85,9 @@ val crashed : t -> (pid * string * exn) list
 val run : ?until:Time.t -> t -> unit
 (** Execute events until the queue drains, [until] is reached, or
     {!stop}.  Returns with [now t] at the last executed event, or at
-    [until] when an event remains queued past it.  Blocked processes do
-    not keep the run alive. *)
+    [until] when an event remains queued past it.  The clock never moves
+    backward: an [until] before [now t] returns at once.  Blocked
+    processes do not keep the run alive. *)
 
 val stop : t -> unit
 (** Make {!run} return after the current event. *)
@@ -88,7 +101,8 @@ val discard : t -> unit
 val live_processes : t -> int
 
 val queue_depth : t -> int
-(** Number of pending events in the queue; cancelled ones are gone. *)
+(** Number of pending events, heap and same-instant FIFO together;
+    cancelled ones are gone. *)
 
 (** {1 Dispatch hooks}
 
@@ -100,7 +114,8 @@ val queue_depth : t -> int
     exactly one execution slice).  The owner of a process's own slice
     (its start, each resumption) is that process; a plain callback
     ({!at}, a timeout) is owned by the owner of the slice that scheduled
-    it.  A callback scheduled outside every slice has an owner that names
+    it.  A timer is owned by the process it wakes, so a wake-up run in
+    the timer's slice is one slice of that process.  A callback scheduled outside every slice has an owner that names
     no process: {!process_name} raises on it.  At most one hook pair is
     installed; installing replaces the previous one.  The unhooked loop
     pays a single mutable-field check per event, and scheduling a
@@ -132,5 +147,23 @@ val yield : unit -> unit
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and calls
     [register waker].  Calling [waker] (once; later calls are ignored)
-    schedules the process to resume at the then-current simulated time.
-    This is the primitive under mailboxes, I/O completions and timers. *)
+    schedules the process to resume at the then-current simulated time,
+    behind the events already due then.  This is the primitive under
+    mailboxes, ivars and I/O completions. *)
+
+type wake =
+  | Woken of Time.span
+      (** by the waker, with this much time left before the deadline
+          (0 when woken at the deadline's own instant) *)
+  | Timed_out of (unit -> unit)
+      (** the deadline fired first; carries the now-spent waker so the
+          caller can retract it from wherever [register] put it *)
+
+val suspend_for : Time.span -> ((unit -> unit) -> unit) -> wake
+(** [suspend_for span register] is {!suspend} with a deadline [span]
+    from now, the one timed wait under {!Ivar.read_timeout},
+    {!Mailbox.recv_timeout} and lock waits.  Waking through the waker
+    removes the deadline from the queue at once; a deadline that fires
+    first makes later waker calls no-ops.  One effect, one queued
+    deadline and no other event until the wake-up.  Raises
+    [Invalid_argument] unless [span > 0]. *)

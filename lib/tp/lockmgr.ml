@@ -137,9 +137,11 @@ let acquire t ?(span = Span.null) ?(deadline = 0) ~owner ~key mode =
     end
     else begin
       t.blocked <- t.blocked + 1;
-      Sim.suspend (fun waker ->
-          e.waiters <- waker :: e.waiters;
-          Sim.at_time t.sim ~time:deadline waker);
+      (* A release wakes the waiter and retires its deadline; a waiter
+         that times out leaves its spent waker for the next release. *)
+      let (_ : Sim.wake) =
+        Sim.suspend_for (deadline - Sim.now t.sim) (fun waker -> e.waiters <- waker :: e.waiters)
+      in
       t.blocked <- t.blocked - 1;
       attempt ()
     end

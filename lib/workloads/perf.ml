@@ -18,6 +18,8 @@ type run_report = {
   r_wall_ms_per_sim_s : float;
   r_minor_words : float;
   r_minor_words_per_event : float;
+  r_events_per_commit : float;
+  r_minor_words_per_commit : float;
   r_heap_depth_hwm : int;
   r_envelopes : int;
   r_packets : int;
@@ -53,6 +55,7 @@ let profiled ~name ~seed f =
   let wall = Prof.wall_elapsed p in
   let events = Prof.events p in
   let sim_s = Time.to_sec sim_elapsed in
+  let per_commit x = if committed > 0 then x /. float_of_int committed else 0.0 in
   {
     r_name = name;
     r_seed = seed;
@@ -64,6 +67,8 @@ let profiled ~name ~seed f =
     r_minor_words = Prof.minor_words p;
     r_minor_words_per_event =
       (if events > 0 then Prof.minor_words p /. float_of_int events else 0.0);
+    r_events_per_commit = per_commit (float_of_int events);
+    r_minor_words_per_commit = per_commit (Prof.minor_words p);
     r_heap_depth_hwm = Prof.heap_depth_hwm p;
     r_envelopes = Prof.envelope_count p;
     r_packets = Prof.packet_count p;
@@ -185,6 +190,8 @@ let run_json r =
       ("wall_ms_per_sim_s", Json.Float r.r_wall_ms_per_sim_s);
       ("minor_words", Json.Float r.r_minor_words);
       ("minor_words_per_event", Json.Float r.r_minor_words_per_event);
+      ("events_per_commit", Json.Float r.r_events_per_commit);
+      ("minor_words_per_commit", Json.Float r.r_minor_words_per_commit);
       ("heap_depth_hwm", Json.Int r.r_heap_depth_hwm);
       ( "alloc_counters",
         Json.Obj

@@ -31,6 +31,10 @@ type run_report = {
   r_wall_ms_per_sim_s : float;
   r_minor_words : float;
   r_minor_words_per_event : float;
+  r_events_per_commit : float;
+      (** events per committed transaction: the simulator's cost of one
+          commit, which merging events lowers and events/s cannot show *)
+  r_minor_words_per_commit : float;
   r_heap_depth_hwm : int;
   r_envelopes : int;  (** msgsys envelope allocations *)
   r_packets : int;  (** fabric packets transferred *)

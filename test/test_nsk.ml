@@ -334,6 +334,40 @@ let test_procpair_checkpoint_degrades_without_backup () =
   check_int "service alive" 1 !got;
   check_int "no checkpoints shipped" 0 (Procpair.checkpoints_sent pair)
 
+(* The backup CPU fails after a checkpoint is shipped and before the
+   backup applies it: the checkpoint is lost with the backup, no ack
+   comes, and the primary waits out the takeover delay before it goes
+   on.  The saboteur's timer fires at the instant the checkpoint is
+   shipped, queued behind the primary's, so its slice runs after the
+   send and before the backup's apply. *)
+let test_procpair_backup_dies_mid_checkpoint () =
+  let sim, node = make_node () in
+  let fabric = Node.fabric node in
+  let primary = Node.cpu node 0 and backup = Node.cpu node 1 in
+  let server = Msgsys.create_server fabric ~cpu:primary ~name:"counter" in
+  let delay = Time.ms 100 in
+  let pair =
+    Procpair.create ~fabric ~name:"counter" ~primary ~backup
+      ~config:{ Procpair.takeover_delay = delay; ack_bytes = 64 }
+      ~port:server ~shadow:0
+      ~apply:(fun _ v -> v)
+      ()
+  in
+  let wire = Servernet.Fabric.transfer_time fabric ~bytes:8 in
+  let resumed_at = ref Time.zero in
+  Procpair.start pair ~adopt:Fun.id (fun _ ->
+      Procpair.checkpoint pair ~bytes:8 1;
+      resumed_at := Sim.now sim);
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 2) ~name:"saboteur" (fun () ->
+        Sim.sleep wire;
+        Cpu.fail backup)
+  in
+  Sim.run sim;
+  check_int "one checkpoint shipped" 1 (Procpair.checkpoints_sent pair);
+  check_int "never applied" 0 (Procpair.shadow pair);
+  check_int "primary resumes after the takeover delay" (wire + delay) !resumed_at
+
 let suite =
   [
     ( "nsk.cpu",
@@ -366,5 +400,7 @@ let suite =
         Alcotest.test_case "halted when both sides die" `Quick test_procpair_halted_when_both_die;
         Alcotest.test_case "degrades without backup" `Quick
           test_procpair_checkpoint_degrades_without_backup;
+        Alcotest.test_case "backup dies mid-checkpoint" `Quick
+          test_procpair_backup_dies_mid_checkpoint;
       ] );
   ]

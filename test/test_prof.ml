@@ -52,7 +52,8 @@ let test_prof_roles () =
   (* Scheduled outside every process: one [toplevel] slice. *)
   Sim.at sim ~after:(Time.ms 5) (fun () -> ());
   (* Two instances of one role: a start slice each, and the sleeper adds
-     its timer callback and its resumption. *)
+     its timer, whose slice resumes it in place (nothing else is due at
+     that instant). *)
   let (_ : Sim.pid) =
     Sim.spawn sim ~name:"cpu0:$ADP0:flusher" (fun () -> Sim.sleep (Time.ms 1))
   in
@@ -68,7 +69,7 @@ let test_prof_roles () =
   Prof.uninstall p;
   Alcotest.(check (list (pair string int)))
     "role rows and slices"
-    [ ("$ADP:flusher", 4); ("$DP2:worker", 2); ("toplevel", 1) ]
+    [ ("$ADP:flusher", 3); ("$DP2:worker", 2); ("toplevel", 1) ]
     (List.sort compare (List.map (fun r -> (r.Prof.l_name, r.Prof.l_events)) (Prof.layer_rows p)));
   check_int "slices sum to events" (Prof.events p)
     (List.fold_left (fun n r -> n + r.Prof.l_events) 0 (Prof.layer_rows p));
@@ -81,7 +82,7 @@ let test_prof_roles () =
   check_bool "uninstalled" true (not (Prof.enabled ()));
   Sim.at sim ~after:(Time.ms 1) (fun () -> ());
   Sim.run sim;
-  check_int "no new slices" 7 (Prof.events p)
+  check_int "no new slices" 6 (Prof.events p)
 
 let test_prof_single_install () =
   let sim = Sim.create ~seed:3L () in
@@ -222,6 +223,10 @@ let test_perf_report_roundtrip () =
       check_bool "events > 0" true (int_field "events" > 0);
       check_bool "events_per_sec > 0" true (float_field "events_per_sec" > 0.0);
       check_bool "committed > 0" true (int_field "committed" > 0);
+      Alcotest.(check (float 1e-9))
+        "events per commit" (float_field "events_per_commit")
+        (float_of_int (int_field "events") /. float_of_int (int_field "committed"));
+      check_bool "minor words per commit > 0" true (float_field "minor_words_per_commit" > 0.0);
       check_bool "no unattributed row" true (Json.member "unattributed_wall_s" w = None);
       let roles = Option.get (Json.to_list_opt (mem "roles" w)) in
       check_bool "roles present" true (roles <> []);
@@ -249,6 +254,10 @@ let test_perf_report_roundtrip () =
   let has prefix = List.exists (String.starts_with ~prefix) role_names in
   check_bool "ADP rows" true (has "$ADP:");
   check_bool "DP2 rows" true (has "$DP2:");
+  (* A backup applies checkpoints in a callback charged to the role that
+     shipped them, so no backup role has a row. *)
+  check_bool "no backup rows" false
+    (List.exists (String.ends_with ~suffix:":backup") role_names);
   (* Telemetry must not change simulated results. *)
   let o = mem "telemetry_overhead" parsed in
   check_bool "sim elapsed unchanged" true

@@ -280,6 +280,166 @@ let test_yield_interleaving () =
     [ ("a", 1); ("b", 1); ("a", 2); ("b", 2) ]
     (List.rev !log)
 
+(* --- The same-instant ordering contract --- *)
+
+(* A fired timer's resumption runs after every event already due at its
+   instant ([a] queued before the timer, [b] after it) and before one
+   scheduled at that instant once it fired ([c], queued by [b]). *)
+let test_timer_resumes_behind_due_events () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Sim.at sim ~after:10 (note "a");
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"sleeper" (fun () ->
+        Sim.sleep 10;
+        note "sleeper" ())
+  in
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"late" (fun () ->
+        Sim.at sim ~after:10 (fun () ->
+            note "b" ();
+            Sim.at sim ~after:0 (note "c")))
+  in
+  Sim.run sim;
+  Alcotest.(check (list string)) "order" [ "a"; "b"; "sleeper"; "c" ] (List.rev !log)
+
+(* With nothing else due, the timer's slice is the resumption: a lone
+   sleeper costs its start slice and one slice per sleep. *)
+let test_lone_timer_one_slice () =
+  let sim = Sim.create () in
+  let slices = ref 0 in
+  Sim.set_dispatch_hooks sim ~before:(fun _ _ -> incr slices) ~after:ignore;
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"sleeper" (fun () ->
+        for _ = 1 to 3 do
+          Sim.sleep 10
+        done)
+  in
+  Sim.run sim;
+  check_int "start + three timers" 4 !slices;
+  check_int "clock" 30 (Sim.now sim)
+
+(* Heap entries due now run before same-instant ones, which keep their
+   scheduling order across [stop], later scheduling and [run ~until]. *)
+let test_fifo_interleaves_with_heap () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Sim.at sim ~after:5 (fun () ->
+      note "h1" ();
+      Sim.at sim ~after:0 (fun () ->
+          note "f1" ();
+          Sim.at sim ~after:0 (note "f3");
+          Sim.stop sim));
+  Sim.at sim ~after:5 (fun () ->
+      note "h2" ();
+      Sim.at sim ~after:0 (note "f2"));
+  Sim.at sim ~after:6 (note "g");
+  Sim.run ~until:5 sim;
+  Alcotest.(check (list string)) "stopped after f1" [ "h1"; "h2"; "f1" ] (List.rev !log);
+  check_int "f2, f3 and g queued" 3 (Sim.queue_depth sim);
+  Sim.at sim ~after:0 (note "x");
+  Sim.run ~until:5 sim;
+  Alcotest.(check (list string))
+    "the instant drains in order" [ "h1"; "h2"; "f1"; "f2"; "f3"; "x" ] (List.rev !log);
+  check_int "clock at the bound" 5 (Sim.now sim);
+  check_int "g still queued" 1 (Sim.queue_depth sim);
+  Sim.run sim;
+  check_int "g ran" 6 (Sim.now sim)
+
+let test_same_instant_cancel () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Sim.at sim ~after:5 (fun () ->
+      let now = Sim.now sim in
+      let (_ : unit -> unit) = Sim.at_time_cancel sim ~time:now (note "kept1") in
+      let cancel = Sim.at_time_cancel sim ~time:now (note "cancelled") in
+      let (_ : unit -> unit) = Sim.at_time_cancel sim ~time:now (note "kept2") in
+      check_int "three queued" 3 (Sim.queue_depth sim);
+      cancel ();
+      check_int "left the queue at once" 2 (Sim.queue_depth sim);
+      cancel ();
+      check_int "second cancel a no-op" 2 (Sim.queue_depth sim));
+  let lone = Sim.at_time_cancel sim ~time:0 (note "lone") in
+  lone ();
+  check_int "only the heap entry left" 1 (Sim.queue_depth sim);
+  Sim.run sim;
+  Alcotest.(check (list string)) "never fired" [ "kept1"; "kept2" ] (List.rev !log);
+  check_int "empty" 0 (Sim.queue_depth sim)
+
+(* A satisfied timed wait leaves no deadline queued, and no wait leaves
+   its waker behind: an ivar or mailbox holding a spent waker would
+   reach the whole simulation through it. *)
+let test_timed_waits_leave_nothing () =
+  let sim = Sim.create () in
+  let iv = Ivar.create () and mb = Mailbox.create () in
+  let expired = Ivar.create () and idle = Mailbox.create () in
+  let depths = ref [] in
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"reader" (fun () ->
+        check_bool "ivar filled" true (Ivar.read_timeout iv (Time.sec 1) = Some 1);
+        depths := Sim.queue_depth sim :: !depths;
+        Sim.at sim ~after:2 (fun () -> Mailbox.send mb 2);
+        check_bool "mailbox filled" true (Mailbox.recv_timeout mb (Time.sec 1) = Some 2);
+        depths := Sim.queue_depth sim :: !depths;
+        check_bool "ivar expired" true (Ivar.read_timeout expired 10 = None);
+        check_bool "mailbox expired" true (Mailbox.recv_timeout idle 10 = None))
+  in
+  Sim.at sim ~after:5 (fun () -> Ivar.fill iv 1);
+  Sim.run sim;
+  Alcotest.(check (list int)) "no deadline left queued" [ 0; 0 ] !depths;
+  check_int "clock at the last expiry" 27 (Sim.now sim);
+  List.iter
+    (fun (name, v) ->
+      check_bool (name ^ " holds no waker") true (Obj.reachable_words v < 32))
+    [
+      ("filled ivar", Obj.repr iv);
+      ("filled mailbox", Obj.repr mb);
+      ("expired ivar", Obj.repr expired);
+      ("expired mailbox", Obj.repr idle);
+    ]
+
+(* Woken, but another receiver took the message: wait out what is left
+   of the original deadline, not a fresh span.  A send wakes the newest
+   waiter first. *)
+let test_recv_timeout_keeps_deadline () =
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let results = ref [] in
+  let rx name () =
+    let r = Mailbox.recv_timeout mb 100 in
+    results := (name, r, Sim.now sim) :: !results
+  in
+  let (_ : Sim.pid) = Sim.spawn sim ~name:"r1" (rx "r1") in
+  let (_ : Sim.pid) = Sim.spawn sim ~name:"r2" (rx "r2") in
+  Sim.at sim ~after:40 (fun () -> Mailbox.send mb 9);
+  Sim.run sim;
+  Alcotest.(check (list (triple string (option int) int)))
+    "one served, one times out at its deadline"
+    [ ("r2", Some 9, 40); ("r1", None, 100) ]
+    (List.rev !results)
+
+(* A sleeper killed mid-sleep, and a timed waiter killed mid-wait, are
+   unwound when their timers fire. *)
+let test_killed_sleeper_unwound () =
+  let sim = Sim.create () in
+  let unwound = ref [] in
+  let guard name f () = Fun.protect ~finally:(fun () -> unwound := (name, Sim.now sim) :: !unwound) f in
+  let sleeper = Sim.spawn sim ~name:"sleeper" (guard "sleeper" (fun () -> Sim.sleep 10)) in
+  let waiter =
+    Sim.spawn sim ~name:"waiter"
+      (guard "waiter" (fun () -> ignore (Ivar.read_timeout (Ivar.create ()) 20 : int option)))
+  in
+  Sim.at sim ~after:5 (fun () ->
+      Sim.kill sim sleeper;
+      Sim.kill sim waiter);
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "unwound at their timers" [ ("sleeper", 10); ("waiter", 20) ] (List.rev !unwound);
+  check_int "none alive" 0 (Sim.live_processes sim)
+
 (* --- Mailbox --- *)
 
 let test_mailbox_fifo () =
@@ -542,6 +702,19 @@ let suite =
         Alcotest.test_case "crash recorded with `Record" `Quick test_crash_recorded;
         Alcotest.test_case "blocking ops outside process raise" `Quick test_not_in_process;
         Alcotest.test_case "yield interleaves fairly" `Quick test_yield_interleaving;
+      ] );
+    ( "simkit.ordering",
+      [
+        Alcotest.test_case "timer resumes behind due events" `Quick
+          test_timer_resumes_behind_due_events;
+        Alcotest.test_case "lone timer is one slice" `Quick test_lone_timer_one_slice;
+        Alcotest.test_case "fifo interleaves with heap" `Quick test_fifo_interleaves_with_heap;
+        Alcotest.test_case "same-instant cancel" `Quick test_same_instant_cancel;
+        Alcotest.test_case "timed waits leave nothing behind" `Quick
+          test_timed_waits_leave_nothing;
+        Alcotest.test_case "stolen wake keeps the deadline" `Quick
+          test_recv_timeout_keeps_deadline;
+        Alcotest.test_case "killed sleeper unwound" `Quick test_killed_sleeper_unwound;
       ] );
     ( "simkit.mailbox",
       [

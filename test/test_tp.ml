@@ -138,6 +138,30 @@ let test_locks_release_wakes () =
       Gate.await g;
       check_int "granted right at release" (Time.ms 2) !granted_at)
 
+(* A granted wait retires its deadline at once: nothing is left queued
+   for the lock timeout, and the run ends at the grant, not 5 s later. *)
+let test_locks_grant_retires_deadline () =
+  let sim = Sim.create () in
+  let locks = Lockmgr.create sim () in
+  let depth_at_grant = ref (-1) in
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"holder" (fun () ->
+        (match Lockmgr.acquire locks ~owner:1 ~key:(4, 4) Lockmgr.Exclusive with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "holder");
+        Sim.sleep (Time.ms 2);
+        Lockmgr.release_all locks ~owner:1)
+  in
+  let (_ : Sim.pid) =
+    Sim.spawn sim ~name:"waiter" (fun () ->
+        match Lockmgr.acquire locks ~owner:2 ~key:(4, 4) Lockmgr.Exclusive with
+        | Ok () -> depth_at_grant := Sim.queue_depth sim
+        | Error _ -> Alcotest.fail "waiter timeout")
+  in
+  Sim.run sim;
+  check_int "nothing queued at the grant" 0 !depth_at_grant;
+  check_int "run ends at the grant" (Time.ms 2) (Sim.now sim)
+
 (* --- End-to-end small hot-stock runs --- *)
 
 (* Small PM devices keep test allocations (and wall time) down. *)
@@ -262,6 +286,8 @@ let suite =
         Alcotest.test_case "timeout breaks deadlock" `Quick test_locks_timeout;
         Alcotest.test_case "upgrade when sole holder" `Quick test_locks_upgrade;
         Alcotest.test_case "release wakes waiter" `Quick test_locks_release_wakes;
+        Alcotest.test_case "granted wait retires its deadline" `Quick
+          test_locks_grant_retires_deadline;
       ] );
     ( "tp.end_to_end",
       [
