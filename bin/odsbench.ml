@@ -346,12 +346,29 @@ let drill_usage msg =
    and the one verdict that both renders and sets the exit code. *)
 let judged plan r = (plan, r, Tp.Drill.Oracle.of_report r)
 
+(* Command-line sizing: --drivers, --records and --boxcar reach a
+   closed load; a family that owns its load shape keeps it.  The gray
+   drill's p99 gate needs a known sample count, a cluster's volume is
+   kept small, and the overload drill's open-loop arrival schedule is
+   the experiment itself. *)
+let sized ~drivers ~records ~boxcar (s : Tp.Drill.spec) =
+  let open Tp.Drill in
+  let load =
+    match s.load with
+    | Closed p when not s.baseline ->
+        Closed { p with drivers; records_per_driver = records; inserts_per_txn = boxcar }
+    | Closed p -> Closed { p with drivers }
+    | Distributed d -> Distributed { d with params = { d.params with drivers } }
+    | Open _ -> s.load
+  in
+  { s with load }
+
 (* --plan-file: replay a schedule from disk.  A full repro document
    (schema "odsbench-repro", as written by the explorer) pins the
    platform, seed and defenses, so the replay is bit-for-bit and is
    judged as the explorer judged it; a bare JSON array is just a
    fault plan, run under --mode with the command-line seed and sizing. *)
-let plan_file_runner path scope ~seed ~params ?flight () =
+let plan_file_runner path scope ~size ?flight () =
   let invalid e = drill_usage (Printf.sprintf "%s: %s" path e) in
   let doc = match Json.parse (read_whole_file path) with Ok d -> d | Error e -> invalid e in
   match doc with
@@ -362,8 +379,10 @@ let plan_file_runner path scope ~seed ~params ?flight () =
           drill_usage
             "a bare plan array needs --mode disk or pm (wrap cluster or overload \
              schedules in a repro document)"
-      | Ok plan, `Single mode ->
-          Tp.Drill.run ~seed ~params ?flight ~mode ~plan () |> Result.map (judged path))
+      | Ok plan, `Single _ ->
+          Result.bind (Tp.Drill.spec_of Tp.Drill.No_faults scope) (fun s ->
+              Tp.Drill.exec ?flight { (size s) with Tp.Drill.plan })
+          |> Result.map (judged path))
   | _ -> (
       match Tp.Explorer.repro_of_json doc with
       | Error e -> invalid e
@@ -375,84 +394,39 @@ let plan_file_runner path scope ~seed ~params ?flight () =
 
 let drill scope plan plan_file drivers boxcar records seed interval_ms flight list_plans
     no_defenses json =
-  if list_plans then
-    List.iter print_endline
-      (match scope with
-      | `Single m -> Tp.Drill.plan_names m
-      | `Cluster -> Tp.Drill.cluster_plan_names)
+  if list_plans then List.iter print_endline (Tp.Drill.plan_names scope)
   else
-    let seed = Int64.of_int seed in
-    let name = fst (List.find (fun (_, p) -> p = plan) Tp.Drill.plans) in
-    let params =
-      {
-        Tp.Drill.default_params with
-        Tp.Drill.drivers;
-        records_per_driver = records;
-        inserts_per_txn = boxcar;
-      }
-    in
+    let size s = { (sized ~drivers ~records ~boxcar s) with Tp.Drill.seed = Int64.of_int seed } in
     let obs, sample_interval =
       if interval_ms > 0 then (Some (Obs.create ()), Some (Time.ms interval_ms))
       else (None, None)
     in
-    let defenses = not no_defenses in
+    (* A plan whose platform arms no defense has nothing to turn off. *)
+    let armed plan =
+      match Tp.Drill.spec_of plan (`Single Tp.System.Pm_audit) with
+      | Ok s -> Tp.System.defended false s.Tp.Drill.config <> s.Tp.Drill.config
+      | Error _ -> false
+    in
     let result =
-      match (plan_file, scope, plan) with
-      | Some path, _, _ -> plan_file_runner path scope ~seed ~params ?flight ()
-      | None, `Cluster, _ when interval_ms > 0 ->
-          drill_usage "--interval-ms is not supported in cluster mode"
-      | None, `Cluster, Tp.Drill.(Standard | Partition | No_faults) ->
-          let plan, label =
-            if plan = Tp.Drill.No_faults then ([], "none") else (Tp.Drill.partition_plan, "partition")
+      match plan_file with
+      | Some path -> plan_file_runner path scope ~size ?flight ()
+      | None -> (
+          if scope = `Cluster && interval_ms > 0 then
+            drill_usage "--interval-ms is not supported in cluster mode";
+          (* [standard] names each platform's full drill, its canonical plan. *)
+          let plan =
+            if plan = Tp.Drill.Standard then
+              List.assoc (List.hd (Tp.Drill.plan_names scope)) Tp.Drill.plans
+            else plan
           in
-          let params = { Tp.Drill.cluster_params with Tp.Drill.drivers } in
-          Tp.Drill.run_cluster ~seed ~params ?flight ~plan ()
-          |> Result.map (judged label)
-      | None, `Cluster, _ ->
-          drill_usage
-            (Printf.sprintf "plan '%s' does not run in cluster mode (%s)" name
-               (String.concat "|" Tp.Drill.cluster_plan_names))
-      | None, _, Tp.Drill.(Standard | Kills | Partition | No_faults) when no_defenses ->
-          drill_usage "--no-defenses only applies to --plan corruption, grayfail or overload"
-      | None, `Single Tp.System.Disk_audit, Tp.Drill.(Corruption | Grayfail | Overload) ->
-          drill_usage (Printf.sprintf "plan '%s' requires --mode pm" name)
-      | None, _, Tp.Drill.Partition -> drill_usage "plan 'partition' requires --mode cluster"
-      | None, _, Tp.Drill.Corruption ->
-          (* The storage-integrity drill has its own config (scrubber +
-             verified reads) and crash-time decay, and is gated on the
-             integrity audit, not just row durability. *)
-          Tp.Drill.run_corruption ~seed ?obs ?sample_interval ~params ~defenses ?flight ()
-          |> Result.map (judged name)
-      | None, _, Tp.Drill.Grayfail ->
-          (* The gray-failure drill owns its load shape (the p99 gate
-             needs a known sample count) and runs twice — healthy
-             baseline, then the staged fail-slow schedule — so it
-             ignores --records and --boxcar. *)
-          let params = { Tp.Drill.gray_params with Tp.Drill.drivers } in
-          Tp.Drill.run_gray ~seed ?obs ?sample_interval ~params ~defenses ?flight ()
-          |> Result.map (judged name)
-      | None, _, Tp.Drill.Overload ->
-          (* The overload drill owns its load shape entirely — an
-             open-loop flash-crowd arrival schedule is the experiment —
-             so it ignores --records, --boxcar and --drivers. *)
-          Tp.Drill.run_overload ~seed ?obs ?sample_interval ~defenses ?flight ()
-          |> Result.map (judged name)
-      | None, `Single mode, Tp.Drill.(Standard | Kills | No_faults) ->
-          let faults =
-            match plan with
-            | Tp.Drill.No_faults -> []
-            | Tp.Drill.Kills ->
-                (* Process-pair decapitations only. *)
-                List.filter
-                  (fun ev ->
-                    match ev.Tp.Faultplan.action with
-                    | Tp.Faultplan.Kill_primary _ -> true
-                    | _ -> false)
-                  (Tp.Drill.standard_plan mode)
-            | _ -> Tp.Drill.standard_plan mode
-          in
-          Tp.Drill.run ~seed ?obs ?sample_interval ~params ?flight ~mode ~plan:faults ()
-          |> Result.map (judged name)
+          if no_defenses && scope <> `Cluster && not (armed plan) then
+            drill_usage "--no-defenses only applies to --plan corruption, grayfail or overload";
+          match Tp.Drill.spec_of plan scope with
+          | Error e -> drill_usage e
+          | Ok s ->
+              Tp.Drill.exec ?obs ?sample_interval ?flight
+                { (size s) with Tp.Drill.defenses = not no_defenses }
+              |> Result.map (judged (fst (List.find (fun (_, p) -> p = plan) Tp.Drill.plans))))
     in
     match result with
     | Error e ->

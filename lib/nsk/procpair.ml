@@ -56,10 +56,10 @@ and primary_died t =
   t.primary_pid <- None;
   if not t.halted then begin
     match t.backup with
-    | Some backup_cpu when Cpu.is_up backup_cpu ->
+    | Some backup_cpu when t.applying ->
         let died_at = Sim.now (sim t) in
         Sim.at (sim t) ~after:t.cfg.takeover_delay (fun () ->
-            if (not t.halted) && Cpu.is_up backup_cpu then begin
+            if (not t.halted) && t.applying then begin
               (* Promote: the backup stops applying, the dead
                  primary's uncheckpointed state goes with it, the port
                  moves (failing its outstanding callers), and the serve
@@ -121,21 +121,19 @@ let live t = t.live
 
 let shadow t = t.shadow
 
-let backup_alive t =
-  match t.backup with Some cpu -> Cpu.is_up cpu | None -> false
-
+(* The backup is whatever still applies checkpoints: a backup CPU that
+   fails and restarts comes back empty, with no shadow and no drain, so
+   it is not a backup again. *)
 let checkpoint t ?(bytes = 256) ckpt =
-  if backup_alive t then begin
+  if t.applying then begin
     t.ckpts <- t.ckpts + 1;
     t.ckpt_bytes <- t.ckpt_bytes + bytes;
     (* Ship the state delta... *)
     Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes);
-    if backup_alive t then begin
+    if t.applying then begin
       let ack = Ivar.create () in
-      if t.applying then begin
-        Queue.push (ckpt, ack) t.pending;
-        if Queue.length t.pending = 1 then Sim.at (sim t) ~after:0 (fun () -> drain t)
-      end;
+      Queue.push (ckpt, ack) t.pending;
+      if Queue.length t.pending = 1 then Sim.at (sim t) ~after:0 (fun () -> drain t);
       (* ... and wait for the backup to acknowledge before externalizing. *)
       match Ivar.read_timeout ack t.cfg.takeover_delay with
       | Some () -> Sim.sleep (Servernet.Fabric.transfer_time t.fabric ~bytes:t.cfg.ack_bytes)
@@ -145,7 +143,7 @@ let checkpoint t ?(bytes = 256) ckpt =
 
 let primary_cpu t = t.primary
 
-let has_backup t = backup_alive t
+let has_backup t = t.applying
 
 let is_halted t = t.halted
 

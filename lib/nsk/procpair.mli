@@ -81,7 +81,7 @@ val shadow : ('live, 'shadow, 'ckpt) t -> 'shadow
 val checkpoint : ('live, 'shadow, 'ckpt) t -> ?bytes:int -> 'ckpt -> unit
 (** Ship a checkpoint to the backup and wait for its acknowledgement
     ([bytes], default 256, drives wire time).  Degrades to a no-op when
-    no backup CPU is up.  If the backup dies with the checkpoint
+    the pair has no backup ({!has_backup}).  If the backup dies with the checkpoint
     unapplied, no acknowledgement comes and the caller goes on after
     [takeover_delay].  Must be called from the primary (process
     context). *)
@@ -89,6 +89,10 @@ val checkpoint : ('live, 'shadow, 'ckpt) t -> ?bytes:int -> 'ckpt -> unit
 val primary_cpu : ('live, 'shadow, 'ckpt) t -> Cpu.t
 
 val has_backup : ('live, 'shadow, 'ckpt) t -> bool
+(** The backup still applies checkpoints: true from {!start} until
+    promotion, {!halt} or its CPU's failure.  A backup CPU restarted
+    after a failure comes back empty and is not a backup again, so
+    checkpoints stop and a later primary death halts the pair. *)
 
 val is_halted : ('live, 'shadow, 'ckpt) t -> bool
 (** True once both sides have died: the service is lost. *)

@@ -743,7 +743,8 @@ let corruption_crash_decay =
 
 (* Small regions keep the re-admission resync in the low hundreds of
    milliseconds, so a demoted mirror provably comes back inside the
-   drill's settle window. *)
+   drill's settle window.  Its defenses: the mirror-health monitor,
+   client health tracking, hedged reads and adaptive backoff. *)
 let gray_region_bytes = 2 * 1024 * 1024
 
 let gray_config =
@@ -754,18 +755,6 @@ let gray_config =
     pm_slo_budget = Time.us 150;
     pm_hedged_reads = true;
     pm_adaptive_backoff = true;
-  }
-
-(* The negative control: same faults, no monitor, no client health
-   tracking, no hedging, fixed backoff.  Every mirrored write waits for
-   the slow device until the plan itself restores it. *)
-let gray_no_defense_config =
-  {
-    gray_config with
-    System.pm_health = None;
-    pm_slo_budget = 0;
-    pm_hedged_reads = false;
-    pm_adaptive_backoff = false;
   }
 
 (* The gray gate: the degraded run's p99 commit latency may be at most
@@ -804,35 +793,7 @@ let gray_plan =
       at (Time.ms 800) Restore_speed;
     ]
 
-type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
-
-(* In [--list-plans] order: each platform's canonical plan first. *)
-let plans =
-  [
-    ("standard", Standard);
-    ("kills", Kills);
-    ("corruption", Corruption);
-    ("grayfail", Grayfail);
-    ("overload", Overload);
-    ("partition", Partition);
-    ("none", No_faults);
-  ]
-
-let names_where keep = List.filter_map (fun (n, p) -> if keep p then Some n else None) plans
-
-let plan_names mode =
-  names_where (function
-    | Standard | Kills | No_faults -> true
-    | Corruption | Grayfail | Overload -> mode = System.Pm_audit
-    | Partition -> false)
-
-let cluster_plan_names = names_where (function Partition | No_faults -> true | _ -> false)
-
-let config_for base mode =
-  match mode with
-  | System.Disk_audit -> { base with System.log_mode = System.Disk_audit }
-  | System.Pm_audit ->
-      { base with System.log_mode = System.Pm_audit; txn_state_in_pm = true }
+(* --- Overload drill: flash crowd, open loop, metastability gate --- *)
 
 type overload_params = {
   ov_record_bytes : int;
@@ -887,16 +848,6 @@ let overload_config =
     tmf_admission = true;
   }
 
-let overload_no_defense_config =
-  {
-    overload_config with
-    System.client_deadline = 0;
-    client_retry_budget = 0.0;
-    client_breakers = false;
-    pm_retry_budget = 0.0;
-    tmf_admission = false;
-  }
-
 let overload_plan p =
   Faultplan.
     [ at p.ov_warmup (Flash_crowd { spike = p.ov_spike; spike_for = p.ov_spike_for }) ]
@@ -905,6 +856,82 @@ let overload_schedule p =
   Arrival.flash_crowd ~base:p.ov_base_rate ~spike:(p.ov_base_rate *. p.ov_spike)
     ~cool:p.ov_base_rate ~warmup:p.ov_warmup ~spike_for:p.ov_spike_for
     ~cooldown:p.ov_cooldown ()
+
+(* --- Drill specs: every family as one value --- *)
+
+type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
+
+(* In [--list-plans] order: each platform's canonical plan first. *)
+let plans =
+  [
+    ("standard", Standard);
+    ("kills", Kills);
+    ("corruption", Corruption);
+    ("grayfail", Grayfail);
+    ("overload", Overload);
+    ("partition", Partition);
+    ("none", No_faults);
+  ]
+
+type load =
+  | Closed of params
+  | Open of overload_params
+  | Distributed of { nodes : int; params : params }
+
+type spec = {
+  load : load;
+  config : System.config;
+  defenses : bool;
+  plan : Faultplan.t;
+  recovery_plan : Faultplan.t;
+  horizon : Time.span option;
+  crash_decay : (int * int * int) list;
+  baseline : bool;
+  seed : int64;
+}
+
+let names_where keep = List.filter_map (fun (n, p) -> if keep p then Some n else None) plans
+
+let runs_on_cluster = function Partition | No_faults -> true | _ -> false
+
+(* The one table of per-family constants.  A match rather than a
+   top-level list, so loading the library allocates no spec. *)
+let spec_of plan scope =
+  let name = fst (List.find (fun (_, p) -> p = plan) plans) in
+  let spec ?(load = Closed default_params) ?(crash_decay = []) ?(baseline = false)
+      ?(seed = 0xD5177L) config plan =
+    Ok
+      { load; config; defenses = true; plan; recovery_plan = []; horizon = None; crash_decay;
+        baseline; seed }
+  in
+  match (scope, plan) with
+  | `Cluster, _ when runs_on_cluster plan ->
+      spec ~load:(Distributed { nodes = 2; params = cluster_params }) ~seed:0xC1D5L
+        System.pm_config
+        (if plan = Partition then partition_plan else [])
+  | `Cluster, _ ->
+      Error
+        (Printf.sprintf "plan '%s' does not run in cluster mode (%s)" name
+           (String.concat "|" (names_where runs_on_cluster)))
+  | `Single _, Partition -> Error "plan 'partition' requires --mode cluster"
+  | `Single System.Disk_audit, (Corruption | Grayfail | Overload) ->
+      Error (Printf.sprintf "plan '%s' requires --mode pm" name)
+  | `Single mode, (Standard | Kills | No_faults) ->
+      let kill ev = match ev.Faultplan.action with Faultplan.Kill_primary _ -> true | _ -> false in
+      spec
+        (if mode = System.Pm_audit then System.pm_config else System.default_config)
+        (match plan with
+        | No_faults -> []
+        | Kills -> List.filter kill (standard_plan mode) (* process-pair decapitations only *)
+        | _ -> standard_plan mode)
+  | `Single _, Corruption ->
+      spec ~crash_decay:corruption_crash_decay corruption_config corruption_plan
+  | `Single _, Grayfail ->
+      spec ~load:(Closed gray_params) ~baseline:true ~seed:0x66A7L gray_config gray_plan
+  | `Single _, Overload ->
+      spec ~load:(Open overload_params) overload_config (overload_plan overload_params)
+
+let plan_names scope = names_where (fun p -> Result.is_ok (spec_of p scope))
 
 (* --- The drill harness ---
 
@@ -1038,7 +1065,9 @@ let stop_daemons system =
       Pm.Pmm.stop_monitor p
   | None -> ()
 
-let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?(recovery_plan = [])
+(* One run of a family: the outcome, the armed recorder, and the
+   simulated clock at the end — the instant the gate judges it. *)
+let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon ~recovery_plan
     plan =
   (match (sample_interval, obs) with
   | Some _, None -> invalid_arg "Drill: sample_interval requires obs"
@@ -1171,15 +1200,17 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?(recovery_pl
                   }
                 in
                 let o = { o_started = started; o_tally = t; o_recoveries = recoveries } in
-                out := Ok (sections o core)))
+                let r = sections o core in
+                Option.iter (fun f -> List.iter f systems) inspect;
+                out := Ok r))
   in
   Sim.run sim;
-  (!out, recorder)
+  (!out, recorder, Sim.now sim)
 
 (* The one gate: judge a drill's report with the oracle and, when that
    fails or the drill produced no report, dump the armed flight
-   recorder once, marked with the reason. *)
-let gated ~family ~flight ?max_outage (out, recorder) =
+   recorder once, marked with the reason at the instant of judgement. *)
+let gated ~family ~flight ?max_outage (out, recorder, judged_at) =
   (match (flight, recorder) with
   | Some path, Some fr ->
       let failure =
@@ -1192,7 +1223,7 @@ let gated ~family ~flight ?max_outage (out, recorder) =
       in
       Option.iter
         (fun label ->
-          Flightrec.mark fr ~time:0 label;
+          Flightrec.mark fr ~time:judged_at label;
           dump_flight path fr)
         failure
   | _ -> ());
@@ -1212,7 +1243,7 @@ let closed_loop ~drivers ~cpu body () =
   done;
   Gate.await gate
 
-(* --- Single-system drills --- *)
+(* --- Closed load: hot-stock on one node --- *)
 
 (* The hot-stock insert mix, tolerant of the system dropping out from
    under it: [begin] is retried across takeovers, commit failures are
@@ -1285,15 +1316,9 @@ let availability_of system =
     packet_retries = fs.Servernet.Fabric.packet_retries;
   }
 
-(* The single-system family, ungated: closed-loop hot-stock drivers,
-   crash-time decay, and the integrity audit as evidence. *)
-let single ?(seed = 0xD5177L) ?config ?obs ?prof ?sample_interval ?(params = default_params)
-    ?(crash_decay = []) ?horizon ?recovery_plan ?inspect ?flight ~mode ~plan () =
-  if params.drivers < 1 then invalid_arg "Drill.run: need at least one driver";
-  if params.inserts_per_txn < 1 then
-    invalid_arg "Drill.run: need at least one insert per transaction";
-  let base = Option.value config ~default:System.default_config in
-  let cfg = { (config_for base mode) with System.seed } in
+(* Closed-loop hot-stock drivers, crash-time decay, and the integrity
+   audit and availability as evidence. *)
+let closed_family cfg params ~crash_decay ~plan =
   let count p = List.length (List.filter (fun ev -> p ev.Faultplan.action) plan) in
   let evidence system =
     (* Decay injected at the crash lands after the scrubber died with
@@ -1333,101 +1358,25 @@ let single ?(seed = 0xD5177L) ?config ?obs ?prof ?sample_interval ?(params = def
             })
           (System.pmm system)
       in
-      Option.iter (fun f -> f system) inspect;
       { core with integrity; availability = Some (availability_of system) }
     in
     (crash_faults, sections)
   in
-  let family =
-    {
-      platform = node_platform cfg;
-      gauges = [];
-      load =
-        (fun system tally ->
-          closed_loop ~drivers:params.drivers
-            ~cpu:(fun i -> Node.cpu (System.node system) (i mod cfg.System.worker_cpus))
-            (driver system params tally));
-      settle_for = params.settle;
-      evidence;
-    }
-  in
-  harness family ~seed ?prof ?obs ?flight ?sample_interval ?horizon ?recovery_plan plan
+  {
+    platform = node_platform cfg;
+    gauges = [];
+    load =
+      (fun system tally ->
+        closed_loop ~drivers:params.drivers
+          ~cpu:(fun i -> Node.cpu (System.node system) (i mod cfg.System.worker_cpus))
+          (driver system params tally));
+    settle_for = params.settle;
+    evidence;
+  }
 
-let run ?seed ?config ?obs ?prof ?sample_interval ?params ?horizon ?recovery_plan ?inspect
-    ?flight ?max_outage ~mode ~plan () =
-  single ?seed ?config ?obs ?prof ?sample_interval ?params ?horizon ?recovery_plan ?inspect
-    ?flight ~mode ~plan ()
-  |> gated ~family:"drill" ~flight ?max_outage
+(* --- Open load: a flash crowd against impatient clients --- *)
 
-(* The corruption drill proper: hot-stock load under [corruption_plan]
-   with scrubber and verified reads armed, plus decay at the crash
-   itself.  [defenses:false] is the negative control — same faults, no
-   scrubber, no verified reads — which must visibly lose rows and leave
-   divergence behind, proving the injection is real. *)
-let run_corruption ?seed ?obs ?sample_interval ?(params = default_params)
-    ?(defenses = true) ?flight () =
-  let config =
-    if defenses then corruption_config
-    else { corruption_config with System.pm_scrub = None; pm_verified_reads = false }
-  in
-  single ?seed ~config ?obs ?sample_interval ~params ~crash_decay:corruption_crash_decay
-    ?flight ~mode:System.Pm_audit ~plan:corruption_plan ()
-  |> gated ~family:"corruption" ~flight
-
-let run_gray ?(seed = 0x66A7L) ?obs ?sample_interval ?(params = gray_params)
-    ?(defenses = true) ?flight () =
-  let config = if defenses then gray_config else gray_no_defense_config in
-  (* Healthy baseline: identical platform, identical seed, no faults.
-     Its p99 is the denominator of the latency gate. *)
-  match fst (single ~seed ~config ~params ~mode:System.Pm_audit ~plan:[] ()) with
-  | Error e -> Error ("gray baseline: " ^ e)
-  | Ok baseline ->
-      (* The mitigation counters, read off the live system after
-         recovery; the p99 ratio is filled in below. *)
-      let mitigation = ref None in
-      let inspect system =
-        let on_pmm f default = Option.fold ~none:default ~some:f (System.pmm system) in
-        mitigation :=
-          Some
-            {
-              g_defended = defenses;
-              g_baseline = baseline;
-              g_p99_ratio = nan;
-              g_p99_limit = gray_p99_limit;
-              g_demotions = on_pmm Pm.Pmm.demotions 0;
-              g_readmissions = on_pmm Pm.Pmm.readmissions 0;
-              g_mirror_active = on_pmm Pm.Pmm.mirror_active true;
-              g_monitor_probes = on_pmm Pm.Pmm.monitor_probes 0;
-              g_slow_suspects = System.pm_slow_suspects system;
-              g_hedged_reads = System.pm_hedged_reads system;
-              g_hedge_wins = System.pm_hedge_wins system;
-              g_single_copy_writes = System.pm_single_copy_writes system;
-            }
-      in
-      let degraded, recorder =
-        single ~seed ~config ?obs ?sample_interval ~params ~inspect ?flight
-          ~mode:System.Pm_audit ~plan:gray_plan ()
-      in
-      let out =
-        match degraded with
-        | Error e -> Error ("gray degraded: " ^ e)
-        | Ok degraded ->
-            let g_p99_ratio =
-              if baseline.response.Stat.p99 > 0.0 then
-                degraded.response.Stat.p99 /. baseline.response.Stat.p99
-              else infinity
-            in
-            (* [inspect] ran: recovery succeeded. *)
-            Ok { degraded with gray = Some { (Option.get !mitigation) with g_p99_ratio } }
-      in
-      gated ~family:"gray" ~flight (out, recorder)
-
-(* --- Overload drill: flash crowd, open loop, metastability gate --- *)
-
-let run_overload ?(seed = 0xD5177L) ?obs ?sample_interval ?(params = overload_params)
-    ?(defenses = true) ?horizon ?flight () =
-  let cfg = if defenses then overload_config else overload_no_defense_config in
-  let cfg = { cfg with System.seed } in
+let open_family cfg params ~defenses =
   let workers = cfg.System.worker_cpus in
   let files = cfg.System.files in
   let per_txn = params.ov_inserts_per_txn in
@@ -1580,19 +1529,15 @@ let run_overload ?(seed = 0xD5177L) ?obs ?sample_interval ?(params = overload_pa
     in
     ([], sections)
   in
-  let family =
-    {
-      platform = node_platform ~overload:true cfg;
-      gauges = [ ("drill.rejected", fun t -> t.t_rejected) ];
-      load;
-      settle_for = params.ov_settle;
-      evidence;
-    }
-  in
-  harness family ~seed ?obs ?flight ?sample_interval ?horizon (overload_plan params)
-  |> gated ~family:"overload" ~flight
+  {
+    platform = node_platform ~overload:true cfg;
+    gauges = [ ("drill.rejected", fun t -> t.t_rejected) ];
+    load;
+    settle_for = params.ov_settle;
+    evidence;
+  }
 
-(* --- Cluster partition drill --- *)
+(* --- Distributed load: the 2PC mix on a cluster --- *)
 
 (* Distributed hot-stock mix: every transaction spreads its inserts
    across the nodes and commits two-phase.  Failures are data — during
@@ -1642,14 +1587,7 @@ let cluster_driver cluster params tally index =
             Sim.sleep (Time.ms 2))
   done
 
-let run_cluster ?(seed = 0xC1D5L) ?(nodes = 2) ?config ?obs ?(params = cluster_params)
-    ?horizon ?recovery_plan ?flight ~plan () =
-  if params.drivers < 1 then invalid_arg "Drill.run_cluster: need at least one driver";
-  if params.inserts_per_txn < 1 then
-    invalid_arg "Drill.run_cluster: need at least one insert per transaction";
-  if nodes < 2 then invalid_arg "Drill.run_cluster: need at least two nodes";
-  let base = Option.value config ~default:System.pm_config in
-  let cfg = { (config_for base System.Pm_audit) with System.seed } in
+let distributed_family cfg ~nodes params =
   let cpus = cfg.System.worker_cpus in
   (* The in-doubt window is counted before the crash: the partition's
      wreckage, which recovery's resolvers must drain. *)
@@ -1674,19 +1612,106 @@ let run_cluster ?(seed = 0xC1D5L) ?(nodes = 2) ?config ?obs ?(params = cluster_p
     in
     ([], sections)
   in
-  let family =
-    {
-      platform = cluster_platform ~nodes ~settle:params.settle cfg;
-      gauges = [];
-      load =
-        (fun cluster tally ->
-          closed_loop ~drivers:params.drivers
-            ~cpu:(fun i ->
-              Node.cpu (System.node (Cluster.system cluster (i mod nodes))) (i mod cpus))
-            (cluster_driver cluster params tally));
-      settle_for = params.settle;
-      evidence;
-    }
+  {
+    platform = cluster_platform ~nodes ~settle:params.settle cfg;
+    gauges = [];
+    load =
+      (fun cluster tally ->
+        closed_loop ~drivers:params.drivers
+          ~cpu:(fun i ->
+            Node.cpu (System.node (Cluster.system cluster (i mod nodes))) (i mod cpus))
+          (cluster_driver cluster params tally));
+    settle_for = params.settle;
+    evidence;
+  }
+
+(* --- The one entry point --- *)
+
+let check_params p =
+  if p.drivers < 1 then invalid_arg "Drill.exec: need at least one driver";
+  if p.inserts_per_txn < 1 then invalid_arg "Drill.exec: need at least one insert per transaction"
+
+let exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage (s : spec) =
+  (match s.load with
+  | Closed p -> check_params p
+  | Distributed { nodes; params } ->
+      check_params params;
+      if nodes < 2 then invalid_arg "Drill.exec: need at least two nodes"
+  | Open _ -> ());
+  let cfg = { (System.defended s.defenses s.config) with System.seed = s.seed } in
+  let once ?obs ?prof ?sample_interval ?inspect ?flight ~recovery_plan plan =
+    let go fam =
+      harness fam ~seed:s.seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon:s.horizon
+        ~recovery_plan plan
+    in
+    match s.load with
+    | Closed p -> go (closed_family cfg p ~crash_decay:s.crash_decay ~plan)
+    | Open p -> go (open_family cfg p ~defenses:s.defenses)
+    | Distributed { nodes; params } -> go (distributed_family cfg ~nodes params)
   in
-  harness family ~seed ?obs ?flight ?horizon ?recovery_plan plan
-  |> gated ~family:"cluster" ~flight
+  let family =
+    match s.load with
+    | Open _ -> "overload"
+    | Distributed _ -> "cluster"
+    | Closed _ when s.crash_decay <> [] -> "corruption"
+    | Closed _ -> "drill"
+  in
+  if not s.baseline then
+    once ?obs ?prof ?sample_interval ?inspect ?flight ~recovery_plan:s.recovery_plan s.plan
+    |> gated ~family ~flight ?max_outage
+  else
+    (* Healthy baseline first: identical platform, identical seed, no
+       faults.  Its p99 is the denominator of the latency gate. *)
+    let baseline, _, _ = once ~recovery_plan:[] [] in
+    match baseline with
+    | Error e -> Error ("gray baseline: " ^ e)
+    | Ok baseline ->
+        (* The mitigation counters, read off the live system after
+           recovery; the p99 ratio is filled in below. *)
+        let mitigation = ref None in
+        let harvest system =
+          let on_pmm f default = Option.fold ~none:default ~some:f (System.pmm system) in
+          mitigation :=
+            Some
+              {
+                g_defended = s.defenses;
+                g_baseline = baseline;
+                g_p99_ratio = nan;
+                g_p99_limit = gray_p99_limit;
+                g_demotions = on_pmm Pm.Pmm.demotions 0;
+                g_readmissions = on_pmm Pm.Pmm.readmissions 0;
+                g_mirror_active = on_pmm Pm.Pmm.mirror_active true;
+                g_monitor_probes = on_pmm Pm.Pmm.monitor_probes 0;
+                g_slow_suspects = System.pm_slow_suspects system;
+                g_hedged_reads = System.pm_hedged_reads system;
+                g_hedge_wins = System.pm_hedge_wins system;
+                g_single_copy_writes = System.pm_single_copy_writes system;
+              };
+          Option.iter (fun f -> f system) inspect
+        in
+        let degraded, recorder, judged_at =
+          once ?obs ?prof ?sample_interval ~inspect:harvest ?flight
+            ~recovery_plan:s.recovery_plan s.plan
+        in
+        let out =
+          match degraded with
+          | Error e -> Error ("gray degraded: " ^ e)
+          | Ok degraded ->
+              let g_p99_ratio =
+                if baseline.response.Stat.p99 > 0.0 then
+                  degraded.response.Stat.p99 /. baseline.response.Stat.p99
+                else infinity
+              in
+              (* [harvest] ran: recovery succeeded. *)
+              Ok { degraded with gray = Some { (Option.get !mitigation) with g_p99_ratio } }
+        in
+        gated ~family:"gray" ~flight ?max_outage (out, recorder, judged_at)
+
+let run ?(seed = 0xD5177L) ?(config = System.default_config) ?obs ?prof ?sample_interval
+    ?(params = default_params) ?horizon ?(recovery_plan = []) ?inspect ?flight ?max_outage ~mode
+    ~plan () =
+  let txn_state_in_pm = config.System.txn_state_in_pm || mode = System.Pm_audit in
+  let config = { config with System.log_mode = mode; txn_state_in_pm } in
+  exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage
+    { load = Closed params; config; defenses = true; plan; recovery_plan; horizon;
+      crash_decay = []; baseline = false; seed }

@@ -1,22 +1,29 @@
 open Simkit
 
-(** Availability/durability drill harness.
+(** Availability/durability drills.
 
-    A drill builds a fresh system, runs the hot-stock insert mix while a
-    {!Faultplan.t} fires against it, then crashes the node (wipes every
-    DP2 image), runs {!Recovery.run}, and audits durability: every
-    transaction the client saw acknowledged must be present after
-    recovery.  Acknowledged-but-lost rows are the one unforgivable
-    failure ({!report.lost_rows}); transactions that visibly failed
-    during the faults are availability loss, counted separately.
+    A drill builds a fresh platform, puts load on it while a
+    {!Faultplan.t} fires against it, then crashes it (wipes every DP2
+    image), recovers, and audits durability: every transaction the
+    client saw acknowledged must be present after recovery.
+    Acknowledged-but-lost rows are the one unforgivable failure
+    ({!report.lost_rows}); transactions that visibly failed during the
+    faults are availability loss, counted separately.
 
-    The driver is deliberately fault-tolerant where
-    {!Workloads.Hot_stock} is strict: it retries [begin] across
-    takeovers and treats commit errors as data, because a drill's
+    A drill family is one value, a {!spec}: its load (which fixes the
+    platform), its config and whether its defenses are on, its fault
+    plans, and its seed.  {!spec_of} is the one table of the named
+    families; {!exec} is the one entry point that runs a spec, judges it
+    with {!Oracle.of_report} and, on a failed gate, dumps the flight
+    recorder.
+
+    The drivers are deliberately fault-tolerant where
+    {!Workloads.Hot_stock} is strict: they retry [begin] across
+    takeovers and treat commit errors as data, because a drill's
     subject is the system's behaviour under faults, not the driver's.
 
     Everything is derived from the simulation seed, so a drill replays
-    bit-for-bit: same seed, same plan, same report. *)
+    bit-for-bit: same spec, same report. *)
 
 type params = {
   drivers : int;
@@ -104,9 +111,9 @@ type report = {
           of both mirrors ({!Pm.Pmm.divergent_chunks}) plus the repair
           counters *)
   availability : availability option;  (** single-system runs *)
-  gray : gray option;  (** {!run_gray} *)
-  overload : overload option;  (** {!run_overload} *)
-  cluster : cluster option;  (** {!run_cluster} *)
+  gray : gray option;  (** runs with a {!spec.baseline} *)
+  overload : overload option;  (** [Open] loads *)
+  cluster : cluster option;  (** [Distributed] loads *)
 }
 
 (** The gray-failure section: the healthy baseline next to this
@@ -178,20 +185,6 @@ val integrity_clean : report -> bool
     audit showing zero unrepaired divergence.  [false] when the report
     has no integrity section (disk mode). *)
 
-val standard_plan : System.log_mode -> Faultplan.t
-(** The default schedule.  PM mode: PMM primary kill, a mirror-NPMU
-    power cycle, a rail flap, a CRC noise burst, then a mirror resync.
-    Disk mode: ADP, DP2 and TMF primary kills plus the rail flap and
-    noise burst.  Offsets assume {!default_params}-scale load. *)
-
-val partition_plan : Faultplan.t
-(** The cluster partition schedule: sever the inter-node link mid-2PC,
-    kill the coordinator node's monitor while the link is down, heal,
-    take over the PM manager (bumping the volume epoch), then verify the
-    epoch fence is armed.  Offsets assume {!cluster_params}-scale load;
-    cluster-scoped ({!run_cluster} / {!Faultplan.launch_cluster})
-    only. *)
-
 val corruption_config : System.config
 (** {!System.pm_config} armed for the corruption drill: 2 MiB trail
     regions, the background scrubber on a tight cadence, and verified
@@ -203,124 +196,7 @@ val corruption_trail_base : int -> int
     store must land to hit written frames.  The explorer aims its
     media faults with this. *)
 
-val gray_params : params
-(** {!default_params} scaled to 600 commits, so the detection window's
-    slow commits stay below the p99 index in a defended run. *)
-
-val gray_plan : Faultplan.t
-(** The staged fail-slow schedule: the mirror NPMU degrades 200x
-    mid-load, then a rail congests 2x and a data spindle drags 3x, then
-    everything restores — so one run proves detection, demotion, bounded
-    latency, and re-admission.  Offsets assume {!gray_params}-scale load
-    on the gray platform of {!run_gray}. *)
-
-type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
-
-val plans : (string * plan) list
-(** Every named fault schedule — the closed set [odsbench drill --plan]
-    accepts — in [--list-plans] order. *)
-
-val plan_names : System.log_mode -> string list
-(** The {!plans} names valid for a single-system drill in that mode,
-    canonical first. *)
-
-val cluster_plan_names : string list
-(** The {!plans} names valid for a cluster drill, canonical first. *)
-
-val run :
-  ?seed:int64 ->
-  ?config:System.config ->
-  ?obs:Obs.t ->
-  ?prof:Prof.t ->
-  ?sample_interval:Time.span ->
-  ?params:params ->
-  ?horizon:Time.span ->
-  ?recovery_plan:Faultplan.t ->
-  ?inspect:(System.t -> unit) ->
-  ?flight:string ->
-  ?max_outage:Time.span ->
-  mode:System.log_mode ->
-  plan:Faultplan.t ->
-  unit ->
-  (report, string) result
-(** Owns its simulation; safe to call outside process context.  [Error]
-    carries a recovery or plan-validation failure.  [prof] is installed
-    on the drill's simulation for the whole run (see {!Simkit.Prof}).
-    [sample_interval] (requires [obs], else [Invalid_argument]) records
-    a telemetry timeline into {!report.timeline}.  [inspect] runs against the live system after recovery
-    succeeds, before the simulation is torn down — the hook gray drills
-    use to harvest counters the report does not carry.
-
-    [horizon] is forwarded to {!Faultplan.validate}: events offset past
-    it are rejected instead of silently never firing.  [recovery_plan]
-    is a second fault schedule whose offsets are relative to the start
-    of recovery — it is launched the instant {!Recovery.run} begins, so
-    its events land while replay and resolution are in flight, and it
-    is awaited (and folded into {!report.faults} and the fence
-    counters) before the durability audit runs.
-
-    [flight] arms a {!Simkit.Flightrec} on the drill's observability
-    context (growing a private one if no [obs] was passed, and raising
-    the global telemetry level to spans): recent spans and every fault
-    injection are ring-buffered, and whenever {!Oracle.of_report}
-    (with [max_outage]) rejects the report — or the drill errors
-    outright — the black box dumps itself as JSON to that path, marked
-    ["drill gate failed: "] and the verdict's {!Oracle.summary}. *)
-
-val run_corruption :
-  ?seed:int64 ->
-  ?obs:Obs.t ->
-  ?sample_interval:Time.span ->
-  ?params:params ->
-  ?defenses:bool ->
-  ?flight:string ->
-  unit ->
-  (report, string) result
-(** The end-to-end storage-integrity drill: {!run} in PM mode under
-    {!corruption_config} and the silent-corruption schedule — mirror and
-    primary media decay plus torn stores mid-load (landing in
-    scrubber-unarbitratable active chunks, exercising quarantine and
-    mirror salvage), then post-load decay in settled chunks the
-    scrubber must catch and repair — plus decay at the crash itself,
-    after the scrubber stops and before recovery, so only a verified
-    read can catch it.
-    Gated by {!Oracle.of_report} (flight mark ["corruption gate
-    failed: ..."]).  A clean run satisfies {!integrity_clean} with [scrub_repairs >= 1]
-    and [read_repairs >= 1] — both defense layers proven live.
-    [~defenses:false] is the negative control: same faults with the
-    scrubber and verified reads disabled, which loses rows and leaves
-    divergence behind — evidence the injection is real, and what silent
-    corruption costs without the defenses. *)
-
-val run_gray :
-  ?seed:int64 ->
-  ?obs:Obs.t ->
-  ?sample_interval:Time.span ->
-  ?params:params ->
-  ?defenses:bool ->
-  ?flight:string ->
-  unit ->
-  (report, string) result
-(** The end-to-end gray-failure drill: a healthy baseline run (same
-    seed, no faults), then {!gray_plan} on {!System.pm_config} armed
-    for it: 2 MiB trail regions, the PMM mirror-health monitor, client
-    latency-health tracking (150 us SLO budget), hedged reads, and
-    adaptive data-path backoff.  [~defenses:false] turns every one of
-    those defenses off: the negative control whose commit p99 collapses
-    to the slow mirror's latency.
-    The gate holds the degraded p99 to at most 8× the baseline's.
-    [obs] / [sample_interval] / [flight] instrument the degraded run
-    only.  The report is the degraded run with a {!gray} section
-    holding the baseline; the recorder dumps once, marked ["gray gate
-    failed: ..."], when {!Oracle.of_report} rejects it. *)
-
-(** {1 Overload drill}
-
-    The metastable-failure drill: open-loop flash-crowd load against an
-    impatient client population, defended by admission control,
-    deadlines, retry budgets and breakers — or undefended, the negative
-    control that must stay collapsed after the spike ends. *)
-
+(** Sizing and gates of the open-loop flash-crowd load. *)
 type overload_params = {
   ov_record_bytes : int;
   ov_inserts_per_txn : int;
@@ -347,55 +223,132 @@ val overload_params : overload_params
 (** Base 400 txns/s (~0.6x measured open-loop capacity), 5x spike for
     400 ms, 1.5 s of cooldown observation in 100 ms windows. *)
 
-val overload_config : System.config
-(** {!System.pm_config} armed with every overload defense: TMF
-    admission control, 150 ms transaction deadlines, budgeted client
-    retries (12-token buckets), per-destination breakers — plus the
-    300 ms client patience that is the storm's raw material. *)
-
 val overload_plan : overload_params -> Faultplan.t
 (** The [Flash_crowd] marker event at the spike's offset; validated with
     {!Faultplan.validate_overload}. *)
 
-val run_overload :
-  ?seed:int64 ->
-  ?obs:Obs.t ->
-  ?sample_interval:Time.span ->
-  ?params:overload_params ->
-  ?defenses:bool ->
-  ?horizon:Time.span ->
-  ?flight:string ->
-  unit ->
-  (report, string) result
-(** Run the flash-crowd schedule open-loop against a fresh system, drain
-    the stragglers, crash, recover, and audit durability plus the
-    goodput gates.  Owns its simulation.  [~defenses:false] runs the
-    same schedule and seed on the undefended platform.  [flight] dumps
-    the black box, marked ["overload gate failed: ..."], when
-    {!Oracle.of_report} rejects the report. *)
+(** {1 Drill specs} *)
 
-val run_cluster :
+type plan = Standard | Kills | Corruption | Grayfail | Overload | Partition | No_faults
+
+val plans : (string * plan) list
+(** Every named fault schedule — the closed set [odsbench drill --plan]
+    accepts — in [--list-plans] order. *)
+
+(** The load a drill puts on its platform, which also fixes the
+    platform. *)
+type load =
+  | Closed of params
+      (** closed-loop hot-stock drivers on one node, in the config's
+          [log_mode] *)
+  | Open of overload_params
+      (** an open-loop flash crowd against impatient clients on one
+          node: arrivals do not wait for commits *)
+  | Distributed of { nodes : int; params : params }
+      (** the distributed mix on a PM cluster: every transaction spreads
+          rows across nodes and commits two-phase *)
+
+type spec = {
+  load : load;
+  config : System.config;  (** the platform with every defense the family uses on *)
+  defenses : bool;  (** [false] runs [System.defended false config]: the negative control *)
+  plan : Faultplan.t;  (** fired during the load *)
+  recovery_plan : Faultplan.t;
+      (** offsets relative to the start of recovery: launched the
+          instant recovery begins, awaited and folded into
+          {!report.faults} and the fence counters before the audit *)
+  horizon : Time.span option;
+      (** forwarded to validation: events offset past it are rejected
+          instead of silently never firing *)
+  crash_decay : (int * int * int) list;
+      (** [(device, offset, bits)] decayed at the crash, after the
+          scrubber stops and before recovery, so only a verified read
+          can catch it *)
+  baseline : bool;
+      (** run the same spec fault-free first; the report gets a {!gray}
+          section holding that baseline, and its gate bounds the p99
+          commit latency against the baseline's *)
+  seed : int64;
+}
+
+val spec_of : plan -> [ `Single of System.log_mode | `Cluster ] -> (spec, string) result
+(** The named family on a single node in that log mode, or on a
+    2-node cluster, with its defenses on.  [Error] is the usage message
+    when the platform cannot run the plan.
+    - [standard]: PM mode kills the PMM primary, power-cycles the
+      mirror NPMU, flaps a rail, bursts CRC noise, then resyncs the
+      mirror; disk mode kills ADP, DP2 and TMF primaries among the rail
+      flap and noise burst.  [kills] keeps only the kills; [none] fires
+      nothing.
+    - [corruption] (PM): {!corruption_config}, media decay and torn
+      stores mid-load and after it, and decay at the crash.  Defended,
+      both the scrubber and verified reads repair; undefended, rows are
+      lost and divergence is left behind.
+    - [grayfail] (PM): the mirror NPMU degrades 200x mid-load, then a
+      rail congests and a spindle drags, then everything restores; the
+      mirror-health monitor, client latency tracking, hedged reads and
+      adaptive backoff are armed.  Runs a fault-free baseline first and
+      holds the degraded p99 to 8x the baseline's.
+    - [overload] (PM): the flash crowd against clients with 300 ms
+      patience; admission control, deadlines, retry budgets and breakers
+      are armed.
+    - [partition] (cluster): severs the inter-node link mid-2PC, kills
+      the coordinator's monitor, heals, takes over the PM manager and
+      probes the epoch fence. *)
+
+val plan_names : [ `Single of System.log_mode | `Cluster ] -> string list
+(** The {!plans} names {!spec_of} accepts on that platform, canonical
+    first — what [--list-plans] prints. *)
+
+val exec :
+  ?obs:Obs.t ->
+  ?prof:Prof.t ->
+  ?sample_interval:Time.span ->
+  ?inspect:(System.t -> unit) ->
+  ?flight:string ->
+  ?max_outage:Time.span ->
+  spec ->
+  (report, string) result
+(** Run a spec.  Owns its simulation; safe to call outside process
+    context.  [Error] carries a recovery or plan-validation failure;
+    [Invalid_argument] a load with no driver, an empty boxcar or fewer
+    than two nodes.  The instruments apply to the run under the plan,
+    not to a baseline: [prof] is installed on its simulation (see
+    {!Simkit.Prof}); [sample_interval] (requires [obs], else
+    [Invalid_argument]) records a telemetry timeline into
+    {!report.timeline}; [inspect] runs against each live system after
+    recovery succeeds, before the simulation is torn down.
+
+    [flight] arms a {!Simkit.Flightrec} on the drill's observability
+    context (growing a private one if no [obs] was passed, and raising
+    the global telemetry level to spans): recent spans and every fault
+    injection are ring-buffered, and whenever {!Oracle.of_report} (with
+    [max_outage]) rejects the report — or the drill errors outright —
+    the black box dumps itself as JSON to that path, marked at the
+    simulated instant of judgement with ["<family> gate failed: "] and
+    the verdict's {!Oracle.summary}.  The family is [gray] for a
+    baseline run, [overload], [cluster], [corruption] for crash decay,
+    else [drill]. *)
+
+val run :
   ?seed:int64 ->
-  ?nodes:int ->
   ?config:System.config ->
   ?obs:Obs.t ->
+  ?prof:Prof.t ->
+  ?sample_interval:Time.span ->
   ?params:params ->
   ?horizon:Time.span ->
   ?recovery_plan:Faultplan.t ->
+  ?inspect:(System.t -> unit) ->
   ?flight:string ->
+  ?max_outage:Time.span ->
+  mode:System.log_mode ->
   plan:Faultplan.t ->
   unit ->
   (report, string) result
-(** A partition drill: build an [nodes]-node PM-mode cluster, run the
-    distributed hot-stock mix (every transaction spreads rows across
-    nodes and commits two-phase) while the plan fires, crash every
-    node's DP2 images, run {!Cluster.recover} — which resolves each
-    node's in-doubt branches against their coordinators — and judge the
-    report with {!Oracle.of_report} ([flight] dumps, marked ["cluster
-    gate failed: ..."], when it fails).  Always PM mode (the fence probe
-    requires it).  Owns its simulation.  [horizon] and [recovery_plan]
-    behave as in {!run}: past-horizon events are rejected at
-    validation, and the recovery plan races {!Cluster.recover}. *)
+(** {!exec} of a [Closed] spec with [config] (default
+    {!System.default_config}) switched to [mode], kept for the
+    benchmark's traced drill. *)
 
 (** {1 The shared invariant oracle}
 

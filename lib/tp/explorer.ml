@@ -61,15 +61,6 @@ let disk_params = { pm_params with Drill.settle = Time.ms 500 }
 
 let cluster_params = { Drill.cluster_params with Drill.records_per_driver = 32 }
 
-(* PM schedules run on the corruption-drill platform: small regions, the
-   scrubber on a tight cadence, verified reads — the full defense stack
-   the media-fault motifs are aimed at.  [defenses:false] strips the
-   integrity defenses, which is how the explorer proves it can find the
-   known silent-corruption failures. *)
-let pm_config ~defenses =
-  if defenses then Drill.corruption_config
-  else { Drill.corruption_config with System.pm_scrub = None; pm_verified_reads = false }
-
 (* Liveness tripwire more than a latency SLO: a schedule that wedges a
    pair headless for this long is a finding even with zero rows lost. *)
 let max_outage = Time.sec 30
@@ -583,23 +574,36 @@ let repro_of_json json =
 
 type replay_result = Single of Drill.report | Clustered of Drill.report | Overloaded of Drill.report
 
+(* PM schedules run on the corruption-drill platform — small regions,
+   the scrubber on a tight cadence, verified reads: the defenses the
+   media-fault motifs are aimed at — without its crash decay.  The
+   overload drill owns its schedule, so a repro's plans do not reach
+   it. *)
 let replay ?flight r =
-  let seed = r.rp_seed and plan = r.rp_plan and recovery_plan = r.rp_recovery in
-  match r.rp_kind with
-  | Pm ->
-      Drill.run ~seed ~config:(pm_config ~defenses:r.rp_defenses) ~params:pm_params
-        ~horizon ~recovery_plan ?flight ~max_outage ~mode:System.Pm_audit ~plan ()
-      |> Result.map (fun rep -> Single rep)
-  | Disk ->
-      Drill.run ~seed ~params:disk_params ~horizon ~recovery_plan ?flight ~max_outage
-        ~mode:System.Disk_audit ~plan ()
-      |> Result.map (fun rep -> Single rep)
-  | Cluster ->
-      Drill.run_cluster ~seed ~params:cluster_params ~horizon ~recovery_plan ?flight ~plan ()
-      |> Result.map (fun rep -> Clustered rep)
-  | Overload ->
-      Drill.run_overload ~seed ~defenses:r.rp_defenses ?flight ()
-      |> Result.map (fun rep -> Overloaded rep)
+  let family plan scope =
+    { (Result.get_ok (Drill.spec_of plan scope)) with
+      Drill.seed = r.rp_seed; defenses = r.rp_defenses }
+  in
+  let with_repro load spec =
+    { spec with Drill.load; plan = r.rp_plan; recovery_plan = r.rp_recovery;
+      horizon = Some horizon; crash_decay = [] }
+  in
+  let pm = `Single System.Pm_audit and disk = `Single System.Disk_audit in
+  let wrap, spec =
+    match r.rp_kind with
+    | Pm ->
+        ((fun rep -> Single rep), with_repro (Drill.Closed pm_params) (family Drill.Corruption pm))
+    | Disk ->
+        ( (fun rep -> Single rep),
+          with_repro (Drill.Closed disk_params) (family Drill.No_faults disk) )
+    | Cluster ->
+        ( (fun rep -> Clustered rep),
+          with_repro
+            (Drill.Distributed { nodes = 2; params = cluster_params })
+            (family Drill.Partition `Cluster) )
+    | Overload -> ((fun rep -> Overloaded rep), family Drill.Overload pm)
+  in
+  Drill.exec ?flight ~max_outage spec |> Result.map wrap
 
 let replay_verdict (Single rep | Clustered rep | Overloaded rep) =
   Drill.Oracle.of_report ~max_outage rep

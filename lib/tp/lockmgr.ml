@@ -138,10 +138,12 @@ let acquire t ?(span = Span.null) ?(deadline = 0) ~owner ~key mode =
     else begin
       t.blocked <- t.blocked + 1;
       (* A release wakes the waiter and retires its deadline; a waiter
-         that times out leaves its spent waker for the next release. *)
-      let (_ : Sim.wake) =
-        Sim.suspend_for (deadline - Sim.now t.sim) (fun waker -> e.waiters <- waker :: e.waiters)
-      in
+         that times out retracts its spent waker. *)
+      (match
+         Sim.suspend_for (deadline - Sim.now t.sim) (fun waker -> e.waiters <- waker :: e.waiters)
+       with
+      | Sim.Woken _ -> ()
+      | Sim.Timed_out waker -> e.waiters <- List.filter (fun w -> w != waker) e.waiters);
       t.blocked <- t.blocked - 1;
       attempt ()
     end

@@ -64,6 +64,28 @@ let default_config =
 
 let pm_config = { default_config with log_mode = Pm_audit; txn_state_in_pm = true }
 
+(* Every defense back at [default_config]'s value, where each is off.
+   [client_op_timeout] is the clients' patience, part of the
+   environment a defense copes with, so it stays. *)
+let defended on cfg =
+  if on then cfg
+  else
+    let d = default_config in
+    {
+      cfg with
+      pm_verified_reads = d.pm_verified_reads;
+      pm_scrub = d.pm_scrub;
+      pm_health = d.pm_health;
+      pm_slo_budget = d.pm_slo_budget;
+      pm_hedged_reads = d.pm_hedged_reads;
+      pm_adaptive_backoff = d.pm_adaptive_backoff;
+      client_deadline = d.client_deadline;
+      client_retry_budget = d.client_retry_budget;
+      client_breakers = d.client_breakers;
+      pm_retry_budget = d.pm_retry_budget;
+      tmf_admission = d.tmf_admission;
+    }
+
 type pm_parts = {
   pmm : Pm.Pmm.t;
   devices : Pm.Npmu.t list;

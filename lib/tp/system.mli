@@ -77,6 +77,14 @@ val default_config : config
 val pm_config : config
 (** [default_config] with PM audit trails and the txn-state table. *)
 
+val defended : bool -> config -> config
+(** [defended false cfg] turns every defense off: verified reads, the
+    scrubber, the mirror-health monitor, client health tracking, hedged
+    reads, adaptive backoff, transaction deadlines, retry budgets,
+    breakers and admission control go back to {!default_config}'s
+    values.  [client_op_timeout] is the environment, not a defense, and
+    keeps its value.  [defended true] is the identity. *)
+
 type t
 
 val build : ?obs:Obs.t -> Sim.t -> config -> t

@@ -89,8 +89,8 @@ let hot_stock_run ~records ~mode ~drivers prof =
 
 let drill_run prof =
   match
-    Tp.Drill.run ~seed:drill_seed ~prof ~mode:Tp.System.Pm_audit
-      ~plan:(Tp.Drill.standard_plan Tp.System.Pm_audit) ()
+    Result.bind (Tp.Drill.spec_of Tp.Drill.Standard (`Single Tp.System.Pm_audit)) (fun s ->
+        Tp.Drill.exec ~prof { s with Tp.Drill.seed = drill_seed })
   with
   | Ok r -> (r.Tp.Drill.elapsed, r.Tp.Drill.committed)
   | Error e -> failwith ("perf: drill workload failed: " ^ e)

@@ -121,9 +121,13 @@ let test_validate_horizon () =
 
 let test_drill_run_horizon () =
   match
-    Tp.Drill.run ~seed:0x1L ~horizon:(Time.ms 100) ~mode:Tp.System.Pm_audit
-      ~plan:[ Tp.Faultplan.at (Time.ms 200) (Tp.Faultplan.Kill_primary Tmf) ]
-      ()
+    Tp.Drill.exec
+      {
+        (Test_util.drill_spec Tp.Drill.No_faults) with
+        Tp.Drill.seed = 0x1L;
+        horizon = Some (Time.ms 100);
+        plan = [ Tp.Faultplan.at (Time.ms 200) (Tp.Faultplan.Kill_primary Tmf) ];
+      }
   with
   | Ok _ -> Alcotest.fail "drill ran a plan with an event past the horizon"
   | Error e -> check_bool "mentions the horizon" true (contains e "horizon")
@@ -132,7 +136,7 @@ let test_drill_run_horizon () =
 
 let test_oracle_verdicts () =
   let r =
-    match Tp.Drill.run ~mode:Tp.System.Pm_audit ~plan:[] () with
+    match Tp.Drill.exec (Test_util.drill_spec Tp.Drill.No_faults) with
     | Ok r -> r
     | Error e -> Alcotest.fail ("faultless drill refused: " ^ e)
   in

@@ -309,15 +309,18 @@ let test_faultplan_rejects_bad_slow_events () =
   reject "rail out of range" (Tp.Faultplan.Slow_rail { rail = 99; factor = 2.0 });
   reject "negative jitter"
     (Tp.Faultplan.Slow_disk { volume = 0; factor = 2.0; jitter = -1 });
-  match Tp.Faultplan.validate system Tp.Drill.gray_plan with
+  match Tp.Faultplan.validate system (Test_util.drill_spec Tp.Drill.Grayfail).Tp.Drill.plan with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("gray plan rejected: " ^ e))
 
 (* --- The gray-failure drill --- *)
 
+let gray ?(defenses = true) ?flight () =
+  Tp.Drill.exec ?flight { (Test_util.drill_spec Tp.Drill.Grayfail) with Tp.Drill.defenses }
+
 let test_gray_drill_defended () =
   let run () =
-    match Tp.Drill.run_gray () with
+    match gray () with
     | Ok ({ Tp.Drill.gray = Some g; _ } as r) -> (r, g)
     | Ok _ -> Alcotest.fail "gray drill reported no gray section"
     | Error e -> Alcotest.fail ("gray drill failed: " ^ e)
@@ -342,7 +345,7 @@ let test_gray_drill_defended () =
     && g.Tp.Drill.g_single_copy_writes = g2.Tp.Drill.g_single_copy_writes )
 
 let test_gray_drill_negative_control () =
-  match Tp.Drill.run_gray ~defenses:false () with
+  match gray ~defenses:false () with
   | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
   | Ok ({ Tp.Drill.gray = Some g; _ } as r) ->
       check_int "still zero loss" 0 r.Tp.Drill.lost_rows;
@@ -354,17 +357,24 @@ let test_gray_drill_negative_control () =
   | Ok _ -> Alcotest.fail "gray drill reported no gray section"
 
 (* CI's negative control finds the dump by its gate mark: exactly one,
-   labelled by the family. *)
+   labelled by the family and stamped with the simulated clock at
+   judgement, after every fault. *)
 let test_gray_negative_control_flight_mark () =
   let path = Filename.temp_file "flight-grayfail" ".json" in
-  (match Tp.Drill.run_gray ~defenses:false ~flight:path () with
-  | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
-  | Ok _ -> ());
+  let r =
+    match gray ~defenses:false ~flight:path () with
+    | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
+    | Ok r -> r
+  in
   let marks = Test_util.flight_gate_marks path in
   Sys.remove path;
   check_int "one gate mark" 1 (List.length marks);
+  let time, label = List.hd marks in
   check_bool "labelled by the gray family" true
-    (String.starts_with ~prefix:"gray gate failed: " (List.hd marks))
+    (String.starts_with ~prefix:"gray gate failed: " label);
+  check_bool "stamped with the simulated clock" true (time > 0);
+  check_bool "after every fault" true
+    (List.for_all (fun (t, _) -> time >= t) r.Tp.Drill.faults)
 
 let suite =
   [

@@ -805,11 +805,14 @@ let drill_integrity r =
   | Some i -> i
   | None -> Alcotest.fail "PM drill report carries no integrity audit"
 
+let corruption ?(defenses = true) seed =
+  Tp.Drill.exec { (Test_util.drill_spec Tp.Drill.Corruption) with Tp.Drill.seed; defenses }
+
 let test_corruption_drill_defended () =
   (* Two seeds: the gates must hold on each, not by luck on one. *)
   List.iter
     (fun seed ->
-      match Tp.Drill.run_corruption ~seed () with
+      match corruption seed with
       | Error e -> Alcotest.fail ("corruption drill failed: " ^ e)
       | Ok r ->
           let i = drill_integrity r in
@@ -824,7 +827,7 @@ let test_corruption_drill_defended () =
 
 let test_corruption_drill_deterministic () =
   let run () =
-    match Tp.Drill.run_corruption ~seed:7L () with
+    match corruption 7L with
     | Error e -> Alcotest.fail ("corruption drill failed: " ^ e)
     | Ok r ->
         let i = drill_integrity r in
@@ -839,7 +842,7 @@ let test_corruption_drill_deterministic () =
   check_bool "same seed, same report" true (run () = run ())
 
 let test_corruption_drill_negative_control () =
-  match Tp.Drill.run_corruption ~seed:0xD5177L ~defenses:false () with
+  match corruption ~defenses:false 0xD5177L with
   | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
   | Ok r ->
       let i = drill_integrity r in

@@ -334,6 +334,33 @@ let test_procpair_checkpoint_degrades_without_backup () =
   check_int "service alive" 1 !got;
   check_int "no checkpoints shipped" 0 (Procpair.checkpoints_sent pair)
 
+(* A backup CPU that fails and restarts comes back empty: it applies no
+   checkpoints, so a call must not wait out the takeover delay for an
+   acknowledgement nobody sends, and a later primary death has no shadow
+   to promote and halts the pair. *)
+let test_procpair_restarted_backup_is_not_a_backup () =
+  let sim, node = make_node () in
+  let backup = Node.cpu node 1 and client = Node.cpu node 2 in
+  let server, pair = start_counter_pair node ~primary:(Node.cpu node 0) ~backup in
+  let took = ref Time.zero in
+  let (_ : Sim.pid) =
+    Cpu.spawn client ~name:"client" (fun () ->
+        Cpu.fail backup;
+        Cpu.restart backup;
+        let t0 = Sim.now sim in
+        (match Msgsys.call server ~from:client () with
+        | Ok v -> check_int "served" 1 v
+        | Error _ -> Alcotest.fail "call failed");
+        took := Sim.now sim - t0;
+        Procpair.kill_primary pair)
+  in
+  Sim.run sim;
+  check_bool "restarted CPU is not a backup" false (Procpair.has_backup pair);
+  check_bool "call answers in microseconds" true (!took < Time.ms 1);
+  check_int "no checkpoints shipped" 0 (Procpair.checkpoints_sent pair);
+  check_int "no takeover" 0 (Procpair.takeovers pair);
+  check_bool "pair halted" true (Procpair.is_halted pair)
+
 (* The backup CPU fails after a checkpoint is shipped and before the
    backup applies it: the checkpoint is lost with the backup, no ack
    comes, and the primary waits out the takeover delay before it goes
@@ -402,5 +429,7 @@ let suite =
           test_procpair_checkpoint_degrades_without_backup;
         Alcotest.test_case "backup dies mid-checkpoint" `Quick
           test_procpair_backup_dies_mid_checkpoint;
+        Alcotest.test_case "restarted backup CPU is not a backup" `Quick
+          test_procpair_restarted_backup_is_not_a_backup;
       ] );
   ]

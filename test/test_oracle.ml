@@ -37,18 +37,20 @@ let report = function
    has them; the name, then the report. *)
 let families =
   lazy
-    [
-      ( "disk standard",
-        report
-          (Drill.run ~mode:System.Disk_audit ~plan:(Drill.standard_plan System.Disk_audit) ()) );
-      ("corruption", report (Drill.run_corruption ()));
-      ("corruption undefended", report (Drill.run_corruption ~defenses:false ()));
-      ("grayfail", report (Drill.run_gray ()));
-      ("grayfail undefended", report (Drill.run_gray ~defenses:false ()));
-      ("overload", report (Drill.run_overload ()));
-      ("overload undefended", report (Drill.run_overload ~defenses:false ()));
-      ("partition", report (Drill.run_cluster ~plan:Drill.partition_plan ()));
-    ]
+    (List.map
+       (fun (name, scope, plan, defenses) ->
+         let spec = Test_util.drill_spec ~scope plan in
+         (name, report (Drill.exec { spec with Drill.defenses })))
+       [
+         ("disk standard", `Single System.Disk_audit, Drill.Standard, true);
+         ("corruption", `Single System.Pm_audit, Drill.Corruption, true);
+         ("corruption undefended", `Single System.Pm_audit, Drill.Corruption, false);
+         ("grayfail", `Single System.Pm_audit, Drill.Grayfail, true);
+         ("grayfail undefended", `Single System.Pm_audit, Drill.Grayfail, false);
+         ("overload", `Single System.Pm_audit, Drill.Overload, true);
+         ("overload undefended", `Single System.Pm_audit, Drill.Overload, false);
+         ("partition", `Cluster, Drill.Partition, true);
+       ])
 
 let names v =
   List.map (fun c -> c.Drill.Oracle.ck_name) v.Drill.Oracle.checks
@@ -145,8 +147,88 @@ let test_gray_integrity_reported () =
            n.Drill.Oracle.na_reason)
   | None -> Alcotest.fail "integrity_clean judged on a gray run"
 
+(* --- The spec table --- *)
+
+(* What --list-plans prints per platform, and the usage message for
+   every other plan. *)
+let test_spec_table () =
+  let scopes =
+    [
+      ("disk", `Single System.Disk_audit, [ "standard"; "kills"; "none" ]);
+      ("pm", `Single System.Pm_audit, [ "standard"; "kills"; "corruption"; "grayfail"; "overload"; "none" ]);
+      ("cluster", `Cluster, [ "partition"; "none" ]);
+    ]
+  in
+  List.iter
+    (fun (label, scope, runs) ->
+      check_names (label ^ ": plan names") runs (Drill.plan_names scope);
+      List.iter
+        (fun (name, plan) ->
+          let what = Printf.sprintf "%s %s" label name in
+          match (Drill.spec_of plan scope, List.mem name runs) with
+          | Ok _, true -> ()
+          | Ok _, false -> Alcotest.fail (what ^ ": accepted")
+          | Error e, true -> Alcotest.fail (what ^ ": refused: " ^ e)
+          | Error e, false ->
+              let expected =
+                match scope with
+                | `Cluster ->
+                    Printf.sprintf "plan '%s' does not run in cluster mode (partition|none)" name
+                | `Single _ when plan = Drill.Partition -> "plan 'partition' requires --mode cluster"
+                | `Single _ -> Printf.sprintf "plan '%s' requires --mode pm" name
+              in
+              Alcotest.(check string) (what ^ ": message") expected e)
+        Drill.plans)
+    scopes
+
+(* [c] with every defense field taken from [from]; [client_op_timeout]
+   is the environment, not a defense. *)
+let with_defenses_of (from : System.config) (c : System.config) =
+  {
+    c with
+    System.pm_verified_reads = from.System.pm_verified_reads;
+    pm_scrub = from.System.pm_scrub;
+    pm_health = from.System.pm_health;
+    pm_slo_budget = from.System.pm_slo_budget;
+    pm_hedged_reads = from.System.pm_hedged_reads;
+    pm_adaptive_backoff = from.System.pm_adaptive_backoff;
+    client_deadline = from.System.client_deadline;
+    client_retry_budget = from.System.client_retry_budget;
+    client_breakers = from.System.client_breakers;
+    pm_retry_budget = from.System.pm_retry_budget;
+    tmf_admission = from.System.tmf_admission;
+  }
+
+(* Every family config arms only defenses: stripping them puts
+   [default_config]'s value in every defense field and keeps every other
+   field, the clients' patience included. *)
+let test_defended_strips_every_defense () =
+  List.iter
+    (fun scope ->
+      List.iter
+        (fun (name, plan) ->
+          match Drill.spec_of plan scope with
+          | Error _ -> ()
+          | Ok spec ->
+              let c = spec.Drill.config in
+              let off = System.defended false c in
+              check_bool (name ^ ": defenses at their defaults, the rest kept") true
+                (off = with_defenses_of System.default_config c);
+              check_bool (name ^ ": defended true is the identity") true
+                (System.defended true c == c);
+              check_bool (name ^ ": the family arms a defense") true
+                (off <> c = List.mem name [ "corruption"; "grayfail"; "overload" ]))
+        Drill.plans)
+    [ `Single System.Disk_audit; `Single System.Pm_audit; `Cluster ]
+
 let suite =
   [
+    ( "drill.spec",
+      [
+        Alcotest.test_case "spec_of runs exactly the listed plans" `Quick test_spec_table;
+        Alcotest.test_case "defended false strips every defense" `Quick
+          test_defended_strips_every_defense;
+      ] );
     ( "oracle.table",
       [
         Alcotest.test_case "every row once in every family's verdict" `Quick

@@ -96,7 +96,7 @@ let test_flash_crowd_overload_only () =
             (fun name ->
               check_bool (Printf.sprintf "error lists plan '%s'" name) true
                 (contains e name))
-            (Tp.Drill.plan_names Tp.System.Pm_audit));
+            (Tp.Drill.plan_names (`Single Tp.System.Pm_audit)));
       (match Tp.Faultplan.validate_overload system plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("overload scope rejected the marker: " ^ e));
@@ -118,18 +118,21 @@ let test_flash_crowd_overload_only () =
 let test_overload_plan_validates () =
   let sim = Sim.create ~seed:0x12L () in
   Test_util.run_in sim (fun () ->
-      let system = Tp.System.build sim Tp.Drill.overload_config in
-      match
-        Tp.Faultplan.validate_overload system
-          (Tp.Drill.overload_plan Tp.Drill.overload_params)
-      with
+      let spec = Test_util.drill_spec Tp.Drill.Overload in
+      let system = Tp.System.build sim spec.Tp.Drill.config in
+      match Tp.Faultplan.validate_overload system spec.Tp.Drill.plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("overload plan rejected: " ^ e))
 
 (* --- The end-to-end drill --- *)
 
+let overload ?seed ?(defenses = true) ?flight () =
+  let spec = Test_util.drill_spec Tp.Drill.Overload in
+  let seed = Option.value seed ~default:spec.Tp.Drill.seed in
+  Tp.Drill.exec ?flight { spec with Tp.Drill.seed; defenses }
+
 let run_drill ?seed ?defenses () =
-  match Tp.Drill.run_overload ?seed ?defenses () with
+  match overload ?seed ?defenses () with
   | Ok ({ Tp.Drill.overload = Some v; _ } as r) -> (r, v)
   | Ok _ -> Alcotest.fail "overload drill reported no overload section"
   | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
@@ -189,17 +192,24 @@ let test_overload_drill_second_seed () =
     (passes (fst (run_drill ~seed ~defenses:false ())))
 
 (* CI's negative control finds the dump by its gate mark: exactly one,
-   labelled by the family. *)
+   labelled by the family and stamped with the simulated clock at
+   judgement, after every fault. *)
 let test_overload_negative_control_flight_mark () =
   let path = Filename.temp_file "flight-overload" ".json" in
-  (match Tp.Drill.run_overload ~defenses:false ~flight:path () with
-  | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
-  | Ok _ -> ());
+  let r =
+    match overload ~defenses:false ~flight:path () with
+    | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
+    | Ok r -> r
+  in
   let marks = Test_util.flight_gate_marks path in
   Sys.remove path;
   check_int "one gate mark" 1 (List.length marks);
+  let time, label = List.hd marks in
   check_bool "labelled by the overload family" true
-    (String.starts_with ~prefix:"overload gate failed: " (List.hd marks))
+    (String.starts_with ~prefix:"overload gate failed: " label);
+  check_bool "stamped with the simulated clock" true (time > 0);
+  check_bool "after every fault" true
+    (List.for_all (fun (t, _) -> time >= t) r.Tp.Drill.faults)
 
 let suite =
   [

@@ -742,8 +742,14 @@ let suite = suite @ [ ("tp.dtx", dtx_cases) ]
    every acknowledged commit survives.  Plans are explicit and the seed
    fixed, so a failure here replays bit-for-bit. *)
 
-let run_drill ?(seed = 0xD211L) ~mode plan =
-  match Drill.run ~seed ~mode ~plan () with
+(* A hot-stock drill on [mode] under [plan]. *)
+let drill_on ?(seed = 0xD211L) ?params mode plan =
+  let spec = Test_util.drill_spec ~scope:(`Single mode) Drill.No_faults in
+  let load = match params with Some p -> Drill.Closed p | None -> spec.Drill.load in
+  Drill.exec { spec with Drill.seed; plan; load }
+
+let run_drill ?seed ~mode plan =
+  match drill_on ?seed mode plan with
   | Ok report -> report
   | Error e -> Alcotest.fail ("drill: " ^ e)
 
@@ -805,7 +811,7 @@ let test_drill_pmm_kill () =
 
 let test_drill_standard_pm_deterministic () =
   (* The full standard schedule, twice with one seed: identical reports. *)
-  let plan = Drill.standard_plan System.Pm_audit in
+  let plan = (Test_util.drill_spec Drill.Standard).Drill.plan in
   let a = run_drill ~mode:System.Pm_audit plan in
   let b = run_drill ~mode:System.Pm_audit plan in
   assert_zero_loss a;
@@ -820,33 +826,32 @@ let test_drill_standard_pm_deterministic () =
 let test_drill_plan_validation () =
   (* PM-only events are rejected against a disk-mode system, out-of-range
      targets against any. *)
-  (match
-     Drill.run ~mode:System.Disk_audit ~plan:Faultplan.[ at 0 (Kill_primary Pmm) ] ()
-   with
+  (match drill_on System.Disk_audit Faultplan.[ at 0 (Kill_primary Pmm) ] with
   | Error e -> check_bool "pm-only rejected" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "kill_pmm accepted in disk mode");
-  match
-    Drill.run ~mode:System.Disk_audit ~plan:Faultplan.[ at 0 (Kill_primary (Adp 99)) ] ()
-  with
+  match drill_on System.Disk_audit Faultplan.[ at 0 (Kill_primary (Adp 99)) ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range ADP accepted"
 
 let test_drill_rejects_empty_boxcar () =
   Alcotest.check_raises "single-node drill"
-    (Invalid_argument "Drill.run: need at least one insert per transaction") (fun () ->
+    (Invalid_argument "Drill.exec: need at least one insert per transaction") (fun () ->
       ignore
-        (Drill.run
+        (drill_on
            ~params:{ Drill.default_params with Drill.inserts_per_txn = 0 }
-           ~mode:System.Disk_audit ~plan:[] ()))
+           System.Disk_audit []))
 
 let test_cluster_drill_rejects_empty_boxcar () =
   Alcotest.check_raises "cluster drill"
-    (Invalid_argument "Drill.run_cluster: need at least one insert per transaction")
+    (Invalid_argument "Drill.exec: need at least one insert per transaction")
     (fun () ->
+      let params = { Drill.cluster_params with Drill.inserts_per_txn = 0 } in
       ignore
-        (Drill.run_cluster
-           ~params:{ Drill.cluster_params with Drill.inserts_per_txn = 0 }
-           ~plan:[] ()))
+        (Drill.exec
+           {
+             (Test_util.drill_spec ~scope:`Cluster Drill.No_faults) with
+             Drill.load = Drill.Distributed { nodes = 2; params };
+           }))
 
 let drill_cases =
   [
@@ -1022,17 +1027,19 @@ let test_faultplan_resync_fails_across_power_cycle () =
 
 let test_partition_plan_validation () =
   (* WAN events need a cluster-scoped launch; the fence probe needs PM. *)
-  (match Drill.run ~mode:System.Pm_audit ~plan:Faultplan.[ at 0 Wan_partition ] () with
+  (match drill_on System.Pm_audit Faultplan.[ at 0 Wan_partition ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wan_partition accepted outside a cluster");
-  match Drill.run ~mode:System.Disk_audit ~plan:Faultplan.[ at 0 Fence_check ] () with
+  match drill_on System.Disk_audit Faultplan.[ at 0 Fence_check ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fence_check accepted in disk mode"
 
 let test_cluster_partition_drill_seeds () =
   List.iter
     (fun seed ->
-      match Drill.run_cluster ~seed ~plan:Drill.partition_plan () with
+      match
+        Drill.exec { (Test_util.drill_spec ~scope:`Cluster Drill.Partition) with Drill.seed }
+      with
       | Error e -> Alcotest.fail (Printf.sprintf "drill seed 0x%Lx: %s" seed e)
       | Ok ({ Drill.cluster = Some c; _ } as r) ->
           check_bool

@@ -34,16 +34,27 @@ let check_result_ok msg = function
   | Ok _ -> ()
   | Error _ -> Alcotest.fail msg
 
-(* The gate-failure marks in a flight-recorder dump, oldest first: the
-   labels CI's negative controls search for. *)
+(* A named drill family's spec; fails the test if the platform refuses
+   the plan. *)
+let drill_spec ?(scope = `Single Tp.System.Pm_audit) plan =
+  match Tp.Drill.spec_of plan scope with Ok s -> s | Error e -> Alcotest.fail e
+
+(* The gate-failure marks in a flight-recorder dump, oldest first, with
+   their simulated times: the labels CI's negative controls search
+   for. *)
 let flight_gate_marks path =
   let doc = In_channel.with_open_bin path In_channel.input_all in
-  let labels =
+  let marks =
     match Json.parse doc with
     | Ok doc -> (
         match Json.member "marks" doc with
         | Some (Json.List marks) ->
-            List.filter_map (fun m -> Option.bind (Json.member "label" m) Json.to_string_opt) marks
+            List.filter_map
+              (fun m ->
+                match (Json.member "time_ns" m, Json.member "label" m) with
+                | Some (Json.Int t), Some (Json.String l) -> Some (t, l)
+                | _ -> None)
+              marks
         | _ -> Alcotest.fail "flight dump has no marks")
     | Error e -> Alcotest.fail ("flight dump unreadable: " ^ e)
   in
@@ -53,4 +64,4 @@ let flight_gate_marks path =
     let rec go i = i + n <= String.length l && (String.sub l i n = needle || go (i + 1)) in
     go 0
   in
-  List.filter contains labels
+  List.filter (fun (_, l) -> contains l) marks
