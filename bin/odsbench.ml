@@ -363,12 +363,40 @@ let sized ~drivers ~records ~boxcar (s : Tp.Drill.spec) =
   in
   { s with load }
 
+(* --no-defenses: the negative control, for a plan whose family arms a
+   defense switch; the usage message lists those plans.  Checked before
+   the plan's platform is resolved; the returned function turns every
+   switch off. *)
+let defenses_off ~no_defenses plan =
+  if not no_defenses then Fun.id
+  else
+    let armed =
+      List.filter
+        (fun (_, p) ->
+          match Tp.Drill.spec_of p (`Single Tp.System.Pm_audit) with
+          | Ok s -> s.Tp.Drill.config.Tp.System.defenses <> []
+          | Error _ -> false)
+        Tp.Drill.plans
+    in
+    if not (List.exists (fun (_, p) -> p = plan) armed) then begin
+      let rec either = function
+        | [ x; y ] -> x ^ " or " ^ y
+        | x :: (_ :: _ as rest) -> x ^ ", " ^ either rest
+        | [ x ] -> x
+        | [] -> ""
+      in
+      drill_usage ("--no-defenses only applies to --plan " ^ either (List.map fst armed))
+    end;
+    fun (s : Tp.Drill.spec) -> { s with config = { s.config with Tp.System.defenses = [] } }
+
 (* --plan-file: replay a schedule from disk.  A full repro document
    (schema "odsbench-repro", as written by the explorer) pins the
    platform, seed and defenses, so the replay is bit-for-bit and is
-   judged as the explorer judged it; a bare JSON array is just a
-   fault plan, run under --mode with the command-line seed and sizing. *)
-let plan_file_runner path scope ~size ?flight () =
+   judged as the explorer judged it, and --no-defenses and
+   --interval-ms are refused; a bare JSON array is just a fault plan,
+   run on the faultless platform under --mode with the command-line
+   seed, sizing and sampling. *)
+let plan_file_runner path scope ~size ~no_defenses ?obs ?sample_interval ?flight () =
   let invalid e = drill_usage (Printf.sprintf "%s: %s" path e) in
   let doc = match Json.parse (read_whole_file path) with Ok d -> d | Error e -> invalid e in
   match doc with
@@ -380,12 +408,17 @@ let plan_file_runner path scope ~size ?flight () =
             "a bare plan array needs --mode disk or pm (wrap cluster or overload \
              schedules in a repro document)"
       | Ok plan, `Single _ ->
+          let off = defenses_off ~no_defenses Tp.Drill.No_faults in
           Result.bind (Tp.Drill.spec_of Tp.Drill.No_faults scope) (fun s ->
-              Tp.Drill.exec ?flight { (size s) with Tp.Drill.plan })
+              Tp.Drill.exec ?obs ?sample_interval ?flight { (off (size s)) with Tp.Drill.plan })
           |> Result.map (judged path))
   | _ -> (
       match Tp.Explorer.repro_of_json doc with
       | Error e -> invalid e
+      | Ok _ when no_defenses ->
+          invalid "a repro document pins its defenses (set \"defenses\": false in it)"
+      | Ok _ when sample_interval <> None ->
+          invalid "a repro document replays as the explorer ran it: --interval-ms does not apply"
       | Ok repro ->
           Tp.Explorer.replay ?flight repro
           |> Result.map (fun result ->
@@ -401,15 +434,10 @@ let drill scope plan plan_file drivers boxcar records seed interval_ms flight li
       if interval_ms > 0 then (Some (Obs.create ()), Some (Time.ms interval_ms))
       else (None, None)
     in
-    (* A plan whose platform arms no defense has nothing to turn off. *)
-    let armed plan =
-      match Tp.Drill.spec_of plan (`Single Tp.System.Pm_audit) with
-      | Ok s -> Tp.System.defended false s.Tp.Drill.config <> s.Tp.Drill.config
-      | Error _ -> false
-    in
     let result =
       match plan_file with
-      | Some path -> plan_file_runner path scope ~size ?flight ()
+      | Some path ->
+          plan_file_runner path scope ~size ~no_defenses ?obs ?sample_interval ?flight ()
       | None -> (
           if scope = `Cluster && interval_ms > 0 then
             drill_usage "--interval-ms is not supported in cluster mode";
@@ -419,13 +447,11 @@ let drill scope plan plan_file drivers boxcar records seed interval_ms flight li
               List.assoc (List.hd (Tp.Drill.plan_names scope)) Tp.Drill.plans
             else plan
           in
-          if no_defenses && scope <> `Cluster && not (armed plan) then
-            drill_usage "--no-defenses only applies to --plan corruption, grayfail or overload";
+          let off = defenses_off ~no_defenses plan in
           match Tp.Drill.spec_of plan scope with
           | Error e -> drill_usage e
           | Ok s ->
-              Tp.Drill.exec ?obs ?sample_interval ?flight
-                { (size s) with Tp.Drill.defenses = not no_defenses }
+              Tp.Drill.exec ?obs ?sample_interval ?flight (off (size s))
               |> Result.map (judged (fst (List.find (fun (_, p) -> p = plan) Tp.Drill.plans))))
     in
     match result with
@@ -473,8 +499,10 @@ let drill_plan_file =
     ~doc:
       "Replay a schedule from $(docv) instead of a named $(b,--plan).  A repro document \
        written by $(b,odsbench explore) pins the platform, seed and defenses, so the drill \
-       replays bit-for-bit and is gated by the shared invariant oracle; a bare JSON array \
-       of actions runs under $(b,--mode) with the command-line seed and sizing."
+       replays bit-for-bit and is gated by the shared invariant oracle (it refuses \
+       $(b,--no-defenses) and $(b,--interval-ms)); a bare JSON array of actions runs on \
+       the faultless platform under $(b,--mode) with the command-line seed, sizing and \
+       sampling."
 
 let drill_flight =
   opt Arg.(some string) [ "flight" ] None ~docv:"FILE"

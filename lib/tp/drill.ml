@@ -689,8 +689,7 @@ let corruption_config =
   {
     System.pm_config with
     System.pm_region_bytes = corruption_region_bytes;
-    pm_scrub = Some (Time.us 100);
-    pm_verified_reads = true;
+    defenses = [ System.Integrity ];
   }
 
 (* Trail region [i]'s device offset under [corruption_config]: the PMM
@@ -751,10 +750,7 @@ let gray_config =
   {
     System.pm_config with
     System.pm_region_bytes = gray_region_bytes;
-    pm_health = Some Pm.Pmm.default_health_config;
-    pm_slo_budget = Time.us 150;
-    pm_hedged_reads = true;
-    pm_adaptive_backoff = true;
+    defenses = [ System.Fail_slow ];
   }
 
 (* The gray gate: the degraded run's p99 commit latency may be at most
@@ -840,12 +836,8 @@ let overload_params =
 let overload_config =
   {
     System.pm_config with
-    System.client_deadline = Time.ms 150;
-    client_op_timeout = Time.ms 300;
-    client_retry_budget = 12.0;
-    client_breakers = true;
-    pm_retry_budget = 12.0;
-    tmf_admission = true;
+    System.client_op_timeout = Time.ms 300;
+    defenses = [ System.Overload ];
   }
 
 let overload_plan p =
@@ -881,7 +873,6 @@ type load =
 type spec = {
   load : load;
   config : System.config;
-  defenses : bool;
   plan : Faultplan.t;
   recovery_plan : Faultplan.t;
   horizon : Time.span option;
@@ -901,8 +892,7 @@ let spec_of plan scope =
   let spec ?(load = Closed default_params) ?(crash_decay = []) ?(baseline = false)
       ?(seed = 0xD5177L) config plan =
     Ok
-      { load; config; defenses = true; plan; recovery_plan = []; horizon = None; crash_decay;
-        baseline; seed }
+      { load; config; plan; recovery_plan = []; horizon = None; crash_decay; baseline; seed }
   in
   match (scope, plan) with
   | `Cluster, _ when runs_on_cluster plan ->
@@ -1376,7 +1366,7 @@ let closed_family cfg params ~crash_decay ~plan =
 
 (* --- Open load: a flash crowd against impatient clients --- *)
 
-let open_family cfg params ~defenses =
+let open_family cfg params =
   let workers = cfg.System.worker_cpus in
   let files = cfg.System.files in
   let per_txn = params.ov_inserts_per_txn in
@@ -1505,7 +1495,7 @@ let open_family cfg params ~defenses =
       in
       let overload =
         {
-          v_defended = defenses;
+          v_defended = cfg.System.defenses <> [];
           v_arrivals = !arrivals;
           v_rejected = o.o_tally.t_rejected;
           v_timeouts = timeouts;
@@ -1638,7 +1628,7 @@ let exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage (s : spec) =
       check_params params;
       if nodes < 2 then invalid_arg "Drill.exec: need at least two nodes"
   | Open _ -> ());
-  let cfg = { (System.defended s.defenses s.config) with System.seed = s.seed } in
+  let cfg = { s.config with System.seed = s.seed } in
   let once ?obs ?prof ?sample_interval ?inspect ?flight ~recovery_plan plan =
     let go fam =
       harness fam ~seed:s.seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon:s.horizon
@@ -1646,7 +1636,7 @@ let exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage (s : spec) =
     in
     match s.load with
     | Closed p -> go (closed_family cfg p ~crash_decay:s.crash_decay ~plan)
-    | Open p -> go (open_family cfg p ~defenses:s.defenses)
+    | Open p -> go (open_family cfg p)
     | Distributed { nodes; params } -> go (distributed_family cfg ~nodes params)
   in
   let family =
@@ -1674,7 +1664,7 @@ let exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage (s : spec) =
           mitigation :=
             Some
               {
-                g_defended = s.defenses;
+                g_defended = cfg.System.defenses <> [];
                 g_baseline = baseline;
                 g_p99_ratio = nan;
                 g_p99_limit = gray_p99_limit;
@@ -1713,5 +1703,5 @@ let run ?(seed = 0xD5177L) ?(config = System.default_config) ?obs ?prof ?sample_
   let txn_state_in_pm = config.System.txn_state_in_pm || mode = System.Pm_audit in
   let config = { config with System.log_mode = mode; txn_state_in_pm } in
   exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage
-    { load = Closed params; config; defenses = true; plan; recovery_plan; horizon;
-      crash_decay = []; baseline = false; seed }
+    { load = Closed params; config; plan; recovery_plan; horizon; crash_decay = [];
+      baseline = false; seed }

@@ -187,8 +187,8 @@ val integrity_clean : report -> bool
 
 val corruption_config : System.config
 (** {!System.pm_config} armed for the corruption drill: 2 MiB trail
-    regions, the background scrubber on a tight cadence, and verified
-    reads on every PM client. *)
+    regions and the [Integrity] switch (the background scrubber on a
+    tight cadence, and verified reads on every PM client). *)
 
 val corruption_trail_base : int -> int
 (** Device byte offset where trail region [i] starts under
@@ -250,8 +250,9 @@ type load =
 
 type spec = {
   load : load;
-  config : System.config;  (** the platform with every defense the family uses on *)
-  defenses : bool;  (** [false] runs [System.defended false config]: the negative control *)
+  config : System.config;
+      (** the platform, with the defense switches the family uses armed;
+          [defenses = []] is the negative control *)
   plan : Faultplan.t;  (** fired during the load *)
   recovery_plan : Faultplan.t;
       (** offsets relative to the start of recovery: launched the

@@ -539,6 +539,18 @@ let repro_to_json ?violation r =
      ]
     @ match violation with None -> [] | Some v -> [ ("violation", v) ])
 
+(* The overload drill owns its schedule, so a repro of that kind
+   must carry exactly the schedule [generate] writes for it: plans the
+   drill would ignore are refused, not silently dropped. *)
+let overload_plans_ignored r =
+  if r.rp_kind = Overload
+     && (r.rp_plan <> Drill.overload_plan Drill.overload_params || r.rp_recovery <> [])
+  then
+    Some
+      "repro: an overload repro's plan must be the drill's own flash crowd and its \
+       recovery_plan empty"
+  else None
+
 let repro_of_json json =
   let ( let* ) = Result.bind in
   let field name conv what =
@@ -570,19 +582,19 @@ let repro_of_json json =
     let* rp_plan = Faultplan.of_json plan_json in
     let* rec_json = field "recovery_plan" Option.some "array" in
     let* rp_recovery = Faultplan.of_json rec_json in
-    Ok { rp_kind; rp_seed; rp_defenses; rp_plan; rp_recovery }
+    let r = { rp_kind; rp_seed; rp_defenses; rp_plan; rp_recovery } in
+    Option.fold ~none:(Ok r) ~some:Result.error (overload_plans_ignored r)
 
 type replay_result = Single of Drill.report | Clustered of Drill.report | Overloaded of Drill.report
 
 (* PM schedules run on the corruption-drill platform — small regions,
    the scrubber on a tight cadence, verified reads: the defenses the
-   media-fault motifs are aimed at — without its crash decay.  The
-   overload drill owns its schedule, so a repro's plans do not reach
-   it. *)
+   media-fault motifs are aimed at — without its crash decay. *)
 let replay ?flight r =
   let family plan scope =
-    { (Result.get_ok (Drill.spec_of plan scope)) with
-      Drill.seed = r.rp_seed; defenses = r.rp_defenses }
+    let s = Result.get_ok (Drill.spec_of plan scope) in
+    let config = if r.rp_defenses then s.config else { s.config with System.defenses = [] } in
+    { s with Drill.seed = r.rp_seed; config }
   in
   let with_repro load spec =
     { spec with Drill.load; plan = r.rp_plan; recovery_plan = r.rp_recovery;
@@ -603,7 +615,9 @@ let replay ?flight r =
             (family Drill.Partition `Cluster) )
     | Overload -> ((fun rep -> Overloaded rep), family Drill.Overload pm)
   in
-  Drill.exec ?flight ~max_outage spec |> Result.map wrap
+  match overload_plans_ignored r with
+  | Some e -> Error e
+  | None -> Drill.exec ?flight ~max_outage spec |> Result.map wrap
 
 let replay_verdict (Single rep | Clustered rep | Overloaded rep) =
   Drill.Oracle.of_report ~max_outage rep

@@ -146,7 +146,10 @@ val repro_to_json : ?violation:Json.t -> repro -> Json.t
 
 val repro_of_json : Json.t -> (repro, string) result
 (** Parse a repro document.  Errors name the missing field, bad kind,
-    or — delegated to {!Faultplan.of_json} — the offending action. *)
+    an overload repro whose plans the drill would ignore (anything but
+    {!Drill.overload_plan} [Drill.overload_params] and an empty
+    recovery plan, which is what {!generate} writes), or — delegated to
+    {!Faultplan.of_json} — the offending action. *)
 
 (** Which platform replayed the repro; every kind carries the one
     {!Drill.report}. *)
@@ -158,7 +161,10 @@ type replay_result =
 val replay : ?flight:string -> repro -> (replay_result, string) result
 (** Re-run a repro exactly: same platform, same seed, same plans.
     Deterministic — two replays of the same file produce identical
-    reports.  [flight] dumps when {!replay_verdict} fails. *)
+    reports.  [rp_defenses = false] runs the family with every defense
+    switch off.  An overload repro whose plans the drill would ignore
+    is an [Error], as in {!repro_of_json}.  [flight] dumps when
+    {!replay_verdict} fails. *)
 
 val replay_verdict : replay_result -> Drill.Oracle.verdict
 (** Judge a replay as the explorer does: {!Drill.Oracle.of_report}

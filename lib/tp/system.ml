@@ -5,6 +5,8 @@ type log_mode = Disk_audit | Pm_audit
 
 type pm_device_kind = Hardware_npmu | Prototype_pmp
 
+type defense = Integrity | Fail_slow | Overload
+
 type config = {
   seed : int64;
   worker_cpus : int;
@@ -17,20 +19,10 @@ type config = {
   pm_region_bytes : int;
   pm_write_penalty : Time.span;
   pm_mirrored : bool;
-  pm_verified_reads : bool;
-  pm_scrub : Time.span option;
-  pm_health : Pm.Pmm.health_config option;
-  pm_slo_budget : Time.span;
-  pm_hedged_reads : bool;
-  pm_adaptive_backoff : bool;
   txn_state_in_pm : bool;
-  client_deadline : Time.span;
   client_op_timeout : Time.span;
-  client_retry_budget : float;
-  client_breakers : bool;
-  pm_retry_budget : float;
   fabric : Servernet.Fabric.config;
-  tmf_admission : bool;
+  defenses : defense list;
 }
 
 let default_config =
@@ -46,45 +38,27 @@ let default_config =
     pm_region_bytes = 24 * 1024 * 1024;
     pm_write_penalty = 0;
     pm_mirrored = true;
-    pm_verified_reads = false;
-    pm_scrub = None;
-    pm_health = None;
-    pm_slo_budget = 0;
-    pm_hedged_reads = false;
-    pm_adaptive_backoff = false;
     txn_state_in_pm = false;
-    client_deadline = 0;
     client_op_timeout = 0;
-    client_retry_budget = 0.;
-    client_breakers = false;
-    pm_retry_budget = 0.;
     fabric = Servernet.Fabric.default_config;
-    tmf_admission = false;
+    defenses = [];
   }
 
 let pm_config = { default_config with log_mode = Pm_audit; txn_state_in_pm = true }
 
-(* Every defense back at [default_config]'s value, where each is off.
-   [client_op_timeout] is the clients' patience, part of the
-   environment a defense copes with, so it stays. *)
-let defended on cfg =
-  if on then cfg
-  else
-    let d = default_config in
-    {
-      cfg with
-      pm_verified_reads = d.pm_verified_reads;
-      pm_scrub = d.pm_scrub;
-      pm_health = d.pm_health;
-      pm_slo_budget = d.pm_slo_budget;
-      pm_hedged_reads = d.pm_hedged_reads;
-      pm_adaptive_backoff = d.pm_adaptive_backoff;
-      client_deadline = d.client_deadline;
-      client_retry_budget = d.client_retry_budget;
-      client_breakers = d.client_breakers;
-      pm_retry_budget = d.pm_retry_budget;
-      tmf_admission = d.tmf_admission;
-    }
+(* What each switch arms.  [Integrity]: the scrubber, pausing
+   [scrub_pause] between chunks, and verified reads.  [Fail_slow]: the
+   mirror-health monitor at [Pmm.default_health_config], client latency
+   tracking against [slo_budget], hedged reads and adaptive backoff.
+   [Overload]: admission control at the monitor, a [deadline] on every
+   transaction, per-session and PM-management retry budgets of
+   [retry_tokens] and circuit breakers. *)
+let scrub_pause = Time.us 100
+let slo_budget = Time.us 150
+let deadline = Time.ms 150
+let retry_tokens = 12.0
+
+let armed cfg d = List.mem d cfg.defenses
 
 type pm_parts = {
   pmm : Pm.Pmm.t;
@@ -115,16 +89,17 @@ type t = {
 
 (* One client library attachment per CPU that needs PM access. *)
 let make_pm_client ?obs cfg fabric pmm ~cpu =
+  let fail_slow = armed cfg Fail_slow in
   let client_cfg =
     {
       Pm.Pm_client.default_config with
       mirrored_writes = cfg.pm_mirrored;
       write_penalty = cfg.pm_write_penalty;
-      verified_reads = cfg.pm_verified_reads;
-      slo_budget = cfg.pm_slo_budget;
-      hedged_reads = cfg.pm_hedged_reads;
-      adaptive_backoff = cfg.pm_adaptive_backoff;
-      mgmt_retry_budget = cfg.pm_retry_budget;
+      verified_reads = armed cfg Integrity;
+      slo_budget = (if fail_slow then slo_budget else 0);
+      hedged_reads = fail_slow;
+      adaptive_backoff = fail_slow;
+      mgmt_retry_budget = (if armed cfg Overload then retry_tokens else 0.);
     }
   in
   Pm.Pm_client.attach ~cpu ~fabric ~pmm:(Pm.Pmm.server pmm) ~config:client_cfg ?obs ()
@@ -156,16 +131,13 @@ let build_pm ?obs cfg sim node =
     Pm.Pmm.start ~fabric ~name:"$PMM" ~primary_cpu:(Node.cpu node 0)
       ~backup_cpu:(Node.cpu node 1) ~primary_dev:dev_a ~mirror_dev:dev_b ()
   in
-  (match cfg.pm_scrub with
-  | Some interval -> Pm.Pmm.start_scrubber pmm ~cpu:(Node.cpu node 0) ~interval ?obs ()
-  | None -> ());
+  if armed cfg Integrity then
+    Pm.Pmm.start_scrubber pmm ~cpu:(Node.cpu node 0) ~interval:scrub_pause ?obs ();
   (* The mirror-health monitor probes from the backup CPU: its endpoint
      is already admitted to the metadata windows, and it keeps probing
      through a primary takeover. *)
-  (match cfg.pm_health with
-  | Some health_cfg ->
-      Pm.Pmm.start_monitor pmm ~cpu:(Node.cpu node 1) ~config:health_cfg ?obs ()
-  | None -> ());
+  if armed cfg Fail_slow then
+    Pm.Pmm.start_monitor pmm ~cpu:(Node.cpu node 1) ?obs ();
   (pmm, devices)
 
 let build ?obs sim cfg =
@@ -305,7 +277,7 @@ let build ?obs sim cfg =
   let tmf =
     Tmf.start ~fabric ~name:"$TMF" ~primary:(Node.cpu node 0) ~backup:(Node.cpu node 1)
       ~adps:adp_servers ~dp2s:dp2_servers ~mat:(Adp.server mat) ?txn_state ~outcome_probe
-      ~admission:cfg.tmf_admission ?obs ()
+      ~admission:(armed cfg Overload) ?obs ()
   in
   {
     sys_sim = sim;
@@ -428,15 +400,14 @@ let fence_check t =
 let obs t = t.sys_obs
 
 let session t ~cpu =
+  let overload = armed t.cfg Overload in
   let retry_budget =
-    if t.cfg.client_retry_budget > 0. then
-      Some (Retry_budget.create ~capacity:t.cfg.client_retry_budget ())
-    else None
+    if overload then Some (Retry_budget.create ~capacity:retry_tokens ()) else None
   in
   Txclient.create ~cpu:(Node.cpu t.sys_node cpu) ~tmf:(Tmf.server t.sys_tmf)
     ~dp2s:t.sys_dp2_servers ~routing:t.sys_routing
-    ~deadline_budget:t.cfg.client_deadline ~op_timeout:t.cfg.client_op_timeout
-    ?retry_budget ~breakers:t.cfg.client_breakers ?obs:t.sys_obs ()
+    ~deadline_budget:(if overload then deadline else 0) ~op_timeout:t.cfg.client_op_timeout
+    ?retry_budget ~breakers:overload ?obs:t.sys_obs ()
 
 let routing t = t.sys_routing
 

@@ -17,6 +17,26 @@ type log_mode = Disk_audit | Pm_audit
 
 type pm_device_kind = Hardware_npmu | Prototype_pmp
 
+(** The three groups of defenses, each armed at fixed values (DESIGN.md
+    §3.9) by {!build} and {!session}. *)
+type defense =
+  | Integrity
+      (** the PMM's background scrubber, pausing 100 µs between chunks
+          (whoever builds the system owns stopping it:
+          {!Pm.Pmm.stop_scrubber}), and verified reads: every PM client
+          read cross-checks the mirror and read-repairs divergence *)
+  | Fail_slow
+      (** the PMM's mirror-health monitor at
+          {!Pm.Pmm.default_health_config} (slow-mirror demotion and
+          re-admission; stopped with {!Pm.Pmm.stop_monitor}), PM-client
+          latency tracking against a 150 µs budget, hedged reads and
+          adaptive data-path backoff *)
+  | Overload
+      (** deadline-based admission control at the monitor, a 150 ms
+          deadline on every transaction, retry budgets of 12 tokens per
+          session and per PM client's management path, and per-destination
+          circuit breakers in sessions *)
+
 type config = {
   seed : int64;
   worker_cpus : int;
@@ -29,45 +49,16 @@ type config = {
   pm_region_bytes : int;  (** trail ring per ADP *)
   pm_write_penalty : Time.span;  (** extra device latency (latency sweep) *)
   pm_mirrored : bool;
-  pm_verified_reads : bool;
-      (** every PM client read cross-checks the mirror and read-repairs
-          divergence ({!Pm.Pm_client.read_verified_into}) *)
-  pm_scrub : Time.span option;
-      (** run the PMM's background scrubber, pausing this long between
-          chunk scans ([None] — the default — leaves it off; whoever
-          turns it on owns stopping it: {!Pm.Pmm.stop_scrubber}) *)
-  pm_health : Pm.Pmm.health_config option;
-      (** run the PMM's mirror-health monitor (slow-mirror demotion and
-          re-admission) with this configuration ([None] — the default —
-          leaves it off; whoever turns it on owns stopping it:
-          {!Pm.Pmm.stop_monitor}) *)
-  pm_slo_budget : Time.span;
-      (** per-op latency budget of the PM clients' own health tracking;
-          0 (the default) disables it *)
-  pm_hedged_reads : bool;
-      (** PM clients hedge slow plain reads with the mirror copy *)
-  pm_adaptive_backoff : bool;
-      (** PM clients scale data-path retry backoff to observed latency *)
   txn_state_in_pm : bool;  (** fine-grained txn table (PM mode only) *)
-  client_deadline : Time.span;
-      (** deadline budget stamped on each transaction by sessions from
-          {!session}; 0 (the default) disables deadlines *)
   client_op_timeout : Time.span;
       (** per-call patience of sessions from {!session}
           ({!Txclient.create}'s [op_timeout]); 0 (the default) waits
-          forever *)
-  client_retry_budget : float;
-      (** per-session retry token-bucket capacity; 0 (the default)
-          leaves retries unbudgeted *)
-  client_breakers : bool;
-      (** per-destination circuit breakers in sessions *)
-  pm_retry_budget : float;
-      (** PM-client management-path retry token-bucket capacity; 0 (the
-          default) leaves those retries unbudgeted *)
+          forever.  The environment a defense copes with, not a
+          defense. *)
   fabric : Servernet.Fabric.config;
-  tmf_admission : bool;
-      (** deadline-based admission control at the monitor
-          ({!Tmf.start}'s [admission]) *)
+  defenses : defense list;
+      (** the switches armed; [[]] (the default) is the undefended
+          platform, every drill's negative control *)
 }
 
 val default_config : config
@@ -76,14 +67,6 @@ val default_config : config
 
 val pm_config : config
 (** [default_config] with PM audit trails and the txn-state table. *)
-
-val defended : bool -> config -> config
-(** [defended false cfg] turns every defense off: verified reads, the
-    scrubber, the mirror-health monitor, client health tracking, hedged
-    reads, adaptive backoff, transaction deadlines, retry budgets,
-    breakers and admission control go back to {!default_config}'s
-    values.  [client_op_timeout] is the environment, not a defense, and
-    keeps its value.  [defended true] is the identity. *)
 
 type t
 

@@ -339,6 +339,21 @@ let test_repro_roundtrip () =
       match Tp.Explorer.repro_of_json doc with
       | Error e -> Alcotest.fail ("repro rejected: " ^ e)
       | Ok r -> check_bool "round-trips structurally" true (r = repro)));
+  (* An overload schedule as [generate] writes it round-trips too; one
+     carrying plans the overload drill would ignore is refused, both as
+     a document and as a record. *)
+  let s = Tp.Explorer.generate ~seed:42 ~index:15 in
+  let overload =
+    { Tp.Explorer.rp_kind = s.Tp.Explorer.s_kind; rp_seed = s.Tp.Explorer.s_seed;
+      rp_defenses = true; rp_plan = s.Tp.Explorer.s_plan; rp_recovery = s.Tp.Explorer.s_recovery }
+  in
+  let reparse r = Tp.Explorer.repro_of_json (Tp.Explorer.repro_to_json r) in
+  check_bool "generated overload repro round-trips" true (reparse overload = Ok overload);
+  let extra = [ Tp.Faultplan.at (Time.ms 1) (Tp.Faultplan.Kill_primary Tp.Faultplan.Tmf) ] in
+  check_bool "overload repro with a recovery plan refused" true
+    (Result.is_error (reparse { overload with rp_recovery = extra }));
+  check_bool "overload repro with an extra fault refused at replay" true
+    (Result.is_error (Tp.Explorer.replay { overload with rp_plan = overload.rp_plan @ extra }));
   (* Unknown schema and bad action errors are named. *)
   (match Tp.Explorer.repro_of_json (Json.Obj [ ("schema", Json.String "nope") ]) with
   | Ok _ -> Alcotest.fail "bad schema accepted"

@@ -316,7 +316,7 @@ let test_faultplan_rejects_bad_slow_events () =
 (* --- The gray-failure drill --- *)
 
 let gray ?(defenses = true) ?flight () =
-  Tp.Drill.exec ?flight { (Test_util.drill_spec Tp.Drill.Grayfail) with Tp.Drill.defenses }
+  Tp.Drill.exec ?flight (Test_util.drill_spec ~defenses Tp.Drill.Grayfail)
 
 let test_gray_drill_defended () =
   let run () =

@@ -806,7 +806,7 @@ let drill_integrity r =
   | None -> Alcotest.fail "PM drill report carries no integrity audit"
 
 let corruption ?(defenses = true) seed =
-  Tp.Drill.exec { (Test_util.drill_spec Tp.Drill.Corruption) with Tp.Drill.seed; defenses }
+  Tp.Drill.exec { (Test_util.drill_spec ~defenses Tp.Drill.Corruption) with Tp.Drill.seed }
 
 let test_corruption_drill_defended () =
   (* Two seeds: the gates must hold on each, not by luck on one. *)

@@ -39,8 +39,7 @@ let families =
   lazy
     (List.map
        (fun (name, scope, plan, defenses) ->
-         let spec = Test_util.drill_spec ~scope plan in
-         (name, report (Drill.exec { spec with Drill.defenses })))
+         (name, report (Drill.exec (Test_util.drill_spec ~scope ~defenses plan))))
        [
          ("disk standard", `Single System.Disk_audit, Drill.Standard, true);
          ("corruption", `Single System.Pm_audit, Drill.Corruption, true);
@@ -181,28 +180,60 @@ let test_spec_table () =
         Drill.plans)
     scopes
 
-(* [c] with every defense field taken from [from]; [client_op_timeout]
-   is the environment, not a defense. *)
-let with_defenses_of (from : System.config) (c : System.config) =
-  {
-    c with
-    System.pm_verified_reads = from.System.pm_verified_reads;
-    pm_scrub = from.System.pm_scrub;
-    pm_health = from.System.pm_health;
-    pm_slo_budget = from.System.pm_slo_budget;
-    pm_hedged_reads = from.System.pm_hedged_reads;
-    pm_adaptive_backoff = from.System.pm_adaptive_backoff;
-    client_deadline = from.System.client_deadline;
-    client_retry_budget = from.System.client_retry_budget;
-    client_breakers = from.System.client_breakers;
-    pm_retry_budget = from.System.pm_retry_budget;
-    tmf_admission = from.System.tmf_admission;
-  }
+(* Each mechanism a built PM system can arm, with the switch it belongs
+   to and whether it is armed under [defenses]: verified reads on every
+   PM client, scrub passes, mirror-health probes, a session retry budget,
+   and admission control, which refuses a begin whose deadline has
+   already passed where an unguarded monitor admits it. *)
+let mechanisms defenses =
+  let sim = Simkit.Sim.create ~seed:0x5EL () in
+  Test_util.run_in sim (fun () ->
+      let system = System.build sim { System.pm_config with System.defenses } in
+      let pmm = Option.get (System.pmm system) and tmf = System.tmf system in
+      let from = Nsk.Node.cpu (System.node system) 0 in
+      let expired = Tmf.Begin_txn { deadline = 1 } in
+      ignore (Rpc.call_retry (Tmf.server tmf) ~from ~attempts:1 expired);
+      Simkit.Sim.sleep (Simkit.Time.ms 20);
+      Pm.Pmm.stop_scrubber pmm;
+      Pm.Pmm.stop_monitor pmm;
+      let verifying = List.map Pm.Pm_client.verified_reads_enabled (System.pm_clients system) in
+      let verified = List.for_all Fun.id verifying in
+      if verified <> List.exists Fun.id verifying then
+        Alcotest.fail "verified reads armed on some PM clients only";
+      [
+        ("verified reads", System.Integrity, verified);
+        ("scrubber", System.Integrity, Pm.Pmm.scrub_chunks_scanned pmm > 0);
+        ("mirror-health monitor", System.Fail_slow, Pm.Pmm.monitor_probes pmm > 0);
+        ("session retry budget", System.Overload,
+          Txclient.retry_budget (System.session system ~cpu:0) <> None);
+        ("admission control", System.Overload, Tmf.admitted tmf = 0);
+      ])
 
-(* Every family config arms only defenses: stripping them puts
-   [default_config]'s value in every defense field and keeps every other
-   field, the clients' patience included. *)
-let test_defended_strips_every_defense () =
+(* Each switch alone arms its own mechanisms and none of the others';
+   no switch arms nothing. *)
+let test_each_switch_arms_its_own () =
+  let switch = function
+    | System.Integrity -> "Integrity"
+    | System.Fail_slow -> "Fail_slow"
+    | System.Overload -> "Overload"
+  in
+  List.iter
+    (fun defenses ->
+      let on = String.concat "; " (List.map switch defenses) in
+      List.iter
+        (fun (name, group, armed) ->
+          check_bool (Printf.sprintf "%s armed under [%s]" name on) (defenses = [ group ]) armed)
+        (mechanisms defenses))
+    [ []; [ System.Integrity ]; [ System.Fail_slow ]; [ System.Overload ] ]
+
+(* Every family spec arms exactly the switch its name implies. *)
+let test_families_arm_their_switch () =
+  let expected = function
+    | "corruption" -> [ System.Integrity ]
+    | "grayfail" -> [ System.Fail_slow ]
+    | "overload" -> [ System.Overload ]
+    | _ -> []
+  in
   List.iter
     (fun scope ->
       List.iter
@@ -210,14 +241,8 @@ let test_defended_strips_every_defense () =
           match Drill.spec_of plan scope with
           | Error _ -> ()
           | Ok spec ->
-              let c = spec.Drill.config in
-              let off = System.defended false c in
-              check_bool (name ^ ": defenses at their defaults, the rest kept") true
-                (off = with_defenses_of System.default_config c);
-              check_bool (name ^ ": defended true is the identity") true
-                (System.defended true c == c);
-              check_bool (name ^ ": the family arms a defense") true
-                (off <> c = List.mem name [ "corruption"; "grayfail"; "overload" ]))
+              check_bool (name ^ ": armed switches") true
+                (spec.Drill.config.System.defenses = expected name))
         Drill.plans)
     [ `Single System.Disk_audit; `Single System.Pm_audit; `Cluster ]
 
@@ -226,8 +251,10 @@ let suite =
     ( "drill.spec",
       [
         Alcotest.test_case "spec_of runs exactly the listed plans" `Quick test_spec_table;
-        Alcotest.test_case "defended false strips every defense" `Quick
-          test_defended_strips_every_defense;
+        Alcotest.test_case "each switch arms only its own defenses" `Quick
+          test_each_switch_arms_its_own;
+        Alcotest.test_case "each family arms the switch its name implies" `Quick
+          test_families_arm_their_switch;
       ] );
     ( "oracle.table",
       [

@@ -127,9 +127,9 @@ let test_overload_plan_validates () =
 (* --- The end-to-end drill --- *)
 
 let overload ?seed ?(defenses = true) ?flight () =
-  let spec = Test_util.drill_spec Tp.Drill.Overload in
+  let spec = Test_util.drill_spec ~defenses Tp.Drill.Overload in
   let seed = Option.value seed ~default:spec.Tp.Drill.seed in
-  Tp.Drill.exec ?flight { spec with Tp.Drill.seed; defenses }
+  Tp.Drill.exec ?flight { spec with Tp.Drill.seed }
 
 let run_drill ?seed ?defenses () =
   match overload ?seed ?defenses () with

@@ -34,10 +34,13 @@ let check_result_ok msg = function
   | Ok _ -> ()
   | Error _ -> Alcotest.fail msg
 
-(* A named drill family's spec; fails the test if the platform refuses
-   the plan. *)
-let drill_spec ?(scope = `Single Tp.System.Pm_audit) plan =
-  match Tp.Drill.spec_of plan scope with Ok s -> s | Error e -> Alcotest.fail e
+(* A named drill family's spec, with every defense switch off unless
+   [defenses]; fails the test if the platform refuses the plan. *)
+let drill_spec ?(scope = `Single Tp.System.Pm_audit) ?(defenses = true) plan =
+  match Tp.Drill.spec_of plan scope with
+  | Ok s when defenses -> s
+  | Ok s -> { s with config = { s.config with Tp.System.defenses = [] } }
+  | Error e -> Alcotest.fail e
 
 (* The gate-failure marks in a flight-recorder dump, oldest first, with
    their simulated times: the labels CI's negative controls search
