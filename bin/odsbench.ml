@@ -144,7 +144,8 @@ let or_die f =
     prerr_endline ("odsbench: " ^ msg);
     exit 1
 
-let build_system mode sim = Tp.System.build sim (Figures.config_for Tp.System.default_config mode)
+let build_system mode sim =
+  Tp.System.build sim { Tp.System.default_config with Tp.System.log_mode = mode }
 
 (* --- the paper's figures and the ablations --- *)
 

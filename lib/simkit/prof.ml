@@ -131,6 +131,19 @@ let uninstall p =
   p.installed <- None;
   (match !current with Some q when q == p -> current := None | _ -> ())
 
+let simulate ?prof ~seed ~name main =
+  let sim = Sim.create ~seed () in
+  Option.iter (fun p -> install p sim) prof;
+  let out = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter uninstall prof;
+      Sim.discard sim)
+    (fun () ->
+      let (_ : Sim.pid) = Sim.spawn sim ~name (fun () -> out := Some (main sim)) in
+      Sim.run sim;
+      (!out, Sim.now sim))
+
 (* Hot-path counters: one option check when disabled. *)
 
 let bump_envelope () =

@@ -42,6 +42,15 @@ val install : t -> Sim.t -> unit
 val uninstall : t -> unit
 (** Remove the hooks; accumulated data remains readable. *)
 
+val simulate :
+  ?prof:t -> seed:int64 -> name:string -> (Sim.t -> 'a) -> 'a option * Time.t
+(** The one simulation lifecycle: create a simulation seeded with
+    [seed], install [prof] on it, run [main sim] as its one process
+    [name] until no event is left, then uninstall [prof] and
+    {!Sim.discard} the simulation (also on an exception), so no parked
+    fiber outlives the run.  Returns what [main] returned ([None] if the
+    simulation ran dry first) and the simulated clock at the end. *)
+
 val enabled : unit -> bool
 
 (** {1 Hot-path counters} *)

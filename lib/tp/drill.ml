@@ -963,8 +963,7 @@ let mark_faults recorder faults =
    acknowledged row's key. *)
 type ('p, 'k) platform = {
   build : Sim.t -> Obs.t option -> 'p;
-  validate : ?horizon:Time.span -> 'p -> Faultplan.t -> (unit, string) result;
-  launch : 'p -> Faultplan.t -> Faultplan.run;
+  scope : 'p -> Faultplan.scope;  (* what its fault plans may target *)
   systems : 'p -> System.t list;
   recover : 'p -> (Recovery.report list, string) result;
   quiesce : 'p -> unit;  (* post-recovery work the audit must wait out *)
@@ -979,11 +978,10 @@ let sum_over systems f = List.fold_left (fun acc s -> acc + f s) 0 systems
 
 let in_doubt system = List.length (Tmf.in_doubt (System.tmf system))
 
-let node_platform ?(overload = false) cfg =
+let node_platform scope cfg =
   {
     build = (fun sim obs -> System.build ?obs sim cfg);
-    validate = (if overload then Faultplan.validate_overload else Faultplan.validate);
-    launch = (if overload then Faultplan.launch_overload else Faultplan.launch);
+    scope;
     systems = (fun s -> [ s ]);
     recover = (fun s -> Result.map (fun r -> [ r ]) (Recovery.run s));
     quiesce = ignore;
@@ -1000,8 +998,7 @@ let node_platform ?(overload = false) cfg =
 let cluster_platform ~nodes ~settle cfg =
   {
     build = (fun sim obs -> Cluster.build sim ~nodes ~wan_latency:(Time.us 500) ?obs cfg);
-    validate = (fun ?horizon c plan -> Faultplan.validate_cluster ?horizon c ~node:0 plan);
-    launch = (fun c plan -> Faultplan.launch_cluster c ~node:0 plan);
+    scope = (fun c -> Faultplan.Cluster_node (c, 0));
     systems = (fun c -> List.init nodes (Cluster.system c));
     recover = Cluster.recover;
     quiesce = (fun _ -> Sim.sleep settle);
@@ -1022,6 +1019,8 @@ let ack tally keys response_time =
   tally.t_committed <- tally.t_committed + 1;
   tally.t_acked <- List.rev_append keys tally.t_acked;
   Stat.add_span tally.t_response response_time
+
+let fail tally () = tally.t_failed <- tally.t_failed + 1
 
 (* What the harness hands a family's evidence after the loss audit,
    next to the report core it has already filled from the same run. *)
@@ -1063,31 +1062,24 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon ~rec
   | Some _, None -> invalid_arg "Drill: sample_interval requires obs"
   | _ -> ());
   let recorder, obs = arm_flight flight obs in
-  let sim = Sim.create ~seed () in
-  Option.iter (fun p -> Prof.install p sim) prof;
-  let out = ref (Error "drill: simulation did not complete") in
   let pf = fam.platform in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Prof.uninstall prof;
-      Sim.discard sim)
-  @@ fun () ->
-  let (_ : Sim.pid) =
-    Sim.spawn sim ~name:"drill-main" (fun () ->
+  let out, judged_at =
+    Prof.simulate ?prof ~seed ~name:"drill-main" (fun sim ->
         let p = pf.build sim obs in
+        let scope = pf.scope p in
         let stop () = List.iter stop_daemons (pf.systems p) in
         let validated =
-          match pf.validate ?horizon p plan with
+          match Faultplan.validate ?horizon scope plan with
           | Error e -> Error ("fault plan: " ^ e)
           | Ok () -> (
-              match pf.validate p recovery_plan with
+              match Faultplan.validate scope recovery_plan with
               | Error e -> Error ("recovery fault plan: " ^ e)
               | Ok () -> Ok ())
         in
         match validated with
         | Error e ->
             stop ();
-            out := Error e
+            Error e
         | Ok () -> (
             let tally =
               {
@@ -1116,7 +1108,7 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon ~rec
               | _ -> None
             in
             let drive = fam.load p tally in
-            let frun = pf.launch p plan in
+            let frun = Faultplan.launch scope plan in
             drive ();
             let elapsed = Sim.now sim - started in
             Faultplan.await frun;
@@ -1142,7 +1134,7 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon ~rec
                relative to the instant recovery starts, so its events
                land while the replay and resolvers are still running —
                the nested-failure window no hand-written drill reaches. *)
-            let rrun = match recovery_plan with [] -> None | rp -> Some (pf.launch p rp) in
+            let rrun = match recovery_plan with [] -> None | rp -> Some (Faultplan.launch scope rp) in
             let recovered = pf.recover p in
             let recovery_faults =
               match rrun with
@@ -1154,7 +1146,7 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon ~rec
                   injected
             in
             match recovered with
-            | Error e -> out := Error ("recovery failed: " ^ e)
+            | Error e -> Error ("recovery failed: " ^ e)
             | Ok recoveries ->
                 pf.quiesce p;
                 let systems = pf.systems p in
@@ -1192,10 +1184,9 @@ let harness fam ~seed ?prof ?obs ?flight ?sample_interval ?inspect ?horizon ~rec
                 let o = { o_started = started; o_tally = t; o_recoveries = recoveries } in
                 let r = sections o core in
                 Option.iter (fun f -> List.iter f systems) inspect;
-                out := Ok r))
+                Ok r))
   in
-  Sim.run sim;
-  (!out, recorder, Sim.now sim)
+  (Option.value out ~default:(Error "drill: simulation did not complete"), recorder, judged_at)
 
 (* The one gate: judge a drill's report with the oracle and, when that
    fails or the drill produced no report, dump the armed flight
@@ -1219,65 +1210,7 @@ let gated ~family ~flight ?max_outage (out, recorder, judged_at) =
   | _ -> ());
   out
 
-(* Closed-loop load: one process per driver on [cpu index]; the load
-   ends when the last driver finishes. *)
-let closed_loop ~drivers ~cpu body () =
-  let gate = Gate.create drivers in
-  for index = 0 to drivers - 1 do
-    ignore
-      (Cpu.spawn (cpu index)
-         ~name:(Printf.sprintf "drill-driver%d" index)
-         (fun () ->
-           body index;
-           Gate.arrive gate))
-  done;
-  Gate.await gate
-
 (* --- Closed load: hot-stock on one node --- *)
-
-(* The hot-stock insert mix, tolerant of the system dropping out from
-   under it: [begin] is retried across takeovers, commit failures are
-   counted and the driver moves on. *)
-let driver system params tally index =
-  let cfg = System.config system in
-  let session = System.session system ~cpu:(index mod cfg.System.worker_cpus) in
-  let files = cfg.System.files in
-  let key_base = (index + 1) * 100_000_000 in
-  let total = params.records_per_driver in
-  let per_txn = params.inserts_per_txn in
-  let sim = System.sim system in
-  let begin_with_retry () =
-    let rec go attempts =
-      match Txclient.begin_txn session with
-      | Ok txn -> Some txn
-      | Error _ when attempts > 0 ->
-          Sim.sleep (Time.ms 250);
-          go (attempts - 1)
-      | Error _ -> None
-    in
-    go params.begin_retries
-  in
-  let seq = ref 0 in
-  while !seq < total do
-    let t0 = Sim.now sim in
-    let in_this_txn = min per_txn (total - !seq) in
-    let keys =
-      List.init in_this_txn (fun i ->
-          let idx = !seq + i in
-          ((idx mod files), key_base + idx + (idx / per_txn)))
-    in
-    seq := !seq + in_this_txn;
-    match begin_with_retry () with
-    | None -> tally.t_failed <- tally.t_failed + 1
-    | Some txn -> (
-        List.iter
-          (fun (file, key) ->
-            Txclient.insert_async session txn ~file ~key ~len:params.record_bytes ())
-          keys;
-        match Txclient.commit session txn with
-        | Ok () -> ack tally keys (Sim.now sim - t0)
-        | Error _ -> tally.t_failed <- tally.t_failed + 1)
-  done
 
 let availability_of system =
   (* Every ADP pair (the MAT's too) and every DP2 pair, summed. *)
@@ -1353,13 +1286,15 @@ let closed_family cfg params ~crash_decay ~plan =
     (crash_faults, sections)
   in
   {
-    platform = node_platform cfg;
+    platform = node_platform (fun s -> Faultplan.Single s) cfg;
     gauges = [];
     load =
-      (fun system tally ->
-        closed_loop ~drivers:params.drivers
-          ~cpu:(fun i -> Node.cpu (System.node system) (i mod cfg.System.worker_cpus))
-          (driver system params tally));
+      (fun system tally () ->
+        Load.clients [| system |] ~name:"drill-driver" params.drivers
+          (Load.hot_stock system ~records:params.records_per_driver
+             ~record_bytes:params.record_bytes ~per_txn:params.inserts_per_txn
+             ~begin_retries:params.begin_retries ~commit:(ack tally) ~fail:(fail tally))
+          ());
     settle_for = params.settle;
     evidence;
   }
@@ -1392,7 +1327,7 @@ let open_family cfg params =
           Sim.sleep (Time.ms 100);
           retry (retries - 1)
         end
-        else tally.t_failed <- tally.t_failed + 1
+        else fail tally ()
       in
       (* One arrival = one transaction attempt.  Rejection is respected
          immediately (that is the contract the defended system offers);
@@ -1520,7 +1455,7 @@ let open_family cfg params =
     ([], sections)
   in
   {
-    platform = node_platform ~overload:true cfg;
+    platform = node_platform (fun s -> Faultplan.Overload_drill s) cfg;
     gauges = [ ("drill.rejected", fun t -> t.t_rejected) ];
     load;
     settle_for = params.ov_settle;
@@ -1529,56 +1464,7 @@ let open_family cfg params =
 
 (* --- Distributed load: the 2PC mix on a cluster --- *)
 
-(* Distributed hot-stock mix: every transaction spreads its inserts
-   across the nodes and commits two-phase.  Failures are data — during
-   the partition cross-node calls time out fast and the driver moves
-   on — and only [Ok] commits are acknowledged. *)
-let cluster_driver cluster params tally index =
-  let nodes = Cluster.node_count cluster in
-  let coordinator = index mod nodes in
-  let home = Cluster.system cluster coordinator in
-  let cfg = System.config home in
-  let sim = System.sim home in
-  let files = cfg.System.files in
-  let key_base = (index + 1) * 100_000_000 in
-  let total = params.records_per_driver in
-  let per_txn = params.inserts_per_txn in
-  let seq = ref 0 in
-  while !seq < total do
-    let t0 = Sim.now sim in
-    let in_this_txn = min per_txn (total - !seq) in
-    let keys =
-      List.init in_this_txn (fun i ->
-          let idx = !seq + i in
-          ((coordinator + idx) mod nodes, idx mod files, key_base + idx))
-    in
-    seq := !seq + in_this_txn;
-    let dtx = Dtx.begin_dtx cluster ~coordinator ~cpu:(index mod cfg.System.worker_cpus) in
-    let inserted =
-      List.fold_left
-        (fun acc (node, file, key) ->
-          match acc with
-          | Error _ as e -> e
-          | Ok () -> Dtx.insert dtx ~node ~file ~key ~len:params.record_bytes)
-        (Ok ()) keys
-    in
-    match inserted with
-    | Error _ ->
-        tally.t_failed <- tally.t_failed + 1;
-        ignore (Dtx.abort dtx);
-        (* Back off so a dead monitor doesn't turn the loop into a
-           zero-work spin. *)
-        Sim.sleep (Time.ms 2)
-    | Ok () -> (
-        match Dtx.commit dtx with
-        | Ok () -> ack tally keys (Sim.now sim - t0)
-        | Error _ ->
-            tally.t_failed <- tally.t_failed + 1;
-            Sim.sleep (Time.ms 2))
-  done
-
 let distributed_family cfg ~nodes params =
-  let cpus = cfg.System.worker_cpus in
   (* The in-doubt window is counted before the crash: the partition's
      wreckage, which recovery's resolvers must drain. *)
   let evidence cluster =
@@ -1606,11 +1492,13 @@ let distributed_family cfg ~nodes params =
     platform = cluster_platform ~nodes ~settle:params.settle cfg;
     gauges = [];
     load =
-      (fun cluster tally ->
-        closed_loop ~drivers:params.drivers
-          ~cpu:(fun i ->
-            Node.cpu (System.node (Cluster.system cluster (i mod nodes))) (i mod cpus))
-          (cluster_driver cluster params tally));
+      (fun cluster tally () ->
+        Load.clients (Array.init nodes (Cluster.system cluster)) ~name:"drill-driver"
+          params.drivers
+          (Load.two_phase cluster ~records:params.records_per_driver
+             ~record_bytes:params.record_bytes ~per_txn:params.inserts_per_txn
+             ~commit:(ack tally) ~fail:(fail tally))
+          ());
     settle_for = params.settle;
     evidence;
   }
@@ -1700,8 +1588,7 @@ let exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage (s : spec) =
 let run ?(seed = 0xD5177L) ?(config = System.default_config) ?obs ?prof ?sample_interval
     ?(params = default_params) ?horizon ?(recovery_plan = []) ?inspect ?flight ?max_outage ~mode
     ~plan () =
-  let txn_state_in_pm = config.System.txn_state_in_pm || mode = System.Pm_audit in
-  let config = { config with System.log_mode = mode; txn_state_in_pm } in
+  let config = { config with System.log_mode = mode } in
   exec ?obs ?prof ?sample_interval ?inspect ?flight ?max_outage
     { load = Closed params; config; plan; recovery_plan; horizon; crash_decay = [];
       baseline = false; seed }

@@ -232,9 +232,17 @@ let of_json json =
    arrival engine is what actually raises the offered load; the event
    exists so the spike lands in the injection log, the timeline marks and
    the flight recorder like any other fault.  Outside the overload drill
-   the event would silently mark a spike that never happens, so plain
-   [validate] rejects it. *)
-let validate_scoped ?(overload = false) ?horizon ~clustered system plan =
+   the event would silently mark a spike that never happens, so only the
+   overload drill's scope admits it. *)
+type scope = Single of System.t | Overload_drill of System.t | Cluster_node of Cluster.t * int
+
+let validate ?horizon scope plan =
+  let system, overload, clustered =
+    match scope with
+    | Single s -> (s, false, false)
+    | Overload_drill s -> (s, true, false)
+    | Cluster_node (c, node) -> (Cluster.system c node, false, true)
+  in
   let cfg = System.config system in
   let pm_mode = cfg.System.log_mode = System.Pm_audit in
   let n_adps = Array.length (System.adps system) in
@@ -334,14 +342,6 @@ let validate_scoped ?(overload = false) ?horizon ~clustered system plan =
       (0, Ok ()) plan
   in
   result
-
-let validate ?horizon system plan = validate_scoped ?horizon ~clustered:false system plan
-
-let validate_overload ?horizon system plan =
-  validate_scoped ~overload:true ?horizon ~clustered:false system plan
-
-let validate_cluster ?horizon cluster ~node plan =
-  validate_scoped ~clustered:true ?horizon (Cluster.system cluster node) plan
 
 type run = {
   r_system : System.t;
@@ -527,20 +527,10 @@ let start_run system ?cluster plan =
          Ivar.fill run.r_done ()));
   run
 
-let launch system plan =
-  (match validate system plan with
+let launch scope plan =
+  (match validate scope plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Faultplan.launch: " ^ msg));
-  start_run system plan
-
-let launch_overload system plan =
-  (match validate_overload system plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Faultplan.launch_overload: " ^ msg));
-  start_run system plan
-
-let launch_cluster cluster ~node plan =
-  (match validate_cluster cluster ~node plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Faultplan.launch_cluster: " ^ msg));
-  start_run (Cluster.system cluster node) ~cluster plan
+  match scope with
+  | Single system | Overload_drill system -> start_run system plan
+  | Cluster_node (cluster, node) -> start_run (Cluster.system cluster node) ~cluster plan

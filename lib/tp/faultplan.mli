@@ -51,7 +51,7 @@ type action =
           duration, riding out takeovers via {!Rpc.call_retry}). *)
   | Wan_partition
       (** Sever the cluster's inter-node link ({!Cluster.partition}).
-          Only valid in plans launched with {!launch_cluster}. *)
+          Only valid in a [Cluster_node] {!scope}. *)
   | Wan_heal  (** Restore the inter-node link. *)
   | Fence_check
       (** Run {!System.fence_check}: probe that a stale-epoch write is
@@ -79,9 +79,8 @@ type action =
           [spike]x for [spike_for].  The drill's open-loop arrival
           engine is what actually raises the load; the event puts the
           spike in the injection log, timeline marks and flight
-          recorder.  Plain {!validate} rejects it — only
-          {!validate_overload} (the [--plan overload] path) admits
-          it. *)
+          recorder.  Only the [Overload_drill] {!scope} (the
+          [--plan overload] path) admits it. *)
 
 type event = { after : Time.span; action : action }
 (** [after] is the offset from {!launch}, not an absolute time. *)
@@ -112,43 +111,36 @@ val of_json : Json.t -> (t, string) result
     name the offending action index and, for an unknown [kind], list
     every valid kind. *)
 
-val validate : ?horizon:Time.span -> System.t -> t -> (unit, string) result
-(** Check every event against the system: target and device indices in
-    range, rail indices within the fabric, CRC rates in [0, 1), no
-    PM-only events (PMM kill, NPMU cycle, resync, fence check) against a
-    disk-mode system, and no WAN events outside a cluster-scoped
-    launch.  [Flash_crowd] is rejected outright — it is meaningful only
-    under the overload drill, and the error names the valid plans.
-    When [horizon] is given, events offset past it are rejected too:
-    the drill would have crashed and audited before they fired, so they
+(** What a plan runs against. *)
+type scope =
+  | Single of System.t  (** one node *)
+  | Overload_drill of System.t
+      (** one node under the overload drill: [Flash_crowd] is admitted
+          (spike ≥ 1, positive window) *)
+  | Cluster_node of Cluster.t * int
+      (** node [i] of a cluster: node-local events hit its system, and
+          [Wan_partition] / [Wan_heal] act on the cluster's inter-node
+          link *)
+
+val validate : ?horizon:Time.span -> scope -> t -> (unit, string) result
+(** Check every event against the scope's system: target and device
+    indices in range, rail indices within the fabric, CRC rates in
+    [0, 1), no PM-only events (PMM kill, NPMU cycle, resync, fence
+    check) against a disk-mode system, and no WAN events outside a
+    [Cluster_node] scope.  [Flash_crowd] outside the [Overload_drill]
+    scope is rejected, and the error names the valid plans.  When
+    [horizon] is given, events offset past it are rejected too: the
+    drill would have crashed and audited before they fired, so they
     would otherwise be silently dropped.  Errors name the offending
     action index. *)
-
-val validate_overload :
-  ?horizon:Time.span -> System.t -> t -> (unit, string) result
-(** {!validate} with [Flash_crowd] permitted (spike ≥ 1, positive
-    window) — the overload drill's scope. *)
-
-val validate_cluster :
-  ?horizon:Time.span -> Cluster.t -> node:int -> t -> (unit, string) result
-(** {!validate} against [node]'s system, with WAN events permitted. *)
 
 (** A plan in flight. *)
 type run
 
-val launch : System.t -> t -> run
-(** Validate and start executing the plan against the system.  Raises
+val launch : scope -> t -> run
+(** Validate and start executing the plan against the scope.  Raises
     [Invalid_argument] if {!validate} rejects it.  Safe to call outside
     process context; the scheduler is its own process. *)
-
-val launch_overload : System.t -> t -> run
-(** Like {!launch}, but validated with {!validate_overload} so the plan
-    may carry [Flash_crowd] markers. *)
-
-val launch_cluster : Cluster.t -> node:int -> t -> run
-(** Like {!launch}, but scoped to a cluster: node-local events hit
-    [node]'s system, and [Wan_partition] / [Wan_heal] act on the
-    cluster's inter-node link. *)
 
 val await : run -> unit
 (** Block the calling process until the last event has been injected

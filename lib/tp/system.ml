@@ -19,7 +19,6 @@ type config = {
   pm_region_bytes : int;
   pm_write_penalty : Time.span;
   pm_mirrored : bool;
-  txn_state_in_pm : bool;
   client_op_timeout : Time.span;
   fabric : Servernet.Fabric.config;
   defenses : defense list;
@@ -38,13 +37,12 @@ let default_config =
     pm_region_bytes = 24 * 1024 * 1024;
     pm_write_penalty = 0;
     pm_mirrored = true;
-    txn_state_in_pm = false;
     client_op_timeout = 0;
     fabric = Servernet.Fabric.default_config;
     defenses = [];
   }
 
-let pm_config = { default_config with log_mode = Pm_audit; txn_state_in_pm = true }
+let pm_config = { default_config with log_mode = Pm_audit }
 
 (* What each switch arms.  [Integrity]: the scrubber, pausing
    [scrub_pause] between chunks, and verified reads.  [Fail_slow]: the
@@ -63,7 +61,7 @@ let armed cfg d = List.mem d cfg.defenses
 type pm_parts = {
   pmm : Pm.Pmm.t;
   devices : Pm.Npmu.t list;
-  txn_state : (Pm.Pm_client.t * Pm.Pm_client.handle) option;
+  txn_state : Pm.Pm_client.t * Pm.Pm_client.handle;
   (* Client attachments by CPU index; lazily populated as ADPs take
      their backends, so availability accounting folds over the table at
      query time rather than snapshotting it here. *)
@@ -222,16 +220,11 @@ let build ?obs sim cfg =
               invalid_arg ("System.build: PM trail region: " ^ Pm.Pm_types.error_to_string e)
         in
         let txn_state =
-          if cfg.txn_state_in_pm then begin
-            let client = client_for 0 in
-            match
-              Pm.Pm_client.create_region client ~name:"tmf-txn-state" ~size:(1 lsl 20)
-            with
-            | Ok handle -> Some (client, handle)
-            | Error e ->
-                invalid_arg ("System.build: txn-state region: " ^ Pm.Pm_types.error_to_string e)
-          end
-          else None
+          let client = client_for 0 in
+          match Pm.Pm_client.create_region client ~name:"tmf-txn-state" ~size:(1 lsl 20) with
+          | Ok handle -> (client, handle)
+          | Error e ->
+              invalid_arg ("System.build: txn-state region: " ^ Pm.Pm_types.error_to_string e)
         in
         (Some { pmm; devices; txn_state; clients }, make_backend)
   in
@@ -258,7 +251,7 @@ let build ?obs sim cfg =
           ~volume:data_vols.(v) ~adp:adp_servers.(adp_index) ~locks ?obs ())
   in
   let dp2_servers = Array.map Dp2.server dp2s in
-  let txn_state = match pm_parts with Some p -> p.txn_state | None -> None in
+  let txn_state = Option.map (fun p -> p.txn_state) pm_parts in
   (* Outcome probe for in-doubt resolution without a PM table: scan the
      durable master trail for the transaction's last word. *)
   let outcome_probe txn =
@@ -321,7 +314,7 @@ let pmm t = match t.sys_pm with Some p -> Some p.pmm | None -> None
 
 let npmus t = match t.sys_pm with Some p -> p.devices | None -> []
 
-let txn_state_region t = match t.sys_pm with Some p -> p.txn_state | None -> None
+let txn_state_region t = Option.map (fun p -> p.txn_state) t.sys_pm
 
 let pm_clients t =
   match t.sys_pm with

@@ -49,7 +49,6 @@ type config = {
   pm_region_bytes : int;  (** trail ring per ADP *)
   pm_write_penalty : Time.span;  (** extra device latency (latency sweep) *)
   pm_mirrored : bool;
-  txn_state_in_pm : bool;  (** fine-grained txn table (PM mode only) *)
   client_op_timeout : Time.span;
       (** per-call patience of sessions from {!session}
           ({!Txclient.create}'s [op_timeout]); 0 (the default) waits
@@ -66,7 +65,7 @@ val default_config : config
     partitions (16 data volumes), 4 ADPs + MAT, disk audit. *)
 
 val pm_config : config
-(** [default_config] with PM audit trails and the txn-state table. *)
+(** [default_config] with PM audit trails (and so the txn-state table). *)
 
 type t
 
@@ -108,6 +107,8 @@ val npmus : t -> Pm.Npmu.t list
 (** The mirrored PM devices ([Hardware_npmu] mode). *)
 
 val txn_state_region : t -> (Pm.Pm_client.t * Pm.Pm_client.handle) option
+(** The monitor's fine-grained transaction-state table: [Some] exactly in
+    PM mode. *)
 
 val pm_clients : t -> Pm.Pm_client.t list
 (** Every PM client attachment the system made (trail writers plus the

@@ -1,5 +1,4 @@
 open Simkit
-open Nsk
 
 type params = {
   clients : int;
@@ -75,7 +74,7 @@ let load_tables system params ~client_index =
   let hi = min params.accounts (lo + per_client - 1) in
   if lo <= hi then insert_range accounts_file lo hi
 
-let client_loop system params ~index ~rt ~committed ~history ~on_done () =
+let client_loop system params ~rt ~committed ~history index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let sim = Tp.System.sim system in
@@ -121,42 +120,24 @@ let client_loop system params ~index ~rt ~committed ~history ~on_done () =
               | Error e -> failwith ("bank: commit: " ^ Tp.Txclient.error_to_string e)))
     in
     attempt 3
-  done;
-  on_done ()
+  done
 
 let run system params =
   if params.branches < 1 then invalid_arg "Bank.run: need at least one branch";
   let sim = Tp.System.sim system in
-  let node = Tp.System.node system in
-  let cfg = Tp.System.config system in
   let rt = Stat.create ~name:"bank-rt" () in
   let committed = ref 0 in
   let history = ref 0 in
   let conflicts_before = Tp.Lockmgr.conflicts (Tp.System.locks system) in
   (* Load phase. *)
-  let load_gate = Gate.create params.clients in
-  for index = 0 to params.clients - 1 do
-    let cpu = Node.cpu node (index mod cfg.Tp.System.worker_cpus) in
-    ignore
-      (Cpu.spawn cpu
-         ~name:(Printf.sprintf "bank-load%d" index)
-         (fun () ->
-           load_tables system params ~client_index:index;
-           Gate.arrive load_gate))
-  done;
-  Gate.await load_gate;
+  Tp.Load.clients [| system |] ~name:"bank-load" params.clients
+    (fun index -> load_tables system params ~client_index:index)
+    ();
   (* Measured phase. *)
-  let gate = Gate.create params.clients in
   let started = Sim.now sim in
-  for index = 0 to params.clients - 1 do
-    let cpu = Node.cpu node (index mod cfg.Tp.System.worker_cpus) in
-    ignore
-      (Cpu.spawn cpu
-         ~name:(Printf.sprintf "bank%d" index)
-         (client_loop system params ~index ~rt ~committed ~history ~on_done:(fun () ->
-              Gate.arrive gate)))
-  done;
-  Gate.await gate;
+  Tp.Load.clients [| system |] ~name:"bank" params.clients
+    (client_loop system params ~rt ~committed ~history)
+    ();
   let elapsed = Sim.now sim - started in
   {
     elapsed;

@@ -60,65 +60,20 @@ let run_cluster ?(seed = 0xC10CL) ?(nodes = 2) ?(drivers = 2) ?(txns_per_driver 
     ?(inserts_per_txn = 4) ?(record_bytes = 1024) ?(chrome = false) () =
   if nodes < 2 then invalid_arg "Causal.run_cluster: need at least two nodes";
   let obs, cp = traced ~chrome in
-  let cfg =
-    {
-      Tp.System.pm_config with
-      Tp.System.log_mode = Tp.System.Pm_audit;
-      txn_state_in_pm = true;
-      seed;
-    }
-  in
+  let cfg = { Tp.System.pm_config with Tp.System.seed } in
   let committed = ref 0 in
   let failed = ref 0 in
   let elapsed =
     Figures.simulate ~seed (fun sim ->
         let cluster = Tp.Cluster.build sim ~nodes ~wan_latency:(Time.us 100) ~obs cfg in
-        let gate = Gate.create drivers in
         let started = Sim.now sim in
-        for index = 0 to drivers - 1 do
-          let coordinator = index mod nodes in
-          let home = Tp.Cluster.system cluster coordinator in
-          let cfg = Tp.System.config home in
-          let cpu =
-            Nsk.Node.cpu (Tp.System.node home) (index mod cfg.Tp.System.worker_cpus)
-          in
-          ignore
-            (Nsk.Cpu.spawn cpu
-               ~name:(Printf.sprintf "causal-driver%d" index)
-               (fun () ->
-                 let files = cfg.Tp.System.files in
-                 let key_base = (index + 1) * 100_000_000 in
-                 for txn = 0 to txns_per_driver - 1 do
-                   let keys =
-                     List.init inserts_per_txn (fun i ->
-                         let idx = (txn * inserts_per_txn) + i in
-                         ((coordinator + idx) mod nodes, idx mod files, key_base + idx))
-                   in
-                   let dtx =
-                     Tp.Dtx.begin_dtx cluster ~coordinator
-                       ~cpu:(index mod cfg.Tp.System.worker_cpus)
-                   in
-                   let inserted =
-                     List.fold_left
-                       (fun acc (node, file, key) ->
-                         match acc with
-                         | Error _ as e -> e
-                         | Ok () ->
-                             Tp.Dtx.insert dtx ~node ~file ~key ~len:record_bytes)
-                       (Ok ()) keys
-                   in
-                   match inserted with
-                   | Error _ ->
-                       incr failed;
-                       ignore (Tp.Dtx.abort dtx)
-                   | Ok () -> (
-                       match Tp.Dtx.commit dtx with
-                       | Ok () -> incr committed
-                       | Error _ -> incr failed)
-                 done;
-                 Gate.arrive gate))
-        done;
-        Gate.await gate;
+        Tp.Load.clients (Array.init nodes (Tp.Cluster.system cluster)) ~name:"causal-driver"
+          drivers
+          (Tp.Load.two_phase cluster ~records:(txns_per_driver * inserts_per_txn) ~record_bytes
+             ~per_txn:inserts_per_txn
+             ~commit:(fun _ _ -> incr committed)
+             ~fail:(fun () -> incr failed))
+          ();
         Sim.now sim - started)
   in
   {

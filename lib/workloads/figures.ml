@@ -8,26 +8,10 @@ type cell = {
   result : Hot_stock.result;
 }
 
-let config_for base mode =
-  match mode with
-  | Tp.System.Disk_audit -> { base with Tp.System.log_mode = Tp.System.Disk_audit }
-  | Tp.System.Pm_audit ->
-      { base with Tp.System.log_mode = Tp.System.Pm_audit; txn_state_in_pm = true }
-
 let simulate ?prof ~seed f =
-  let sim = Sim.create ~seed () in
-  Option.iter (fun p -> Prof.install p sim) prof;
-  let out = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Prof.uninstall prof;
-      Sim.discard sim)
-    (fun () ->
-      let (_ : Sim.pid) = Sim.spawn sim ~name:"main" (fun () -> out := Some (f sim)) in
-      Sim.run sim);
-  match !out with
-  | Some v -> v
-  | None -> failwith "Figures.simulate: the simulation ended before its main process returned"
+  match Prof.simulate ?prof ~seed ~name:"main" f with
+  | Some v, _ -> v
+  | None, _ -> failwith "Figures.simulate: the simulation ended before its main process returned"
 
 let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval ~mode ~drivers
     ~inserts_per_txn ~records_per_driver () =
@@ -36,7 +20,7 @@ let run_cell_sampled ?(seed = 0xF19L) ?config ?obs ?prof ?sample_interval ~mode 
       invalid_arg "Figures.run_cell_sampled: sample_interval requires obs"
   | _ -> ());
   let base = Option.value config ~default:Tp.System.default_config in
-  let cfg = config_for base mode in
+  let cfg = { base with Tp.System.log_mode = mode } in
   simulate ?prof ~seed (fun sim ->
       let system = Tp.System.build ?obs sim cfg in
       let ts =
@@ -184,7 +168,7 @@ type mttr_point = { m_mode : Tp.System.log_mode; report : Tp.Recovery.report; tr
 
 let mttr ?(records_per_driver = 2_000) () =
   let one mode =
-    let cfg = config_for Tp.System.default_config mode in
+    let cfg = { Tp.System.default_config with Tp.System.log_mode = mode } in
     simulate ~seed:0x3117L (fun sim ->
         let system = Tp.System.build sim cfg in
         let params =
@@ -205,7 +189,7 @@ type adp_scaling_point = { adps : int; a_mode : Tp.System.log_mode; tps : float 
 
 let adp_scaling ?(records_per_driver = 4_000) ?(counts = [ 1; 2; 4 ]) () =
   let one mode adps =
-    let config = { (config_for Tp.System.default_config mode) with Tp.System.adps_per_node = adps } in
+    let config = { Tp.System.default_config with Tp.System.adps_per_node = adps } in
     let c =
       run_cell ~config ~mode ~drivers:4 ~inserts_per_txn:8 ~records_per_driver ()
     in
@@ -252,7 +236,7 @@ type scaleout_point = {
 
 let scaleout ?(records_per_driver = 2_000) ?(nodes_list = [ 1; 2; 4 ]) () =
   let one mode nodes =
-    let cfg = config_for Tp.System.default_config mode in
+    let cfg = { Tp.System.default_config with Tp.System.log_mode = mode } in
     let params =
       { Hot_stock.drivers = 2; records_per_driver; record_bytes = 4096; inserts_per_txn = 8 }
     in
@@ -291,7 +275,7 @@ type dtx_point = {
 
 let dtx_latency ?(transfers = 20) () =
   let one mode =
-    let cfg = config_for Tp.System.default_config mode in
+    let cfg = { Tp.System.default_config with Tp.System.log_mode = mode } in
     simulate ~seed:0xD70L (fun sim ->
         let cluster = Tp.Cluster.build sim ~nodes:2 ~wan_latency:(Time.us 100) cfg in
         let run_local key =

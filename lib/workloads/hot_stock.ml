@@ -1,5 +1,4 @@
 open Simkit
-open Nsk
 
 type params = {
   drivers : int;
@@ -28,68 +27,26 @@ let txn_size_label p =
   let bytes = p.inserts_per_txn * p.record_bytes in
   Printf.sprintf "%dk" (bytes / 1024)
 
-(* One driver: a hotly traded stock.  Keys are unique per driver; inserts
-   rotate over the files so each transaction touches every file, as the
-   benchmark description requires. *)
-let driver system params ~index ~response_stat ~committed ~on_done () =
-  let cfg = Tp.System.config system in
-  let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
-  let files = cfg.Tp.System.files in
-  let key_base = (index + 1) * 100_000_000 in
-  let total = params.records_per_driver in
-  let per_txn = params.inserts_per_txn in
-  let sim = Tp.System.sim system in
-  let seq = ref 0 in
-  (let rec txn_loop () =
-     if !seq < total then begin
-       let t0 = Sim.now sim in
-       match Tp.Txclient.begin_txn session with
-       | Error e ->
-           failwith ("hot_stock: begin failed: " ^ Tp.Txclient.error_to_string e)
-       | Ok txn ->
-           let in_this_txn = min per_txn (total - !seq) in
-           for i = 0 to in_this_txn - 1 do
-             (* The per-transaction shift decorrelates file and partition
-                so inserts really spread over files x volumes, as the
-                benchmark description requires. *)
-             let idx = !seq + i in
-             let key = key_base + idx + (idx / per_txn) in
-             let file = idx mod files in
-             Tp.Txclient.insert_async session txn ~file ~key ~len:params.record_bytes ()
-           done;
-           seq := !seq + in_this_txn;
-           (match Tp.Txclient.commit session txn with
-           | Ok () ->
-               incr committed;
-               Stat.add_span response_stat (Sim.now sim - t0)
-           | Error e ->
-               failwith ("hot_stock: commit failed: " ^ Tp.Txclient.error_to_string e));
-           txn_loop ()
-     end
-   in
-   txn_loop ());
-  on_done ()
-
+(* Each driver is a hotly traded stock: the one hot-stock driver, run
+   through the one closed-loop harness.  A failed transaction is counted
+   by its absence: [txns - committed]. *)
 let run system params =
   if params.drivers < 1 then invalid_arg "Hot_stock.run: need at least one driver";
   if params.inserts_per_txn < 1 then
     invalid_arg "Hot_stock.run: need at least one insert per transaction";
   let sim = Tp.System.sim system in
-  let node = Tp.System.node system in
   let response_stat = Stat.create ~name:"hot-stock-rt" () in
   let committed = ref 0 in
-  let gate = Gate.create params.drivers in
   let started = Sim.now sim in
-  for index = 0 to params.drivers - 1 do
-    let cfg = Tp.System.config system in
-    let cpu = Node.cpu node (index mod cfg.Tp.System.worker_cpus) in
-    ignore
-      (Cpu.spawn cpu
-         ~name:(Printf.sprintf "driver%d" index)
-         (driver system params ~index ~response_stat ~committed ~on_done:(fun () ->
-              Gate.arrive gate)))
-  done;
-  Gate.await gate;
+  Tp.Load.clients [| system |] ~name:"driver" params.drivers
+    (Tp.Load.hot_stock system ~records:params.records_per_driver
+       ~record_bytes:params.record_bytes ~per_txn:params.inserts_per_txn
+       ~begin_retries:Tp.Drill.default_params.begin_retries
+       ~commit:(fun _ response ->
+         incr committed;
+         Stat.add_span response_stat response)
+       ~fail:ignore)
+    ();
   let elapsed = Sim.now sim - started in
   let txns =
     params.drivers

@@ -1,5 +1,4 @@
 open Simkit
-open Nsk
 
 type params = {
   streams : int;
@@ -24,7 +23,7 @@ type result = {
 
 (* Files: 0 holds per-symbol position rows (the contended updates),
    1..files-1 hold order history (insert-only). *)
-let stream system params ~index ~rt ~hot_count ~on_done () =
+let stream system params ~rt ~hot_count index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let files = cfg.Tp.System.files in
@@ -50,26 +49,17 @@ let stream system params ~index ~rt ~hot_count ~on_done () =
             if symbol = 0 then incr hot_count;
             Stat.add_span rt (Sim.now sim - t0)
         | Error e -> failwith ("order_match: commit: " ^ Tp.Txclient.error_to_string e)))
-  done;
-  on_done ()
+  done
 
 let run system params =
   if params.symbols < 2 then invalid_arg "Order_match.run: need at least two symbols";
   let sim = Tp.System.sim system in
-  let node = Tp.System.node system in
-  let cfg = Tp.System.config system in
   let rt = Stat.create ~name:"trade-rt" () in
   let hot_count = ref 0 in
-  let gate = Gate.create params.streams in
   let started = Sim.now sim in
-  for index = 0 to params.streams - 1 do
-    let cpu = Node.cpu node (index mod cfg.Tp.System.worker_cpus) in
-    ignore
-      (Cpu.spawn cpu
-         ~name:(Printf.sprintf "stream%d" index)
-         (stream system params ~index ~rt ~hot_count ~on_done:(fun () -> Gate.arrive gate)))
-  done;
-  Gate.await gate;
+  Tp.Load.clients [| system |] ~name:"stream" params.streams
+    (stream system params ~rt ~hot_count)
+    ();
   let elapsed = Sim.now sim - started in
   let trades = params.streams * params.trades_per_stream in
   let seconds = Time.to_sec elapsed in

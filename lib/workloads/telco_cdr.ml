@@ -1,5 +1,4 @@
 open Simkit
-open Nsk
 
 type arrival = Closed | Open_poisson of float
 
@@ -51,7 +50,7 @@ let one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted =
       | Error e -> failwith ("telco: commit: " ^ Tp.Txclient.error_to_string e))
 
 (* One switch: a closed-loop stream of small insert transactions. *)
-let switch system params ~index ~rt ~inserted ~on_done () =
+let switch system params ~rt ~inserted index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let key_base = (index + 1) * 10_000_000 in
@@ -60,13 +59,12 @@ let switch system params ~index ~rt ~inserted ~on_done () =
     let n = min params.cdrs_per_txn (params.cdrs_per_switch - !seq) in
     one_txn system params ~session ~key_base ~start_seq:!seq ~n ~rt ~inserted;
     seq := !seq + n
-  done;
-  on_done ()
+  done
 
 (* Open-loop switch: transactions arrive at Poisson intervals regardless
    of completion; each runs in its own worker so arrivals queue behind a
    saturated system instead of throttling it. *)
-let open_switch system params ~index ~rate_cdrs ~rt ~inserted ~on_done () =
+let open_switch system params ~rate_cdrs ~rt ~inserted index =
   let cfg = Tp.System.config system in
   let cpu_idx = index mod cfg.Tp.System.worker_cpus in
   let node = Tp.System.node system in
@@ -90,12 +88,11 @@ let open_switch system params ~index ~rate_cdrs ~rt ~inserted ~on_done () =
            one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted;
            Gate.arrive gate))
   done;
-  Gate.await gate;
-  on_done ()
+  Gate.await gate
 
 (* A fraud-detection reader probing recent CDRs: point lookups mixed
    with B-tree range scans over a window of one switch's stream. *)
-let reader system params ~index ~stop ~lookups ~hits () =
+let reader system params ~stop ~lookups ~hits index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let files = cfg.Tp.System.files in
@@ -124,34 +121,24 @@ let reader system params ~index ~stop ~lookups ~hits () =
 
 let run system params =
   let sim = Tp.System.sim system in
-  let node = Tp.System.node system in
-  let cfg = Tp.System.config system in
   let rt = Stat.create ~name:"cdr-txn-rt" () in
   let inserted = ref 0 in
   let lookups = ref 0 in
   let hits = ref 0 in
   let stop = ref false in
-  let gate = Gate.create params.switches in
   let started = Sim.now sim in
-  for index = 0 to params.switches - 1 do
-    let cpu = Node.cpu node (index mod cfg.Tp.System.worker_cpus) in
-    let body =
-      match params.arrival with
-      | Closed -> switch system params ~index ~rt ~inserted ~on_done:(fun () -> Gate.arrive gate)
-      | Open_poisson rate ->
-          open_switch system params ~index ~rate_cdrs:rate ~rt ~inserted ~on_done:(fun () ->
-              Gate.arrive gate)
-    in
-    ignore (Cpu.spawn cpu ~name:(Printf.sprintf "switch%d" index) body)
-  done;
-  for index = 0 to params.fraud_readers - 1 do
-    let cpu = Node.cpu node (index mod cfg.Tp.System.worker_cpus) in
-    ignore
-      (Cpu.spawn cpu
-         ~name:(Printf.sprintf "fraud%d" index)
-         (reader system params ~index ~stop ~lookups ~hits))
-  done;
-  Gate.await gate;
+  let join =
+    Tp.Load.clients [| system |] ~name:"switch" params.switches
+      (match params.arrival with
+      | Closed -> switch system params ~rt ~inserted
+      | Open_poisson rate -> open_switch system params ~rate_cdrs:rate ~rt ~inserted)
+  in
+  (* The fraud readers run until [stop]; nobody waits for them. *)
+  let (_ : unit -> unit) =
+    Tp.Load.clients [| system |] ~name:"fraud" params.fraud_readers
+      (reader system params ~stop ~lookups ~hits)
+  in
+  join ();
   stop := true;
   let elapsed = Sim.now sim - started in
   {

@@ -96,13 +96,7 @@ let test_trace_crosses_remote_2pc_hop () =
   let sim = Sim.create ~seed:0x2FCL () in
   let committed = ref 0 in
   Test_util.run_in sim (fun () ->
-      let cfg =
-        {
-          Tp.System.pm_config with
-          Tp.System.log_mode = Tp.System.Pm_audit;
-          txn_state_in_pm = true;
-        }
-      in
+      let cfg = Tp.System.pm_config in
       let cluster = Tp.Cluster.build sim ~nodes:2 ~wan_latency:(Time.us 100) ~obs cfg in
       let files = cfg.Tp.System.files in
       for txn = 0 to 3 do

@@ -109,11 +109,11 @@ let test_validate_horizon () =
           ]
       in
       (* Without a horizon the plan is fine. *)
-      (match Tp.Faultplan.validate system plan with
+      (match Tp.Faultplan.validate (Tp.Faultplan.Single system) plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("valid plan rejected: " ^ e));
       (* With one, the late event is named and refused. *)
-      match Tp.Faultplan.validate ~horizon:(Time.sec 2) system plan with
+      match Tp.Faultplan.validate ~horizon:(Time.sec 2) (Tp.Faultplan.Single system) plan with
       | Ok () -> Alcotest.fail "past-horizon event accepted"
       | Error e ->
           check_bool "names the action index" true (contains e "action 1");
@@ -229,7 +229,7 @@ let test_generated_schedules_validate () =
              | None -> ()
              | Some system -> (
                  (match
-                    Tp.Faultplan.validate ~horizon:Tp.Explorer.horizon system
+                    Tp.Faultplan.validate ~horizon:Tp.Explorer.horizon (Tp.Faultplan.Single system)
                       s.Tp.Explorer.s_plan
                   with
                  | Ok () -> ()
@@ -237,7 +237,7 @@ let test_generated_schedules_validate () =
                      Alcotest.fail
                        (Printf.sprintf "schedule %d load plan rejected: %s"
                           s.Tp.Explorer.s_index e));
-                 match Tp.Faultplan.validate system s.Tp.Explorer.s_recovery with
+                 match Tp.Faultplan.validate (Tp.Faultplan.Single system) s.Tp.Explorer.s_recovery with
                  | Ok () -> ()
                  | Error e ->
                      Alcotest.fail

@@ -298,7 +298,7 @@ let test_faultplan_rejects_bad_slow_events () =
   Test_util.run_in sim (fun () ->
   let system = Tp.System.build sim Tp.System.pm_config in
   let reject msg ev =
-    match Tp.Faultplan.validate system [ Tp.Faultplan.at (Time.ms 1) ev ] with
+    match Tp.Faultplan.validate (Tp.Faultplan.Single system) [ Tp.Faultplan.at (Time.ms 1) ev ] with
     | Error _ -> ()
     | Ok () -> Alcotest.fail msg
   in
@@ -309,7 +309,7 @@ let test_faultplan_rejects_bad_slow_events () =
   reject "rail out of range" (Tp.Faultplan.Slow_rail { rail = 99; factor = 2.0 });
   reject "negative jitter"
     (Tp.Faultplan.Slow_disk { volume = 0; factor = 2.0; jitter = -1 });
-  match Tp.Faultplan.validate system (Test_util.drill_spec Tp.Drill.Grayfail).Tp.Drill.plan with
+  match Tp.Faultplan.validate (Tp.Faultplan.Single system) (Test_util.drill_spec Tp.Drill.Grayfail).Tp.Drill.plan with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("gray plan rejected: " ^ e))
 

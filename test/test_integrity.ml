@@ -783,7 +783,7 @@ let test_faultplan_rejects_pm_faults_on_disk () =
   Test_util.run_in sim (fun () ->
       let system = Tp.System.build sim Tp.System.default_config in
       (match
-         Tp.Faultplan.validate system
+         Tp.Faultplan.validate (Tp.Faultplan.Single system)
            [
              Tp.Faultplan.at (Time.ms 1)
                (Tp.Faultplan.Media_decay { device = 0; off = 0; bits = 8 });
@@ -792,7 +792,7 @@ let test_faultplan_rejects_pm_faults_on_disk () =
       | Error _ -> ()
       | Ok () -> Alcotest.fail "media decay accepted on a disk-audit system");
       match
-        Tp.Faultplan.validate system
+        Tp.Faultplan.validate (Tp.Faultplan.Single system)
           [ Tp.Faultplan.at (Time.ms 1) (Tp.Faultplan.Torn_write { device = 0 }) ]
       with
       | Error _ -> ()

@@ -86,7 +86,7 @@ let test_flash_crowd_overload_only () =
       let system = Tp.System.build sim Tp.System.pm_config in
       let crowd = Tp.Faultplan.Flash_crowd { spike = 5.0; spike_for = Time.ms 400 } in
       let plan = [ Tp.Faultplan.at (Time.ms 1) crowd ] in
-      (match Tp.Faultplan.validate system plan with
+      (match Tp.Faultplan.validate (Tp.Faultplan.Single system) plan with
       | Ok () -> Alcotest.fail "flash_crowd accepted outside the overload drill"
       | Error e ->
           (* The rejection must steer to --plan overload and list the
@@ -97,18 +97,18 @@ let test_flash_crowd_overload_only () =
               check_bool (Printf.sprintf "error lists plan '%s'" name) true
                 (contains e name))
             (Tp.Drill.plan_names (`Single Tp.System.Pm_audit)));
-      (match Tp.Faultplan.validate_overload system plan with
+      (match Tp.Faultplan.validate (Tp.Faultplan.Overload_drill system) plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("overload scope rejected the marker: " ^ e));
       (match
-         Tp.Faultplan.validate_overload system
+         Tp.Faultplan.validate (Tp.Faultplan.Overload_drill system)
            [ Tp.Faultplan.at (Time.ms 1)
                (Tp.Faultplan.Flash_crowd { spike = 0.5; spike_for = Time.ms 400 }) ]
        with
       | Ok () -> Alcotest.fail "sub-1x spike accepted"
       | Error _ -> ());
       match
-        Tp.Faultplan.validate_overload system
+        Tp.Faultplan.validate (Tp.Faultplan.Overload_drill system)
           [ Tp.Faultplan.at (Time.ms 1)
               (Tp.Faultplan.Flash_crowd { spike = 5.0; spike_for = 0 }) ]
       with
@@ -120,7 +120,7 @@ let test_overload_plan_validates () =
   Test_util.run_in sim (fun () ->
       let spec = Test_util.drill_spec Tp.Drill.Overload in
       let system = Tp.System.build sim spec.Tp.Drill.config in
-      match Tp.Faultplan.validate_overload system spec.Tp.Drill.plan with
+      match Tp.Faultplan.validate (Tp.Faultplan.Overload_drill system) spec.Tp.Drill.plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("overload plan rejected: " ^ e))
 

@@ -1011,9 +1011,9 @@ let test_faultplan_resync_fails_across_power_cycle () =
     go 0
   in
   build_small `Pm (fun system ->
-      let resync = Faultplan.launch system Faultplan.[ at (Time.ms 10) Pmm_resync ] in
+      let resync = Faultplan.launch (Faultplan.Single system) Faultplan.[ at (Time.ms 10) Pmm_resync ] in
       let cycle =
-        Faultplan.launch system
+        Faultplan.launch (Faultplan.Single system)
           Faultplan.[ at (Time.ms 12) (Npmu_power_cycle { device = 1; off_for = Time.ms 1 }) ]
       in
       Faultplan.await resync;

@@ -51,6 +51,46 @@ let test_hot_stock_rows_unique () =
   in
   check_int "64 distinct rows" 64 rows
 
+(* The benchmark's loss-audit contract: after a crash, recovery rebuilds
+   exactly the rows a completed run acknowledged.  Driver [d]'s insert
+   [idx] is key [(d+1)*100_000_000 + idx + idx/per_txn] in file
+   [idx mod files]; a driver change that moved a key fails here. *)
+let test_hot_stock_loss_audit_contract () =
+  let p = Hot_stock.scaled_params ~drivers:2 ~inserts_per_txn:8 ~records_per_driver:60 in
+  List.iter
+    (fun (label, cfg) ->
+      let missing, rebuilt, expected =
+        in_system ~cfg ~seed:0x114L (fun system ->
+            let r = Hot_stock.run system p in
+            check_int (label ^ ": every transaction committed") r.Hot_stock.txns
+              r.Hot_stock.committed;
+            Array.iter (fun d -> Tp.Dp2.load_table d []) (Tp.System.dp2s system);
+            let report =
+              match Tp.Recovery.run system with Ok r -> r | Error e -> Alcotest.fail e
+            in
+            let files = (Tp.System.config system).Tp.System.files in
+            let rows =
+              List.sort_uniq compare
+                (List.concat
+                   (List.init p.Hot_stock.drivers (fun d ->
+                        List.init p.Hot_stock.records_per_driver (fun idx ->
+                            ( idx mod files,
+                              ((d + 1) * 100_000_000) + idx + (idx / p.Hot_stock.inserts_per_txn)
+                            )))))
+            in
+            let present (file, key) =
+              let dp2 = (Tp.System.routing system).Tp.Txclient.dp2_of ~file ~key in
+              Tp.Dp2.lookup_direct (Tp.System.dp2s system).(dp2) ~file ~key <> None
+            in
+            ( List.length (List.filter (fun row -> not (present row)) rows),
+              report.Tp.Recovery.rows_rebuilt,
+              List.length rows ))
+      in
+      check_int (label ^ ": 120 distinct acked rows") 120 expected;
+      check_int (label ^ ": every acked row found") 0 missing;
+      check_int (label ^ ": rows rebuilt = acked rows") expected rebuilt)
+    [ ("pm", small_pm); ("disk", Tp.System.default_config) ]
+
 let test_txn_size_label () =
   Alcotest.(check string) "32k" "32k"
     (Hot_stock.txn_size_label (Hot_stock.paper_params ~drivers:1 ~inserts_per_txn:8));
@@ -282,6 +322,8 @@ let suite =
         Alcotest.test_case "zero boxcar is refused" `Quick test_hot_stock_rejects_empty_boxcar;
         Alcotest.test_case "partial last boxcar" `Quick test_hot_stock_partial_last_boxcar;
         Alcotest.test_case "distinct rows land" `Quick test_hot_stock_rows_unique;
+        Alcotest.test_case "recovery rebuilds exactly the acked rows" `Quick
+          test_hot_stock_loss_audit_contract;
         Alcotest.test_case "txn size labels" `Quick test_txn_size_label;
       ] );
     ( "workloads.telco",
