@@ -52,7 +52,10 @@ val run_cluster :
   ?chrome:bool ->
   unit ->
   cluster_run
-(** The distributed variant: a PM-mode cluster where every transaction
-    spreads inserts across nodes and commits two-phase, so prepare and
-    decide hops carry each branch's trace id across the interconnect and
-    the analyzer sees whole cross-node DAGs. *)
+(** The distributed variant: a PM-mode cluster running [drivers] of
+    {!Tp.Load.two_phase} (the drill's 2PC driver, [txns_per_driver]
+    transactions each) in {!Tp.Load.clients}, so every transaction
+    spreads inserts across nodes and commits two-phase, prepare and
+    decide hops carry each branch's trace id across the interconnect,
+    and the analyzer sees whole cross-node DAGs.  A failed transaction
+    is counted in [cl_failed] and followed by a 2 ms back-off. *)

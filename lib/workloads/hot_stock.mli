@@ -35,8 +35,12 @@ type result = {
 }
 
 val run : Tp.System.t -> params -> result
-(** Drive the benchmark to completion.  Process context only; drivers run
-    on worker CPUs round-robin. *)
+(** Drive the benchmark to completion: [drivers] runs of
+    {!Tp.Load.hot_stock} in {!Tp.Load.clients}, whose key formula fixes
+    the rows a crash-and-recover audit looks for.  A transaction that
+    fails (after the drill's [begin] retries) is skipped: it shows as
+    [txns - committed].  Keeps no list of acknowledged keys.  Process
+    context only. *)
 
 val txn_size_label : params -> string
 (** "32k" / "64k" / "128k" as the paper labels its x-axis. *)
