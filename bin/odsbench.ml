@@ -788,6 +788,8 @@ let telco mode records rate =
   Printf.printf "ingest rate    %.0f CDR/s\n" r.Telco_cdr.cdrs_per_sec;
   Printf.printf "txn p50        %.2f ms\n" (r.Telco_cdr.txn_response.Stat.p50 /. 1e6);
   Printf.printf "txn p99        %.2f ms\n" (r.Telco_cdr.txn_response.Stat.p99 /. 1e6);
+  if r.Telco_cdr.failed_txns > 0 then
+    Printf.printf "failed txns    %d\n" r.Telco_cdr.failed_txns;
   Printf.printf "fraud lookups  %d (%d hits)\n" r.Telco_cdr.lookups r.Telco_cdr.lookup_hits;
   hr ()
 
@@ -804,6 +806,7 @@ let orders mode trades =
   Printf.printf "hot symbol     %.1f trades/s (%d trades)\n" r.Order_match.hot_tps
     r.Order_match.hot_trades;
   Printf.printf "cold symbols   %.1f trades/s\n" r.Order_match.cold_tps;
+  if r.Order_match.failed > 0 then Printf.printf "failed trades  %d\n" r.Order_match.failed;
   Printf.printf "trade RT p50   %.2f ms\n" (r.Order_match.trade_response.Stat.p50 /. 1e6);
   Printf.printf "lock conflicts %d\n" r.Order_match.lock_waits;
   hr ()
@@ -816,6 +819,7 @@ let bank mode txns =
   hr ();
   Printf.printf "elapsed          %.3f s\n" (Time.to_sec r.Bank.elapsed);
   Printf.printf "throughput       %.1f txn/s\n" r.Bank.tps;
+  if r.Bank.failed > 0 then Printf.printf "failed txns      %d\n" r.Bank.failed;
   Printf.printf "response p50     %.2f ms\n" (r.Bank.response.Stat.p50 /. 1e6);
   Printf.printf "response p99     %.2f ms\n" (r.Bank.response.Stat.p99 /. 1e6);
   Printf.printf "branch conflicts %d\n" r.Bank.branch_conflicts;

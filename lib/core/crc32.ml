@@ -81,29 +81,42 @@ let slice8 buf crc p stop =
   done;
   !crc
 
+(* The register [c] advanced past a whole zero block: four lookups. *)
+let skip_zero_block c =
+  let z = zero_skip in
+  Array.unsafe_get z (c land 0xFF)
+  lxor Array.unsafe_get z (0x100 lor ((c lsr 8) land 0xFF))
+  lxor Array.unsafe_get z (0x200 lor ((c lsr 16) land 0xFF))
+  lxor Array.unsafe_get z (0x300 lor (c lsr 24))
+
+(* One byte folded into the register [c]. *)
+let step c byte = Array.unsafe_get tables ((c lxor byte) land 0xFF) lxor (c lsr 8)
+
 let sub buf ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Crc32.sub: out of range";
-  let z = zero_skip in
   let crc = ref 0xFFFFFFFF in
   let i = ref pos in
   (* Whole blocks from [pos]: an all-zero one costs four lookups. *)
   while !i <= pos + len - zero_block do
     let p = !i in
-    let c = !crc in
-    crc :=
-      if block_is_zero buf p then
-        Array.unsafe_get z (c land 0xFF)
-        lxor Array.unsafe_get z (0x100 lor ((c lsr 8) land 0xFF))
-        lxor Array.unsafe_get z (0x200 lor ((c lsr 16) land 0xFF))
-        lxor Array.unsafe_get z (0x300 lor (c lsr 24))
-      else slice8 buf c p (p + zero_block);
+    crc := if block_is_zero buf p then skip_zero_block !crc else slice8 buf !crc p (p + zero_block);
     i := p + zero_block
   done;
   let stop8 = !i + ((pos + len - !i) land lnot 7) in
   crc := slice8 buf !crc !i stop8;
   for j = stop8 to pos + len - 1 do
-    let byte = Char.code (Bytes.unsafe_get buf j) in
-    crc := Array.unsafe_get tables ((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
+    crc := step !crc (Char.code (Bytes.unsafe_get buf j))
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let zeros len =
+  if len < 0 then invalid_arg "Crc32.zeros: negative length";
+  let crc = ref 0xFFFFFFFF in
+  for _ = 1 to len / zero_block do
+    crc := skip_zero_block !crc
+  done;
+  for _ = 1 to len mod zero_block do
+    crc := step !crc 0
   done;
   Int32.of_int (!crc lxor 0xFFFFFFFF)
 

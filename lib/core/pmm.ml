@@ -787,19 +787,32 @@ let load_scrub t st =
   | None -> ()
 
 (* Read one chunk in 64 KiB RDMA slices, each straight into [buf], which
-   is exactly the chunk's length.  [None] when the device is unreachable. *)
+   is exactly the chunk's length.  [None] when the device is unreachable,
+   else [Some zero]: [zero] when every slice still aliased the device's
+   shared zero page as it landed.  A read copies its bytes at completion
+   and returns without yielding, so the query sees the memory the slice
+   copied (scrub addresses are device offsets: windows map [net_base =
+   phys_base]), and [buf] then holds only zero bytes. *)
 let scrub_read_chunk t st dev buf ~addr =
+  let zero = ref true in
   let read a n =
-    Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id
-      ~addr:a ~len:n ~buf ~pos:(a - addr)
+    match
+      Servernet.Fabric.rdma_read_into t.fabric ~src:(Cpu.endpoint st.s_cpu) ~dst:dev.dev_id
+        ~addr:a ~len:n ~buf ~pos:(a - addr)
+    with
+    | Ok () ->
+        if !zero then zero := Pages.untouched dev.dev_mem ~off:a ~len:n;
+        Ok ()
+    | Error _ as e -> e
   in
   match walk ~step:slice_bytes [ (addr, Bytes.length buf) ] read with
-  | Ok () -> Some buf
+  | Ok () -> Some !zero
   | Error _ -> None
 
 (* Both copies of a chunk, primary first, into the scrubber's own
    buffers; they are reallocated only when the chunk length changes, at
-   a region tail shorter than a chunk. *)
+   a region tail shorter than a chunk.  [Some zero] when both copies
+   were read, [zero] when both were never-written memory. *)
 let scrub_read_pair t st ~addr ~len =
   if Bytes.length st.s_prim_buf <> len then begin
     st.s_prim_buf <- Bytes.create len;
@@ -807,7 +820,7 @@ let scrub_read_pair t st ~addr ~len =
   end;
   let p = scrub_read_chunk t st t.prim_dev st.s_prim_buf ~addr in
   let m = scrub_read_chunk t st t.mirr_dev st.s_mirr_buf ~addr in
-  (p, m)
+  match (p, m) with Some p, Some m -> Some (p && m) | _ -> None
 
 let scrub_strike st ~addr ~len =
   let n = (match Hashtbl.find_opt st.s_strikes addr with Some n -> n | None -> 0) + 1 in
@@ -846,10 +859,15 @@ let scrub_repair t st ~dst_dev ~addr ~data ~len =
       st.s_repairs <- st.s_repairs + 1
   | Error _ -> scrub_strike st ~addr ~len
 
-(* Compare the copies and bless the chunk when they agree. *)
-let scrub_compare t st ~addr p m =
-  let same = Bytes.equal p m in
-  if same then scrub_mark_clean t st ~addr (Crc32.bytes p);
+(* Compare the copies in the scrubber's buffers and bless the chunk when
+   they agree.  When both were never-written memory ([zero]) the buffers
+   hold only zero bytes, so the verdict and the checksum are known
+   without reading them. *)
+let scrub_compare t st ~addr ~zero =
+  let p = st.s_prim_buf in
+  let same = zero || Bytes.equal p st.s_mirr_buf in
+  if same then
+    scrub_mark_clean t st ~addr (if zero then Crc32.zeros (Bytes.length p) else Crc32.bytes p);
   same
 
 let scrub_arbitrate t st ~addr ~len p m =
@@ -866,16 +884,17 @@ let scrub_arbitrate t st ~addr ~len p m =
    cannot be arbitrated and strikes toward quarantine. *)
 let scrub_chunk t st ~addr ~len =
   match scrub_read_pair t st ~addr ~len with
-  | Some p, Some m ->
+  | Some zero ->
       st.s_chunks <- st.s_chunks + 1;
-      if not (scrub_compare t st ~addr p m) then begin
+      if not (scrub_compare t st ~addr ~zero) then begin
         Sim.sleep scrub_recheck;
         match scrub_read_pair t st ~addr ~len with
-        | Some p, Some m ->
-            if not (scrub_compare t st ~addr p m) then scrub_arbitrate t st ~addr ~len p m
-        | _ -> ()
+        | Some zero ->
+            if not (scrub_compare t st ~addr ~zero) then
+              scrub_arbitrate t st ~addr ~len st.s_prim_buf st.s_mirr_buf
+        | None -> ()
       end
-  | _ ->
+  | None ->
       (* One copy unreachable: nothing to compare against.  The scrubber
          resumes the chunk when the device returns. *)
       ()

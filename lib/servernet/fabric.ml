@@ -139,6 +139,19 @@ module Pages = struct
     read_into t ~off ~len ~dst:out ~dst_off:0;
     out
 
+  (* One pointer test per page, or per untouched entry: [run] steps over
+     a whole run of zero pages at once. *)
+  let untouched t ~off ~len =
+    check t "untouched" ~off ~len;
+    let pos = ref 0 and clean = ref true in
+    while !clean && !pos < len do
+      let a = off + !pos in
+      let e = entry t a in
+      clean := page e a == zero;
+      pos := !pos + run e a (len - !pos)
+    done;
+    !clean
+
   (* Zero bytes landing on a page that still aliases [zero] change
      nothing, so the page stays shared: a resync copying never-written
      memory makes no page resident. *)

@@ -66,6 +66,14 @@ module Pages : sig
       landing on it is zero, so copying or padding with zeros creates no
       page.  Raises [Invalid_argument] on a negative [pad]. *)
 
+  val untouched : t -> off:int -> len:int -> bool
+  (** Every page of the range still aliases the shared zero page (none
+      was made resident since creation or the last {!clear}), so the
+      range reads as zero bytes.  Identity, not content: a resident page
+      holding only zeros, cleared by {!fill_zero} or {!set} to ['\000'],
+      counts as touched.  Costs one pointer test per page, or per
+      untouched 4 KiB table entry. *)
+
   val fill_zero : t -> off:int -> len:int -> unit
   (** Zero the range: resident pages are cleared in place, untouched
       pages stay shared. *)

@@ -923,6 +923,8 @@ let spec_of plan scope =
 
 let plan_names scope = names_where (fun p -> Result.is_ok (spec_of p scope))
 
+let () = Faultplan.set_single_plans (fun mode -> plan_names (`Single mode))
+
 (* --- The drill harness ---
 
    Every drill is the same experiment: build a platform, put load on it

@@ -236,6 +236,13 @@ let of_json json =
    overload drill's scope admits it. *)
 type scope = Single of System.t | Overload_drill of System.t | Cluster_node of Cluster.t * int
 
+(* The drill plans a single node of each log mode runs, named in the
+   flash-crowd refusal.  [Drill] owns the plan table and sits above this
+   module, so it supplies the list when it is linked. *)
+let single_plans = ref (fun (_ : System.log_mode) -> [])
+
+let set_single_plans f = single_plans := f
+
 let validate ?horizon scope plan =
   let system, overload, clustered =
     match scope with
@@ -303,17 +310,10 @@ let validate ?horizon scope plan =
         reject "slow_disk: factor %.2f below 1.0" factor
     | Slow_disk { jitter; _ } when jitter < 0 -> reject "slow_disk: negative jitter"
     | Flash_crowd _ when not overload ->
-        (* Keep this list in step with Drill.plan_names (checked by
-           test_overload) — the same names odsbench's --list-plans
-           prints. *)
-        let plans =
-          if pm_mode then "standard, kills, corruption, grayfail, overload, none"
-          else "standard, kills, none"
-        in
         reject
           "flash_crowd is overload-drill-only: run it via --plan overload (valid plans: \
            %s)"
-          plans
+          (String.concat ", " (!single_plans cfg.System.log_mode))
     | Flash_crowd { spike; _ } when spike < 1.0 ->
         reject "flash_crowd: spike %.2f below 1.0" spike
     | Flash_crowd { spike_for; _ } when spike_for <= 0 ->

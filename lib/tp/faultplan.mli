@@ -122,6 +122,11 @@ type scope =
           [Wan_partition] / [Wan_heal] act on the cluster's inter-node
           link *)
 
+val set_single_plans : (System.log_mode -> string list) -> unit
+(** Supply the drill plans a single node of each log mode runs, which
+    {!validate}'s flash-crowd refusal names.  [Drill] owns that table
+    and calls this once, when it is linked. *)
+
 val validate : ?horizon:Time.span -> scope -> t -> (unit, string) result
 (** Check every event against the scope's system: target and device
     indices in range, rail indices within the fabric, CRC rates in

@@ -16,20 +16,20 @@ let clients systems ~name n body =
   done;
   fun () -> Gate.await gate
 
+let rec begin_txn session ~retries =
+  match Txclient.begin_txn session with
+  | Ok txn -> Some txn
+  | Error _ when retries > 0 ->
+      Sim.sleep (Time.ms 250);
+      begin_txn session ~retries:(retries - 1)
+  | Error _ -> None
+
 let hot_stock system ~records ~record_bytes ~per_txn ~begin_retries ~commit ~fail index =
   let cfg = System.config system in
   let session = System.session system ~cpu:(index mod cfg.System.worker_cpus) in
   let files = cfg.System.files in
   let key_base = (index + 1) * 100_000_000 in
   let sim = System.sim system in
-  let rec begin_txn attempts =
-    match Txclient.begin_txn session with
-    | Ok txn -> Some txn
-    | Error _ when attempts > 0 ->
-        Sim.sleep (Time.ms 250);
-        begin_txn (attempts - 1)
-    | Error _ -> None
-  in
   let seq = ref 0 in
   while !seq < records do
     let t0 = Sim.now sim in
@@ -41,7 +41,7 @@ let hot_stock system ~records ~record_bytes ~per_txn ~begin_retries ~commit ~fai
           (idx mod files, key_base + idx + (idx / per_txn)))
     in
     seq := !seq + per_txn;
-    match begin_txn begin_retries with
+    match begin_txn session ~retries:begin_retries with
     | None -> fail ()
     | Some txn -> (
         List.iter

@@ -14,6 +14,11 @@ val clients : System.t array -> name:string -> int -> (int -> unit) -> unit -> u
     returns the join: calling it blocks until every client has
     returned.  Process context only. *)
 
+val begin_txn : Txclient.t -> retries:int -> Txclient.txn option
+(** [Txclient.begin_txn], retried [retries] times 250 ms apart while it
+    is refused (a takeover in progress); [None] when the last try is
+    refused too.  Process context only. *)
+
 val hot_stock :
   System.t ->
   records:int ->
@@ -28,10 +33,10 @@ val hot_stock :
     of [record_bytes], boxcarred [per_txn] per transaction, each
     committed before the next begins.  Insert [idx] writes key
     [(i+1)*100_000_000 + idx + idx/per_txn] into file [idx mod files],
-    so every transaction touches every file.  A [begin] refused across a
-    takeover is retried [begin_retries] times, 250 ms apart; a
-    transaction that still cannot begin, or fails to commit, is passed
-    to [fail].  [commit] gets the [(file, key)] rows. *)
+    so every transaction touches every file.  Each [begin] goes through
+    {!begin_txn} with [begin_retries]; a transaction that still cannot
+    begin, or fails to commit, is passed to [fail].  [commit] gets the
+    [(file, key)] rows. *)
 
 val two_phase :
   Cluster.t ->

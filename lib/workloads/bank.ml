@@ -26,6 +26,7 @@ type result = {
   response : Stat.summary;
   branch_conflicts : int;
   history_rows : int;
+  failed : int;
 }
 
 (* File roles. *)
@@ -74,7 +75,10 @@ let load_tables system params ~client_index =
   let hi = min params.accounts (lo + per_client - 1) in
   if lo <= hi then insert_range accounts_file lo hi
 
-let client_loop system params ~rt ~committed ~history index =
+(* A transaction that cannot begin across a takeover, exhausts its
+   lock-timeout retries or fails to commit is counted in [failed], and
+   the client moves on to its next one. *)
+let client_loop system params ~rt ~committed ~history ~failed index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let sim = Tp.System.sim system in
@@ -90,9 +94,9 @@ let client_loop system params ~rt ~committed ~history index =
        update before issuing the next; only the uncontended history
        insert is asynchronous.  Lock-timeout victims abort and retry. *)
     let rec attempt retries =
-      match Tp.Txclient.begin_txn session with
-      | Error e -> failwith ("bank: begin: " ^ Tp.Txclient.error_to_string e)
-      | Ok txn -> (
+      match Tp.Load.begin_txn session ~retries:Tp.Drill.default_params.begin_retries with
+      | None -> incr failed
+      | Some txn -> (
           let step file key =
             Tp.Txclient.insert session txn ~file ~key ~len:params.row_bytes ()
           in
@@ -105,10 +109,9 @@ let client_loop system params ~rt ~committed ~history index =
             | Error e -> Error e
           in
           match updates with
-          | Error e ->
+          | Error _ ->
               ignore (Tp.Txclient.abort session txn);
-              if retries > 0 then attempt (retries - 1)
-              else failwith ("bank: gave up: " ^ Tp.Txclient.error_to_string e)
+              if retries > 0 then attempt (retries - 1) else incr failed
           | Ok () -> (
               Tp.Txclient.insert_async session txn ~file:history_file
                 ~key:(history_base + i) ~len:params.row_bytes ();
@@ -117,7 +120,7 @@ let client_loop system params ~rt ~committed ~history index =
                   incr committed;
                   incr history;
                   Stat.add_span rt (Sim.now sim - t0)
-              | Error e -> failwith ("bank: commit: " ^ Tp.Txclient.error_to_string e)))
+              | Error _ -> incr failed))
     in
     attempt 3
   done
@@ -128,6 +131,7 @@ let run system params =
   let rt = Stat.create ~name:"bank-rt" () in
   let committed = ref 0 in
   let history = ref 0 in
+  let failed = ref 0 in
   let conflicts_before = Tp.Lockmgr.conflicts (Tp.System.locks system) in
   (* Load phase. *)
   Tp.Load.clients [| system |] ~name:"bank-load" params.clients
@@ -136,7 +140,7 @@ let run system params =
   (* Measured phase. *)
   let started = Sim.now sim in
   Tp.Load.clients [| system |] ~name:"bank" params.clients
-    (client_loop system params ~rt ~committed ~history)
+    (client_loop system params ~rt ~committed ~history ~failed)
     ();
   let elapsed = Sim.now sim - started in
   {
@@ -146,4 +150,5 @@ let run system params =
     response = Stat.summary rt;
     branch_conflicts = Tp.Lockmgr.conflicts (Tp.System.locks system) - conflicts_before;
     history_rows = !history;
+    failed = !failed;
   }

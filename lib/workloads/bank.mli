@@ -30,6 +30,9 @@ type result = {
   response : Stat.summary;
   branch_conflicts : int;  (** lock conflicts observed (mostly branches) *)
   history_rows : int;
+  failed : int;
+      (** transactions that could not begin, ran out of lock-timeout
+          retries or failed to commit; each is counted and skipped *)
 }
 
 val run : Tp.System.t -> params -> result

@@ -19,11 +19,14 @@ type result = {
   cold_tps : float;
   trade_response : Stat.summary;
   lock_waits : int;
+  failed : int;
 }
 
 (* Files: 0 holds per-symbol position rows (the contended updates),
-   1..files-1 hold order history (insert-only). *)
-let stream system params ~rt ~hot_count index =
+   1..files-1 hold order history (insert-only).  A trade whose
+   transaction cannot begin across a takeover or fails to commit is
+   counted in [failed], and the stream moves on. *)
+let stream system params ~rt ~hot_count ~failed index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let files = cfg.Tp.System.files in
@@ -35,9 +38,9 @@ let stream system params ~rt ~hot_count index =
       if Rng.bool rng params.hot_symbol_share then 0 else 1 + Rng.int rng (params.symbols - 1)
     in
     let t0 = Sim.now sim in
-    (match Tp.Txclient.begin_txn session with
-    | Error e -> failwith ("order_match: begin: " ^ Tp.Txclient.error_to_string e)
-    | Ok txn -> (
+    (match Tp.Load.begin_txn session ~retries:Tp.Drill.default_params.begin_retries with
+    | None -> incr failed
+    | Some txn -> (
         (* The order record (no contention)... *)
         Tp.Txclient.insert_async session txn
           ~file:(1 + (trade mod (files - 1)))
@@ -48,7 +51,7 @@ let stream system params ~rt ~hot_count index =
         | Ok () ->
             if symbol = 0 then incr hot_count;
             Stat.add_span rt (Sim.now sim - t0)
-        | Error e -> failwith ("order_match: commit: " ^ Tp.Txclient.error_to_string e)))
+        | Error _ -> incr failed))
   done
 
 let run system params =
@@ -56,9 +59,10 @@ let run system params =
   let sim = Tp.System.sim system in
   let rt = Stat.create ~name:"trade-rt" () in
   let hot_count = ref 0 in
+  let failed = ref 0 in
   let started = Sim.now sim in
   Tp.Load.clients [| system |] ~name:"stream" params.streams
-    (stream system params ~rt ~hot_count)
+    (stream system params ~rt ~hot_count ~failed)
     ();
   let elapsed = Sim.now sim - started in
   let trades = params.streams * params.trades_per_stream in
@@ -68,7 +72,9 @@ let run system params =
     trades;
     hot_trades = !hot_count;
     hot_tps = (if seconds > 0.0 then float_of_int !hot_count /. seconds else 0.0);
-    cold_tps = (if seconds > 0.0 then float_of_int (trades - !hot_count) /. seconds else 0.0);
+    cold_tps =
+      (if seconds > 0.0 then float_of_int (trades - !hot_count - !failed) /. seconds else 0.0);
     trade_response = Stat.summary rt;
     lock_waits = Tp.Lockmgr.conflicts (Tp.System.locks system);
+    failed = !failed;
   }

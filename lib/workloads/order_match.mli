@@ -30,6 +30,9 @@ type result = {
   cold_tps : float;  (** trades/s on everything else *)
   trade_response : Stat.summary;
   lock_waits : int;  (** lock-manager conflicts observed *)
+  failed : int;
+      (** trades whose transaction could not begin or failed to commit;
+          each is counted and skipped, and neither rate includes it *)
 }
 
 val run : Tp.System.t -> params -> result

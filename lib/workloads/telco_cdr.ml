@@ -28,16 +28,19 @@ type result = {
   txn_response : Stat.summary;
   lookups : int;
   lookup_hits : int;
+  failed_txns : int;
 }
 
-(* One insert transaction of [n] CDRs starting at [start_seq]. *)
-let one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted =
+(* One insert transaction of [n] CDRs starting at [start_seq].  One
+   that cannot begin across a takeover or fails to commit is counted in
+   [failed]. *)
+let one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted ~failed =
   let sim = Tp.System.sim system in
   let files = (Tp.System.config system).Tp.System.files in
   let t0 = Sim.now sim in
-  match Tp.Txclient.begin_txn session with
-  | Error e -> failwith ("telco: begin: " ^ Tp.Txclient.error_to_string e)
-  | Ok txn -> (
+  match Tp.Load.begin_txn session ~retries:Tp.Drill.default_params.begin_retries with
+  | None -> incr failed
+  | Some txn -> (
       for i = 0 to n - 1 do
         let key = key_base + start_seq + i in
         Tp.Txclient.insert_async session txn ~file:((start_seq + i) mod files) ~key
@@ -47,24 +50,24 @@ let one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted =
       | Ok () ->
           inserted := !inserted + n;
           Stat.add_span rt (Sim.now sim - t0)
-      | Error e -> failwith ("telco: commit: " ^ Tp.Txclient.error_to_string e))
+      | Error _ -> incr failed)
 
 (* One switch: a closed-loop stream of small insert transactions. *)
-let switch system params ~rt ~inserted index =
+let switch system params ~rt ~inserted ~failed index =
   let cfg = Tp.System.config system in
   let session = Tp.System.session system ~cpu:(index mod cfg.Tp.System.worker_cpus) in
   let key_base = (index + 1) * 10_000_000 in
   let seq = ref 0 in
   while !seq < params.cdrs_per_switch do
     let n = min params.cdrs_per_txn (params.cdrs_per_switch - !seq) in
-    one_txn system params ~session ~key_base ~start_seq:!seq ~n ~rt ~inserted;
+    one_txn system params ~session ~key_base ~start_seq:!seq ~n ~rt ~inserted ~failed;
     seq := !seq + n
   done
 
 (* Open-loop switch: transactions arrive at Poisson intervals regardless
    of completion; each runs in its own worker so arrivals queue behind a
    saturated system instead of throttling it. *)
-let open_switch system params ~rate_cdrs ~rt ~inserted index =
+let open_switch system params ~rate_cdrs ~rt ~inserted ~failed index =
   let cfg = Tp.System.config system in
   let cpu_idx = index mod cfg.Tp.System.worker_cpus in
   let node = Tp.System.node system in
@@ -85,7 +88,7 @@ let open_switch system params ~rate_cdrs ~rt ~inserted index =
     let session = Tp.System.session system ~cpu:cpu_idx in
     ignore
       (Nsk.Cpu.spawn (Nsk.Node.cpu node cpu_idx) ~name:"cdr-txn" (fun () ->
-           one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted;
+           one_txn system params ~session ~key_base ~start_seq ~n ~rt ~inserted ~failed;
            Gate.arrive gate))
   done;
   Gate.await gate
@@ -123,6 +126,7 @@ let run system params =
   let sim = Tp.System.sim system in
   let rt = Stat.create ~name:"cdr-txn-rt" () in
   let inserted = ref 0 in
+  let failed = ref 0 in
   let lookups = ref 0 in
   let hits = ref 0 in
   let stop = ref false in
@@ -130,8 +134,8 @@ let run system params =
   let join =
     Tp.Load.clients [| system |] ~name:"switch" params.switches
       (match params.arrival with
-      | Closed -> switch system params ~rt ~inserted
-      | Open_poisson rate -> open_switch system params ~rate_cdrs:rate ~rt ~inserted)
+      | Closed -> switch system params ~rt ~inserted ~failed
+      | Open_poisson rate -> open_switch system params ~rate_cdrs:rate ~rt ~inserted ~failed)
   in
   (* The fraud readers run until [stop]; nobody waits for them. *)
   let (_ : unit -> unit) =
@@ -148,4 +152,5 @@ let run system params =
     txn_response = Stat.summary rt;
     lookups = !lookups;
     lookup_hits = !hits;
+    failed_txns = !failed;
   }

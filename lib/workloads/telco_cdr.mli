@@ -36,6 +36,9 @@ type result = {
   txn_response : Stat.summary;
   lookups : int;
   lookup_hits : int;
+  failed_txns : int;
+      (** insert transactions that could not begin or failed to commit;
+          each is counted and skipped *)
 }
 
 val run : Tp.System.t -> params -> result

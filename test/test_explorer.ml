@@ -119,6 +119,27 @@ let test_validate_horizon () =
           check_bool "names the action index" true (contains e "action 1");
           check_bool "mentions the horizon" true (contains e "horizon"))
 
+(* The flash-crowd refusal lists exactly what [--list-plans] prints for
+   the system's mode, from [Drill.plan_names]. *)
+let test_flash_crowd_refusal_names_plans () =
+  List.iter
+    (fun (cfg, plans) ->
+      let sim = Sim.create ~seed:0x40BL () in
+      Test_util.run_in sim (fun () ->
+          let system = Tp.System.build sim cfg in
+          let crowd = Tp.Faultplan.Flash_crowd { spike = 5.0; spike_for = Time.ms 400 } in
+          match Tp.Faultplan.validate (Tp.Faultplan.Single system) [ Tp.Faultplan.at 0 crowd ] with
+          | Ok () -> Alcotest.fail "flash_crowd accepted outside the overload drill"
+          | Error e ->
+              Alcotest.(check string) "message"
+                ("action 0: flash_crowd is overload-drill-only: run it via --plan overload (valid \
+                  plans: " ^ plans ^ ")")
+                e))
+    [
+      (Tp.System.pm_config, "standard, kills, corruption, grayfail, overload, none");
+      (Tp.System.default_config, "standard, kills, none");
+    ]
+
 let test_drill_run_horizon () =
   match
     Tp.Drill.exec
@@ -435,6 +456,8 @@ let suite =
           test_validate_horizon;
         Alcotest.test_case "drill refuses a past-horizon plan" `Quick
           test_drill_run_horizon;
+        Alcotest.test_case "flash-crowd refusal names the mode's plans" `Quick
+          test_flash_crowd_refusal_names_plans;
       ] );
     ( "explorer.oracle",
       [ Alcotest.test_case "verdict mechanics" `Quick test_oracle_verdicts ] );

@@ -80,6 +80,27 @@ let prop_crc32_matches_bitwise =
       Crc32.string s = crc32_bitwise s
       && Crc32.sub (Bytes.of_string s) ~pos ~len = crc32_bitwise (String.sub s pos len))
 
+(* [Crc32.zeros] is the checksum of a real buffer of zeros: at the seams
+   of its 4 KiB skip and a scrub chunk's length, against the bitwise
+   reference too, and at sampled lengths up to 300,000. *)
+let test_crc32_zeros () =
+  List.iter
+    (fun n ->
+      let zeros = Bytes.make n '\000' in
+      Alcotest.(check int32) (Printf.sprintf "%d zeros" n) (Crc32.bytes zeros) (Crc32.zeros n);
+      Alcotest.(check int32)
+        (Printf.sprintf "%d zeros, bitwise" n)
+        (crc32_bitwise (Bytes.to_string zeros))
+        (Crc32.zeros n))
+    [ 0; 1; 4095; 4096; 4097; 262_144 ];
+  Alcotest.check_raises "negative" (Invalid_argument "Crc32.zeros: negative length") (fun () ->
+      ignore (Crc32.zeros (-1)))
+
+let prop_crc32_zeros =
+  QCheck.Test.make ~name:"Crc32.zeros n == crc32 of n zero bytes" ~count:60
+    QCheck.(int_bound 300_000)
+    (fun n -> Crc32.zeros n = Crc32.bytes (Bytes.make n '\000'))
+
 (* --- Topology (same shape as test_pm's) --- *)
 
 type topo = {
@@ -299,6 +320,57 @@ let test_scrubber_restart_rejected () =
           Pmm.start_scrubber topo.pmm ~cpu:(Node.cpu topo.node 0) ~interval:fast_scrub ());
       Pmm.stop_scrubber topo.pmm;
       Pmm.stop_scrubber topo.pmm (* idempotent *))
+
+(* The scrubber's never-written fast path over two stores built from
+   random ops: when both copies are untouched, the chunk is blessed equal
+   with [Crc32.zeros] unread; that verdict must be the byte path's
+   ([Bytes.equal], then [Crc32.bytes]) over what the copies read.  The
+   scrubber reads a chunk in slices and ANDs their queries, so a split
+   of the range must answer as the whole.  Half the cases drive both
+   stores with zero data only (no [set]), so both copies are often
+   untouched. *)
+let gen_scrub_case =
+  let open QCheck.Gen in
+  let zero_only =
+    List.filter_map (function
+      | Test_servernet.P_write (o, s, pad) ->
+          Some (Test_servernet.P_write (o, String.make (String.length s) '\000', pad))
+      | Test_servernet.P_set _ -> None
+      | op -> Some op)
+  in
+  Test_servernet.gen_pages_equal_case >>= fun (a, b, off, len) ->
+  bool >>= fun zeroed ->
+  map
+    (fun cut -> if zeroed then (zero_only a, zero_only b, off, len, cut) else (a, b, off, len, cut))
+    (int_bound len)
+
+let prop_scrub_fast_path_matches_bytes =
+  QCheck.Test.make ~name:"never-written fast path == byte compare and checksum" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b, off, len, cut) ->
+         Printf.sprintf "a: %s\nb: %s\nrange %d+%d, cut at %d" (Test_servernet.show_page_ops a)
+           (Test_servernet.show_page_ops b) off len cut)
+       gen_scrub_case)
+    (fun (ops_a, ops_b, off, len, cut) ->
+      let module P = Servernet.Fabric.Pages in
+      let build ops =
+        let p = P.create Test_servernet.pages_size in
+        let model = Bytes.make Test_servernet.pages_size '\000' in
+        List.iter (fun op -> ignore (Test_servernet.apply_page_op p model op)) ops;
+        p
+      in
+      let a = build ops_a and b = build ops_b in
+      let ra = P.read a ~off ~len and rb = P.read b ~off ~len in
+      let ua = P.untouched a ~off ~len and ub = P.untouched b ~off ~len in
+      let split p = P.untouched p ~off ~len:cut && P.untouched p ~off:(off + cut) ~len:(len - cut) in
+      let zero_bytes r = Bytes.for_all (fun c -> c = '\000') r in
+      let byte_path = if Bytes.equal ra rb then Some (Crc32.bytes ra) else None in
+      let fast_path = if ua && ub then Some (Crc32.zeros len) else byte_path in
+      ua = split a
+      && ub = split b
+      && ((not ua) || zero_bytes ra)
+      && ((not ub) || zero_bytes rb)
+      && fast_path = byte_path)
 
 (* The scrubber's checksum table sits behind the region table in each
    metadata slot: slot [generation mod 2] of both devices, from byte
@@ -857,6 +929,8 @@ let suite =
       [
         Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
         QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+        Alcotest.test_case "zeros" `Quick test_crc32_zeros;
+        QCheck_alcotest.to_alcotest prop_crc32_zeros;
       ] );
     ( "integrity.injection",
       [
@@ -885,6 +959,7 @@ let suite =
           test_scrubber_reload_falls_back_a_generation;
         Alcotest.test_case "single instance, idempotent stop" `Quick
           test_scrubber_restart_rejected;
+        QCheck_alcotest.to_alcotest prop_scrub_fast_path_matches_bytes;
       ] );
     ( "integrity.verified_reads",
       [

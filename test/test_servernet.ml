@@ -529,6 +529,30 @@ let test_pages_unwritten_read_zero () =
   check_string "cleared range reads zero" (zeros 8)
     (Bytes.to_string (Fabric.Pages.read p ~off:(page - 4) ~len:8))
 
+(* [untouched] is identity, not content: a page made resident stays
+   touched after it is zeroed, until [clear]; zero data never touches. *)
+let test_pages_untouched () =
+  let page = Fabric.Pages.page_size in
+  let p = Fabric.Pages.create (3 * entry_size) in
+  let all = 3 * entry_size in
+  check_bool "fresh store" true (Fabric.Pages.untouched p ~off:0 ~len:all);
+  check_bool "empty range" true (Fabric.Pages.untouched p ~off:all ~len:0);
+  Fabric.Pages.write ~pad:page p ~off:5 ~data:(Bytes.make (2 * page) '\000');
+  check_bool "zero data and padding" true (Fabric.Pages.untouched p ~off:0 ~len:all);
+  Fabric.Pages.set p (entry_size + page) 'x';
+  Fabric.Pages.fill_zero p ~off:entry_size ~len:entry_size;
+  check_bool "a zeroed resident page" false (Fabric.Pages.untouched p ~off:0 ~len:all);
+  check_bool "the pages before it" true
+    (Fabric.Pages.untouched p ~off:0 ~len:(entry_size + page));
+  check_bool "its last byte" false
+    (Fabric.Pages.untouched p ~off:(entry_size + (2 * page) - 1) ~len:1);
+  check_bool "the zero pages after it, same entry" true
+    (Fabric.Pages.untouched p ~off:(entry_size + (2 * page)) ~len:(all - entry_size - (2 * page)));
+  Fabric.Pages.clear p;
+  check_bool "clear" true (Fabric.Pages.untouched p ~off:0 ~len:all);
+  Alcotest.check_raises "past the end" (Invalid_argument "Fabric.Pages.untouched: out of range")
+    (fun () -> ignore (Fabric.Pages.untouched p ~off:1 ~len:all))
+
 let suite =
   [
     ( "servernet.avt",
@@ -564,5 +588,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_pages_equal_matches_flat_bytes;
         Alcotest.test_case "equal compares content" `Quick test_pages_equal_compares_content;
         Alcotest.test_case "small heads stay small" `Quick test_pages_small_heads_stay_small;
+        Alcotest.test_case "untouched is identity" `Quick test_pages_untouched;
       ] );
   ]

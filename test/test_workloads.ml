@@ -314,6 +314,60 @@ let test_hot_stock_rejects_empty_boxcar () =
         (Figures.run_cell ~mode:Tp.System.Disk_audit ~drivers:1 ~inserts_per_txn:0
            ~records_per_driver:8 ()))
 
+(* --- Failed transactions are counted, not fatal --- *)
+
+(* Both rails down for 5 ms from [from] ms: PM commits in flight fail with
+   both NPMUs unreachable, and each workload must count them and finish
+   its run rather than abort the simulation. *)
+let under_partition ~from ~seed f =
+  in_system ~cfg:Tp.System.pm_config ~seed (fun system ->
+      let plan =
+        Tp.Faultplan.
+          [
+            at (Time.ms from) (Rail_down 0);
+            at (Time.ms from) (Rail_down 1);
+            at (Time.ms (from + 5)) (Rail_up 0);
+            at (Time.ms (from + 5)) (Rail_up 1);
+          ]
+      in
+      let run = Tp.Faultplan.launch (Tp.Faultplan.Single system) plan in
+      let r = f system in
+      Tp.Faultplan.await run;
+      r)
+
+(* After the bank's load phase, which still refuses to continue on a
+   half-loaded table. *)
+let test_bank_counts_failures () =
+  let r = under_partition ~from:100 ~seed:0xBA11L (fun system -> Bank.run system bank_params) in
+  check_bool (Printf.sprintf "some failed (%d)" r.Bank.failed) true (r.Bank.failed > 0);
+  check_int "every transaction committed or counted" 90 (r.Bank.committed + r.Bank.failed);
+  check_int "one history row per commit" r.Bank.committed r.Bank.history_rows
+
+let test_order_match_counts_failures () =
+  let r =
+    under_partition ~from:10 ~seed:0x5L (fun system ->
+        Order_match.run system
+          { Order_match.streams = 4; trades_per_stream = 40; symbols = 8; hot_symbol_share = 0.6;
+            order_bytes = 256 })
+  in
+  check_bool (Printf.sprintf "some failed (%d)" r.Order_match.failed) true (r.Order_match.failed > 0);
+  check_int "one response sample per committed trade" (r.Order_match.trades - r.Order_match.failed)
+    r.Order_match.trade_response.Stat.n;
+  check_bool "hot trades are committed ones" true
+    (r.Order_match.hot_trades + r.Order_match.failed <= r.Order_match.trades)
+
+let test_telco_counts_failures () =
+  let r =
+    under_partition ~from:10 ~seed:0x6L (fun system ->
+        Telco_cdr.run system
+          { Telco_cdr.switches = 3; cdrs_per_switch = 60; cdr_bytes = 256; cdrs_per_txn = 2;
+            fraud_readers = 2; arrival = Telco_cdr.Closed })
+  in
+  check_bool (Printf.sprintf "some failed (%d)" r.Telco_cdr.failed_txns) true
+    (r.Telco_cdr.failed_txns > 0);
+  check_int "every CDR inserted or its transaction counted" 180
+    (r.Telco_cdr.cdrs_inserted + (2 * r.Telco_cdr.failed_txns))
+
 let suite =
   [
     ( "workloads.hot_stock",
@@ -340,6 +394,13 @@ let suite =
       [
         Alcotest.test_case "hot symbol contends" `Quick test_order_match_contention;
         Alcotest.test_case "PM lifts hot-symbol throughput" `Quick test_order_match_pm_lifts_hot_throughput;
+      ] );
+    ( "workloads.failures",
+      [
+        Alcotest.test_case "bank counts failed transactions" `Quick test_bank_counts_failures;
+        Alcotest.test_case "order matching counts failed trades" `Quick
+          test_order_match_counts_failures;
+        Alcotest.test_case "telco counts failed transactions" `Quick test_telco_counts_failures;
       ] );
     ( "figures",
       [
